@@ -25,15 +25,26 @@
 //! submitted count to stay strictly below the pre-chunk-plan baseline at
 //! every gated side (the counters are machine-independent, so this holds
 //! on any host), and `speedup_gate` requires threaded wall time to beat
-//! serial per side whenever the host has ≥ 2 cores (vacuously true on a
-//! single-core host, where threading can only add overhead).
+//! serial per side whenever the host has ≥ 2 cores (recorded as `"n/a"`
+//! on a single-core host, where threading can only add overhead).
+//!
+//! Every entry also records the multilevel solver's counters
+//! (`slpm_linalg::solver_counters`): the finest level's inner correction
+//! solves and their PCG iterations, plus the fallbacks taken (V-cycle
+//! solves retried with Jacobi-PCG, coarse shift-invert fallbacks). The
+//! `iteration_gate` requires the serial multilevel path's PCG iterations
+//! per finest-level solve at the largest recorded side to stay within
+//! 1.25× of those at the smallest side ≥ 64 — the V-cycle preconditioner's
+//! promise that inner solves do not get harder as the grid grows
+//! (`"n/a"` when fewer than two such sides ran).
 //!
 //! `--bisection SIDE` additionally runs the **recursive-bisection stage**
 //! on a non-square SIDE × (3·SIDE/2) grid: the RSB order once with the
 //! root coarsening hierarchy restricted to each half
 //! (`reuse_hierarchy: true`) and once re-coarsening every fragment from
 //! scratch. It gates on the two orders being rank-for-rank identical and
-//! on the reuse run being faster.
+//! on the reuse run being faster, and records the reuse run's solver
+//! fallbacks (failed warm starts, V-cycle retries, coarse fallbacks).
 //!
 //! `--oocore SIDE` additionally runs the **out-of-core stage**: pack a
 //! SIDE×SIDE grid's Hilbert order into an on-disk page file (at 2048 that
@@ -46,16 +57,16 @@
 //! readahead-off digest) and on readahead cutting demand misses.
 //!
 //! `--json` additionally writes the machine-readable benchmark trajectory
-//! (schema `slpm.pipeline_scale.v4`) to PATH (default BENCH_pipeline.json);
+//! (schema `slpm.pipeline_scale.v5`) to PATH (default BENCH_pipeline.json);
 //! CI uploads that file as a build artifact on every push. The process
 //! exits nonzero if any attempted solver path fails, a threaded run
-//! diverges from serial, or the out-of-core, dispatch, speedup or
-//! bisection gate misses.
+//! diverges from serial, or the out-of-core, dispatch, speedup, iteration
+//! or bisection gate misses.
 
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_linalg::fiedler::{FiedlerMethod, FiedlerOptions};
 use slpm_linalg::parallel::{dispatch_counters, DispatchCounters};
-use slpm_linalg::Pool;
+use slpm_linalg::{solver_counters, Pool, SolverCounters};
 use slpm_querysim::mappings::curve_order_by_name;
 use slpm_serve::engine::{EngineConfig, Query, ServeEngine};
 use slpm_serve::workload::grid_points;
@@ -112,7 +123,28 @@ struct Entry {
     /// engagements, backend jobs, chunk-grid cells) — all zero for serial
     /// runs, machine-independent for a given (side, threads).
     dispatch: DispatchCounters,
+    /// Multilevel solver counters accumulated during this run: finest-
+    /// level inner solves and PCG iterations, and fallbacks taken.
+    solver: SolverCounters,
 }
+
+impl Entry {
+    /// PCG iterations per finest-level inner solve (0 without solves).
+    fn iterations_per_solve(&self) -> f64 {
+        if self.solver.finest_solves == 0 {
+            0.0
+        } else {
+            self.solver.finest_iterations as f64 / self.solver.finest_solves as f64
+        }
+    }
+}
+
+/// Smallest side the `iteration_gate` compares against: below it the
+/// hierarchy is too shallow for iteration counts to say anything.
+const ITERATION_GATE_MIN_SIDE: usize = 64;
+/// Largest allowed ratio, either way, between PCG iterations per
+/// finest-level solve at the smallest gated side and the largest one.
+const ITERATION_GATE_RATIO: f64 = 1.25;
 
 fn method_name(m: FiedlerMethod) -> &'static str {
     match m {
@@ -137,11 +169,13 @@ fn run_one(
     });
     let graph = spec.graph(Connectivity::Orthogonal);
     let before = dispatch_counters();
+    let solver_before = solver_counters();
     let start = Instant::now();
     let mapping = with_pool(threads, |pool| mapper.map_grid_on(spec, pool))
         .map_err(|e| format!("{} on {:?}: {e}", method_name(method), spec.dims()))?;
     let seconds = start.elapsed().as_secs_f64();
     let dispatch = dispatch_counters().since(&before);
+    let solver = solver_counters().since(&solver_before);
     let entry = Entry {
         side: spec.dim(0),
         vertices: spec.num_points(),
@@ -154,6 +188,7 @@ fn run_one(
         two_sum: objective::two_sum_cost(&graph, &mapping.order),
         order_matches_serial: true,
         dispatch,
+        solver,
     };
     Ok((entry, mapping.order))
 }
@@ -278,6 +313,8 @@ struct Bisection {
     reuse_seconds: f64,
     scratch_seconds: f64,
     orders_match: bool,
+    /// Solver counters of the reuse run (warm-start failures among them).
+    reuse_solver: SolverCounters,
     gate: bool,
 }
 
@@ -296,29 +333,35 @@ fn run_bisection(side: usize, threads: usize) -> Result<Bisection, String> {
         },
         ..Default::default()
     };
-    let run = |reuse: bool| -> Result<(f64, LinearOrder), String> {
+    let run = |reuse: bool| -> Result<(f64, LinearOrder, SolverCounters), String> {
         let opts = RsbOptions {
             leaf_size: 64,
             config: config.clone(),
             reuse_hierarchy: reuse,
         };
+        let before = solver_counters();
         let start = Instant::now();
         let order = with_pool(threads, |pool| rsb_order_on(&graph, &opts, pool))
             .map_err(|e| format!("rsb (reuse={reuse}) on {dims:?}: {e}"))?;
-        Ok((start.elapsed().as_secs_f64(), order))
+        let seconds = start.elapsed().as_secs_f64();
+        Ok((seconds, order, solver_counters().since(&before)))
     };
-    let (reuse_seconds, reuse_order) = run(true)?;
-    let (scratch_seconds, scratch_order) = run(false)?;
+    let (reuse_seconds, reuse_order, reuse_solver) = run(true)?;
+    let (scratch_seconds, scratch_order, _) = run(false)?;
     let orders_match = reuse_order.ranks() == scratch_order.ranks();
     let gate = orders_match && reuse_seconds < scratch_seconds;
     println!(
         "bisection: {}x{} rsb reuse {reuse_seconds:.2}s vs re-coarsen {scratch_seconds:.2}s \
-         ({:.2}x), orders {} -> {}",
+         ({:.2}x), orders {} -> {}; reuse run: {} warm-start failures, {} v-cycle retries, \
+         {} coarse fallbacks",
         dims[0],
         dims[1],
         scratch_seconds / reuse_seconds,
         if orders_match { "match" } else { "DIVERGE" },
         if gate { "pass" } else { "FAIL" },
+        reuse_solver.warm_start_failures,
+        reuse_solver.vcycle_retries,
+        reuse_solver.coarse_fallbacks,
     );
     Ok(Bisection {
         dims,
@@ -327,6 +370,7 @@ fn run_bisection(side: usize, threads: usize) -> Result<Bisection, String> {
         reuse_seconds,
         scratch_seconds,
         orders_match,
+        reuse_solver,
         gate,
     })
 }
@@ -349,13 +393,14 @@ fn dispatch_gate(entries: &[Entry]) -> bool {
 
 /// `speedup_gate`: threaded multilevel wall time beats serial at every
 /// side — demanded only when the host actually has ≥ 2 cores to run the
-/// workers on (single-core hosts time-slice the pool, where threading can
-/// only break even at best; there the gate is vacuously true).
-fn speedup_gate(entries: &[Entry], host_parallelism: usize) -> bool {
+/// workers on. Single-core hosts time-slice the pool, where threading can
+/// only break even at best; there the gate does not apply (`None`,
+/// recorded as `"n/a"`).
+fn speedup_gate(entries: &[Entry], host_parallelism: usize) -> Option<bool> {
     if host_parallelism < 2 {
-        return true;
+        return None;
     }
-    SIDES.iter().all(|&side| {
+    Some(SIDES.iter().all(|&side| {
         let serial = entries
             .iter()
             .find(|e| e.side == side && e.method == "multilevel" && e.threads == 1);
@@ -366,7 +411,36 @@ fn speedup_gate(entries: &[Entry], host_parallelism: usize) -> bool {
             (Some(s), Some(t)) => t.seconds < s.seconds,
             _ => true,
         }
-    })
+    }))
+}
+
+/// `iteration_gate`: PCG iterations per finest-level inner solve of the
+/// serial multilevel path at the largest recorded side, against the
+/// smallest recorded side ≥ [`ITERATION_GATE_MIN_SIDE`]. Counter-based, so
+/// host-independent. `None` (recorded as `"n/a"`) when fewer than two
+/// such sides ran.
+fn iteration_gate(entries: &[Entry]) -> Option<bool> {
+    let gated: Vec<&Entry> = entries
+        .iter()
+        .filter(|e| e.method == "multilevel" && e.threads == 1)
+        .filter(|e| e.side >= ITERATION_GATE_MIN_SIDE)
+        .collect();
+    let smallest = gated.iter().min_by_key(|e| e.side)?;
+    let largest = gated.iter().max_by_key(|e| e.side)?;
+    if smallest.side == largest.side {
+        return None;
+    }
+    let (lo, hi) = (
+        smallest.iterations_per_solve(),
+        largest.iterations_per_solve(),
+    );
+    Some(lo > 0.0 && hi <= ITERATION_GATE_RATIO * lo && lo <= ITERATION_GATE_RATIO * hi)
+}
+
+/// A gate verdict as JSON: `true`/`false`, or `"n/a"` where the gate
+/// cannot apply.
+fn gate_json(verdict: Option<bool>) -> String {
+    verdict.map_or_else(|| "\"n/a\"".to_string(), |v| v.to_string())
 }
 
 fn to_json(
@@ -377,7 +451,7 @@ fn to_json(
     bisection: Option<&Bisection>,
 ) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"slpm.pipeline_scale.v4\",\n");
+    out.push_str("  \"schema\": \"slpm.pipeline_scale.v5\",\n");
     out.push_str(
         "  \"description\": \"End-to-end Spectral LPM pipeline wall time per eigensolver\",\n",
     );
@@ -390,7 +464,8 @@ fn to_json(
         Some(b) => out.push_str(&format!(
             "  \"bisection\": {{\"dims\": [{}, {}], \"vertices\": {}, \"threads\": {}, \
              \"reuse_seconds\": {:.3}, \"scratch_seconds\": {:.3}, \
-             \"orders_match\": {}, \"bisection_gate\": {}}},\n",
+             \"orders_match\": {}, \"warm_start_failures\": {}, \"vcycle_retries\": {}, \
+             \"coarse_fallbacks\": {}, \"bisection_gate\": {}}},\n",
             b.dims[0],
             b.dims[1],
             b.vertices,
@@ -398,6 +473,9 @@ fn to_json(
             b.reuse_seconds,
             b.scratch_seconds,
             b.orders_match,
+            b.reuse_solver.warm_start_failures,
+            b.reuse_solver.vcycle_retries,
+            b.reuse_solver.coarse_fallbacks,
             b.gate,
         )),
     }
@@ -432,7 +510,9 @@ fn to_json(
             "    {{\"side\": {}, \"vertices\": {}, \"edges\": {}, \"method\": \"{}\", \
              \"threads\": {}, \"seconds\": {:.6}, \"lambda2\": {:.9e}, \"residual\": {:.3e}, \
              \"two_sum\": {:.1}, \"order_matches_serial\": {}, \
-             \"scope_entries\": {}, \"jobs_submitted\": {}, \"chunks_executed\": {}}}{}\n",
+             \"scope_entries\": {}, \"jobs_submitted\": {}, \"chunks_executed\": {}, \
+             \"finest_solves\": {}, \"finest_iterations\": {}, \
+             \"vcycle_retries\": {}, \"coarse_fallbacks\": {}}}{}\n",
             e.side,
             e.vertices,
             e.edges,
@@ -446,6 +526,10 @@ fn to_json(
             e.dispatch.scope_entries,
             e.dispatch.jobs_submitted,
             e.dispatch.chunks_executed,
+            e.solver.finest_solves,
+            e.solver.finest_iterations,
+            e.solver.vcycle_retries,
+            e.solver.coarse_fallbacks,
             if i + 1 == entries.len() { "" } else { "," }
         ));
     }
@@ -504,8 +588,12 @@ fn to_json(
         dispatch_gate(entries)
     ));
     out.push_str(&format!(
-        "  \"speedup_gate\": {}\n",
-        speedup_gate(entries, host_parallelism)
+        "  \"speedup_gate\": {},\n",
+        gate_json(speedup_gate(entries, host_parallelism))
+    ));
+    out.push_str(&format!(
+        "  \"iteration_gate\": {}\n",
+        gate_json(iteration_gate(entries))
     ));
     out.push_str("}\n");
     out
@@ -603,6 +691,14 @@ fn main() {
             "{:>4}^2  {:>8}  {:>14}  {:>7}  {:>9.3}s  {:>12.4e}  {:>9.1e}  {:>14.0}",
             e.side, e.vertices, e.method, e.threads, e.seconds, e.lambda2, e.residual, e.two_sum
         );
+        if e.solver.finest_solves > 0 {
+            println!(
+                "        finest level: {} inner solves, {} PCG iterations ({:.1} per solve)",
+                e.solver.finest_solves,
+                e.solver.finest_iterations,
+                e.iterations_per_solve()
+            );
+        }
         if e.dispatch.scope_entries > 0 {
             println!(
                 "        dispatch: {} engagements, {} jobs, {} chunks",
@@ -727,10 +823,17 @@ fn main() {
         );
         failed = true;
     }
-    if !speedup_gate(&entries, host_parallelism) {
+    if speedup_gate(&entries, host_parallelism) == Some(false) {
         eprintln!(
             "FAILED: speedup_gate — threaded multilevel slower than serial on a \
              {host_parallelism}-core host"
+        );
+        failed = true;
+    }
+    if iteration_gate(&entries) == Some(false) {
+        eprintln!(
+            "FAILED: iteration_gate — PCG iterations per finest-level solve moved by more than \
+             {ITERATION_GATE_RATIO}x from the smallest gated side to the largest"
         );
         failed = true;
     }

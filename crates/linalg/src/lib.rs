@@ -20,10 +20,14 @@
 //! * [`jacobi`] — a cyclic Jacobi eigensolver used as an independent
 //!   cross-check in tests.
 //! * [`cg`] — conjugate gradients for SPD (optionally deflated) systems.
+//! * [`pcg`] — preconditioned CG on CSR matrices, with the preconditioner
+//!   as an argument (Jacobi, or the multilevel V-cycle).
 //! * [`lanczos`] — Lanczos iteration with full reorthogonalisation.
 //! * [`multilevel`] — heavy-edge coarsening plus a coarsen–project–refine
-//!   driver, the path that scales the Fiedler computation to 10⁵–10⁶
-//!   vertices.
+//!   driver whose inner solves are preconditioned by an aggregation
+//!   V-cycle on the same hierarchy, the path that scales the Fiedler
+//!   computation to 10⁵–10⁶ vertices; also the solver's fallback
+//!   counters ([`solver_counters`]).
 //! * [`parallel`] — a scoped worker pool with chunked `par_for` and
 //!   deterministic tree-reduction primitives; the hot kernels (CSR matvec,
 //!   dot/axpy, Jacobi smoothing, PCG) run on it with results bitwise
@@ -51,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bisection;
 pub mod cg;
 pub mod dense;
 pub mod error;
@@ -63,7 +66,6 @@ pub mod multilevel;
 pub mod operator;
 pub mod parallel;
 pub mod pcg;
-pub mod power;
 pub mod sparse;
 pub mod tql;
 pub mod vector;
@@ -73,7 +75,9 @@ pub use dense::DenseMatrix;
 pub use error::LinalgError;
 pub use fiedler::{FiedlerMethod, FiedlerOptions, FiedlerPair};
 pub use lanczos::{LanczosOptions, LanczosResult};
-pub use multilevel::{Coarsening, Hierarchy, MultilevelOptions, Prolongation};
+pub use multilevel::{
+    solver_counters, Coarsening, Hierarchy, MultilevelOptions, Prolongation, SolverCounters,
+};
 pub use operator::LinearOperator;
 pub use parallel::{dispatch_counters, DispatchCounters, Pool, ScopeExecutor};
 pub use sparse::CsrMatrix;

@@ -1,10 +1,17 @@
-//! Jacobi-preconditioned conjugate gradients.
+//! Preconditioned conjugate gradients on CSR matrices.
 //!
-//! Plain CG (see [`crate::cg`]) is fine for *unweighted* grid Laplacians,
-//! whose diagonal is nearly constant. Section 4's weighted graphs (inverse-
-//! distance weights, heavy affinity edges) can skew the diagonal by orders
-//! of magnitude; dividing by it — the Jacobi preconditioner `M = diag(A)` —
-//! restores the iteration count at one extra vector multiply per step.
+//! [`solve_on`] takes the preconditioner as an argument ([`Preconditioner`]).
+//! Two exist in the crate:
+//!
+//! * Jacobi (`M = diag(A)`), behind [`solve_jacobi_on`]. Plain CG (see
+//!   [`crate::cg`]) is fine for *unweighted* grid Laplacians, whose
+//!   diagonal is nearly constant. Section 4's weighted graphs (inverse-
+//!   distance weights, heavy affinity edges) can skew the diagonal by
+//!   orders of magnitude; dividing by it restores the iteration count at
+//!   one extra vector multiply per step. Shift-invert Lanczos and the
+//!   multilevel warm start, which have no coarsening hierarchy, use it.
+//! * The aggregation V-cycle of [`crate::multilevel`], which the
+//!   multilevel walk uses on the hierarchy it already built.
 
 use crate::cg::CgOptions;
 use crate::error::LinalgError;
@@ -22,6 +29,57 @@ pub struct PcgOutcome {
     pub iterations: usize,
     /// Final relative residual `‖b − Ax‖ / ‖b‖`.
     pub relative_residual: f64,
+}
+
+/// A symmetric positive (semi)definite preconditioner: `z ← M⁻¹ r`.
+///
+/// PCG calls [`Preconditioner::apply`] once per iteration with a residual
+/// of the operator's dimension; implementations may keep workspace in
+/// `self`, which is why the receiver is mutable. Mean deflation (if the
+/// solve asks for it) is applied by PCG after `apply`, so a
+/// preconditioner for a singular Laplacian only has to be symmetric and
+/// positive on mean-free vectors.
+pub trait Preconditioner {
+    /// Write `M⁻¹ r` into `z` (both of the operator's dimension).
+    fn apply(&mut self, r: &[f64], z: &mut [f64]);
+}
+
+/// The Jacobi (diagonal) preconditioner `M = diag(A)`, applied on a pool.
+struct Jacobi<'p> {
+    inv_diag: Vec<f64>,
+    pool: Pool<'p>,
+}
+
+impl<'p> Jacobi<'p> {
+    /// Invert `A`'s diagonal. Zero, negative or non-finite entries are
+    /// rejected with [`LinalgError::NotPositiveDefinite`] — the
+    /// preconditioner requires an SPD-compatible diagonal.
+    fn new(a: &CsrMatrix, pool: Pool<'p>) -> Result<Self, LinalgError> {
+        let mut inv_diag = vec![0.0; a.rows()];
+        pool.for_each_chunk(&mut inv_diag, |row0, chunk| {
+            for (j, d) in chunk.iter_mut().enumerate() {
+                *d = a.get(row0 + j, row0 + j);
+            }
+        });
+        for d in inv_diag.iter_mut() {
+            if !(d.is_finite() && *d > 0.0) {
+                return Err(LinalgError::NotPositiveDefinite { curvature: *d });
+            }
+            *d = 1.0 / *d;
+        }
+        Ok(Jacobi { inv_diag, pool })
+    }
+}
+
+impl Preconditioner for Jacobi<'_> {
+    fn apply(&mut self, r: &[f64], z: &mut [f64]) {
+        let inv_diag = &self.inv_diag;
+        self.pool.for_each_chunk_light(z, |off, chunk| {
+            for (j, zi) in chunk.iter_mut().enumerate() {
+                *zi = r[off + j] * inv_diag[off + j];
+            }
+        });
+    }
 }
 
 /// Solve `A x = b` with Jacobi (diagonal) preconditioning.
@@ -47,41 +105,44 @@ pub fn solve_jacobi(a: &CsrMatrix, b: &[f64], opts: &CgOptions) -> Result<PcgOut
 }
 
 /// [`solve_jacobi`] on a caller-supplied [`Pool`] — the path the
-/// multilevel driver uses so nested PCG solves schedule onto the same
-/// persistent executor as everything else instead of falling back to
-/// scoped spawns. `opts.threads` is ignored; the pool decides.
+/// shift-invert operator and the multilevel warm start use, so nested PCG
+/// solves schedule onto the same persistent executor as everything else
+/// instead of falling back to scoped spawns. `opts.threads` is ignored;
+/// the pool decides.
 pub fn solve_jacobi_on(
     a: &CsrMatrix,
     b: &[f64],
     opts: &CgOptions,
     pool: Pool<'_>,
 ) -> Result<PcgOutcome, LinalgError> {
+    solve_on(a, b, opts, &mut Jacobi::new(a, pool)?, pool)
+}
+
+/// Preconditioned conjugate gradients for `A x = b` with a caller-chosen
+/// [`Preconditioner`] (which must be symmetric and positive on the
+/// solve's subspace). With `opts.deflate_mean` the right-hand side, every
+/// residual, every preconditioned residual and the solution are kept
+/// mean-free. All kernels run on `pool` with fixed-chunk reductions, so
+/// the result is bitwise identical for every thread count as long as the
+/// preconditioner is. `opts.threads` is ignored; the pool decides.
+pub fn solve_on(
+    a: &CsrMatrix,
+    b: &[f64],
+    opts: &CgOptions,
+    precond: &mut dyn Preconditioner,
+    pool: Pool<'_>,
+) -> Result<PcgOutcome, LinalgError> {
     let n = a.dim();
     if b.len() != n {
         return Err(LinalgError::DimensionMismatch {
-            context: "pcg::solve_jacobi rhs",
+            context: "pcg rhs",
             expected: n,
             found: b.len(),
         });
     }
     if !vector::all_finite(b) {
-        return Err(LinalgError::NonFiniteInput {
-            context: "pcg::solve_jacobi rhs",
-        });
+        return Err(LinalgError::NonFiniteInput { context: "pcg rhs" });
     }
-    let mut inv_diag = vec![0.0; n];
-    pool.for_each_chunk(&mut inv_diag, |row0, chunk| {
-        for (j, d) in chunk.iter_mut().enumerate() {
-            *d = a.get(row0 + j, row0 + j);
-        }
-    });
-    for d in inv_diag.iter_mut() {
-        if !(d.is_finite() && *d > 0.0) {
-            return Err(LinalgError::NotPositiveDefinite { curvature: *d });
-        }
-        *d = 1.0 / *d;
-    }
-
     let max_iters = opts.max_iterations.unwrap_or(10 * n + 100);
     let mut rhs = b.to_vec();
     if opts.deflate_mean {
@@ -100,11 +161,7 @@ pub fn solve_jacobi_on(
     let mut r = rhs;
     // z = M⁻¹ r
     let mut z = vec![0.0; n];
-    pool.for_each_chunk_light(&mut z, |off, chunk| {
-        for (j, zi) in chunk.iter_mut().enumerate() {
-            *zi = r[off + j] * inv_diag[off + j];
-        }
-    });
+    precond.apply(&r, &mut z);
     if opts.deflate_mean {
         pool.center(&mut z);
     }
@@ -146,11 +203,7 @@ pub fn solve_jacobi_on(
                 relative_residual: rel,
             });
         }
-        pool.for_each_chunk_light(&mut z, |off, chunk| {
-            for (j, zi) in chunk.iter_mut().enumerate() {
-                *zi = r[off + j] * inv_diag[off + j];
-            }
-        });
+        precond.apply(&r, &mut z);
         if opts.deflate_mean {
             pool.center(&mut z);
         }
@@ -165,7 +218,7 @@ pub fn solve_jacobi_on(
     }
 
     Err(LinalgError::NoConvergence {
-        solver: "pcg-jacobi",
+        solver: "pcg",
         iterations: max_iters,
         residual: pool.norm2(&r) / b_norm,
         tolerance: opts.tolerance,
