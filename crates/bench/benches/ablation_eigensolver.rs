@@ -3,7 +3,8 @@
 //! many cheap ones; dense is cubic.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slpm_graph::grid::{Connectivity, GridSpec};
-use slpm_linalg::fiedler::{fiedler_pair, FiedlerMethod, FiedlerOptions};
+use slpm_linalg::fiedler::{fiedler_pair_on, FiedlerMethod, FiedlerOptions};
+use slpm_linalg::Pool;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_eigensolver");
@@ -24,7 +25,9 @@ fn bench(c: &mut Criterion) {
                     method,
                     ..Default::default()
                 };
-                b.iter(|| fiedler_pair(std::hint::black_box(lap), &opts).unwrap());
+                b.iter(|| {
+                    fiedler_pair_on(std::hint::black_box(lap), &opts, &Pool::default()).unwrap()
+                });
             });
         }
     }

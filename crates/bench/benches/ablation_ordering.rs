@@ -2,7 +2,8 @@
 //! (direct Fiedler vs recursive spectral bisection vs multi-vector).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slpm_graph::grid::{Connectivity, GridSpec};
-use spectral_lpm::recursive::{multi_vector_order, rsb_order, RsbOptions};
+use slpm_linalg::Pool;
+use spectral_lpm::recursive::{multi_vector_order_on, rsb_order_on, RsbOptions};
 use spectral_lpm::{SpectralConfig, SpectralMapper};
 
 fn bench(c: &mut Criterion) {
@@ -15,21 +16,33 @@ fn bench(c: &mut Criterion) {
         let graph = spec.graph(Connectivity::Orthogonal);
         g.bench_with_input(BenchmarkId::new("direct", side), &graph, |b, graph| {
             let mapper = SpectralMapper::new(SpectralConfig::default());
-            b.iter(|| mapper.map_graph(std::hint::black_box(graph)).unwrap());
+            b.iter(|| {
+                mapper
+                    .map_graph_on(std::hint::black_box(graph), &Pool::default())
+                    .unwrap()
+            });
         });
         g.bench_with_input(BenchmarkId::new("rsb", side), &graph, |b, graph| {
-            b.iter(|| rsb_order(std::hint::black_box(graph), &RsbOptions::default()).unwrap());
+            b.iter(|| {
+                rsb_order_on(
+                    std::hint::black_box(graph),
+                    &RsbOptions::default(),
+                    &Pool::default(),
+                )
+                .unwrap()
+            });
         });
         g.bench_with_input(
             BenchmarkId::new("multi_vector", side),
             &graph,
             |b, graph| {
                 b.iter(|| {
-                    multi_vector_order(
+                    multi_vector_order_on(
                         std::hint::black_box(graph),
                         3,
                         1e-8,
                         &SpectralConfig::default(),
+                        &Pool::default(),
                     )
                     .unwrap()
                 });

@@ -4,7 +4,8 @@
 //! sets: square grids from 16x16 up to 256x256 (65 536 vertices). Prints
 //! wall time, lambda_2 against the closed form, and the residual.
 use slpm_graph::grid::{Connectivity, GridSpec};
-use slpm_linalg::fiedler::{fiedler_pair, FiedlerOptions};
+use slpm_linalg::fiedler::{fiedler_pair_on, FiedlerOptions};
+use slpm_linalg::Pool;
 use std::time::Instant;
 
 fn main() {
@@ -16,7 +17,8 @@ fn main() {
         let spec = GridSpec::cube(side, 2);
         let lap = spec.graph(Connectivity::Orthogonal).laplacian();
         let t = Instant::now();
-        let pair = fiedler_pair(&lap, &FiedlerOptions::default()).expect("connected grid");
+        let pair = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default())
+            .expect("connected grid");
         let elapsed = t.elapsed();
         let expect = 4.0 * (std::f64::consts::PI / (2.0 * side as f64)).sin().powi(2);
         println!(

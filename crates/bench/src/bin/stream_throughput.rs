@@ -49,7 +49,8 @@
 //!                     [--buffer-pages N] [--json] [--out PATH]
 //!
 //! `--json` writes the machine-readable results (schema
-//! `slpm.serve_throughput.v5`) to PATH (default BENCH_serve.json); the
+//! `slpm.serve_throughput.v5`) to PATH (default BENCH_serve_stream.json,
+//! so it never overwrites `serve_throughput`'s BENCH_serve.json); the
 //! CI `stream-smoke` and `oocore-smoke` jobs upload that file as a
 //! build artifact.
 
@@ -273,7 +274,7 @@ fn main() {
     let mut page_file: Option<String> = None;
     let mut readahead = 8usize;
     let mut buffer_pages = 0usize; // 0 = auto: ~10% of the file's pages
-    let mut out_path = String::from("BENCH_serve.json");
+    let mut out_path = String::from("BENCH_serve_stream.json");
     let mut i = 0;
     let bad = |flag: &str| -> ! {
         eprintln!("{flag} requires a positive integer");

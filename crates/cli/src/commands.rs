@@ -579,9 +579,10 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             let spec = GridSpec::new(dims);
             let graph = spec.graph(Connectivity::Orthogonal);
             let order = build_order(dims, *mapping, None)?;
-            let report =
-                spectral_lpm::OrderReport::compute(&graph, &order, &SpectralConfig::default())
-                    .map_err(|e| ParseError(e.to_string()))?;
+            let report = with_spectral_pool(None, |pool| {
+                spectral_lpm::OrderReport::compute(&graph, &order, &SpectralConfig::default(), pool)
+            })
+            .map_err(|e| ParseError(e.to_string()))?;
             Ok(report.render(&mapping.to_string()))
         }
     }

@@ -9,7 +9,8 @@ use crate::mapper::{MappingError, SpectralConfig};
 use crate::objective;
 use crate::order::LinearOrder;
 use slpm_graph::Graph;
-use slpm_linalg::fiedler::fiedler_pair;
+use slpm_linalg::fiedler::fiedler_pair_on;
+use slpm_linalg::Pool;
 
 /// Quality metrics of one order on one graph.
 #[derive(Debug, Clone)]
@@ -33,15 +34,21 @@ pub struct OrderReport {
 }
 
 impl OrderReport {
-    /// Compute the report. Requires a connected graph (for λ₂).
+    /// Compute the report. Requires a connected graph (for λ₂, solved on
+    /// `pool`).
     pub fn compute(
         g: &Graph,
         order: &LinearOrder,
         config: &SpectralConfig,
+        pool: &Pool<'_>,
     ) -> Result<OrderReport, MappingError> {
         assert_eq!(g.num_vertices(), order.len(), "graph/order size mismatch");
         g.require_connected()?;
-        let pair = fiedler_pair(&g.laplacian(), &config.resolved_fiedler(g.num_vertices()))?;
+        let pair = fiedler_pair_on(
+            &g.laplacian(),
+            &config.resolved_fiedler(g.num_vertices()),
+            pool,
+        )?;
         let la = objective::linear_arrangement_cost(g, order);
         let edges = g.num_edges().max(1);
         Ok(OrderReport {
@@ -96,9 +103,15 @@ mod tests {
     fn report_respects_theorem_bound() {
         let (_, g) = grid_and_graph();
         let mapping = SpectralMapper::new(SpectralConfig::default())
-            .map_graph(&g)
+            .map_graph_on(&g, &Pool::default())
             .unwrap();
-        let report = OrderReport::compute(&g, &mapping.order, &SpectralConfig::default()).unwrap();
+        let report = OrderReport::compute(
+            &g,
+            &mapping.order,
+            &SpectralConfig::default(),
+            &Pool::default(),
+        )
+        .unwrap();
         assert!(report.sigma >= report.lambda2 - 1e-9);
         assert!(report.optimality_gap() >= 1.0 - 1e-9);
         assert_eq!(report.num_vertices, 16);
@@ -113,9 +126,13 @@ mod tests {
         for i in 0..5 {
             g.add_edge(i, i + 1).unwrap();
         }
-        let report =
-            OrderReport::compute(&g, &LinearOrder::identity(6), &SpectralConfig::default())
-                .unwrap();
+        let report = OrderReport::compute(
+            &g,
+            &LinearOrder::identity(6),
+            &SpectralConfig::default(),
+            &Pool::default(),
+        )
+        .unwrap();
         assert_eq!(report.bandwidth, 1);
         assert_eq!(report.two_sum, 5.0);
         assert_eq!(report.linear_arrangement, 5.0);
@@ -126,22 +143,28 @@ mod tests {
     fn spectral_gap_smaller_than_scramble_gap() {
         let (_, g) = grid_and_graph();
         let spectral = SpectralMapper::new(SpectralConfig::default())
-            .map_graph(&g)
+            .map_graph_on(&g, &Pool::default())
             .unwrap()
             .order;
         let scramble =
             LinearOrder::from_ranks((0..16).map(|v: usize| (v * 5) % 16).collect()).unwrap();
-        let rs = OrderReport::compute(&g, &spectral, &SpectralConfig::default()).unwrap();
-        let rb = OrderReport::compute(&g, &scramble, &SpectralConfig::default()).unwrap();
+        let rs = OrderReport::compute(&g, &spectral, &SpectralConfig::default(), &Pool::default())
+            .unwrap();
+        let rb = OrderReport::compute(&g, &scramble, &SpectralConfig::default(), &Pool::default())
+            .unwrap();
         assert!(rs.optimality_gap() < rb.optimality_gap());
     }
 
     #[test]
     fn render_contains_metrics() {
         let (_, g) = grid_and_graph();
-        let report =
-            OrderReport::compute(&g, &LinearOrder::identity(16), &SpectralConfig::default())
-                .unwrap();
+        let report = OrderReport::compute(
+            &g,
+            &LinearOrder::identity(16),
+            &SpectralConfig::default(),
+            &Pool::default(),
+        )
+        .unwrap();
         let s = report.render("sweep");
         assert!(s.contains("lambda2"));
         assert!(s.contains("bandwidth"));
@@ -151,6 +174,11 @@ mod tests {
     #[should_panic(expected = "size mismatch")]
     fn size_mismatch_panics() {
         let (_, g) = grid_and_graph();
-        let _ = OrderReport::compute(&g, &LinearOrder::identity(4), &SpectralConfig::default());
+        let _ = OrderReport::compute(
+            &g,
+            &LinearOrder::identity(4),
+            &SpectralConfig::default(),
+            &Pool::default(),
+        );
     }
 }

@@ -21,12 +21,13 @@
 //!
 //! ```
 //! use slpm_graph::grid::{Connectivity, GridSpec};
+//! use slpm_linalg::Pool;
 //! use spectral_lpm::{SpectralConfig, SpectralMapper};
 //!
-//! // The paper's Figure 3: a 3×3 grid.
+//! // The paper's Figure 3: a 3×3 grid, solved on the machine-default pool.
 //! let spec = GridSpec::new(&[3, 3]);
 //! let mapper = SpectralMapper::new(SpectralConfig::default());
-//! let mapping = mapper.map_grid(&spec).unwrap();
+//! let mapping = mapper.map_grid_on(&spec, &Pool::default()).unwrap();
 //!
 //! // λ₂ of the 3×3 grid graph is exactly 1 (Figure 3d).
 //! assert!((mapping.fiedler.lambda2 - 1.0).abs() < 1e-6);
@@ -37,7 +38,7 @@
 //! ## Extensibility (paper Section 4)
 //!
 //! * 8-connectivity or weighted neighbourhood graphs:
-//!   [`SpectralConfig::connectivity`] / [`SpectralMapper::map_graph`];
+//!   [`SpectralConfig::connectivity`] / [`SpectralMapper::map_graph_on`];
 //! * access-affinity edges ("whenever `p` is accessed, `q` follows"):
 //!   [`affinity::AffinityEdge`] and [`SpectralMapper::map_graph_with_affinity`].
 //!
@@ -65,6 +66,4 @@ pub use diagnostics::OrderReport;
 pub use mapper::{MappingError, SpectralConfig, SpectralMapper, SpectralMapping};
 pub use order::LinearOrder;
 pub use partition::{spectral_bisection, Bisection};
-pub use recursive::{
-    multi_vector_order, multi_vector_order_on, rsb_order, rsb_order_on, RsbOptions,
-};
+pub use recursive::{multi_vector_order_on, rsb_order_on, RsbOptions};

@@ -5,9 +5,7 @@ use crate::order::LinearOrder;
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_graph::points::PointSet;
 use slpm_graph::{Graph, GraphError};
-use slpm_linalg::fiedler::{
-    fiedler_pair_balanced, fiedler_pair_balanced_on, FiedlerMethod, FiedlerOptions, FiedlerPair,
-};
+use slpm_linalg::fiedler::{fiedler_pair_balanced_on, FiedlerMethod, FiedlerOptions, FiedlerPair};
 use slpm_linalg::{LinalgError, Pool};
 use std::fmt;
 
@@ -54,13 +52,6 @@ pub struct SpectralConfig {
     /// size via [`SpectralConfig::method_for_size`] — dense QL on tiny
     /// graphs, shift-invert Lanczos in the mid range, multilevel at scale.
     pub auto_method: bool,
-    /// Worker threads for the eigensolver's parallel kernels: `Some(t)`
-    /// pins the count, `None` defers to the per-solver knobs and
-    /// ultimately to `slpm_linalg::parallel::default_threads` (the
-    /// `SLPM_THREADS` env override, else the machine's available
-    /// parallelism). Thread count never changes the computed order — the
-    /// parallel kernels are bitwise identical to the serial path.
-    pub threads: Option<usize>,
 }
 
 /// Largest vertex count still solved by the exact dense path under
@@ -105,9 +96,6 @@ impl SpectralConfig {
         if self.auto_method {
             opts.method = SpectralConfig::method_for_size(n);
         }
-        if self.threads.is_some() {
-            opts.threads = self.threads;
-        }
         opts
     }
 }
@@ -145,14 +133,8 @@ impl SpectralMapper {
         &self.config
     }
 
-    /// Map every point of a grid (the experiments' setting).
-    pub fn map_grid(&self, spec: &GridSpec) -> Result<SpectralMapping, MappingError> {
-        let graph = spec.graph(self.config.connectivity);
-        self.map_graph(&graph)
-    }
-
-    /// [`SpectralMapper::map_grid`] on a caller-supplied [`Pool`] — see
-    /// [`SpectralMapper::map_graph_on`].
+    /// Map every point of a grid (the experiments' setting) on `pool` —
+    /// see [`SpectralMapper::map_graph_on`].
     pub fn map_grid_on(
         &self,
         spec: &GridSpec,
@@ -163,13 +145,7 @@ impl SpectralMapper {
     }
 
     /// Map an arbitrary point set (paper step 1: Manhattan-distance-1
-    /// edges, or Chebyshev under `Connectivity::Full`).
-    pub fn map_points(&self, points: &PointSet) -> Result<SpectralMapping, MappingError> {
-        let graph = points.neighbourhood_graph(self.config.connectivity);
-        self.map_graph(&graph)
-    }
-
-    /// [`SpectralMapper::map_points`] on a caller-supplied [`Pool`] — see
+    /// edges, or Chebyshev under `Connectivity::Full`) on `pool` — see
     /// [`SpectralMapper::map_graph_on`].
     pub fn map_points_on(
         &self,
@@ -182,28 +158,15 @@ impl SpectralMapper {
 
     /// Map a pre-built graph — the fully general Section 4 form (weighted
     /// graphs, custom neighbourhood models).
-    pub fn map_graph(&self, graph: &Graph) -> Result<SpectralMapping, MappingError> {
-        self.map_graph_impl(graph, None)
-    }
-
-    /// [`SpectralMapper::map_graph`] on a caller-supplied [`Pool`]: every
-    /// eigensolver kernel (inner PCG solves, multilevel coarsening and
-    /// refinement, CSR matvec) schedules onto that persistent executor
-    /// instead of paying a scoped thread spawn+join per kernel call. The
-    /// thread knobs inside the configuration are ignored; the pool
-    /// decides. The computed order is bitwise identical either way.
+    ///
+    /// Every eigensolver kernel (inner PCG solves, multilevel coarsening
+    /// and refinement, CSR matvec) schedules onto `pool`, which alone
+    /// decides how many threads run. The computed order is bitwise
+    /// identical for every pool.
     pub fn map_graph_on(
         &self,
         graph: &Graph,
         pool: &Pool<'_>,
-    ) -> Result<SpectralMapping, MappingError> {
-        self.map_graph_impl(graph, Some(pool))
-    }
-
-    fn map_graph_impl(
-        &self,
-        graph: &Graph,
-        pool: Option<&Pool<'_>>,
     ) -> Result<SpectralMapping, MappingError> {
         graph.require_connected()?;
         // Step 2: the Laplacian.
@@ -213,10 +176,7 @@ impl SpectralMapper {
         // representative instead of an arbitrary (possibly axis-pure,
         // sweep-like) element of the eigenspace.
         let fiedler_opts = self.config.resolved_fiedler(graph.num_vertices());
-        let fiedler = match pool {
-            Some(pool) => fiedler_pair_balanced_on(&laplacian, &fiedler_opts, pool)?,
-            None => fiedler_pair_balanced(&laplacian, &fiedler_opts)?,
-        };
+        let fiedler = fiedler_pair_balanced_on(&laplacian, &fiedler_opts, pool)?;
         // Steps 4–5: sort on the Fiedler values. Snap values that agree up
         // to solver round-off so ties (grid rows share one value in exact
         // arithmetic) are broken by the documented vertex-index rule, not
@@ -231,14 +191,16 @@ impl SpectralMapper {
         })
     }
 
-    /// Map a graph extended with access-affinity edges (Section 4).
+    /// Map a graph extended with access-affinity edges (Section 4) on
+    /// `pool`.
     pub fn map_graph_with_affinity(
         &self,
         base: &Graph,
         affinity: &[AffinityEdge],
+        pool: &Pool<'_>,
     ) -> Result<SpectralMapping, MappingError> {
         let graph = apply_affinity(base, affinity)?;
-        self.map_graph(&graph)
+        self.map_graph_on(&graph, pool)
     }
 }
 
@@ -256,7 +218,7 @@ mod tests {
     fn figure3_3x3_grid() {
         // Paper Figure 3: 3×3 grid, λ₂ = 1.
         let spec = GridSpec::new(&[3, 3]);
-        let m = mapper().map_grid(&spec).unwrap();
+        let m = mapper().map_grid_on(&spec, &Pool::default()).unwrap();
         assert!(
             (m.fiedler.lambda2 - 1.0).abs() < 1e-7,
             "λ₂ = {}",
@@ -271,7 +233,7 @@ mod tests {
     fn spectral_order_on_path_recovers_path() {
         // 1-D "grid": the order must be the path order or its reverse.
         let spec = GridSpec::new(&[8]);
-        let m = mapper().map_grid(&spec).unwrap();
+        let m = mapper().map_grid_on(&spec, &Pool::default()).unwrap();
         let ranks = m.order.ranks();
         let forward: Vec<usize> = (0..8).collect();
         let backward: Vec<usize> = (0..8).rev().collect();
@@ -290,7 +252,7 @@ mod tests {
         // and diagonal representatives with different 2-sum costs).
         let spec = GridSpec::new(&[5, 3]);
         let g = spec.graph(Connectivity::Orthogonal);
-        let m = mapper().map_graph(&g).unwrap();
+        let m = mapper().map_graph_on(&g, &Pool::default()).unwrap();
         let sigma_relax = objective::quadratic_form(&g, &m.fiedler.vector);
         assert!((sigma_relax - m.fiedler.lambda2).abs() < 1e-6);
         let sigma_spectral = objective::order_quadratic_form(&g, &m.order);
@@ -308,7 +270,7 @@ mod tests {
         let mut g = Graph::new(4);
         g.add_edge(0, 1).unwrap();
         g.add_edge(2, 3).unwrap();
-        let err = mapper().map_graph(&g).unwrap_err();
+        let err = mapper().map_graph_on(&g, &Pool::default()).unwrap_err();
         assert!(matches!(
             err,
             MappingError::Graph(GraphError::Disconnected { .. })
@@ -319,12 +281,12 @@ mod tests {
     fn eight_connectivity_differs_from_four() {
         // Figure 4: the spectral orders under 4- and 8-connectivity differ.
         let spec = GridSpec::new(&[4, 4]);
-        let four = mapper().map_grid(&spec).unwrap();
+        let four = mapper().map_grid_on(&spec, &Pool::default()).unwrap();
         let eight = SpectralMapper::new(SpectralConfig {
             connectivity: Connectivity::Full,
             ..Default::default()
         })
-        .map_grid(&spec)
+        .map_grid_on(&spec, &Pool::default())
         .unwrap();
         assert_ne!(four.order.ranks(), eight.order.ranks());
         assert!(eight.fiedler.lambda2 > four.fiedler.lambda2 - 1e-9);
@@ -338,9 +300,13 @@ mod tests {
         for i in 0..9 {
             base.add_edge(i, i + 1).unwrap();
         }
-        let plain = mapper().map_graph(&base).unwrap();
+        let plain = mapper().map_graph_on(&base, &Pool::default()).unwrap();
         let strong = mapper()
-            .map_graph_with_affinity(&base, &[AffinityEdge::weighted(0, 9, 4.0)])
+            .map_graph_with_affinity(
+                &base,
+                &[AffinityEdge::weighted(0, 9, 4.0)],
+                &Pool::default(),
+            )
             .unwrap();
         let d_plain = plain.order.distance(0, 9);
         let d_affine = strong.order.distance(0, 9);
@@ -354,8 +320,8 @@ mod tests {
     fn map_points_matches_map_grid() {
         let spec = GridSpec::new(&[3, 4]);
         let pts = PointSet::from_grid(&spec);
-        let a = mapper().map_grid(&spec).unwrap();
-        let b = mapper().map_points(&pts).unwrap();
+        let a = mapper().map_grid_on(&spec, &Pool::default()).unwrap();
+        let b = mapper().map_points_on(&pts, &Pool::default()).unwrap();
         assert_eq!(a.order.ranks(), b.order.ranks());
     }
 
@@ -369,9 +335,9 @@ mod tests {
             },
             ..Default::default()
         })
-        .map_grid(&spec)
+        .map_grid_on(&spec, &Pool::default())
         .unwrap();
-        let si = mapper().map_grid(&spec).unwrap();
+        let si = mapper().map_grid_on(&spec, &Pool::default()).unwrap();
         // λ₂ agrees tightly.
         assert!((dense.fiedler.lambda2 - si.fiedler.lambda2).abs() < 1e-7);
         // The Fiedler vectors agree up to sign (λ₂ is simple on a 5×3
@@ -414,7 +380,7 @@ mod tests {
         // auto() actually routes a tiny grid through the dense path and
         // reports it in the diagnostics.
         let m = SpectralMapper::new(SpectralConfig::auto())
-            .map_grid(&GridSpec::new(&[3, 3]))
+            .map_grid_on(&GridSpec::new(&[3, 3]), &Pool::default())
             .unwrap();
         assert_eq!(m.fiedler.method, FiedlerMethod::Dense);
         assert!((m.fiedler.lambda2 - 1.0).abs() < 1e-9);
@@ -432,7 +398,7 @@ mod tests {
             },
             ..Default::default()
         })
-        .map_grid(&spec)
+        .map_grid_on(&spec, &Pool::default())
         .unwrap();
         assert_eq!(m.order.len(), 576);
         assert_eq!(m.fiedler.method, FiedlerMethod::Multilevel);
@@ -447,8 +413,8 @@ mod tests {
     #[test]
     fn mapping_is_deterministic() {
         let spec = GridSpec::new(&[4, 4]);
-        let a = mapper().map_grid(&spec).unwrap();
-        let b = mapper().map_grid(&spec).unwrap();
+        let a = mapper().map_grid_on(&spec, &Pool::default()).unwrap();
+        let b = mapper().map_grid_on(&spec, &Pool::default()).unwrap();
         assert_eq!(a.order.ranks(), b.order.ranks());
     }
 

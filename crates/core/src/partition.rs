@@ -9,7 +9,8 @@
 
 use crate::mapper::{MappingError, SpectralConfig};
 use slpm_graph::Graph;
-use slpm_linalg::fiedler::fiedler_pair;
+use slpm_linalg::fiedler::fiedler_pair_on;
+use slpm_linalg::Pool;
 
 /// A two-way vertex partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,10 +42,18 @@ impl Bisection {
 }
 
 /// Median-cut spectral bisection (Chan–Ciarlet–Szeto): sort by Fiedler
-/// component, put the lower half in part A.
-pub fn spectral_bisection(g: &Graph, config: &SpectralConfig) -> Result<Bisection, MappingError> {
+/// component, put the lower half in part A. The eigensolve runs on `pool`.
+pub fn spectral_bisection(
+    g: &Graph,
+    config: &SpectralConfig,
+    pool: &Pool<'_>,
+) -> Result<Bisection, MappingError> {
     g.require_connected()?;
-    let pair = fiedler_pair(&g.laplacian(), &config.resolved_fiedler(g.num_vertices()))?;
+    let pair = fiedler_pair_on(
+        &g.laplacian(),
+        &config.resolved_fiedler(g.num_vertices()),
+        pool,
+    )?;
     let order = crate::order::LinearOrder::from_keys(&pair.vector).expect("finite eigenvector");
     let n = g.num_vertices();
     let half = n / 2;
@@ -93,7 +102,7 @@ mod tests {
         for i in 0..9 {
             g.add_edge(i, i + 1).unwrap();
         }
-        let b = spectral_bisection(&g, &SpectralConfig::default()).unwrap();
+        let b = spectral_bisection(&g, &SpectralConfig::default(), &Pool::default()).unwrap();
         assert_eq!(b.imbalance(), 0);
         assert_eq!(b.cut_weight(&g), 1.0);
         // And it is the contiguous half split.
@@ -106,7 +115,7 @@ mod tests {
         // Optimal bisection of an n×n grid cuts n edges (a straight line).
         let spec = GridSpec::cube(8, 2);
         let g = spec.graph(Connectivity::Orthogonal);
-        let b = spectral_bisection(&g, &SpectralConfig::default()).unwrap();
+        let b = spectral_bisection(&g, &SpectralConfig::default(), &Pool::default()).unwrap();
         assert_eq!(b.imbalance(), 0);
         let cut = b.cut_weight(&g);
         assert!(
@@ -133,7 +142,7 @@ mod tests {
     #[test]
     fn disconnected_rejected() {
         let g = Graph::new(4);
-        assert!(spectral_bisection(&g, &SpectralConfig::default()).is_err());
+        assert!(spectral_bisection(&g, &SpectralConfig::default(), &Pool::default()).is_err());
     }
 
     #[test]
@@ -142,7 +151,7 @@ mod tests {
         for i in 0..4 {
             g.add_edge(i, i + 1).unwrap();
         }
-        let b = spectral_bisection(&g, &SpectralConfig::default()).unwrap();
+        let b = spectral_bisection(&g, &SpectralConfig::default(), &Pool::default()).unwrap();
         assert_eq!(b.imbalance(), 1);
     }
 }

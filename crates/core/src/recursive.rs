@@ -64,16 +64,9 @@ struct ReuseCtx {
     ml: MultilevelOptions,
 }
 
-/// Recursive-spectral-bisection order of a connected graph.
-pub fn rsb_order(graph: &Graph, opts: &RsbOptions) -> Result<LinearOrder, MappingError> {
-    let pool = Pool::new(opts.config.threads.or(opts.config.fiedler.threads));
-    rsb_order_on(graph, opts, &pool)
-}
-
-/// [`rsb_order`] on a caller-supplied [`Pool`]: every eigensolve of the
-/// recursion — and every kernel inside those solves — schedules onto the
-/// same persistent executor. The thread knobs inside `opts.config` are
-/// ignored; the pool decides.
+/// Recursive-spectral-bisection order of a connected graph on `pool`:
+/// every eigensolve of the recursion — and every kernel inside those
+/// solves — schedules onto it.
 pub fn rsb_order_on(
     graph: &Graph,
     opts: &RsbOptions,
@@ -424,19 +417,8 @@ fn orient(local: LinearOrder) -> LinearOrder {
 }
 
 /// Multi-vector spectral order: sort by `v₂`, breaking ties (within
-/// `tie_epsilon`) by `v₃`, then `v₄`, … using `num_vectors` eigenvectors.
-pub fn multi_vector_order(
-    graph: &Graph,
-    num_vectors: usize,
-    tie_epsilon: f64,
-    config: &SpectralConfig,
-) -> Result<LinearOrder, MappingError> {
-    let pool = Pool::new(config.threads.or(config.fiedler.threads));
-    multi_vector_order_on(graph, num_vectors, tie_epsilon, config, &pool)
-}
-
-/// [`multi_vector_order`] on a caller-supplied [`Pool`]. The thread knobs
-/// inside `config` are ignored; the pool decides.
+/// `tie_epsilon`) by `v₃`, then `v₄`, … using `num_vectors` eigenvectors
+/// computed on `pool`.
 pub fn multi_vector_order_on(
     graph: &Graph,
     num_vectors: usize,
@@ -484,7 +466,7 @@ mod tests {
     #[test]
     fn rsb_is_a_permutation() {
         let (_, g) = grid(6);
-        let order = rsb_order(&g, &RsbOptions::default()).unwrap();
+        let order = rsb_order_on(&g, &RsbOptions::default(), &Pool::default()).unwrap();
         let mut seen = [false; 36];
         for v in 0..36 {
             let p = order.rank_of(v);
@@ -499,7 +481,7 @@ mod tests {
         for i in 0..11 {
             g.add_edge(i, i + 1).unwrap();
         }
-        let order = rsb_order(&g, &RsbOptions::default()).unwrap();
+        let order = rsb_order_on(&g, &RsbOptions::default(), &Pool::default()).unwrap();
         let fwd: Vec<usize> = (0..12).collect();
         let bwd: Vec<usize> = (0..12).rev().collect();
         assert!(
@@ -512,7 +494,7 @@ mod tests {
     #[test]
     fn rsb_rejects_disconnected() {
         let g = Graph::new(4);
-        assert!(rsb_order(&g, &RsbOptions::default()).is_err());
+        assert!(rsb_order_on(&g, &RsbOptions::default(), &Pool::default()).is_err());
     }
 
     #[test]
@@ -525,10 +507,10 @@ mod tests {
         // far below a pessimal scramble.
         let (_, g) = grid(8);
         let direct = crate::mapper::SpectralMapper::new(SpectralConfig::default())
-            .map_graph(&g)
+            .map_graph_on(&g, &Pool::default())
             .unwrap()
             .order;
-        let rsb = rsb_order(&g, &RsbOptions::default()).unwrap();
+        let rsb = rsb_order_on(&g, &RsbOptions::default(), &Pool::default()).unwrap();
         let c_direct = objective::two_sum_cost(&g, &direct);
         let c_rsb = objective::two_sum_cost(&g, &rsb);
         assert!(
@@ -548,10 +530,12 @@ mod tests {
         // and must differ from the single-vector order's index tie-break.
         let (_, g) = grid(4);
         let single = crate::mapper::SpectralMapper::new(SpectralConfig::default())
-            .map_graph(&g)
+            .map_graph_on(&g, &Pool::default())
             .unwrap()
             .order;
-        let multi = multi_vector_order(&g, 3, 1e-8, &SpectralConfig::default()).unwrap();
+        let multi =
+            multi_vector_order_on(&g, 3, 1e-8, &SpectralConfig::default(), &Pool::default())
+                .unwrap();
         let mut seen = vec![false; 16];
         for v in 0..16 {
             seen[multi.rank_of(v)] = true;
@@ -568,10 +552,12 @@ mod tests {
             g.add_edge(i, i + 1).unwrap();
         }
         let single = crate::mapper::SpectralMapper::new(SpectralConfig::default())
-            .map_graph(&g)
+            .map_graph_on(&g, &Pool::default())
             .unwrap()
             .order;
-        let multi = multi_vector_order(&g, 1, 1e-12, &SpectralConfig::default()).unwrap();
+        let multi =
+            multi_vector_order_on(&g, 1, 1e-12, &SpectralConfig::default(), &Pool::default())
+                .unwrap();
         assert_eq!(single.ranks(), multi.ranks());
     }
 
@@ -593,22 +579,24 @@ mod tests {
             },
             ..Default::default()
         };
-        let reuse = rsb_order(
+        let reuse = rsb_order_on(
             &g,
             &RsbOptions {
                 leaf_size: 8,
                 config: config.clone(),
                 reuse_hierarchy: true,
             },
+            &Pool::default(),
         )
         .unwrap();
-        let scratch = rsb_order(
+        let scratch = rsb_order_on(
             &g,
             &RsbOptions {
                 leaf_size: 8,
                 config,
                 reuse_hierarchy: false,
             },
+            &Pool::default(),
         )
         .unwrap();
         assert_eq!(reuse.ranks(), scratch.ranks());
@@ -617,12 +605,13 @@ mod tests {
     #[test]
     fn rsb_leaf_size_one_is_fully_recursive() {
         let (_, g) = grid(4);
-        let order = rsb_order(
+        let order = rsb_order_on(
             &g,
             &RsbOptions {
                 leaf_size: 1,
                 ..Default::default()
             },
+            &Pool::default(),
         )
         .unwrap();
         assert_eq!(order.len(), 16);

@@ -11,7 +11,7 @@
 
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_graph::points::PointSet;
-use slpm_linalg::{FiedlerMethod, FiedlerOptions};
+use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool};
 use spectral_lpm::{objective, SpectralConfig, SpectralMapper};
 
 fn mapper(method: FiedlerMethod, connectivity: Connectivity) -> SpectralMapper {
@@ -42,10 +42,10 @@ fn assert_parity(connectivity: Connectivity) {
     for &dims in GRIDS {
         let spec = GridSpec::new(&dims);
         let dense = mapper(FiedlerMethod::Dense, connectivity)
-            .map_grid(&spec)
+            .map_grid_on(&spec, &Pool::default())
             .unwrap();
         let ml = mapper(FiedlerMethod::Multilevel, connectivity)
-            .map_grid(&spec)
+            .map_grid_on(&spec, &Pool::default())
             .unwrap();
         assert_eq!(
             dense.order.ranks(),
@@ -132,10 +132,10 @@ fn multilevel_matches_dense_on_holey_point_sets() {
             assert!(points.len() > 256 && points.len() <= 2_000);
             let connectivity = Connectivity::Orthogonal;
             let dense = mapper(FiedlerMethod::Dense, connectivity)
-                .map_points(&points)
+                .map_points_on(&points, &Pool::default())
                 .unwrap();
             let ml = mapper(FiedlerMethod::Multilevel, connectivity)
-                .map_points(&points)
+                .map_points_on(&points, &Pool::default())
                 .unwrap();
             if dense.order.ranks() == ml.order.ranks() {
                 continue;

@@ -15,9 +15,10 @@
 //! ```
 //! use slpm_graph::grid::{Connectivity, GridSpec};
 //! use slpm_graph::coarsen::coarsen;
+//! use slpm_linalg::Pool;
 //!
 //! let fine = GridSpec::new(&[8, 8]).graph(Connectivity::Orthogonal);
-//! let step = coarsen(&fine).unwrap();
+//! let step = coarsen(&fine, &Pool::default()).unwrap();
 //! // Heavy-edge matching roughly halves a grid.
 //! assert!(step.coarse.num_vertices() <= 40);
 //! assert_eq!(step.parent.len(), 64);
@@ -53,16 +54,12 @@ impl GraphCoarsening {
 /// graph's Laplacian equals `PᵀLP` for the returned prolongation map, so
 /// spectral quantities computed on the coarse graph are Rayleigh–Ritz
 /// restrictions of the fine ones.
-pub fn coarsen(graph: &Graph) -> Result<GraphCoarsening, GraphError> {
-    coarsen_pooled(graph, &Pool::default())
-}
-
-/// [`coarsen`] with an explicit worker pool: the edge-rating and Galerkin
-/// remap passes run row-chunked on it (see
-/// [`multilevel::coarsen_laplacian_pooled`]); the result is identical for
+///
+/// The edge-rating and Galerkin remap passes run row-chunked on `pool`
+/// (see [`multilevel::coarsen_laplacian`]); the result is identical for
 /// every thread count.
-pub fn coarsen_pooled(graph: &Graph, pool: &Pool) -> Result<GraphCoarsening, GraphError> {
-    let step = multilevel::coarsen_laplacian_pooled(&graph.laplacian(), pool)
+pub fn coarsen(graph: &Graph, pool: &Pool) -> Result<GraphCoarsening, GraphError> {
+    let step = multilevel::coarsen_laplacian(&graph.laplacian(), pool)
         .expect("a Graph's Laplacian is square and finite by construction");
     let nc = step.coarse_len();
     let mut coarse = Graph::new(nc);
@@ -87,20 +84,24 @@ const MIN_SHRINK: f64 = 0.95;
 /// Coarsen repeatedly until at most `target` vertices remain (or matching
 /// stalls, shrinking a level by less than 5% — stars and cliques defeat
 /// edge matching). Returns the hierarchy from finest to coarsest; empty
-/// when `graph` is already small enough.
+/// when `graph` is already small enough. Each step runs on `pool`.
 ///
 /// This is a standalone Graph-level utility (for building hierarchies to
 /// inspect, visualise, or feed other multilevel algorithms); the Fiedler
 /// solver builds its own hierarchy on CSR Laplacians internally and
 /// additionally bounds levels by its block width, so the two need not
 /// produce identical level sets for the same graph.
-pub fn coarsen_to_size(graph: &Graph, target: usize) -> Result<Vec<GraphCoarsening>, GraphError> {
+pub fn coarsen_to_size(
+    graph: &Graph,
+    target: usize,
+    pool: &Pool,
+) -> Result<Vec<GraphCoarsening>, GraphError> {
     let mut levels: Vec<GraphCoarsening> = Vec::new();
     let mut current = graph.num_vertices();
     while current > target.max(1) {
         let step = match levels.last() {
-            None => coarsen(graph)?,
-            Some(prev) => coarsen(&prev.coarse)?,
+            None => coarsen(graph, pool)?,
+            Some(prev) => coarsen(&prev.coarse, pool)?,
         };
         let next = step.coarse.num_vertices();
         if next >= (current as f64 * MIN_SHRINK) as usize {
@@ -120,7 +121,7 @@ mod tests {
     #[test]
     fn grid_roughly_halves() {
         let g = GridSpec::new(&[10, 10]).graph(Connectivity::Orthogonal);
-        let step = coarsen(&g).unwrap();
+        let step = coarsen(&g, &Pool::default()).unwrap();
         assert!(step.coarse.num_vertices() >= 50);
         assert!(step.coarse.num_vertices() <= 60);
         assert_eq!(step.parent.len(), 100);
@@ -130,7 +131,7 @@ mod tests {
     #[test]
     fn coarse_laplacian_is_galerkin_product() {
         let g = GridSpec::new(&[6, 5]).graph(Connectivity::Full);
-        let step = coarsen(&g).unwrap();
+        let step = coarsen(&g, &Pool::default()).unwrap();
         let fine_lap = g.laplacian();
         let nc = step.coarse.num_vertices();
         let x: Vec<f64> = (0..nc).map(|i| (i as f64 * 0.7).sin()).collect();
@@ -156,7 +157,7 @@ mod tests {
         g.add_edge(1, 2).unwrap();
         g.add_edge(2, 3).unwrap();
         g.add_edge(3, 0).unwrap();
-        let step = coarsen(&g).unwrap();
+        let step = coarsen(&g, &Pool::default()).unwrap();
         assert_eq!(step.coarse.num_vertices(), 2);
         assert_eq!(step.coarse.edge_weight(0, 1), 2.0);
     }
@@ -164,34 +165,36 @@ mod tests {
     #[test]
     fn connected_graph_stays_connected() {
         let g = GridSpec::new(&[9, 7]).graph(Connectivity::Orthogonal);
-        let step = coarsen(&g).unwrap();
+        let step = coarsen(&g, &Pool::default()).unwrap();
         step.coarse.require_connected().unwrap();
     }
 
     #[test]
     fn hierarchy_reaches_target() {
         let g = GridSpec::new(&[16, 16]).graph(Connectivity::Orthogonal);
-        let levels = coarsen_to_size(&g, 20).unwrap();
+        let levels = coarsen_to_size(&g, 20, &Pool::default()).unwrap();
         assert!(!levels.is_empty());
         let coarsest = &levels.last().unwrap().coarse;
         assert!(coarsest.num_vertices() <= 20);
         coarsest.require_connected().unwrap();
         // Already-small graphs need no levels.
-        assert!(coarsen_to_size(&g, 256).unwrap().is_empty());
+        assert!(coarsen_to_size(&g, 256, &Pool::default())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn edgeless_graph_stops_without_progress() {
         let g = Graph::new(5);
-        let step = coarsen(&g).unwrap();
+        let step = coarsen(&g, &Pool::default()).unwrap();
         assert_eq!(step.coarse.num_vertices(), 5); // all singletons
-        assert!(coarsen_to_size(&g, 2).unwrap().is_empty());
+        assert!(coarsen_to_size(&g, 2, &Pool::default()).unwrap().is_empty());
     }
 
     #[test]
     fn prolong_is_piecewise_constant() {
         let g = GridSpec::new(&[4, 4]).graph(Connectivity::Orthogonal);
-        let step = coarsen(&g).unwrap();
+        let step = coarsen(&g, &Pool::default()).unwrap();
         let x: Vec<f64> = (0..step.coarse.num_vertices()).map(|i| i as f64).collect();
         let fine = step.prolong(&x);
         for (v, &p) in step.parent.iter().enumerate() {

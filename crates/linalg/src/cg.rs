@@ -21,13 +21,6 @@ pub struct CgOptions {
     /// subspace. Required when solving with a singular Laplacian whose
     /// kernel is the constant vector.
     pub deflate_mean: bool,
-    /// Worker threads for the matvec/reduction kernels: `Some(t)` pins the
-    /// count, `None` uses [`crate::parallel::default_threads`]. Honoured by
-    /// the CSR-based solver ([`crate::pcg::solve_jacobi`]); the generic
-    /// operator solver here stays serial (its operator may not be
-    /// thread-safe to chunk). Thread count never changes results — the
-    /// parallel kernels are bitwise identical to the serial ones.
-    pub threads: Option<usize>,
 }
 
 impl Default for CgOptions {
@@ -36,7 +29,6 @@ impl Default for CgOptions {
             tolerance: 1e-12,
             max_iterations: None,
             deflate_mean: false,
-            threads: None,
         }
     }
 }

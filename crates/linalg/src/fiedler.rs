@@ -51,7 +51,7 @@ pub enum FiedlerMethod {
     Multilevel,
 }
 
-/// Options for [`fiedler_pair`].
+/// Options for [`fiedler_pair_on`].
 #[derive(Debug, Clone)]
 pub struct FiedlerOptions {
     /// Strategy to use.
@@ -62,14 +62,6 @@ pub struct FiedlerOptions {
     pub seed: u64,
     /// Iteration/subspace cap forwarded to Lanczos (`None` = default).
     pub max_subspace: Option<usize>,
-    /// Worker threads for the parallel kernels (inner PCG solves, CSR
-    /// matvec, multilevel smoothing/refinement): `Some(t)` pins the count,
-    /// `None` defers to [`MultilevelOptions::threads`] and ultimately to
-    /// [`crate::parallel::default_threads`] (the `SLPM_THREADS` env
-    /// override, else the machine's available parallelism). Thread count
-    /// never changes results: every parallel reduction uses the
-    /// fixed-chunk deterministic order of [`crate::parallel`].
-    pub threads: Option<usize>,
     /// Tuning knobs for [`FiedlerMethod::Multilevel`] (ignored by the other
     /// methods).
     pub multilevel: MultilevelOptions,
@@ -82,22 +74,8 @@ impl Default for FiedlerOptions {
             tolerance: 1e-9,
             seed: 0xF1ED_1EB2,
             max_subspace: None,
-            threads: None,
             multilevel: MultilevelOptions::default(),
         }
-    }
-}
-
-impl FiedlerOptions {
-    /// The multilevel knobs with the top-level [`FiedlerOptions::threads`]
-    /// override applied (an explicit top-level count wins; otherwise the
-    /// multilevel knobs' own setting stands).
-    fn resolved_multilevel(&self) -> MultilevelOptions {
-        let mut m = self.multilevel.clone();
-        if self.threads.is_some() {
-            m.threads = self.threads;
-        }
-        m
     }
 }
 
@@ -130,22 +108,8 @@ impl<'a> LaplacianPseudoInverse<'a> {
     /// conjugate-gradient solve can actually attain on this matrix — scaled
     /// by the diagonal spread, a cheap condition-number proxy — so large
     /// weighted Laplacians converge instead of spinning to the iteration
-    /// cap on an unreachable fixed target.
-    pub fn new(laplacian: &'a CsrMatrix, tolerance: f64) -> Self {
-        Self::with_threads(laplacian, tolerance, None)
-    }
-
-    /// [`LaplacianPseudoInverse::new`] with an explicit thread knob for
-    /// the inner PCG solves (`None` = machine default).
-    pub fn with_threads(laplacian: &'a CsrMatrix, tolerance: f64, threads: Option<usize>) -> Self {
-        // xtask:allow(adhoc-pool): compatibility constructor — resolves a
-        // thread count into a scoped pool; pooled callers use with_pool.
-        Self::with_pool(laplacian, tolerance, Pool::new(threads))
-    }
-
-    /// [`LaplacianPseudoInverse::new`] on a caller-supplied [`Pool`]: every
-    /// inner PCG solve schedules its kernels onto that pool instead of
-    /// opening a fresh scoped pool per `apply` call.
+    /// cap on an unreachable fixed target. Every inner PCG solve schedules
+    /// its kernels onto `pool`.
     pub fn with_pool(laplacian: &'a CsrMatrix, tolerance: f64, pool: Pool<'a>) -> Self {
         let n = laplacian.rows();
         let mut max_d = 0.0f64;
@@ -163,7 +127,6 @@ impl<'a> LaplacianPseudoInverse<'a> {
                 tolerance: tolerance.max(floor),
                 max_iterations: None,
                 deflate_mean: true,
-                threads: None,
             },
             pool,
         }
@@ -210,40 +173,18 @@ fn require_laplacian(laplacian: &CsrMatrix) -> Result<(), LinalgError> {
     Ok(())
 }
 
-/// Compute the Fiedler pair of a combinatorial Laplacian.
+/// Compute the Fiedler pair of a combinatorial Laplacian on `pool`.
 ///
 /// Preconditions (checked): `laplacian` is square, symmetric, has zero row
 /// sums, and represents a **connected** graph — disconnected graphs have
 /// λ₂ = 0 and no meaningful spectral order; connectivity must be verified by
 /// the caller (the graph layer does) and is re-checked here cheaply via the
 /// computed λ₂.
-pub fn fiedler_pair(
-    laplacian: &CsrMatrix,
-    opts: &FiedlerOptions,
-) -> Result<FiedlerPair, LinalgError> {
-    // xtask:allow(adhoc-pool): compatibility entry point — resolves the
-    // options' thread knobs into a scoped pool; pooled callers use
-    // fiedler_pair_on instead.
-    let pool = Pool::new(resolve_threads(opts));
-    fiedler_pair_on(laplacian, opts, &pool)
-}
-
-/// The thread count the compatibility entry points historically honoured:
-/// the top-level knob, falling back to the multilevel knob when the
-/// multilevel method would have consulted it.
-fn resolve_threads(opts: &FiedlerOptions) -> Option<usize> {
-    match opts.method {
-        FiedlerMethod::Multilevel => opts.resolved_multilevel().threads,
-        _ => opts.threads,
-    }
-}
-
-/// [`fiedler_pair`] on a caller-supplied [`Pool`] — the path the CLI and
-/// recursive bisection use so every kernel down the call chain (inner PCG
-/// solves, multilevel coarsening/smoothing/refinement, CSR matvec)
-/// schedules onto one persistent executor instead of paying a scoped
-/// spawn+join per kernel call. The thread knobs inside `opts` are ignored;
-/// the pool decides.
+///
+/// Every kernel down the call chain (inner PCG solves, multilevel
+/// coarsening/smoothing/refinement, CSR matvec) schedules onto `pool`;
+/// the pool alone decides how many threads run, and never changes a
+/// result bit.
 pub fn fiedler_pair_on(
     laplacian: &CsrMatrix,
     opts: &FiedlerOptions,
@@ -266,7 +207,7 @@ pub fn fiedler_pair_on(
             laplacian,
             opts.tolerance,
             opts.seed,
-            &opts.resolved_multilevel(),
+            &opts.multilevel,
             pool,
         )?,
     };
@@ -275,7 +216,7 @@ pub fn fiedler_pair_on(
     vector::center(&mut v);
     if vector::normalize(&mut v) == 0.0 {
         return Err(LinalgError::NonFiniteInput {
-            context: "fiedler_pair: eigenvector collapsed (disconnected graph?)",
+            context: "fiedler_pair_on: eigenvector collapsed (disconnected graph?)",
         });
     }
     vector::canonicalize_sign(&mut v);
@@ -296,26 +237,14 @@ pub fn fiedler_pair_on(
 
 /// The `k` smallest **nonzero** eigenpairs of a connected Laplacian,
 /// ascending: `(λ₂, v₂), (λ₃, v₃), …` — used by the multi-vector spectral
-/// order (tie-breaking on degenerate grids) and by diagnostics.
+/// order (tie-breaking on degenerate grids) and by diagnostics. Runs on
+/// `pool`.
 ///
-/// Honours `opts.method`: dense QL, shifted-direct Lanczos on `cI − L`, or
+/// Honours `opts.method`: dense QL, shifted-direct Lanczos on `cI − L`,
 /// (default) shift-invert Lanczos requesting `k` Ritz pairs of the
 /// deflated pseudo-inverse (whose top-k eigenvalues are `1/λ₂ ≥ … ≥
-/// 1/λ_{k+1}`), with Rayleigh-quotient refinement of each eigenvalue.
-pub fn smallest_nonzero_eigenpairs(
-    laplacian: &CsrMatrix,
-    k: usize,
-    opts: &FiedlerOptions,
-) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
-    // xtask:allow(adhoc-pool): compatibility entry point — resolves the
-    // options' thread knobs into a scoped pool; pooled callers use
-    // smallest_nonzero_eigenpairs_on instead.
-    let pool = Pool::new(resolve_threads(opts));
-    smallest_nonzero_eigenpairs_on(laplacian, k, opts, &pool)
-}
-
-/// [`smallest_nonzero_eigenpairs`] on a caller-supplied [`Pool`]. The
-/// thread knobs inside `opts` are ignored; the pool decides.
+/// 1/λ_{k+1}`) with Rayleigh-quotient refinement of each eigenvalue, or
+/// the multilevel scheme.
 pub fn smallest_nonzero_eigenpairs_on(
     laplacian: &CsrMatrix,
     k: usize,
@@ -344,7 +273,7 @@ pub fn smallest_nonzero_eigenpairs_on(
             k,
             opts.tolerance,
             opts.seed,
-            &opts.resolved_multilevel(),
+            &opts.multilevel,
             pool,
         );
     }
@@ -387,7 +316,7 @@ pub fn smallest_nonzero_eigenpairs_on(
         vector::center(&mut v);
         if vector::normalize(&mut v) == 0.0 {
             return Err(LinalgError::NonFiniteInput {
-                context: "smallest_nonzero_eigenpairs: collapsed Ritz vector",
+                context: "smallest_nonzero_eigenpairs_on: collapsed Ritz vector",
             });
         }
         vector::canonicalize_sign(&mut v);
@@ -399,10 +328,10 @@ pub fn smallest_nonzero_eigenpairs_on(
 }
 
 /// Relative gap below which λ₂ and λ₃ are treated as one degenerate
-/// cluster by [`fiedler_pair_balanced`].
+/// cluster by [`fiedler_pair_balanced_on`].
 const DEGENERACY_REL_TOL: f64 = 1e-6;
 
-/// [`fiedler_pair`] with a canonical representative when λ₂ is degenerate.
+/// [`fiedler_pair_on`] with a canonical representative when λ₂ is degenerate.
 ///
 /// On symmetric inputs (square grids, hypercubes) λ₂ has multiplicity > 1
 /// and *any* unit vector in its eigenspace is an optimal solution of the
@@ -422,22 +351,11 @@ const DEGENERACY_REL_TOL: f64 = 1e-6;
 /// which is still deterministic per method but no longer
 /// method-independent.
 ///
-/// Non-degenerate inputs get the same canonical-form pair [`fiedler_pair`]
+/// Non-degenerate inputs get the same canonical-form pair [`fiedler_pair_on`]
 /// computes (centred, unit-norm, sign-canonicalised Ritz vector), taken
 /// straight from the spectrum probe without a second solve.
-pub fn fiedler_pair_balanced(
-    laplacian: &CsrMatrix,
-    opts: &FiedlerOptions,
-) -> Result<FiedlerPair, LinalgError> {
-    // xtask:allow(adhoc-pool): compatibility entry point — resolves the
-    // options' thread knobs into a scoped pool; pooled callers use
-    // fiedler_pair_balanced_on instead.
-    let pool = Pool::new(resolve_threads(opts));
-    fiedler_pair_balanced_on(laplacian, opts, &pool)
-}
-
-/// [`fiedler_pair_balanced`] on a caller-supplied [`Pool`]. The thread
-/// knobs inside `opts` are ignored; the pool decides.
+///
+/// Runs on `pool`, like [`fiedler_pair_on`].
 pub fn fiedler_pair_balanced_on(
     laplacian: &CsrMatrix,
     opts: &FiedlerOptions,
@@ -471,7 +389,7 @@ pub fn fiedler_pair_balanced_on(
     if m <= 1 {
         // λ₂ is simple: pairs[0] already *is* the (centred, normalised,
         // sign-canonicalised) Fiedler pair — re-running the solver via
-        // `fiedler_pair` would just repeat the work.
+        // `fiedler_pair_on` would just repeat the work.
         let (_, v) = pairs.swap_remove(0);
         let lambda2 = laplacian.rayleigh_quotient(&v);
         let mut r = laplacian.matvec(&v)?;
@@ -624,7 +542,7 @@ mod tests {
                 method,
                 ..Default::default()
             };
-            let pair = fiedler_pair(&lap, &opts).unwrap();
+            let pair = fiedler_pair_on(&lap, &opts, &Pool::default()).unwrap();
             assert!(
                 (pair.lambda2 - expect).abs() < 1e-7,
                 "{method:?}: lambda2 {} vs {}",
@@ -642,7 +560,7 @@ mod tests {
     #[test]
     fn balanced_matches_plain_on_simple_spectrum() {
         // λ₂ of a path is simple, so the balanced entry point must return
-        // the same pair as fiedler_pair (fast path, no second solve).
+        // the same pair as fiedler_pair_on (fast path, no second solve).
         let lap = path_laplacian(16);
         for method in [
             FiedlerMethod::Dense,
@@ -653,8 +571,8 @@ mod tests {
                 method,
                 ..Default::default()
             };
-            let plain = fiedler_pair(&lap, &opts).unwrap();
-            let balanced = fiedler_pair_balanced(&lap, &opts).unwrap();
+            let plain = fiedler_pair_on(&lap, &opts, &Pool::default()).unwrap();
+            let balanced = fiedler_pair_balanced_on(&lap, &opts, &Pool::default()).unwrap();
             assert!(
                 (plain.lambda2 - balanced.lambda2).abs() < 1e-8,
                 "{method:?}: {} vs {}",
@@ -675,12 +593,14 @@ mod tests {
     #[test]
     fn balanced_rejects_non_laplacian() {
         // Adjacency-like symmetric matrix (nonzero row sums) must be
-        // rejected by the balanced entry point too, not just fiedler_pair.
+        // rejected by the balanced entry point too, not just fiedler_pair_on.
         let adj =
             CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
                 .unwrap();
-        assert!(fiedler_pair(&adj, &FiedlerOptions::default()).is_err());
-        assert!(fiedler_pair_balanced(&adj, &FiedlerOptions::default()).is_err());
+        assert!(fiedler_pair_on(&adj, &FiedlerOptions::default(), &Pool::default()).is_err());
+        assert!(
+            fiedler_pair_balanced_on(&adj, &FiedlerOptions::default(), &Pool::default()).is_err()
+        );
     }
 
     #[test]
@@ -689,22 +609,24 @@ mod tests {
         // method, including ShiftedDirect (previously silently remapped to
         // shift-invert).
         let lap = path_laplacian(12);
-        let dense = smallest_nonzero_eigenpairs(
+        let dense = smallest_nonzero_eigenpairs_on(
             &lap,
             3,
             &FiedlerOptions {
                 method: FiedlerMethod::Dense,
                 ..Default::default()
             },
+            &Pool::default(),
         )
         .unwrap();
-        let sd = smallest_nonzero_eigenpairs(
+        let sd = smallest_nonzero_eigenpairs_on(
             &lap,
             3,
             &FiedlerOptions {
                 method: FiedlerMethod::ShiftedDirect,
                 ..Default::default()
             },
+            &Pool::default(),
         )
         .unwrap();
         for ((ld, _), (ls, _)) in dense.iter().zip(&sd) {
@@ -717,7 +639,7 @@ mod tests {
         // The path's Fiedler vector is cos(π(i+0.5)/n): strictly monotone,
         // so the spectral order recovers the path order (or its reverse).
         let lap = path_laplacian(10);
-        let pair = fiedler_pair(&lap, &FiedlerOptions::default()).unwrap();
+        let pair = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
         let v = &pair.vector;
         let increasing = v.windows(2).all(|w| w[1] > w[0]);
         let decreasing = v.windows(2).all(|w| w[1] < w[0]);
@@ -731,12 +653,13 @@ mod tests {
         let lap = cycle_laplacian(n);
         let expect = 2.0 - 2.0 * (2.0 * std::f64::consts::PI / n as f64).cos();
         for method in [FiedlerMethod::Dense, FiedlerMethod::ShiftInvert] {
-            let pair = fiedler_pair(
+            let pair = fiedler_pair_on(
                 &lap,
                 &FiedlerOptions {
                     method,
                     ..Default::default()
                 },
+                &Pool::default(),
             )
             .unwrap();
             assert!(
@@ -751,7 +674,7 @@ mod tests {
     #[test]
     fn vector_is_centered_unit_sign_canonical() {
         let lap = path_laplacian(9);
-        let pair = fiedler_pair(&lap, &FiedlerOptions::default()).unwrap();
+        let pair = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
         assert!(vector::mean(&pair.vector).abs() < 1e-10);
         assert!((vector::norm2(&pair.vector) - 1.0).abs() < 1e-10);
         let mut copy = pair.vector.clone();
@@ -773,7 +696,7 @@ mod tests {
             }
         }
         let lap = CsrMatrix::from_triplets(n, n, &t).unwrap();
-        let pair = fiedler_pair(&lap, &FiedlerOptions::default()).unwrap();
+        let pair = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
         assert!((pair.lambda2 - n as f64).abs() < 1e-7);
     }
 
@@ -781,7 +704,7 @@ mod tests {
     fn rejects_tiny_problems() {
         let lap = CsrMatrix::from_diagonal(&[0.0]);
         assert!(matches!(
-            fiedler_pair(&lap, &FiedlerOptions::default()),
+            fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()),
             Err(LinalgError::ProblemTooSmall { .. })
         ));
     }
@@ -789,14 +712,14 @@ mod tests {
     #[test]
     fn rejects_non_laplacian() {
         let m = CsrMatrix::from_diagonal(&[1.0, 2.0, 3.0]);
-        assert!(fiedler_pair(&m, &FiedlerOptions::default()).is_err());
+        assert!(fiedler_pair_on(&m, &FiedlerOptions::default(), &Pool::default()).is_err());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let lap = path_laplacian(20);
-        let a = fiedler_pair(&lap, &FiedlerOptions::default()).unwrap();
-        let b = fiedler_pair(&lap, &FiedlerOptions::default()).unwrap();
+        let a = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
+        let b = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
         assert_eq!(a.vector, b.vector);
         assert_eq!(a.lambda2, b.lambda2);
     }
@@ -805,14 +728,17 @@ mod tests {
     fn smallest_nonzero_pairs_match_dense() {
         let n = 14;
         let lap = path_laplacian(n);
-        let iterative = smallest_nonzero_eigenpairs(&lap, 3, &FiedlerOptions::default()).unwrap();
-        let dense = smallest_nonzero_eigenpairs(
+        let iterative =
+            smallest_nonzero_eigenpairs_on(&lap, 3, &FiedlerOptions::default(), &Pool::default())
+                .unwrap();
+        let dense = smallest_nonzero_eigenpairs_on(
             &lap,
             3,
             &FiedlerOptions {
                 method: FiedlerMethod::Dense,
                 ..Default::default()
             },
+            &Pool::default(),
         )
         .unwrap();
         assert_eq!(iterative.len(), 3);
@@ -843,12 +769,21 @@ mod tests {
     #[test]
     fn smallest_nonzero_pairs_edge_cases() {
         let lap = path_laplacian(4);
-        assert!(
-            smallest_nonzero_eigenpairs(&lap, 0, &FiedlerOptions::default())
-                .unwrap()
-                .is_empty()
-        );
-        assert!(smallest_nonzero_eigenpairs(&lap, 4, &FiedlerOptions::default()).is_err());
+        assert!(smallest_nonzero_eigenpairs_on(
+            &lap,
+            0,
+            &FiedlerOptions::default(),
+            &Pool::default()
+        )
+        .unwrap()
+        .is_empty());
+        assert!(smallest_nonzero_eigenpairs_on(
+            &lap,
+            4,
+            &FiedlerOptions::default(),
+            &Pool::default()
+        )
+        .is_err());
     }
 
     #[test]
@@ -860,12 +795,13 @@ mod tests {
             &[(0, 0, 5.0), (0, 1, -5.0), (1, 0, -5.0), (1, 1, 5.0)],
         )
         .unwrap();
-        let pair = fiedler_pair(
+        let pair = fiedler_pair_on(
             &lap,
             &FiedlerOptions {
                 method: FiedlerMethod::Dense,
                 ..Default::default()
             },
+            &Pool::default(),
         )
         .unwrap();
         assert!((pair.lambda2 - 10.0).abs() < 1e-9);

@@ -40,7 +40,8 @@
 //!
 //! ```
 //! use slpm_linalg::sparse::CsrMatrix;
-//! use slpm_linalg::fiedler::{fiedler_pair, FiedlerOptions};
+//! use slpm_linalg::fiedler::{fiedler_pair_on, FiedlerOptions};
+//! use slpm_linalg::Pool;
 //!
 //! // Path graph 0—1—2 Laplacian; its Fiedler value is 1.
 //! let lap = CsrMatrix::from_triplets(3, 3, &[
@@ -48,7 +49,7 @@
 //!     (1, 0, -1.0), (1, 1, 2.0), (1, 2, -1.0),
 //!     (2, 1, -1.0), (2, 2, 1.0),
 //! ]).unwrap();
-//! let pair = fiedler_pair(&lap, &FiedlerOptions::default()).unwrap();
+//! let pair = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
 //! assert!((pair.lambda2 - 1.0).abs() < 1e-9);
 //! ```
 

@@ -101,12 +101,6 @@ pub struct MultilevelOptions {
     pub min_shrink: f64,
     /// Coarse-to-fine interpolation scheme (see [`Prolongation`]).
     pub prolongation: Prolongation,
-    /// Worker threads for the row-parallel kernels (matvec, smoothing,
-    /// PCG, prolongation): `Some(t)` pins the count, `None` uses
-    /// [`crate::parallel::default_threads`]. The thread count never
-    /// changes results — all reductions use the fixed-chunk deterministic
-    /// order of [`crate::parallel`].
-    pub threads: Option<usize>,
 }
 
 impl Default for MultilevelOptions {
@@ -120,7 +114,6 @@ impl Default for MultilevelOptions {
             inner_tolerance: 0.15,
             min_shrink: 0.95,
             prolongation: Prolongation::default(),
-            threads: None,
         }
     }
 }
@@ -226,7 +219,7 @@ impl Hierarchy {
         let mut levels: Vec<Coarsening> = Vec::new();
         let mut current = laplacian;
         while current.rows() > coarsest_size {
-            let step = coarsen_laplacian_pooled(current, pool)?;
+            let step = coarsen_laplacian(current, pool)?;
             let shrunk = step.coarse_len() < (current.rows() as f64 * opts.min_shrink) as usize;
             if !shrunk || step.coarse_len() <= floor {
                 break;
@@ -297,7 +290,7 @@ impl Hierarchy {
             }
             // Galerkin contraction of the *restricted* fine operator by
             // the restricted parent map — same triplet remap as
-            // `coarsen_laplacian_pooled`, so the result is a Laplacian.
+            // `coarsen_laplacian`, so the result is a Laplacian.
             let coarse = galerkin_contract(&current, &local_parent, coarse_len, pool)?;
             ids = sorted;
             current = coarse.clone();
@@ -310,7 +303,7 @@ impl Hierarchy {
         // extend with fresh matching (rare — restricted levels shrink at
         // the parent's rate).
         while current.rows() > coarsest_size {
-            let step = coarsen_laplacian_pooled(&current, pool)?;
+            let step = coarsen_laplacian(&current, pool)?;
             let shrunk = step.coarse_len() < (current.rows() as f64 * opts.min_shrink) as usize;
             if !shrunk || step.coarse_len() <= floor {
                 break;
@@ -372,22 +365,13 @@ impl Coarsening {
 /// triplets — merged-pair internal edges cancel into the diagonal, and
 /// parallel coarse edges sum their weights, preserving Laplacian structure
 /// (symmetry and zero row sums) exactly.
-pub fn coarsen_laplacian(laplacian: &CsrMatrix) -> Result<Coarsening, LinalgError> {
-    // xtask:allow(adhoc-pool): compatibility entry point — pooled callers
-    // use coarsen_laplacian_pooled instead.
-    coarsen_laplacian_pooled(laplacian, &Pool::default())
-}
-
-/// [`coarsen_laplacian`] with an explicit worker pool: the edge-rating
-/// pass (collecting and weighting every undirected edge for the greedy
-/// matching) and the Galerkin triplet remap both run row-chunked on the
-/// pool; the matching itself is inherently sequential and stays serial.
-/// Chunk order is fixed, so the result is identical for every thread
-/// count.
-pub fn coarsen_laplacian_pooled(
-    laplacian: &CsrMatrix,
-    pool: &Pool,
-) -> Result<Coarsening, LinalgError> {
+///
+/// The edge-rating pass (collecting and weighting every undirected edge
+/// for the greedy matching) and the Galerkin triplet remap both run
+/// row-chunked on `pool`; the matching itself is inherently sequential
+/// and stays serial. Chunk order is fixed, so the result is identical for
+/// every thread count.
+pub fn coarsen_laplacian(laplacian: &CsrMatrix, pool: &Pool) -> Result<Coarsening, LinalgError> {
     let n = laplacian.rows();
     if laplacian.cols() != n {
         return Err(LinalgError::DimensionMismatch {
@@ -474,27 +458,13 @@ pub fn coarsen_laplacian_pooled(
 /// with its eigenvalue refreshed as a Rayleigh quotient against the input
 /// Laplacian — the same canonical form the dense and Lanczos paths return.
 ///
-/// Preconditions are the caller's (see [`crate::fiedler::fiedler_pair`]):
+/// Preconditions are the caller's (see [`crate::fiedler::fiedler_pair_on`]):
 /// the matrix must be an actual Laplacian of a **connected** graph. The
 /// convergence target is `‖Lv − λv‖ ≤ tolerance · max(gershgorin, 1)`,
 /// scaled to the matrix magnitude so large weighted graphs converge.
-pub fn smallest_nonzero_eigenpairs(
-    laplacian: &CsrMatrix,
-    k: usize,
-    tolerance: f64,
-    seed: u64,
-    opts: &MultilevelOptions,
-) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
-    // xtask:allow(adhoc-pool): compatibility entry point — resolves
-    // opts.threads into a scoped pool; pooled callers use the _on variant.
-    let pool = Pool::new(opts.threads);
-    smallest_nonzero_eigenpairs_on(laplacian, k, tolerance, seed, opts, &pool)
-}
-
-/// [`smallest_nonzero_eigenpairs`] on a caller-supplied [`Pool`] — the
-/// path the CLI and recursive bisection use so every kernel down the call
-/// chain (coarsening, smoothing, PCG, matvec) schedules onto the same
-/// persistent executor. `opts.threads` is ignored; the pool decides.
+///
+/// Every kernel down the call chain (coarsening, smoothing, PCG, matvec)
+/// schedules onto `pool`, which alone decides the thread count.
 pub fn smallest_nonzero_eigenpairs_on(
     laplacian: &CsrMatrix,
     k: usize,
@@ -764,19 +734,7 @@ pub fn refine_warm_started_on(
     Ok(out)
 }
 
-/// [`smallest_nonzero_eigenpairs`] specialised to the Fiedler pair.
-pub fn fiedler_pair(
-    laplacian: &CsrMatrix,
-    tolerance: f64,
-    seed: u64,
-    opts: &MultilevelOptions,
-) -> Result<(f64, Vec<f64>), LinalgError> {
-    let mut pairs = smallest_nonzero_eigenpairs(laplacian, 1, tolerance, seed, opts)?;
-    let (lambda, v) = pairs.swap_remove(0);
-    Ok((lambda, v))
-}
-
-/// [`fiedler_pair`] on a caller-supplied [`Pool`].
+/// [`smallest_nonzero_eigenpairs_on`] specialised to the Fiedler pair.
 pub fn fiedler_pair_on(
     laplacian: &CsrMatrix,
     tolerance: f64,
@@ -791,7 +749,7 @@ pub fn fiedler_pair_on(
 
 /// Exact bottom-of-spectrum solve via the dense Householder + QL path, in
 /// the crate's canonical form (centred, unit, sign-canonical, ascending).
-/// Shared with [`crate::fiedler::smallest_nonzero_eigenpairs`]'s dense
+/// Shared with [`crate::fiedler::smallest_nonzero_eigenpairs_on`]'s dense
 /// branch so the canonical-form convention lives in exactly one place.
 pub(crate) fn dense_smallest(
     laplacian: &CsrMatrix,
@@ -1211,7 +1169,6 @@ fn refine_block(
         tolerance: opts.inner_tolerance,
         max_iterations: None,
         deflate_mean: true,
-        threads: Some(pool.threads()),
     };
     let mut lambdas = vec![0.0; b];
     for sweep in 0..sweeps.max(1) {
@@ -1400,7 +1357,7 @@ mod tests {
     #[test]
     fn coarsening_preserves_laplacian_structure() {
         let lap = grid_laplacian(8, 8);
-        let c = coarsen_laplacian(&lap).unwrap();
+        let c = coarsen_laplacian(&lap, &Pool::default()).unwrap();
         // Roughly halves the vertex count on a grid.
         assert!(c.coarse_len() <= 40, "coarse size {}", c.coarse_len());
         assert!(c.coarse_len() >= 16);
@@ -1422,7 +1379,7 @@ mod tests {
         // The contracted operator must satisfy (PᵀLP)x = Pᵀ(L(Px)) for any
         // coarse vector x.
         let lap = grid_laplacian(5, 4);
-        let c = coarsen_laplacian(&lap).unwrap();
+        let c = coarsen_laplacian(&lap, &Pool::default()).unwrap();
         let nc = c.coarse_len();
         let x: Vec<f64> = (0..nc).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
         let px = c.prolong(&x);
@@ -1459,7 +1416,7 @@ mod tests {
             (3, 3, 11.0 - 10.0),
         ];
         let lap = CsrMatrix::from_triplets(4, 4, &t).unwrap();
-        let c = coarsen_laplacian(&lap).unwrap();
+        let c = coarsen_laplacian(&lap, &Pool::default()).unwrap();
         assert_eq!(c.parent[1], c.parent[2]);
         assert_ne!(c.parent[0], c.parent[1]);
         assert_ne!(c.parent[3], c.parent[1]);
@@ -1472,7 +1429,7 @@ mod tests {
         let n = 20;
         let lap = path_laplacian(n);
         let opts = MultilevelOptions::default();
-        let (lambda, v) = fiedler_pair(&lap, 1e-9, 7, &opts).unwrap();
+        let (lambda, v) = fiedler_pair_on(&lap, 1e-9, 7, &opts, &Pool::default()).unwrap();
         let expect = 4.0 * (std::f64::consts::PI / (2.0 * n as f64)).sin().powi(2);
         assert!((lambda - expect).abs() < 1e-10, "{lambda} vs {expect}");
         let mut r = lap.matvec(&v).unwrap();
@@ -1486,7 +1443,7 @@ mod tests {
         let n = 1200;
         let lap = path_laplacian(n);
         let opts = MultilevelOptions::default();
-        let (lambda, v) = fiedler_pair(&lap, 1e-9, 7, &opts).unwrap();
+        let (lambda, v) = fiedler_pair_on(&lap, 1e-9, 7, &opts, &Pool::default()).unwrap();
         let expect = 4.0 * (std::f64::consts::PI / (2.0 * n as f64)).sin().powi(2);
         assert!(
             (lambda - expect).abs() < 1e-9 * expect.max(1e-3),
@@ -1510,7 +1467,8 @@ mod tests {
             coarsest_size: 64, // force a real hierarchy at this size
             ..Default::default()
         };
-        let ml = smallest_nonzero_eigenpairs(&lap, 3, 1e-10, 1, &opts).unwrap();
+        let ml =
+            smallest_nonzero_eigenpairs_on(&lap, 3, 1e-10, 1, &opts, &Pool::default()).unwrap();
         let eig = tql::symmetric_eigen(&lap.to_dense()).unwrap();
         for i in 0..3 {
             let expect = eig.eigenvalues[i + 1];
@@ -1546,7 +1504,14 @@ mod tests {
             t.push((i, i, d));
         }
         let lap = CsrMatrix::from_triplets(n, n, &t).unwrap();
-        let (lambda, v) = fiedler_pair(&lap, 1e-9, 3, &MultilevelOptions::default()).unwrap();
+        let (lambda, v) = fiedler_pair_on(
+            &lap,
+            1e-9,
+            3,
+            &MultilevelOptions::default(),
+            &Pool::default(),
+        )
+        .unwrap();
         assert!(lambda > 0.0);
         let mut r = lap.matvec(&v).unwrap();
         vector::axpy(-lambda, &v, &mut r);
@@ -1573,7 +1538,14 @@ mod tests {
         }
         t.push((0, 0, (n - 1) as f64));
         let lap = CsrMatrix::from_triplets(n, n, &t).unwrap();
-        let (lambda, v) = fiedler_pair(&lap, 1e-9, 5, &MultilevelOptions::default()).unwrap();
+        let (lambda, v) = fiedler_pair_on(
+            &lap,
+            1e-9,
+            5,
+            &MultilevelOptions::default(),
+            &Pool::default(),
+        )
+        .unwrap();
         assert!((lambda - 1.0).abs() < 1e-6, "star λ₂ {lambda}");
         let mut r = lap.matvec(&v).unwrap();
         vector::axpy(-lambda, &v, &mut r);
@@ -1587,8 +1559,10 @@ mod tests {
             coarsest_size: 64,
             ..Default::default()
         };
-        let a = smallest_nonzero_eigenpairs(&lap, 2, 1e-10, 42, &opts).unwrap();
-        let b = smallest_nonzero_eigenpairs(&lap, 2, 1e-10, 42, &opts).unwrap();
+        let a =
+            smallest_nonzero_eigenpairs_on(&lap, 2, 1e-10, 42, &opts, &Pool::default()).unwrap();
+        let b =
+            smallest_nonzero_eigenpairs_on(&lap, 2, 1e-10, 42, &opts, &Pool::default()).unwrap();
         for ((la, va), (lb, vb)) in a.iter().zip(&b) {
             assert_eq!(la, lb);
             assert_eq!(va, vb);
@@ -1602,11 +1576,9 @@ mod tests {
         // return bit-identical eigenpairs for 1, 2, and 4 workers.
         let lap = grid_laplacian(150, 140); // 21,000 vertices > SPAWN_MIN
         let run = |threads: usize| {
-            let opts = MultilevelOptions {
-                threads: Some(threads),
-                ..Default::default()
-            };
-            smallest_nonzero_eigenpairs(&lap, 2, 1e-8, 11, &opts).unwrap()
+            let opts = MultilevelOptions::default();
+            smallest_nonzero_eigenpairs_on(&lap, 2, 1e-8, 11, &opts, &Pool::new(Some(threads)))
+                .unwrap()
         };
         let serial = run(1);
         for threads in [2usize, 4] {
@@ -1621,9 +1593,9 @@ mod tests {
     #[test]
     fn coarsening_identical_across_thread_counts() {
         let lap = grid_laplacian(160, 160); // 25,600 vertices > SPAWN_MIN
-        let serial = coarsen_laplacian_pooled(&lap, &Pool::serial()).unwrap();
+        let serial = coarsen_laplacian(&lap, &Pool::serial()).unwrap();
         for threads in [2usize, 4] {
-            let par = coarsen_laplacian_pooled(&lap, &Pool::new(Some(threads))).unwrap();
+            let par = coarsen_laplacian(&lap, &Pool::new(Some(threads))).unwrap();
             assert_eq!(par.parent, serial.parent, "threads={threads}");
             assert_eq!(par.coarse, serial.coarse, "threads={threads}");
         }
@@ -1649,7 +1621,7 @@ mod tests {
                 prolongation: scheme,
                 ..Default::default()
             };
-            let (lambda, v) = fiedler_pair(&lap, 1e-9, 7, &opts).unwrap();
+            let (lambda, v) = fiedler_pair_on(&lap, 1e-9, 7, &opts, &Pool::default()).unwrap();
             assert!(
                 (lambda - expect).abs() < 1e-9 * expect.max(1e-3),
                 "{scheme:?}: {lambda} vs {expect}"
@@ -1668,7 +1640,7 @@ mod tests {
         // than piecewise-constant injection's — the blocky injected error
         // lives at the top of the spectrum and inflates the quotient.
         let lap = grid_laplacian(30, 30);
-        let step = coarsen_laplacian(&lap).unwrap();
+        let step = coarsen_laplacian(&lap, &Pool::default()).unwrap();
         // Exact Fiedler vector of the coarse operator as the coarse guess.
         let coarse_pairs = dense_smallest(&step.coarse, 1).unwrap();
         let coarse_v = &coarse_pairs[0].1;
@@ -1863,13 +1835,25 @@ mod tests {
     fn rejects_tiny_problems_and_k_zero() {
         let lap = path_laplacian(3);
         assert!(matches!(
-            smallest_nonzero_eigenpairs(&lap, 4, 1e-9, 0, &MultilevelOptions::default()),
+            smallest_nonzero_eigenpairs_on(
+                &lap,
+                4,
+                1e-9,
+                0,
+                &MultilevelOptions::default(),
+                &Pool::default()
+            ),
             Err(LinalgError::ProblemTooSmall { .. })
         ));
-        assert!(
-            smallest_nonzero_eigenpairs(&lap, 0, 1e-9, 0, &MultilevelOptions::default())
-                .unwrap()
-                .is_empty()
-        );
+        assert!(smallest_nonzero_eigenpairs_on(
+            &lap,
+            0,
+            1e-9,
+            0,
+            &MultilevelOptions::default(),
+            &Pool::default()
+        )
+        .unwrap()
+        .is_empty());
     }
 }

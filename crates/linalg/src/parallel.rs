@@ -60,8 +60,8 @@
 //! instead of spawning scoped threads per call. The *default* count is
 //! resolved **once per process** from the `SLPM_THREADS` environment
 //! variable if set, else [`std::thread::available_parallelism`] — so
-//! `threads: None` everywhere means "use the machine" and no construction
-//! path re-reads the environment.
+//! [`Pool::default`] means "use the machine" and no construction path
+//! re-reads the environment.
 //!
 //! Every parallel engagement also bumps process-wide [`DispatchCounters`]
 //! (engagements, jobs handed to a backend, chunk-grid cells covered).
@@ -684,6 +684,21 @@ mod tests {
         assert_eq!(Pool::new(Some(0)).threads(), 1);
         assert_eq!(Pool::new(Some(3)).threads(), 3);
         assert_eq!(Pool::serial().threads(), 1);
+    }
+
+    #[test]
+    fn default_pool_follows_slpm_threads() {
+        // Callers that pass `Pool::default()` run at exactly the
+        // `SLPM_THREADS` count when it is set (CI's threaded shard sets
+        // it), else at the machine's available parallelism.
+        let expected = std::env::var("SLPM_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .map_or_else(
+                || std::thread::available_parallelism().map_or(1, |n| n.get()),
+                |n| n.max(1),
+            );
+        assert_eq!(Pool::default().threads(), expected);
     }
 
     #[test]

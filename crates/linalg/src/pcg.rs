@@ -91,24 +91,12 @@ impl Preconditioner for Jacobi<'_> {
 /// subspace exactly like plain CG (the standard treatment for singular
 /// Laplacians).
 ///
-/// The matvec, dot, axpy, and preconditioner kernels run on the scoped
-/// worker pool selected by `opts.threads` ([`crate::parallel`]); the
-/// reductions use fixed chunking, so the returned solution is bitwise
-/// identical for every thread count. Callers that already hold a pool
-/// (e.g. one backed by a persistent executor) should use
-/// [`solve_jacobi_on`] so the solve inherits it instead of building a
-/// scoped pool per call.
-pub fn solve_jacobi(a: &CsrMatrix, b: &[f64], opts: &CgOptions) -> Result<PcgOutcome, LinalgError> {
-    // xtask:allow(adhoc-pool): compatibility entry point — resolves opts.threads
-    // into a scoped pool; pooled callers use solve_jacobi_on instead.
-    solve_jacobi_on(a, b, opts, Pool::new(opts.threads))
-}
-
-/// [`solve_jacobi`] on a caller-supplied [`Pool`] — the path the
-/// shift-invert operator and the multilevel warm start use, so nested PCG
-/// solves schedule onto the same persistent executor as everything else
-/// instead of falling back to scoped spawns. `opts.threads` is ignored;
-/// the pool decides.
+/// The matvec, dot, axpy, and preconditioner kernels run on `pool`
+/// ([`crate::parallel`]); the reductions use fixed chunking, so the
+/// returned solution is bitwise identical for every thread count. The
+/// shift-invert operator and the multilevel warm start pass the pool
+/// they were given, so nested solves schedule onto the same executor as
+/// everything else.
 pub fn solve_jacobi_on(
     a: &CsrMatrix,
     b: &[f64],
@@ -124,7 +112,7 @@ pub fn solve_jacobi_on(
 /// residual, every preconditioned residual and the solution are kept
 /// mean-free. All kernels run on `pool` with fixed-chunk reductions, so
 /// the result is bitwise identical for every thread count as long as the
-/// preconditioner is. `opts.threads` is ignored; the pool decides.
+/// preconditioner is.
 pub fn solve_on(
     a: &CsrMatrix,
     b: &[f64],
@@ -252,7 +240,7 @@ mod tests {
         let a =
             CsrMatrix::from_triplets(2, 2, &[(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)])
                 .unwrap();
-        let out = solve_jacobi(&a, &[1.0, 2.0], &CgOptions::default()).unwrap();
+        let out = solve_jacobi_on(&a, &[1.0, 2.0], &CgOptions::default(), Pool::default()).unwrap();
         assert!((out.solution[0] - 1.0 / 11.0).abs() < 1e-10);
         assert!((out.solution[1] - 7.0 / 11.0).abs() < 1e-10);
     }
@@ -268,7 +256,7 @@ mod tests {
             ..Default::default()
         };
         let plain = cg::solve(&lap, &b, &opts).unwrap();
-        let pre = solve_jacobi(&lap, &b, &opts).unwrap();
+        let pre = solve_jacobi_on(&lap, &b, &opts, Pool::default()).unwrap();
         for i in 0..6 {
             assert!(
                 (plain.solution[i] - pre.solution[i]).abs() < 1e-7,
@@ -298,7 +286,7 @@ mod tests {
             ..Default::default()
         };
         let plain = cg::solve(&a, &b, &opts).unwrap();
-        let pre = solve_jacobi(&a, &b, &opts).unwrap();
+        let pre = solve_jacobi_on(&a, &b, &opts, Pool::default()).unwrap();
         assert!(
             pre.iterations < plain.iterations,
             "jacobi {} not fewer than plain {}",
@@ -330,7 +318,7 @@ mod tests {
             ..Default::default()
         };
         let plain = cg::solve(&lap, &b, &opts).unwrap();
-        let pre = solve_jacobi(&lap, &b, &opts).unwrap();
+        let pre = solve_jacobi_on(&lap, &b, &opts, Pool::default()).unwrap();
         assert!(
             (pre.iterations as f64) <= 2.0 * plain.iterations as f64,
             "jacobi {} vs plain {}",
@@ -347,12 +335,19 @@ mod tests {
     fn rejects_bad_diagonal_and_inputs() {
         let zero_diag = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
         assert!(matches!(
-            solve_jacobi(&zero_diag, &[1.0, 0.0], &CgOptions::default()),
+            solve_jacobi_on(
+                &zero_diag,
+                &[1.0, 0.0],
+                &CgOptions::default(),
+                Pool::default()
+            ),
             Err(LinalgError::NotPositiveDefinite { .. })
         ));
         let a = CsrMatrix::from_diagonal(&[1.0, 1.0]);
-        assert!(solve_jacobi(&a, &[1.0], &CgOptions::default()).is_err());
-        assert!(solve_jacobi(&a, &[f64::NAN, 0.0], &CgOptions::default()).is_err());
+        assert!(solve_jacobi_on(&a, &[1.0], &CgOptions::default(), Pool::default()).is_err());
+        assert!(
+            solve_jacobi_on(&a, &[f64::NAN, 0.0], &CgOptions::default(), Pool::default()).is_err()
+        );
     }
 
     #[test]
@@ -386,15 +381,15 @@ mod tests {
         let mut b: Vec<f64> = (0..n).map(|i| ((i * 31 % 97) as f64) - 48.0).collect();
         vector::center(&mut b);
         let solve = |threads: usize| {
-            solve_jacobi(
+            solve_jacobi_on(
                 &lap,
                 &b,
                 &CgOptions {
                     deflate_mean: true,
                     tolerance: 1e-10,
-                    threads: Some(threads),
                     ..Default::default()
                 },
+                Pool::new(Some(threads)),
             )
             .unwrap()
         };
@@ -414,7 +409,7 @@ mod tests {
     #[test]
     fn zero_rhs_short_circuits() {
         let a = CsrMatrix::from_diagonal(&[2.0, 3.0]);
-        let out = solve_jacobi(&a, &[0.0, 0.0], &CgOptions::default()).unwrap();
+        let out = solve_jacobi_on(&a, &[0.0, 0.0], &CgOptions::default(), Pool::default()).unwrap();
         assert_eq!(out.iterations, 0);
         assert_eq!(out.solution, vec![0.0, 0.0]);
     }

@@ -136,7 +136,7 @@ proptest! {
 
     #[test]
     fn fiedler_pair_is_second_smallest(lap in laplacian()) {
-        let pair = slpm_linalg::fiedler::fiedler_pair(&lap, &Default::default()).unwrap();
+        let pair = slpm_linalg::fiedler::fiedler_pair_on(&lap, &Default::default(), &slpm_linalg::Pool::default()).unwrap();
         let dense = symmetric_eigen(&lap.to_dense()).unwrap();
         prop_assert!((pair.lambda2 - dense.eigenvalues[1]).abs() < 1e-6,
             "lambda2 {} vs dense {}", pair.lambda2, dense.eigenvalues[1]);

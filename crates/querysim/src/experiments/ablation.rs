@@ -14,7 +14,7 @@ use crate::metrics;
 use serde::Serialize;
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_graph::points::PointSet;
-use slpm_linalg::{FiedlerMethod, FiedlerOptions};
+use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool};
 use spectral_lpm::{objective, AffinityEdge, SpectralConfig, SpectralMapper};
 
 /// One eigensolver strategy's outcome on a given grid.
@@ -48,7 +48,9 @@ pub fn eigensolver_agreement(side: usize) -> Vec<EigensolverRow> {
             },
             ..Default::default()
         });
-        let m = mapper.map_graph(&graph).expect("grid connected");
+        let m = mapper
+            .map_graph_on(&graph, &Pool::default())
+            .expect("grid connected");
         EigensolverRow {
             method: name.to_string(),
             lambda2: m.fiedler.lambda2,
@@ -97,7 +99,9 @@ pub fn connectivity_comparison(side: usize) -> Vec<ConnectivityRow> {
             connectivity: conn,
             ..Default::default()
         });
-        let m = mapper.map_grid(&spec).expect("grid connected");
+        let m = mapper
+            .map_grid_on(&spec, &Pool::default())
+            .expect("grid connected");
         eval(name, &m.order, m.fiedler.lambda2);
     }
 
@@ -105,7 +109,9 @@ pub fn connectivity_comparison(side: usize) -> Vec<ConnectivityRow> {
     let pts = PointSet::from_grid(&spec);
     let weighted = pts.inverse_distance_graph(2);
     let mapper = SpectralMapper::new(SpectralConfig::default());
-    let m = mapper.map_graph(&weighted).expect("connected");
+    let m = mapper
+        .map_graph_on(&weighted, &Pool::default())
+        .expect("connected");
     eval("inverse-distance (radius 2)", &m.order, m.fiedler.lambda2);
 
     rows
@@ -137,10 +143,16 @@ pub fn affinity_sweep(side: usize, weights: &[f64]) -> Vec<AffinityRow> {
     let mut rows = Vec::new();
     for &w in weights {
         let m = if w == 0.0 {
-            mapper.map_graph(&base).expect("connected")
+            mapper
+                .map_graph_on(&base, &Pool::default())
+                .expect("connected")
         } else {
             mapper
-                .map_graph_with_affinity(&base, &[AffinityEdge::weighted(a, b, w)])
+                .map_graph_with_affinity(
+                    &base,
+                    &[AffinityEdge::weighted(a, b, w)],
+                    &Pool::default(),
+                )
                 .expect("connected")
         };
         rows.push(AffinityRow {
@@ -170,16 +182,23 @@ pub struct OrderingRow {
 /// multi-vector order (v₂ then v₃ tie-break), plus the Hilbert curve as the
 /// fractal yardstick.
 pub fn ordering_comparison(side: usize) -> Vec<OrderingRow> {
-    use spectral_lpm::recursive::{multi_vector_order, rsb_order, RsbOptions};
+    use spectral_lpm::recursive::{multi_vector_order_on, rsb_order_on, RsbOptions};
     let spec = GridSpec::cube(side, 2);
     let graph = spec.graph(Connectivity::Orthogonal);
 
     let direct = SpectralMapper::new(SpectralConfig::default())
-        .map_graph(&graph)
+        .map_graph_on(&graph, &Pool::default())
         .expect("connected")
         .order;
-    let rsb = rsb_order(&graph, &RsbOptions::default()).expect("connected");
-    let multi = multi_vector_order(&graph, 3, 1e-8, &SpectralConfig::default()).expect("connected");
+    let rsb = rsb_order_on(&graph, &RsbOptions::default(), &Pool::default()).expect("connected");
+    let multi = multi_vector_order_on(
+        &graph,
+        3,
+        1e-8,
+        &SpectralConfig::default(),
+        &Pool::default(),
+    )
+    .expect("connected");
     let hilbert = crate::mappings::curve_order(
         &spec,
         &slpm_sfc::HilbertCurve::from_side(2, side as u64).expect("power of two"),

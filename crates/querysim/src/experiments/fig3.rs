@@ -15,6 +15,7 @@
 
 use serde::Serialize;
 use slpm_graph::grid::GridSpec;
+use slpm_linalg::Pool;
 use spectral_lpm::{objective, SpectralConfig, SpectralMapper};
 
 /// Result of re-running the paper's worked example.
@@ -66,7 +67,9 @@ pub fn run() -> Fig3Result {
     let spec = GridSpec::new(&[3, 3]);
     let graph = spec.graph(Default::default());
     let mapper = SpectralMapper::new(SpectralConfig::default());
-    let mapping = mapper.map_graph(&graph).expect("3×3 grid is connected");
+    let mapping = mapper
+        .map_graph_on(&graph, &Pool::default())
+        .expect("3×3 grid is connected");
 
     let lap = graph.laplacian();
     let laplacian: Vec<Vec<f64>> = (0..9)

@@ -8,6 +8,7 @@
 
 use serde::Serialize;
 use slpm_graph::grid::{Connectivity, GridSpec};
+use slpm_linalg::Pool;
 use spectral_lpm::{objective, SpectralConfig, SpectralMapper};
 
 /// One connectivity variant's outcome.
@@ -69,7 +70,9 @@ pub fn run(side: usize) -> Fig4Result {
             connectivity: conn,
             ..Default::default()
         });
-        let mapping = mapper.map_graph(&graph).expect("grid is connected");
+        let mapping = mapper
+            .map_graph_on(&graph, &Pool::default())
+            .expect("grid is connected");
         let rank_grid: Vec<Vec<usize>> = (0..side)
             .map(|r| {
                 (0..side)

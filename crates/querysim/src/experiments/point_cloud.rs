@@ -19,6 +19,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use slpm_graph::points::PointSet;
 use slpm_graph::{traversal, Graph};
+use slpm_linalg::Pool;
 use slpm_sfc::{HilbertCurve, PeanoCurve, SpaceFillingCurve};
 use spectral_lpm::{LinearOrder, SpectralConfig, SpectralMapper};
 
@@ -187,7 +188,7 @@ pub fn run(cfg: &PointCloudConfig) -> Vec<PointCloudRow> {
     // sorted order = identity ranks.
     let sweep = LinearOrder::identity(points.len());
     let spectral = SpectralMapper::new(SpectralConfig::default())
-        .map_graph(&graph)
+        .map_graph_on(&graph, &Pool::default())
         .expect("graph grown to connectivity")
         .order;
 

@@ -6,6 +6,7 @@
 //! code is completely mapping-agnostic.
 
 use slpm_graph::grid::{Connectivity, GridSpec};
+use slpm_linalg::Pool;
 use slpm_sfc::{
     CurveError, CurveKind, GrayCurve, HilbertCurve, PeanoCurve, SnakeCurve, SpaceFillingCurve,
     SweepCurve,
@@ -186,7 +187,7 @@ pub fn spectral_order(
     config: SpectralConfig,
 ) -> Result<LinearOrder, MappingError> {
     let mapper = SpectralMapper::new(config);
-    Ok(mapper.map_grid(spec)?.order)
+    Ok(mapper.map_grid_on(spec, &Pool::default())?.order)
 }
 
 /// Build a curve order from its command-line name — the one dispatch table

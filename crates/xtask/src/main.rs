@@ -27,13 +27,12 @@
 //!   Queue-drain and other provably-terminating loops carry a reasoned
 //!   pragma.
 //! * **`adhoc-pool`** — `Pool::new(..)` / `Pool::default()` in
-//!   `crates/cli` and `crates/linalg` is confined to
-//!   `crates/linalg/src/parallel.rs` (the dispatch layer itself):
-//!   every other site must accept a `Pool` through the `_on` entry
-//!   points or borrow one from `WorkerPool::linalg_pool()`, so spectral
-//!   solves never silently fall back to per-call scoped spawn pools.
-//!   Compatibility wrappers that intentionally build a one-shot pool
-//!   carry a reasoned pragma.
+//!   `crates/cli`, `crates/core`, `crates/graph` and `crates/linalg` is
+//!   confined to `crates/linalg/src/parallel.rs` (the dispatch layer
+//!   itself): every other site takes the caller's `&Pool` or borrows one
+//!   from `WorkerPool::linalg_pool()`, so the `&Pool` argument of a solve
+//!   is the only thing that decides its thread count. A site that must
+//!   build its own pool carries a reasoned pragma.
 //! * **`fs-only-in-storage`** — `std::fs` is confined to
 //!   `crates/storage/src/diskfile.rs` (the out-of-core tier) and the
 //!   shims; everything else reaches bytes through `PageFile`/`PageStore`
@@ -84,6 +83,13 @@ const BLESSED_FLOAT_FILE: &str = "crates/linalg/src/vector.rs";
 const BENCH_CRATE_PREFIX: &str = "crates/bench/";
 /// The out-of-core tier — the one module allowed to touch `std::fs`.
 const BLESSED_FS_FILE: &str = "crates/storage/src/diskfile.rs";
+/// The crates whose non-test code may not construct `Pool` values.
+const POOL_LINT_SCOPE: &[&str] = &[
+    "crates/cli/",
+    "crates/core/",
+    "crates/graph/",
+    "crates/linalg/",
+];
 /// The deterministic dispatch layer — the one file in the pool-lint
 /// scope allowed to construct `Pool` values directly.
 const BLESSED_POOL_FILE: &str = "crates/linalg/src/parallel.rs";
@@ -280,7 +286,7 @@ fn lint_file(rel: &str, source: &str, out: &mut Vec<Violation>) {
             });
         }
 
-        if (rel.starts_with("crates/cli/") || rel.starts_with("crates/linalg/"))
+        if POOL_LINT_SCOPE.iter().any(|scope| rel.starts_with(scope))
             && rel != BLESSED_POOL_FILE
             && !exempt_determinism
             && is_adhoc_pool(code_line)
@@ -290,9 +296,9 @@ fn lint_file(rel: &str, source: &str, out: &mut Vec<Violation>) {
                 path: rel.to_string(),
                 line: line_no,
                 rule: "adhoc-pool",
-                message: "ad-hoc Pool construction outside the dispatch layer — take a \
-                          `&Pool` via an `_on` entry point (or WorkerPool::linalg_pool), \
-                          or annotate why this compatibility site builds its own pool"
+                message: "ad-hoc Pool construction outside the dispatch layer — take \
+                          the caller's `&Pool` (or borrow WorkerPool::linalg_pool), or \
+                          annotate why this site must build its own pool"
                     .to_string(),
             });
         }
@@ -758,9 +764,9 @@ mod tests {
         lint_file("crates/cli/src/commands.rs", fine, &mut v);
         assert!(v.is_empty(), "false positive: {v:?}");
 
-        // A reasoned pragma blesses a compatibility wrapper.
-        let blessed = "fn compat() {\n    // xtask:allow(adhoc-pool): legacy entry \
-                       point builds a one-shot pool\n    let pool = \
+        // A reasoned pragma silences a finding.
+        let blessed = "fn own() {\n    // xtask:allow(adhoc-pool): this site must \
+                       build a one-shot pool\n    let pool = \
                        Pool::new(threads);\n}\n";
         let mut v = Vec::new();
         lint_file("crates/linalg/src/fiedler.rs", blessed, &mut v);
@@ -770,9 +776,20 @@ mod tests {
             v.first().map(|x| &x.message)
         );
 
+        // The graph and core crates are in scope too.
+        for rel in [
+            "crates/graph/src/coarsen.rs",
+            "crates/core/src/recursive.rs",
+        ] {
+            let mut v = Vec::new();
+            lint_file(rel, bare, &mut v);
+            assert_eq!(v.len(), 1, "{rel}: expected exactly one finding: {v:?}");
+            assert_eq!(v[0].rule, "adhoc-pool");
+        }
+
         // Outside the pool-lint scope the rule does not apply.
         let mut v = Vec::new();
-        lint_file("crates/graph/src/coarsen.rs", bare, &mut v);
+        lint_file("crates/querysim/src/mappings.rs", bare, &mut v);
         assert!(v.is_empty());
 
         // Test code may build throwaway pools freely.

@@ -61,9 +61,11 @@ fn main() {
 
     // Map without and with affinity.
     let mapper = SpectralMapper::new(SpectralConfig::default());
-    let plain = mapper.map_graph(&base).expect("connected");
+    let plain = mapper
+        .map_graph_on(&base, &Pool::default())
+        .expect("connected");
     let affine = mapper
-        .map_graph_with_affinity(&base, &edges)
+        .map_graph_with_affinity(&base, &edges, &Pool::default())
         .expect("connected");
 
     let extended = apply_affinity(&base, &edges).expect("edges validated");

@@ -26,7 +26,7 @@ fn main() {
     let sweep = SweepCurve::new(&[side as u64, side as u64]).unwrap();
     let hilbert = HilbertCurve::from_side(2, side as u64).unwrap();
     let spectral = SpectralMapper::new(SpectralConfig::default())
-        .map_grid(&spec)
+        .map_grid_on(&spec, &Pool::default())
         .expect("grid connected")
         .order;
     let orders: Vec<(&str, spectral_lpm::LinearOrder)> = vec![

@@ -12,7 +12,9 @@ fn main() {
     // 2. Spectral LPM (paper Figure 2): graph → Laplacian → Fiedler vector
     //    → linear order.
     let mapper = SpectralMapper::new(SpectralConfig::default());
-    let mapping = mapper.map_grid(&spec).expect("grid is connected");
+    let mapping = mapper
+        .map_grid_on(&spec, &Pool::default())
+        .expect("grid is connected");
     println!(
         "Spectral LPM on the 8x8 grid: lambda_2 = {:.6}, eigen-residual = {:.2e}",
         mapping.fiedler.lambda2, mapping.fiedler.residual

@@ -25,7 +25,7 @@ fn main() {
     let sweep = curve_order(&spec, &SweepCurve::new(&[16, 16]).unwrap());
     let hilbert = curve_order(&spec, &HilbertCurve::from_side(2, 16).unwrap());
     let spectral = SpectralMapper::new(SpectralConfig::default())
-        .map_grid(&spec)
+        .map_grid_on(&spec, &Pool::default())
         .expect("grid connected")
         .order;
 

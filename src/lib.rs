@@ -28,7 +28,7 @@ pub use spectral_lpm as core;
 pub mod prelude {
     pub use slpm_graph::grid::{Connectivity, GridSpec};
     pub use slpm_graph::Graph;
-    pub use slpm_linalg::{FiedlerMethod, FiedlerOptions};
+    pub use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool};
     pub use slpm_serve::{EngineConfig, Partition, Query, ServeEngine, WorkerPool};
     pub use slpm_sfc::{
         CurveKind, GrayCurve, HilbertCurve, PeanoCurve, SnakeCurve, SpaceFillingCurve, SweepCurve,

@@ -13,7 +13,9 @@ fn full_pipeline_on_8x8_grid() {
     // Map.
     let spec = GridSpec::cube(8, 2);
     let mapper = SpectralMapper::new(SpectralConfig::default());
-    let mapping = mapper.map_grid(&spec).expect("connected grid");
+    let mapping = mapper
+        .map_grid_on(&spec, &Pool::default())
+        .expect("connected grid");
     assert_eq!(mapping.order.len(), 64);
     assert!(mapping.fiedler.lambda2 > 0.0);
     assert!(mapping.fiedler.residual < 1e-6);
@@ -51,7 +53,7 @@ fn lambda2_lower_bounds_every_mapping_objective() {
     let spec = GridSpec::cube(4, 2);
     let graph = spec.graph(Connectivity::Orthogonal);
     let mapping = SpectralMapper::new(SpectralConfig::default())
-        .map_graph(&graph)
+        .map_graph_on(&graph, &Pool::default())
         .unwrap();
     let lambda2 = mapping.fiedler.lambda2;
     let set = MappingSet::extended_set(&spec).unwrap();
@@ -116,8 +118,10 @@ fn point_set_and_grid_pipelines_agree() {
     use slpm_graph::points::PointSet;
     let spec = GridSpec::new(&[4, 5]);
     let mapper = SpectralMapper::new(SpectralConfig::default());
-    let via_grid = mapper.map_grid(&spec).unwrap();
-    let via_points = mapper.map_points(&PointSet::from_grid(&spec)).unwrap();
+    let via_grid = mapper.map_grid_on(&spec, &Pool::default()).unwrap();
+    let via_points = mapper
+        .map_points_on(&PointSet::from_grid(&spec), &Pool::default())
+        .unwrap();
     assert_eq!(via_grid.order.ranks(), via_points.order.ranks());
     assert!((via_grid.fiedler.lambda2 - via_points.fiedler.lambda2).abs() < 1e-12);
 }
@@ -141,7 +145,7 @@ fn disconnected_point_set_is_rejected_end_to_end() {
     use slpm_graph::points::PointSet;
     let pts = PointSet::new(vec![vec![0, 0], vec![5, 5]]).unwrap();
     let err = SpectralMapper::new(SpectralConfig::default())
-        .map_points(&pts)
+        .map_points_on(&pts, &Pool::default())
         .unwrap_err();
     assert!(err.to_string().contains("disconnected"));
 }

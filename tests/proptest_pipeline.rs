@@ -43,7 +43,7 @@ proptest! {
     fn lambda2_bounds_all_integer_orders(spec in cube_spec()) {
         let graph = spec.graph(Connectivity::Orthogonal);
         let mapping = SpectralMapper::new(SpectralConfig::default())
-            .map_graph(&graph)
+            .map_graph_on(&graph, &Pool::default())
             .unwrap();
         let set = MappingSet::extended_set(&spec).unwrap();
         for (label, order) in set.iter() {
@@ -114,7 +114,7 @@ proptest! {
         // The spectral order's reversal (eigenvector sign flip) must have
         // identical locality metrics — the canonical symmetry.
         let mapping = SpectralMapper::new(SpectralConfig::default())
-            .map_grid(&spec)
+            .map_grid_on(&spec, &Pool::default())
             .unwrap();
         let fwd = &mapping.order;
         let rev = fwd.reversed();

@@ -16,7 +16,9 @@ fn prelude_pipeline_runs_on_4x4_grid() {
 
     // Steps 2–5: Laplacian → Fiedler pair → linear order.
     let mapper = SpectralMapper::new(SpectralConfig::default());
-    let mapping = mapper.map_grid(&spec).expect("4x4 grid is connected");
+    let mapping = mapper
+        .map_grid_on(&spec, &Pool::default())
+        .expect("4x4 grid is connected");
     assert!(mapping.fiedler.lambda2 > 0.0, "connected graph has λ₂ > 0");
     assert!(mapping.fiedler.residual < 1e-6);
 

@@ -2,7 +2,7 @@
 //! pipeline, plus storage-layer consistency on top of real mappings.
 
 use slpm_graph::grid::{Connectivity, GridSpec};
-use slpm_linalg::fiedler::{fiedler_pair, smallest_nonzero_eigenpairs, FiedlerOptions};
+use slpm_linalg::fiedler::{fiedler_pair_on, smallest_nonzero_eigenpairs_on, FiedlerOptions};
 use slpm_querysim::experiments::declustering;
 use slpm_querysim::mappings::MappingSet;
 use slpm_storage::decluster::{Declustering, RoundRobin};
@@ -16,7 +16,8 @@ fn torus_lambda2_matches_closed_form() {
     for (n, m) in [(6usize, 6usize), (8, 5), (4, 10)] {
         let spec = GridSpec::new(&[n, m]);
         let g = spec.torus_graph();
-        let pair = fiedler_pair(&g.laplacian(), &FiedlerOptions::default()).unwrap();
+        let pair =
+            fiedler_pair_on(&g.laplacian(), &FiedlerOptions::default(), &Pool::default()).unwrap();
         let expect = 2.0 - 2.0 * (2.0 * PI / n.max(m) as f64).cos();
         assert!(
             (pair.lambda2 - expect).abs() < 1e-7,
@@ -32,7 +33,8 @@ fn grid_lambda2_matches_closed_form() {
     for (n, m) in [(8usize, 8usize), (12, 5), (3, 9)] {
         let spec = GridSpec::new(&[n, m]);
         let g = spec.graph(Connectivity::Orthogonal);
-        let pair = fiedler_pair(&g.laplacian(), &FiedlerOptions::default()).unwrap();
+        let pair =
+            fiedler_pair_on(&g.laplacian(), &FiedlerOptions::default(), &Pool::default()).unwrap();
         let expect = 4.0 * (PI / (2.0 * n.max(m) as f64)).sin().powi(2);
         assert!(
             (pair.lambda2 - expect).abs() < 1e-7,
@@ -58,7 +60,9 @@ fn grid_spectrum_prefix_matches_closed_form() {
         }
     }
     all.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pairs = smallest_nonzero_eigenpairs(&lap, 3, &FiedlerOptions::default()).unwrap();
+    let pairs =
+        smallest_nonzero_eigenpairs_on(&lap, 3, &FiedlerOptions::default(), &Pool::default())
+            .unwrap();
     for (k, (lambda, _)) in pairs.iter().enumerate() {
         assert!(
             (lambda - all[k + 1]).abs() < 1e-7,
@@ -111,7 +115,7 @@ fn round_robin_is_fair_for_contiguous_spectral_windows() {
     // consecutive pages, which round-robin spreads perfectly.
     let spec = GridSpec::cube(8, 2);
     let mapping = SpectralMapper::new(SpectralConfig::default())
-        .map_grid(&spec)
+        .map_grid_on(&spec, &Pool::default())
         .unwrap();
     let mapper = PageMapper::new(&mapping.order, PageLayout::new(4));
     let rr = RoundRobin::new(4);
@@ -128,7 +132,7 @@ fn buffer_pool_rewards_rank_coherent_replay() {
     // ratio than replaying the same queries in a scrambled order.
     let spec = GridSpec::cube(8, 2);
     let mapping = SpectralMapper::new(SpectralConfig::default())
-        .map_grid(&spec)
+        .map_grid_on(&spec, &Pool::default())
         .unwrap();
     let mapper = PageMapper::new(&mapping.order, PageLayout::new(4));
     // Queries: sliding windows of 8 consecutive ranks.
