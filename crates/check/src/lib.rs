@@ -1,24 +1,26 @@
-//! `slpm_check` — model-checked concurrency harnesses for the serving
-//! stack.
+//! `slpm_check` — model-checked concurrency for the serving stack.
 //!
 //! Every determinism claim the tree makes rests on hand-rolled
 //! concurrency: the `crossbeam` shim's MPMC channels, the
 //! lifetime-erasure latch in `crossbeam::thread::run_scoped`, and
-//! `slpm_serve`'s worker pool / per-shard FIFO queues / `BatchHandle`.
-//! This crate pairs the shim's deterministic model checker
-//! ([`crossbeam::model::explore`], compiled under the shim's `model`
-//! feature) with [`harness`]: a miniature worker pool + per-shard FIFO +
-//! batch-handle engine, structurally mirroring `slpm_serve::engine`'s
-//! admission protocol but small enough to explore *every* bounded
-//! interleaving. The schedule-exploration tests live in
-//! `tests/model.rs` and assert, over thousands of distinct schedules:
+//! `slpm_serve`'s worker pool, per-shard FIFO queues, breakers, epoch
+//! swaps and `BatchHandle`. All of it is written against the
+//! `crossbeam::sync` facade, which this crate compiles in the shim's
+//! `model` mode: objects created inside a [`crossbeam::model::explore`]
+//! session report every lock, condvar wait, atomic and spawn to a
+//! deterministic scheduler, which then enumerates the bounded
+//! interleavings. The tests in `tests/model.rs` build a tiny **real**
+//! `slpm_serve::ServeEngine` inside each explored run — no copy of the
+//! engine exists — and assert, over every explored schedule:
 //!
-//! 1. no deadlock or lost wakeup on any explored schedule,
-//! 2. [`slpm_serve::digest_outcomes`] is bitwise identical on every
-//!    schedule (scheduling moves work, never answers),
-//! 3. a panic inside a replay unit propagates to `wait()` on every
-//!    schedule instead of wedging it.
+//! 1. no deadlock or lost wakeup,
+//! 2. `slpm_serve::digest_outcomes`, degraded coverage and fault
+//!    penalties equal a serial engine's (scheduling moves work, never
+//!    answers), including across breaker trips and epoch swaps,
+//! 3. a panic inside a replay unit never wedges `wait()`.
 //!
+//! Each real-engine scenario prints one
+//! `real-engine <scenario>: explored N schedules (exhausted: B)` line.
 //! Run the full exploration suite with `cargo test -p slpm_check
 //! --release` (debug builds explore a smaller schedule budget so the
 //! tier-1 `cargo test -q` gate stays fast).
@@ -26,9 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use crossbeam::model::{explore, is_abort, ModelOptions, Report};
-
-pub mod harness;
+pub use crossbeam::model::{explore, ModelOptions, Report};
 
 use std::sync::Mutex as StdMutex;
 

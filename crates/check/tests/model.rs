@@ -1,27 +1,37 @@
 //! Exhaustive schedule exploration of the serving stack's concurrency
-//! protocols (see `crossbeam::model` for the checker itself).
+//! (see `crossbeam::model` for the checker itself).
 //!
-//! Every test here runs its harness once per *distinct bounded
-//! interleaving* — thousands of schedules — and asserts properties that
-//! must hold on all of them: no deadlock or lost wakeup, schedule-
-//! invariant `digest_outcomes`, and panic propagation that never wedges
-//! a waiter. Debug builds (the tier-1 `cargo test -q` gate) explore a
-//! reduced schedule budget; CI runs the full budget via
-//! `cargo test -p slpm_check --release`.
+//! The channel and `run_scoped` tests explore the shim's primitives
+//! directly. Every other test builds a tiny **real** [`ServeEngine`]
+//! inside each explored run — its pool, shard queues, breakers and
+//! epoch swaps all run on the `crossbeam::sync` facade, so under the
+//! `model` feature every lock, condvar wait, atomic and spawn is a
+//! scheduling point — and asserts properties that must hold on every
+//! schedule: no deadlock or lost wakeup, schedule-invariant digests and
+//! coverage, and panics that never wedge a waiter. Debug builds (the
+//! tier-1 `cargo test -q` gate) explore a reduced schedule budget; CI
+//! runs the full budget via `cargo test -p slpm_check --release`.
 
-use slpm_check::harness::{MiniBreakerState, MiniEngine, MiniRecovery, MiniUnit};
-use slpm_check::{explore, is_abort, with_quiet_panics, ModelOptions};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc as StdArc, Mutex as StdMutex};
+use slpm_check::{explore, with_quiet_panics, ModelOptions, Report};
+use slpm_graph::grid::GridSpec;
+use slpm_serve::{
+    digest_outcomes, grid_points, BatchReport, BreakerState, EngineConfig, FaultPlan, Query,
+    RecoveryConfig, ServeEngine,
+};
+use spectral_lpm::LinearOrder;
+use std::panic::catch_unwind;
+use std::sync::{Arc as StdArc, OnceLock};
 
 /// Schedule budget: keep the debug-mode tier-1 run fast, explore wide in
 /// release (CI's model-checker job).
 const MAX_SCHEDULES: usize = if cfg!(debug_assertions) {
-    3_000
+    1_500
 } else {
     60_000
 };
 
+/// The shim's primitives are small enough to explore two preemptions
+/// deep.
 fn opts(max_threads: usize) -> ModelOptions {
     ModelOptions {
         preemption_bound: Some(2),
@@ -31,22 +41,146 @@ fn opts(max_threads: usize) -> ModelOptions {
     }
 }
 
-fn unit(qidx: usize, work: usize) -> MiniUnit {
-    MiniUnit {
-        qidx,
-        work,
-        poison: false,
-        fail: false,
+/// A real engine has far more scheduling points. With one preemption
+/// most scenario trees are small enough to exhaust; the depth-first
+/// search varies late decisions first, so a capped two-preemption search
+/// would never get back to the early admission races that a
+/// one-preemption search covers completely.
+fn engine_opts(max_threads: usize) -> ModelOptions {
+    ModelOptions {
+        preemption_bound: Some(1),
+        ..opts(max_threads)
     }
 }
 
-fn fail_unit(qidx: usize) -> MiniUnit {
-    MiniUnit {
-        qidx,
-        work: 3,
-        poison: false,
-        fail: true,
+/// The one line per real-engine scenario CI's model-check job greps.
+fn report_line(scenario: &str, report: &Report) {
+    eprintln!(
+        "real-engine {scenario}: explored {} schedules (exhausted: {})",
+        report.schedules, report.exhausted
+    );
+}
+
+/// The data every real-engine scenario serves: an 8×8 grid in
+/// row-major order. With [`engine`]'s 4 records per page that is 16
+/// pages, two per row, and 2 contiguous shards — shard 0 holds rows 0–3,
+/// shard 1 rows 4–7. Static, so engines built inside explored runs and
+/// shared with spawned submitters can borrow it.
+fn fixture() -> &'static (Vec<Vec<i64>>, LinearOrder) {
+    static FIXTURE: OnceLock<(Vec<Vec<i64>>, LinearOrder)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        (
+            grid_points(&GridSpec::cube(8, 2)),
+            LinearOrder::identity(64),
+        )
+    })
+}
+
+/// A fresh engine over [`fixture`].
+fn engine(threads: usize, recovery: RecoveryConfig) -> ServeEngine<'static> {
+    let (points, order) = fixture();
+    let cfg = EngineConfig {
+        records_per_page: 4,
+        fanout: 4,
+        shards: 2,
+        threads,
+        recovery,
+        ..Default::default()
+    };
+    ServeEngine::new(points, order, cfg)
+}
+
+/// A low breaker threshold so two doomed units trip, and a one-unit
+/// cooldown so the unit after a trip fast-fails and the next one probes.
+fn twitchy() -> RecoveryConfig {
+    RecoveryConfig {
+        breaker_threshold: 2,
+        probe_cooldown: 1,
+        ..Default::default()
     }
+}
+
+fn knn(x: i64, y: i64, k: usize) -> Query {
+    Query::Knn {
+        center: vec![x, y],
+        k,
+    }
+}
+
+/// Reaches rows 1–5: one replay unit on each shard.
+fn both_shards() -> Query {
+    knn(3, 3, 20)
+}
+
+/// Rows 0–2: shard 0 only.
+fn shard0() -> Query {
+    knn(1, 1, 4)
+}
+
+/// Rows 5–7: shard 1 only.
+fn shard1() -> Query {
+    knn(6, 4, 6)
+}
+
+/// Everything about a report that must not depend on the schedule:
+/// results, pages and runs (the digest), degraded coverage, and each
+/// query's simulated fault penalty.
+fn fingerprint(report: &BatchReport) -> (u64, Vec<u64>) {
+    (
+        report.degraded_digest(),
+        report
+            .outcomes
+            .iter()
+            .map(|o| o.fault_us.to_bits())
+            .collect(),
+    )
+}
+
+/// Serve `batches` one after another on a serial engine (threads: 1,
+/// outside the model) with `plan` armed: the reference every schedule of
+/// the same admission sequence must reproduce.
+fn serial_reference(
+    batches: &[Vec<Query>],
+    recovery: RecoveryConfig,
+    plan: &str,
+) -> Vec<BatchReport> {
+    let engine = engine(1, recovery);
+    engine.inject_faults(FaultPlan::parse(plan).expect("valid fault plan"));
+    batches
+        .iter()
+        .map(|b| engine.run(b).expect("no replay panic"))
+        .collect()
+}
+
+/// Admit every batch, planning each just before its admission, then wait
+/// on each in admission order, so all of them are in flight at once.
+fn serve_concurrently(engine: &ServeEngine<'_>, batches: &[Vec<Query>]) -> Vec<BatchReport> {
+    let handles: Vec<_> = batches
+        .iter()
+        .map(|b| engine.submit_planned(engine.plan_batch(b)))
+        .collect();
+    handles
+        .into_iter()
+        .map(|h| h.wait().expect("faults degrade, never error"))
+        .collect()
+}
+
+#[test]
+fn routing_preconditions_hold() {
+    // The scenarios below lean on where these queries land; check it
+    // once, outside the model.
+    let engine = engine(1, RecoveryConfig::default());
+    let planned = engine.plan_batch(&[both_shards(), shard0(), shard1()]);
+    let shards_of = |q: usize| -> Vec<usize> {
+        planned
+            .shard_loads(q)
+            .iter()
+            .map(|&(shard, _, _)| shard)
+            .collect()
+    };
+    assert_eq!(shards_of(0), vec![0, 1]);
+    assert_eq!(shards_of(1), vec![0]);
+    assert_eq!(shards_of(2), vec![1]);
 }
 
 #[test]
@@ -78,8 +212,7 @@ fn channel_delivers_every_message_exactly_once_on_every_schedule() {
 fn last_sender_drop_wakes_every_blocked_receiver_on_every_schedule() {
     // Two receivers race a single in-flight message against disconnect:
     // on every schedule exactly one receives the message and the other
-    // observes RecvError — no schedule may leave either blocked forever
-    // (the lost-wakeup this satellite exists to pin down).
+    // observes RecvError — no schedule may leave either blocked forever.
     let report = explore(opts(4), || {
         let (tx, rx) = crossbeam::channel::unbounded::<usize>();
         let rx2 = rx.clone();
@@ -128,308 +261,252 @@ fn run_scoped_latch_settles_on_every_schedule() {
 
 #[test]
 fn pool_digest_is_invariant_across_more_than_1000_schedules() {
-    // The tentpole property: a 2-worker, 2-shard mini engine with two
-    // concurrently admitted batches (per-shard FIFO + round-robin
-    // rotation + the running-flag handoff) produces a bitwise-identical
-    // `digest_outcomes` on every explored schedule, and the bounded
-    // exploration covers well over 1000 distinct schedules with zero
-    // deadlocks or lost wakeups.
-    let digests: StdArc<StdMutex<Vec<u64>>> = StdArc::new(StdMutex::new(Vec::new()));
-    let sink = StdArc::clone(&digests);
-    let report = explore(opts(4), move || {
-        let engine = MiniEngine::new(2, 2);
-        let batch_a = engine.submit(2, vec![vec![unit(0, 4)], vec![unit(0, 6), unit(1, 8)]]);
-        let batch_b = engine.submit(2, vec![vec![unit(1, 2), unit(0, 3)], vec![]]);
-        let outcomes_a = batch_a.wait();
-        let outcomes_b = batch_b.wait();
-        let digest_a = slpm_serve::digest_outcomes(&outcomes_a);
-        let digest_b = slpm_serve::digest_outcomes(&outcomes_b);
-        // Fold both batches into one per-schedule fingerprint.
-        sink.lock()
-            .expect("digest sink")
-            .push(digest_a ^ digest_b.rotate_left(1));
+    // 2 workers × 2 shards × 2 in-flight batches: planning on the pool,
+    // per-shard FIFO queues, round-robin rotation across batches and the
+    // running-flag handoff must give every schedule the digest of a
+    // serial engine serving the same queries.
+    let batches = vec![vec![both_shards(), shard1()], vec![shard0(), both_shards()]];
+    let all: Vec<Query> = batches.concat();
+    let reference = serial_reference(&[all], RecoveryConfig::default(), "")[0].digest;
+    let report = explore(engine_opts(3), move || {
+        let engine = engine(2, RecoveryConfig::default());
+        let reports = serve_concurrently(&engine, &batches);
+        let digest = digest_outcomes(reports.iter().flat_map(|r| &r.outcomes));
+        assert_eq!(digest, reference, "digest_outcomes is schedule-dependent");
     });
-    let digests = digests.lock().expect("digest sink");
-    assert_eq!(digests.len(), report.schedules);
-    assert!(
-        report.schedules >= 1000,
-        "exploration too shallow: only {} schedules (report {report:?})",
-        report.schedules
-    );
-    let first = digests[0];
-    if let Some(pos) = digests.iter().position(|&d| d != first) {
-        panic!(
-            "digest_outcomes is schedule-dependent: schedule 0 gave {first:#x}, \
-             schedule {pos} gave {:#x}",
-            digests[pos]
-        );
-    }
-    eprintln!("pool digest invariance: {report:?}");
+    report_line("digest-invariance", &report);
 }
 
 #[test]
 fn bounded_admission_never_deadlocks_and_digest_is_invariant() {
-    // The backpressure protocol under exhaustive interleaving: two
-    // submitters race depth-1 bounded admissions into the same 2-shard
-    // engine while runners drain and notify. Every explored schedule
-    // must terminate (no deadlock or lost wakeup between `space.wait`
-    // and the runner's pop+notify), the capacity invariant asserted
-    // inside `submit_bounded` must hold at every admission, and the
-    // merged outcomes must digest identically on every schedule.
-    let digests: StdArc<StdMutex<Vec<u64>>> = StdArc::new(StdMutex::new(Vec::new()));
-    let sink = StdArc::clone(&digests);
-    let report = explore(opts(4), move || {
-        let engine = StdArc::new(MiniEngine::new(2, 2));
+    // A rival submitter races a depth-1 bounded admission against the
+    // root's two back-to-back bounded admissions, while the runners
+    // drain and notify. The root's second batch meets its first batch's
+    // queued units and must sleep on the shard's `space` condvar until a
+    // runner's pop-and-notify: no schedule may deadlock or lose that
+    // wakeup, and every batch answers as a serial engine does.
+    let batches = vec![
+        vec![both_shards(), shard0()],
+        vec![shard0(), shard1()],
+        vec![shard1(), both_shards()],
+    ];
+    let reference: Vec<u64> = serial_reference(&batches, RecoveryConfig::default(), "")
+        .iter()
+        .map(|r| r.digest)
+        .collect();
+    let report = explore(engine_opts(4), move || {
+        let engine = StdArc::new(engine(2, RecoveryConfig::default()));
+        // Plan up front so the race is between the admissions and the
+        // runners draining them.
+        let mut planned: Vec<_> = batches.iter().map(|b| engine.plan_batch(b)).collect();
+        let theirs = planned.pop().expect("three batches");
         let rival = StdArc::clone(&engine);
-        // A concurrent submitter contends for the same depth-1 gates.
         let other = crossbeam::sync::thread::spawn(move || {
-            rival
-                .submit_bounded(2, vec![vec![unit(1, 2)], vec![unit(0, 3)]], 1)
-                .wait()
+            let report = rival.submit_planned_bounded(theirs, 1).wait();
+            report.expect("no replay panic").digest
         });
-        let mine = engine
-            .submit_bounded(2, vec![vec![unit(0, 4), unit(1, 5)], vec![unit(1, 8)]], 1)
-            .wait();
-        let theirs = other.join().unwrap();
-        let digest = slpm_serve::digest_outcomes(&mine)
-            ^ slpm_serve::digest_outcomes(&theirs).rotate_left(1);
-        sink.lock().expect("digest sink").push(digest);
-    });
-    let digests = digests.lock().expect("digest sink");
-    assert_eq!(digests.len(), report.schedules);
-    assert!(
-        report.schedules >= 1000,
-        "exploration too shallow: only {} schedules (report {report:?})",
-        report.schedules
-    );
-    let first = digests[0];
-    if let Some(pos) = digests.iter().position(|&d| d != first) {
-        panic!(
-            "bounded admission is schedule-dependent: schedule 0 gave {first:#x}, \
-             schedule {pos} gave {:#x}",
-            digests[pos]
+        let mine: Vec<_> = planned
+            .into_iter()
+            .map(|p| engine.submit_planned_bounded(p, 1))
+            .collect();
+        let mut digests: Vec<u64> = mine
+            .into_iter()
+            .map(|h| h.wait().expect("no replay panic").digest)
+            .collect();
+        digests.push(other.join().expect("rival submitter"));
+        assert_eq!(
+            digests, reference,
+            "bounded admission is schedule-dependent"
         );
-    }
-    // CI greps for this exact line so a silently-skipped suite (e.g. a
-    // filtered-out test name) fails the model-check job.
-    eprintln!(
-        "bounded-queue admission: explored {} schedules ({report:?})",
-        report.schedules
-    );
+    });
+    report_line("bounded-admission", &report);
 }
 
 #[test]
 fn bounded_and_unbounded_admission_answer_identically_on_every_schedule() {
-    // Depth bounds move *when* units enter a shard queue, never what the
-    // batch answers: on every schedule, a bounded batch's outcomes must
-    // equal the plain submit of the same units (computed once outside
-    // the model, where plain mode is deterministic).
-    let units = || vec![vec![unit(0, 4), unit(2, 2)], vec![unit(0, 6), unit(1, 8)]];
-    let reference = slpm_serve::digest_outcomes(&MiniEngine::new(2, 2).submit(3, units()).wait());
-    let report = explore(opts(3), move || {
-        let engine = MiniEngine::new(2, 2);
-        let outcomes = engine.submit_bounded(3, units(), 1).wait();
-        assert_eq!(
-            slpm_serve::digest_outcomes(&outcomes),
-            reference,
-            "bounded admission changed answers"
-        );
+    // Depth bounds move *when* units enter a shard queue, never what a
+    // batch answers: the same queries admitted unbounded and then under a
+    // depth-1 bound, both in flight at once, digest alike on every
+    // schedule.
+    let queries = vec![both_shards(), shard0(), shard1()];
+    let reference = serial_reference(
+        std::slice::from_ref(&queries),
+        RecoveryConfig::default(),
+        "",
+    )[0]
+    .digest;
+    let report = explore(engine_opts(3), move || {
+        let engine = engine(2, RecoveryConfig::default());
+        // Both planned first, so the bounded admission meets the
+        // unbounded batch's queued units and must wait for the runners.
+        let (first, second) = (engine.plan_batch(&queries), engine.plan_batch(&queries));
+        let unbounded = engine.submit_planned(first);
+        let bounded = engine.submit_planned_bounded(second, 1);
+        let bounded = bounded.wait().expect("no replay panic").digest;
+        let unbounded = unbounded.wait().expect("no replay panic").digest;
+        assert_eq!(bounded, unbounded, "bounded admission changed answers");
+        assert_eq!(bounded, reference);
     });
-    assert!(report.schedules > 0);
-    eprintln!("bounded-vs-unbounded parity: {report:?}");
-}
-
-#[test]
-fn panic_in_replay_unit_never_wedges_wait_on_any_schedule() {
-    let report = with_quiet_panics(|| {
-        explore(opts(4), || {
-            let engine = MiniEngine::new(2, 2);
-            let poisoned = MiniUnit {
-                qidx: 1,
-                work: 1,
-                poison: true,
-                fail: false,
-            };
-            let handle = engine.submit(2, vec![vec![unit(0, 4)], vec![poisoned]]);
-            let caught = catch_unwind(AssertUnwindSafe(|| handle.wait()));
-            match caught {
-                Ok(_) => panic!("a poisoned batch must fail wait()"),
-                Err(payload) => {
-                    if is_abort(&*payload) {
-                        resume_unwind(payload);
-                    }
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .expect("assert! message payload");
-                    assert!(msg.contains("replay unit(s) panicked"), "got {msg:?}");
-                }
-            }
-        })
-    });
-    eprintln!("panic propagation: {report:?}");
-}
-
-#[test]
-fn zero_unit_batch_waits_return_on_every_schedule() {
-    let report = explore(opts(4), || {
-        let engine = MiniEngine::new(1, 2);
-        let empty = engine.submit(1, vec![vec![], vec![]]);
-        let busy = engine.submit(1, vec![vec![unit(0, 5)], vec![]]);
-        assert_eq!(empty.wait()[0].pages, 0);
-        assert_eq!(busy.wait()[0].pages, 5);
-    });
-    eprintln!("zero-unit batches: {report:?}");
+    report_line("bounded-vs-unbounded", &report);
 }
 
 #[test]
 fn breaker_trips_while_epoch_swaps_and_inflight_batches_drain_their_pinned_slices() {
-    // Fail-while-swapping: batch A's admission trips shard 0's breaker
-    // (two consecutive doomed units at threshold 2); batch B's admission
-    // installs the rebuild — swapping the slice epoch — while A may
-    // still be draining. On every explored schedule the harness asserts
-    // each unit replays against the epoch its admission pinned, and the
-    // degraded coverage + outcomes must be bitwise identical because
-    // every fault-plane decision was stamped at admission.
-    let digests: StdArc<StdMutex<Vec<u64>>> = StdArc::new(StdMutex::new(Vec::new()));
-    let sink = StdArc::clone(&digests);
-    let report = explore(opts(4), move || {
-        let engine = MiniEngine::with_recovery(
-            2,
-            2,
-            MiniRecovery {
-                threshold: 2,
-                cooldown: 1,
-            },
-        );
-        let a = engine.submit(2, vec![vec![fail_unit(0), fail_unit(1)], vec![unit(0, 6)]]);
-        // B admits mid-drain: its admission installs the rebuilt slice
-        // (epoch 1) and its shard-0 unit burns the cooldown fast-fail.
-        let b = engine.submit(2, vec![vec![unit(0, 4)], vec![unit(1, 8)]]);
-        let (a_out, a_deg) = a.wait_degraded();
-        let (b_out, b_deg) = b.wait_degraded();
-        assert_eq!(a_deg, vec![(0, 0), (1, 0)], "the tripping units degrade");
-        assert_eq!(
-            b_deg,
-            vec![(0, 0)],
-            "the open breaker fast-fails B on shard 0"
-        );
-        assert_eq!(a_out[0].pages, 6, "shard 1 keeps serving A");
-        assert_eq!(b_out[1].pages, 8, "shard 1 keeps serving B");
-        assert_eq!(engine.epoch(), 1, "B's admission installs the rebuild");
-        let (state, trips, incarnation) = engine.breaker(0);
-        assert_eq!((trips, incarnation), (1, 1));
-        assert_eq!(state, MiniBreakerState::Open);
-        let digest = slpm_serve::digest_outcomes(&a_out)
-            ^ slpm_serve::digest_outcomes(&b_out).rotate_left(1);
-        sink.lock().expect("digest sink").push(digest);
-    });
-    let digests = digests.lock().expect("digest sink");
-    assert_eq!(digests.len(), report.schedules);
-    let first = digests[0];
-    if let Some(pos) = digests.iter().position(|&d| d != first) {
-        panic!(
-            "degraded serving is schedule-dependent: schedule 0 gave {first:#x}, \
-             schedule {pos} gave {:#x}",
-            digests[pos]
-        );
-    }
-    // CI greps for this exact line so a silently-skipped suite fails
-    // the model-check job.
-    eprintln!(
-        "breaker-epoch protocol: explored {} schedules (fail-while-swapping, {report:?})",
-        report.schedules
+    // Fail-while-swapping: batch A's two shard-0 units are doomed by a
+    // first-incarnation kill and trip shard 0's breaker (threshold 2).
+    // Batch B's admission installs the rebuilt slice — bumping the epoch
+    // — while A may still be draining on the epoch it pinned, and B's
+    // shard-0 unit burns the one-unit cooldown as a fast-fail. Every
+    // fault and breaker decision is stamped at admission, so coverage,
+    // penalties and digests equal a serial engine's on every schedule.
+    let plan = "kill:0@0";
+    let batches = vec![vec![both_shards(), shard0()], vec![both_shards(), shard1()]];
+    let serial = serial_reference(&batches, twitchy(), plan);
+    assert_eq!(
+        serial[1].coverage.degraded_units.len(),
+        1,
+        "the open breaker fast-fails B's shard-0 unit"
     );
+    let reference: Vec<_> = serial.iter().map(fingerprint).collect();
+    let unfaulted: Vec<u64> = serial_reference(&batches, twitchy(), "")
+        .iter()
+        .map(|r| r.digest)
+        .collect();
+    let report = explore(engine_opts(3), move || {
+        let engine = engine(2, twitchy());
+        engine.inject_faults(FaultPlan::parse(plan).expect("valid fault plan"));
+        let reports = serve_concurrently(&engine, &batches);
+        assert_eq!(engine.epoch(), 1, "B's admission installs the rebuild");
+        let health = engine.health_snapshot();
+        assert_eq!((health[0].trips, health[0].incarnation), (1, 1));
+        assert_eq!(health[0].state, BreakerState::Open);
+        assert_eq!(health[1].trips, 0);
+        for ((got, want), clean) in reports.iter().zip(&reference).zip(&unfaulted) {
+            assert_eq!(fingerprint(got), *want);
+            // Faults cost coverage and time, never answers: results,
+            // pages and runs match the unfaulted run.
+            assert_eq!(got.digest, *clean);
+        }
+    });
+    report_line("fail-while-swapping", &report);
 }
 
 #[test]
 fn probe_racing_a_rival_trip_settles_to_one_trip_and_a_closed_breaker() {
-    // Probe-racing-trip: two submitters race batches of doomed units
-    // into the same shard. Stamping is atomic per admission under the
-    // fleet lock, so on every schedule exactly one batch trips the
-    // breaker (incarnation 1 heals the pinned faults); the other batch
-    // then burns the cooldown with one fast-fail and closes the breaker
-    // with a successful probe. Which batch plays which role is
-    // schedule-dependent — the settled protocol state must not be.
-    let report = explore(opts(4), move || {
-        let engine = StdArc::new(MiniEngine::with_recovery(
-            2,
-            1,
-            MiniRecovery {
-                threshold: 2,
-                cooldown: 1,
-            },
-        ));
+    // Two submitters race identical batches of two shard-0 units under a
+    // first-incarnation kill. Stamping is atomic per admission under the
+    // fleet lock, so whichever batch is admitted first trips the breaker
+    // with both units; the other burns the cooldown with one fast-fail
+    // and closes the breaker with a probe that serves (the rebuilt
+    // incarnation escapes the kill). Which batch plays which role depends
+    // on the schedule — the settled totals and breaker state do not.
+    let batch = vec![shard0(), shard0()];
+    let probe_pages = serial_reference(&[vec![shard0()]], twitchy(), "")[0].outcomes[0].pages;
+    let report = explore(engine_opts(4), move || {
+        let engine = StdArc::new(engine(2, twitchy()));
+        engine.inject_faults(FaultPlan::parse("kill:0@0").expect("valid fault plan"));
+        let planned = engine.plan_batch(&batch);
         let rival = StdArc::clone(&engine);
         let other = crossbeam::sync::thread::spawn(move || {
             rival
-                .submit(2, vec![vec![fail_unit(0), fail_unit(1)]])
-                .wait_degraded()
+                .submit_planned(planned)
+                .wait()
+                .expect("no replay panic")
         });
-        let (mine_out, mine_deg) = engine
-            .submit(2, vec![vec![fail_unit(0), fail_unit(1)]])
-            .wait_degraded();
-        let (theirs_out, theirs_deg) = other.join().unwrap();
-        // One batch tripped (2 degraded), the other fast-failed once and
-        // probe-served once: 3 degraded + 3 served pages in total.
-        assert_eq!(mine_deg.len() + theirs_deg.len(), 3);
-        let served: usize = mine_out.iter().chain(&theirs_out).map(|o| o.pages).sum();
-        assert_eq!(served, 3, "the successful probe serves its unit");
-        let (state, trips, incarnation) = engine.breaker(0);
-        assert_eq!(trips, 1, "a probe failure must not re-trip");
-        assert_eq!(incarnation, 1);
-        assert_eq!(
-            state,
-            MiniBreakerState::Closed,
-            "the probe closes the breaker"
-        );
-        // The next admission installs the rebuild and serves cleanly.
-        let (out, deg) = engine.submit(1, vec![vec![unit(0, 5)]]).wait_degraded();
-        assert!(deg.is_empty());
-        assert_eq!(out[0].pages, 5);
+        let mine = engine.submit_planned(engine.plan_batch(&batch));
+        let mine = mine.wait().expect("no replay panic");
+        let theirs = other.join().expect("rival submitter");
+        let degraded = mine.coverage.degraded_units.len() + theirs.coverage.degraded_units.len();
+        assert_eq!(degraded, 3, "two tripping units plus one fast-fail");
+        let served: usize = mine
+            .outcomes
+            .iter()
+            .chain(&theirs.outcomes)
+            .filter(|o| o.degraded_pages == 0)
+            .map(|o| o.pages)
+            .sum();
+        assert_eq!(served, probe_pages, "the successful probe serves its unit");
+        let health = engine.health_snapshot();
+        assert_eq!(health[0].trips, 1, "a racing probe must not re-trip");
+        assert_eq!(health[0].incarnation, 1);
+        assert_eq!(health[0].state, BreakerState::Closed, "the probe closes it");
+        // The next admission has the rebuild installed (by now or by the
+        // losing batch) and serves cleanly.
+        let next = engine.run(&[shard0()]).expect("no replay panic");
+        assert!(next.coverage.is_clean());
         assert_eq!(engine.epoch(), 1);
     });
-    assert!(report.schedules > 0);
-    eprintln!(
-        "breaker-epoch protocol: explored {} schedules (probe-racing-trip, {report:?})",
-        report.schedules
-    );
+    report_line("probe-racing-trip", &report);
 }
 
 #[test]
 fn units_stamped_before_a_trip_keep_serving_through_the_swap() {
-    // Drain-vs-admit: a healthy batch A is stamped Serve before batch B
-    // trips the breaker and batch C swaps the epoch. A's units must
-    // drain to completion against their pinned epoch-0 slices on every
-    // schedule — failover never claws back work already admitted.
-    let report = explore(opts(4), move || {
-        let engine = MiniEngine::with_recovery(
-            2,
-            1,
-            MiniRecovery {
-                threshold: 2,
-                cooldown: 1,
-            },
-        );
-        let a = engine.submit(2, vec![vec![unit(0, 4), unit(1, 5), unit(0, 2)]]);
-        let b = engine.submit(1, vec![vec![fail_unit(0), fail_unit(0)]]);
-        let c = engine.submit(1, vec![vec![unit(0, 7)]]);
-        let (a_out, a_deg) = a.wait_degraded();
-        let (_, b_deg) = b.wait_degraded();
-        let (c_out, c_deg) = c.wait_degraded();
-        assert!(a_deg.is_empty(), "A was stamped healthy before the trip");
-        assert_eq!(a_out[0].pages, 6);
-        assert_eq!(a_out[1].pages, 5);
-        assert_eq!(b_deg, vec![(0, 0), (0, 0)]);
-        // C admits after the trip: epoch swapped, one cooldown fast-fail.
-        assert_eq!(engine.epoch(), 1);
-        assert_eq!(c_deg, vec![(0, 0)]);
-        assert_eq!(c_out[0].pages, 0);
+    // Drain-vs-admit: batch A is stamped healthy (shard 0 dies only from
+    // its third admitted unit) before batch B's two doomed units trip the
+    // breaker and batch C's admission swaps the epoch. A must drain to
+    // completion on its pinned epoch-0 slices on every schedule —
+    // failover never claws back admitted work — while a flaky shard 1
+    // pays one retry per unit and still serves.
+    let plan = "kill:0@2,flaky:1@0";
+    let batches = vec![
+        vec![both_shards(), shard0()],
+        vec![shard0(), shard0()],
+        vec![both_shards()],
+    ];
+    let serial = serial_reference(&batches, twitchy(), plan);
+    let degraded: Vec<usize> = serial
+        .iter()
+        .map(|r| r.coverage.degraded_units.len())
+        .collect();
+    assert_eq!(degraded, vec![0, 2, 1], "A clean, B trips, C fast-fails");
+    let reference: Vec<_> = serial.iter().map(fingerprint).collect();
+    let report = explore(engine_opts(3), move || {
+        let engine = engine(2, twitchy());
+        engine.inject_faults(FaultPlan::parse(plan).expect("valid fault plan"));
+        let reports = serve_concurrently(&engine, &batches);
+        let got: Vec<_> = reports.iter().map(fingerprint).collect();
+        assert_eq!(got, reference);
+        assert_eq!(engine.epoch(), 1, "C's admission installs the rebuild");
+        assert_eq!(engine.health_snapshot()[0].trips, 1);
     });
-    assert!(report.schedules > 0);
-    eprintln!(
-        "breaker-epoch protocol: explored {} schedules (drain-vs-admit, {report:?})",
-        report.schedules
-    );
+    report_line("drain-vs-admit", &report);
+}
+
+#[test]
+fn panic_in_replay_unit_never_wedges_wait_on_any_schedule() {
+    // An injected `panic:0@0` unwinds for real through the replay seam's
+    // `catch_unwind` on every attempt, then degrades; a concurrently
+    // admitted batch keeps serving, and neither `wait()` ever wedges.
+    let plan = "panic:0@0";
+    let batches = vec![vec![both_shards(), shard1()], vec![shard0()]];
+    let serial = serial_reference(&batches, RecoveryConfig::default(), plan);
+    assert_eq!(serial[0].coverage.degraded_units.len(), 1);
+    assert!(serial[1].coverage.is_clean());
+    let reference: Vec<_> = serial.iter().map(fingerprint).collect();
+    let report = explore(engine_opts(3), move || {
+        let engine = engine(2, RecoveryConfig::default());
+        engine.inject_faults(FaultPlan::parse(plan).expect("valid fault plan"));
+        let reports = serve_concurrently(&engine, &batches);
+        let got: Vec<_> = reports.iter().map(fingerprint).collect();
+        assert_eq!(got, reference);
+    });
+    report_line("injected-panic", &report);
+}
+
+#[test]
+fn zero_unit_batch_waits_return_on_every_schedule() {
+    // A zero-query batch admits no units and schedules no runner; its
+    // wait must return on every schedule, even with a busy batch in
+    // flight beside it.
+    let reference =
+        serial_reference(&[vec![both_shards()]], RecoveryConfig::default(), "")[0].digest;
+    let report = explore(engine_opts(3), move || {
+        let engine = engine(2, RecoveryConfig::default());
+        let reports = serve_concurrently(&engine, &[vec![], vec![both_shards()]]);
+        assert!(reports[0].outcomes.is_empty());
+        assert_eq!(reports[1].digest, reference);
+    });
+    report_line("zero-query", &report);
 }
 
 #[test]

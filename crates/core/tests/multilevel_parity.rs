@@ -13,6 +13,7 @@ use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_graph::points::PointSet;
 use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool};
 use spectral_lpm::{objective, SpectralConfig, SpectralMapper};
+use std::collections::BTreeSet;
 
 fn mapper(method: FiedlerMethod, connectivity: Connectivity) -> SpectralMapper {
     SpectralMapper::new(SpectralConfig {
@@ -74,7 +75,7 @@ fn multilevel_matches_dense_order_8_connected() {
     assert_parity(Connectivity::Full);
 }
 
-/// SplitMix64 — a tiny seeded generator for the hole layouts.
+/// SplitMix64 — a tiny seeded generator for the irregular layouts.
 struct SplitMix(u64);
 
 impl SplitMix {
@@ -115,40 +116,148 @@ fn holey_points(w: i64, h: i64, seed: u64) -> PointSet {
     PointSet::new(points).unwrap()
 }
 
-/// Seeded holey grids, all above the multilevel coarsest size so the
-/// hierarchy (and its V-cycle) really runs. The dense reference is O(n³),
-/// so debug builds stop near 350 points for the same reason as [`GRIDS`];
-/// release runs go to ~1,200.
-#[cfg(debug_assertions)]
-const HOLEY: &[(i64, i64)] = &[(24, 16)];
-#[cfg(not(debug_assertions))]
-const HOLEY: &[(i64, i64)] = &[(24, 16), (32, 24), (40, 32)];
+/// Seeded disc blobs of radius `r` in a left-to-right chain, each joined
+/// to the next by a 1-point-wide horizontal corridor 4–7 points long.
+/// Centres jitter vertically by less than `r`, so every corridor enters
+/// the next disc and the set stays 4-connected.
+fn blob_chain(blobs: i64, r: i64, seed: u64) -> PointSet {
+    let mut rng = SplitMix(seed);
+    let mut points = BTreeSet::new();
+    let mut prev: Option<(i64, i64)> = None;
+    let mut cx = r;
+    for _ in 0..blobs {
+        let cy = r + rng.below(r as u64) as i64;
+        for x in cx - r..=cx + r {
+            for y in cy - r..=cy + r {
+                if (x - cx).pow(2) + (y - cy).pow(2) <= r * r {
+                    points.insert(vec![x, y]);
+                }
+            }
+        }
+        if let Some((px, py)) = prev {
+            // Along the previous centre's row, then down or up this
+            // disc's centre column.
+            points.extend((px..=cx).map(|x| vec![x, py]));
+            points.extend((py.min(cy)..=py.max(cy)).map(|y| vec![cx, y]));
+        }
+        prev = Some((cx, cy));
+        cx += 2 * r + 4 + rng.below(4) as i64;
+    }
+    PointSet::new(points.into_iter().collect()).unwrap()
+}
+
+/// A 2-point-wide serpentine: `lanes` horizontal lanes of seeded lengths
+/// around `len`, joined at alternating ends by 2×2 connectors. A lane that
+/// overshoots its neighbour leaves a dead-end stub past the connector.
+fn serpentine(lanes: i64, len: i64, seed: u64) -> PointSet {
+    let mut rng = SplitMix(seed);
+    let lengths: Vec<i64> = (0..lanes).map(|_| len - 4 + rng.below(8) as i64).collect();
+    let mut points = Vec::new();
+    for (k, &lane_len) in (0..).zip(&lengths) {
+        for x in 0..lane_len {
+            points.extend([vec![x, 4 * k], vec![x, 4 * k + 1]]);
+        }
+        if k + 1 < lanes {
+            let right = lane_len.min(lengths[k as usize + 1]);
+            let x0 = if k % 2 == 0 { right - 2 } else { 0 };
+            for x in x0..x0 + 2 {
+                points.extend([vec![x, 4 * k + 2], vec![x, 4 * k + 3]]);
+            }
+        }
+    }
+    PointSet::new(points).unwrap()
+}
+
+/// A `w × h × d` block with one radius-1 ball hole (a point and its six
+/// neighbours) in every 6×6×6 cell, centre drawn from `seed` at least two
+/// points inside its cell, so the block stays 6-connected.
+fn holey_block(w: i64, h: i64, d: i64, seed: u64) -> PointSet {
+    const CELL: i64 = 6;
+    let mut rng = SplitMix(seed);
+    let mut holes = Vec::new();
+    for cx in 0..w / CELL {
+        for cy in 0..h / CELL {
+            for cz in 0..d / CELL {
+                let mut at = |c: i64| c * CELL + 2 + rng.below((CELL - 4) as u64) as i64;
+                holes.push([at(cx), at(cy), at(cz)]);
+            }
+        }
+    }
+    let points = (0..w)
+        .flat_map(|x| (0..h).flat_map(move |y| (0..d).map(move |z| [x, y, z])))
+        .filter(|p| {
+            holes
+                .iter()
+                .all(|hole| p.iter().zip(hole).map(|(a, b)| (a - b).pow(2)).sum::<i64>() > 1)
+        })
+        .map(|p| p.to_vec())
+        .collect();
+    PointSet::new(points).unwrap()
+}
+
+/// The seeded irregular families, all above the multilevel coarsest size
+/// so the hierarchy (and its V-cycle) really runs: grids with disc holes,
+/// blob chains, serpentines and 3-D blocks with holes. The dense
+/// reference is O(n³), so debug builds stay between ~270 and ~340 points
+/// for the same reason as [`GRIDS`]; release runs go up to ~1,100, as the
+/// holey grids already did.
+fn irregular_families() -> Vec<(String, PointSet)> {
+    #[cfg(debug_assertions)]
+    let (holey, blobs, snakes, blocks): (&[_], &[_], &[_], &[_]) =
+        (&[(24, 16)], &[(5, 4)], &[(4, 36)], &[(8, 6, 6)]);
+    #[cfg(not(debug_assertions))]
+    let (holey, blobs, snakes, blocks): (&[_], &[_], &[_], &[_]) = (
+        &[(24, 16), (32, 24), (40, 32)],
+        &[(5, 4), (6, 6), (7, 7)],
+        &[(4, 36), (6, 60), (6, 84)],
+        &[(8, 6, 6), (12, 12, 6), (12, 12, 7)],
+    );
+    let mut sets = Vec::new();
+    for seed in 1..=3u64 {
+        for &(w, h) in holey {
+            sets.push((format!("holey {w}x{h}"), holey_points(w, h, seed)));
+        }
+        for &(n, r) in blobs {
+            sets.push((format!("{n} blobs r{r}"), blob_chain(n, r, seed)));
+        }
+        for &(lanes, len) in snakes {
+            sets.push((
+                format!("serpentine {lanes}x{len}"),
+                serpentine(lanes, len, seed),
+            ));
+        }
+        for &(w, h, d) in blocks {
+            sets.push((
+                format!("holey block {w}x{h}x{d}"),
+                holey_block(w, h, d, seed),
+            ));
+        }
+    }
+    sets
+}
 
 #[test]
 fn multilevel_matches_dense_on_holey_point_sets() {
-    for &(w, h) in HOLEY {
-        for seed in 1..=3u64 {
-            let points = holey_points(w, h, seed);
-            assert!(points.len() > 256 && points.len() <= 2_000);
-            let connectivity = Connectivity::Orthogonal;
-            let dense = mapper(FiedlerMethod::Dense, connectivity)
-                .map_points_on(&points, &Pool::default())
-                .unwrap();
-            let ml = mapper(FiedlerMethod::Multilevel, connectivity)
-                .map_points_on(&points, &Pool::default())
-                .unwrap();
-            if dense.order.ranks() == ml.order.ranks() {
-                continue;
-            }
-            let graph = points.neighbourhood_graph(connectivity);
-            let sigma_dense = objective::two_sum_cost(&graph, &dense.order);
-            let sigma_ml = objective::two_sum_cost(&graph, &ml.order);
-            assert!(
-                (sigma_ml - sigma_dense).abs() <= 0.01 * sigma_dense,
-                "{w}x{h} seed {seed} ({} points): orders differ and 2-sum off by >1%: \
-                 {sigma_ml} vs {sigma_dense}",
-                points.len()
-            );
+    for (family, points) in irregular_families() {
+        let n = points.len();
+        assert!(n > 256 && n <= 2_000, "{family}: {n} points");
+        let connectivity = Connectivity::Orthogonal;
+        let dense = mapper(FiedlerMethod::Dense, connectivity)
+            .map_points_on(&points, &Pool::default())
+            .unwrap();
+        let ml = mapper(FiedlerMethod::Multilevel, connectivity)
+            .map_points_on(&points, &Pool::default())
+            .unwrap();
+        if dense.order.ranks() == ml.order.ranks() {
+            continue;
         }
+        let graph = points.neighbourhood_graph(connectivity);
+        let sigma_dense = objective::two_sum_cost(&graph, &dense.order);
+        let sigma_ml = objective::two_sum_cost(&graph, &ml.order);
+        assert!(
+            (sigma_ml - sigma_dense).abs() <= 0.01 * sigma_dense,
+            "{family} ({n} points): orders differ and 2-sum off by >1%: \
+             {sigma_ml} vs {sigma_dense}"
+        );
     }
 }

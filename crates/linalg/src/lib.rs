@@ -17,8 +17,6 @@
 //! * [`householder`] + [`tql`] — the classic dense symmetric eigensolver
 //!   pipeline (tridiagonalise, then implicit-shift QL), used directly for
 //!   small problems and to solve the Lanczos Ritz problem.
-//! * [`jacobi`] — a cyclic Jacobi eigensolver used as an independent
-//!   cross-check in tests.
 //! * [`cg`] — conjugate gradients for SPD (optionally deflated) systems.
 //! * [`pcg`] — preconditioned CG on CSR matrices, with the preconditioner
 //!   as an argument (Jacobi, or the multilevel V-cycle).
@@ -61,7 +59,6 @@ pub mod dense;
 pub mod error;
 pub mod fiedler;
 pub mod householder;
-pub mod jacobi;
 pub mod lanczos;
 pub mod multilevel;
 pub mod operator;

@@ -1,12 +1,13 @@
-//! Cyclic Jacobi eigensolver for dense symmetric matrices.
+//! Cyclic Jacobi eigensolver for dense symmetric matrices — a test
+//! oracle, not part of the library.
 //!
 //! Slower than Householder+QL but completely independent of it, which makes
 //! it the cross-check of choice in tests: two different algorithms agreeing
 //! on a spectrum is strong evidence both are right.
 
-use crate::dense::DenseMatrix;
-use crate::error::LinalgError;
-use crate::tql::SymmetricEigen;
+use slpm_linalg::dense::DenseMatrix;
+use slpm_linalg::error::LinalgError;
+use slpm_linalg::tql::SymmetricEigen;
 
 /// Maximum number of full sweeps before giving up.
 const MAX_SWEEPS: usize = 64;
@@ -14,7 +15,7 @@ const MAX_SWEEPS: usize = 64;
 /// Eigen-decompose a symmetric matrix with the cyclic Jacobi method.
 ///
 /// Returns eigenvalues ascending with matching eigenvector columns, same
-/// contract as [`crate::tql::symmetric_eigen`].
+/// contract as [`slpm_linalg::tql::symmetric_eigen`].
 pub fn jacobi_eigen(a: &DenseMatrix) -> Result<SymmetricEigen, LinalgError> {
     let n = a.rows();
     if a.cols() != n {
@@ -112,7 +113,7 @@ pub fn jacobi_eigen(a: &DenseMatrix) -> Result<SymmetricEigen, LinalgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tql::symmetric_eigen;
+    use slpm_linalg::tql::symmetric_eigen;
 
     #[test]
     fn matches_ql_on_small_matrix() {

@@ -1,9 +1,11 @@
 //! Property-based tests for the linear-algebra substrate.
 
+mod jacobi;
+
+use jacobi::jacobi_eigen;
 use proptest::prelude::*;
 use slpm_linalg::cg::{self, CgOptions};
 use slpm_linalg::dense::DenseMatrix;
-use slpm_linalg::jacobi::jacobi_eigen;
 use slpm_linalg::lanczos::{self, LanczosOptions};
 use slpm_linalg::sparse::CsrMatrix;
 use slpm_linalg::tql::symmetric_eigen;

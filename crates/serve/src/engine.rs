@@ -7,7 +7,7 @@
 //! a concurrent query engine for batches of range and k-nearest-neighbour
 //! queries. A batch flows through four phases:
 //!
-//! 1. **Plan** (at [`ServeEngine::submit`], chunk-parallel on the pool):
+//! 1. **Plan** (at [`ServeEngine::plan_batch`], chunk-parallel on the pool):
 //!    each query runs against the packed R-tree. Range queries use
 //!    [`PackedRTree::range_query_ordered`], so result ranks — and the
 //!    page ids derived from them — are monotone; kNN queries run the
@@ -28,9 +28,11 @@
 //!    reassembled in query order and folded into a digest plus per-shard
 //!    aggregates.
 //!
-//! **Admission.** [`ServeEngine::submit`] returns a [`BatchHandle`]
-//! without waiting for replay, so any number of batches can be in flight
-//! at once; [`ServeEngine::run`] is submit-then-wait, and
+//! **Admission.** [`ServeEngine::submit_planned`] (or its depth-bounded
+//! twin [`ServeEngine::submit_planned_bounded`]) admits a planned batch
+//! and returns a [`BatchHandle`] without waiting for replay, so any
+//! number of batches can be in flight at once; [`ServeEngine::run`] is
+//! plan-submit-wait, and
 //! [`ServeEngine::run_inflight`] splits one workload into several
 //! concurrently admitted batches and merges the reports.
 //!
@@ -72,6 +74,7 @@ use crate::health::{
 };
 use crate::pool::WorkerPool;
 use crate::shard::{Partition, ReadPath, Shard, ShardMap, ShardSet};
+use crossbeam::sync::{is_model_abort, Arc, Condvar, Mutex};
 use slpm_storage::{
     chebyshev, BufferStats, IoCost, IoModel, Mbr, PackedRTree, PageLayout, PageMapper, QueryCost,
     StorageError,
@@ -80,7 +83,6 @@ use spectral_lpm::LinearOrder;
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// One query of a batch.
@@ -565,7 +567,7 @@ struct Plan {
 /// One query's page list routed to one shard.
 struct ShardSlice {
     shard: usize,
-    /// Routed page ids; [`ServeEngine::submit`] moves this list into the
+    /// Routed page ids; admission moves this list into the
     /// shard's replay [`Unit`] (no second copy lives for the in-flight
     /// window), leaving `page_count` behind for the merge accounting.
     pages: Vec<usize>,
@@ -866,6 +868,8 @@ fn replay_unit(shared: &EngineShared, set: &ShardSet, shard_id: usize, unit: &Un
             // fixes bad bytes, so the unit degrades (coverage names its
             // rank-ranges) instead of failing the batch.
             Ok(Err(_)) => UnitResult::Degraded { penalty_us },
+            // The model checker's teardown signal is not a replay bug.
+            Err(payload) if is_model_abort(&*payload) => std::panic::resume_unwind(payload),
             Err(_) => UnitResult::Panicked,
         };
     }
@@ -1029,25 +1033,17 @@ impl BatchHandle {
     /// naming every failed (query, shard). Injected failures never error:
     /// they degrade, and the coverage report names what was lost.
     pub fn wait(self) -> Result<BatchReport, ServeError> {
-        let queries = self.queries();
-        let (outcomes, shards, degraded, elapsed_seconds) = self.finish()?;
-        let digest = digest_outcomes(&outcomes);
-        Ok(BatchReport {
-            outcomes,
-            shards,
-            elapsed_seconds,
-            digest,
-            coverage: CoverageReport::new(queries, degraded),
-        })
+        let (shards, started) = (self.shards, self.state.started);
+        merge_batches(vec![self], shards, started)
     }
 
-    /// [`BatchHandle::wait`] without the digest fold — the merge kernel
-    /// [`ServeEngine::run_inflight`] builds on, so a split workload pays
-    /// for exactly one digest pass over the concatenated outcomes.
+    /// Block until the batch completes and merge its outcomes, shard
+    /// aggregates and coverage — everything but the digest, which
+    /// [`merge_batches`] folds once over all the batches it drains.
     #[allow(clippy::type_complexity)]
     fn finish(
         self,
-    ) -> Result<(Vec<QueryOutcome>, Vec<ShardReport>, Vec<DegradedUnit>, f64), ServeError> {
+    ) -> Result<(Vec<QueryOutcome>, Vec<ShardReport>, Vec<DegradedUnit>), ServeError> {
         let BatchHandle {
             state,
             plans,
@@ -1121,13 +1117,65 @@ impl BatchHandle {
                 degraded_pages: degraded_pages[qidx],
             })
             .collect();
-        Ok((
-            outcomes,
-            shard_reports,
-            degraded,
-            state.started.elapsed().as_secs_f64(),
-        ))
+        Ok((outcomes, shard_reports, degraded))
     }
+}
+
+/// Drain `handles` in submission order and merge them into one report:
+/// outcomes concatenate, per-shard aggregates sum, and coverage and
+/// failure indices are offset from each batch's own numbering to
+/// positions in the concatenation. The digest is folded once, over the
+/// concatenation — by [`digest_outcomes`]'s split-invariance it equals a
+/// one-shot run of the same query sequence. Every handle is drained
+/// before an error is returned, so no work is left in flight.
+pub(crate) fn merge_batches(
+    handles: Vec<BatchHandle>,
+    shards: usize,
+    started: Instant,
+) -> Result<BatchReport, ServeError> {
+    let mut outcomes: Vec<QueryOutcome> = Vec::new();
+    let mut degraded: Vec<DegradedUnit> = Vec::new();
+    let mut failures: Vec<UnitFailure> = Vec::new();
+    let mut shard_reports: Vec<ShardReport> = (0..shards).map(ShardReport::idle).collect();
+    let mut next_base = 0usize;
+    for handle in handles {
+        let base = next_base;
+        next_base += handle.queries();
+        match handle.finish() {
+            Ok((sub_outcomes, sub_shards, sub_degraded)) => {
+                for sub in &sub_shards {
+                    let merged = &mut shard_reports[sub.shard];
+                    merged.queries += sub.queries;
+                    merged.pages_routed += sub.pages_routed;
+                    merged.runs += sub.runs;
+                    merged.buffer.merge(&sub.buffer);
+                }
+                outcomes.extend(sub_outcomes);
+                degraded.extend(sub_degraded.into_iter().map(|mut d| {
+                    d.query += base;
+                    d
+                }));
+            }
+            Err(ServeError::ReplayPanicked { failures: sub }) => {
+                failures.extend(sub.into_iter().map(|mut f| {
+                    f.query += base;
+                    f
+                }));
+            }
+        }
+    }
+    if !failures.is_empty() {
+        failures.sort_unstable();
+        return Err(ServeError::ReplayPanicked { failures });
+    }
+    let digest = digest_outcomes(&outcomes);
+    Ok(BatchReport {
+        coverage: CoverageReport::new(outcomes.len(), degraded),
+        outcomes,
+        shards: shard_reports,
+        elapsed_seconds: started.elapsed().as_secs_f64(),
+        digest,
+    })
 }
 
 /// The sharded, batched query engine.
@@ -1274,20 +1322,22 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Execute a batch to completion; per-query outcomes come back in
-    /// submission order. Equivalent to `submit(queries).wait()`.
+    /// submission order. Equivalent to
+    /// `submit_planned(plan_batch(queries)).wait()`.
     ///
     /// # Errors
     /// See [`BatchHandle::wait`].
     pub fn run(&self, queries: &[Query]) -> Result<BatchReport, ServeError> {
-        self.submit(queries).wait()
+        self.submit_planned(self.plan_batch(queries)).wait()
     }
 
     /// Split one workload into `inflight` contiguous sub-batches, admit
     /// them all concurrently, and merge the reports in submission order:
     /// outcomes concatenate, per-shard aggregates sum, and the digest is
-    /// recomputed over the concatenation — by [`digest_outcomes`]'s
+    /// folded once over the concatenation — by [`digest_outcomes`]'s
     /// split-invariance it equals the single-batch digest of the same
     /// workload.
+    ///
     /// # Errors
     /// See [`BatchHandle::wait`]; every sub-batch is drained before an
     /// error is returned (no work is left in flight), and failure /
@@ -1304,66 +1354,11 @@ impl<'a> ServeEngine<'a> {
         // xtask:allow(wall-clock): latency accounting only, excluded from digests
         let start = Instant::now();
         let chunk = queries.len().div_ceil(inflight);
-        let handles: Vec<BatchHandle> = queries.chunks(chunk).map(|c| self.submit(c)).collect();
-        let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(queries.len());
-        let mut degraded: Vec<DegradedUnit> = Vec::new();
-        let mut failures: Vec<UnitFailure> = Vec::new();
-        let mut shard_reports: Vec<ShardReport> =
-            (0..self.cfg.shards).map(ShardReport::idle).collect();
-        let mut next_base = 0usize;
-        for handle in handles {
-            // Chunks renumber their queries from 0; offset everything a
-            // sub-batch reports back to whole-workload positions.
-            let base = next_base;
-            next_base += handle.queries();
-            match handle.finish() {
-                Ok((sub_outcomes, sub_shards, sub_degraded, _elapsed)) => {
-                    for sub in &sub_shards {
-                        let merged = &mut shard_reports[sub.shard];
-                        merged.queries += sub.queries;
-                        merged.pages_routed += sub.pages_routed;
-                        merged.runs += sub.runs;
-                        merged.buffer.merge(&sub.buffer);
-                    }
-                    outcomes.extend(sub_outcomes);
-                    degraded.extend(sub_degraded.into_iter().map(|mut d| {
-                        d.query += base;
-                        d
-                    }));
-                }
-                // The merged report is abandoned on error, but every
-                // handle is still drained (no work left in flight) and
-                // every failure collected.
-                Err(ServeError::ReplayPanicked { failures: sub }) => {
-                    failures.extend(sub.into_iter().map(|mut f| {
-                        f.query += base;
-                        f
-                    }));
-                }
-            }
-        }
-        if !failures.is_empty() {
-            failures.sort_unstable();
-            return Err(ServeError::ReplayPanicked { failures });
-        }
-        let digest = digest_outcomes(&outcomes);
-        Ok(BatchReport {
-            coverage: CoverageReport::new(outcomes.len(), degraded),
-            outcomes,
-            shards: shard_reports,
-            elapsed_seconds: start.elapsed().as_secs_f64(),
-            digest,
-        })
-    }
-
-    /// Admit a batch: plan and route every query (chunk-parallel on the
-    /// pool when available), enqueue its replay units on the per-shard
-    /// FIFO queues, schedule runners for newly idle shards, and return a
-    /// completion handle **without waiting for replay**. Any number of
-    /// batches may be in flight; each shard round-robins across them.
-    /// Equivalent to `submit_planned(plan_batch(queries))`.
-    pub fn submit(&self, queries: &[Query]) -> BatchHandle {
-        self.submit_planned(self.plan_batch(queries))
+        let handles: Vec<BatchHandle> = queries
+            .chunks(chunk)
+            .map(|c| self.submit_planned(self.plan_batch(c)))
+            .collect();
+        merge_batches(handles, self.cfg.shards, start)
     }
 
     /// Plan and route a batch **without admitting it**: the streaming
@@ -2192,7 +2187,9 @@ mod tests {
         let engine = ServeEngine::new(&points, &order, cfg);
         let qs = queries();
         // Admit three batches before waiting on any of them.
-        let handles: Vec<BatchHandle> = (0..3).map(|_| engine.submit(&qs)).collect();
+        let handles: Vec<BatchHandle> = (0..3)
+            .map(|_| engine.submit_planned(engine.plan_batch(&qs)))
+            .collect();
         assert!(handles.iter().all(|h| h.queries() == qs.len()));
         let reports: Vec<BatchReport> = handles
             .into_iter()
@@ -2269,7 +2266,7 @@ mod tests {
                         ..Default::default()
                     };
                     let engine = ServeEngine::new(&points, &order, cfg);
-                    let handle = engine.submit(&[]);
+                    let handle = engine.submit_planned(engine.plan_batch(&[]));
                     assert_eq!(handle.queries(), 0);
                     assert!(handle.is_complete(), "no units means nothing pending");
                     let report = handle.wait().expect("no replay panic");
@@ -2291,71 +2288,14 @@ mod tests {
 
     #[test]
     fn crafted_poisoned_unit_fails_wait_with_a_clear_message() {
-        // Inject a replay unit naming a page the shard's store slice does
-        // not own, so `read_page` panics inside the runner. The waiter
-        // must get an error naming the lost (query, shard) — never a hang
-        // (the watchdog turns a hang into a clear failure).
+        // The waiter must get an error naming the lost (query, shard) —
+        // never a hang (the watchdog turns a hang into a clear failure).
         with_watchdog(std::time::Duration::from_secs(30), "poisoned unit", || {
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(|_| {})); // silence expected panics
             let (points, order) = small_engine();
-            let cfg = EngineConfig {
-                records_per_page: 4,
-                fanout: 4,
-                shards: 2,
-                threads: 2,
-                ..Default::default()
-            };
-            let engine = ServeEngine::new(&points, &order, cfg);
-            let state = Arc::new(BatchState {
-                started: Instant::now(),
-                progress: Mutex::new(BatchProgress {
-                    pending_units: 1,
-                    units_left: vec![1],
-                    hits: vec![0],
-                    misses: vec![0],
-                    shard_buffers: vec![BufferStats::default(); 2],
-                    latency: vec![0.0],
-                    fault_us: vec![0.0],
-                    degraded_pages: vec![0],
-                    degraded: Vec::new(),
-                    panicked: Vec::new(),
-                }),
-                done: Condvar::new(),
-            });
-            let mut units = VecDeque::new();
-            units.push_back(Unit {
-                qidx: 0,
-                pages: vec![usize::MAX],
-                directive: UnitDirective::Serve,
-            });
-            {
-                let mut queue = engine.shared.queues[0]
-                    .queue
-                    .lock()
-                    .expect("shard queue lock");
-                queue.pending_units += 1;
-                queue.batches.push_back(BatchWork {
-                    state: Arc::clone(&state),
-                    units,
-                    slices: Arc::clone(&*engine.shared.slices.lock().unwrap()),
-                });
-                queue.running = true;
-            }
-            let shared = Arc::clone(&engine.shared);
-            engine
-                .pool
-                .as_ref()
-                .expect("threads > 1 builds a pool")
-                .submit(move || run_shard_queue(&shared, 0));
-            let handle = BatchHandle {
-                state,
-                plans: Vec::new(),
-                routes: Vec::new(),
-                io: engine.cfg.io,
-                shards: 2,
-            };
-            let err = handle
+            let engine = ServeEngine::new(&points, &order, poisoned_unit_config());
+            let err = enqueue_poisoned_unit(&engine)
                 .wait()
                 .expect_err("wait must surface the poisoned unit");
             let msg = err.to_string();
@@ -2375,6 +2315,107 @@ mod tests {
             assert!(engine.epoch() >= 1);
             std::panic::set_hook(prev);
         });
+    }
+
+    fn poisoned_unit_config() -> EngineConfig {
+        EngineConfig {
+            records_per_page: 4,
+            fanout: 4,
+            shards: 2,
+            threads: 2,
+            ..Default::default()
+        }
+    }
+
+    /// Hand shard 0's runner a replay unit naming a page its store slice
+    /// does not own, so `read_page` panics inside the runner — a panic
+    /// outside the fault plan, which only this module can craft. Returns
+    /// the handle of the one-unit batch.
+    fn enqueue_poisoned_unit(engine: &ServeEngine<'_>) -> BatchHandle {
+        let state = Arc::new(BatchState {
+            started: Instant::now(),
+            progress: Mutex::new(BatchProgress {
+                pending_units: 1,
+                units_left: vec![1],
+                hits: vec![0],
+                misses: vec![0],
+                shard_buffers: vec![BufferStats::default(); 2],
+                latency: vec![0.0],
+                fault_us: vec![0.0],
+                degraded_pages: vec![0],
+                degraded: Vec::new(),
+                panicked: Vec::new(),
+            }),
+            done: Condvar::new(),
+        });
+        let mut units = VecDeque::new();
+        units.push_back(Unit {
+            qidx: 0,
+            pages: vec![usize::MAX],
+            directive: UnitDirective::Serve,
+        });
+        {
+            let slices = Arc::clone(&*engine.shared.slices.lock().expect("shard slices lock"));
+            let mut queue = engine.shared.queues[0]
+                .queue
+                .lock()
+                .expect("shard queue lock");
+            queue.pending_units += 1;
+            queue.batches.push_back(BatchWork {
+                state: Arc::clone(&state),
+                units,
+                slices,
+            });
+            queue.running = true;
+        }
+        let shared = Arc::clone(&engine.shared);
+        engine
+            .pool
+            .as_ref()
+            .expect("threads > 1 builds a pool")
+            .submit(move || run_shard_queue(&shared, 0));
+        BatchHandle {
+            state,
+            plans: Vec::new(),
+            routes: Vec::new(),
+            io: engine.cfg.io,
+            shards: 2,
+        }
+    }
+
+    #[test]
+    fn crafted_poisoned_unit_fails_wait_on_every_schedule() {
+        // The un-modeled panic under the model checker (the scenario
+        // `slpm_check` cannot build from outside this module): on every
+        // explored schedule of a 2-worker engine, the runner catches the
+        // panic, `wait()` returns the error instead of wedging, and the
+        // next admission rebuilds shard 0 and serves.
+        let (points, order) = small_engine();
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // silence expected panics
+        let report = crossbeam::model::explore(
+            crossbeam::model::ModelOptions {
+                preemption_bound: Some(1),
+                max_schedules: 60_000,
+                max_threads: 3,
+                max_steps: 100_000,
+            },
+            move || {
+                let engine = ServeEngine::new(&points, &order, poisoned_unit_config());
+                let err = enqueue_poisoned_unit(&engine)
+                    .wait()
+                    .expect_err("wait must surface the poisoned unit");
+                assert!(err.to_string().contains("query 0 on shard 0"), "{err}");
+                let again = engine.run(&queries()[..1]).expect("fleet self-heals");
+                assert!(again.coverage.is_clean());
+                assert_eq!(engine.epoch(), 1);
+            },
+        );
+        std::panic::set_hook(prev);
+        eprintln!(
+            "real-engine unmodelled-panic: explored {} schedules (exhausted: {})",
+            report.schedules, report.exhausted
+        );
     }
 
     #[test]
@@ -2404,7 +2445,10 @@ mod tests {
                     ..base
                 };
                 let engine = ServeEngine::new(&points, &order, cfg);
-                let handles: Vec<BatchHandle> = qs.chunks(1).map(|c| engine.submit(c)).collect();
+                let handles: Vec<BatchHandle> = qs
+                    .chunks(1)
+                    .map(|c| engine.submit_planned(engine.plan_batch(c)))
+                    .collect();
                 assert!(handles.len() > 4 * engine.config().shards);
                 let outcomes: Vec<QueryOutcome> = handles
                     .into_iter()
@@ -2444,7 +2488,9 @@ mod tests {
             };
             let mut engine = ServeEngine::new(&points, &order, cfg);
             engine.pool = Some(WorkerPool::new(1));
-            let handles: Vec<BatchHandle> = (0..3).map(|_| engine.submit(&qs)).collect();
+            let handles: Vec<BatchHandle> = (0..3)
+                .map(|_| engine.submit_planned(engine.plan_batch(&qs)))
+                .collect();
             for handle in handles {
                 let report = handle.wait().expect("no replay panic");
                 assert_eq!(report.digest, reference.digest);

@@ -23,7 +23,7 @@
 //!   R-tree (range scans plus a best-first branch-and-bound kNN planner,
 //!   [`engine::KnnPlanner`]), admit any number of concurrent batches
 //!   through per-shard FIFO queues with round-robin fairness
-//!   ([`engine::ServeEngine::submit`] / [`engine::BatchHandle`]), and
+//!   ([`engine::ServeEngine::submit_planned`] / [`engine::BatchHandle`]), and
 //!   merge outcomes in deterministic query order with I/O-cost, buffer,
 //!   latency and shard-balance accounting.
 //! * [`workload`] — reproducible mixed range/kNN batches built on

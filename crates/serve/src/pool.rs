@@ -16,10 +16,10 @@
 //! every thread count.
 
 use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::sync::atomic::{AtomicUsize, Ordering};
+use crossbeam::sync::thread::{self, JoinHandle};
+use crossbeam::sync::{is_model_abort, Arc};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// A unit of work shipped to a worker thread.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -43,22 +43,23 @@ impl WorkerPool {
         let (sender, receiver): (Sender<Job>, Receiver<Job>) = channel::unbounded();
         let panicked = Arc::new(AtomicUsize::new(0));
         let workers = (0..threads)
-            .map(|i| {
+            .map(|_| {
                 let rx = receiver.clone();
                 let panicked = Arc::clone(&panicked);
-                std::thread::Builder::new()
-                    .name(format!("slpm-serve-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            // A panicking job must not take the worker (and
-                            // the pool's capacity) down with it; count it
-                            // and keep serving.
-                            if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                                panicked.fetch_add(1, Ordering::Relaxed);
+                thread::spawn(move || {
+                    while let Ok(job) = rx.recv() {
+                        // A panicking job must not take the worker (and
+                        // the pool's capacity) down with it; count it and
+                        // keep serving. The model checker's teardown
+                        // signal is not a job failure: re-raise it.
+                        if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+                            if is_model_abort(&*payload) {
+                                resume_unwind(payload);
                             }
+                            panicked.fetch_add(1, Ordering::Relaxed);
                         }
-                    })
-                    .expect("spawning a pool worker failed")
+                    }
+                })
             })
             .collect();
         WorkerPool {
@@ -145,14 +146,19 @@ impl WorkerPool {
         for (index, task) in tasks.into_iter().enumerate() {
             let tx = tx.clone();
             self.submit(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(task));
+                let outcome = catch_unwind(AssertUnwindSafe(task)).map_err(|payload| {
+                    if is_model_abort(&*payload) {
+                        resume_unwind(payload);
+                    }
+                    payload
+                });
                 // The collector may have unwound already; a dead receiver
                 // just discards the result.
                 let _ = tx.send((index, outcome));
             });
         }
         drop(tx);
-        let mut slots: Vec<Option<std::thread::Result<T>>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<thread::Result<T>>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
             let (index, outcome) = rx.recv().expect("one result per task");
             slots[index] = Some(outcome);

@@ -18,11 +18,11 @@
 //! record bytes are shard-invariant); it only changes *where* the reads
 //! land, which is exactly what the engine's parity guarantees rely on.
 
+use crossbeam::sync::{Arc, Mutex};
 use slpm_storage::decluster::Declustering;
 use slpm_storage::{BufferPool, BufferStats, PageMapper, PageStore, RoundRobin, StorageError};
 use std::fmt;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// How global pages are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

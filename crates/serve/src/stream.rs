@@ -37,7 +37,7 @@
 //!
 //! **Digest parity.** Admitted queries replay through the engine in
 //! offered order, so [`StreamReport::digest`] equals
-//! [`digest_outcomes`] of a one-shot
+//! [`digest_outcomes`](crate::digest_outcomes) of a one-shot
 //! [`ServeEngine::run`] over exactly the admitted sequence (the
 //! split-invariance the engine already guarantees). When nothing is shed
 //! that is the whole offered workload — the parity flag the
@@ -45,10 +45,10 @@
 
 use crate::arrival::ArrivalConfig;
 use crate::engine::{
-    digest_outcomes, digest_with_coverage, BatchHandle, CoverageReport, DegradedUnit,
-    LatencySummary, Query, QueryOutcome, ServeEngine,
+    digest_with_coverage, merge_batches, BatchHandle, BatchReport, CoverageReport, LatencySummary,
+    Query, QueryOutcome, ServeEngine,
 };
-use crate::fault::{ServeError, UnitFailure};
+use crate::fault::ServeError;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::time::Instant;
@@ -218,7 +218,7 @@ pub struct StreamReport {
     pub outcomes: Vec<QueryOutcome>,
     /// For each outcome, the index of its query in the offered sequence.
     pub admitted_idx: Vec<usize>,
-    /// [`digest_outcomes`] over the
+    /// [`digest_outcomes`](crate::digest_outcomes) over the
     /// admitted outcomes — equals a one-shot batch run of the same
     /// sequence (the streamed-vs-batch parity invariant).
     pub digest: u64,
@@ -454,39 +454,14 @@ pub fn stream_serve(
 
     // Merge the real outcomes in admitted order; the digest over the
     // concatenation equals a one-shot batch run of the admitted sequence
-    // by the engine's split-invariance. Micro-batches renumber their
-    // queries from 0, so coverage/failure indices are offset to admitted
-    // positions. All handles are drained even when one errors.
-    let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(admitted_idx.len());
-    let mut degraded: Vec<DegradedUnit> = Vec::new();
-    let mut failures: Vec<UnitFailure> = Vec::new();
-    let mut next_base = 0usize;
-    for handle in handles {
-        let base = next_base;
-        next_base += handle.queries();
-        match handle.wait() {
-            Ok(report) => {
-                degraded.extend(report.coverage.degraded_units.into_iter().map(|mut d| {
-                    d.query += base;
-                    d
-                }));
-                outcomes.extend(report.outcomes);
-            }
-            Err(ServeError::ReplayPanicked { failures: sub }) => {
-                failures.extend(sub.into_iter().map(|mut f| {
-                    f.query += base;
-                    f
-                }));
-            }
-        }
-    }
-    if !failures.is_empty() {
-        failures.sort_unstable();
-        return Err(ServeError::ReplayPanicked { failures });
-    }
+    // by the engine's split-invariance.
+    let BatchReport {
+        outcomes,
+        digest,
+        coverage,
+        ..
+    } = merge_batches(handles, shards, wall_start)?;
     debug_assert_eq!(outcomes.len(), admitted_idx.len());
-    let digest = digest_outcomes(&outcomes);
-    let coverage = CoverageReport::new(outcomes.len(), degraded);
 
     // Fault penalties land on reported latency only, after every shed /
     // block decision was made — admitted traffic is fault-plan-invariant.

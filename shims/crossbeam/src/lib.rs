@@ -12,12 +12,13 @@
 //!   blocking `send`/`recv`, `try_recv`, `iter`) over `Mutex` + `Condvar`,
 //!   feeding the persistent worker pool in `slpm_serve`.
 //!
-//! Both are written against the [`sync`] facade: normally a zero-cost
-//! re-export of `std::sync`, but under the `model` feature the same
-//! names become instrumented primitives driven by the deterministic
-//! schedule-exploring checker in [`model`] — see `crates/check` for the
-//! harnesses that exhaustively verify the channel, the `run_scoped`
-//! latch, and the serving pool protocol over every interleaving.
+//! Both — and `slpm_serve`'s engine — are written against the [`sync`]
+//! facade: normally a zero-cost re-export of `std::sync`, but under the
+//! `model` feature the same names become instrumented primitives driven
+//! by the deterministic schedule-exploring checker in [`model`] — see
+//! `crates/check` for the tests that explore the channel, the
+//! `run_scoped` latch and the real serving engine over every bounded
+//! interleaving.
 
 pub mod channel;
 #[cfg(feature = "model")]

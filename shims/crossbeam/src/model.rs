@@ -105,6 +105,21 @@ pub struct Report {
 /// [`explore`].
 struct Abort;
 
+/// Leave an aborting session: unwind the calling model thread with
+/// [`Abort`]. A thread that is already unwinding — a destructor reached
+/// a scheduling point during teardown, e.g. a pool's `Drop` joining its
+/// workers — cannot panic again without aborting the whole process, so
+/// it parks for good instead; the driver detaches the threads of an
+/// aborted session rather than joining them.
+fn abort_unwind() -> ! {
+    if std::thread::panicking() {
+        loop {
+            std::thread::park();
+        }
+    }
+    std::panic::panic_any(Abort)
+}
+
 /// True when a caught panic payload is the model's internal
 /// session-teardown signal. Harness code that swallows panics (e.g. a
 /// worker pool's per-job `catch_unwind`) MUST check this and re-raise
@@ -328,7 +343,7 @@ impl Session {
                     return;
                 }
                 drop(g);
-                std::panic::panic_any(Abort);
+                abort_unwind();
             }
             g.steps += 1;
             if g.steps > self.opts.max_steps {
@@ -343,7 +358,7 @@ impl Session {
                     return;
                 }
                 drop(g);
-                std::panic::panic_any(Abort);
+                abort_unwind();
             }
             // Candidates, current thread first (so DFS's default choice 0
             // = "keep running" = the cheap no-handoff path), then by tid.
@@ -372,7 +387,7 @@ impl Session {
                     return;
                 }
                 drop(g);
-                std::panic::panic_any(Abort);
+                abort_unwind();
             }
             // Preemption budget: once spent, a runnable current thread
             // always continues (forced switches above are unaffected).
@@ -419,7 +434,7 @@ impl Session {
         if park {
             my_gate.park();
             if self.lock().aborting {
-                std::panic::panic_any(Abort);
+                abort_unwind();
             }
         }
     }
@@ -468,7 +483,7 @@ pub(crate) fn mutex_lock(sess: &StdArc<Session>, me: Tid, id: usize) {
             let mut g = sess.lock();
             if g.aborting {
                 drop(g);
-                std::panic::panic_any(Abort);
+                abort_unwind();
             }
             let rec = &mut g.mutexes[id];
             if rec.owner.is_none() {
@@ -515,7 +530,7 @@ pub(crate) fn condvar_wait(sess: &StdArc<Session>, me: Tid, cid: usize, mid: usi
         let mut g = sess.lock();
         if g.aborting {
             drop(g);
-            std::panic::panic_any(Abort);
+            abort_unwind();
         }
         g.condvars[cid].waiters.push_back(me);
         let rec = &mut g.mutexes[mid];
@@ -683,7 +698,7 @@ pub(crate) fn join_model<T: Send + 'static>(
             let mut g = sess.lock();
             if g.aborting {
                 drop(g);
-                std::panic::panic_any(Abort);
+                abort_unwind();
             }
             if g.threads[target].state == ThreadState::Finished {
                 drop(g);
@@ -779,8 +794,12 @@ where
             let root_panic = g.root_panic.take();
             let unjoined = g.unjoined_panics;
             drop(g);
-            for h in handles {
-                let _ = h.join();
+            // An aborted session's threads may be parked for good (see
+            // `abort_unwind`); only a completed one is joined.
+            if stuck.is_none() {
+                for h in handles {
+                    let _ = h.join();
+                }
             }
             (stuck, decisions, root_panic, unjoined)
         };

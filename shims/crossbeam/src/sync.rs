@@ -1,5 +1,6 @@
-//! The synchronisation facade the shim's own concurrency (and the
-//! `slpm_check` harnesses) are written against.
+//! The synchronisation facade the shim's own concurrency and
+//! `slpm_serve`'s engine (pool, shard queues, shard slices) are written
+//! against.
 //!
 //! Without the `model` feature every name here is a zero-cost re-export
 //! of the `std::sync` / `std::thread` primitive — production builds pay
@@ -31,6 +32,22 @@ pub use instrumented::{atomic, thread, Condvar, Mutex, MutexGuard};
 
 #[cfg(feature = "model")]
 pub use std::sync::Arc;
+
+/// True when a caught panic payload is the model checker's
+/// session-teardown signal (always `false` without the `model`
+/// feature). Code that swallows panics around a scheduling point (a
+/// worker loop's or a replay seam's `catch_unwind`) must re-raise such a
+/// payload with `resume_unwind`, or an aborting session cannot unwind
+/// its threads.
+pub fn is_model_abort(payload: &(dyn std::any::Any + Send)) -> bool {
+    #[cfg(feature = "model")]
+    return crate::model::is_abort(payload);
+    #[cfg(not(feature = "model"))]
+    {
+        let _ = payload;
+        false
+    }
+}
 
 /// Dual-mode primitives: model-instrumented inside an exploration
 /// session, plain `std` everywhere else (see the module docs).
@@ -303,6 +320,12 @@ mod instrumented {
     impl Default for Condvar {
         fn default() -> Condvar {
             Condvar::new()
+        }
+    }
+
+    impl<T: Default> Default for Mutex<T> {
+        fn default() -> Mutex<T> {
+            Mutex::new(T::default())
         }
     }
 
