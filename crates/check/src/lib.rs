@@ -5,11 +5,12 @@
 //! lifetime-erasure latch in `crossbeam::thread::run_scoped`, and
 //! `slpm_serve`'s worker pool, per-shard FIFO queues, breakers, epoch
 //! swaps and `BatchHandle`. All of it is written against the
-//! `crossbeam::sync` facade, which this crate compiles in the shim's
-//! `model` mode: objects created inside a [`crossbeam::model::explore`]
-//! session report every lock, condvar wait, atomic and spawn to a
-//! deterministic scheduler, which then enumerates the bounded
-//! interleavings. The tests in `tests/model.rs` build a tiny **real**
+//! `crossbeam::sync` facade, which this crate's tests compile in the
+//! shim's `model` mode (a dev-dependency feature, so no plain build of
+//! the engine carries it): objects created inside a
+//! `crossbeam::model::explore` session report every lock, condvar wait,
+//! atomic and spawn to a deterministic scheduler, which then enumerates
+//! the bounded interleavings. The tests in `tests/model.rs` build a tiny **real**
 //! `slpm_serve::ServeEngine` inside each explored run — no copy of the
 //! engine exists — and assert, over every explored schedule:
 //!
@@ -20,32 +21,11 @@
 //! 3. a panic inside a replay unit never wedges `wait()`.
 //!
 //! Each real-engine scenario prints one
-//! `real-engine <scenario>: explored N schedules (exhausted: B)` line.
+//! `real-engine <scenario>: explored N schedules (exhausted: B)` line
+//! and fails if it explored fewer than 1,000 schedules.
 //! Run the full exploration suite with `cargo test -p slpm_check
 //! --release` (debug builds explore a smaller schedule budget so the
-//! tier-1 `cargo test -q` gate stays fast).
+//! tier-1 `cargo test -q` gate stays fast). The crate has no library
+//! items; everything lives in its tests.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub use crossbeam::model::{explore, ModelOptions, Report};
-
-use std::sync::Mutex as StdMutex;
-
-/// Serialises panic-hook swaps across tests: runs `f` with the global
-/// panic hook silenced (the hook is process-global, so concurrent tests
-/// that seed intentional panics must take turns swapping it).
-pub fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-    static HOOK_TURN: StdMutex<()> = StdMutex::new(());
-    let _turn = HOOK_TURN
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-    std::panic::set_hook(prev);
-    match result {
-        Ok(r) => r,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}

@@ -12,8 +12,9 @@
 //! tier-1 `cargo test -q` gate) explore a reduced schedule budget; CI
 //! runs the full budget via `cargo test -p slpm_check --release`.
 
-use slpm_check::{explore, with_quiet_panics, ModelOptions, Report};
+use crossbeam::model::{explore, ModelOptions, Report};
 use slpm_graph::grid::GridSpec;
+use slpm_serve::testing::with_quiet_panics;
 use slpm_serve::{
     digest_outcomes, grid_points, BatchReport, BreakerState, EngineConfig, FaultPlan, Query,
     RecoveryConfig, ServeEngine,
@@ -25,7 +26,7 @@ use std::sync::{Arc as StdArc, OnceLock};
 /// Schedule budget: keep the debug-mode tier-1 run fast, explore wide in
 /// release (CI's model-checker job).
 const MAX_SCHEDULES: usize = if cfg!(debug_assertions) {
-    1_500
+    3_000
 } else {
     60_000
 };
@@ -53,11 +54,24 @@ fn engine_opts(max_threads: usize) -> ModelOptions {
     }
 }
 
-/// The one line per real-engine scenario CI's model-check job greps.
+/// Every real-engine scenario tree holds well over this many schedules
+/// (the smallest, zero-query, exhausts at ~1,500), and the debug budget
+/// reaches it. A smaller count means the scenario stopped exercising the
+/// engine's concurrency, e.g. no pool was built under the model.
+const MIN_SCHEDULES: usize = 1_000;
+
+/// Prints the one line per real-engine scenario CI's model-check job
+/// greps, then fails a scenario that explored fewer than
+/// [`MIN_SCHEDULES`] schedules.
 fn report_line(scenario: &str, report: &Report) {
     eprintln!(
         "real-engine {scenario}: explored {} schedules (exhausted: {})",
         report.schedules, report.exhausted
+    );
+    assert!(
+        report.schedules >= MIN_SCHEDULES,
+        "{scenario}: exploration too shallow, only {} schedules ({report:?})",
+        report.schedules
     );
 }
 

@@ -1768,7 +1768,7 @@ mod tests {
     use super::*;
     use slpm_graph::grid::GridSpec;
 
-    use crate::testing::with_watchdog;
+    use crate::testing::{with_quiet_panics, with_watchdog};
     use crate::workload::grid_points;
 
     fn small_engine() -> (Vec<Vec<i64>>, LinearOrder) {
@@ -2210,41 +2210,40 @@ mod tests {
         // must surface as `Err(ServeError::ReplayPanicked)` from
         // wait()/run(), never as a hang — and the failed shard's slice is
         // rebuilt at the next admission, so the engine keeps serving.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence expected panics
-        for threads in [1usize, 2] {
-            let (points, order) = small_engine();
-            let cfg = EngineConfig {
-                records_per_page: 4,
-                fanout: 4,
-                threads,
-                ..Default::default()
-            };
-            let engine = ServeEngine::new(&points, &order, cfg);
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let slices = Arc::clone(&*engine.shared.slices.lock().unwrap());
-                let _guard = slices.shard(0).lock().unwrap();
-                panic!("poison the shard lock");
-            }));
-            let err = engine
-                .run(&queries())
-                .expect_err("wait must surface replay failures");
-            let ServeError::ReplayPanicked { failures } = &err;
-            assert!(
-                !failures.is_empty() && failures.iter().all(|f| f.shard == 0),
-                "threads={threads}: {failures:?}"
-            );
-            // The error names every lost (query, shard) pair.
-            assert!(err.to_string().contains("query 0 on shard 0"), "{err}");
-            // Self-heal: the rebuild swaps in a fresh slice (new lock).
-            let again = engine
-                .run(&queries())
-                .expect("fleet self-heals after a rebuild");
-            assert_eq!(again.outcomes.len(), 4);
-            assert!(again.coverage.is_clean());
-            assert!(engine.epoch() >= 1, "rebuild must bump the epoch");
-        }
-        std::panic::set_hook(prev);
+        with_quiet_panics(|| {
+            for threads in [1usize, 2] {
+                let (points, order) = small_engine();
+                let cfg = EngineConfig {
+                    records_per_page: 4,
+                    fanout: 4,
+                    threads,
+                    ..Default::default()
+                };
+                let engine = ServeEngine::new(&points, &order, cfg);
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let slices = Arc::clone(&*engine.shared.slices.lock().unwrap());
+                    let _guard = slices.shard(0).lock().unwrap();
+                    panic!("poison the shard lock");
+                }));
+                let err = engine
+                    .run(&queries())
+                    .expect_err("wait must surface replay failures");
+                let ServeError::ReplayPanicked { failures } = &err;
+                assert!(
+                    !failures.is_empty() && failures.iter().all(|f| f.shard == 0),
+                    "threads={threads}: {failures:?}"
+                );
+                // The error names every lost (query, shard) pair.
+                assert!(err.to_string().contains("query 0 on shard 0"), "{err}");
+                // Self-heal: the rebuild swaps in a fresh slice (new lock).
+                let again = engine
+                    .run(&queries())
+                    .expect("fleet self-heals after a rebuild");
+                assert_eq!(again.outcomes.len(), 4);
+                assert!(again.coverage.is_clean());
+                assert!(engine.epoch() >= 1, "rebuild must bump the epoch");
+            }
+        });
     }
 
     #[test]
@@ -2290,30 +2289,29 @@ mod tests {
     fn crafted_poisoned_unit_fails_wait_with_a_clear_message() {
         // The waiter must get an error naming the lost (query, shard) —
         // never a hang (the watchdog turns a hang into a clear failure).
-        with_watchdog(std::time::Duration::from_secs(30), "poisoned unit", || {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {})); // silence expected panics
-            let (points, order) = small_engine();
-            let engine = ServeEngine::new(&points, &order, poisoned_unit_config());
-            let err = enqueue_poisoned_unit(&engine)
-                .wait()
-                .expect_err("wait must surface the poisoned unit");
-            let msg = err.to_string();
-            assert!(
-                msg.contains("replay unit(s) panicked during this batch"),
-                "unexpected error message: {msg}"
-            );
-            // Satellite: the message names exactly what was lost.
-            assert!(msg.contains("query 0 on shard 0"), "{msg}");
-            // The un-modeled panic marked shard 0 for a rebuild: the next
-            // admission swaps in a fresh slice (fresh lock included), so
-            // the engine self-heals instead of failing forever.
-            let again = engine
-                .run(&queries())
-                .expect("fleet self-heals after the rebuild");
-            assert_eq!(again.outcomes.len(), 4);
-            assert!(engine.epoch() >= 1);
-            std::panic::set_hook(prev);
+        with_quiet_panics(|| {
+            with_watchdog(std::time::Duration::from_secs(30), "poisoned unit", || {
+                let (points, order) = small_engine();
+                let engine = ServeEngine::new(&points, &order, poisoned_unit_config());
+                let err = enqueue_poisoned_unit(&engine)
+                    .wait()
+                    .expect_err("wait must surface the poisoned unit");
+                let msg = err.to_string();
+                assert!(
+                    msg.contains("replay unit(s) panicked during this batch"),
+                    "unexpected error message: {msg}"
+                );
+                // Satellite: the message names exactly what was lost.
+                assert!(msg.contains("query 0 on shard 0"), "{msg}");
+                // The un-modeled panic marked shard 0 for a rebuild: the next
+                // admission swaps in a fresh slice (fresh lock included), so
+                // the engine self-heals instead of failing forever.
+                let again = engine
+                    .run(&queries())
+                    .expect("fleet self-heals after the rebuild");
+                assert_eq!(again.outcomes.len(), 4);
+                assert!(engine.epoch() >= 1);
+            });
         });
     }
 
@@ -2391,30 +2389,36 @@ mod tests {
         // panic, `wait()` returns the error instead of wedging, and the
         // next admission rebuilds shard 0 and serves.
         let (points, order) = small_engine();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence expected panics
-        let report = crossbeam::model::explore(
-            crossbeam::model::ModelOptions {
-                preemption_bound: Some(1),
-                max_schedules: 60_000,
-                max_threads: 3,
-                max_steps: 100_000,
-            },
-            move || {
-                let engine = ServeEngine::new(&points, &order, poisoned_unit_config());
-                let err = enqueue_poisoned_unit(&engine)
-                    .wait()
-                    .expect_err("wait must surface the poisoned unit");
-                assert!(err.to_string().contains("query 0 on shard 0"), "{err}");
-                let again = engine.run(&queries()[..1]).expect("fleet self-heals");
-                assert!(again.coverage.is_clean());
-                assert_eq!(engine.epoch(), 1);
-            },
-        );
-        std::panic::set_hook(prev);
+        let report = with_quiet_panics(|| {
+            crossbeam::model::explore(
+                crossbeam::model::ModelOptions {
+                    preemption_bound: Some(1),
+                    max_schedules: 60_000,
+                    max_threads: 3,
+                    max_steps: 100_000,
+                },
+                move || {
+                    let engine = ServeEngine::new(&points, &order, poisoned_unit_config());
+                    let err = enqueue_poisoned_unit(&engine)
+                        .wait()
+                        .expect_err("wait must surface the poisoned unit");
+                    assert!(err.to_string().contains("query 0 on shard 0"), "{err}");
+                    let again = engine.run(&queries()[..1]).expect("fleet self-heals");
+                    assert!(again.coverage.is_clean());
+                    assert_eq!(engine.epoch(), 1);
+                },
+            )
+        });
         eprintln!(
             "real-engine unmodelled-panic: explored {} schedules (exhausted: {})",
             report.schedules, report.exhausted
+        );
+        // The tree has ~1,900 schedules; a tiny one means the runner's
+        // pool or the rebuild stopped running under the model.
+        assert!(
+            report.schedules >= 1000,
+            "only {} schedules explored",
+            report.schedules
         );
     }
 

@@ -7,9 +7,31 @@
 //! than a red one. [`with_watchdog`] bounds such tests: the body runs on
 //! a helper thread, and if it misses its deadline the watchdog fails the
 //! test with a clear message while the hung thread is left detached.
+//! Tests that seed intentional panics silence them with
+//! [`with_quiet_panics`], which takes turns on the process-global panic
+//! hook.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
+
+/// Run `f` with the global panic hook silenced, then restore the hook —
+/// also when `f` panics, whose payload is re-raised afterwards. The hook
+/// is process-global, so concurrent tests that seed intentional panics
+/// take turns swapping it under one lock.
+pub fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
+    static HOOK_TURN: Mutex<()> = Mutex::new(());
+    let _turn = HOOK_TURN
+        .lock()
+        .unwrap_or_else(|poison| poison.into_inner());
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    std::panic::set_hook(prev);
+    match result {
+        Ok(r) => r,
+        Err(payload) => std::panic::resume_unwind(payload),
+    }
+}
 
 /// Run `f` under a deadline: returns its value when it finishes in time,
 /// re-raises its panic if it panics, and panics with
@@ -61,12 +83,11 @@ mod tests {
 
     #[test]
     fn watchdog_reraises_the_body_panic() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence expected panics
-        let outcome = std::panic::catch_unwind(|| {
-            with_watchdog(Duration::from_secs(5), "boom", || panic!("inner failure"))
+        let outcome = with_quiet_panics(|| {
+            std::panic::catch_unwind(|| {
+                with_watchdog(Duration::from_secs(5), "boom", || panic!("inner failure"))
+            })
         });
-        std::panic::set_hook(prev);
         let payload = outcome.expect_err("body panic must propagate");
         let msg = payload
             .downcast_ref::<&str>()
@@ -77,14 +98,13 @@ mod tests {
 
     #[test]
     fn watchdog_times_out_a_hung_body() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence expected panics
-        let outcome = std::panic::catch_unwind(|| {
-            with_watchdog(Duration::from_millis(50), "hang", || {
-                std::thread::sleep(Duration::from_secs(60));
+        let outcome = with_quiet_panics(|| {
+            std::panic::catch_unwind(|| {
+                with_watchdog(Duration::from_millis(50), "hang", || {
+                    std::thread::sleep(Duration::from_secs(60));
+                })
             })
         });
-        std::panic::set_hook(prev);
         let payload = outcome.expect_err("hung body must trip the watchdog");
         let msg = payload
             .downcast_ref::<String>()

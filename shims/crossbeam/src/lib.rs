@@ -15,8 +15,8 @@
 //! Both — and `slpm_serve`'s engine — are written against the [`sync`]
 //! facade: normally a zero-cost re-export of `std::sync`, but under the
 //! `model` feature the same names become instrumented primitives driven
-//! by the deterministic schedule-exploring checker in [`model`] — see
-//! `crates/check` for the tests that explore the channel, the
+//! by the deterministic schedule-exploring checker in `crossbeam::model`
+//! — see `crates/check` for the tests that explore the channel, the
 //! `run_scoped` latch and the real serving engine over every bounded
 //! interleaving.
 

@@ -5,7 +5,7 @@
 //! Without the `model` feature every name here is a zero-cost re-export
 //! of the `std::sync` / `std::thread` primitive — production builds pay
 //! nothing. With the feature enabled the same names resolve to
-//! *dual-mode* types: constructed inside a [`crate::model`] exploration
+//! *dual-mode* types: constructed inside a `crossbeam::model` exploration
 //! session they report every operation to the deterministic scheduler
 //! (so the model checker can enumerate interleavings); constructed
 //! anywhere else they delegate straight to the real primitive. Code
