@@ -580,7 +580,7 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             let graph = spec.graph(Connectivity::Orthogonal);
             let order = build_order(dims, *mapping, None)?;
             let report = with_spectral_pool(None, |pool| {
-                spectral_lpm::OrderReport::compute(&graph, &order, &SpectralConfig::default(), pool)
+                spectral_lpm::OrderReport::compute(&graph, &order, &SpectralConfig::auto(), pool)
             })
             .map_err(|e| ParseError(e.to_string()))?;
             Ok(report.render(&mapping.to_string()))
@@ -915,7 +915,7 @@ mod tests {
         let packed = run(&["pack", "--grid", "16x16", "--out", path_str]).unwrap();
         assert!(packed.contains("records: 256"), "{packed}");
         assert!(packed.contains("pages: 4"), "{packed}");
-        assert!(packed.contains("format v1"), "{packed}");
+        assert!(packed.contains("format v2"), "{packed}");
         // Same grid, mapping and geometry: the out-of-core serve run is
         // bitwise identical to the in-memory one — with and without
         // readahead, across a tiny buffer pool.

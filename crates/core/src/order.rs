@@ -124,17 +124,7 @@ impl LinearOrder {
     /// by vertex index.
     pub fn from_keys_snapped(keys: &[f64], tolerance: f64) -> Result<Self, OrderError> {
         let mut order = Self::from_keys(keys)?;
-        let n = keys.len();
-        let mut i = 0;
-        while i < n {
-            let anchor = keys[order.perm[i]];
-            let mut j = i + 1;
-            while j < n && keys[order.perm[j]] - anchor <= tolerance {
-                j += 1;
-            }
-            order.perm[i..j].sort_unstable();
-            i = j;
-        }
+        for_each_snapped_group(&mut order.perm, keys, tolerance, <[usize]>::sort_unstable);
         for (p, &v) in order.perm.iter().enumerate() {
             order.rank[v] = p;
         }
@@ -205,6 +195,27 @@ impl LinearOrder {
             perm[p] = v;
         }
         LinearOrder { rank, perm }
+    }
+}
+
+/// Cut `sorted` — vertex ids in ascending order of `keys` — into groups
+/// anchored within `tolerance` of each group's first key (not chained:
+/// see [`LinearOrder::from_keys_snapped`]) and hand each group to `f`.
+pub(crate) fn for_each_snapped_group(
+    sorted: &mut [usize],
+    keys: &[f64],
+    tolerance: f64,
+    mut f: impl FnMut(&mut [usize]),
+) {
+    let mut i = 0;
+    while i < sorted.len() {
+        let anchor = keys[sorted[i]];
+        let mut j = i + 1;
+        while j < sorted.len() && keys[sorted[j]] - anchor <= tolerance {
+            j += 1;
+        }
+        f(&mut sorted[i..j]);
+        i = j;
     }
 }
 

@@ -17,7 +17,7 @@
 //!   ties spectrally.
 
 use crate::mapper::{MappingError, SpectralConfig};
-use crate::order::LinearOrder;
+use crate::order::{for_each_snapped_group, LinearOrder};
 use slpm_graph::{traversal, Graph};
 use slpm_linalg::fiedler::{fiedler_pair_on, smallest_nonzero_eigenpairs_on, FiedlerMethod};
 use slpm_linalg::{multilevel, CsrMatrix, Hierarchy, MultilevelOptions, Pool};
@@ -418,7 +418,9 @@ fn orient(local: LinearOrder) -> LinearOrder {
 
 /// Multi-vector spectral order: sort by `v₂`, breaking ties (within
 /// `tie_epsilon`) by `v₃`, then `v₄`, … using `num_vectors` eigenvectors
-/// computed on `pool`.
+/// computed on `pool`. Ties are groups anchored at their first key, as in
+/// [`LinearOrder::from_keys_snapped`], so the result is a total order;
+/// the last ties fall to vertex index.
 pub fn multi_vector_order_on(
     graph: &Graph,
     num_vectors: usize,
@@ -434,21 +436,30 @@ pub fn multi_vector_order_on(
         pool,
     )?;
     let n = graph.num_vertices();
+    let vectors: Vec<&[f64]> = pairs.iter().map(|(_, v)| v.as_slice()).collect();
     let mut perm: Vec<usize> = (0..n).collect();
-    perm.sort_by(|&a, &b| {
-        for (_, v) in &pairs {
-            let d = v[a] - v[b];
-            if d.abs() > tie_epsilon {
-                return d.partial_cmp(&0.0).expect("finite components");
-            }
-        }
-        a.cmp(&b)
-    });
+    sort_snapped(&mut perm, &vectors, tie_epsilon);
     let mut rank = vec![0usize; n];
     for (p, &v) in perm.iter().enumerate() {
         rank[v] = p;
     }
     Ok(LinearOrder::from_ranks(rank).expect("permutation by construction"))
+}
+
+/// Sort `group` by the first of `vectors`, cut it into tie groups
+/// anchored within `tie_epsilon` of each group's first key, and order each
+/// group by the remaining vectors the same way; ties left after the last
+/// vector fall to vertex index. Anchoring (rather than comparing pairs
+/// within a tolerance, which is not transitive) keeps this a total order.
+fn sort_snapped(group: &mut [usize], vectors: &[&[f64]], tie_epsilon: f64) {
+    let Some((keys, rest)) = vectors.split_first() else {
+        group.sort_unstable();
+        return;
+    };
+    group.sort_unstable_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
+    for_each_snapped_group(group, keys, tie_epsilon, |tied| {
+        sort_snapped(tied, rest, tie_epsilon)
+    });
 }
 
 #[cfg(test)]

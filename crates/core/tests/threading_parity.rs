@@ -163,3 +163,34 @@ fn threaded_order_matches_serial_on_holey_point_set() {
         &format!("{w}x{h} holey grid ({} points)", points.len()),
     );
 }
+
+/// The multi-vector input: `(w, h, cols, rows, max_r)` of the holey grid
+/// and the fewest points it must keep. Release runs use the benchmark's
+/// 240×180 lattice, where a tolerance comparator once broke the sort's
+/// total order; debug runs stay small enough for an unoptimised solve.
+#[cfg(debug_assertions)]
+const MULTI_HOLEY: ((i64, i64, i64, i64, i64), usize) = ((60, 45, 4, 3, 4), 2_000);
+#[cfg(not(debug_assertions))]
+const MULTI_HOLEY: ((i64, i64, i64, i64, i64), usize) = ((240, 180, 8, 6, 13), 20_000);
+
+#[test]
+fn multi_vector_order_is_a_permutation_on_holey_point_set() {
+    let ((w, h, cols, rows, max_r), min_points) = MULTI_HOLEY;
+    let points = holey_points(w, h, cols, rows, max_r, 0x401E);
+    let n = points.len();
+    assert!(n >= min_points, "only {n} points, want ≥ {min_points}");
+    let graph = points.neighbourhood_graph(Connectivity::Orthogonal);
+    let order = spectral_lpm::multi_vector_order_on(
+        &graph,
+        2,
+        1e-6,
+        &SpectralConfig::auto(),
+        &Pool::serial(),
+    )
+    .unwrap();
+    let mut seen = vec![false; n];
+    for v in 0..n {
+        assert!(!std::mem::replace(&mut seen[order.rank_of(v)], true));
+    }
+    assert!(seen.into_iter().all(|s| s), "{w}x{h}: ranks cover 0..{n}");
+}

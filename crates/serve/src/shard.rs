@@ -240,7 +240,7 @@ impl Shard {
     /// Extend the demand miss at `pages[i]` into its monotone run: the
     /// linear order already sorted each query's shard list, so pages that
     /// follow contiguously in the list are contiguous **on disk** — one
-    /// [`PageStore::read_run`] (a single seek) fetches them all. The
+    /// [`PageStore::read_run`] (one positional read) fetches them all. The
     /// window stops at the readahead budget, at the first gap in the run,
     /// at the first already-resident page, and always below the pool
     /// capacity (speculation must never evict the demand page).

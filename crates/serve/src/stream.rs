@@ -94,20 +94,25 @@ impl fmt::Display for AdmissionPolicy {
 /// **Calibration.** The defaults are measured against the repo's own
 /// out-of-core tier, [`slpm_storage::diskfile`]: one
 /// `PageFile::read_page` is exactly one seek plus one page transfer
-/// (checksum verify + copy), and one `read_run` is one seek amortised
+/// (read + checksum verify), and one `read_run` is one seek amortised
 /// over the run's transfers — precisely the quantities this model
 /// charges for. The `calibrate_disk_tier` harness in that module
 /// (`cargo test -p slpm_storage --release -- --ignored
-/// calibrate_disk_tier --nocapture`) measures ~7–8 µs per 4 KiB page
-/// and ~1–2 µs of per-seek overhead on a page-cache-warm file, so the
-/// defaults round to 8 and 2. Note the tier inverts spinning-disk
-/// intuition: with the kernel absorbing positioning, the software
-/// transfer path (checksum + copy) dominates and seeks are cheap —
-/// which is why run-length locality is reported separately rather than
-/// assumed to dominate latency.
+/// calibrate_disk_tier --nocapture`) measured ~7–8 µs per 4 KiB page
+/// and ~1–2 µs of per-seek overhead on a page-cache-warm **format v1**
+/// file (byte-serial frame checksum), so the defaults round to 8 and 2.
+/// They stay at those values because they define the simulated clock
+/// behind the committed `BENCH_serve_stream.json` gates. Format v2's
+/// word-wise frame checksum and positional run reads measure ~1.8–1.9
+/// µs per page and ~0.27–0.28 µs per seek on a 2-core x86-64 VM
+/// (v1 on that VM: 7.7–8.3 and 0.65–0.90). Note the tier inverts
+/// spinning-disk intuition: with the kernel absorbing positioning, the
+/// software transfer path (read + checksum) dominates and seeks are
+/// cheap — which is why run-length locality is reported separately
+/// rather than assumed to dominate latency.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceModel {
-    /// Cost per routed page (transfer: checksum verify + frame copy).
+    /// Cost per routed page (transfer: frame read + checksum verify).
     pub per_page_us: f64,
     /// Cost per sequential run (seek: repositioning a read).
     pub per_seek_us: f64,
@@ -117,8 +122,9 @@ pub struct ServiceModel {
 
 impl Default for ServiceModel {
     fn default() -> Self {
-        // Measured by diskfile's `calibrate_disk_tier` harness (see the
-        // struct docs); rounded to stay stable across runs.
+        // Measured by diskfile's `calibrate_disk_tier` harness on page
+        // file format v1 (see the struct docs); rounded to stay stable
+        // across runs.
         ServiceModel {
             per_page_us: 8.0,
             per_seek_us: 2.0,

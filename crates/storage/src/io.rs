@@ -8,8 +8,8 @@
 //!
 //! The model's two primitives map one-to-one onto the out-of-core tier
 //! in [`crate::diskfile`]: a `seek` is starting one `PageFile::read_run`
-//! (repositioning the file cursor), a `transfer` is one page frame read
-//! and checksum-verified inside that run. [`IoModel`]'s defaults keep
+//! (one positional read at the run's offset), a `transfer` is one page
+//! frame read and checksum-verified inside that run. [`IoModel`]'s defaults keep
 //! the paper's 2003-era spinning-disk ratio for cost *estimates*; the
 //! serving stack's simulated-latency twin
 //! (`slpm_serve::stream::ServiceModel`) instead calibrates its defaults

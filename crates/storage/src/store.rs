@@ -10,8 +10,8 @@
 //!   front, reads are clones; the fast path for data that fits in RAM and
 //!   the bitwise reference for the disk tier.
 //! * **Disk** ([`PageStore::open`] / [`PageStore::open_shard_placed`]) — a
-//!   [`crate::diskfile::PageFile`]; reads seek and fault checksummed
-//!   frames off the file, and failures surface as typed
+//!   [`crate::diskfile::PageFile`]; reads fault checksummed frames off
+//!   the file with positional reads, and failures surface as typed
 //!   [`StorageError`]s through [`PageStore::try_read_page`].
 //!
 //! The two backings are **bitwise interchangeable**: same payloads, same
@@ -28,7 +28,7 @@
 use crate::diskfile::{PageFile, StorageError};
 use crate::pages::PageMapper;
 use bytes::{Bytes, BytesMut};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -48,9 +48,7 @@ enum Backing {
     /// order (indexed by local slot).
     Memory(Vec<Bytes>),
     /// A disk page file; reads fault frames in by **global** page id.
-    /// `RefCell` because reads seek a shared file handle — the store is
-    /// already single-threaded (`Cell` counters), one handle per slice.
-    Disk(RefCell<PageFile>),
+    Disk(PageFile),
 }
 
 /// A page store: pages hold the records assigned by a [`PageMapper`],
@@ -226,7 +224,7 @@ impl PageStore {
         file.check_geometry(mapper, record_size)?;
         let (page_ids, local_of) = PageStore::owned_index(owned, mapper.num_pages());
         Ok(PageStore {
-            backing: Backing::Disk(RefCell::new(file)),
+            backing: Backing::Disk(file),
             page_ids,
             local_of,
             record_size,
@@ -298,15 +296,15 @@ impl PageStore {
         self.reads.set(self.reads.get() + 1);
         match &self.backing {
             Backing::Memory(pages) => Ok(pages[local].clone()),
-            Backing::Disk(file) => file.borrow_mut().read_page(page),
+            Backing::Disk(file) => file.read_page(page),
         }
     }
 
     /// Read a contiguous run of `count` owned pages starting at global id
-    /// `start` — the readahead primitive. On disk this is **one seek**
-    /// plus one sequential transfer; in memory it is `count` clones. The
-    /// run counts `count` reads on both backings, keeping accounting
-    /// bitwise identical.
+    /// `start` — the readahead primitive. On disk this is **one
+    /// positional read** of the whole run; in memory it is `count`
+    /// clones. The run counts `count` reads on both backings, keeping
+    /// accounting bitwise identical.
     ///
     /// Every page of the run must be owned by this slice.
     pub fn read_run(&self, start: usize, count: usize) -> Result<Vec<Bytes>, StorageError> {
@@ -321,7 +319,7 @@ impl PageStore {
             Backing::Memory(pages) => Ok((start..start + count)
                 .map(|p| pages[self.local_of[p]].clone())
                 .collect()),
-            Backing::Disk(file) => file.borrow_mut().read_run(start, count),
+            Backing::Disk(file) => file.read_run(start, count),
         }
     }
 

@@ -151,7 +151,7 @@ proptest! {
             // fails its read; every other page still round-trips.
             let frame_len = rpp * record_size + FRAME_CHECKSUM_LEN;
             let damaged = (pos - HEADER_LEN) / frame_len;
-            let mut file = PageFile::open(&tmp.0).expect("header intact");
+            let file = PageFile::open(&tmp.0).expect("header intact");
             for page in 0..mapper.num_pages() {
                 let got = file.read_page(page);
                 if page == damaged {
