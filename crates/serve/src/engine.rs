@@ -1180,13 +1180,13 @@ pub(crate) fn merge_batches(
 
 /// The sharded, batched query engine.
 ///
-/// Borrows the point set and order (the caller keeps ownership, exactly
-/// like [`PackedRTree::pack`]); owns the shards and the worker pool, so
-/// buffer pools stay warm across batches.
+/// Borrows the point set and order (the caller keeps ownership); owns the
+/// [`PackedRTree`] (with its one packed copy of the coordinates), the
+/// shards and the worker pool, so buffer pools stay warm across batches.
 pub struct ServeEngine<'a> {
     points: &'a [Vec<i64>],
     order: &'a LinearOrder,
-    rtree: PackedRTree<'a>,
+    rtree: PackedRTree,
     bounds: Mbr,
     layout: PageLayout,
     shard_map: ShardMap,

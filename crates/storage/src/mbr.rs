@@ -49,22 +49,9 @@ impl Mbr {
         }
     }
 
-    /// Grow to include another MBR.
-    pub fn expand_mbr(&mut self, other: &Mbr) {
-        debug_assert_eq!(other.ndim(), self.ndim());
-        for d in 0..self.lo.len() {
-            self.lo[d] = self.lo[d].min(other.lo[d]);
-            self.hi[d] = self.hi[d].max(other.hi[d]);
-        }
-    }
-
     /// True when the two rectangles overlap (share at least one point).
     pub fn intersects(&self, other: &Mbr) -> bool {
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .zip(other.lo.iter().zip(other.hi.iter()))
-            .all(|((&slo, &shi), (&olo, &ohi))| slo <= ohi && olo <= shi)
+        boxes_intersect(&self.lo, &self.hi, &other.lo, &other.hi)
     }
 
     /// True when `p` lies inside.
@@ -99,20 +86,34 @@ impl Mbr {
     /// closer to `p` than its node MBR.
     pub fn min_chebyshev_dist(&self, p: &[i64]) -> i64 {
         debug_assert_eq!(p.len(), self.ndim());
-        p.iter()
-            .zip(self.lo.iter().zip(self.hi.iter()))
-            .map(|(&c, (&l, &h))| {
-                if c < l {
-                    l - c
-                } else if c > h {
-                    c - h
-                } else {
-                    0
-                }
-            })
-            .max()
-            .unwrap_or(0)
+        box_min_chebyshev(&self.lo, &self.hi, p)
     }
+}
+
+/// [`Mbr::intersects`] over borrowed corners, so the packed R-tree can
+/// test its flat per-node bounds without building an `Mbr`.
+pub(crate) fn boxes_intersect(alo: &[i64], ahi: &[i64], blo: &[i64], bhi: &[i64]) -> bool {
+    alo.iter()
+        .zip(ahi)
+        .zip(blo.iter().zip(bhi))
+        .all(|((&alo, &ahi), (&blo, &bhi))| alo <= bhi && blo <= ahi)
+}
+
+/// [`Mbr::min_chebyshev_dist`] over borrowed corners.
+pub(crate) fn box_min_chebyshev(lo: &[i64], hi: &[i64], p: &[i64]) -> i64 {
+    p.iter()
+        .zip(lo.iter().zip(hi))
+        .map(|(&c, (&l, &h))| {
+            if c < l {
+                l - c
+            } else if c > h {
+                c - h
+            } else {
+                0
+            }
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// Chebyshev (L∞) distance between two points — the metric every kNN
@@ -217,10 +218,7 @@ mod tests {
         m.expand_point(&[-1, 3]);
         assert_eq!(m.lo, vec![-1, 1]);
         assert_eq!(m.hi, vec![1, 3]);
-        m.expand_mbr(&Mbr {
-            lo: vec![0, -5],
-            hi: vec![9, 0],
-        });
+        m.expand_point(&[9, -5]);
         assert_eq!(m.lo, vec![-1, -5]);
         assert_eq!(m.hi, vec![9, 3]);
     }

@@ -8,36 +8,50 @@
 //! must visit. This module implements exactly that pipeline for *any*
 //! [`LinearOrder`], so the spectral order can be compared against the
 //! fractals on the application the paper only gestures at.
+//!
+//! The tree is a handful of flat arrays, built once by
+//! [`PackedRTree::pack`]. Points are stored in packed order and
+//! dimension-major, so a leaf is one contiguous slice per dimension and a
+//! range query tests a leaf's points one dimension at a time, branch-free.
+//! Nodes are numbered leaves first, then each internal level in turn; a
+//! node's children (leaf: packed positions, internal: node ids) are one
+//! consecutive range, so no node owns an allocation.
 
-use crate::mbr::{chebyshev, Mbr};
+use crate::mbr::{box_min_chebyshev, boxes_intersect, Mbr};
 use serde::Serialize;
 use spectral_lpm::LinearOrder;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One node of the packed R-tree.
-#[derive(Debug, Clone, Serialize)]
-struct Node {
-    mbr: Mbr,
-    /// Children: either node indices (internal) or point ids (leaf).
-    children: Vec<usize>,
-    is_leaf: bool,
-}
-
 /// A packed R-tree: bulk-loaded, never updated (the classic static index).
 ///
-/// Borrows the indexed point set rather than copying it — the duplicate
-/// `Vec<Vec<i64>>` was, with the page mapper's dense page array, the
-/// "materialised twice" cost that blocked 10⁶-point runs (a 2-D point set
-/// of that size is ~40 MB of small heap allocations per copy).
-#[derive(Debug, Clone, Serialize)]
-pub struct PackedRTree<'a> {
-    nodes: Vec<Node>,
-    root: usize,
-    height: usize,
+/// Owns one copy of the indexed coordinates, 8·dim bytes per point,
+/// dimension-major in packed order (`coords[d * n + pos]`), plus the
+/// 8-byte point id of each packed position. Per node it holds two
+/// `usize`s (its child range) and 2·dim coordinates (its MBR). Nothing
+/// else is kept: no per-node or per-point heap allocation. For 10⁶ 2-D
+/// points that is 16 MB of coordinates and 8 MB of ids in two
+/// allocations, where a second `Vec<Vec<i64>>` would be ~40 MB of small
+/// heap allocations.
+#[derive(Debug, Clone)]
+pub struct PackedRTree {
+    /// Dimension shared by every point (at least 1).
+    dim: usize,
     fanout: usize,
-    /// The indexed points, borrowed (id = position in this slice).
-    points: &'a [Vec<i64>],
+    height: usize,
+    /// Nodes `0..num_leaves` are the leaves, in packed order.
+    num_leaves: usize,
+    /// Point id at each packed position (`order.vertex_at`).
+    ids: Vec<usize>,
+    /// Coordinates, dimension-major: `coords[d * ids.len() + pos]`.
+    coords: Vec<i64>,
+    /// Start of each node's child range: packed positions for a leaf,
+    /// node ids for an internal node.
+    first: Vec<usize>,
+    /// End (exclusive) of each node's child range.
+    end: Vec<usize>,
+    /// `2 * dim` values per node: the MBR's `lo` corner, then its `hi`.
+    bounds: Vec<i64>,
 }
 
 /// Access counts of one range query.
@@ -72,77 +86,96 @@ impl QueryCost {
     }
 }
 
-impl<'a> PackedRTree<'a> {
+impl PackedRTree {
     /// Bulk-load a tree over `points`, packing leaves with `fanout`
     /// consecutive points of `order` (and internal levels with `fanout`
-    /// consecutive children). The point set is borrowed, not copied; the
-    /// order is consumed through its position lookups only.
+    /// consecutive children). The coordinates are copied once, into the
+    /// tree's dimension-major array; the order is consumed through its
+    /// position lookups only.
     ///
     /// # Panics
-    /// Panics when `fanout < 2`, `points` is empty, or `order.len()`
-    /// differs from `points.len()` — all caller bugs.
-    pub fn pack(points: &'a [Vec<i64>], order: &LinearOrder, fanout: usize) -> Self {
+    /// Panics when `fanout < 2`, `points` is empty, `order.len()` differs
+    /// from `points.len()`, the points have no coordinates, or two points
+    /// differ in dimension — all caller bugs.
+    pub fn pack(points: &[Vec<i64>], order: &LinearOrder, fanout: usize) -> Self {
         assert!(fanout >= 2, "R-tree fanout must be at least 2");
         assert!(!points.is_empty(), "cannot pack an empty point set");
         assert_eq!(order.len(), points.len(), "order/point-set mismatch");
+        let dim = points[0].len();
+        assert!(dim >= 1, "R-tree points need at least one dimension");
+        assert!(
+            points.iter().all(|p| p.len() == dim),
+            "every point must have dimension {dim}, like the first"
+        );
 
-        let mut nodes: Vec<Node> = Vec::new();
-        // Leaf level: consecutive runs of the order.
-        let mut level: Vec<usize> = Vec::new();
-        let mut position = 0usize;
-        while position < points.len() {
-            let end = (position + fanout).min(points.len());
-            let ids: Vec<usize> = (position..end).map(|p| order.vertex_at(p)).collect();
-            let mbr = Mbr::of_points(ids.iter().map(|&i| points[i].as_slice()));
-            nodes.push(Node {
-                mbr,
-                children: ids,
-                is_leaf: true,
-            });
-            level.push(nodes.len() - 1);
-            position = end;
-        }
-        let mut height = 1usize;
-        // Internal levels.
-        while level.len() > 1 {
-            let mut next: Vec<usize> = Vec::new();
-            let mut i = 0usize;
-            while i < level.len() {
-                let end = (i + fanout).min(level.len());
-                let children: Vec<usize> = level[i..end].to_vec();
-                let mut mbr = nodes[children[0]].mbr.clone();
-                for &c in &children[1..] {
-                    mbr.expand_mbr(&nodes[c].mbr.clone());
-                }
-                nodes.push(Node {
-                    mbr,
-                    children,
-                    is_leaf: false,
-                });
-                next.push(nodes.len() - 1);
-                i = end;
+        let n = points.len();
+        let ids: Vec<usize> = (0..n).map(|pos| order.vertex_at(pos)).collect();
+        let mut coords = vec![0i64; dim * n];
+        for (pos, &id) in ids.iter().enumerate() {
+            for (d, &c) in points[id].iter().enumerate() {
+                coords[d * n + pos] = c;
             }
-            level = next;
+        }
+
+        let (mut first, mut end, mut bounds) = (Vec::new(), Vec::new(), Vec::new());
+        // Leaf level: consecutive runs of the order.
+        for start in (0..n).step_by(fanout) {
+            let stop = (start + fanout).min(n);
+            first.push(start);
+            end.push(stop);
+            let base = bounds.len();
+            bounds.resize(base + 2 * dim, 0);
+            for d in 0..dim {
+                let column = &coords[d * n + start..d * n + stop];
+                bounds[base + d] = *column.iter().min().expect("non-empty leaf");
+                bounds[base + dim + d] = *column.iter().max().expect("non-empty leaf");
+            }
+        }
+        let num_leaves = first.len();
+        let mut height = 1usize;
+        // Internal levels: consecutive runs of the level below.
+        let mut level = 0..num_leaves;
+        while level.len() > 1 {
+            let next = first.len();
+            for start in level.clone().step_by(fanout) {
+                let stop = (start + fanout).min(level.end);
+                first.push(start);
+                end.push(stop);
+                let base = bounds.len();
+                bounds.extend_from_within(start * 2 * dim..(start + 1) * 2 * dim);
+                for child in start + 1..stop {
+                    for d in 0..dim {
+                        bounds[base + d] = bounds[base + d].min(bounds[child * 2 * dim + d]);
+                        bounds[base + dim + d] =
+                            bounds[base + dim + d].max(bounds[child * 2 * dim + dim + d]);
+                    }
+                }
+            }
+            level = next..first.len();
             height += 1;
         }
 
         PackedRTree {
-            root: level[0],
-            nodes,
-            height,
+            dim,
             fanout,
-            points,
+            height,
+            num_leaves,
+            ids,
+            coords,
+            first,
+            end,
+            bounds,
         }
     }
 
     /// Number of nodes (all levels).
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.first.len()
     }
 
     /// Number of leaf nodes.
     pub fn num_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf).count()
+        self.num_leaves
     }
 
     /// Tree height (leaf level = 1).
@@ -158,20 +191,39 @@ impl<'a> PackedRTree<'a> {
     /// Sum of leaf MBR volumes — the classic packing-quality metric
     /// (smaller = tighter leaves = fewer false node visits).
     pub fn total_leaf_volume(&self) -> u128 {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_leaf)
-            .map(|n| n.mbr.volume())
-            .sum()
+        (0..self.num_leaves).map(|l| self.mbr(l).volume()).sum()
     }
 
     /// Sum of leaf MBR margins (the R*-tree quality proxy).
     pub fn total_leaf_margin(&self) -> i64 {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_leaf)
-            .map(|n| n.mbr.margin())
-            .sum()
+        (0..self.num_leaves).map(|l| self.mbr(l).margin()).sum()
+    }
+
+    /// The root: the last node built, alone on the top level.
+    fn root(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    /// A node's MBR corners, `(lo, hi)`.
+    fn corners(&self, node: usize) -> (&[i64], &[i64]) {
+        self.bounds[node * 2 * self.dim..(node + 1) * 2 * self.dim].split_at(self.dim)
+    }
+
+    /// A node's MBR as an owned [`Mbr`].
+    fn mbr(&self, node: usize) -> Mbr {
+        let (lo, hi) = self.corners(node);
+        Mbr {
+            lo: lo.to_vec(),
+            hi: hi.to_vec(),
+        }
+    }
+
+    /// The query-side half of the dimension contract.
+    fn assert_query_dim(&self, query_dim: usize) {
+        assert_eq!(
+            query_dim, self.dim,
+            "query dimension must equal the tree's point dimension"
+        );
     }
 
     /// Answer a range query, counting node accesses.
@@ -181,6 +233,9 @@ impl<'a> PackedRTree<'a> {
     /// this list can jump back and forth across the order. Use
     /// [`PackedRTree::range_query_ordered`] when the consumer streams the
     /// results to storage.
+    ///
+    /// # Panics
+    /// Panics when the query's dimension differs from the points'.
     pub fn range_query(&self, query: &Mbr) -> (Vec<usize>, QueryCost) {
         let (mut results, cost) = self.range_query_ordered(query);
         results.sort_unstable();
@@ -197,33 +252,69 @@ impl<'a> PackedRTree<'a> {
     ///
     /// Node-access counts are identical to [`PackedRTree::range_query`]
     /// (same nodes, different visit order).
+    ///
+    /// A visited leaf is scanned one dimension at a time: a dimension in
+    /// which the leaf's extent lies inside the query's is skipped, and
+    /// every other one clears the points outside the query's span in a
+    /// per-query byte mask, without a branch per point. An inverted query
+    /// (`lo > hi` in some dimension) matches no point, but still visits
+    /// and counts every node its corners intersect.
+    ///
+    /// # Panics
+    /// Panics when the query's dimension differs from the points'.
     pub fn range_query_ordered(&self, query: &Mbr) -> (Vec<usize>, QueryCost) {
+        self.assert_query_dim(query.lo.len());
+        self.assert_query_dim(query.hi.len());
+        let n = self.ids.len();
+        let inverted = query.lo.iter().zip(&query.hi).any(|(lo, hi)| lo > hi);
         let mut results = Vec::new();
-        let mut cost = QueryCost {
-            nodes_visited: 0,
-            leaves_visited: 0,
-            results: 0,
-        };
-        let mut stack = vec![self.root];
+        let mut cost = QueryCost::ZERO;
+        // `inside[i]` says whether the i-th point of the current leaf is
+        // still inside the query.
+        let mut inside = vec![0u8; self.fanout];
+        let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if !node.mbr.intersects(query) {
+            let (lo, hi) = self.corners(id);
+            if !boxes_intersect(lo, hi, &query.lo, &query.hi) {
                 continue;
             }
             cost.nodes_visited += 1;
-            if node.is_leaf {
-                cost.leaves_visited += 1;
-                for &pid in &node.children {
-                    if query.contains_point(&self.points[pid]) {
-                        results.push(pid);
-                    }
-                }
-            } else {
+            let (first, end) = (self.first[id], self.end[id]);
+            if id >= self.num_leaves {
                 // Children are packed left-to-right over the order; push
                 // them reversed so the leftmost pops first and leaves are
                 // visited in packed order.
-                stack.extend(node.children.iter().rev().copied());
+                stack.extend((first..end).rev());
+                continue;
             }
+            cost.leaves_visited += 1;
+            if inverted {
+                continue;
+            }
+            let inside = &mut inside[..end - first];
+            inside.fill(1);
+            for d in 0..self.dim {
+                let (qlo, qhi) = (query.lo[d], query.hi[d]);
+                if qlo <= lo[d] && hi[d] <= qhi {
+                    continue;
+                }
+                // `qlo <= c <= qhi` as one unsigned compare, exact over
+                // the whole i64 range once `qlo <= qhi`.
+                let span = qhi.wrapping_sub(qlo) as u64;
+                let column = &self.coords[d * n + first..d * n + end];
+                for (keep, &c) in inside.iter_mut().zip(column) {
+                    *keep &= u8::from(c.wrapping_sub(qlo) as u64 <= span);
+                }
+            }
+            // Compact the kept ids, in packed order, without a branch:
+            // write every id, advance only past the kept ones.
+            let mut len = results.len();
+            results.resize(len + inside.len(), 0);
+            for (&pid, &keep) in self.ids[first..end].iter().zip(inside.iter()) {
+                results[len] = pid;
+                len += usize::from(keep);
+            }
+            results.truncate(len);
         }
         cost.results = results.len();
         (results, cost)
@@ -255,32 +346,48 @@ impl<'a> PackedRTree<'a> {
     ///
     /// `k` is clamped to the point count; `k == 0` returns nothing and
     /// touches nothing.
+    ///
+    /// # Panics
+    /// Panics when `center`'s dimension differs from the points'.
     pub fn knn_best_first(&self, center: &[i64], k: usize) -> (Vec<usize>, QueryCost) {
+        self.assert_query_dim(center.len());
         let mut cost = QueryCost::ZERO;
-        let k = k.min(self.points.len());
+        let n = self.ids.len();
+        let k = k.min(n);
         if k == 0 {
             return (Vec::new(), cost);
         }
+        let bound_of = |node: usize| {
+            let (lo, hi) = self.corners(node);
+            box_min_chebyshev(lo, hi, center)
+        };
         // Min-heap frontier of (lower bound, node id).
         let mut frontier: BinaryHeap<Reverse<(i64, usize)>> = BinaryHeap::new();
-        frontier.push(Reverse((
-            self.nodes[self.root].mbr.min_chebyshev_dist(center),
-            self.root,
-        )));
+        frontier.push(Reverse((bound_of(self.root()), self.root())));
         // Max-heap of the best k candidates seen, keyed (distance, id).
         let mut best: BinaryHeap<(i64, usize)> = BinaryHeap::with_capacity(k + 1);
+        // Chebyshev distances of the current leaf's points.
+        let mut dist = vec![0i64; self.fanout];
         while let Some(Reverse((bound, id))) = frontier.pop() {
             // The frontier pops in non-decreasing bound order, so the
             // first unbeatable bound ends the whole search.
             if best.len() == k && bound > best.peek().expect("k > 0 candidates").0 {
                 break;
             }
-            let node = &self.nodes[id];
             cost.nodes_visited += 1;
-            if node.is_leaf {
+            let (first, end) = (self.first[id], self.end[id]);
+            if id < self.num_leaves {
                 cost.leaves_visited += 1;
-                for &pid in &node.children {
-                    let entry = (chebyshev(center, &self.points[pid]), pid);
+                let dist = &mut dist[..end - first];
+                dist.fill(i64::MIN);
+                for (d, &x) in center.iter().enumerate() {
+                    let column = &self.coords[d * n + first..d * n + end];
+                    for (far, &c) in dist.iter_mut().zip(column) {
+                        *far = (*far).max((x - c).abs());
+                    }
+                }
+                for (&far, &pid) in dist.iter().zip(&self.ids[first..end]) {
+                    let entry = (far, pid);
                     if best.len() < k {
                         best.push(entry);
                     } else if entry < *best.peek().expect("k > 0 candidates") {
@@ -289,8 +396,8 @@ impl<'a> PackedRTree<'a> {
                     }
                 }
             } else {
-                for &child in &node.children {
-                    let child_bound = self.nodes[child].mbr.min_chebyshev_dist(center);
+                for child in first..end {
+                    let child_bound = bound_of(child);
                     // Prune only on a strictly worse bound: an equal one
                     // may hold an equal-distance point with a smaller id.
                     if best.len() < k || child_bound <= best.peek().expect("k > 0 candidates").0 {
@@ -310,6 +417,7 @@ impl<'a> PackedRTree<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mbr::chebyshev;
 
     /// A 4×4 grid of points, id = row-major index.
     fn grid_points(side: i64) -> Vec<Vec<i64>> {
@@ -533,6 +641,46 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_points_panic() {
         PackedRTree::pack(&[], &LinearOrder::identity(0), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one dimension")]
+    fn zero_dimensional_points_panic() {
+        PackedRTree::pack(&[vec![], vec![]], &LinearOrder::identity(2), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "every point must have dimension 2")]
+    fn mixed_dimension_points_panic() {
+        let pts = vec![vec![0, 0], vec![1, 1, 1], vec![2, 2]];
+        PackedRTree::pack(&pts, &LinearOrder::identity(3), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimension")]
+    fn range_query_ordered_dimension_mismatch_panics() {
+        let t = PackedRTree::pack(&grid_points(4), &LinearOrder::identity(16), 4);
+        t.range_query_ordered(&Mbr {
+            lo: vec![0],
+            hi: vec![3],
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimension")]
+    fn range_query_dimension_mismatch_panics() {
+        let t = PackedRTree::pack(&grid_points(4), &LinearOrder::identity(16), 4);
+        t.range_query(&Mbr {
+            lo: vec![0, 0, 0],
+            hi: vec![3, 3, 3],
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimension")]
+    fn knn_dimension_mismatch_panics() {
+        let t = PackedRTree::pack(&grid_points(4), &LinearOrder::identity(16), 4);
+        t.knn_best_first(&[1], 3);
     }
 
     #[test]
