@@ -83,10 +83,11 @@ impl Mbr {
     /// Chebyshev (L∞) distance from `p` to the nearest point of this MBR
     /// (`0` when `p` lies inside). This is the lower bound a best-first
     /// kNN search orders its frontier by: no point under a subtree can be
-    /// closer to `p` than its node MBR.
+    /// closer to `p` than its node MBR. Like [`chebyshev`], a distance
+    /// past `i64::MAX` saturates to `i64::MAX`.
     pub fn min_chebyshev_dist(&self, p: &[i64]) -> i64 {
         debug_assert_eq!(p.len(), self.ndim());
-        box_min_chebyshev(&self.lo, &self.hi, p)
+        saturate(box_min_chebyshev(&self.lo, &self.hi, p))
     }
 }
 
@@ -99,15 +100,16 @@ pub(crate) fn boxes_intersect(alo: &[i64], ahi: &[i64], blo: &[i64], bhi: &[i64]
         .all(|((&alo, &ahi), (&blo, &bhi))| alo <= bhi && blo <= ahi)
 }
 
-/// [`Mbr::min_chebyshev_dist`] over borrowed corners.
-pub(crate) fn box_min_chebyshev(lo: &[i64], hi: &[i64], p: &[i64]) -> i64 {
+/// The exact [`Mbr::min_chebyshev_dist`] over borrowed corners: two
+/// `i64`s can lie up to `u64::MAX` apart, so the gap is a `u64`.
+pub(crate) fn box_min_chebyshev(lo: &[i64], hi: &[i64], p: &[i64]) -> u64 {
     p.iter()
         .zip(lo.iter().zip(hi))
         .map(|(&c, (&l, &h))| {
             if c < l {
-                l - c
+                l.abs_diff(c)
             } else if c > h {
-                c - h
+                c.abs_diff(h)
             } else {
                 0
             }
@@ -118,13 +120,24 @@ pub(crate) fn box_min_chebyshev(lo: &[i64], hi: &[i64], p: &[i64]) -> i64 {
 
 /// Chebyshev (L∞) distance between two points — the metric every kNN
 /// query of the serving layer ranks neighbours by.
+///
+/// Two `i64` coordinates can lie up to `u64::MAX` apart; a distance past
+/// `i64::MAX` saturates to `i64::MAX`, so points that far away tie here.
+/// [`crate::PackedRTree::knn_best_first`] ranks by the exact distance.
 pub fn chebyshev(a: &[i64], b: &[i64]) -> i64 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| (x - y).abs())
-        .max()
-        .unwrap_or(0)
+    saturate(
+        a.iter()
+            .zip(b.iter())
+            .map(|(&x, &y)| x.abs_diff(y))
+            .max()
+            .unwrap_or(0),
+    )
+}
+
+/// `d` as an `i64`, pinned at `i64::MAX`.
+fn saturate(d: u64) -> i64 {
+    i64::try_from(d).unwrap_or(i64::MAX)
 }
 
 #[cfg(test)]
@@ -210,6 +223,28 @@ mod tests {
         assert_eq!(chebyshev(&[0, 0], &[3, -2]), 3);
         assert_eq!(chebyshev(&[1, 1, 1], &[1, 1, 1]), 0);
         assert_eq!(chebyshev(&[], &[]), 0);
+    }
+
+    #[test]
+    fn distances_across_the_whole_i64_range_do_not_overflow() {
+        // `i64::MAX - i64::MIN` overflows an `i64` subtraction: it wrapped
+        // to 1 in release and panicked in debug.
+        assert_eq!(chebyshev(&[i64::MAX, 0], &[i64::MIN, 0]), i64::MAX);
+        assert_eq!(chebyshev(&[0, i64::MIN], &[0, i64::MAX]), i64::MAX);
+        assert_eq!(chebyshev(&[i64::MAX, 0], &[-1, 0]), i64::MAX);
+        assert_eq!(chebyshev(&[i64::MAX - 1, 0], &[-1, 0]), i64::MAX);
+        assert_eq!(chebyshev(&[i64::MAX - 2, 0], &[-1, 0]), i64::MAX - 1);
+        let far = Mbr::point(&[i64::MAX, i64::MAX]);
+        assert_eq!(
+            box_min_chebyshev(&far.lo, &far.hi, &[i64::MIN, 0]),
+            u64::MAX
+        );
+        assert_eq!(far.min_chebyshev_dist(&[i64::MIN, 0]), i64::MAX);
+        let wide = Mbr {
+            lo: vec![i64::MIN, i64::MIN],
+            hi: vec![i64::MAX, i64::MAX],
+        };
+        assert_eq!(wide.min_chebyshev_dist(&[0, i64::MAX]), 0);
     }
 
     #[test]

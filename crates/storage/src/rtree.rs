@@ -16,6 +16,21 @@
 //! Nodes are numbered leaves first, then each internal level in turn; a
 //! node's children (leaf: packed positions, internal: node ids) are one
 //! consecutive range, so no node owns an allocation.
+//!
+//! Each leaf also carries a key index: its widest dimension (the key) and
+//! its points sorted by their key coordinate. A leaf packed along a
+//! locality-preserving order can still be a tall band (the spectral order
+//! of a grid with holes packs column-high leaves), and a small query
+//! meets only a thin slab of it. Both planners look up that slab by
+//! binary search:
+//! - a range query scans only the points whose key lies inside the
+//!   query, when they are at most half of the leaf, and the whole leaf
+//!   otherwise (see [`PackedRTree::range_query_ordered`]);
+//! - a kNN query evaluates only the points whose key lies within the
+//!   current k-th distance of the centre (see
+//!   [`PackedRTree::knn_best_first`]).
+//!
+//! Neither changes which nodes are visited or what is returned.
 
 use crate::mbr::{box_min_chebyshev, boxes_intersect, Mbr};
 use serde::Serialize;
@@ -25,14 +40,18 @@ use std::collections::BinaryHeap;
 
 /// A packed R-tree: bulk-loaded, never updated (the classic static index).
 ///
-/// Owns one copy of the indexed coordinates, 8·dim bytes per point,
-/// dimension-major in packed order (`coords[d * n + pos]`), plus the
-/// 8-byte point id of each packed position. Per node it holds two
-/// `usize`s (its child range) and 2·dim coordinates (its MBR). Nothing
-/// else is kept: no per-node or per-point heap allocation. For 10⁶ 2-D
-/// points that is 16 MB of coordinates and 8 MB of ids in two
-/// allocations, where a second `Vec<Vec<i64>>` would be ~40 MB of small
-/// heap allocations.
+/// Per point it owns 20 + 8·dim bytes, in flat arrays:
+/// - one copy of the indexed coordinates, 8·dim bytes, dimension-major in
+///   packed order (`coords[d * n + pos]`);
+/// - the 8-byte point id of each packed position;
+/// - the leaf key index, 12 bytes: the point's 4-byte offset within its
+///   leaf and its 8-byte key coordinate, in key order.
+///
+/// Per node it holds two `usize`s (its child range) and 2·dim
+/// coordinates (its MBR), and per leaf the `usize` key dimension. No node
+/// or point owns a heap allocation. For 10⁶ 2-D points that is 16 MB of
+/// coordinates, 8 MB of ids and 12 MB of key index, where a second
+/// `Vec<Vec<i64>>` alone would be ~40 MB of small heap allocations.
 #[derive(Debug, Clone)]
 pub struct PackedRTree {
     /// Dimension shared by every point (at least 1).
@@ -52,7 +71,25 @@ pub struct PackedRTree {
     end: Vec<usize>,
     /// `2 * dim` values per node: the MBR's `lo` corner, then its `hi`.
     bounds: Vec<i64>,
+    /// Per leaf, the dimension of its widest extent: the leaf's key.
+    key_dim: Vec<usize>,
+    /// Per leaf, over the leaf's packed positions: its in-leaf offsets,
+    /// sorted by `(key coordinate, offset)`.
+    key_offsets: Vec<u32>,
+    /// The key coordinate of each `key_offsets` entry, so ascending
+    /// within each leaf.
+    key_values: Vec<i64>,
 }
+
+/// A range query scans a leaf's key slab instead of the whole leaf when
+/// the slab holds at most `1 / SLAB_SHARE` of the leaf's points. A slab
+/// point costs a gather where the whole-leaf scan streams a column. On
+/// the perfbench batches (seed 8, fanout 64, tree only, medians of 25
+/// interleaved rounds) a half and a whole leaf were equal on both point
+/// sets; a quarter was 3% faster on the holey set and 19% slower on the
+/// 256×192 grid, so slabs between a quarter and a half of the grid's
+/// column-shaped leaves pay off too.
+const SLAB_SHARE: usize = 2;
 
 /// Access counts of one range query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -96,11 +133,17 @@ impl PackedRTree {
     /// # Panics
     /// Panics when `fanout < 2`, `points` is empty, `order.len()` differs
     /// from `points.len()`, the points have no coordinates, or two points
-    /// differ in dimension — all caller bugs.
+    /// differ in dimension — all caller bugs. Also panics when a leaf
+    /// would hold more than `u32::MAX` points (both `fanout` and the point
+    /// count above it), because in-leaf offsets are stored as `u32`.
     pub fn pack(points: &[Vec<i64>], order: &LinearOrder, fanout: usize) -> Self {
         assert!(fanout >= 2, "R-tree fanout must be at least 2");
         assert!(!points.is_empty(), "cannot pack an empty point set");
         assert_eq!(order.len(), points.len(), "order/point-set mismatch");
+        assert!(
+            u32::try_from(fanout.min(points.len())).is_ok(),
+            "R-tree leaves hold at most u32::MAX points"
+        );
         let dim = points[0].len();
         assert!(dim >= 1, "R-tree points need at least one dimension");
         assert!(
@@ -132,6 +175,25 @@ impl PackedRTree {
             }
         }
         let num_leaves = first.len();
+        // Leaf key index: the widest dimension (the lowest on a tie), and
+        // the leaf's offsets sorted by that coordinate.
+        let mut key_dim = Vec::with_capacity(num_leaves);
+        let mut key_offsets: Vec<u32> = Vec::with_capacity(n);
+        let mut key_values = Vec::with_capacity(n);
+        let mut keyed: Vec<(i64, u32)> = Vec::with_capacity(fanout.min(n));
+        for leaf in 0..num_leaves {
+            let (lo, hi) = bounds[leaf * 2 * dim..(leaf + 1) * 2 * dim].split_at(dim);
+            let key = (0..dim)
+                .max_by_key(|&d| (hi[d].abs_diff(lo[d]), Reverse(d)))
+                .expect("dim >= 1");
+            key_dim.push(key);
+            let column = &coords[key * n + first[leaf]..key * n + end[leaf]];
+            keyed.clear();
+            keyed.extend(column.iter().copied().zip(0u32..));
+            keyed.sort_unstable();
+            key_offsets.extend(keyed.iter().map(|&(_, o)| o));
+            key_values.extend(keyed.iter().map(|&(v, _)| v));
+        }
         let mut height = 1usize;
         // Internal levels: consecutive runs of the level below.
         let mut level = 0..num_leaves;
@@ -165,6 +227,9 @@ impl PackedRTree {
             first,
             end,
             bounds,
+            key_dim,
+            key_offsets,
+            key_values,
         }
     }
 
@@ -218,6 +283,16 @@ impl PackedRTree {
         }
     }
 
+    /// The `[a, b)` range of `leaf`'s key-ordered entries (relative to the
+    /// leaf's first packed position) whose key lies in `lo..=hi`.
+    fn key_slab(&self, leaf: usize, lo: i64, hi: i64) -> (usize, usize) {
+        let keys = &self.key_values[self.first[leaf]..self.end[leaf]];
+        (
+            keys.partition_point(|&v| v < lo),
+            keys.partition_point(|&v| v <= hi),
+        )
+    }
+
     /// The query-side half of the dimension contract.
     fn assert_query_dim(&self, query_dim: usize) {
         assert_eq!(
@@ -253,12 +328,19 @@ impl PackedRTree {
     /// Node-access counts are identical to [`PackedRTree::range_query`]
     /// (same nodes, different visit order).
     ///
-    /// A visited leaf is scanned one dimension at a time: a dimension in
-    /// which the leaf's extent lies inside the query's is skipped, and
-    /// every other one clears the points outside the query's span in a
-    /// per-query byte mask, without a branch per point. An inverted query
-    /// (`lo > hi` in some dimension) matches no point, but still visits
-    /// and counts every node its corners intersect.
+    /// A visited leaf marks its matches in a per-query byte mask, which is
+    /// then compacted into ids in packed order, without a branch per
+    /// point. A dimension in which the leaf's extent lies inside the
+    /// query's needs no test. The mask is filled one of two ways:
+    /// - *slab scan:* when at most half of the leaf's points have
+    ///   their key coordinate inside the query's key span, only those
+    ///   points (found by binary search in the leaf's key index) are
+    ///   marked, and only they are tested in the other dimensions;
+    /// - *mask scan:* otherwise every point starts marked, and each
+    ///   dimension in turn clears the points outside the query's span.
+    ///
+    /// An inverted query (`lo > hi` in some dimension) matches no point,
+    /// but still visits and counts every node its corners intersect.
     ///
     /// # Panics
     /// Panics when the query's dimension differs from the points'.
@@ -292,25 +374,58 @@ impl PackedRTree {
                 continue;
             }
             let inside = &mut inside[..end - first];
-            inside.fill(1);
-            for d in 0..self.dim {
+            // `qlo <= c <= qhi` as one unsigned compare, exact over the
+            // whole i64 range once `qlo <= qhi`; `None` when the leaf lies
+            // inside the query in dimension `d`.
+            let span_test = |d: usize| {
                 let (qlo, qhi) = (query.lo[d], query.hi[d]);
-                if qlo <= lo[d] && hi[d] <= qhi {
+                let inside_leaf = qlo <= lo[d] && hi[d] <= qhi;
+                (!inside_leaf).then(|| (d, qlo, qhi.wrapping_sub(qlo) as u64))
+            };
+            // The key slab, when the leaf is not inside the query's key
+            // span and the slab is selective.
+            let key = self.key_dim[id];
+            let slab = span_test(key)
+                .map(|_| self.key_slab(id, query.lo[key], query.hi[key]))
+                .filter(|&(a, b)| (b - a) * SLAB_SHARE <= inside.len());
+            // The leaf's points (offsets from `first`) the compaction
+            // below covers: all of them, or the span of the slab's.
+            let mut scanned = 0..inside.len();
+            if let Some((a, b)) = slab {
+                if a == b {
                     continue;
                 }
-                // `qlo <= c <= qhi` as one unsigned compare, exact over
-                // the whole i64 range once `qlo <= qhi`.
-                let span = qhi.wrapping_sub(qlo) as u64;
-                let column = &self.coords[d * n + first..d * n + end];
-                for (keep, &c) in inside.iter_mut().zip(column) {
-                    *keep &= u8::from(c.wrapping_sub(qlo) as u64 <= span);
+                let slab = &self.key_offsets[first + a..first + b];
+                let (lo_o, hi_o) = slab
+                    .iter()
+                    .fold((u32::MAX, 0), |(l, h), &o| (l.min(o), h.max(o)));
+                scanned = lo_o as usize..hi_o as usize + 1;
+                inside[scanned.clone()].fill(0);
+                for &o in slab {
+                    inside[o as usize] = 1;
+                }
+                for (d, qlo, span) in (0..self.dim).filter(|&d| d != key).filter_map(span_test) {
+                    let column = &self.coords[d * n + first..d * n + end];
+                    for &o in slab {
+                        let o = o as usize;
+                        inside[o] &= u8::from(column[o].wrapping_sub(qlo) as u64 <= span);
+                    }
+                }
+            } else {
+                inside.fill(1);
+                for (d, qlo, span) in (0..self.dim).filter_map(span_test) {
+                    let column = &self.coords[d * n + first..d * n + end];
+                    for (keep, &c) in inside.iter_mut().zip(column) {
+                        *keep &= u8::from(c.wrapping_sub(qlo) as u64 <= span);
+                    }
                 }
             }
             // Compact the kept ids, in packed order, without a branch:
             // write every id, advance only past the kept ones.
             let mut len = results.len();
-            results.resize(len + inside.len(), 0);
-            for (&pid, &keep) in self.ids[first..end].iter().zip(inside.iter()) {
+            results.resize(len + scanned.len(), 0);
+            let ids = &self.ids[first + scanned.start..first + scanned.end];
+            for (&pid, &keep) in ids.iter().zip(&inside[scanned]) {
                 results[len] = pid;
                 len += usize::from(keep);
             }
@@ -326,7 +441,8 @@ impl PackedRTree {
     /// `k`):
     ///
     /// * the frontier is a binary min-heap of tree nodes keyed by
-    ///   `(`[`Mbr::min_chebyshev_dist`]` to the centre, node id)` — the
+    ///   `(`[`Mbr::min_chebyshev_dist`]` to the centre (exact, as a
+    ///   u64), node id)` — the
     ///   node id tie-break makes the pop order, and therefore the
     ///   node-access counters, a pure function of the tree and query;
     /// * the current `k` best candidates live in a max-heap keyed by
@@ -336,7 +452,17 @@ impl PackedRTree {
     ///   point with a smaller id);
     /// * once the closest frontier node is strictly farther than the
     ///   worst of `k` candidates the search stops: every unvisited point
-    ///   is at least that far away.
+    ///   is at least that far away;
+    /// * a visited leaf evaluates every point while fewer than `k`
+    ///   candidates are held; after that, only the points whose key
+    ///   coordinate lies within the worst candidate's distance of the
+    ///   centre's (found by binary search in the leaf's key index) — any
+    ///   other point is strictly farther than the worst candidate, so it
+    ///   could not have displaced it.
+    ///
+    /// Distances are exact: two `i64` points can lie up to `u64::MAX`
+    /// apart, so ranks are by the `u64` distance, where [`crate::chebyshev`]
+    /// saturates at `i64::MAX`.
     ///
     /// Results come back sorted ascending by `(distance, id)` — bitwise
     /// identical to brute force (score every point, sort, truncate) and to
@@ -362,12 +488,10 @@ impl PackedRTree {
             box_min_chebyshev(lo, hi, center)
         };
         // Min-heap frontier of (lower bound, node id).
-        let mut frontier: BinaryHeap<Reverse<(i64, usize)>> = BinaryHeap::new();
+        let mut frontier: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
         frontier.push(Reverse((bound_of(self.root()), self.root())));
         // Max-heap of the best k candidates seen, keyed (distance, id).
-        let mut best: BinaryHeap<(i64, usize)> = BinaryHeap::with_capacity(k + 1);
-        // Chebyshev distances of the current leaf's points.
-        let mut dist = vec![0i64; self.fanout];
+        let mut best: BinaryHeap<(u64, usize)> = BinaryHeap::with_capacity(k);
         while let Some(Reverse((bound, id))) = frontier.pop() {
             // The frontier pops in non-decreasing bound order, so the
             // first unbeatable bound ends the whole search.
@@ -378,21 +502,32 @@ impl PackedRTree {
             let (first, end) = (self.first[id], self.end[id]);
             if id < self.num_leaves {
                 cost.leaves_visited += 1;
-                let dist = &mut dist[..end - first];
-                dist.fill(i64::MIN);
-                for (d, &x) in center.iter().enumerate() {
-                    let column = &self.coords[d * n + first..d * n + end];
-                    for (far, &c) in dist.iter_mut().zip(column) {
-                        *far = (*far).max((x - c).abs());
+                // Every point while fewer than k candidates are held;
+                // then only the key window of the worst one's distance.
+                let (a, b) = match best.peek() {
+                    Some(&(worst, _)) if best.len() == k => {
+                        let c = center[self.key_dim[id]];
+                        self.key_slab(
+                            id,
+                            c.saturating_sub_unsigned(worst),
+                            c.saturating_add_unsigned(worst),
+                        )
                     }
-                }
-                for (&far, &pid) in dist.iter().zip(&self.ids[first..end]) {
-                    let entry = (far, pid);
+                    _ => (0, end - first),
+                };
+                for &o in &self.key_offsets[first + a..first + b] {
+                    let pos = first + o as usize;
+                    let far = center
+                        .iter()
+                        .enumerate()
+                        .map(|(d, &x)| x.abs_diff(self.coords[d * n + pos]))
+                        .max()
+                        .unwrap_or(0);
+                    let entry = (far, self.ids[pos]);
                     if best.len() < k {
                         best.push(entry);
-                    } else if entry < *best.peek().expect("k > 0 candidates") {
-                        best.pop();
-                        best.push(entry);
+                    } else if let Some(mut worst) = best.peek_mut().filter(|w| entry < **w) {
+                        *worst = entry;
                     }
                 }
             } else {
@@ -612,6 +747,28 @@ mod tests {
             cost.nodes_visited,
             t.num_nodes()
         );
+    }
+
+    #[test]
+    fn knn_best_first_ranks_points_more_than_i64_max_apart_exactly() {
+        // Distances from `i64::MAX` here are 0, i64::MAX, i64::MAX + 1 and
+        // u64::MAX: an `i64` subtraction overflowed on the last two (a
+        // panic in debug, a wrapped rank in release).
+        let pts = vec![
+            vec![i64::MIN, 0],
+            vec![i64::MAX, 0],
+            vec![0, 0],
+            vec![-1, 0],
+        ];
+        for fanout in [2, 4] {
+            let t = PackedRTree::pack(&pts, &LinearOrder::identity(4), fanout);
+            for k in 1..=4 {
+                let (got, _) = t.knn_best_first(&[i64::MAX, 0], k);
+                assert_eq!(got, [1, 2, 3, 0][..k], "fanout {fanout}, k {k}");
+            }
+            let (got, _) = t.knn_best_first(&[i64::MIN, i64::MAX], 4);
+            assert_eq!(got, [0, 3, 2, 1]);
+        }
     }
 
     #[test]

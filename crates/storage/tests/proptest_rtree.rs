@@ -1,26 +1,19 @@
 //! Property tests for the packed R-tree's range queries: on random point
 //! sets — dimensions 2 and 3, coordinates drawn from a tight range (so
 //! duplicate points are common) or pinned against `i64::MIN`/`i64::MAX`,
-//! random packing orders and fanouts 2–9 — every query, inverted ones
-//! (`lo > hi` in one dimension) included, must return exactly the points
-//! a brute-force scan finds and visit exactly the nodes a reference tree
-//! built by the packing rule says it intersects.
+//! random packing orders and fanouts 2–64 — and on 2-D sets packed into
+//! tall column-shaped leaves, every query, inverted ones (`lo > hi` in one
+//! dimension) included, must return exactly the points a brute-force scan
+//! finds and visit exactly the nodes a reference tree built by the
+//! packing rule says it intersects. Thin queries on the column-shaped
+//! leaves take the key-slab scan, wide ones the whole-leaf mask scan.
 
+mod common;
+
+use common::{coord, fanout, reference_levels, tall_case};
 use proptest::prelude::*;
 use slpm_storage::{Mbr, PackedRTree};
 use spectral_lpm::LinearOrder;
-
-/// A coordinate: half the draws in `-4..=4`, the rest next to either end
-/// of `i64`, so query spans cross the whole range and wrap when
-/// subtracted.
-fn coord() -> impl Strategy<Value = i64> {
-    prop_oneof![
-        -4i64..=4,
-        -4i64..=4,
-        i64::MIN..=i64::MIN + 3,
-        i64::MAX - 3..=i64::MAX
-    ]
-}
 
 /// A query: one `(a, b)` pair per dimension, made `lo <= hi`, and an
 /// index that inverts that dimension when it is below the dimension.
@@ -34,7 +27,7 @@ fn range_case() -> impl Strategy<Value = (Vec<Vec<i64>>, Vec<u64>, usize, Vec<Ra
         (
             proptest::collection::vec(proptest::collection::vec(coord(), dim), n),
             proptest::collection::vec(0u64..=16, n),
-            2usize..=9,
+            fanout(),
             proptest::collection::vec(
                 (
                     proptest::collection::vec((coord(), coord()), dim),
@@ -44,6 +37,14 @@ fn range_case() -> impl Strategy<Value = (Vec<Vec<i64>>, Vec<u64>, usize, Vec<Ra
             ),
         )
     })
+}
+
+/// Queries over a [`tall_case`] set: a few columns wide, and either a
+/// thin slab of the columns' height or most of it.
+fn tall_queries() -> impl Strategy<Value = Vec<RawQuery>> {
+    let x = (-2i64..=25, 0i64..=6).prop_map(|(a, len)| (a, a + len));
+    let y = (-260i64..=250, prop_oneof![0i64..=12, 0i64..=400]).prop_map(|(a, len)| (a, a + len));
+    proptest::collection::vec(((x, y).prop_map(|(x, y)| vec![x, y]), 0usize..=8), 1..=16)
 }
 
 /// Build the query box of a [`RawQuery`].
@@ -72,32 +73,6 @@ fn overlaps(m: &Mbr, q: &Mbr) -> bool {
     (0..m.lo.len()).all(|d| m.lo[d] <= q.hi[d] && q.lo[d] <= m.hi[d])
 }
 
-/// The packing rule, restated: leaf MBRs over consecutive runs of
-/// `fanout` packed positions, then each level's MBRs over consecutive
-/// runs of `fanout` MBRs of the level below, up to one root.
-fn reference_levels(points: &[Vec<i64>], order: &LinearOrder, fanout: usize) -> Vec<Vec<Mbr>> {
-    let n = points.len();
-    let leaves: Vec<Mbr> = (0..n)
-        .step_by(fanout)
-        .map(|start| {
-            Mbr::of_points(
-                (start..(start + fanout).min(n)).map(|pos| points[order.vertex_at(pos)].as_slice()),
-            )
-        })
-        .collect();
-    let mut levels = vec![leaves];
-    while levels.last().expect("a leaf level").len() > 1 {
-        let up: Vec<Mbr> = levels
-            .last()
-            .expect("a leaf level")
-            .chunks(fanout)
-            .map(|run| Mbr::of_points(run.iter().flat_map(|m| [m.lo.as_slice(), m.hi.as_slice()])))
-            .collect();
-        levels.push(up);
-    }
-    levels
-}
-
 /// `(nodes, leaves)` a top-down walk visits: a node counts when its MBR
 /// overlaps the query, and only then are its children looked at.
 fn reference_cost(levels: &[Vec<Mbr>], fanout: usize, q: &Mbr) -> (usize, usize) {
@@ -122,6 +97,36 @@ fn reference_cost(levels: &[Vec<Mbr>], fanout: usize, q: &Mbr) -> (usize, usize)
     walk(levels, levels.len() - 1, 0, fanout, q)
 }
 
+/// Check every query of a case against brute force and the reference
+/// walk, and the tree's shape against the reference levels.
+fn check_range_queries(points: &[Vec<i64>], keys: &[u64], fanout: usize, queries: &[RawQuery]) {
+    let order = LinearOrder::from_codes(keys);
+    let tree = PackedRTree::pack(points, &order, fanout);
+    let levels = reference_levels(points, &order, fanout);
+    assert_eq!(tree.height(), levels.len());
+    assert_eq!(tree.num_leaves(), levels[0].len());
+    assert_eq!(tree.num_nodes(), levels.iter().map(Vec::len).sum::<usize>());
+    for raw in queries {
+        let q = query_of(raw);
+        let mut by_rank: Vec<usize> = (0..points.len())
+            .filter(|&i| contains(&q, &points[i]))
+            .collect();
+        let by_id = by_rank.clone();
+        by_rank.sort_unstable_by_key(|&i| order.rank_of(i));
+
+        let (ordered, cost) = tree.range_query_ordered(&q);
+        assert_eq!(&ordered, &by_rank, "ordered results of {q:?}");
+        assert_eq!(cost.results, ordered.len());
+        let (nodes, leaves) = reference_cost(&levels, fanout, &q);
+        assert_eq!(cost.nodes_visited, nodes, "nodes of {q:?}");
+        assert_eq!(cost.leaves_visited, leaves, "leaves of {q:?}");
+
+        let (sorted, sorted_cost) = tree.range_query(&q);
+        assert_eq!(&sorted, &by_id, "id-sorted results of {q:?}");
+        assert_eq!(sorted_cost, cost);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -129,29 +134,14 @@ proptest! {
     fn range_queries_match_brute_force_and_reference_counts(
         (points, keys, fanout, queries) in range_case(),
     ) {
-        let order = LinearOrder::from_codes(&keys);
-        let tree = PackedRTree::pack(&points, &order, fanout);
-        let levels = reference_levels(&points, &order, fanout);
-        prop_assert_eq!(tree.height(), levels.len());
-        prop_assert_eq!(tree.num_leaves(), levels[0].len());
-        prop_assert_eq!(tree.num_nodes(), levels.iter().map(Vec::len).sum::<usize>());
-        for raw in &queries {
-            let q = query_of(raw);
-            let mut by_rank: Vec<usize> =
-                (0..points.len()).filter(|&i| contains(&q, &points[i])).collect();
-            let by_id = by_rank.clone();
-            by_rank.sort_unstable_by_key(|&i| order.rank_of(i));
+        check_range_queries(&points, &keys, fanout, &queries);
+    }
 
-            let (ordered, cost) = tree.range_query_ordered(&q);
-            prop_assert_eq!(&ordered, &by_rank, "ordered results of {:?}", q);
-            prop_assert_eq!(cost.results, ordered.len());
-            let (nodes, leaves) = reference_cost(&levels, fanout, &q);
-            prop_assert_eq!(cost.nodes_visited, nodes, "nodes of {:?}", q);
-            prop_assert_eq!(cost.leaves_visited, leaves, "leaves of {:?}", q);
-
-            let (sorted, sorted_cost) = tree.range_query(&q);
-            prop_assert_eq!(&sorted, &by_id, "id-sorted results of {:?}", q);
-            prop_assert_eq!(sorted_cost, cost);
-        }
+    #[test]
+    fn range_queries_on_column_shaped_leaves_match_brute_force_and_reference_counts(
+        (points, keys, fanout) in tall_case(),
+        queries in tall_queries(),
+    ) {
+        check_range_queries(&points, &keys, fanout, &queries);
     }
 }

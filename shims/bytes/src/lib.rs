@@ -2,8 +2,10 @@
 //!
 //! Provides the `Bytes` / `BytesMut` surface the page store uses: zeroed
 //! mutable buffers, freeze into a cheaply clonable shared buffer, and
-//! zero-copy sub-slicing. Backed by `Arc<[u8]>` + (start, end) offsets,
-//! which preserves the real crate's O(1) `clone`/`slice` behaviour.
+//! zero-copy sub-slicing. Backed by `Arc<Vec<u8>>` + (start, end) offsets,
+//! which preserves the real crate's O(1) behaviour: `Bytes::from(Vec)`
+//! and `freeze` move the vector without copying its bytes, and `clone`
+//! and `slice` share it.
 
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
@@ -11,7 +13,7 @@ use std::sync::Arc;
 /// An immutable, cheaply clonable byte buffer (shared via `Arc`).
 #[derive(Clone, Debug)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -66,10 +68,9 @@ impl Default for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = v.into();
-        let end = data.len();
+        let end = v.len();
         Bytes {
-            data,
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -159,5 +160,24 @@ impl AsRef<[u8]> for BytesMut {
 impl AsMut<[u8]> for BytesMut {
     fn as_mut(&mut self) -> &mut [u8] {
         &mut self.buf
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn freezing_keeps_the_buffer_and_slices_share_it() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let frozen = Bytes::from(v);
+        assert_eq!(frozen.as_ptr(), ptr);
+        let part = frozen.slice(4..8);
+        assert_eq!(part.as_ptr(), ptr.wrapping_add(4));
+        assert_eq!(&part[..], &[7; 4]);
+        let m = BytesMut::zeroed(64);
+        let ptr = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), ptr);
     }
 }
