@@ -1,12 +1,12 @@
 //! End-to-end pipeline scaling: dense QL vs shift-invert Lanczos vs the
 //! multilevel solver, 32x32 up to 1024x1024 (1,048,576 points).
 //!
-//! Unlike `scaling` (which times the bare eigensolver), this runs the whole
-//! Spectral LPM pipeline per method — grid graph, Laplacian, degeneracy-
-//! aware Fiedler solve, linear order — so the numbers are what a user of
-//! `SpectralMapper` actually pays. Each method only runs up to the size it
-//! is sensible at (dense is O(n^3); Lanczos shift-invert re-solves the full
-//! graph every iteration); the multilevel path covers every size.
+//! This runs the whole Spectral LPM pipeline per method — grid graph,
+//! Laplacian, degeneracy-aware Fiedler solve, linear order — so the
+//! numbers are what a user of `SpectralMapper` actually pays. Each method
+//! only runs up to the size it is sensible at (dense is O(n^3); Lanczos
+//! shift-invert re-solves the full graph every iteration); the multilevel
+//! path covers every size.
 //!
 //! Usage:
 //!   pipeline_scale [--max-side N] [--threads N] [--oocore SIDE]
@@ -110,7 +110,7 @@ struct Entry {
     side: usize,
     vertices: usize,
     edges: usize,
-    method: &'static str,
+    method: FiedlerMethod,
     threads: usize,
     seconds: f64,
     lambda2: f64,
@@ -146,15 +146,6 @@ const ITERATION_GATE_MIN_SIDE: usize = 64;
 /// finest-level solve at the smallest gated side and the largest one.
 const ITERATION_GATE_RATIO: f64 = 1.25;
 
-fn method_name(m: FiedlerMethod) -> &'static str {
-    match m {
-        FiedlerMethod::Dense => "dense",
-        FiedlerMethod::ShiftedDirect => "shifted-direct",
-        FiedlerMethod::ShiftInvert => "shift-invert",
-        FiedlerMethod::Multilevel => "multilevel",
-    }
-}
-
 fn run_one(
     spec: &GridSpec,
     method: FiedlerMethod,
@@ -162,7 +153,7 @@ fn run_one(
 ) -> Result<(Entry, LinearOrder), String> {
     let mapper = SpectralMapper::new(SpectralConfig {
         fiedler: FiedlerOptions {
-            method,
+            method: Some(method),
             ..Default::default()
         },
         ..Default::default()
@@ -172,7 +163,7 @@ fn run_one(
     let solver_before = solver_counters();
     let start = Instant::now();
     let mapping = with_pool(threads, |pool| mapper.map_grid_on(spec, pool))
-        .map_err(|e| format!("{} on {:?}: {e}", method_name(method), spec.dims()))?;
+        .map_err(|e| format!("{method} on {:?}: {e}", spec.dims()))?;
     let seconds = start.elapsed().as_secs_f64();
     let dispatch = dispatch_counters().since(&before);
     let solver = solver_counters().since(&solver_before);
@@ -180,7 +171,7 @@ fn run_one(
         side: spec.dim(0),
         vertices: spec.num_points(),
         edges: mapping.num_edges,
-        method: method_name(method),
+        method,
         threads,
         seconds,
         lambda2: mapping.fiedler.lambda2,
@@ -328,7 +319,7 @@ fn run_bisection(side: usize, threads: usize) -> Result<Bisection, String> {
     let graph = spec.graph(Connectivity::Orthogonal);
     let config = SpectralConfig {
         fiedler: FiedlerOptions {
-            method: FiedlerMethod::Multilevel,
+            method: Some(FiedlerMethod::Multilevel),
             ..Default::default()
         },
         ..Default::default()
@@ -382,7 +373,7 @@ fn run_bisection(side: usize, threads: usize) -> Result<Bisection, String> {
 fn dispatch_gate(entries: &[Entry]) -> bool {
     entries
         .iter()
-        .filter(|e| e.method == "multilevel" && e.threads > 1)
+        .filter(|e| e.method == FiedlerMethod::Multilevel && e.threads > 1)
         .all(|e| {
             DISPATCH_BASELINE_JOBS
                 .iter()
@@ -403,10 +394,10 @@ fn speedup_gate(entries: &[Entry], host_parallelism: usize) -> Option<bool> {
     Some(SIDES.iter().all(|&side| {
         let serial = entries
             .iter()
-            .find(|e| e.side == side && e.method == "multilevel" && e.threads == 1);
+            .find(|e| e.side == side && e.method == FiedlerMethod::Multilevel && e.threads == 1);
         let threaded = entries
             .iter()
-            .find(|e| e.side == side && e.method == "multilevel" && e.threads > 1);
+            .find(|e| e.side == side && e.method == FiedlerMethod::Multilevel && e.threads > 1);
         match (serial, threaded) {
             (Some(s), Some(t)) => t.seconds < s.seconds,
             _ => true,
@@ -422,7 +413,7 @@ fn speedup_gate(entries: &[Entry], host_parallelism: usize) -> Option<bool> {
 fn iteration_gate(entries: &[Entry]) -> Option<bool> {
     let gated: Vec<&Entry> = entries
         .iter()
-        .filter(|e| e.method == "multilevel" && e.threads == 1)
+        .filter(|e| e.method == FiedlerMethod::Multilevel && e.threads == 1)
         .filter(|e| e.side >= ITERATION_GATE_MIN_SIDE)
         .collect();
     let smallest = gated.iter().min_by_key(|e| e.side)?;
@@ -540,10 +531,10 @@ fn to_json(
     for &side in SIDES.iter().filter(|&&s| s <= max_side) {
         let ml = entries
             .iter()
-            .find(|e| e.side == side && e.method == "multilevel" && e.threads == 1);
+            .find(|e| e.side == side && e.method == FiedlerMethod::Multilevel && e.threads == 1);
         let best_other = entries
             .iter()
-            .filter(|e| e.side == side && e.method != "multilevel")
+            .filter(|e| e.side == side && e.method != FiedlerMethod::Multilevel)
             .min_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite times"));
         if let (Some(ml), Some(other)) = (ml, best_other) {
             lines.push(format!(
@@ -564,10 +555,10 @@ fn to_json(
     for &side in SIDES.iter().filter(|&&s| s <= max_side) {
         let serial = entries
             .iter()
-            .find(|e| e.side == side && e.method == "multilevel" && e.threads == 1);
+            .find(|e| e.side == side && e.method == FiedlerMethod::Multilevel && e.threads == 1);
         let threaded = entries
             .iter()
-            .find(|e| e.side == side && e.method == "multilevel" && e.threads > 1);
+            .find(|e| e.side == side && e.method == FiedlerMethod::Multilevel && e.threads > 1);
         if let (Some(s1), Some(st)) = (serial, threaded) {
             lines.push(format!(
                 "    {{\"side\": {side}, \"threads\": {}, \"serial_seconds\": {:.6}, \

@@ -1,5 +1,6 @@
 //! Hand-rolled argument parsing for the `slpm` binary.
 
+use slpm_linalg::FiedlerMethod;
 use slpm_serve::arrival::ArrivalShape;
 use slpm_serve::engine::KnnPlanner;
 use slpm_serve::shard::Partition;
@@ -75,14 +76,14 @@ pub enum Command {
         /// machine default. Never changes the computed order.
         threads: Option<usize>,
     },
-    /// `slpm fiedler --grid AxBx…
-    /// [--method dense|shift-invert|shifted-direct|multilevel|auto]
+    /// `slpm fiedler --grid AxBx… [--method dense|shift-invert|multilevel]
     /// [--threads N]`
     Fiedler {
         /// Grid extents.
         dims: Vec<usize>,
-        /// Eigensolver method name.
-        method: String,
+        /// Eigensolver method; `None` = the size policy
+        /// ([`FiedlerMethod::for_size`]).
+        method: Option<FiedlerMethod>,
         /// Eigensolver worker threads; `None` = machine default.
         threads: Option<usize>,
     },
@@ -290,31 +291,24 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
         "fiedler" => {
             let mut dims = None;
-            let mut method = "shift-invert".to_string();
+            let mut method = None;
             let mut threads = None;
             let mut i = 1;
             while i < args.len() {
                 match args[i].as_str() {
                     "--grid" => dims = Some(parse_dims(take_value(args, &mut i, "--grid")?)?),
-                    "--method" => method = take_value(args, &mut i, "--method")?.to_string(),
+                    "--method" => {
+                        let v = take_value(args, &mut i, "--method")?;
+                        method = Some(FiedlerMethod::parse(v).ok_or_else(|| {
+                            ParseError(format!(
+                                "unknown method '{v}' (dense, shift-invert, multilevel)"
+                            ))
+                        })?);
+                    }
                     "--threads" => threads = Some(parse_threads(args, &mut i)?),
                     other => return Err(ParseError(format!("unknown flag '{other}'"))),
                 }
                 i += 1;
-            }
-            if ![
-                "dense",
-                "shift-invert",
-                "shifted-direct",
-                "multilevel",
-                "auto",
-            ]
-            .contains(&method.as_str())
-            {
-                return Err(ParseError(format!(
-                    "unknown method '{method}' (dense, shift-invert, shifted-direct, \
-                     multilevel, auto)"
-                )));
             }
             Ok(Command::Fiedler {
                 dims: dims.ok_or_else(|| ParseError("fiedler requires --grid".into()))?,
@@ -579,8 +573,7 @@ slpm — Spectral LPM reproduction CLI
 
 USAGE:
   slpm order   --grid 8x8 --mapping spectral [--csv] [--threads N]
-  slpm fiedler --grid 8x8 [--method dense|shift-invert|shifted-direct|multilevel|auto]
-               [--threads N]
+  slpm fiedler --grid 8x8 [--method dense|shift-invert|multilevel] [--threads N]
   slpm figure  <fig1|fig3|fig4|fig5a|fig5b|fig6a|fig6b>
   slpm experiment <knn|storage|rtree|decluster|pointcloud|ablations>
   slpm report  --grid 8x8 --mapping hilbert
@@ -702,12 +695,20 @@ mod tests {
             c,
             Command::Fiedler {
                 dims: vec![4, 4],
-                method: "shift-invert".into(),
+                method: None,
                 threads: None
             }
         );
-        assert!(parse(&argv(&["fiedler", "--grid", "4x4", "--method", "qr"])).is_err());
-        for m in ["multilevel", "auto", "dense", "shifted-direct"] {
+        for bad in ["qr", "auto", "shifted-direct"] {
+            assert!(
+                matches!(
+                    parse(&argv(&["fiedler", "--grid", "4x4", "--method", bad])),
+                    Err(ParseError(_))
+                ),
+                "method {bad} should be rejected"
+            );
+        }
+        for m in ["multilevel", "dense", "shift-invert"] {
             assert!(
                 parse(&argv(&["fiedler", "--grid", "4x4", "--method", m])).is_ok(),
                 "method {m} should parse"
@@ -731,7 +732,7 @@ mod tests {
             c,
             Command::Fiedler {
                 dims: vec![4, 4],
-                method: "multilevel".into(),
+                method: Some(FiedlerMethod::Multilevel),
                 threads: Some(4)
             }
         );

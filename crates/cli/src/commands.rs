@@ -2,7 +2,7 @@
 
 use crate::args::{Command, MappingChoice, ParseError};
 use slpm_graph::grid::{Connectivity, GridSpec};
-use slpm_linalg::fiedler::{fiedler_pair_on, FiedlerMethod, FiedlerOptions};
+use slpm_linalg::fiedler::{fiedler_pair_on, FiedlerOptions};
 use slpm_linalg::{parallel, Pool};
 use slpm_querysim::experiments::{
     ablation, declustering, fig1, fig3, fig4, fig5, fig6, knn, point_cloud, rtree_packing,
@@ -78,13 +78,12 @@ fn build_order(
             } else {
                 Connectivity::Full
             };
-            // Automatic eigensolver selection: dense on tiny grids,
-            // shift-invert in the mid range, multilevel at scale — so
+            // The default eigensolver policy picks dense on tiny grids,
+            // shift-invert in the mid range and multilevel at scale, so
             // `slpm order --mapping spectral` stays fast from 3x3 up to
             // production-sized grids.
             let mapper = SpectralMapper::new(SpectralConfig {
                 connectivity,
-                auto_method: true,
                 ..Default::default()
             });
             Ok(
@@ -309,18 +308,11 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
         } => {
             let spec = GridSpec::new(dims);
             let lap = spec.graph(Connectivity::Orthogonal).laplacian();
-            let m = match method.as_str() {
-                "dense" => FiedlerMethod::Dense,
-                "shifted-direct" => FiedlerMethod::ShiftedDirect,
-                "multilevel" => FiedlerMethod::Multilevel,
-                "auto" => SpectralConfig::method_for_size(spec.num_points()),
-                _ => FiedlerMethod::ShiftInvert,
-            };
             let pair = with_spectral_pool(*threads, |pool| {
                 fiedler_pair_on(
                     &lap,
                     &FiedlerOptions {
-                        method: m,
+                        method: *method,
                         ..Default::default()
                     },
                     pool,
@@ -331,7 +323,7 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             Ok(format!(
                 "grid {:?}  method {}\nlambda_2 = {:.8}\nresidual = {:.2e}\nfiedler vector = [{}]\n",
                 dims,
-                method,
+                pair.method,
                 pair.lambda2,
                 pair.residual,
                 comps.join(", ")
@@ -580,7 +572,7 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             let graph = spec.graph(Connectivity::Orthogonal);
             let order = build_order(dims, *mapping, None)?;
             let report = with_spectral_pool(None, |pool| {
-                spectral_lpm::OrderReport::compute(&graph, &order, &SpectralConfig::auto(), pool)
+                spectral_lpm::OrderReport::compute(&graph, &order, &SpectralConfig::default(), pool)
             })
             .map_err(|e| ParseError(e.to_string()))?;
             Ok(report.render(&mapping.to_string()))
@@ -645,9 +637,18 @@ mod tests {
         // Small grids route multilevel through its exact dense fallback, so
         // λ₂ matches the closed form tightly.
         let out = run(&["fiedler", "--grid", "3x3", "--method", "multilevel"]).unwrap();
+        assert!(out.contains("method multilevel"), "{out}");
         assert!(out.contains("lambda_2 = 1.000000"), "{out}");
-        let out = run(&["fiedler", "--grid", "4x4", "--method", "auto"]).unwrap();
-        assert!(out.contains("lambda_2"), "{out}");
+        // Without --method the size policy chooses, and the output names
+        // the method that ran, not a flag string.
+        let out = run(&["fiedler", "--grid", "8x8"]).unwrap();
+        assert!(out.contains("method dense"), "{out}");
+        let out = run(&["fiedler", "--grid", "10x10"]).unwrap();
+        assert!(out.contains("method shift-invert"), "{out}");
+        assert!(matches!(
+            run(&["fiedler", "--grid", "8x8", "--method", "auto"]),
+            Err(ParseError(_))
+        ));
     }
 
     #[test]

@@ -44,11 +44,7 @@ impl OrderReport {
     ) -> Result<OrderReport, MappingError> {
         assert_eq!(g.num_vertices(), order.len(), "graph/order size mismatch");
         g.require_connected()?;
-        let pair = fiedler_pair_on(
-            &g.laplacian(),
-            &config.resolved_fiedler(g.num_vertices()),
-            pool,
-        )?;
+        let pair = fiedler_pair_on(&g.laplacian(), &config.fiedler, pool)?;
         let la = objective::linear_arrangement_cost(g, order);
         let edges = g.num_edges().max(1);
         Ok(OrderReport {

@@ -58,12 +58,10 @@ pub mod diagnostics;
 pub mod mapper;
 pub mod objective;
 pub mod order;
-pub mod partition;
 pub mod recursive;
 
 pub use affinity::AffinityEdge;
 pub use diagnostics::OrderReport;
 pub use mapper::{MappingError, SpectralConfig, SpectralMapper, SpectralMapping};
 pub use order::LinearOrder;
-pub use partition::{spectral_bisection, Bisection};
 pub use recursive::{multi_vector_order_on, rsb_order_on, RsbOptions};

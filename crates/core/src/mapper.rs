@@ -46,56 +46,25 @@ impl From<LinalgError> for MappingError {
 pub struct SpectralConfig {
     /// Neighbourhood model for step 1 (4- vs 8-connectivity, Section 4).
     pub connectivity: Connectivity,
-    /// Eigensolver options for step 3.
+    /// Eigensolver options for step 3. By default the eigensolver is
+    /// picked per input size ([`FiedlerMethod::for_size`]); setting
+    /// `fiedler.method` pins one.
     pub fiedler: FiedlerOptions,
-    /// When set, ignore `fiedler.method` and pick the eigensolver per input
-    /// size via [`SpectralConfig::method_for_size`] — dense QL on tiny
-    /// graphs, shift-invert Lanczos in the mid range, multilevel at scale.
-    pub auto_method: bool,
 }
 
-/// Largest vertex count still solved by the exact dense path under
-/// automatic method selection.
-pub const AUTO_DENSE_MAX: usize = 96;
-/// Largest vertex count still solved by shift-invert Lanczos under
-/// automatic method selection; beyond it the multilevel scheme wins.
-pub const AUTO_SHIFT_INVERT_MAX: usize = 4096;
-
 impl SpectralConfig {
-    /// A configuration with [`SpectralConfig::auto_method`] enabled.
+    /// Equal to [`SpectralConfig::default`], whose eigensolver is already
+    /// chosen by size; kept because the `perfbench/` benchmark calls it.
     pub fn auto() -> Self {
-        SpectralConfig {
-            auto_method: true,
-            ..Default::default()
-        }
+        SpectralConfig::default()
     }
 
-    /// The eigensolver automatic selection uses for an `n`-vertex graph:
-    /// dense QL for `n ≤ `[`AUTO_DENSE_MAX`] (exact and instant), Lanczos
-    /// shift-invert up to [`AUTO_SHIFT_INVERT_MAX`], multilevel beyond —
-    /// the crossover points measured by the `pipeline_scale` benchmark.
-    pub fn method_for_size(n: usize) -> FiedlerMethod {
-        if n <= AUTO_DENSE_MAX {
-            FiedlerMethod::Dense
-        } else if n <= AUTO_SHIFT_INVERT_MAX {
-            FiedlerMethod::ShiftInvert
-        } else {
-            FiedlerMethod::Multilevel
-        }
-    }
-
-    /// The eigensolver options to use for an `n`-vertex solve: a copy of
-    /// [`SpectralConfig::fiedler`], with the method overridden per
-    /// [`SpectralConfig::method_for_size`] when
-    /// [`SpectralConfig::auto_method`] is set. Every solve in this crate
-    /// (mapper, bisection, recursive ordering, diagnostics) resolves its
-    /// options through here so `auto_method` means the same thing
-    /// everywhere — including per-subgraph sizes during recursion.
+    /// The eigensolver options an `n`-vertex solve runs with: a copy of
+    /// [`SpectralConfig::fiedler`] whose method is resolved, by
+    /// [`FiedlerMethod::for_size`] unless one is pinned.
     pub fn resolved_fiedler(&self, n: usize) -> FiedlerOptions {
         let mut opts = self.fiedler.clone();
-        if self.auto_method {
-            opts.method = SpectralConfig::method_for_size(n);
-        }
+        opts.method.get_or_insert(FiedlerMethod::for_size(n));
         opts
     }
 }
@@ -175,8 +144,7 @@ impl SpectralMapper {
         // > 1 and the balanced entry point picks a canonical mixed
         // representative instead of an arbitrary (possibly axis-pure,
         // sweep-like) element of the eigenspace.
-        let fiedler_opts = self.config.resolved_fiedler(graph.num_vertices());
-        let fiedler = fiedler_pair_balanced_on(&laplacian, &fiedler_opts, pool)?;
+        let fiedler = fiedler_pair_balanced_on(&laplacian, &self.config.fiedler, pool)?;
         // Steps 4–5: sort on the Fiedler values. Snap values that agree up
         // to solver round-off so ties (grid rows share one value in exact
         // arithmetic) are broken by the documented vertex-index rule, not
@@ -328,16 +296,19 @@ mod tests {
     #[test]
     fn dense_and_iterative_methods_agree_on_order() {
         let spec = GridSpec::new(&[5, 3]); // non-square: λ₂ simple
-        let dense = SpectralMapper::new(SpectralConfig {
-            fiedler: FiedlerOptions {
-                method: FiedlerMethod::Dense,
+        let with_method = |method| {
+            SpectralMapper::new(SpectralConfig {
+                fiedler: FiedlerOptions {
+                    method: Some(method),
+                    ..Default::default()
+                },
                 ..Default::default()
-            },
-            ..Default::default()
-        })
-        .map_grid_on(&spec, &Pool::default())
-        .unwrap();
-        let si = mapper().map_grid_on(&spec, &Pool::default()).unwrap();
+            })
+            .map_grid_on(&spec, &Pool::default())
+            .unwrap()
+        };
+        let dense = with_method(FiedlerMethod::Dense);
+        let si = with_method(FiedlerMethod::ShiftInvert);
         // λ₂ agrees tightly.
         assert!((dense.fiedler.lambda2 - si.fiedler.lambda2).abs() < 1e-7);
         // The Fiedler vectors agree up to sign (λ₂ is simple on a 5×3
@@ -363,27 +334,51 @@ mod tests {
         );
     }
 
+    /// A connected, non-square `n`-vertex graph: the first `n` vertices
+    /// of a 32-wide grid in row-major order.
+    fn truncated_grid(n: usize) -> Graph {
+        let width = 32;
+        let mut g = Graph::new(n);
+        for v in 0..n {
+            if (v + 1) % width != 0 && v + 1 < n {
+                g.add_edge(v, v + 1).unwrap();
+            }
+            if v + width < n {
+                g.add_edge(v, v + width).unwrap();
+            }
+        }
+        g
+    }
+
     #[test]
-    fn auto_method_selects_by_size() {
-        assert_eq!(
-            SpectralConfig::method_for_size(AUTO_DENSE_MAX),
-            FiedlerMethod::Dense
-        );
-        assert_eq!(
-            SpectralConfig::method_for_size(AUTO_DENSE_MAX + 1),
-            FiedlerMethod::ShiftInvert
-        );
-        assert_eq!(
-            SpectralConfig::method_for_size(AUTO_SHIFT_INVERT_MAX + 1),
-            FiedlerMethod::Multilevel
-        );
-        // auto() actually routes a tiny grid through the dense path and
-        // reports it in the diagnostics.
-        let m = SpectralMapper::new(SpectralConfig::auto())
-            .map_grid_on(&GridSpec::new(&[3, 3]), &Pool::default())
-            .unwrap();
-        assert_eq!(m.fiedler.method, FiedlerMethod::Dense);
-        assert!((m.fiedler.lambda2 - 1.0).abs() < 1e-9);
+    fn size_policy_is_the_default() {
+        let dense_max = FiedlerMethod::DENSE_MAX;
+        let crossover = FiedlerMethod::SHIFT_INVERT_MAX;
+        for (n, expect) in [
+            (dense_max, FiedlerMethod::Dense),
+            (dense_max + 1, FiedlerMethod::ShiftInvert),
+            (crossover, FiedlerMethod::ShiftInvert),
+            (crossover + 1, FiedlerMethod::Multilevel),
+        ] {
+            assert_eq!(FiedlerMethod::for_size(n), expect, "n = {n}");
+            // `auto()` is the default: the options perfbench reads from it
+            // are the ones every default solve runs with.
+            let d = SpectralConfig::default().resolved_fiedler(n);
+            let a = SpectralConfig::auto().resolved_fiedler(n);
+            assert_eq!(d.method, Some(expect), "n = {n}");
+            assert_eq!(a.method, d.method);
+            assert_eq!(a.tolerance, d.tolerance);
+            assert_eq!(a.seed, d.seed);
+            assert_eq!(a.multilevel.coarsest_size, d.multilevel.coarsest_size);
+            assert_eq!(a.multilevel.guard_vectors, d.multilevel.guard_vectors);
+            assert_eq!(a.multilevel.max_refine_steps, d.multilevel.max_refine_steps);
+            // And the mapper actually runs, and reports, that method.
+            let m = mapper()
+                .map_graph_on(&truncated_grid(n), &Pool::default())
+                .unwrap();
+            assert_eq!(m.fiedler.method, expect, "n = {n}");
+            assert_eq!(m.order.len(), n);
+        }
     }
 
     #[test]
@@ -393,7 +388,7 @@ mod tests {
         let spec = GridSpec::new(&[24, 24]);
         let m = SpectralMapper::new(SpectralConfig {
             fiedler: FiedlerOptions {
-                method: FiedlerMethod::Multilevel,
+                method: Some(FiedlerMethod::Multilevel),
                 ..Default::default()
             },
             ..Default::default()

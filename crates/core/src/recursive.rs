@@ -81,7 +81,7 @@ pub fn rsb_order_on(
     // multilevel path; fragments restrict it instead of re-coarsening.
     let reuse = if opts.reuse_hierarchy {
         let fo = opts.config.resolved_fiedler(n);
-        if fo.method == FiedlerMethod::Multilevel {
+        if fo.method == Some(FiedlerMethod::Multilevel) {
             let ml = fo.multilevel.clone();
             let floor = rsb_block(&ml);
             let hierarchy = Hierarchy::build(&graph.laplacian(), floor, &ml, pool)?;
@@ -143,7 +143,7 @@ fn fragment_fiedler_vector(
     pool: &Pool<'_>,
 ) -> Result<Vec<f64>, MappingError> {
     let mut fo = opts.config.resolved_fiedler(sub_laplacian.rows());
-    if fo.method == FiedlerMethod::Multilevel {
+    if fo.method == Some(FiedlerMethod::Multilevel) {
         // RSB only consumes the *median membership* of each fragment
         // vector, but that membership must not depend on which hierarchy
         // (restricted vs freshly coarsened) refined the vector. At the
@@ -155,9 +155,10 @@ fn fragment_fiedler_vector(
         // Fragments at or below the multilevel coarsest size would take
         // the solver's exact-dense path: a full O(n³) eigendecomposition
         // per fragment, and RSB visits hundreds of them. Route those to
-        // the same policy the auto mapper uses — exact dense only for
-        // tiny fragments, Lanczos shift-invert otherwise (3–25× cheaper
-        // than the full decomposition at 97–256 vertices). Both are
+        // the size policy instead — below the shift-invert crossover it
+        // picks exact dense only for tiny fragments and Lanczos
+        // shift-invert otherwise (3–25× cheaper than the full
+        // decomposition at 97–256 vertices). Both are
         // hierarchy-independent, so the reuse and re-coarsen
         // configurations stay bitwise identical on small fragments.
         let n = sub_laplacian.rows();
@@ -166,11 +167,7 @@ fn fragment_fiedler_vector(
             .coarsest_size
             .max(rsb_block(&fo.multilevel) + 2);
         if n <= dense_cutoff {
-            fo.method = if n <= crate::mapper::AUTO_DENSE_MAX {
-                FiedlerMethod::Dense
-            } else {
-                FiedlerMethod::ShiftInvert
-            };
+            fo.method = Some(FiedlerMethod::for_size(n));
         } else if let Some(ctx) = reuse {
             // Cheapest first: refine straight from the parent's vector.
             // Any failure (typically NoConvergence from a weak guess on a
@@ -429,12 +426,8 @@ pub fn multi_vector_order_on(
     pool: &Pool<'_>,
 ) -> Result<LinearOrder, MappingError> {
     graph.require_connected()?;
-    let pairs = smallest_nonzero_eigenpairs_on(
-        &graph.laplacian(),
-        num_vectors,
-        &config.resolved_fiedler(graph.num_vertices()),
-        pool,
-    )?;
+    let pairs =
+        smallest_nonzero_eigenpairs_on(&graph.laplacian(), num_vectors, &config.fiedler, pool)?;
     let n = graph.num_vertices();
     let vectors: Vec<&[f64]> = pairs.iter().map(|(_, v)| v.as_slice()).collect();
     let mut perm: Vec<usize> = (0..n).collect();
@@ -585,7 +578,7 @@ mod tests {
         let g = spec.graph(Connectivity::Orthogonal);
         let config = SpectralConfig {
             fiedler: FiedlerOptions {
-                method: FiedlerMethod::Multilevel,
+                method: Some(FiedlerMethod::Multilevel),
                 ..Default::default()
             },
             ..Default::default()

@@ -19,13 +19,12 @@ fn mapper(method: FiedlerMethod, connectivity: Connectivity) -> SpectralMapper {
     SpectralMapper::new(SpectralConfig {
         connectivity,
         fiedler: FiedlerOptions {
-            method,
+            method: Some(method),
             // Tight residual target so the multilevel representative agrees
             // with the dense eigenspace beyond the tie-snapping window.
             tolerance: 1e-11,
             ..Default::default()
         },
-        ..Default::default()
     })
 }
 

@@ -18,10 +18,9 @@ fn mapper(connectivity: Connectivity) -> SpectralMapper {
     SpectralMapper::new(SpectralConfig {
         connectivity,
         fiedler: FiedlerOptions {
-            method: FiedlerMethod::Multilevel,
+            method: Some(FiedlerMethod::Multilevel),
             ..Default::default()
         },
-        ..Default::default()
     })
 }
 
@@ -184,7 +183,7 @@ fn multi_vector_order_is_a_permutation_on_holey_point_set() {
         &graph,
         2,
         1e-6,
-        &SpectralConfig::auto(),
+        &SpectralConfig::default(),
         &Pool::serial(),
     )
     .unwrap();

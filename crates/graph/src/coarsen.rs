@@ -77,8 +77,7 @@ pub fn coarsen(graph: &Graph, pool: &Pool) -> Result<GraphCoarsening, GraphError
 }
 
 /// Minimum per-level shrink factor before a hierarchy build gives up,
-/// matching the multilevel solver's default stall threshold
-/// (`MultilevelOptions::min_shrink`).
+/// matching the multilevel solver's stall threshold.
 const MIN_SHRINK: f64 = 0.95;
 
 /// Coarsen repeatedly until at most `target` vertices remain (or matching

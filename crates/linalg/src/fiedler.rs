@@ -5,25 +5,26 @@
 //! *algebraic connectivity* (Fiedler 1973) — and its eigenvector, whose
 //! component order is the spectral linear order.
 //!
-//! Three interchangeable strategies are provided:
+//! Three interchangeable strategies are provided, and one size policy
+//! ([`FiedlerMethod::for_size`]) picks among them unless a caller names a
+//! method in [`FiedlerOptions::method`]:
 //!
-//! * [`FiedlerMethod::ShiftInvert`] (default) — Lanczos on the operator
+//! * [`FiedlerMethod::Dense`] — Householder + QL on the materialised
+//!   Laplacian, O(n³); exact and instant on tiny graphs.
+//! * [`FiedlerMethod::ShiftInvert`] — Lanczos on the operator
 //!   `x ↦ P L⁺ P x`, where the pseudo-inverse action is an inner CG solve
 //!   and `P` deflates the constant kernel. The spectrum of that operator is
 //!   `{1/λ₂ > 1/λ₃ > …}`, so the *largest* eigenvalue — the thing Lanczos
 //!   finds fastest — maps straight to λ₂, with separation `λ₃/λ₂` that is
 //!   excellent on grid graphs.
-//! * [`FiedlerMethod::ShiftedDirect`] — Lanczos on `cI − L` with `c` a
-//!   Gershgorin bound. No inner solves, but convergence degrades when λ₂ is
-//!   clustered; used as an ablation baseline and a fallback.
-//! * [`FiedlerMethod::Dense`] — Householder + QL on the materialised
-//!   Laplacian, O(n³); the reference for tests and small graphs.
+//! * [`FiedlerMethod::Multilevel`] — the coarsen–project–refine scheme of
+//!   [`crate::multilevel`], the only path practical at 10⁵–10⁶ vertices.
 
 use crate::cg::CgOptions;
 use crate::error::LinalgError;
 use crate::lanczos::{self, LanczosOptions};
 use crate::multilevel::{self, MultilevelOptions};
-use crate::operator::{ones_direction, DeflatedOperator, LinearOperator, ShiftedOperator};
+use crate::operator::{ones_direction, DeflatedOperator, LinearOperator};
 use crate::parallel::Pool;
 use crate::pcg;
 use crate::sparse::CsrMatrix;
@@ -31,17 +32,14 @@ use crate::tql;
 use crate::vector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt;
 
 /// Strategy for the Fiedler computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FiedlerMethod {
     /// Lanczos on the deflated pseudo-inverse (inner CG solves). Fast
     /// convergence in iterations; each iteration costs one Laplacian solve.
-    #[default]
     ShiftInvert,
-    /// Lanczos on `cI − L` with a Gershgorin shift. Cheap iterations, more
-    /// of them.
-    ShiftedDirect,
     /// Dense Householder + QL (exact, O(n³)); only sensible for n ≲ 2000.
     Dense,
     /// Coarsen–project–refine multilevel scheme (see [`crate::multilevel`]):
@@ -51,17 +49,61 @@ pub enum FiedlerMethod {
     Multilevel,
 }
 
+impl FiedlerMethod {
+    /// Largest vertex count [`FiedlerMethod::for_size`] solves with the
+    /// exact dense path.
+    pub const DENSE_MAX: usize = 96;
+    /// Largest vertex count [`FiedlerMethod::for_size`] solves with
+    /// shift-invert Lanczos; beyond it the multilevel scheme runs.
+    pub const SHIFT_INVERT_MAX: usize = 4096;
+
+    /// The size policy: the method every solve of an `n`-vertex Laplacian
+    /// uses unless [`FiedlerOptions::method`] names one. Dense QL up to
+    /// [`FiedlerMethod::DENSE_MAX`] (exact and instant), shift-invert
+    /// Lanczos up to [`FiedlerMethod::SHIFT_INVERT_MAX`], multilevel beyond
+    /// — the crossovers measured by the `pipeline_scale` benchmark.
+    pub fn for_size(n: usize) -> Self {
+        if n <= Self::DENSE_MAX {
+            FiedlerMethod::Dense
+        } else if n <= Self::SHIFT_INVERT_MAX {
+            FiedlerMethod::ShiftInvert
+        } else {
+            FiedlerMethod::Multilevel
+        }
+    }
+
+    /// Parse a method name as [`fmt::Display`] writes it.
+    pub fn parse(s: &str) -> Option<Self> {
+        Some(match s {
+            "dense" => FiedlerMethod::Dense,
+            "shift-invert" => FiedlerMethod::ShiftInvert,
+            "multilevel" => FiedlerMethod::Multilevel,
+            _ => return None,
+        })
+    }
+}
+
+impl fmt::Display for FiedlerMethod {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            FiedlerMethod::Dense => "dense",
+            FiedlerMethod::ShiftInvert => "shift-invert",
+            FiedlerMethod::Multilevel => "multilevel",
+        })
+    }
+}
+
 /// Options for [`fiedler_pair_on`].
 #[derive(Debug, Clone)]
 pub struct FiedlerOptions {
-    /// Strategy to use.
-    pub method: FiedlerMethod,
+    /// Strategy to use; `None` (the default) picks one per input size with
+    /// [`FiedlerMethod::for_size`]. `Some` pins a method, for ablations and
+    /// comparisons.
+    pub method: Option<FiedlerMethod>,
     /// Relative residual tolerance on the eigenpair.
     pub tolerance: f64,
     /// RNG seed for Lanczos start vectors.
     pub seed: u64,
-    /// Iteration/subspace cap forwarded to Lanczos (`None` = default).
-    pub max_subspace: Option<usize>,
     /// Tuning knobs for [`FiedlerMethod::Multilevel`] (ignored by the other
     /// methods).
     pub multilevel: MultilevelOptions,
@@ -70,10 +112,9 @@ pub struct FiedlerOptions {
 impl Default for FiedlerOptions {
     fn default() -> Self {
         FiedlerOptions {
-            method: FiedlerMethod::ShiftInvert,
+            method: None,
             tolerance: 1e-9,
             seed: 0xF1ED_1EB2,
-            max_subspace: None,
             multilevel: MultilevelOptions::default(),
         }
     }
@@ -89,7 +130,8 @@ pub struct FiedlerPair {
     pub vector: Vec<f64>,
     /// Residual `‖L v − λ₂ v‖` measured against the *original* Laplacian.
     pub residual: f64,
-    /// Which method produced the answer.
+    /// Which method produced the answer: [`FiedlerOptions::method`], or
+    /// what the size policy chose for it.
     pub method: FiedlerMethod,
 }
 
@@ -199,9 +241,9 @@ pub fn fiedler_pair_on(
     }
     require_laplacian(laplacian)?;
 
-    let (lambda2, mut v) = match opts.method {
+    let method = opts.method.unwrap_or_else(|| FiedlerMethod::for_size(n));
+    let (lambda2, mut v) = match method {
         FiedlerMethod::Dense => dense_fiedler(laplacian)?,
-        FiedlerMethod::ShiftedDirect => shifted_direct_fiedler(laplacian, opts)?,
         FiedlerMethod::ShiftInvert => shift_invert_fiedler(laplacian, opts, pool)?,
         FiedlerMethod::Multilevel => multilevel::fiedler_pair_on(
             laplacian,
@@ -231,7 +273,7 @@ pub fn fiedler_pair_on(
         lambda2,
         vector: v,
         residual,
-        method: opts.method,
+        method,
     })
 }
 
@@ -240,8 +282,8 @@ pub fn fiedler_pair_on(
 /// order (tie-breaking on degenerate grids) and by diagnostics. Runs on
 /// `pool`.
 ///
-/// Honours `opts.method`: dense QL, shifted-direct Lanczos on `cI − L`,
-/// (default) shift-invert Lanczos requesting `k` Ritz pairs of the
+/// Honours `opts.method` (resolved by [`FiedlerMethod::for_size`] when
+/// `None`): dense QL, shift-invert Lanczos requesting `k` Ritz pairs of the
 /// deflated pseudo-inverse (whose top-k eigenvalues are `1/λ₂ ≥ … ≥
 /// 1/λ_{k+1}`) with Rayleigh-quotient refinement of each eigenvalue, or
 /// the multilevel scheme.
@@ -262,35 +304,19 @@ pub fn smallest_nonzero_eigenpairs_on(
     if k == 0 {
         return Ok(vec![]);
     }
-    if opts.method == FiedlerMethod::Dense {
-        return multilevel::dense_smallest(laplacian, k);
-    }
-    if opts.method == FiedlerMethod::Multilevel {
+    let res = match opts.method.unwrap_or_else(|| FiedlerMethod::for_size(n)) {
+        FiedlerMethod::Dense => return multilevel::dense_smallest(laplacian, k),
         // The multilevel driver already returns canonical-form pairs,
         // ascending, with Rayleigh-refined eigenvalues.
-        return multilevel::smallest_nonzero_eigenpairs_on(
-            laplacian,
-            k,
-            opts.tolerance,
-            opts.seed,
-            &opts.multilevel,
-            pool,
-        );
-    }
-    let res = match opts.method {
-        FiedlerMethod::Dense | FiedlerMethod::Multilevel => unreachable!("handled above"),
-        // Top-k of cI − L (ones deflated) are c − λ₂ ≥ … ≥ c − λ_{k+1}.
-        FiedlerMethod::ShiftedDirect => {
-            let c = laplacian.gershgorin_upper_bound() + 1.0;
-            let shifted = ShiftedOperator::new(laplacian, c, -1.0);
-            let lopts = lanczos::LanczosOptions {
-                num_eigenpairs: k,
-                tolerance: opts.tolerance,
-                seed: opts.seed,
-                max_subspace: Some(opts.max_subspace.unwrap_or(n.min(300))),
-                deflation: vec![ones_direction(n)],
-            };
-            lanczos::largest_eigenpairs(&shifted, &lopts)?
+        FiedlerMethod::Multilevel => {
+            return multilevel::smallest_nonzero_eigenpairs_on(
+                laplacian,
+                k,
+                opts.tolerance,
+                opts.seed,
+                &opts.multilevel,
+                pool,
+            )
         }
         // Top-k of the deflated pseudo-inverse are 1/λ₂ ≥ … ≥ 1/λ_{k+1}.
         FiedlerMethod::ShiftInvert => {
@@ -302,7 +328,7 @@ pub fn smallest_nonzero_eigenpairs_on(
                 num_eigenpairs: k,
                 tolerance: opts.tolerance,
                 seed: opts.seed,
-                max_subspace: Some(opts.max_subspace.unwrap_or((n - 1).min(40 + 8 * k))),
+                max_subspace: Some((n - 1).min(40 + 8 * k)),
                 deflation: vec![ones_direction(n)],
             };
             lanczos::largest_eigenpairs(&deflated, &lopts)?
@@ -365,6 +391,8 @@ pub fn fiedler_pair_balanced_on(
     if n < 3 {
         return fiedler_pair_on(laplacian, opts, pool);
     }
+    // Every probe below resolves `opts.method` for this same `n`.
+    let method = opts.method.unwrap_or_else(|| FiedlerMethod::for_size(n));
 
     // Probe the bottom of the spectrum, widening until the cluster around
     // λ₂ is fully inside the window (or the window hits its cap). Starting
@@ -399,7 +427,7 @@ pub fn fiedler_pair_balanced_on(
             lambda2,
             vector: v,
             residual,
-            method: opts.method,
+            method,
         });
     }
 
@@ -442,31 +470,13 @@ pub fn fiedler_pair_balanced_on(
         lambda2,
         vector: v,
         residual,
-        method: opts.method,
+        method,
     })
 }
 
 fn dense_fiedler(laplacian: &CsrMatrix) -> Result<(f64, Vec<f64>), LinalgError> {
     let eig = tql::symmetric_eigen(&laplacian.to_dense())?;
     Ok((eig.eigenvalues[1], eig.eigenvector(1)))
-}
-
-fn shifted_direct_fiedler(
-    laplacian: &CsrMatrix,
-    opts: &FiedlerOptions,
-) -> Result<(f64, Vec<f64>), LinalgError> {
-    let n = laplacian.rows();
-    let c = laplacian.gershgorin_upper_bound() + 1.0;
-    let shifted = ShiftedOperator::new(laplacian, c, -1.0);
-    let lopts = LanczosOptions {
-        num_eigenpairs: 1,
-        tolerance: opts.tolerance,
-        seed: opts.seed,
-        max_subspace: Some(opts.max_subspace.unwrap_or(n.min(300))),
-        deflation: vec![ones_direction(n)],
-    };
-    let (mu, v) = lanczos::largest_eigenpair(&shifted, &lopts)?;
-    Ok((c - mu, v))
 }
 
 fn shift_invert_fiedler(
@@ -483,7 +493,7 @@ fn shift_invert_fiedler(
         num_eigenpairs: 1,
         tolerance: opts.tolerance,
         seed: opts.seed,
-        max_subspace: Some(opts.max_subspace.unwrap_or(n.min(80))),
+        max_subspace: Some(n.min(80)),
         deflation: vec![ones_direction(n)],
     };
     let (theta, v) = lanczos::largest_eigenpair(&deflated, &lopts)?;
@@ -528,18 +538,51 @@ mod tests {
         4.0 * (std::f64::consts::PI / (2.0 * n as f64)).sin().powi(2)
     }
 
+    fn shift_invert() -> FiedlerOptions {
+        FiedlerOptions {
+            method: Some(FiedlerMethod::ShiftInvert),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn default_options_follow_the_size_policy() {
+        // `method: None` resolves per input size, and the pair reports the
+        // method that actually ran, from every entry point.
+        for n in [FiedlerMethod::DENSE_MAX, FiedlerMethod::DENSE_MAX + 1] {
+            let lap = path_laplacian(n);
+            let expect = FiedlerMethod::for_size(n);
+            let opts = FiedlerOptions::default();
+            let plain = fiedler_pair_on(&lap, &opts, &Pool::default()).unwrap();
+            let balanced = fiedler_pair_balanced_on(&lap, &opts, &Pool::default()).unwrap();
+            assert_eq!(plain.method, expect);
+            assert_eq!(balanced.method, expect);
+            assert!((plain.lambda2 - expected_path_lambda2(n)).abs() < 1e-7);
+        }
+    }
+
+    #[test]
+    fn method_names_round_trip() {
+        for m in [
+            FiedlerMethod::Dense,
+            FiedlerMethod::ShiftInvert,
+            FiedlerMethod::Multilevel,
+        ] {
+            assert_eq!(FiedlerMethod::parse(&m.to_string()), Some(m));
+        }
+        for bad in ["auto", "shifted-direct", "Dense", ""] {
+            assert_eq!(FiedlerMethod::parse(bad), None, "{bad}");
+        }
+    }
+
     #[test]
     fn all_methods_agree_on_path() {
         let n = 16;
         let lap = path_laplacian(n);
         let expect = expected_path_lambda2(n);
-        for method in [
-            FiedlerMethod::Dense,
-            FiedlerMethod::ShiftedDirect,
-            FiedlerMethod::ShiftInvert,
-        ] {
+        for method in [FiedlerMethod::Dense, FiedlerMethod::ShiftInvert] {
             let opts = FiedlerOptions {
-                method,
+                method: Some(method),
                 ..Default::default()
             };
             let pair = fiedler_pair_on(&lap, &opts, &Pool::default()).unwrap();
@@ -562,13 +605,9 @@ mod tests {
         // λ₂ of a path is simple, so the balanced entry point must return
         // the same pair as fiedler_pair_on (fast path, no second solve).
         let lap = path_laplacian(16);
-        for method in [
-            FiedlerMethod::Dense,
-            FiedlerMethod::ShiftedDirect,
-            FiedlerMethod::ShiftInvert,
-        ] {
+        for method in [FiedlerMethod::Dense, FiedlerMethod::ShiftInvert] {
             let opts = FiedlerOptions {
-                method,
+                method: Some(method),
                 ..Default::default()
             };
             let plain = fiedler_pair_on(&lap, &opts, &Pool::default()).unwrap();
@@ -604,42 +643,11 @@ mod tests {
     }
 
     #[test]
-    fn multi_pair_honours_shifted_direct_method() {
-        // The k-pair probe must agree with the dense reference under every
-        // method, including ShiftedDirect (previously silently remapped to
-        // shift-invert).
-        let lap = path_laplacian(12);
-        let dense = smallest_nonzero_eigenpairs_on(
-            &lap,
-            3,
-            &FiedlerOptions {
-                method: FiedlerMethod::Dense,
-                ..Default::default()
-            },
-            &Pool::default(),
-        )
-        .unwrap();
-        let sd = smallest_nonzero_eigenpairs_on(
-            &lap,
-            3,
-            &FiedlerOptions {
-                method: FiedlerMethod::ShiftedDirect,
-                ..Default::default()
-            },
-            &Pool::default(),
-        )
-        .unwrap();
-        for ((ld, _), (ls, _)) in dense.iter().zip(&sd) {
-            assert!((ld - ls).abs() < 1e-6, "{ld} vs {ls}");
-        }
-    }
-
-    #[test]
     fn fiedler_vector_of_path_is_monotone() {
         // The path's Fiedler vector is cos(π(i+0.5)/n): strictly monotone,
         // so the spectral order recovers the path order (or its reverse).
         let lap = path_laplacian(10);
-        let pair = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
+        let pair = fiedler_pair_on(&lap, &shift_invert(), &Pool::default()).unwrap();
         let v = &pair.vector;
         let increasing = v.windows(2).all(|w| w[1] > w[0]);
         let decreasing = v.windows(2).all(|w| w[1] < w[0]);
@@ -656,7 +664,7 @@ mod tests {
             let pair = fiedler_pair_on(
                 &lap,
                 &FiedlerOptions {
-                    method,
+                    method: Some(method),
                     ..Default::default()
                 },
                 &Pool::default(),
@@ -674,7 +682,7 @@ mod tests {
     #[test]
     fn vector_is_centered_unit_sign_canonical() {
         let lap = path_laplacian(9);
-        let pair = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
+        let pair = fiedler_pair_on(&lap, &shift_invert(), &Pool::default()).unwrap();
         assert!(vector::mean(&pair.vector).abs() < 1e-10);
         assert!((vector::norm2(&pair.vector) - 1.0).abs() < 1e-10);
         let mut copy = pair.vector.clone();
@@ -696,7 +704,7 @@ mod tests {
             }
         }
         let lap = CsrMatrix::from_triplets(n, n, &t).unwrap();
-        let pair = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
+        let pair = fiedler_pair_on(&lap, &shift_invert(), &Pool::default()).unwrap();
         assert!((pair.lambda2 - n as f64).abs() < 1e-7);
     }
 
@@ -718,8 +726,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let lap = path_laplacian(20);
-        let a = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
-        let b = fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
+        let a = fiedler_pair_on(&lap, &shift_invert(), &Pool::default()).unwrap();
+        let b = fiedler_pair_on(&lap, &shift_invert(), &Pool::default()).unwrap();
         assert_eq!(a.vector, b.vector);
         assert_eq!(a.lambda2, b.lambda2);
     }
@@ -729,13 +737,12 @@ mod tests {
         let n = 14;
         let lap = path_laplacian(n);
         let iterative =
-            smallest_nonzero_eigenpairs_on(&lap, 3, &FiedlerOptions::default(), &Pool::default())
-                .unwrap();
+            smallest_nonzero_eigenpairs_on(&lap, 3, &shift_invert(), &Pool::default()).unwrap();
         let dense = smallest_nonzero_eigenpairs_on(
             &lap,
             3,
             &FiedlerOptions {
-                method: FiedlerMethod::Dense,
+                method: Some(FiedlerMethod::Dense),
                 ..Default::default()
             },
             &Pool::default(),
@@ -798,7 +805,7 @@ mod tests {
         let pair = fiedler_pair_on(
             &lap,
             &FiedlerOptions {
-                method: FiedlerMethod::Dense,
+                method: Some(FiedlerMethod::Dense),
                 ..Default::default()
             },
             &Pool::default(),

@@ -8,9 +8,9 @@
 //! textbooks recommend for small-to-medium problems — exactly our regime
 //! (grids of 10² – 10⁵ vertices).
 //!
-//! The Fiedler driver composes this with either a shift (`cI − L`) or a
-//! shift-invert operator (`P L⁺ P` via CG) and a deflation basis for the
-//! known constant-vector kernel.
+//! The Fiedler driver composes this with a shift-invert operator
+//! (`P L⁺ P` via CG) and a deflation basis for the known constant-vector
+//! kernel.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
@@ -281,7 +281,7 @@ pub fn materialize<A: LinearOperator + ?Sized>(a: &A) -> DenseMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{ones_direction, ShiftedOperator};
+    use crate::operator::ones_direction;
     use crate::sparse::CsrMatrix;
     use crate::tql::symmetric_eigen;
 
@@ -337,7 +337,13 @@ mod tests {
         let n = 12;
         let lap = path_laplacian(n);
         let c = lap.gershgorin_upper_bound() + 1.0;
-        let shifted = ShiftedOperator::new(&lap, c, -1.0);
+        let mut shifted = lap.to_dense();
+        for i in 0..n {
+            for j in 0..n {
+                let identity = if i == j { c } else { 0.0 };
+                shifted.set(i, j, identity - shifted.get(i, j));
+            }
+        }
         let opts = LanczosOptions {
             num_eigenpairs: 1,
             deflation: vec![ones_direction(n)],

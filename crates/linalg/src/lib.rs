@@ -13,7 +13,7 @@
 //!   in which graph Laplacians are materialised.
 //! * [`operator`] — the [`operator::LinearOperator`] abstraction that lets
 //!   Lanczos and CG run on dense matrices, CSR matrices, or composed
-//!   operators (shifted, projected, inverted) without copies.
+//!   operators (projected, inverted) without copies.
 //! * [`householder`] + [`tql`] — the classic dense symmetric eigensolver
 //!   pipeline (tridiagonalise, then implicit-shift QL), used directly for
 //!   small problems and to solve the Lanczos Ritz problem.
@@ -31,8 +31,9 @@
 //!   dot/axpy, Jacobi smoothing, PCG) run on it with results bitwise
 //!   identical to the serial path for every thread count.
 //! * [`fiedler`] — the high-level entry point: compute the Fiedler pair of a
-//!   Laplacian by shift-invert Lanczos (default), shifted direct Lanczos,
-//!   the dense path, or the multilevel scheme.
+//!   Laplacian by the dense path, shift-invert Lanczos or the multilevel
+//!   scheme, chosen per input size by one policy
+//!   ([`FiedlerMethod::for_size`]) unless the caller names a method.
 //!
 //! All algorithms are deterministic given the caller-supplied RNG seed.
 //!
@@ -73,9 +74,7 @@ pub use dense::DenseMatrix;
 pub use error::LinalgError;
 pub use fiedler::{FiedlerMethod, FiedlerOptions, FiedlerPair};
 pub use lanczos::{LanczosOptions, LanczosResult};
-pub use multilevel::{
-    solver_counters, Coarsening, Hierarchy, MultilevelOptions, Prolongation, SolverCounters,
-};
+pub use multilevel::{solver_counters, Coarsening, Hierarchy, MultilevelOptions, SolverCounters};
 pub use operator::LinearOperator;
 pub use parallel::{dispatch_counters, DispatchCounters, Pool, ScopeExecutor};
 pub use sparse::CsrMatrix;

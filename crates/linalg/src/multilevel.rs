@@ -49,24 +49,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Coarse-to-fine interpolation scheme used when walking back up the
-/// hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Prolongation {
-    /// Edge-weight-scaled interpolation (default): each fine vertex takes
-    /// the weighted average of its neighbours' aggregate values,
-    /// `x[v] = Σ_j w_vj · x_c[parent[j]] / Σ_j w_vj`. The injected error is
-    /// far smoother than piecewise-constant blocks, which cuts the
-    /// refinement sweeps the finest levels need.
-    #[default]
-    Weighted,
-    /// Piecewise-constant injection `x[v] = x_c[parent[v]]` — the classic
-    /// aggregation transfer, kept as an option (it is the transpose of the
-    /// restriction defining the Galerkin coarse operator, and the baseline
-    /// the weighted scheme is measured against).
-    PiecewiseConstant,
-}
-
 /// Tuning knobs for the multilevel solver (carried inside
 /// [`crate::fiedler::FiedlerOptions::multilevel`]).
 #[derive(Debug, Clone)]
@@ -82,25 +64,6 @@ pub struct MultilevelOptions {
     pub guard_vectors: usize,
     /// Refinement sweeps on the **finest** level before giving up.
     pub max_refine_steps: usize,
-    /// Refinement sweeps on each intermediate level (prolongation error
-    /// dominates there, so a couple of sweeps suffice).
-    pub intermediate_steps: usize,
-    /// Weighted-Jacobi smoothing passes applied to each vector right after
-    /// prolongation. Piecewise-constant interpolation injects *blocky*,
-    /// high-frequency error, which a smoother damps at the cost of one
-    /// matvec per pass — far cheaper than an extra inverse-iteration sweep.
-    pub smoothing_passes: usize,
-    /// Relative tolerance of each inner PCG correction solve.
-    /// Loose on purpose: inverse iteration converges with inexact solves,
-    /// and the correction form keeps the effective accuracy improving as
-    /// the eigenvector does.
-    pub inner_tolerance: f64,
-    /// Abort coarsening when a level shrinks by less than this factor
-    /// (pathological graphs — stars, cliques — defeat matching; the
-    /// hierarchy then just stops early and the coarse solve is bigger).
-    pub min_shrink: f64,
-    /// Coarse-to-fine interpolation scheme (see [`Prolongation`]).
-    pub prolongation: Prolongation,
 }
 
 impl Default for MultilevelOptions {
@@ -109,14 +72,27 @@ impl Default for MultilevelOptions {
             coarsest_size: 256,
             guard_vectors: 2,
             max_refine_steps: 40,
-            intermediate_steps: 3,
-            smoothing_passes: 3,
-            inner_tolerance: 0.15,
-            min_shrink: 0.95,
-            prolongation: Prolongation::default(),
         }
     }
 }
+
+/// Refinement sweeps on each intermediate level (prolongation error
+/// dominates there, so a couple of sweeps suffice).
+const INTERMEDIATE_STEPS: usize = 3;
+/// Weighted-Jacobi smoothing passes applied to each vector right after
+/// prolongation: interpolation leaves high-frequency error, which a
+/// smoother damps at the cost of one matvec per pass — far cheaper than an
+/// extra inverse-iteration sweep.
+const SMOOTHING_PASSES: usize = 3;
+/// Relative tolerance of each inner PCG correction solve. Loose on
+/// purpose: inverse iteration converges with inexact solves, and the
+/// correction form keeps the effective accuracy improving as the
+/// eigenvector does.
+const INNER_TOLERANCE: f64 = 0.15;
+/// Abort coarsening when a level shrinks by less than this factor
+/// (pathological graphs — stars, cliques — defeat matching; the hierarchy
+/// then just stops early and the coarse solve is bigger).
+const MIN_SHRINK: f64 = 0.95;
 
 static VCYCLE_RETRIES: AtomicU64 = AtomicU64::new(0);
 static COARSE_FALLBACKS: AtomicU64 = AtomicU64::new(0);
@@ -205,7 +181,7 @@ pub struct Hierarchy {
 impl Hierarchy {
     /// Coarsen `laplacian` by heavy-edge matching until a level has at
     /// most `opts.coarsest_size.max(floor)` vertices, matching stalls
-    /// (shrink factor below `opts.min_shrink`), or a level would not be
+    /// (shrink factor below 0.95), or a level would not be
     /// strictly larger than `floor`. Identical, level for level, to what
     /// the eigensolver builds internally — the eigensolver simply calls
     /// this.
@@ -220,7 +196,7 @@ impl Hierarchy {
         let mut current = laplacian;
         while current.rows() > coarsest_size {
             let step = coarsen_laplacian(current, pool)?;
-            let shrunk = step.coarse_len() < (current.rows() as f64 * opts.min_shrink) as usize;
+            let shrunk = step.coarse_len() < (current.rows() as f64 * MIN_SHRINK) as usize;
             if !shrunk || step.coarse_len() <= floor {
                 break;
             }
@@ -284,7 +260,7 @@ impl Hierarchy {
             }
             let local_parent = coarse_ids;
             let coarse_len = sorted.len();
-            let shrunk = coarse_len < (current.rows() as f64 * opts.min_shrink) as usize;
+            let shrunk = coarse_len < (current.rows() as f64 * MIN_SHRINK) as usize;
             if !shrunk || coarse_len <= floor {
                 break;
             }
@@ -304,7 +280,7 @@ impl Hierarchy {
         // the parent's rate).
         while current.rows() > coarsest_size {
             let step = coarsen_laplacian(&current, pool)?;
-            let shrunk = step.coarse_len() < (current.rows() as f64 * opts.min_shrink) as usize;
+            let shrunk = step.coarse_len() < (current.rows() as f64 * MIN_SHRINK) as usize;
             if !shrunk || step.coarse_len() <= floor {
                 break;
             }
@@ -560,7 +536,9 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
             coarsest,
             block,
             &crate::fiedler::FiedlerOptions {
-                method: crate::fiedler::FiedlerMethod::ShiftInvert,
+                // Pinned: the size policy could pick multilevel here and
+                // recurse into this same fallback.
+                method: Some(crate::fiedler::FiedlerMethod::ShiftInvert),
                 tolerance,
                 seed,
                 ..Default::default()
@@ -589,14 +567,14 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
             &levels[depth - 1].coarse
         };
         for v in &mut vectors {
-            *v = prolong_pooled(fine, step, v, opts.prolongation, pool);
+            *v = prolong_pooled(fine, step, v, pool);
         }
-        smooth_block(fine, &mut vectors, &lambdas, opts.smoothing_passes, pool);
+        smooth_block(fine, &mut vectors, &lambdas, SMOOTHING_PASSES, pool);
         let finest = depth == 0;
         let sweeps = if finest {
             opts.max_refine_steps
         } else {
-            opts.intermediate_steps
+            INTERMEDIATE_STEPS
         };
         // Intermediate levels only chase prolongation error; the finest
         // level must actually hit the convergence target.
@@ -609,7 +587,6 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
             level_target,
             sweeps,
             level_vcycle.as_mut(),
-            opts,
             &mut rng,
             pool,
         )?;
@@ -701,7 +678,6 @@ pub fn refine_warm_started_on(
         target,
         opts.max_refine_steps,
         None,
-        opts,
         &mut rng,
         pool,
     )
@@ -779,53 +755,44 @@ fn canonical_pairs(
     Ok(out)
 }
 
-/// Interpolate one coarse-level vector to the fine level on the pool.
+/// Interpolate one coarse-level vector to the fine level on the pool by
+/// edge-weight-scaled interpolation: each fine vertex takes the weighted
+/// average of its neighbours' aggregate values,
+/// `x[v] = Σ_j w_vj · x_c[parent[j]] / Σ_j w_vj`. The injected error is far
+/// smoother than piecewise-constant blocks `x_c[parent[v]]`, which cuts
+/// the refinement sweeps the finest levels need.
 ///
 /// `fine` is the matrix of the level being prolonged **to** (its row count
-/// equals `step.parent.len()`); the weighted scheme reads its off-diagonal
-/// weights, the piecewise-constant scheme only gathers through
-/// `step.parent`. Elementwise per fine vertex, so bitwise identical for
-/// every thread count.
+/// equals `step.parent.len()`). Elementwise per fine vertex, so bitwise
+/// identical for every thread count.
 fn prolong_pooled(
     fine: &CsrMatrix,
     step: &Coarsening,
     coarse_values: &[f64],
-    scheme: Prolongation,
     pool: &Pool,
 ) -> Vec<f64> {
     let parent = &step.parent;
     debug_assert_eq!(fine.rows(), parent.len());
     let mut out = vec![0.0; parent.len()];
-    match scheme {
-        Prolongation::PiecewiseConstant => {
-            pool.for_each_chunk(&mut out, |off, chunk| {
-                for (j, o) in chunk.iter_mut().enumerate() {
-                    *o = coarse_values[parent[off + j]];
+    pool.for_each_chunk(&mut out, |off, chunk| {
+        for (j, o) in chunk.iter_mut().enumerate() {
+            let v = off + j;
+            let mut num = 0.0;
+            let mut den = 0.0;
+            for (u, entry) in fine.row_iter(v) {
+                if u != v && entry < 0.0 {
+                    num += -entry * coarse_values[parent[u]];
+                    den += -entry;
                 }
-            });
+            }
+            // Isolated vertices (no edges) fall back to injection.
+            *o = if den > 0.0 {
+                num / den
+            } else {
+                coarse_values[parent[v]]
+            };
         }
-        Prolongation::Weighted => {
-            pool.for_each_chunk(&mut out, |off, chunk| {
-                for (j, o) in chunk.iter_mut().enumerate() {
-                    let v = off + j;
-                    let mut num = 0.0;
-                    let mut den = 0.0;
-                    for (u, entry) in fine.row_iter(v) {
-                        if u != v && entry < 0.0 {
-                            num += -entry * coarse_values[parent[u]];
-                            den += -entry;
-                        }
-                    }
-                    // Isolated vertices (no edges) fall back to injection.
-                    *o = if den > 0.0 {
-                        num / den
-                    } else {
-                        coarse_values[parent[v]]
-                    };
-                }
-            });
-        }
-    }
+    });
     out
 }
 
@@ -1159,14 +1126,13 @@ fn refine_block(
     target: f64,
     sweeps: usize,
     mut vcycle: Option<&mut VCycle<'_, '_>>,
-    opts: &MultilevelOptions,
     rng: &mut StdRng,
     pool: &Pool,
 ) -> Result<Vec<f64>, LinalgError> {
     let n = laplacian.rows();
     let b = vectors.len();
     let cg_opts = CgOptions {
-        tolerance: opts.inner_tolerance,
+        tolerance: INNER_TOLERANCE,
         max_iterations: None,
         deflate_mean: true,
     };
@@ -1602,37 +1568,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_prolongation_is_the_default() {
-        assert_eq!(
-            MultilevelOptions::default().prolongation,
-            Prolongation::Weighted
-        );
-    }
-
-    #[test]
-    fn both_prolongation_schemes_match_closed_form() {
-        // Either transfer is only an initial guess for the refinement, so
-        // both must land on the same eigenpair — the path's closed-form λ₂.
-        let n = 1200;
-        let lap = path_laplacian(n);
-        let expect = 4.0 * (std::f64::consts::PI / (2.0 * n as f64)).sin().powi(2);
-        for scheme in [Prolongation::Weighted, Prolongation::PiecewiseConstant] {
-            let opts = MultilevelOptions {
-                prolongation: scheme,
-                ..Default::default()
-            };
-            let (lambda, v) = fiedler_pair_on(&lap, 1e-9, 7, &opts, &Pool::default()).unwrap();
-            assert!(
-                (lambda - expect).abs() < 1e-9 * expect.max(1e-3),
-                "{scheme:?}: {lambda} vs {expect}"
-            );
-            let mut r = lap.matvec(&v).unwrap();
-            vector::axpy(-lambda, &v, &mut r);
-            assert!(vector::norm2(&r) < 1e-8, "{scheme:?} residual");
-        }
-    }
-
-    #[test]
     fn weighted_prolongation_injects_smoother_error() {
         // The motivation for the weighted transfer: right after
         // prolongation (before any smoothing/refinement) the Rayleigh
@@ -1644,20 +1579,13 @@ mod tests {
         // Exact Fiedler vector of the coarse operator as the coarse guess.
         let coarse_pairs = dense_smallest(&step.coarse, 1).unwrap();
         let coarse_v = &coarse_pairs[0].1;
-        let pool = Pool::serial();
         let rq = |v: &[f64]| {
             let mut lv = vec![0.0; v.len()];
             lap.matvec_into(v, &mut lv);
             vector::dot(v, &lv) / vector::dot(v, v)
         };
-        let mut pc = prolong_pooled(
-            &lap,
-            &step,
-            coarse_v,
-            Prolongation::PiecewiseConstant,
-            &pool,
-        );
-        let mut wt = prolong_pooled(&lap, &step, coarse_v, Prolongation::Weighted, &pool);
+        let mut pc: Vec<f64> = step.parent.iter().map(|&c| coarse_v[c]).collect();
+        let mut wt = prolong_pooled(&lap, &step, coarse_v, &Pool::serial());
         vector::center(&mut pc);
         vector::center(&mut wt);
         let (rq_pc, rq_wt) = (rq(&pc), rq(&wt));

@@ -2,8 +2,8 @@
 //!
 //! Lanczos and CG only ever need `y = A x`. Expressing that as a trait lets
 //! the Fiedler driver compose operators without materialising matrices:
-//! a shifted Laplacian `cI − L`, a deflation projector `P = I − 𝟙𝟙ᵀ/n`, or
-//! the shift-invert action `x ↦ P L⁺ P x` implemented by an inner CG solve.
+//! a deflation projector `P = I − 𝟙𝟙ᵀ/n` around the shift-invert action
+//! `x ↦ P L⁺ P x` implemented by an inner CG solve.
 
 use crate::vector;
 
@@ -27,36 +27,6 @@ pub trait LinearOperator {
     fn rayleigh_quotient(&self, x: &[f64]) -> f64 {
         let ax = self.apply_vec(x);
         vector::dot(x, &ax) / vector::dot(x, x)
-    }
-}
-
-/// `alpha * I + beta * A` — used to turn "smallest eigenvalues of L" into
-/// "largest eigenvalues of cI − L" so plain Lanczos converges to them.
-pub struct ShiftedOperator<'a, A: LinearOperator + ?Sized> {
-    inner: &'a A,
-    /// Coefficient of the identity.
-    pub alpha: f64,
-    /// Coefficient of the wrapped operator.
-    pub beta: f64,
-}
-
-impl<'a, A: LinearOperator + ?Sized> ShiftedOperator<'a, A> {
-    /// Wrap `inner` as `alpha·I + beta·inner`.
-    pub fn new(inner: &'a A, alpha: f64, beta: f64) -> Self {
-        ShiftedOperator { inner, alpha, beta }
-    }
-}
-
-impl<A: LinearOperator + ?Sized> LinearOperator for ShiftedOperator<'_, A> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.apply(x, y);
-        for i in 0..x.len() {
-            y[i] = self.alpha * x[i] + self.beta * y[i];
-        }
     }
 }
 
@@ -119,19 +89,6 @@ mod tests {
             vec![0.0, -1.0, 1.0],
         ])
         .unwrap()
-    }
-
-    #[test]
-    fn shifted_operator_is_alpha_i_plus_beta_a() {
-        let a = lap_path3();
-        let s = ShiftedOperator::new(&a, 5.0, -1.0);
-        let x = [1.0, 2.0, 3.0];
-        let y = s.apply_vec(&x);
-        let ax = a.matvec(&x).unwrap();
-        for i in 0..3 {
-            assert!((y[i] - (5.0 * x[i] - ax[i])).abs() < 1e-14);
-        }
-        assert_eq!(s.dim(), 3);
     }
 
     #[test]

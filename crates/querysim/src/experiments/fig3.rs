@@ -66,7 +66,10 @@ impl Fig3Result {
 pub fn run() -> Fig3Result {
     let spec = GridSpec::new(&[3, 3]);
     let graph = spec.graph(Default::default());
-    let mapper = SpectralMapper::new(SpectralConfig::default());
+    let mapper = SpectralMapper::new(SpectralConfig {
+        fiedler: super::shift_invert(),
+        ..Default::default()
+    });
     let mapping = mapper
         .map_graph_on(&graph, &Pool::default())
         .expect("3×3 grid is connected");

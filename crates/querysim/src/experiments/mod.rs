@@ -18,6 +18,19 @@ pub mod storage_io;
 
 use crate::table::TextTable;
 use serde::Serialize;
+use slpm_linalg::{FiedlerMethod, FiedlerOptions};
+
+/// Eigensolver options pinned to shift-invert Lanczos, for the worked
+/// examples on tiny degenerate grids (Figures 3 and 4). The size policy
+/// would solve them densely, and on a degenerate eigenspace the dense
+/// path's basis leads to a different, equally optimal representative from
+/// the one these figures print.
+fn shift_invert() -> FiedlerOptions {
+    FiedlerOptions {
+        method: Some(FiedlerMethod::ShiftInvert),
+        ..Default::default()
+    }
+}
 
 /// One plotted series: `(x, y)` points with a label, e.g. "Hilbert".
 #[derive(Debug, Clone, Serialize)]

@@ -78,7 +78,7 @@ fn multilevel_fiedler_solve_matches_serial_bitwise() {
     let spec = GridSpec::new(&[48, 32]);
     let lap = spec.graph(Connectivity::Orthogonal).laplacian();
     let opts = FiedlerOptions {
-        method: FiedlerMethod::Multilevel,
+        method: Some(FiedlerMethod::Multilevel),
         ..Default::default()
     };
     let reference: FiedlerPair = fiedler_pair_on(&lap, &opts, &Pool::serial()).unwrap();
@@ -108,7 +108,7 @@ fn recursive_bisection_order_matches_serial_exactly() {
         leaf_size: 8,
         config: SpectralConfig {
             fiedler: FiedlerOptions {
-                method: FiedlerMethod::Multilevel,
+                method: Some(FiedlerMethod::Multilevel),
                 ..Default::default()
             },
             ..Default::default()

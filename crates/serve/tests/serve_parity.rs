@@ -279,7 +279,7 @@ fn brute_force(points: &[Vec<i64>], order: &LinearOrder, query: &Query) -> Vec<u
 fn holey_point_set_under_spectral_order_is_invariant_and_exact() {
     let ((w, h, cols, rows, max_r), min_points, queries) = HOLEY;
     let set = holey_points(w, h, cols, rows, max_r, 0x5E7E);
-    let order = SpectralMapper::new(SpectralConfig::auto())
+    let order = SpectralMapper::new(SpectralConfig::default())
         .map_points_on(&set, &Pool::serial())
         .expect("the holey set is connected")
         .order;

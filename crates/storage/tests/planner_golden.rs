@@ -1,7 +1,7 @@
 //! Golden planner counts on an irregular point set.
 //!
 //! A grid with disc holes, ordered by the spectral mapper
-//! (`SpectralConfig::auto()`), packs into R-tree leaves that are tall
+//! (`SpectralConfig::default()`), packs into R-tree leaves that are tall
 //! bands, the shape the per-leaf key index is built for. This test pins
 //! the total node and leaf visits, result counts and a digest of the
 //! returned ids of a seeded batch of range and kNN queries at two
@@ -90,7 +90,7 @@ impl Totals {
 fn planner_counts_on_a_holey_spectral_set_are_pinned() {
     let (w, h) = (96i64, 72i64);
     let set = holey_points(w, h, 8, 6, 4, 0x601D);
-    let order = SpectralMapper::new(SpectralConfig::auto())
+    let order = SpectralMapper::new(SpectralConfig::default())
         .map_points_on(&set, &Pool::serial())
         .expect("the holey set is connected")
         .order;

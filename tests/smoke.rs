@@ -42,7 +42,7 @@ fn prelude_exports_cover_curves_and_storage() {
 
     // Fiedler solver options are re-exported.
     let _ = FiedlerOptions {
-        method: FiedlerMethod::Dense,
+        method: Some(FiedlerMethod::Dense),
         ..Default::default()
     };
 
