@@ -18,9 +18,9 @@
 //! use fixed-chunk deterministic reductions, so any divergence is a bug
 //! and fails the run). Baseline methods always run single-threaded so the
 //! trajectory stays comparable across machines. Threaded runs execute on
-//! a persistent `WorkerPool` through the `ScopeExecutor` seam — the same
-//! path the CLI uses — and their dispatch-cost counters (parallel
-//! engagements, backend jobs, chunk-grid cells) are recorded per entry.
+//! a persistent `WorkerPool` chosen by `slpm_linalg::with_threads` — the
+//! same rule the CLI uses — and their dispatch-cost counters (parallel
+//! engagements, pool jobs, chunk-grid cells) are recorded per entry.
 //! Two gates ride on them: `dispatch_gate` requires the threaded jobs-
 //! submitted count to stay strictly below the pre-chunk-plan baseline at
 //! every gated side (the counters are machine-independent, so this holds
@@ -66,11 +66,10 @@
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_linalg::fiedler::{FiedlerMethod, FiedlerOptions};
 use slpm_linalg::parallel::{dispatch_counters, DispatchCounters};
-use slpm_linalg::{solver_counters, Pool, SolverCounters};
+use slpm_linalg::{solver_counters, with_threads, SolverCounters};
 use slpm_querysim::mappings::curve_order_by_name;
 use slpm_serve::engine::{EngineConfig, Query, ServeEngine};
 use slpm_serve::workload::grid_points;
-use slpm_serve::WorkerPool;
 use slpm_storage::{write_page_file, Mbr, PageLayout, PageMapper};
 use spectral_lpm::{
     objective, rsb_order_on, LinearOrder, RsbOptions, SpectralConfig, SpectralMapper,
@@ -92,19 +91,6 @@ const LANCZOS_MAX_VERTICES: usize = 66_000;
 /// (all kernels below the spawn thresholds) and are ungated.
 const DISPATCH_BASELINE_JOBS: [(usize, u64); 4] =
     [(128, 15_652), (256, 26_418), (512, 35_798), (1024, 64_552)];
-
-/// Run `f` on the executor the requested thread count implies: a
-/// persistent [`WorkerPool`] via the `ScopeExecutor` seam when threaded
-/// (the pool outlives every kernel call of the solve), the serial pool
-/// otherwise.
-fn with_pool<T>(threads: usize, f: impl FnOnce(&Pool<'_>) -> T) -> T {
-    if threads > 1 {
-        let workers = WorkerPool::new(threads);
-        f(&workers.linalg_pool())
-    } else {
-        f(&Pool::serial())
-    }
-}
 
 struct Entry {
     side: usize,
@@ -162,7 +148,7 @@ fn run_one(
     let before = dispatch_counters();
     let solver_before = solver_counters();
     let start = Instant::now();
-    let mapping = with_pool(threads, |pool| mapper.map_grid_on(spec, pool))
+    let mapping = with_threads(Some(threads), |pool| mapper.map_grid_on(spec, pool))
         .map_err(|e| format!("{method} on {:?}: {e}", spec.dims()))?;
     let seconds = start.elapsed().as_secs_f64();
     let dispatch = dispatch_counters().since(&before);
@@ -332,7 +318,7 @@ fn run_bisection(side: usize, threads: usize) -> Result<Bisection, String> {
         };
         let before = solver_counters();
         let start = Instant::now();
-        let order = with_pool(threads, |pool| rsb_order_on(&graph, &opts, pool))
+        let order = with_threads(Some(threads), |pool| rsb_order_on(&graph, &opts, pool))
             .map_err(|e| format!("rsb (reuse={reuse}) on {dims:?}: {e}"))?;
         let seconds = start.elapsed().as_secs_f64();
         Ok((seconds, order, solver_counters().since(&before)))

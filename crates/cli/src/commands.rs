@@ -3,7 +3,7 @@
 use crate::args::{Command, MappingChoice, ParseError};
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_linalg::fiedler::{fiedler_pair_on, FiedlerOptions};
-use slpm_linalg::{parallel, Pool};
+use slpm_linalg::with_threads;
 use slpm_querysim::experiments::{
     ablation, declustering, fig1, fig3, fig4, fig5, fig6, knn, point_cloud, rtree_packing,
     storage_io,
@@ -13,35 +13,11 @@ use slpm_serve::arrival::{ArrivalConfig, ArrivalShape};
 use slpm_serve::engine::{EngineConfig, ServeEngine};
 use slpm_serve::stream::{stream_serve, AdmissionPolicy, StreamConfig};
 use slpm_serve::workload::{grid_points, mixed_workload, mixed_workload_labeled, WorkloadConfig};
-use slpm_serve::{CoverageReport, FaultPlan, RecoveryConfig, WorkerPool};
+use slpm_serve::{CoverageReport, FaultPlan, RecoveryConfig};
 use slpm_sfc::TruePeanoCurve;
 use slpm_storage::{write_page_file, PageLayout, PageMapper};
 use spectral_lpm::{LinearOrder, SpectralConfig, SpectralMapper};
 use std::path::PathBuf;
-
-/// The persistent worker pool every spectral solve in this binary runs
-/// on: one `WorkerPool` spun up per command (when more than one thread is
-/// requested), handed down through the `ScopeExecutor` seam so the
-/// multilevel driver, PCG and CSR matvec all schedule onto the same
-/// long-lived workers instead of paying a scoped thread spawn+join per
-/// kernel call. `threads = None` resolves once, here, via
-/// [`parallel::default_threads`] (the `SLPM_THREADS` env override, else
-/// the machine's available parallelism).
-fn spectral_pool(threads: Option<usize>) -> Option<WorkerPool> {
-    let threads = threads.unwrap_or_else(parallel::default_threads);
-    (threads > 1).then(|| WorkerPool::new(threads))
-}
-
-/// Run `f` on the resolved executor: the persistent pool's linalg handle
-/// when one exists, the serial pool otherwise. Thread count never changes
-/// results — every kernel keeps the fixed-chunk deterministic reduction
-/// order — so this only decides *where* the work runs.
-fn with_spectral_pool<T>(threads: Option<usize>, f: impl FnOnce(&Pool<'_>) -> T) -> T {
-    match spectral_pool(threads) {
-        Some(workers) => f(&workers.linalg_pool()),
-        None => f(&Pool::serial()),
-    }
-}
 
 /// Build the requested order over the grid. `threads` pins the spectral
 /// eigensolver's worker count (ignored by the curve mappings).
@@ -87,7 +63,7 @@ fn build_order(
                 ..Default::default()
             });
             Ok(
-                with_spectral_pool(threads, |pool| mapper.map_grid_on(&spec, pool))
+                with_threads(threads, |pool| mapper.map_grid_on(&spec, pool))
                     .map_err(|e| err(e.to_string()))?
                     .order,
             )
@@ -308,7 +284,7 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
         } => {
             let spec = GridSpec::new(dims);
             let lap = spec.graph(Connectivity::Orthogonal).laplacian();
-            let pair = with_spectral_pool(*threads, |pool| {
+            let pair = with_threads(*threads, |pool| {
                 fiedler_pair_on(
                     &lap,
                     &FiedlerOptions {
@@ -571,7 +547,7 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             let spec = GridSpec::new(dims);
             let graph = spec.graph(Connectivity::Orthogonal);
             let order = build_order(dims, *mapping, None)?;
-            let report = with_spectral_pool(None, |pool| {
+            let report = with_threads(None, |pool| {
                 spectral_lpm::OrderReport::compute(&graph, &order, &SpectralConfig::default(), pool)
             })
             .map_err(|e| ParseError(e.to_string()))?;

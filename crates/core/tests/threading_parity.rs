@@ -11,8 +11,9 @@
 
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_graph::points::PointSet;
-use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool};
+use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool, WorkerPool};
 use spectral_lpm::{objective, SpectralConfig, SpectralMapper, SpectralMapping};
+use std::sync::OnceLock;
 
 fn mapper(connectivity: Connectivity) -> SpectralMapper {
     SpectralMapper::new(SpectralConfig {
@@ -26,7 +27,9 @@ fn mapper(connectivity: Connectivity) -> SpectralMapper {
 
 /// The serial and the 4-thread pool every case compares.
 fn pools() -> (Pool<'static>, Pool<'static>) {
-    (Pool::serial(), Pool::new(Some(4)))
+    static WORKERS: OnceLock<WorkerPool> = OnceLock::new();
+    let workers = WORKERS.get_or_init(|| WorkerPool::new(4));
+    (Pool::serial(), workers.linalg_pool())
 }
 
 fn assert_same(serial: &SpectralMapping, threaded: &SpectralMapping, what: &str) {

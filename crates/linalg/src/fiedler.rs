@@ -20,13 +20,12 @@
 //! * [`FiedlerMethod::Multilevel`] — the coarsen–project–refine scheme of
 //!   [`crate::multilevel`], the only path practical at 10⁵–10⁶ vertices.
 
-use crate::cg::CgOptions;
 use crate::error::LinalgError;
 use crate::lanczos::{self, LanczosOptions};
 use crate::multilevel::{self, MultilevelOptions};
 use crate::operator::{ones_direction, DeflatedOperator, LinearOperator};
 use crate::parallel::Pool;
-use crate::pcg;
+use crate::pcg::{self, CgOptions};
 use crate::sparse::CsrMatrix;
 use crate::tql;
 use crate::vector;

@@ -17,19 +17,22 @@
 //! * [`householder`] + [`tql`] — the classic dense symmetric eigensolver
 //!   pipeline (tridiagonalise, then implicit-shift QL), used directly for
 //!   small problems and to solve the Lanczos Ritz problem.
-//! * [`cg`] — conjugate gradients for SPD (optionally deflated) systems.
-//! * [`pcg`] — preconditioned CG on CSR matrices, with the preconditioner
-//!   as an argument (Jacobi, or the multilevel V-cycle).
+//! * [`pcg`] — preconditioned conjugate gradients on CSR matrices for SPD
+//!   (optionally mean-deflated) systems, with the preconditioner as an
+//!   argument (Jacobi, or the multilevel V-cycle).
 //! * [`lanczos`] — Lanczos iteration with full reorthogonalisation.
 //! * [`multilevel`] — heavy-edge coarsening plus a coarsen–project–refine
 //!   driver whose inner solves are preconditioned by an aggregation
 //!   V-cycle on the same hierarchy, the path that scales the Fiedler
 //!   computation to 10⁵–10⁶ vertices; also the solver's fallback
 //!   counters ([`solver_counters`]).
-//! * [`parallel`] — a scoped worker pool with chunked `par_for` and
-//!   deterministic tree-reduction primitives; the hot kernels (CSR matvec,
-//!   dot/axpy, Jacobi smoothing, PCG) run on it with results bitwise
-//!   identical to the serial path for every thread count.
+//! * [`pool`] — [`WorkerPool`], the persistent worker threads that run
+//!   every parallel job in the workspace: the kernels below and the
+//!   serving engine's batches alike.
+//! * [`parallel`] — the [`Pool`] handle the kernels take, with chunked
+//!   `par_for` and deterministic tree-reduction primitives; the hot
+//!   kernels (CSR matvec, dot/axpy, Jacobi smoothing, PCG) run on it with
+//!   results bitwise identical to the serial path for every thread count.
 //! * [`fiedler`] — the high-level entry point: compute the Fiedler pair of a
 //!   Laplacian by the dense path, shift-invert Lanczos or the multilevel
 //!   scheme, chosen per input size by one policy
@@ -55,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cg;
 pub mod dense;
 pub mod error;
 pub mod fiedler;
@@ -65,16 +67,18 @@ pub mod multilevel;
 pub mod operator;
 pub mod parallel;
 pub mod pcg;
+pub mod pool;
 pub mod sparse;
 pub mod tql;
 pub mod vector;
 
-pub use cg::{CgOptions, CgOutcome};
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
 pub use fiedler::{FiedlerMethod, FiedlerOptions, FiedlerPair};
 pub use lanczos::{LanczosOptions, LanczosResult};
 pub use multilevel::{solver_counters, Coarsening, Hierarchy, MultilevelOptions, SolverCounters};
 pub use operator::LinearOperator;
-pub use parallel::{dispatch_counters, DispatchCounters, Pool, ScopeExecutor};
+pub use parallel::{dispatch_counters, with_threads, DispatchCounters, Pool};
+pub use pcg::CgOptions;
+pub use pool::WorkerPool;
 pub use sparse::CsrMatrix;

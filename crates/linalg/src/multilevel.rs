@@ -37,11 +37,10 @@
 //! Jacobi-PCG inner solves), a failed V-cycle solve retried with
 //! Jacobi-PCG, and a failed warm start.
 
-use crate::cg::CgOptions;
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::parallel::Pool;
-use crate::pcg;
+use crate::pcg::{self, CgOptions};
 use crate::sparse::CsrMatrix;
 use crate::tql;
 use crate::vector;
@@ -1204,8 +1203,8 @@ fn refine_block(
             let mut rhs = rotated_lv[i].clone();
             pool.scale(-1.0 / theta, &mut rhs);
             pool.axpy(1.0, v, &mut rhs);
-            // The inner solve inherits this pool — nested kernels must
-            // never fall back to per-call scoped spawns.
+            // The inner solve inherits this pool, so its kernels run on
+            // the same workers as the rest of the walk.
             let correction = match vcycle.as_deref_mut() {
                 Some(vcycle) => match pcg::solve_on(laplacian, &rhs, &cg_opts, vcycle, *pool) {
                     Ok(out) => out,
@@ -1280,6 +1279,7 @@ fn rotate(vectors: &[Vec<f64>], ritz: &tql::SymmetricEigen, pool: &Pool) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::with_threads;
 
     fn path_laplacian(n: usize) -> CsrMatrix {
         let mut t = Vec::new();
@@ -1543,8 +1543,9 @@ mod tests {
         let lap = grid_laplacian(150, 140); // 21,000 vertices > SPAWN_MIN
         let run = |threads: usize| {
             let opts = MultilevelOptions::default();
-            smallest_nonzero_eigenpairs_on(&lap, 2, 1e-8, 11, &opts, &Pool::new(Some(threads)))
-                .unwrap()
+            with_threads(Some(threads), |pool| {
+                smallest_nonzero_eigenpairs_on(&lap, 2, 1e-8, 11, &opts, pool).unwrap()
+            })
         };
         let serial = run(1);
         for threads in [2usize, 4] {
@@ -1561,7 +1562,7 @@ mod tests {
         let lap = grid_laplacian(160, 160); // 25,600 vertices > SPAWN_MIN
         let serial = coarsen_laplacian(&lap, &Pool::serial()).unwrap();
         for threads in [2usize, 4] {
-            let par = coarsen_laplacian(&lap, &Pool::new(Some(threads))).unwrap();
+            let par = with_threads(Some(threads), |pool| coarsen_laplacian(&lap, pool)).unwrap();
             assert_eq!(par.parent, serial.parent, "threads={threads}");
             assert_eq!(par.coarse, serial.coarse, "threads={threads}");
         }
@@ -1722,7 +1723,7 @@ mod tests {
             let xs = random_vectors(lap.rows(), 2, 23, true);
             let serial = apply_vcycle(&lap, &xs, Pool::serial());
             for threads in [2usize, 4] {
-                let par = apply_vcycle(&lap, &xs, Pool::new(Some(threads)));
+                let par = with_threads(Some(threads), |pool| apply_vcycle(&lap, &xs, *pool));
                 assert_eq!(par, serial, "{name}: threads={threads}");
             }
         }

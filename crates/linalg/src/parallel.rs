@@ -21,17 +21,14 @@
 //!   threading on or off cannot change a single eigenvalue, residual, or
 //!   linear-order rank downstream.
 //!
-//! # Dispatch: chunk plans, not per-chunk jobs
+//! # Dispatch: one job per worker, not per chunk
 //!
 //! A parallel engagement hands each engaged worker its **full slice of
-//! chunks in a single job**, described by a cached [`ChunkPlan`] (computed
-//! once per `(length, workers)` pair and reused across iterations — PCG
-//! and the multilevel walk re-touch the same handful of vector lengths
-//! thousands of times). The calling thread always executes one span
-//! itself: with a persistent [`ScopeExecutor`] only `workers − 1` jobs
-//! cross the submission seam, and on the scoped fallback only
-//! `workers − 1` threads are spawned. Per-engagement dispatch cost is
-//! therefore one channel round-trip per *extra* worker, not per chunk.
+//! chunks in a single job**: worker `w` of `workers` takes
+//! `remaining / (workers − w)` chunks of the grid. The calling thread
+//! always executes the last span itself, so only `workers − 1` jobs cross
+//! to the [`WorkerPool`]. Per-engagement dispatch cost is therefore one
+//! channel round-trip per *extra* worker, not per chunk.
 //!
 //! # Engagement thresholds: heavy vs light kernels
 //!
@@ -52,29 +49,30 @@
 //! Thresholds affect scheduling only, never results: the serial kernels
 //! share the chunk grid and fold order bit for bit.
 //!
-//! # One pool everywhere
+//! # One backend
 //!
-//! The pool itself is just a resolved thread count plus an optional
-//! borrowed [`ScopeExecutor`] — the seam through which the eigensolver
-//! borrows a persistent worker pool (e.g. `slpm_serve::WorkerPool`)
-//! instead of spawning scoped threads per call. The *default* count is
-//! resolved **once per process** from the `SLPM_THREADS` environment
-//! variable if set, else [`std::thread::available_parallelism`] — so
-//! [`Pool::default`] means "use the machine" and no construction path
-//! re-reads the environment.
+//! A [`Pool`] is an optional borrowed [`WorkerPool`]: the persistent
+//! workers every threaded kernel runs on. [`Pool::serial`] has none and
+//! runs everything inline; [`WorkerPool::linalg_pool`] borrows a
+//! caller-owned pool; and
+//! [`Pool::default`] borrows one process-wide pool, created on first use
+//! with one worker per thread of the default count: the `SLPM_THREADS`
+//! environment variable if set, else [`std::thread::available_parallelism`],
+//! resolved **once per process**. When that count is 1, no pool is ever
+//! created and [`Pool::default`] is serial. [`with_threads`] is the one
+//! rule that turns an optional thread-count knob into a pool.
 //!
 //! Every parallel engagement also bumps process-wide [`DispatchCounters`]
-//! (engagements, jobs handed to a backend, chunk-grid cells covered).
+//! (engagements, jobs submitted to the pool, chunk-grid cells covered).
 //! The dispatch sequence is a pure function of the problem-size sequence
 //! and thread count, so the counters are machine-independent observables
 //! — `pipeline_scale` records them and CI gates on them.
 
+use crate::pool::WorkerPool;
 use crate::sparse::CsrMatrix;
 use crate::vector;
-use crossbeam::thread;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Elements per reduction chunk. Chunk boundaries are a function of the
 /// problem size **only**, which is what makes parallel reductions bitwise
@@ -110,8 +108,8 @@ static CHUNKS_EXECUTED: AtomicU64 = AtomicU64::new(0);
 pub struct DispatchCounters {
     /// Parallel engagements: calls that split work across >1 worker.
     pub scope_entries: u64,
-    /// Closures handed to a backend (scoped spawns or executor jobs);
-    /// the calling thread's own inline span is not counted.
+    /// Jobs submitted to the [`WorkerPool`]; the calling thread's own
+    /// inline span is not counted.
     pub jobs_submitted: u64,
     /// [`REDUCE_CHUNK`]-grid cells covered by parallel engagements.
     pub chunks_executed: u64,
@@ -145,11 +143,11 @@ fn note_dispatch(jobs: u64, chunks: u64) {
     CHUNKS_EXECUTED.fetch_add(chunks, Ordering::Relaxed);
 }
 
-/// Lazily-resolved default worker count: `SLPM_THREADS` env override, else
-/// the machine's available parallelism, else 1. Resolved **once per
-/// process** (first use) — every later [`Pool::new`]/[`Pool::default`]
-/// reuses the cached value rather than re-reading the environment.
-pub fn default_threads() -> usize {
+/// Default worker count: `SLPM_THREADS` env override, else the machine's
+/// available parallelism, else 1. Resolved **once per process** (first
+/// use); later calls reuse the cached value rather than re-reading the
+/// environment.
+fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
         if let Ok(v) = std::env::var("SLPM_THREADS") {
@@ -163,236 +161,141 @@ pub fn default_threads() -> usize {
     })
 }
 
-/// A cached per-engagement dispatch plan: for one `(vector length,
-/// engaged workers)` pair, the contiguous slice of [`REDUCE_CHUNK`]-grid
-/// chunks each worker executes as a single job.
-///
-/// Plans are computed once and memoised process-wide — the multilevel
-/// walk and PCG re-touch the same handful of lengths thousands of times,
-/// so the split arithmetic (and the allocation behind it) is paid once
-/// per length, not per kernel call. The chunk grid itself depends only on
-/// the length, so a plan never influences results, only scheduling.
-///
-/// A plan is bound to the length it was computed for: every primitive
-/// re-checks `plan.check(data.len())` before splitting, so a plan cached
-/// for length N can never be applied to a slice of length M ≠ N.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkPlan {
-    len: usize,
-    chunks: usize,
-    /// `workers + 1` fenceposts in chunk units: worker `w` executes
-    /// chunks `bounds[w]..bounds[w + 1]`.
-    bounds: Vec<usize>,
-}
-
-impl ChunkPlan {
-    /// Compute the balanced chunk split for `len` elements over `workers`
-    /// workers (the same iterative split the dispatcher has always used:
-    /// worker `w` takes `remaining / (workers - w)` chunks).
-    fn compute(len: usize, workers: usize) -> ChunkPlan {
-        let chunks = len.div_ceil(REDUCE_CHUNK).max(1);
-        let workers = workers.clamp(1, chunks);
-        let mut bounds = Vec::with_capacity(workers + 1);
-        bounds.push(0);
-        let mut first = 0usize;
-        for w in 0..workers {
-            let count = (chunks - first) / (workers - w);
-            first += count;
-            bounds.push(first);
-        }
-        debug_assert_eq!(*bounds.last().expect("nonempty"), chunks);
-        ChunkPlan {
-            len,
-            chunks,
-            bounds,
-        }
-    }
-
-    /// The memoised plan for `len` elements over `workers` workers.
-    pub fn for_len(len: usize, workers: usize) -> Arc<ChunkPlan> {
-        type PlanCache = Mutex<HashMap<(usize, usize), Arc<ChunkPlan>>>;
-        static CACHE: OnceLock<PlanCache> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = cache.lock().expect("chunk-plan cache lock");
-        // Bound the memo (distinct lengths are few in practice — the
-        // multilevel hierarchy contributes one per level — but a
-        // pathological caller must not leak unboundedly).
-        if map.len() > 4096 {
-            map.clear();
-        }
-        Arc::clone(
-            map.entry((len, workers))
-                .or_insert_with(|| Arc::new(ChunkPlan::compute(len, workers))),
-        )
-    }
-
-    /// The vector length this plan was computed for.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the plan covers zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of workers the plan engages.
-    pub fn workers(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// Total chunk-grid cells the plan covers.
-    pub fn chunks(&self) -> usize {
-        self.chunks
-    }
-
-    /// Worker `w`'s chunk range `[start, end)` in chunk units.
-    pub fn chunk_range(&self, w: usize) -> (usize, usize) {
-        (self.bounds[w], self.bounds[w + 1])
-    }
-
-    /// Worker `w`'s element span `[start, end)` (chunk-aligned, clamped
-    /// to the plan's length).
-    pub fn span(&self, w: usize) -> (usize, usize) {
-        (
-            (self.bounds[w] * REDUCE_CHUNK).min(self.len),
-            (self.bounds[w + 1] * REDUCE_CHUNK).min(self.len),
-        )
-    }
-
-    /// Assert the plan is being applied to the length it was computed
-    /// for. Every primitive calls this before splitting a slice, so a
-    /// plan cached for length N can never silently act on length M ≠ N.
-    pub fn check(&self, len: usize) {
-        assert_eq!(
-            self.len, len,
-            "ChunkPlan for length {} applied to length {len}",
-            self.len
-        );
+/// Run `f` on the pool a thread-count knob asks for — the one rule every
+/// caller with a `--threads`-style option uses: `None` borrows
+/// [`Pool::default`], `Some(t)` with `t > 1` a fresh [`WorkerPool`] of `t`
+/// workers that lives for the call, and `Some(1)` (or `Some(0)`) runs
+/// serially. Thread count never changes results, only where work runs.
+pub fn with_threads<T>(threads: Option<usize>, f: impl FnOnce(&Pool<'_>) -> T) -> T {
+    match threads {
+        None => f(&Pool::default()),
+        Some(t) if t > 1 => f(&WorkerPool::new(t).linalg_pool()),
+        Some(_) => f(&Pool::serial()),
     }
 }
 
-/// An executor that can run a batch of **borrowing** jobs to completion —
-/// the seam that lets the pooled kernels borrow a *persistent* thread pool
-/// (e.g. `slpm_serve`'s `WorkerPool`) instead of spawning fresh scoped
-/// threads on every call, so one pool abstraction serves both the
-/// eigensolver and the query engine.
+/// A handle the kernels schedule through: the borrowed [`WorkerPool`]
+/// that runs threaded engagements, or none for the serial pool.
 ///
-/// # Contract
-/// `run_jobs` must execute **every** job before returning (order and
-/// placement are free — the kernels built on it are bitwise independent of
-/// both) and must propagate a job panic to the caller. The crossbeam
-/// shim's `thread::run_scoped` implements exactly this contract over any
-/// `'static` job sink.
-pub trait ScopeExecutor: Sync {
-    /// Run every job to completion, then return.
-    fn run_jobs(&self, jobs: Vec<Box<dyn FnOnce() + Send + '_>>);
-
-    /// Run `jobs` on the executor while the **calling thread** executes
-    /// `caller`; return once everything (jobs and caller span) finished.
-    ///
-    /// The default implementation simply appends `caller` to `jobs` —
-    /// correct, but it leaves the calling thread blocked in
-    /// [`ScopeExecutor::run_jobs`]. Persistent pools should override it
-    /// to run `caller` inline between submission and the completion wait
-    /// (as `slpm_serve::WorkerPool` does), which removes one job handoff
-    /// per engagement and keeps the calling thread productive.
-    fn run_jobs_with_caller<'env>(
-        &self,
-        mut jobs: Vec<Box<dyn FnOnce() + Send + 'env>>,
-        caller: Box<dyn FnOnce() + Send + 'env>,
-    ) {
-        jobs.push(caller);
-        self.run_jobs(jobs);
-    }
-}
-
-/// A worker pool handle: a resolved thread count plus the dispatch logic.
-///
-/// Cheap to construct and copy; holds no OS resources of its own. By
-/// default threads are spawned per call (scoped) and joined before the
-/// call returns; [`Pool::with_executor`] instead borrows a persistent
-/// [`ScopeExecutor`], which amortises the per-call spawn cost for the
-/// many-small-kernel regime. The executor never changes results — every
-/// kernel is bitwise identical for any thread count and either backend.
+/// Cheap to copy; owns no OS resources. Every kernel is bitwise identical
+/// for any thread count, so a pool decides where work runs, never what it
+/// computes.
 #[derive(Clone, Copy)]
 pub struct Pool<'e> {
-    threads: usize,
-    /// `None`: scoped threads per call. `Some`: persistent executor.
-    executor: Option<&'e dyn ScopeExecutor>,
+    workers: Option<&'e WorkerPool>,
 }
 
 impl std::fmt::Debug for Pool<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pool")
-            .field("threads", &self.threads)
-            .field("executor", &self.executor.map(|_| "persistent"))
+            .field("threads", &self.threads())
             .finish()
     }
 }
 
 impl Default for Pool<'static> {
-    /// The machine-default pool ([`default_threads`]).
+    /// Borrow the process-wide [`WorkerPool`], created on first use with
+    /// the default worker count (`SLPM_THREADS`, else the machine size);
+    /// serial when that count is 1, in which case no pool is created.
+    /// Once created, its workers stay parked for the rest of the process.
+    /// Do not use it from inside a job running on that pool: the job
+    /// would wait for workers it occupies.
     fn default() -> Self {
-        Pool::new(None)
+        static SHARED: OnceLock<Option<WorkerPool>> = OnceLock::new();
+        let shared = SHARED.get_or_init(|| {
+            let threads = default_threads();
+            (threads > 1).then(|| WorkerPool::new(threads))
+        });
+        shared
+            .as_ref()
+            .map_or_else(Pool::serial, WorkerPool::linalg_pool)
     }
 }
 
 impl Pool<'static> {
-    /// Resolve a thread-count knob: `Some(t)` pins the worker count,
-    /// `None` uses [`default_threads`] (env override / machine size,
-    /// resolved once per process).
-    pub fn new(threads: Option<usize>) -> Self {
-        Pool {
-            threads: threads.unwrap_or_else(default_threads).max(1),
-            executor: None,
-        }
-    }
-
     /// A single-threaded pool; every primitive runs inline.
     pub fn serial() -> Self {
+        Pool { workers: None }
+    }
+}
+
+impl WorkerPool {
+    /// Borrow this pool for the kernels: the returned [`Pool`] schedules
+    /// their chunked work onto these workers. Results are bitwise
+    /// identical to the serial pool and to every other thread count.
+    pub fn linalg_pool(&self) -> Pool<'_> {
         Pool {
-            threads: 1,
-            executor: None,
+            workers: Some(self),
         }
     }
 }
 
 impl<'e> Pool<'e> {
-    /// Schedule parallel work onto a persistent [`ScopeExecutor`] with
-    /// `threads` workers instead of spawning scoped threads per call.
-    /// This is the **default path for the solvers**: the multilevel
-    /// driver, PCG and the CLI all thread a pool built here through
-    /// their call chains, so nested kernels never silently fall back to
-    /// scoped spawns. Chunking (and therefore every result bit) is
-    /// identical to the scoped backend at the same thread count.
-    pub fn with_executor(threads: usize, executor: &'e dyn ScopeExecutor) -> Pool<'e> {
-        Pool {
-            threads: threads.max(1),
-            executor: Some(executor),
-        }
-    }
-
     /// Worker count this pool schedules onto.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.map_or(1, WorkerPool::threads)
+    }
+
+    /// Run every job to completion: on the pool's workers when it has
+    /// any, else inline in order. For coarse independent tasks (one per
+    /// figure series, say); the jobs must not use a pool themselves.
+    pub fn run_scoped(&self, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
+        match self.workers {
+            Some(workers) => workers.run_scoped(jobs),
+            None => jobs.into_iter().for_each(|job| job()),
+        }
     }
 
     /// Number of workers to engage for `n` independent elements given an
     /// engagement threshold.
     fn workers_for_min(&self, n: usize, min: usize) -> usize {
-        if self.threads <= 1 || n < min {
+        let threads = self.threads();
+        if threads <= 1 || n < min {
             1
         } else {
-            self.threads.min(n.div_ceil(REDUCE_CHUNK)).max(1)
+            threads.min(n.div_ceil(REDUCE_CHUNK)).max(1)
         }
     }
 
+    /// Run `f(first, span)` over `items` split into one contiguous span
+    /// per engaged worker, where each [`REDUCE_CHUNK`]-grid chunk covers
+    /// `unit` items and `first` is the span's first item. Worker `w` takes
+    /// `remaining / (workers − w)` chunks; the last span runs on the
+    /// calling thread, the others as pool jobs. With one worker, `f(0,
+    /// items)` runs inline.
+    fn split_run<T, F>(&self, workers: usize, unit: usize, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        let pool = match self.workers {
+            Some(pool) if workers > 1 => pool,
+            _ => return f(0, items),
+        };
+        let chunks = items.len().div_ceil(unit);
+        note_dispatch(workers as u64 - 1, chunks as u64);
+        let g = &f;
+        let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(workers - 1);
+        let mut rest = items;
+        let mut first = 0usize;
+        for w in 0..workers - 1 {
+            // Never the last chunk, so every job's span is whole chunks.
+            let count = (chunks - first) / (workers - w);
+            let (head, tail) = rest.split_at_mut(count * unit);
+            rest = tail;
+            let offset = first * unit;
+            jobs.push(Box::new(move || g(offset, head)));
+            first += count;
+        }
+        let offset = first * unit;
+        pool.run_scoped_with_local(jobs, move || g(offset, rest));
+    }
+
     /// Chunked `par_for`: split `data` into one contiguous chunk-aligned
-    /// span per engaged worker (per the cached [`ChunkPlan`]) and run
-    /// `f(offset, span)` on each in parallel. Engages workers at
-    /// [`SPAWN_MIN`] — the heavy-kernel threshold; level-1 wrappers use
-    /// the [`LIGHT_SPAWN_MIN`] variant internally.
+    /// span per engaged worker and run `f(offset, span)` on each in
+    /// parallel. Engages workers at [`SPAWN_MIN`] — the heavy-kernel
+    /// threshold; level-1 wrappers use the [`LIGHT_SPAWN_MIN`] variant
+    /// internally.
     ///
     /// `f` must compute each element of its span from the element's
     /// *global* index only (`offset + local`), independent of the split —
@@ -402,7 +305,12 @@ impl<'e> Pool<'e> {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        self.for_each_chunk_min(SPAWN_MIN, data, f);
+        self.split_run(
+            self.workers_for_min(data.len(), SPAWN_MIN),
+            REDUCE_CHUNK,
+            data,
+            f,
+        );
     }
 
     /// [`Pool::for_each_chunk`] with the light-kernel engagement
@@ -412,55 +320,8 @@ impl<'e> Pool<'e> {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        self.for_each_chunk_min(LIGHT_SPAWN_MIN, data, f);
-    }
-
-    fn for_each_chunk_min<T, F>(&self, min: usize, data: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        let n = data.len();
-        let workers = self.workers_for_min(n, min);
-        if workers <= 1 {
-            f(0, data);
-            return;
-        }
-        let plan = ChunkPlan::for_len(n, workers);
-        plan.check(n);
-        note_dispatch(plan.workers() as u64 - 1, plan.chunks() as u64);
-        // Split at the plan's chunk-aligned fenceposts; the calling
-        // thread executes the last span itself instead of idling.
-        let mut spans: Vec<(usize, &mut [T])> = Vec::with_capacity(plan.workers());
-        let mut rest = data;
-        for w in 0..plan.workers() {
-            let (lo, hi) = plan.span(w);
-            let (head, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            spans.push((lo, head));
-        }
-        let (c_off, c_head) = spans.pop().expect("plan has >= 1 span");
-        let g = &f;
-        match self.executor {
-            Some(executor) => {
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = spans
-                    .into_iter()
-                    .map(|(offset, head)| {
-                        Box::new(move || g(offset, head)) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                executor.run_jobs_with_caller(jobs, Box::new(move || g(c_off, c_head)));
-            }
-            None => {
-                thread::scope(|s| {
-                    for (offset, head) in spans {
-                        s.spawn(move |_| g(offset, head));
-                    }
-                    g(c_off, c_head);
-                })
-                .expect("parallel worker panicked");
-            }
-        }
+        let workers = self.workers_for_min(data.len(), LIGHT_SPAWN_MIN);
+        self.split_run(workers, REDUCE_CHUNK, data, f);
     }
 
     /// Deterministic reduction over `0..n`: `partial(start, end)` is
@@ -505,57 +366,18 @@ impl<'e> Pool<'e> {
     {
         let chunks = n.div_ceil(REDUCE_CHUNK).max(1);
         let mut out: Vec<Option<T>> = (0..chunks).map(|_| None).collect();
-        let workers = self.workers_for_min(n, min);
-        if workers <= 1 {
-            for (c, slot) in out.iter_mut().enumerate() {
-                let start = c * REDUCE_CHUNK;
-                *slot = Some(f(start, (start + REDUCE_CHUNK).min(n)));
-            }
-        } else {
-            let plan = ChunkPlan::for_len(n, workers);
-            plan.check(n);
-            debug_assert_eq!(plan.chunks(), chunks);
-            note_dispatch(plan.workers() as u64 - 1, plan.chunks() as u64);
-            // One job per worker: its full contiguous range of chunks,
-            // sliced out of the result vector at the plan's fenceposts.
-            let mut spans: Vec<(usize, &mut [Option<T>])> = Vec::with_capacity(plan.workers());
-            let mut rest: &mut [Option<T>] = &mut out;
-            for w in 0..plan.workers() {
-                let (lo, hi) = plan.chunk_range(w);
-                let (head, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                spans.push((lo, head));
-            }
-            let g = &f;
-            let eval = move |first: usize, slots: &mut [Option<T>]| {
+        // One slot per chunk: each worker fills its contiguous slot range.
+        self.split_run(
+            self.workers_for_min(n, min),
+            1,
+            &mut out,
+            |first, slots: &mut [Option<T>]| {
                 for (k, slot) in slots.iter_mut().enumerate() {
                     let start = (first + k) * REDUCE_CHUNK;
-                    *slot = Some(g(start, (start + REDUCE_CHUNK).min(n)));
+                    *slot = Some(f(start, (start + REDUCE_CHUNK).min(n)));
                 }
-            };
-            let (c_first, c_slots) = spans.pop().expect("plan has >= 1 span");
-            let ev = &eval;
-            match self.executor {
-                Some(executor) => {
-                    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = spans
-                        .into_iter()
-                        .map(|(first, slots)| {
-                            Box::new(move || ev(first, slots)) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    executor.run_jobs_with_caller(jobs, Box::new(move || ev(c_first, c_slots)));
-                }
-                None => {
-                    thread::scope(|s| {
-                        for (first, slots) in spans {
-                            s.spawn(move |_| ev(first, slots));
-                        }
-                        ev(c_first, c_slots);
-                    })
-                    .expect("parallel worker panicked");
-                }
-            }
-        }
+            },
+        );
         out.into_iter()
             .map(|slot| slot.expect("every chunk evaluated"))
             .collect()
@@ -649,6 +471,8 @@ pub(crate) fn tree_fold(partials: &mut [f64]) -> f64 {
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     fn random_vec(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -677,12 +501,27 @@ mod tests {
         CsrMatrix::from_triplets(w * h, w * h, &t).unwrap()
     }
 
+    /// The threads `reduce_light` / `map_chunks` evaluate chunks on.
+    fn chunk_threads(pool: &Pool<'_>, n: usize, light: bool) -> Vec<ThreadId> {
+        let seen = Mutex::new(Vec::new());
+        let record = |_: usize, _: usize| {
+            seen.lock().unwrap().push(std::thread::current().id());
+            0.0
+        };
+        if light {
+            pool.reduce_light(n, record);
+        } else {
+            pool.map_chunks(n, record);
+        }
+        seen.into_inner().unwrap()
+    }
+
     #[test]
     fn default_pool_resolves_at_least_one_thread() {
         assert!(default_threads() >= 1);
         assert!(Pool::default().threads() >= 1);
-        assert_eq!(Pool::new(Some(0)).threads(), 1);
-        assert_eq!(Pool::new(Some(3)).threads(), 3);
+        assert_eq!(WorkerPool::new(0).linalg_pool().threads(), 1);
+        assert_eq!(WorkerPool::new(3).linalg_pool().threads(), 3);
         assert_eq!(Pool::serial().threads(), 1);
     }
 
@@ -702,6 +541,15 @@ mod tests {
     }
 
     #[test]
+    fn with_threads_follows_the_knob() {
+        let default = Pool::default().threads();
+        assert_eq!(with_threads(None, |p| p.threads()), default);
+        for (knob, threads) in [(0usize, 1usize), (1, 1), (3, 3)] {
+            assert_eq!(with_threads(Some(knob), |p| p.threads()), threads);
+        }
+    }
+
+    #[test]
     fn tree_fold_cases() {
         assert_eq!(tree_fold(&mut []), 0.0);
         assert_eq!(tree_fold(&mut [3.5]), 3.5);
@@ -710,53 +558,33 @@ mod tests {
     }
 
     #[test]
-    fn chunk_plan_covers_the_grid_exactly() {
-        for (len, workers) in [
+    fn worker_spans_cover_the_grid_exactly() {
+        let workers = WorkerPool::new(4);
+        let pool = workers.linalg_pool();
+        for (len, engaged) in [
             (1usize, 1usize),
-            (REDUCE_CHUNK, 4),
+            (REDUCE_CHUNK, 1),
             (REDUCE_CHUNK + 1, 2),
             (LIGHT_SPAWN_MIN + 37, 3),
             (10 * REDUCE_CHUNK + 5, 4),
         ] {
-            let plan = ChunkPlan::for_len(len, workers);
-            assert_eq!(plan.len(), len);
-            assert_eq!(plan.chunks(), len.div_ceil(REDUCE_CHUNK).max(1));
-            assert!(plan.workers() <= workers.max(1));
+            let spans = Mutex::new(Vec::new());
+            let mut items = vec![0u8; len];
+            pool.split_run(engaged, REDUCE_CHUNK, &mut items, |offset, span| {
+                spans.lock().unwrap().push((offset, span.len()));
+            });
+            let mut spans = spans.into_inner().unwrap();
+            spans.sort_unstable();
+            assert_eq!(spans.len(), engaged, "one span per engaged worker");
             let mut next = 0usize;
-            let mut elems = 0usize;
-            for w in 0..plan.workers() {
-                let (clo, chi) = plan.chunk_range(w);
-                assert_eq!(clo, next, "gap in chunk coverage");
-                assert!(chi > clo, "empty worker span");
-                next = chi;
-                let (lo, hi) = plan.span(w);
-                assert_eq!(lo, (clo * REDUCE_CHUNK).min(len));
-                assert_eq!(hi, (chi * REDUCE_CHUNK).min(len));
-                elems += hi - lo;
+            for &(offset, span_len) in &spans {
+                assert_eq!(offset, next, "gap in coverage at len={len}");
+                assert_eq!(offset % REDUCE_CHUNK, 0, "span not chunk-aligned");
+                assert!(span_len > 0, "empty worker span");
+                next += span_len;
             }
-            assert_eq!(next, plan.chunks(), "chunks not fully covered");
-            assert_eq!(elems, len, "elements not fully covered");
+            assert_eq!(next, len, "elements not fully covered");
         }
-    }
-
-    #[test]
-    fn chunk_plan_is_memoised_per_length_and_workers() {
-        let a = ChunkPlan::for_len(LIGHT_SPAWN_MIN + 11, 4);
-        let b = ChunkPlan::for_len(LIGHT_SPAWN_MIN + 11, 4);
-        assert!(Arc::ptr_eq(&a, &b), "same key must hit the cache");
-        let c = ChunkPlan::for_len(LIGHT_SPAWN_MIN + 12, 4);
-        assert!(!Arc::ptr_eq(&a, &c), "different length, different plan");
-        assert_eq!(c.len(), LIGHT_SPAWN_MIN + 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "ChunkPlan for length")]
-    fn chunk_plan_rejects_mismatched_length() {
-        // The regression the cache invites: a plan computed for length N
-        // applied to a slice of length M != N must fail loudly, not
-        // silently mis-split.
-        let plan = ChunkPlan::for_len(SPAWN_MIN, 2);
-        plan.check(SPAWN_MIN + 1);
     }
 
     #[test]
@@ -768,7 +596,7 @@ mod tests {
         let y = random_vec(n, 2);
         let serial = vector::dot(&x, &y);
         for t in [1usize, 2, 4] {
-            let par = Pool::new(Some(t)).dot(&x, &y);
+            let par = with_threads(Some(t), |pool| pool.dot(&x, &y));
             assert_eq!(par.to_bits(), serial.to_bits(), "threads={t}");
         }
     }
@@ -779,13 +607,14 @@ mod tests {
         let base = random_vec(n, 3);
         let serial_sum: f64 = vector::sum_kernel_chunked(&base);
         for t in [1usize, 2, 4] {
-            let pool = Pool::new(Some(t));
-            assert_eq!(pool.sum(&base).to_bits(), serial_sum.to_bits());
-            let mut a = base.clone();
-            let mut b = base.clone();
-            vector::center(&mut a);
-            pool.center(&mut b);
-            assert_eq!(a, b, "center differs at threads={t}");
+            with_threads(Some(t), |pool| {
+                assert_eq!(pool.sum(&base).to_bits(), serial_sum.to_bits());
+                let mut a = base.clone();
+                let mut b = base.clone();
+                vector::center(&mut a);
+                pool.center(&mut b);
+                assert_eq!(a, b, "center differs at threads={t}");
+            });
         }
     }
 
@@ -795,31 +624,32 @@ mod tests {
         let x = random_vec(n, 4);
         let base = random_vec(n, 5);
         for t in [1usize, 2, 4] {
-            let pool = Pool::new(Some(t));
-            let mut a = base.clone();
-            let mut b = base.clone();
-            vector::axpy(0.37, &x, &mut a);
-            pool.axpy(0.37, &x, &mut b);
-            assert_eq!(a, b, "axpy differs at threads={t}");
-            vector::scale(-1.5, &mut a);
-            pool.scale(-1.5, &mut b);
-            assert_eq!(a, b, "scale differs at threads={t}");
+            with_threads(Some(t), |pool| {
+                let mut a = base.clone();
+                let mut b = base.clone();
+                vector::axpy(0.37, &x, &mut a);
+                pool.axpy(0.37, &x, &mut b);
+                assert_eq!(a, b, "axpy differs at threads={t}");
+                vector::scale(-1.5, &mut a);
+                pool.scale(-1.5, &mut b);
+                assert_eq!(a, b, "scale differs at threads={t}");
+            });
         }
     }
 
     #[test]
     fn light_kernels_below_threshold_run_inline_but_match() {
         // Between SPAWN_MIN and LIGHT_SPAWN_MIN the level-1 wrappers run
-        // inline (dispatch would cost more than the pass); results are
-        // bitwise unchanged and no engagement is recorded.
+        // inline (dispatch would cost more than the pass), with results
+        // bitwise unchanged.
         let n = SPAWN_MIN + 3 * REDUCE_CHUNK;
         let x = random_vec(n, 21);
         let y = random_vec(n, 22);
-        let before = dispatch_counters();
-        let par = Pool::new(Some(4)).dot(&x, &y);
-        let delta = dispatch_counters().since(&before);
-        assert_eq!(delta.scope_entries, 0, "light op engaged below threshold");
-        assert_eq!(par.to_bits(), vector::dot(&x, &y).to_bits());
+        let workers = WorkerPool::new(4);
+        let pool = workers.linalg_pool();
+        let caller = std::thread::current().id();
+        assert!(chunk_threads(&pool, n, true).iter().all(|&t| t == caller));
+        assert_eq!(pool.dot(&x, &y).to_bits(), vector::dot(&x, &y).to_bits());
     }
 
     #[test]
@@ -830,19 +660,20 @@ mod tests {
         lap.matvec_into(&x, &mut serial);
         for t in [1usize, 2, 4] {
             let mut y = vec![0.0; lap.rows()];
-            Pool::new(Some(t)).matvec_into(&lap, &x, &mut y);
+            with_threads(Some(t), |pool| pool.matvec_into(&lap, &x, &mut y));
             assert_eq!(y, serial, "matvec differs at threads={t}");
         }
     }
 
     #[test]
     fn small_inputs_run_inline() {
-        // Below SPAWN_MIN nothing spawns, but results are still right.
+        // Below SPAWN_MIN nothing is dispatched, but results are still right.
         let x = random_vec(100, 7);
         let y = random_vec(100, 8);
-        let pool = Pool::new(Some(8));
-        assert_eq!(pool.dot(&x, &y).to_bits(), vector::dot(&x, &y).to_bits());
-        assert_eq!(pool.norm2(&x).to_bits(), vector::norm2(&x).to_bits());
+        with_threads(Some(8), |pool| {
+            assert_eq!(pool.dot(&x, &y).to_bits(), vector::dot(&x, &y).to_bits());
+            assert_eq!(pool.norm2(&x).to_bits(), vector::norm2(&x).to_bits());
+        });
     }
 
     #[test]
@@ -852,118 +683,82 @@ mod tests {
         let lap = grid_laplacian(200, 120); // 24,000 rows -> 6 chunks
         let x = random_vec(lap.rows(), 23);
         let mut y = vec![0.0; lap.rows()];
+        let workers = WorkerPool::new(4);
         let before = dispatch_counters();
-        Pool::new(Some(4)).matvec_into(&lap, &x, &mut y);
+        workers.linalg_pool().matvec_into(&lap, &x, &mut y);
         let d = dispatch_counters().since(&before);
         assert_eq!(d.scope_entries, 1);
         assert_eq!(d.jobs_submitted, 3);
         assert_eq!(d.chunks_executed, lap.rows().div_ceil(REDUCE_CHUNK) as u64);
     }
 
-    /// A toy persistent executor: runs the borrowed jobs on plain std
-    /// scoped threads. Exercises the executor dispatch path (boxed jobs,
-    /// default caller-merging `run_jobs_with_caller`) without needing
-    /// `slpm_serve`.
-    struct SpawningExecutor;
-    impl ScopeExecutor for SpawningExecutor {
-        fn run_jobs(&self, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
-            std::thread::scope(|s| {
-                for job in jobs {
-                    s.spawn(job);
-                }
-            });
-        }
-    }
-
-    /// An executor that overrides `run_jobs_with_caller` to genuinely run
-    /// the caller span on the calling thread — the `WorkerPool` shape.
-    struct CallerParticipatingExecutor;
-    impl ScopeExecutor for CallerParticipatingExecutor {
-        fn run_jobs(&self, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
-            std::thread::scope(|s| {
-                for job in jobs {
-                    s.spawn(job);
-                }
-            });
-        }
-        fn run_jobs_with_caller<'env>(
-            &self,
-            jobs: Vec<Box<dyn FnOnce() + Send + 'env>>,
-            caller: Box<dyn FnOnce() + Send + 'env>,
-        ) {
-            std::thread::scope(|s| {
-                for job in jobs {
-                    s.spawn(job);
-                }
-                caller();
-            });
-        }
-    }
-
     #[test]
-    fn executor_backend_is_bitwise_identical_to_scoped() {
+    fn pooled_backend_is_bitwise_identical_to_serial() {
         let n = LIGHT_SPAWN_MIN + 3 * REDUCE_CHUNK + 29;
         let x = random_vec(n, 11);
         let y = random_vec(n, 12);
-        let executor = SpawningExecutor;
-        let participating = CallerParticipatingExecutor;
-        let backends: [&dyn ScopeExecutor; 2] = [&executor, &participating];
-        for backend in backends {
-            for t in [2usize, 4] {
-                let scoped = Pool::new(Some(t));
-                let pooled = Pool::with_executor(t, backend);
-                assert_eq!(pooled.threads(), t);
-                assert_eq!(
-                    pooled.dot(&x, &y).to_bits(),
-                    scoped.dot(&x, &y).to_bits(),
-                    "dot differs at threads={t}"
-                );
-                let mut a = y.clone();
-                let mut b = y.clone();
-                scoped.axpy(0.73, &x, &mut a);
-                pooled.axpy(0.73, &x, &mut b);
-                assert_eq!(a, b, "axpy differs at threads={t}");
-                scoped.center(&mut a);
-                pooled.center(&mut b);
-                assert_eq!(a, b, "center differs at threads={t}");
-            }
-        }
-        // Matvec through the executor too.
         let lap = grid_laplacian(170, 130);
         let v = random_vec(lap.rows(), 13);
-        let mut serial = vec![0.0; lap.rows()];
-        lap.matvec_into(&v, &mut serial);
-        for backend in [
-            &SpawningExecutor as &dyn ScopeExecutor,
-            &CallerParticipatingExecutor,
-        ] {
-            let mut pooled = vec![0.0; lap.rows()];
-            Pool::with_executor(4, backend).matvec_into(&lap, &v, &mut pooled);
-            assert_eq!(pooled, serial);
+        let serial = Pool::serial();
+        for t in [2usize, 4] {
+            let workers = WorkerPool::new(t);
+            let pooled = workers.linalg_pool();
+            assert_eq!(pooled.threads(), t);
+            assert_eq!(
+                pooled.dot(&x, &y).to_bits(),
+                serial.dot(&x, &y).to_bits(),
+                "dot differs at threads={t}"
+            );
+            let mut a = y.clone();
+            let mut b = y.clone();
+            serial.axpy(0.73, &x, &mut a);
+            pooled.axpy(0.73, &x, &mut b);
+            assert_eq!(a, b, "axpy differs at threads={t}");
+            serial.center(&mut a);
+            pooled.center(&mut b);
+            assert_eq!(a, b, "center differs at threads={t}");
+            let mut mv_serial = vec![0.0; lap.rows()];
+            let mut mv_pooled = vec![0.0; lap.rows()];
+            serial.matvec_into(&lap, &v, &mut mv_serial);
+            pooled.matvec_into(&lap, &v, &mut mv_pooled);
+            assert_eq!(mv_pooled, mv_serial, "matvec differs at threads={t}");
         }
     }
 
     #[test]
     fn executor_pool_runs_small_inputs_inline() {
-        // Below the engagement thresholds the executor is never consulted.
-        struct PanickingExecutor;
-        impl ScopeExecutor for PanickingExecutor {
-            fn run_jobs(&self, _jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
-                panic!("executor must not be used for tiny inputs");
-            }
-        }
+        // Below the engagement thresholds no job reaches the workers:
+        // every chunk is evaluated on the calling thread.
+        let workers = WorkerPool::new(8);
+        let pool = workers.linalg_pool();
+        let caller = std::thread::current().id();
+        assert!(chunk_threads(&pool, 64, false).iter().all(|&t| t == caller));
+        assert!(chunk_threads(&pool, SPAWN_MIN - 1, false)
+            .iter()
+            .all(|&t| t == caller));
+        // Light ops stay inline all the way up to LIGHT_SPAWN_MIN.
+        assert!(chunk_threads(&pool, LIGHT_SPAWN_MIN - 1, true)
+            .iter()
+            .all(|&t| t == caller));
         let x = random_vec(64, 14);
-        let pool = Pool::with_executor(8, &PanickingExecutor);
         assert_eq!(
             pool.sum(&x).to_bits(),
             vector::sum_kernel_chunked(&x).to_bits()
         );
-        // Light ops stay inline all the way up to LIGHT_SPAWN_MIN.
-        let y = random_vec(LIGHT_SPAWN_MIN - 1, 15);
-        assert_eq!(
-            pool.sum(&y).to_bits(),
-            vector::sum_kernel_chunked(&y).to_bits()
-        );
+    }
+
+    #[test]
+    fn run_scoped_runs_every_job_inline_or_on_the_workers() {
+        for threads in [1usize, 3] {
+            let mut slots = vec![0usize; 5];
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+                .iter_mut()
+                .enumerate()
+                .map(|(i, slot)| Box::new(move || *slot = i * i) as Box<dyn FnOnce() + Send + '_>)
+                .collect();
+            with_threads(Some(threads), |pool| pool.run_scoped(jobs));
+            assert_eq!(slots, vec![0, 1, 4, 9, 16], "threads={threads}");
+        }
     }
 
     #[test]
@@ -973,9 +768,11 @@ mod tests {
         let n = SPAWN_MIN * 2 + 5;
         let collect = |threads: usize| {
             let starts = Mutex::new(Vec::new());
-            Pool::new(Some(threads)).reduce(n, |a, _b| {
-                starts.lock().unwrap().push(a);
-                0.0
+            with_threads(Some(threads), |pool| {
+                pool.reduce(n, |a, _b| {
+                    starts.lock().unwrap().push(a);
+                    0.0
+                })
             });
             let mut v = starts.into_inner().unwrap();
             v.sort_unstable();

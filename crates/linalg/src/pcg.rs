@@ -3,24 +3,48 @@
 //! [`solve_on`] takes the preconditioner as an argument ([`Preconditioner`]).
 //! Two exist in the crate:
 //!
-//! * Jacobi (`M = diag(A)`), behind [`solve_jacobi_on`]. Plain CG (see
-//!   [`crate::cg`]) is fine for *unweighted* grid Laplacians, whose
-//!   diagonal is nearly constant. Section 4's weighted graphs (inverse-
-//!   distance weights, heavy affinity edges) can skew the diagonal by
-//!   orders of magnitude; dividing by it restores the iteration count at
-//!   one extra vector multiply per step. Shift-invert Lanczos and the
-//!   multilevel warm start, which have no coarsening hierarchy, use it.
+//! * Jacobi (`M = diag(A)`), behind [`solve_jacobi_on`]. Plain CG is
+//!   fine for *unweighted* grid Laplacians, whose diagonal is nearly
+//!   constant. Section 4's weighted graphs (inverse-distance weights,
+//!   heavy affinity edges) can skew the diagonal by orders of magnitude;
+//!   dividing by it restores the iteration count at one extra vector
+//!   multiply per step. Shift-invert Lanczos and the multilevel warm
+//!   start, which have no coarsening hierarchy, use it.
 //! * The aggregation V-cycle of [`crate::multilevel`], which the
 //!   multilevel walk uses on the hierarchy it already built.
 
-use crate::cg::CgOptions;
 use crate::error::LinalgError;
 use crate::operator::LinearOperator;
 use crate::parallel::Pool;
 use crate::sparse::CsrMatrix;
 use crate::vector;
 
-/// Outcome of a preconditioned solve (same shape as [`crate::cg::CgOutcome`]).
+/// Options controlling a CG solve.
+#[derive(Debug, Clone)]
+pub struct CgOptions {
+    /// Relative residual target: stop when `‖r‖ ≤ tol · ‖b‖`.
+    pub tolerance: f64,
+    /// Hard iteration cap; `None` defaults to `10 · n + 100`.
+    pub max_iterations: Option<usize>,
+    /// Project the right-hand side and every iterate onto the zero-mean
+    /// subspace. Required when solving with a singular Laplacian whose
+    /// kernel is the constant vector: on the orthogonal complement of the
+    /// all-ones vector a connected graph's Laplacian is positive definite,
+    /// so the solve then computes the pseudo-inverse action `L⁺ b`.
+    pub deflate_mean: bool,
+}
+
+impl Default for CgOptions {
+    fn default() -> Self {
+        CgOptions {
+            tolerance: 1e-12,
+            max_iterations: None,
+            deflate_mean: false,
+        }
+    }
+}
+
+/// Outcome of a preconditioned solve.
 #[derive(Debug, Clone)]
 pub struct PcgOutcome {
     /// The solution vector.
@@ -95,7 +119,7 @@ impl Preconditioner for Jacobi<'_> {
 /// ([`crate::parallel`]); the reductions use fixed chunking, so the
 /// returned solution is bitwise identical for every thread count. The
 /// shift-invert operator and the multilevel warm start pass the pool
-/// they were given, so nested solves schedule onto the same executor as
+/// they were given, so nested solves schedule onto the same workers as
 /// everything else.
 pub fn solve_jacobi_on(
     a: &CsrMatrix,
@@ -216,24 +240,7 @@ pub fn solve_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg;
-
-    fn weighted_path_laplacian(weights: &[f64]) -> CsrMatrix {
-        // Path with given edge weights; n = weights.len() + 1.
-        let n = weights.len() + 1;
-        let mut t = Vec::new();
-        let mut deg = vec![0.0; n];
-        for (i, &w) in weights.iter().enumerate() {
-            t.push((i, i + 1, -w));
-            t.push((i + 1, i, -w));
-            deg[i] += w;
-            deg[i + 1] += w;
-        }
-        for (i, d) in deg.into_iter().enumerate() {
-            t.push((i, i, d));
-        }
-        CsrMatrix::from_triplets(n, n, &t).unwrap()
-    }
+    use crate::parallel::with_threads;
 
     #[test]
     fn solves_spd_system() {
@@ -243,92 +250,6 @@ mod tests {
         let out = solve_jacobi_on(&a, &[1.0, 2.0], &CgOptions::default(), Pool::default()).unwrap();
         assert!((out.solution[0] - 1.0 / 11.0).abs() < 1e-10);
         assert!((out.solution[1] - 7.0 / 11.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn matches_plain_cg_on_singular_laplacian() {
-        let lap = weighted_path_laplacian(&[1.0, 100.0, 1.0, 50.0, 1.0]);
-        let mut b: Vec<f64> = (0..6).map(|i| (i as f64).cos()).collect();
-        vector::center(&mut b);
-        let opts = CgOptions {
-            deflate_mean: true,
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let plain = cg::solve(&lap, &b, &opts).unwrap();
-        let pre = solve_jacobi_on(&lap, &b, &opts, Pool::default()).unwrap();
-        for i in 0..6 {
-            assert!(
-                (plain.solution[i] - pre.solution[i]).abs() < 1e-7,
-                "component {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn preconditioning_helps_on_skewed_diagonal() {
-        // The case Jacobi provably fixes: a strongly diagonally dominant
-        // system whose diagonal spans six orders of magnitude. Plain CG
-        // pays the diagonal's condition number; Jacobi normalises it away.
-        let n = 32usize;
-        let mut t = Vec::new();
-        for i in 0..n {
-            t.push((i, i, 10f64.powi((i % 7) as i32)));
-            if i + 1 < n {
-                t.push((i, i + 1, 0.01));
-                t.push((i + 1, i, 0.01));
-            }
-        }
-        let a = CsrMatrix::from_triplets(n, n, &t).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
-        let opts = CgOptions {
-            tolerance: 1e-10,
-            ..Default::default()
-        };
-        let plain = cg::solve(&a, &b, &opts).unwrap();
-        let pre = solve_jacobi_on(&a, &b, &opts, Pool::default()).unwrap();
-        assert!(
-            pre.iterations < plain.iterations,
-            "jacobi {} not fewer than plain {}",
-            pre.iterations,
-            plain.iterations
-        );
-        // Both actually solve the system.
-        let ax = a.matvec(&pre.solution).unwrap();
-        for i in 0..n {
-            assert!((ax[i] - b[i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn comparable_to_plain_cg_on_weighted_laplacian() {
-        // On alternating-weight path Laplacians Jacobi is not guaranteed to
-        // win (the coupling structure, not the diagonal, dominates); it
-        // must stay within a modest factor and solve correctly.
-        let weights: Vec<f64> = (0..40)
-            .map(|i| if i % 2 == 0 { 1.0 } else { 1e4 })
-            .collect();
-        let lap = weighted_path_laplacian(&weights);
-        let n = lap.rows();
-        let mut b: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
-        vector::center(&mut b);
-        let opts = CgOptions {
-            deflate_mean: true,
-            tolerance: 1e-10,
-            ..Default::default()
-        };
-        let plain = cg::solve(&lap, &b, &opts).unwrap();
-        let pre = solve_jacobi_on(&lap, &b, &opts, Pool::default()).unwrap();
-        assert!(
-            (pre.iterations as f64) <= 2.0 * plain.iterations as f64,
-            "jacobi {} vs plain {}",
-            pre.iterations,
-            plain.iterations
-        );
-        let lx = lap.matvec(&pre.solution).unwrap();
-        for i in 0..n {
-            assert!((lx[i] - b[i]).abs() < 1e-6);
-        }
     }
 
     #[test]
@@ -381,17 +302,19 @@ mod tests {
         let mut b: Vec<f64> = (0..n).map(|i| ((i * 31 % 97) as f64) - 48.0).collect();
         vector::center(&mut b);
         let solve = |threads: usize| {
-            solve_jacobi_on(
-                &lap,
-                &b,
-                &CgOptions {
-                    deflate_mean: true,
-                    tolerance: 1e-10,
-                    ..Default::default()
-                },
-                Pool::new(Some(threads)),
-            )
-            .unwrap()
+            with_threads(Some(threads), |pool| {
+                solve_jacobi_on(
+                    &lap,
+                    &b,
+                    &CgOptions {
+                        deflate_mean: true,
+                        tolerance: 1e-10,
+                        ..Default::default()
+                    },
+                    *pool,
+                )
+                .unwrap()
+            })
         };
         let serial = solve(1);
         for threads in [2usize, 4] {

@@ -1,19 +1,17 @@
 //! A persistent worker pool: long-lived threads fed by an MPMC channel.
 //!
-//! The parallel kernels in `slpm_linalg::parallel` spawn *scoped* threads
-//! per call; spawning costs a few tens of microseconds, which dominates
-//! below ~64k work items — exactly the regime query serving lives in (a
-//! batch fans out into a handful of per-shard replay tasks and per-chunk
-//! planning tasks, each far smaller than an eigensolve). [`WorkerPool`]
-//! amortises that cost: threads are spawned **once**, park on a shared
-//! [`crossbeam::channel`] receiver (the MPMC clone-able receiver is why
-//! the shim grew channel support), and execute boxed jobs until the pool
-//! is dropped.
+//! The workspace's one parallel backend. The chunked kernels in
+//! [`crate::parallel`] run on it (through [`WorkerPool::linalg_pool`] or
+//! the process-wide pool behind [`crate::Pool::default`]), and so does the
+//! serving engine, whose batches fan out into per-shard replay tasks and
+//! per-chunk planning tasks. Threads are spawned **once**, park on a
+//! shared [`crossbeam::channel`] receiver (the MPMC clone-able receiver is
+//! why the shim grew channel support), and execute boxed jobs until the
+//! pool is dropped; a call costs a channel round-trip, not a thread spawn.
 //!
-//! Scheduling never influences results: [`WorkerPool::run_batch`] returns
-//! results **in task order** regardless of which worker ran what when, so
-//! any deterministic set of tasks yields a deterministic batch result for
-//! every thread count.
+//! The pool is written against the `crossbeam::sync` facade, so the model
+//! checker explores the real pool wherever it explores code that builds
+//! one.
 
 use crossbeam::channel::{self, Receiver, Sender};
 use crossbeam::sync::atomic::{AtomicUsize, Ordering};
@@ -31,8 +29,8 @@ pub struct WorkerPool {
     /// `None` only during drop (taken to disconnect the channel).
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    /// Jobs submitted via [`WorkerPool::submit`] that panicked (batch
-    /// tasks re-raise their panics in the caller instead).
+    /// Jobs that panicked on a worker. A scoped job's panic is also
+    /// re-raised in its caller.
     panicked: Arc<AtomicUsize>,
 }
 
@@ -81,7 +79,7 @@ impl WorkerPool {
 
     /// [`WorkerPool::submit`] for an already-boxed job — the sink shape
     /// `crossbeam::thread::run_scoped` lends borrowed work through.
-    pub fn submit_boxed(&self, job: Job) {
+    fn submit_boxed(&self, job: Job) {
         self.sender
             .as_ref()
             .expect("pool is live until drop")
@@ -90,10 +88,11 @@ impl WorkerPool {
     }
 
     /// Run a batch of **borrowing** jobs on the pool's persistent
-    /// workers, blocking until all complete — the scoped-thread shape
-    /// (`crossbeam::thread::scope`) without the per-call spawn cost.
-    /// Panics if any job panicked. Do not call from inside a pool job
-    /// (same capacity caveat as [`WorkerPool::run_batch`]).
+    /// workers, blocking until all complete. Panics (after every job has
+    /// settled) if any job panicked; the workers keep serving. Do not
+    /// call from *inside* a pool job: the job would block its own worker
+    /// waiting for capacity it occupies (a single-worker pool deadlocks
+    /// outright).
     pub fn run_scoped(&self, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
         crossbeam::thread::run_scoped(jobs, &mut |job| self.submit_boxed(job));
     }
@@ -101,9 +100,9 @@ impl WorkerPool {
     /// [`WorkerPool::run_scoped`] with caller participation: `local` runs
     /// on the calling thread between job submission and the completion
     /// wait, so the caller computes one span itself instead of idling —
-    /// the shape `slpm_linalg`'s chunk-plan dispatcher wants (it hands
-    /// the pool `workers − 1` jobs and keeps the last span).
-    pub fn run_scoped_with_local<'env, L>(
+    /// the shape the chunked kernels want (they hand the pool
+    /// `workers − 1` jobs and keep the last span).
+    pub(crate) fn run_scoped_with_local<'env, L>(
         &self,
         jobs: Vec<Box<dyn FnOnce() + Send + 'env>>,
         local: L,
@@ -113,93 +112,9 @@ impl WorkerPool {
         crossbeam::thread::run_scoped_with_local(jobs, &mut |job| self.submit_boxed(job), local);
     }
 
-    /// Borrow this pool as an eigensolver backend: the returned
-    /// [`slpm_linalg::Pool`] schedules the sparse kernels' chunked work
-    /// onto these persistent workers instead of spawning scoped threads
-    /// per call — one pool abstraction for compute and serving. Results
-    /// are bitwise identical to every other backend and thread count.
-    pub fn linalg_pool(&self) -> slpm_linalg::Pool<'_> {
-        slpm_linalg::Pool::with_executor(self.threads(), self)
-    }
-
-    /// Count of submitted (fire-and-forget) jobs that panicked.
+    /// Count of jobs that panicked on a worker, submitted or scoped.
     pub fn panicked_jobs(&self) -> usize {
         self.panicked.load(Ordering::Relaxed)
-    }
-
-    /// Run a batch of tasks on the pool and return their results **in
-    /// task order**. The calling thread blocks (it only collects; with a
-    /// single worker this degenerates to serial execution on the worker).
-    /// Do not call from *inside* a pool job: the job would block its own
-    /// worker waiting for capacity it occupies (a single-worker pool
-    /// deadlocks outright).
-    ///
-    /// A panicking task is re-raised here, after the rest of the batch
-    /// has drained — the first panic in task order wins.
-    pub fn run_batch<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let n = tasks.len();
-        let (tx, rx) = channel::unbounded();
-        for (index, task) in tasks.into_iter().enumerate() {
-            let tx = tx.clone();
-            self.submit(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(task)).map_err(|payload| {
-                    if is_model_abort(&*payload) {
-                        resume_unwind(payload);
-                    }
-                    payload
-                });
-                // The collector may have unwound already; a dead receiver
-                // just discards the result.
-                let _ = tx.send((index, outcome));
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<thread::Result<T>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (index, outcome) = rx.recv().expect("one result per task");
-            slots[index] = Some(outcome);
-        }
-        let mut results = Vec::with_capacity(n);
-        let mut first_panic = None;
-        for slot in slots {
-            match slot.expect("every slot filled") {
-                Ok(value) => results.push(value),
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        results
-    }
-}
-
-impl slpm_linalg::ScopeExecutor for WorkerPool {
-    /// Lend the pool's workers to `slpm_linalg`'s chunked kernels — the
-    /// jobs borrow the eigensolver's buffers; `run_scoped` blocks until
-    /// every one has completed, so no borrow outlives the call.
-    fn run_jobs(&self, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
-        self.run_scoped(jobs);
-    }
-
-    /// Caller participation, for real: the dispatcher's own span runs on
-    /// the calling thread while the pool works the submitted jobs — one
-    /// fewer queue handoff per engagement than the default caller-merging
-    /// implementation.
-    fn run_jobs_with_caller<'env>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() + Send + 'env>>,
-        caller: Box<dyn FnOnce() + Send + 'env>,
-    ) {
-        self.run_scoped_with_local(jobs, caller);
     }
 }
 
@@ -216,29 +131,39 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
+
+    /// Boxed scoped jobs that write `f(i)` into slot `i` of `slots`.
+    fn fill_jobs<'a, T: Send>(
+        slots: &'a mut [T],
+        f: impl Fn(usize) -> T + Send + Sync + Copy + 'a,
+    ) -> Vec<Box<dyn FnOnce() + Send + 'a>> {
+        slots
+            .iter_mut()
+            .enumerate()
+            .map(|(i, slot)| Box::new(move || *slot = f(i)) as Box<dyn FnOnce() + Send + 'a>)
+            .collect()
+    }
 
     #[test]
     fn batch_results_arrive_in_task_order() {
         let pool = WorkerPool::new(4);
-        // Reverse sleep times so completion order inverts task order.
-        let tasks: Vec<_> = (0..8u64)
-            .map(|i| {
-                move || {
-                    std::thread::sleep(std::time::Duration::from_millis((8 - i) * 3));
-                    i * i
-                }
-            })
-            .collect();
-        let results = pool.run_batch(tasks);
+        // Reverse sleep times so completion order inverts task order;
+        // each job writes its own slot, so results land in task order.
+        let mut results = vec![0u64; 8];
+        pool.run_scoped(fill_jobs(&mut results, |i| {
+            let i = i as u64;
+            std::thread::sleep(std::time::Duration::from_millis((8 - i) * 3));
+            i * i
+        }));
         assert_eq!(results, (0..8u64).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_worker_pool_is_serial_but_correct() {
         let pool = WorkerPool::new(1);
-        let results = pool.run_batch((0..16).map(|i| move || i + 1).collect::<Vec<_>>());
+        let mut results = vec![0i32; 16];
+        pool.run_scoped(fill_jobs(&mut results, |i| i as i32 + 1));
         assert_eq!(results, (1..17).collect::<Vec<i32>>());
         assert_eq!(pool.threads(), 1);
         assert_eq!(WorkerPool::new(0).threads(), 1);
@@ -249,21 +174,17 @@ mod tests {
         // The point of persistence: many small batches on the same
         // threads. Track distinct worker threads observed.
         let pool = WorkerPool::new(2);
-        let seen = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        let seen = Mutex::new(std::collections::HashSet::new());
         for round in 0..10 {
-            let tasks: Vec<_> = (0..4)
-                .map(|i| {
-                    let seen = Arc::clone(&seen);
-                    move || {
-                        seen.lock().unwrap().insert(std::thread::current().id());
-                        round * 4 + i
-                    }
-                })
-                .collect();
-            let got = pool.run_batch(tasks);
+            let mut got = vec![0usize; 4];
+            let seen = &seen;
+            pool.run_scoped(fill_jobs(&mut got, move |i| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                round * 4 + i
+            }));
             assert_eq!(got, (round * 4..round * 4 + 4).collect::<Vec<_>>());
         }
-        // 40 tasks landed on at most 2 (long-lived) threads.
+        // 40 jobs landed on at most 2 (long-lived) threads.
         assert!(seen.lock().unwrap().len() <= 2);
     }
 
@@ -286,17 +207,25 @@ mod tests {
     #[test]
     fn batch_panic_is_propagated_to_the_caller() {
         let pool = WorkerPool::new(2);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("task exploded")),
-            Box::new(|| 3),
-        ];
-        let outcome = catch_unwind(AssertUnwindSafe(|| pool.run_batch(tasks)));
+        let mut done = [false; 3];
+        let outcome = {
+            let [a, b, c] = &mut done;
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+                Box::new(|| *a = true),
+                Box::new(|| {
+                    *b = true;
+                    panic!("task exploded")
+                }),
+                Box::new(|| *c = true),
+            ];
+            catch_unwind(AssertUnwindSafe(|| pool.run_scoped(jobs)))
+        };
         assert!(outcome.is_err());
+        // Every job settled before the panic reached the caller.
+        assert_eq!(done, [true; 3]);
         // The pool survives the panic and keeps serving.
-        let results = pool.run_batch(vec![
-            Box::new(|| 7usize) as Box<dyn FnOnce() -> usize + Send>
-        ]);
+        let mut results = vec![0usize; 1];
+        pool.run_scoped(fill_jobs(&mut results, |_| 7));
         assert_eq!(results, vec![7]);
     }
 
@@ -322,18 +251,17 @@ mod tests {
 
     #[test]
     fn linalg_kernels_on_the_serving_pool_match_serial_bitwise() {
-        // The one-pool-abstraction adapter: eigensolver kernels scheduled
-        // on the serving engine's persistent workers answer bit-for-bit
-        // like the serial and scoped backends.
+        // Eigensolver kernels scheduled on a pool's persistent workers
+        // answer bit-for-bit like the serial pool.
         let pool = WorkerPool::new(4);
         let shared = pool.linalg_pool();
         assert_eq!(shared.threads(), 4);
         // Above the kernels' light-op engagement threshold, so the level-1
         // kernels genuinely schedule onto the pool's workers.
-        let n = slpm_linalg::parallel::LIGHT_SPAWN_MIN + 12_345;
+        let n = crate::parallel::LIGHT_SPAWN_MIN + 12_345;
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
-        let serial = slpm_linalg::Pool::serial();
+        let serial = crate::Pool::serial();
         assert_eq!(
             shared.dot(&x, &y).to_bits(),
             serial.dot(&x, &y).to_bits(),
@@ -347,16 +275,20 @@ mod tests {
         serial.center(&mut a);
         shared.center(&mut b);
         assert_eq!(a, b);
-        // The pool keeps serving ordinary batches afterwards.
-        assert_eq!(pool.run_batch(vec![|| 5usize]), vec![5]);
+        // The pool keeps serving ordinary jobs afterwards.
+        let mut results = vec![0usize; 1];
+        pool.run_scoped(fill_jobs(&mut results, |_| 5));
+        assert_eq!(results, vec![5]);
     }
 
     #[test]
     fn submitted_panics_are_counted_not_fatal() {
         let pool = WorkerPool::new(1);
         pool.submit(|| panic!("fire-and-forget failure"));
-        // A later batch still runs on the same worker.
-        let results = pool.run_batch(vec![|| 11usize]);
+        // A later scoped job still runs on the same (only) worker, and
+        // queues behind the panicked one, so the count is settled.
+        let mut results = vec![0usize; 1];
+        pool.run_scoped(fill_jobs(&mut results, |_| 11));
         assert_eq!(results, vec![11]);
         assert_eq!(pool.panicked_jobs(), 1);
     }

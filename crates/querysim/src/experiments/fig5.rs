@@ -11,10 +11,9 @@
 //! versus Y (its scan direction); Spectral answers almost identically —
 //! it does not discriminate between dimensions.
 
-use crate::experiments::{FigureData, FigureSeries};
+use crate::experiments::{series_per_mapping, FigureData, FigureSeries};
 use crate::mappings::{MappingLabel, MappingSet};
 use crate::metrics;
-use crossbeam::thread;
 use serde::Serialize;
 use slpm_graph::grid::{Connectivity, GridSpec};
 
@@ -65,41 +64,16 @@ pub fn run_worst_case(cfg: &Fig5Config) -> FigureData {
         .map(|p| ((p / 100.0 * max_manhattan as f64).round() as usize).max(1))
         .collect();
 
-    // Each mapping is independent: sweep them on scoped threads.
-    let labels: Vec<MappingLabel> = set.iter().map(|(l, _)| l).collect();
-    let mut series: Vec<FigureSeries> = Vec::new();
-    thread::scope(|s| {
-        let handles: Vec<_> = set
+    let series = series_per_mapping(&set, |order| {
+        distances
             .iter()
-            .map(|(label, order)| {
-                let spec = &spec;
-                let distances = &distances;
-                let percents = &cfg.percents;
-                s.spawn(move |_| {
-                    let points: Vec<(f64, f64)> = distances
-                        .iter()
-                        .zip(percents.iter())
-                        .map(|(&d, &p)| {
-                            let stats = metrics::pair_distance_stats(spec, order, d);
-                            let pct = 100.0 * stats.max as f64 / (n - 1) as f64;
-                            (p, pct)
-                        })
-                        .collect();
-                    (label, points)
-                })
+            .zip(&cfg.percents)
+            .map(|(&d, &p)| {
+                let stats = metrics::pair_distance_stats(&spec, order, d);
+                (p, 100.0 * stats.max as f64 / (n - 1) as f64)
             })
-            .collect();
-        for h in handles {
-            let (label, points) = h.join().expect("metric thread panicked");
-            series.push(FigureSeries {
-                label: label.to_string(),
-                points,
-            });
-        }
-    })
-    .expect("crossbeam scope");
-    // Preserve the comparison-set order (threads may finish out of order).
-    series.sort_by_key(|s| labels.iter().position(|l| l.to_string() == s.label));
+            .collect()
+    });
 
     FigureData {
         id: "fig5a".into(),

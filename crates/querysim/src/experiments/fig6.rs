@@ -17,11 +17,10 @@
 //! the boundary effect (every mapping has some adversarial shape, and the
 //! interesting signal is how fast each saturates).
 
-use crate::experiments::{FigureData, FigureSeries};
-use crate::mappings::{MappingLabel, MappingSet};
+use crate::experiments::{series_per_mapping, FigureData, FigureSeries};
+use crate::mappings::MappingSet;
 use crate::metrics::{self, SpanStats};
 use crate::workloads;
-use crossbeam::thread;
 use serde::Serialize;
 use slpm_graph::grid::GridSpec;
 
@@ -96,32 +95,12 @@ fn stats_for(
 fn sweep(cfg: &Fig6Config, agg: Aggregation) -> (GridSpec, Vec<FigureSeries>) {
     let spec = GridSpec::cube(cfg.side, cfg.ndim);
     let set = MappingSet::paper_set(&spec).expect("power-of-two grid");
-    let labels: Vec<MappingLabel> = set.iter().map(|(l, _)| l).collect();
-    let mut series: Vec<FigureSeries> = Vec::new();
-    thread::scope(|s| {
-        let handles: Vec<_> = set
+    let series = series_per_mapping(&set, |order| {
+        cfg.percents
             .iter()
-            .map(|(label, order)| {
-                let spec = &spec;
-                let cfg_ref = cfg;
-                let agg = &agg;
-                s.spawn(move |_| {
-                    let points: Vec<(f64, f64)> = cfg_ref
-                        .percents
-                        .iter()
-                        .map(|&p| (p, stats_for(spec, order, p, cfg_ref, agg)))
-                        .collect();
-                    (label.to_string(), points)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (label, points) = h.join().expect("metric thread panicked");
-            series.push(FigureSeries { label, points });
-        }
-    })
-    .expect("crossbeam scope");
-    series.sort_by_key(|s| labels.iter().position(|l| l.to_string() == s.label));
+            .map(|&p| (p, stats_for(&spec, order, p, cfg, &agg)))
+            .collect()
+    });
     (spec, series)
 }
 

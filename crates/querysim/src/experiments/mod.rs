@@ -16,9 +16,11 @@ pub mod point_cloud;
 pub mod rtree_packing;
 pub mod storage_io;
 
+use crate::mappings::MappingSet;
 use crate::table::TextTable;
 use serde::Serialize;
-use slpm_linalg::{FiedlerMethod, FiedlerOptions};
+use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool};
+use spectral_lpm::LinearOrder;
 
 /// Eigensolver options pinned to shift-invert Lanczos, for the worked
 /// examples on tiny degenerate grids (Figures 3 and 4). The size policy
@@ -121,6 +123,32 @@ impl FigureData {
         }
         out
     }
+}
+
+/// One series per mapping of `set`, in the set's order. Mappings are
+/// independent, so each series is computed as its own job on the default
+/// pool; `points` computes metrics only and must not use a pool itself.
+pub(crate) fn series_per_mapping<F>(set: &MappingSet, points: F) -> Vec<FigureSeries>
+where
+    F: Fn(&LinearOrder) -> Vec<(f64, f64)> + Sync,
+{
+    let mut slots: Vec<Vec<(f64, f64)>> = vec![Vec::new(); set.len()];
+    let points = &points;
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+        .iter_mut()
+        .zip(set.iter())
+        .map(|(slot, (_, order))| {
+            Box::new(move || *slot = points(order)) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    Pool::default().run_scoped(jobs);
+    set.iter()
+        .zip(slots)
+        .map(|((label, _), points)| FigureSeries {
+            label: label.to_string(),
+            points,
+        })
+        .collect()
 }
 
 #[cfg(test)]

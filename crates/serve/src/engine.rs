@@ -72,9 +72,9 @@ use crate::fault::{FaultPlan, FaultState, ServeError, UnitFailure, UnitFault};
 use crate::health::{
     BreakerSnapshot, RecoveryConfig, ShardBreaker, UnitDirective, UnitDisposition,
 };
-use crate::pool::WorkerPool;
 use crate::shard::{Partition, ReadPath, Shard, ShardMap, ShardSet};
 use crossbeam::sync::{is_model_abort, Arc, Condvar, Mutex};
+use slpm_linalg::WorkerPool;
 use slpm_storage::{
     chebyshev, BufferStats, IoCost, IoModel, Mbr, PackedRTree, PageLayout, PageMapper, QueryCost,
     StorageError,

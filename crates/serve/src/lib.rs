@@ -8,12 +8,6 @@
 //! [`slpm_storage::PackedRTree`] / [`slpm_storage::PageStore`] →
 //! [`slpm_storage::BufferPool`]) into a concurrent engine:
 //!
-//! * [`pool`] — a persistent [`pool::WorkerPool`]: long-lived threads fed
-//!   by the `crossbeam` shim's MPMC channels, amortising the per-call
-//!   spawn cost that dominates scoped threads below ~64k work items. Via
-//!   [`pool::WorkerPool::linalg_pool`] the same workers also run the
-//!   eigensolver's chunked kernels (`slpm_linalg::ScopeExecutor`) — one
-//!   pool abstraction for compute and serving.
 //! * [`shard`] — partitioning one order's pages across shards
 //!   ([`shard::Partition::Contiguous`] rank ranges, or the declustered
 //!   [`shard::Partition::RoundRobin`] reusing
@@ -49,6 +43,10 @@
 //!   an SLO report ([`stream::SloReport`]: p50/p99/p999 vs. target,
 //!   violation %, shed counts per class, max queue depth).
 //!
+//! Batches run on [`WorkerPool`], the persistent worker pool of
+//! `slpm_linalg` that also runs the eigensolver's chunked kernels (one
+//! parallel backend for compute and serving); it is re-exported here.
+//!
 //! **The serving contract:** result sets, page counts, run counts and the
 //! batch digest are bitwise identical for every shard count, thread
 //! count, kNN planner and in-flight batch count — scheduling moves work,
@@ -80,7 +78,6 @@ pub mod arrival;
 pub mod engine;
 pub mod fault;
 pub mod health;
-pub mod pool;
 pub mod shard;
 pub mod stream;
 pub mod testing;
@@ -94,8 +91,8 @@ pub use engine::{
 };
 pub use fault::{Fault, FaultKind, FaultParseError, FaultPlan, ServeError, UnitFailure};
 pub use health::{BreakerSnapshot, BreakerState, RecoveryConfig};
-pub use pool::WorkerPool;
 pub use shard::{Partition, Shard, ShardMap, ShardSet};
+pub use slpm_linalg::WorkerPool;
 pub use stream::{
     stream_serve, AdmissionPolicy, ServiceModel, SloReport, StreamConfig, StreamReport,
 };

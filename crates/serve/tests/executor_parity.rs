@@ -1,14 +1,11 @@
-//! Bitwise parity of the linear-algebra stack across executor backends.
+//! Bitwise parity of the linear-algebra stack between the serial pool and
+//! the persistent worker pool.
 //!
-//! PR 10's one-pool contract: the same kernel call must answer
-//! **bit-for-bit identically** whether it is scheduled
-//!
-//! * serially (`Pool::serial()`),
-//! * on a throwaway scoped-spawn pool (`Pool::new(..)`), or
-//! * on the serving engine's persistent [`WorkerPool`] via the
-//!   `ScopeExecutor` seam (`WorkerPool::linalg_pool()`),
-//!
-//! and at **any thread count** — the fixed `REDUCE_CHUNK` tree-reduction
+//! The one-pool contract: the same kernel call must answer
+//! **bit-for-bit identically** whether it runs serially
+//! (`Pool::serial()`) or on the serving engine's persistent
+//! [`WorkerPool`] (`WorkerPool::linalg_pool()`), at **any thread count**
+//! — the fixed `REDUCE_CHUNK` tree-reduction
 //! grid depends only on the problem size, so scheduling moves work, never
 //! bits. This matrix covers the level-1 kernels (dot, norm2, axpy), the
 //! CSR matvec, the full multilevel Fiedler solve and the recursive
@@ -22,22 +19,17 @@ use spectral_lpm::{rsb_order_on, RsbOptions, SpectralConfig};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Run `f` once per backend at the given thread count and return the
-/// labelled results: scoped spawn pool, then persistent worker pool.
-fn on_each_backend<T>(threads: usize, f: impl Fn(&Pool<'_>) -> T) -> Vec<(String, T)> {
-    let scoped = f(&Pool::new(Some(threads)));
+/// Run `f` on a persistent worker pool of `threads` workers and return
+/// the result labelled with the thread count.
+fn pooled<T>(threads: usize, f: impl Fn(&Pool<'_>) -> T) -> (String, T) {
     let workers = WorkerPool::new(threads);
-    let pooled = f(&workers.linalg_pool());
-    vec![
-        (format!("scoped T={threads}"), scoped),
-        (format!("pooled T={threads}"), pooled),
-    ]
+    (format!("pooled T={threads}"), f(&workers.linalg_pool()))
 }
 
 #[test]
 fn level1_kernels_and_matvec_match_serial_bitwise() {
     // Long enough that even the memory-bound level-1 kernels engage the
-    // executor instead of staying on the caller thread.
+    // pool instead of staying on the caller thread.
     let n = slpm_linalg::parallel::LIGHT_SPAWN_MIN + 12_345;
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
@@ -55,18 +47,17 @@ fn level1_kernels_and_matvec_match_serial_bitwise() {
     serial.matvec_into(&lap, &v, &mut mv0);
 
     for threads in THREAD_COUNTS {
-        for (label, (dot, norm, axpy, mv)) in on_each_backend(threads, |pool| {
+        let (label, (dot, norm, axpy, mv)) = pooled(threads, |pool| {
             let mut a = y.clone();
             pool.axpy(1.25, &x, &mut a);
             let mut m = vec![0.0; lap.rows()];
             pool.matvec_into(&lap, &v, &mut m);
             (pool.dot(&x, &y), pool.norm2(&x), a, m)
-        }) {
-            assert_eq!(dot.to_bits(), dot0.to_bits(), "dot: {label}");
-            assert_eq!(norm.to_bits(), norm0.to_bits(), "norm2: {label}");
-            assert_eq!(axpy, axpy0, "axpy: {label}");
-            assert_eq!(mv, mv0, "matvec: {label}");
-        }
+        });
+        assert_eq!(dot.to_bits(), dot0.to_bits(), "dot: {label}");
+        assert_eq!(norm.to_bits(), norm0.to_bits(), "norm2: {label}");
+        assert_eq!(axpy, axpy0, "axpy: {label}");
+        assert_eq!(mv, mv0, "matvec: {label}");
     }
 }
 
@@ -74,7 +65,7 @@ fn level1_kernels_and_matvec_match_serial_bitwise() {
 fn multilevel_fiedler_solve_matches_serial_bitwise() {
     // The full coarsen → project → refine eigensolver, not just kernels:
     // 48×32 is well above the default coarsest size, so the hierarchy,
-    // the smoother and the PCG solves all run through the executor.
+    // the smoother and the PCG solves all run on the pool.
     let spec = GridSpec::new(&[48, 32]);
     let lap = spec.graph(Connectivity::Orthogonal).laplacian();
     let opts = FiedlerOptions {
@@ -85,23 +76,20 @@ fn multilevel_fiedler_solve_matches_serial_bitwise() {
     assert!(reference.lambda2 > 0.0);
 
     for threads in THREAD_COUNTS {
-        for (label, pair) in
-            on_each_backend(threads, |pool| fiedler_pair_on(&lap, &opts, pool).unwrap())
-        {
-            assert_eq!(
-                pair.lambda2.to_bits(),
-                reference.lambda2.to_bits(),
-                "lambda2: {label}"
-            );
-            assert_eq!(pair.vector, reference.vector, "vector: {label}");
-        }
+        let (label, pair) = pooled(threads, |pool| fiedler_pair_on(&lap, &opts, pool).unwrap());
+        assert_eq!(
+            pair.lambda2.to_bits(),
+            reference.lambda2.to_bits(),
+            "lambda2: {label}"
+        );
+        assert_eq!(pair.vector, reference.vector, "vector: {label}");
     }
 }
 
 #[test]
 fn recursive_bisection_order_matches_serial_exactly() {
     // The hierarchy-reusing recursive bisection driver on top of it all:
-    // identical ranks from every backend at every thread count.
+    // identical ranks at every thread count.
     let spec = GridSpec::new(&[36, 24]);
     let graph = spec.graph(Connectivity::Orthogonal);
     let opts = RsbOptions {
@@ -118,10 +106,7 @@ fn recursive_bisection_order_matches_serial_exactly() {
     let reference = rsb_order_on(&graph, &opts, &Pool::serial()).unwrap();
 
     for threads in THREAD_COUNTS {
-        for (label, order) in
-            on_each_backend(threads, |pool| rsb_order_on(&graph, &opts, pool).unwrap())
-        {
-            assert_eq!(order.ranks(), reference.ranks(), "rsb ranks: {label}");
-        }
+        let (label, order) = pooled(threads, |pool| rsb_order_on(&graph, &opts, pool).unwrap());
+        assert_eq!(order.ranks(), reference.ranks(), "rsb ranks: {label}");
     }
 }

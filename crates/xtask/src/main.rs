@@ -9,7 +9,7 @@
 //!   `shims/`, and every occurrence there must carry a `// SAFETY:`
 //!   comment in the line-comment block directly above it.
 //! * **`thread-spawn`** — raw `std::thread::spawn` / `thread::Builder`
-//!   is confined to the shims; everything else, the serving pool's
+//!   is confined to the shims; everything else, the worker pool's
 //!   workers included, spawns through the `crossbeam::sync::thread`
 //!   facade so the model checker can see it.
 //! * **`float-reduce`** — no ad-hoc `f64`/`f32` `.sum()` / sum-like
@@ -736,13 +736,13 @@ mod tests {
 
     #[test]
     fn thread_spawn_is_confined_to_the_shims() {
-        // No serving file is blessed: the pool spawns its workers through
+        // No crate file is blessed: the pool spawns its workers through
         // the crossbeam::sync::thread facade like everything else.
         for raw in [
             "fn start() {\n    std::thread::spawn(work);\n}\n",
             "fn start() {\n    let h = std::thread::Builder::new().spawn(work);\n}\n",
         ] {
-            for rel in ["crates/serve/src/pool.rs", "crates/linalg/src/parallel.rs"] {
+            for rel in ["crates/linalg/src/pool.rs", "crates/linalg/src/parallel.rs"] {
                 let mut v = Vec::new();
                 lint_file(rel, raw, &mut v);
                 assert_eq!(v.len(), 1, "{rel}: expected exactly one finding: {v:?}");
@@ -757,7 +757,7 @@ mod tests {
         // The facade itself is the sanctioned spawn.
         let facade = "fn start() {\n    crossbeam::sync::thread::spawn(work);\n}\n";
         let mut v = Vec::new();
-        lint_file("crates/serve/src/pool.rs", facade, &mut v);
+        lint_file("crates/linalg/src/pool.rs", facade, &mut v);
         assert!(v.is_empty(), "false positive: {v:?}");
 
         // A reasoned pragma silences a finding (the test watchdog's case).

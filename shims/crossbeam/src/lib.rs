@@ -2,110 +2,29 @@
 //!
 //! Two surfaces are provided, each only as wide as the tree needs:
 //!
-//! * [`thread`] — `thread::scope` / `Scope::spawn` /
-//!   `ScopedJoinHandle::join`, implemented on top of `std::thread::scope`
-//!   (stable since Rust 1.63, which postdates crossbeam's scoped-thread
-//!   API). Semantics match crossbeam's: `scope` returns `Ok(r)` when no
-//!   spawned thread panicked, and spawn closures receive the scope so they
-//!   could spawn nested threads.
+//! * [`thread`] — `run_scoped` / `run_scoped_with_local`: lend a batch of
+//!   borrowing jobs to threads that already exist, blocking until every
+//!   job has settled. The tree starts no threads per call; the persistent
+//!   worker pool in `slpm_linalg` is the executor.
 //! * [`channel`] — cloneable MPMC channels (`unbounded` / `bounded`,
 //!   blocking `send`/`recv`, `try_recv`, `iter`) over `Mutex` + `Condvar`,
-//!   feeding the persistent worker pool in `slpm_serve`.
+//!   feeding that worker pool.
 //!
-//! Both — and `slpm_serve`'s engine — are written against the [`sync`]
-//! facade: normally a zero-cost re-export of `std::sync`, but under the
-//! `model` feature the same names become instrumented primitives driven
-//! by the deterministic schedule-exploring checker in `crossbeam::model`
-//! — see `crates/check` for the tests that explore the channel, the
-//! `run_scoped` latch and the real serving engine over every bounded
-//! interleaving.
+//! Both — and the worker pool and `slpm_serve`'s engine — are written
+//! against the [`sync`] facade: normally a zero-cost re-export of
+//! `std::sync`, but under the `model` feature the same names become
+//! instrumented primitives driven by the deterministic schedule-exploring
+//! checker in `crossbeam::model` — see `crates/check` for the tests that
+//! explore the channel, the `run_scoped` latch and the real serving
+//! engine over every bounded interleaving.
 
 pub mod channel;
 #[cfg(feature = "model")]
 pub mod model;
 pub mod sync;
 
-/// Scoped threads, mirroring `crossbeam::thread`.
+/// Borrowing jobs lent to persistent executor threads.
 pub mod thread {
-    use std::any::Any;
-    use std::thread as stdthread;
-
-    /// Result type of [`scope`]: `Err` carries the panic payload of a
-    /// spawned thread that panicked, as in crossbeam.
-    pub type Result<T> = std::result::Result<T, Box<dyn Any + Send + 'static>>;
-
-    /// A scope handle passed to [`scope`]'s closure and to every spawned
-    /// thread's closure.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope stdthread::Scope<'scope, 'env>,
-    }
-
-    /// Handle to a scoped thread; joins to the closure's return value.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: stdthread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Wait for the thread to finish, returning its result (or the
-        /// panic payload if it panicked).
-        pub fn join(self) -> Result<T> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a scoped thread. As in crossbeam, the closure receives the
-        /// scope so it can spawn further threads.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            ScopedJoinHandle {
-                inner: inner.spawn(move || {
-                    let scope = Scope { inner };
-                    f(&scope)
-                }),
-            }
-        }
-    }
-
-    /// Run `f` with a scope in which borrowing threads can be spawned; all
-    /// threads are joined before `scope` returns. As in crossbeam, a panic
-    /// in a spawned (and unjoined) thread is reported as `Err`, while a
-    /// panic in `f` itself propagates to the caller.
-    pub fn scope<'env, F, R>(f: F) -> Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        let mut closure_panic = None;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            stdthread::scope(|s| {
-                let scope = Scope { inner: s };
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&scope))) {
-                    Ok(r) => Some(r),
-                    Err(payload) => {
-                        // Defer: let the scope join its threads first, then
-                        // propagate the closure's own panic untouched.
-                        closure_panic = Some(payload);
-                        None
-                    }
-                }
-            })
-        }));
-        if let Some(payload) = closure_panic {
-            std::panic::resume_unwind(payload);
-        }
-        match result {
-            Ok(Some(r)) => Ok(r),
-            Ok(None) => unreachable!("closure panic handled above"),
-            // An unjoined spawned thread panicked; std re-raises it at
-            // scope exit and crossbeam reports it as Err.
-            Err(payload) => Err(payload),
-        }
-    }
-
     use crate::sync::{Arc, Condvar, Mutex};
 
     /// Tracks every lent wrapper until it settles.
@@ -198,9 +117,8 @@ pub mod thread {
 
     /// Lend a batch of **borrowing** jobs to a persistent executor.
     ///
-    /// [`scope`] spawns fresh OS threads per call; this is the
-    /// complementary primitive for executors whose threads already exist
-    /// (e.g. a long-lived worker pool): each job is re-packaged as a
+    /// For executors whose threads already exist (e.g. a long-lived
+    /// worker pool): each job is re-packaged as a
     /// `'static` closure and handed to `submit`, which must arrange for it
     /// to run eventually (a dropped-unrun job is detected and reported,
     /// never leaked). `run_scoped` blocks until every submitted job has
@@ -210,8 +128,7 @@ pub mod thread {
     ///
     /// # Panics
     /// Panics (after all jobs have settled) when any job panicked or was
-    /// dropped without running — the moral equivalent of [`scope`]
-    /// returning `Err`.
+    /// dropped without running.
     pub fn run_scoped<'env>(
         jobs: Vec<Box<dyn FnOnce() + Send + 'env>>,
         submit: &mut dyn FnMut(Box<dyn FnOnce() + Send + 'static>),
@@ -310,54 +227,6 @@ pub mod thread {
 #[cfg(test)]
 mod tests {
     use super::thread;
-
-    #[test]
-    fn scope_returns_ok_with_joined_results() {
-        let data = [1, 2, 3];
-        let sum = thread::scope(|s| {
-            let handles: Vec<_> = data.iter().map(|&x| s.spawn(move |_| x * 2)).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum::<i32>()
-        })
-        .unwrap();
-        assert_eq!(sum, 12);
-    }
-
-    #[test]
-    fn joined_thread_panic_surfaces_at_join() {
-        let r = thread::scope(|s| {
-            let h = s.spawn(|_| panic!("worker failed"));
-            h.join()
-        })
-        .expect("scope itself is fine when the panic was consumed via join");
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn unjoined_thread_panic_reported_as_err() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence the worker's panic
-        let r = thread::scope(|s| {
-            s.spawn(|_| panic!("unjoined worker"));
-        });
-        std::panic::set_hook(prev);
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn closure_panic_propagates_like_crossbeam() {
-        let caught = std::panic::catch_unwind(|| {
-            let _ = thread::scope(|_| panic!("main closure bug: {}", 42));
-        })
-        .unwrap_err();
-        // The payload may be &str (rustc const-folds literal format args)
-        // or String; either way the original message must survive.
-        let msg = caught
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| caught.downcast_ref::<String>().cloned())
-            .expect("panic payload is a message");
-        assert!(msg.contains("main closure bug: 42"), "got {msg:?}");
-    }
 
     #[test]
     fn run_scoped_runs_borrowing_jobs_on_external_threads() {
@@ -515,16 +384,5 @@ mod tests {
         // The borrowed job still completed before the unwind escaped —
         // the drain guard held the frame alive until it settled.
         assert_eq!(data, (1..=8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn nested_spawn_works() {
-        let n = thread::scope(|s| {
-            s.spawn(|inner| inner.spawn(|_| 7).join().unwrap())
-                .join()
-                .unwrap()
-        })
-        .unwrap();
-        assert_eq!(n, 7);
     }
 }
