@@ -2,7 +2,6 @@
 
 use slpm_linalg::FiedlerMethod;
 use slpm_serve::arrival::ArrivalShape;
-use slpm_serve::engine::KnnPlanner;
 use slpm_serve::shard::Partition;
 use slpm_serve::stream::AdmissionPolicy;
 use std::fmt;
@@ -124,7 +123,6 @@ pub enum Command {
     /// `slpm serve --grid AxB [--mapping M] [--shards S] [--threads T]
     /// [--queries Q] [--seed N] [--partition contiguous|round-robin]
     /// [--buffer-pages N] [--page-records N] [--inflight B]
-    /// [--knn-planner best-first|expanding-ball]
     /// [--page-file FILE] [--readahead N]` — run a mixed range/kNN
     /// workload through the sharded serving engine.
     Serve {
@@ -149,8 +147,6 @@ pub enum Command {
         /// Concurrently admitted batches the workload is split into
         /// (1 = one batch, the serial-admission baseline).
         inflight: usize,
-        /// kNN planning algorithm.
-        planner: KnnPlanner,
         /// Streaming mode: serve the workload as an open-loop arrival
         /// stream with admission control and SLO accounting instead of
         /// one closed-loop batch.
@@ -392,7 +388,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut buffer_pages = 64usize;
             let mut page_records = 64usize;
             let mut inflight = 1usize;
-            let mut planner = KnnPlanner::BestFirst;
             let mut stream = false;
             let mut rate = 20_000u64;
             let mut arrival = ArrivalShape::Poisson;
@@ -440,14 +435,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         page_records = parse_positive(args, &mut i, "--page-records")?
                     }
                     "--inflight" => inflight = parse_positive(args, &mut i, "--inflight")?,
-                    "--knn-planner" => {
-                        let v = take_value(args, &mut i, "--knn-planner")?;
-                        planner = KnnPlanner::parse(v).ok_or_else(|| {
-                            ParseError(format!(
-                                "unknown kNN planner '{v}' (best-first, expanding-ball)"
-                            ))
-                        })?;
-                    }
                     "--stream" => stream = true,
                     "--rate" => rate = parse_positive(args, &mut i, "--rate")? as u64,
                     "--arrival" => {
@@ -519,7 +506,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 buffer_pages,
                 page_records,
                 inflight,
-                planner,
                 stream,
                 rate,
                 arrival,
@@ -582,7 +568,6 @@ USAGE:
   slpm serve   --grid 256x256 [--mapping hilbert] [--shards 2] [--threads 1]
                [--queries 1000] [--seed 42] [--partition contiguous|round-robin]
                [--buffer-pages 64] [--page-records 64] [--inflight 1]
-               [--knn-planner best-first|expanding-ball]
                [--page-file pages.slpm] [--readahead 0]
                [--stream] [--rate 20000]
                [--arrival deterministic|poisson|bursty|diurnal]
@@ -596,6 +581,10 @@ Mappings: sweep, snake, peano (Z-order), truepeano, gray, hilbert,
           spectral (4-connectivity), spectral8 (8-connectivity).
 Grids for the recursive curves need power-of-two sides (truepeano: powers
 of three); sweep/snake/spectral accept any extents.
+`slpm figure` prints the table behind one of the paper's figures (fig1 adds
+the paper's drawn-pair note; fig6a the partial-query variant); `slpm
+experiment` prints the four ablation studies or an experiment beyond the
+paper.
 Spectral mappings pick their eigensolver automatically by grid size (dense
 -> shift-invert Lanczos -> multilevel); `slpm fiedler --method` overrides.
 --threads N pins the eigensolver's worker threads (default: the machine's
@@ -604,10 +593,10 @@ identical for every thread count.
 `slpm serve` replays a seeded mixed range/kNN workload through the sharded
 serving engine (order -> pages -> shards -> worker pool); result sets, page
 counts and the printed digest are bitwise identical for every --shards,
---threads, --inflight and --knn-planner combination. --inflight B splits
-the workload into B concurrently admitted batches (per-shard FIFO queues,
-round-robin fairness); --knn-planner picks best-first branch-and-bound
-(default) or the expanding-ball baseline.
+--threads and --inflight combination. kNN queries run best-first
+branch-and-bound on the packed R-tree. --inflight B splits the workload
+into B concurrently admitted batches (per-shard FIFO queues, round-robin
+fairness).
 `slpm pack` writes the grid's records to a checksummed disk page file laid
 out in linear-order sequence; `slpm serve --page-file` then serves the
 same workload out-of-core, faulting pages through each shard's buffer
@@ -789,7 +778,6 @@ mod tests {
                 buffer_pages: 64,
                 page_records: 64,
                 inflight: 1,
-                planner: KnnPlanner::BestFirst,
                 stream: false,
                 rate: 20_000,
                 arrival: ArrivalShape::Poisson,
@@ -830,8 +818,6 @@ mod tests {
             "32",
             "--inflight",
             "4",
-            "--knn-planner",
-            "expanding-ball",
         ]))
         .unwrap();
         assert_eq!(
@@ -847,7 +833,6 @@ mod tests {
                 buffer_pages: 16,
                 page_records: 32,
                 inflight: 4,
-                planner: KnnPlanner::ExpandingBall,
                 stream: false,
                 rate: 20_000,
                 arrival: ArrivalShape::Poisson,
@@ -866,14 +851,28 @@ mod tests {
                 readahead: 0,
             }
         );
-        // Missing grid, bad values, bad partition, bad planner/inflight.
+        // Missing grid, bad values, bad partition, bad inflight.
         assert!(parse(&argv(&["serve"])).is_err());
         assert!(parse(&argv(&["serve", "--grid", "8x8", "--shards", "0"])).is_err());
         assert!(parse(&argv(&["serve", "--grid", "8x8", "--queries", "none"])).is_err());
         assert!(parse(&argv(&["serve", "--grid", "8x8", "--partition", "hashed"])).is_err());
         assert!(parse(&argv(&["serve", "--grid", "8x8", "--seed", "x"])).is_err());
         assert!(parse(&argv(&["serve", "--grid", "8x8", "--inflight", "0"])).is_err());
-        assert!(parse(&argv(&["serve", "--grid", "8x8", "--knn-planner", "astar"])).is_err());
+    }
+
+    #[test]
+    fn parse_serve_rejects_the_knn_planner_flag() {
+        // Best-first is the only kNN planner; the flag that picked one is gone.
+        assert_eq!(
+            parse(&argv(&[
+                "serve",
+                "--grid",
+                "8x8",
+                "--knn-planner",
+                "best-first"
+            ])),
+            Err(ParseError("unknown flag '--knn-planner'".into()))
+        );
     }
 
     #[test]

@@ -20,12 +20,14 @@ use spectral_lpm::{LinearOrder, SpectralConfig, SpectralMapper};
 use std::path::PathBuf;
 
 /// Build the requested order over the grid. `threads` pins the spectral
-/// eigensolver's worker count (ignored by the curve mappings).
+/// eigensolver's worker count (ignored by the curve mappings). Alongside
+/// the order comes λ₂ of the 4-connected grid Laplacian when building the
+/// order solved it (`--mapping spectral`), so `slpm report` reuses it.
 fn build_order(
     dims: &[usize],
     mapping: MappingChoice,
     threads: Option<usize>,
-) -> Result<LinearOrder, ParseError> {
+) -> Result<(LinearOrder, Option<f64>), ParseError> {
     let spec = GridSpec::new(dims);
     let err = |e: String| ParseError(e);
     let side = dims[0] as u64;
@@ -33,19 +35,24 @@ fn build_order(
     let k = dims.len();
     match mapping {
         // The curve mappings share one name → order dispatch with every
-        // other `--mapping` consumer (e.g. the serve_throughput bench).
+        // other `--mapping` consumer (e.g. the serve_bench binary).
         MappingChoice::Sweep
         | MappingChoice::Snake
         | MappingChoice::Peano
         | MappingChoice::Gray
-        | MappingChoice::Hilbert => curve_order_by_name(&spec, &mapping.to_string()).map_err(err),
+        | MappingChoice::Hilbert => curve_order_by_name(&spec, &mapping.to_string())
+            .map(|order| (order, None))
+            .map_err(err),
         MappingChoice::TruePeano => {
             if !uniform {
                 return Err(ParseError("truepeano requires a hypercube grid".into()));
             }
-            Ok(curve_order(
-                &spec,
-                &TruePeanoCurve::from_side(k, side).map_err(|e| err(e.to_string()))?,
+            Ok((
+                curve_order(
+                    &spec,
+                    &TruePeanoCurve::from_side(k, side).map_err(|e| err(e.to_string()))?,
+                ),
+                None,
             ))
         }
         MappingChoice::Spectral | MappingChoice::Spectral8 => {
@@ -62,13 +69,31 @@ fn build_order(
                 connectivity,
                 ..Default::default()
             });
-            Ok(
-                with_threads(threads, |pool| mapper.map_grid_on(&spec, pool))
-                    .map_err(|e| err(e.to_string()))?
-                    .order,
-            )
+            let mapped = with_threads(threads, |pool| mapper.map_grid_on(&spec, pool))
+                .map_err(|e| err(e.to_string()))?;
+            let lambda2 =
+                (connectivity == Connectivity::Orthogonal).then_some(mapped.fiedler.lambda2);
+            Ok((mapped.order, lambda2))
         }
     }
+}
+
+/// Printed under Figure 1's table: the pairs the paper draws depend on
+/// each curve's orientation, so only the boundary effect itself is
+/// compared.
+const FIG1_NOTE: &str = "\
+Paper's drawn-pair values (orientation-specific): Peano 14, Gray 9, Hilbert 5.
+Our curve orientations give the worst adjacent stretches above; the
+boundary-effect phenomenon (fractals ≫ non-fractals) is the reproduced claim.
+";
+
+/// Figure 6a: the cubic-query worst case, then its partial-query variant.
+fn fig6a(cfg: &fig6::Fig6Config) -> String {
+    format!(
+        "{}\n{}",
+        fig6::run_worst_case(cfg).render(),
+        fig6::run_worst_case_partial(cfg).render()
+    )
 }
 
 /// Render the fault-plane section shared by the batch and stream paths:
@@ -242,7 +267,7 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             threads,
         } => {
             let spec = GridSpec::new(dims);
-            let order = build_order(dims, *mapping, *threads)?;
+            let (order, _) = build_order(dims, *mapping, *threads)?;
             let mut out = String::new();
             if *csv {
                 // point coordinates, then rank.
@@ -306,12 +331,12 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             ))
         }
         Command::Figure { id } => Ok(match id.as_str() {
-            "fig1" => fig1::run(4).render(),
+            "fig1" => format!("{}\n{FIG1_NOTE}", fig1::run(4).render()),
             "fig3" => fig3::run().render(),
             "fig4" => fig4::run(4).render(),
             "fig5a" => fig5::run_worst_case(&fig5::Fig5Config::default()).render(),
             "fig5b" => fig5::run_fairness(&fig5::Fig5Config::default()).render(),
-            "fig6a" => fig6::run_worst_case(&fig6::Fig6Config::default()).render(),
+            "fig6a" => fig6a(&fig6::Fig6Config::default()),
             "fig6b" => fig6::run_fairness(&fig6::Fig6Config::default()).render(),
             other => return Err(ParseError(format!("unknown figure '{other}'"))),
         }),
@@ -333,22 +358,7 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
                 let cfg = point_cloud::PointCloudConfig::default();
                 point_cloud::render(&point_cloud::run(&cfg), &cfg)
             }
-            "ablations" => {
-                let mut out = String::new();
-                for r in ablation::eigensolver_agreement(16) {
-                    out.push_str(&format!(
-                        "eigensolver {}: lambda2 {:.8} residual {:.2e} 2-sum {:.0}\n",
-                        r.method, r.lambda2, r.residual, r.two_sum
-                    ));
-                }
-                for r in ablation::ordering_comparison(16) {
-                    out.push_str(&format!(
-                        "ordering {}: 2-sum {:.0} bandwidth {}\n",
-                        r.strategy, r.two_sum, r.bandwidth
-                    ));
-                }
-                out
-            }
+            "ablations" => ablation::render(),
             other => return Err(ParseError(format!("unknown experiment '{other}'"))),
         }),
         Command::Pack {
@@ -358,7 +368,7 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             page_records,
             record_size,
         } => {
-            let order = build_order(dims, *mapping, None)?;
+            let (order, _) = build_order(dims, *mapping, None)?;
             let mapper = PageMapper::new(&order, PageLayout::new(*page_records));
             let header = write_page_file(PathBuf::from(out).as_path(), &mapper, *record_size)
                 .map_err(|e| ParseError(format!("pack failed: {e}")))?;
@@ -388,7 +398,6 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             buffer_pages,
             page_records,
             inflight,
-            planner,
             stream,
             rate,
             arrival,
@@ -407,7 +416,7 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             readahead,
         } => {
             let spec = GridSpec::new(dims);
-            let order = build_order(dims, *mapping, None)?;
+            let (order, _) = build_order(dims, *mapping, None)?;
             let points = grid_points(&spec);
             let recovery = RecoveryConfig {
                 timeout_us: *timeout_us as f64,
@@ -429,7 +438,6 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
                 partition: *partition,
                 buffer_pages: *buffer_pages,
                 readahead: *readahead,
-                knn_planner: *planner,
                 recovery,
                 ..Default::default()
             };
@@ -482,7 +490,7 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
                 "serving {} queries over a {:?} grid ({} mapping)\n\
                  shards: {}  threads: {}  partition: {}  pages: {}  \
                  buffer: {} frames/shard  page: {} records\n\
-                 knn planner: {}  in-flight batches: {}\n",
+                 in-flight batches: {}\n",
                 queries,
                 dims,
                 mapping,
@@ -492,7 +500,6 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
                 engine.num_pages(),
                 buffer_pages,
                 page_records,
-                planner,
                 inflight,
             ));
             if let Some(path) = page_file {
@@ -546,9 +553,15 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
         Command::Report { dims, mapping } => {
             let spec = GridSpec::new(dims);
             let graph = spec.graph(Connectivity::Orthogonal);
-            let order = build_order(dims, *mapping, None)?;
+            let (order, lambda2) = build_order(dims, *mapping, None)?;
             let report = with_threads(None, |pool| {
-                spectral_lpm::OrderReport::compute(&graph, &order, &SpectralConfig::default(), pool)
+                spectral_lpm::OrderReport::compute(
+                    &graph,
+                    &order,
+                    lambda2,
+                    &SpectralConfig::default(),
+                    pool,
+                )
             })
             .map_err(|e| ParseError(e.to_string()))?;
             Ok(report.render(&mapping.to_string()))
@@ -633,6 +646,13 @@ mod tests {
         assert!(out.contains("lambda_2"));
         let out = run(&["figure", "fig1"]).unwrap();
         assert!(out.contains("Spectral"));
+        assert!(out.ends_with("fractals ≫ non-fractals) is the reproduced claim.\n"));
+        assert!(out.contains("\n\nPaper's drawn-pair values (orientation-specific)"));
+        // Figure 6a at paper scale takes over a minute in debug builds; the
+        // reduced configuration renders the same two sections.
+        let out = fig6a(&fig6::Fig6Config::quick());
+        assert!(out.starts_with("== Range-query worst case (cubic queries)"));
+        assert!(out.contains("\n\n== Range-query worst case (partial queries)"));
     }
 
     #[test]
@@ -702,13 +722,8 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(digest_line(&rr), reference);
-        // Concurrent admission and the baseline planner move work and
-        // cost, never answers.
-        for extra in [
-            ["--inflight", "4"],
-            ["--knn-planner", "expanding-ball"],
-            ["--threads", "4"],
-        ] {
+        // Concurrent admission and threading move work, never answers.
+        for extra in [["--inflight", "4"], ["--threads", "4"]] {
             let mut argv = vec![
                 "serve",
                 "--grid",
@@ -964,7 +979,19 @@ mod tests {
     #[test]
     fn experiment_ablations_smoke() {
         let out = run(&["experiment", "ablations"]).unwrap();
-        assert!(out.contains("eigensolver shift-invert"));
-        assert!(out.contains("ordering direct Fiedler"));
+        let sections: Vec<&str> = out.split("\n\n").collect();
+        assert_eq!(sections.len(), 4, "{out}");
+        for (section, (title, row)) in sections.iter().zip([
+            ("eigensolver strategies (16x16 grid)", "shift-invert"),
+            ("graph connectivity (8x8 grid)", "full (8-connectivity)"),
+            ("affinity edge weight (8x8 grid, corner pair)", "8.0"),
+            ("ordering strategies (16x16 grid)", "direct Fiedler (paper)"),
+        ]) {
+            assert!(
+                section.starts_with(&format!("== Ablation: {title} ==\n")),
+                "{section}"
+            );
+            assert!(section.contains(row), "{section}");
+        }
     }
 }

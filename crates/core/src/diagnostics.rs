@@ -34,23 +34,29 @@ pub struct OrderReport {
 }
 
 impl OrderReport {
-    /// Compute the report. Requires a connected graph (for λ₂, solved on
-    /// `pool`).
+    /// Compute the report. Requires a connected graph. `lambda2` is λ₂ of
+    /// `g`'s Laplacian when the caller already has it (e.g. from the
+    /// [`crate::SpectralMapping`] that built `order` on the same graph);
+    /// `None` solves it on `pool`.
     pub fn compute(
         g: &Graph,
         order: &LinearOrder,
+        lambda2: Option<f64>,
         config: &SpectralConfig,
         pool: &Pool<'_>,
     ) -> Result<OrderReport, MappingError> {
         assert_eq!(g.num_vertices(), order.len(), "graph/order size mismatch");
         g.require_connected()?;
-        let pair = fiedler_pair_on(&g.laplacian(), &config.fiedler, pool)?;
+        let lambda2 = match lambda2 {
+            Some(lambda2) => lambda2,
+            None => fiedler_pair_on(&g.laplacian(), &config.fiedler, pool)?.lambda2,
+        };
         let la = objective::linear_arrangement_cost(g, order);
         let edges = g.num_edges().max(1);
         Ok(OrderReport {
             num_vertices: g.num_vertices(),
             num_edges: g.num_edges(),
-            lambda2: pair.lambda2,
+            lambda2,
             sigma: objective::order_quadratic_form(g, order),
             two_sum: objective::two_sum_cost(g, order),
             linear_arrangement: la,
@@ -104,10 +110,23 @@ mod tests {
         let report = OrderReport::compute(
             &g,
             &mapping.order,
+            None,
             &SpectralConfig::default(),
             &Pool::default(),
         )
         .unwrap();
+        // The mapping's own λ₂ (same 4-connected Laplacian) spares the
+        // second solve and agrees with it.
+        let reused = OrderReport::compute(
+            &g,
+            &mapping.order,
+            Some(mapping.fiedler.lambda2),
+            &SpectralConfig::default(),
+            &Pool::default(),
+        )
+        .unwrap();
+        assert!((reused.lambda2 - report.lambda2).abs() < 1e-9);
+        assert_eq!(reused.two_sum, report.two_sum);
         assert!(report.sigma >= report.lambda2 - 1e-9);
         assert!(report.optimality_gap() >= 1.0 - 1e-9);
         assert_eq!(report.num_vertices, 16);
@@ -125,6 +144,7 @@ mod tests {
         let report = OrderReport::compute(
             &g,
             &LinearOrder::identity(6),
+            None,
             &SpectralConfig::default(),
             &Pool::default(),
         )
@@ -144,10 +164,22 @@ mod tests {
             .order;
         let scramble =
             LinearOrder::from_ranks((0..16).map(|v: usize| (v * 5) % 16).collect()).unwrap();
-        let rs = OrderReport::compute(&g, &spectral, &SpectralConfig::default(), &Pool::default())
-            .unwrap();
-        let rb = OrderReport::compute(&g, &scramble, &SpectralConfig::default(), &Pool::default())
-            .unwrap();
+        let rs = OrderReport::compute(
+            &g,
+            &spectral,
+            None,
+            &SpectralConfig::default(),
+            &Pool::default(),
+        )
+        .unwrap();
+        let rb = OrderReport::compute(
+            &g,
+            &scramble,
+            None,
+            &SpectralConfig::default(),
+            &Pool::default(),
+        )
+        .unwrap();
         assert!(rs.optimality_gap() < rb.optimality_gap());
     }
 
@@ -157,6 +189,7 @@ mod tests {
         let report = OrderReport::compute(
             &g,
             &LinearOrder::identity(16),
+            None,
             &SpectralConfig::default(),
             &Pool::default(),
         )
@@ -173,6 +206,7 @@ mod tests {
         let _ = OrderReport::compute(
             &g,
             &LinearOrder::identity(4),
+            None,
             &SpectralConfig::default(),
             &Pool::default(),
         );

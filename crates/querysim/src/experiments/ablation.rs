@@ -220,6 +220,58 @@ pub fn ordering_comparison(side: usize) -> Vec<OrderingRow> {
     .collect()
 }
 
+/// Run all four studies at their reference sizes (16×16 for the
+/// eigensolver and ordering studies, 8×8 for connectivity and affinity)
+/// and render one titled text table per study.
+pub fn render() -> String {
+    use crate::table::TextTable;
+    let mut eigen = TextTable::new(["method", "lambda2", "residual", "2-sum cost"]);
+    for r in eigensolver_agreement(16) {
+        eigen.push_row([
+            r.method,
+            format!("{:.8}", r.lambda2),
+            format!("{:.2e}", r.residual),
+            format!("{:.1}", r.two_sum),
+        ]);
+    }
+    let mut conn = TextTable::new(["graph model", "lambda2", "worst adj.", "mean adj."]);
+    for r in connectivity_comparison(8) {
+        conn.push_row([
+            r.model,
+            format!("{:.6}", r.lambda2),
+            r.worst_adjacent.to_string(),
+            format!("{:.2}", r.mean_adjacent),
+        ]);
+    }
+    let mut affinity = TextTable::new(["affinity weight", "pair 1-D distance", "base 2-sum"]);
+    for r in affinity_sweep(8, &[0.0, 0.5, 1.0, 2.0, 4.0, 8.0]) {
+        affinity.push_row([
+            format!("{:.1}", r.weight),
+            r.pair_distance.to_string(),
+            format!("{:.1}", r.base_two_sum),
+        ]);
+    }
+    let mut ordering = TextTable::new(["ordering strategy", "2-sum", "bandwidth", "mean adj."]);
+    for r in ordering_comparison(16) {
+        ordering.push_row([
+            r.strategy,
+            format!("{:.0}", r.two_sum),
+            r.bandwidth.to_string(),
+            format!("{:.2}", r.mean_adjacent),
+        ]);
+    }
+    [
+        ("eigensolver strategies (16x16 grid)", eigen),
+        ("graph connectivity (8x8 grid)", conn),
+        ("affinity edge weight (8x8 grid, corner pair)", affinity),
+        ("ordering strategies (16x16 grid)", ordering),
+    ]
+    .iter()
+    .map(|(title, table)| format!("== Ablation: {title} ==\n{}", table.render()))
+    .collect::<Vec<_>>()
+    .join("\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,10 +10,8 @@
 //! 1. **Plan** (at [`ServeEngine::plan_batch`], chunk-parallel on the pool):
 //!    each query runs against the packed R-tree. Range queries use
 //!    [`PackedRTree::range_query_ordered`], so result ranks — and the
-//!    page ids derived from them — are monotone; kNN queries run the
-//!    [`KnnPlanner`] of the engine's configuration (best-first
-//!    branch-and-bound by default, the expanding-ball probe as the
-//!    retained baseline).
+//!    page ids derived from them — are monotone; kNN queries run
+//!    best-first branch-and-bound ([`PackedRTree::knn_best_first`]).
 //! 2. **Route** (with planning): result ids become per-query page lists
 //!    and per-shard slices — a pure pass of integer divisions over the
 //!    order's borrowed ranks and the [`ShardMap`].
@@ -76,8 +74,7 @@ use crate::shard::{Partition, ReadPath, Shard, ShardMap, ShardSet};
 use crossbeam::sync::{is_model_abort, Arc, Condvar, Mutex};
 use slpm_linalg::WorkerPool;
 use slpm_storage::{
-    chebyshev, BufferStats, IoCost, IoModel, Mbr, PackedRTree, PageLayout, PageMapper, QueryCost,
-    StorageError,
+    BufferStats, IoCost, IoModel, Mbr, PackedRTree, PageLayout, PageMapper, QueryCost, StorageError,
 };
 use spectral_lpm::LinearOrder;
 use std::collections::VecDeque;
@@ -98,41 +95,6 @@ pub enum Query {
         /// Number of neighbours.
         k: usize,
     },
-}
-
-/// Which exact-kNN planner the engine runs. Both return the identical
-/// result list (ascending `(distance, id)`), so digests never depend on
-/// the choice; only the tree-access cost differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KnnPlanner {
-    /// Best-first branch-and-bound on the packed R-tree
-    /// ([`PackedRTree::knn_best_first`]): visits each node at most once.
-    /// The default.
-    BestFirst,
-    /// The doubling expanding-ball probe: re-runs a growing range query
-    /// until `k` matches are guaranteed, re-paying shared nodes every
-    /// round. Retained as the measured baseline.
-    ExpandingBall,
-}
-
-impl KnnPlanner {
-    /// Parse a planner name (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "best-first" | "bestfirst" | "bf" => KnnPlanner::BestFirst,
-            "expanding" | "expanding-ball" | "ball" => KnnPlanner::ExpandingBall,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for KnnPlanner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            KnnPlanner::BestFirst => "best-first",
-            KnnPlanner::ExpandingBall => "expanding-ball",
-        })
-    }
 }
 
 /// Engine geometry and scheduling knobs.
@@ -160,8 +122,6 @@ pub struct EngineConfig {
     pub readahead: usize,
     /// Seek/transfer model for the per-query I/O cost estimate.
     pub io: IoModel,
-    /// kNN planning algorithm.
-    pub knn_planner: KnnPlanner,
     /// Retry/timeout/breaker knobs for the fault plane.
     pub recovery: RecoveryConfig,
 }
@@ -178,7 +138,6 @@ impl Default for EngineConfig {
             buffer_pages: 64,
             readahead: 0,
             io: IoModel::default(),
-            knn_planner: KnnPlanner::BestFirst,
             recovery: RecoveryConfig::default(),
         }
     }
@@ -200,8 +159,8 @@ pub struct QueryOutcome {
     pub misses: usize,
     /// Seek/transfer cost estimate for this query.
     pub io: IoCost,
-    /// R-tree node accounting (cumulative over kNN expansions for the
-    /// expanding-ball planner; at-most-once visits for best-first).
+    /// R-tree node accounting (best-first kNN visits each node at most
+    /// once).
     pub tree: QueryCost,
     /// Admission-to-completion latency in seconds: from batch submission
     /// until the query's last shard unit replayed (`0.0` for queries that
@@ -1184,10 +1143,8 @@ pub(crate) fn merge_batches(
 /// [`PackedRTree`] (with its one packed copy of the coordinates), the
 /// shards and the worker pool, so buffer pools stay warm across batches.
 pub struct ServeEngine<'a> {
-    points: &'a [Vec<i64>],
     order: &'a LinearOrder,
     rtree: PackedRTree,
-    bounds: Mbr,
     layout: PageLayout,
     shard_map: ShardMap,
     shared: Arc<EngineShared>,
@@ -1262,17 +1219,14 @@ impl<'a> ServeEngine<'a> {
                 )
             })
             .collect::<Result<_, _>>()?;
-        let bounds = Mbr::of_points(points.iter().map(|p| p.as_slice()));
         assert!(
             cfg.recovery.validate().is_ok(),
             "invalid recovery config: {}",
             cfg.recovery.validate().unwrap_err()
         );
         Ok(ServeEngine {
-            points,
             order,
             rtree: PackedRTree::pack(points, order, cfg.fanout.max(2)),
-            bounds,
             layout,
             shard_map,
             shared: Arc::new(EngineShared {
@@ -1647,63 +1601,13 @@ impl<'a> ServeEngine<'a> {
                 }
             }
             Query::Knn { center, k } => {
-                let (results, tree) = match self.cfg.knn_planner {
-                    KnnPlanner::BestFirst => self.rtree.knn_best_first(center, *k),
-                    KnnPlanner::ExpandingBall => self.knn_expanding(center, *k),
-                };
+                let (results, tree) = self.rtree.knn_best_first(center, *k);
                 Plan {
                     results,
                     rank_ordered: false,
                     tree,
                 }
             }
-        }
-    }
-
-    /// The baseline exact kNN probe under the Chebyshev (L∞) metric: grow
-    /// a box of radius `r` around the centre (doubling) until it holds
-    /// ≥ `k` points or covers the data bounds — under L∞ the box of
-    /// radius `r` *is* the metric ball, so once `k` candidates are inside
-    /// the `k` nearest are among them. Node costs accumulate over the
-    /// expansion rounds (re-visits are genuinely re-paid, as an iterative
-    /// server would; [`QueryCost::absorb`] saturates rather than
-    /// overflowing on adversarial workloads). The query box is allocated
-    /// once and resized in place across rounds.
-    fn knn_expanding(&self, center: &[i64], k: usize) -> (Vec<usize>, QueryCost) {
-        let mut tree = QueryCost::ZERO;
-        let k = k.min(self.points.len());
-        if k == 0 {
-            return (Vec::new(), tree);
-        }
-        let mut radius: i64 = 1;
-        let mut query = Mbr {
-            lo: center.to_vec(),
-            hi: center.to_vec(),
-        };
-        // xtask:allow(unbounded-retry): radius doubling over a finite grid —
-        // the query window covers the whole space within log2(extent) passes,
-        // at which point every candidate is found and the loop breaks.
-        loop {
-            for d in 0..center.len() {
-                query.lo[d] = center[d] - radius;
-                query.hi[d] = center[d] + radius;
-            }
-            let (ids, cost) = self.rtree.range_query_ordered(&query);
-            tree.absorb(&cost);
-            let covers_all = query.lo.iter().zip(&self.bounds.lo).all(|(q, b)| q <= b)
-                && query.hi.iter().zip(&self.bounds.hi).all(|(q, b)| q >= b);
-            if ids.len() >= k || covers_all {
-                let mut scored: Vec<(i64, usize)> = ids
-                    .into_iter()
-                    .map(|id| (chebyshev(center, &self.points[id]), id))
-                    .collect();
-                scored.sort_unstable();
-                scored.truncate(k);
-                let results: Vec<usize> = scored.into_iter().map(|(_, id)| id).collect();
-                tree.results = results.len();
-                return (results, tree);
-            }
-            radius *= 2;
         }
     }
 }
@@ -1767,6 +1671,7 @@ fn count_runs(pages: &[usize]) -> usize {
 mod tests {
     use super::*;
     use slpm_graph::grid::GridSpec;
+    use slpm_storage::chebyshev;
 
     use crate::testing::{with_quiet_panics, with_watchdog};
     use crate::workload::grid_points;
@@ -1829,97 +1734,37 @@ mod tests {
     }
 
     #[test]
-    fn knn_results_match_brute_force_under_both_planners() {
+    fn knn_results_match_brute_force() {
         let (points, order) = small_engine();
-        for planner in [KnnPlanner::BestFirst, KnnPlanner::ExpandingBall] {
-            let cfg = EngineConfig {
-                records_per_page: 4,
-                fanout: 4,
-                knn_planner: planner,
-                ..Default::default()
-            };
-            let engine = ServeEngine::new(&points, &order, cfg);
-            for (center, k) in [(vec![4i64, 4], 5usize), (vec![0, 0], 3), (vec![7, 7], 64)] {
-                let report = engine
-                    .run(&[Query::Knn {
-                        center: center.clone(),
-                        k,
-                    }])
-                    .expect("no replay panic");
-                let got = &report.outcomes[0].results;
-                let mut want: Vec<(i64, usize)> = (0..points.len())
-                    .map(|i| (chebyshev(&center, &points[i]), i))
-                    .collect();
-                want.sort_unstable();
-                let want: Vec<usize> = want.into_iter().take(k).map(|(_, id)| id).collect();
-                assert_eq!(got, &want, "planner {planner} center {center:?} k {k}");
-            }
-            // k larger than the point set clamps.
-            let report = engine
-                .run(&[Query::Knn {
-                    center: vec![3, 3],
-                    k: 1000,
-                }])
-                .expect("no replay panic");
-            assert_eq!(report.outcomes[0].results.len(), 64);
-        }
-    }
-
-    #[test]
-    fn planners_agree_on_results_and_digest_but_not_cost() {
-        let (points, order) = small_engine();
-        let base = EngineConfig {
+        let cfg = EngineConfig {
             records_per_page: 4,
             fanout: 4,
             ..Default::default()
         };
-        // kNN probes whose first unit-radius ball is far short of k, so
-        // the expanding ball needs several doubling rounds (re-paying the
-        // root path each time) while best-first still visits each node at
-        // most once.
-        let mut qs = queries();
-        qs.push(Query::Knn {
-            center: vec![0, 0],
-            k: 30,
-        });
-        qs.push(Query::Knn {
-            center: vec![7, 0],
-            k: 20,
-        });
-        let best = ServeEngine::new(
-            &points,
-            &order,
-            EngineConfig {
-                knn_planner: KnnPlanner::BestFirst,
-                ..base
-            },
-        )
-        .run(&qs)
-        .expect("no replay panic");
-        let ball = ServeEngine::new(
-            &points,
-            &order,
-            EngineConfig {
-                knn_planner: KnnPlanner::ExpandingBall,
-                ..base
-            },
-        )
-        .run(&qs)
-        .expect("no replay panic");
-        assert_eq!(best.digest, ball.digest);
-        let mut best_nodes = 0usize;
-        let mut ball_nodes = 0usize;
-        for (b, e) in best.outcomes.iter().zip(&ball.outcomes) {
-            assert_eq!(b.results, e.results);
-            assert_eq!(b.pages, e.pages);
-            best_nodes += b.tree.nodes_visited;
-            ball_nodes += e.tree.nodes_visited;
+        let engine = ServeEngine::new(&points, &order, cfg);
+        for (center, k) in [(vec![4i64, 4], 5usize), (vec![0, 0], 3), (vec![7, 7], 64)] {
+            let report = engine
+                .run(&[Query::Knn {
+                    center: center.clone(),
+                    k,
+                }])
+                .expect("no replay panic");
+            let got = &report.outcomes[0].results;
+            let mut want: Vec<(i64, usize)> = (0..points.len())
+                .map(|i| (chebyshev(&center, &points[i]), i))
+                .collect();
+            want.sort_unstable();
+            let want: Vec<usize> = want.into_iter().take(k).map(|(_, id)| id).collect();
+            assert_eq!(got, &want, "center {center:?} k {k}");
         }
-        // The kNN query re-pays nodes under the expanding ball.
-        assert!(
-            best_nodes < ball_nodes,
-            "best-first {best_nodes} vs expanding-ball {ball_nodes}"
-        );
+        // k larger than the point set clamps.
+        let report = engine
+            .run(&[Query::Knn {
+                center: vec![3, 3],
+                k: 1000,
+            }])
+            .expect("no replay panic");
+        assert_eq!(report.outcomes[0].results.len(), 64);
     }
 
     #[test]
@@ -2933,19 +2778,5 @@ mod tests {
             degraded.iter().any(|o| o.fault_us > 0.0),
             "the tripping units paid the retry budget"
         );
-    }
-
-    #[test]
-    fn planner_parse_and_display() {
-        assert_eq!(KnnPlanner::parse("best-first"), Some(KnnPlanner::BestFirst));
-        assert_eq!(KnnPlanner::parse("BF"), Some(KnnPlanner::BestFirst));
-        assert_eq!(
-            KnnPlanner::parse("expanding-ball"),
-            Some(KnnPlanner::ExpandingBall)
-        );
-        assert_eq!(KnnPlanner::parse("Ball"), Some(KnnPlanner::ExpandingBall));
-        assert_eq!(KnnPlanner::parse("dijkstra"), None);
-        assert_eq!(KnnPlanner::BestFirst.to_string(), "best-first");
-        assert_eq!(KnnPlanner::ExpandingBall.to_string(), "expanding-ball");
     }
 }

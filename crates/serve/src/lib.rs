@@ -14,8 +14,8 @@
 //!   [`slpm_storage::decluster`]), each shard owning a
 //!   [`slpm_storage::PageStore`] slice plus its own LRU buffer pool.
 //! * [`engine`] — the batch executor: plan each query on the packed
-//!   R-tree (range scans plus a best-first branch-and-bound kNN planner,
-//!   [`engine::KnnPlanner`]), admit any number of concurrent batches
+//!   R-tree (range scans plus a best-first branch-and-bound kNN planner),
+//!   admit any number of concurrent batches
 //!   through per-shard FIFO queues with round-robin fairness
 //!   ([`engine::ServeEngine::submit_planned`] / [`engine::BatchHandle`]), and
 //!   merge outcomes in deterministic query order with I/O-cost, buffer,
@@ -86,8 +86,7 @@ pub mod workload;
 pub use arrival::{ArrivalConfig, ArrivalShape};
 pub use engine::{
     digest_outcomes, digest_with_coverage, BatchHandle, BatchReport, CoverageReport, DegradedUnit,
-    EngineConfig, KnnPlanner, LatencySummary, PlannedBatch, Query, QueryOutcome, ServeEngine,
-    ShardReport,
+    EngineConfig, LatencySummary, PlannedBatch, Query, QueryOutcome, ServeEngine, ShardReport,
 };
 pub use fault::{Fault, FaultKind, FaultParseError, FaultPlan, ServeError, UnitFailure};
 pub use health::{BreakerSnapshot, BreakerState, RecoveryConfig};

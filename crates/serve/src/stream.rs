@@ -40,8 +40,8 @@
 //! [`digest_outcomes`](crate::digest_outcomes) of a one-shot
 //! [`ServeEngine::run`] over exactly the admitted sequence (the
 //! split-invariance the engine already guarantees). When nothing is shed
-//! that is the whole offered workload — the parity flag the
-//! `stream_throughput` bench and CI's `stream-smoke` job assert.
+//! that is the whole offered workload — the stream half of the `parity`
+//! gate the `serve_bench` binary and CI's `serve-smoke` job assert.
 
 use crate::arrival::ArrivalConfig;
 use crate::engine::{
@@ -102,7 +102,7 @@ impl fmt::Display for AdmissionPolicy {
 /// and ~1–2 µs of per-seek overhead on a page-cache-warm **format v1**
 /// file (byte-serial frame checksum), so the defaults round to 8 and 2.
 /// They stay at those values because they define the simulated clock
-/// behind the committed `BENCH_serve_stream.json` gates. Format v2's
+/// behind the committed `BENCH_serve.json` gates. Format v2's
 /// word-wise frame checksum and positional run reads measure ~1.8–1.9
 /// µs per page and ~0.27–0.28 µs per seek on a 2-core x86-64 VM
 /// (v1 on that VM: 7.7–8.3 and 0.65–0.90). Note the tier inverts

@@ -34,9 +34,9 @@ impl Default for WorkloadConfig {
             seed: 42,
             knn_every: 4,
             // Deliberately larger than the 9 points a unit-radius L∞ ball
-            // holds in 2-D, so iterative planners (the expanding ball)
-            // genuinely pay multi-round expansion on the default
-            // workload instead of terminating on the first probe.
+            // holds in 2-D, so a kNN query reaches past its centre's
+            // immediate neighbourhood and the planner's pruning is
+            // exercised on the default workload.
             k: 16,
         }
     }

@@ -1,12 +1,11 @@
-//! Shard-, thread-, planner- and admission-invariance of the serving
-//! engine.
+//! Shard-, thread- and admission-invariance of the serving engine.
 //!
 //! The engine's contract (the serving analogue of PR 3's threading-parity
 //! guarantee): replaying the same deterministic workload over the same
 //! linear order must produce **identical per-query result sets, page
 //! counts, run counts and batch digest** for every combination of shard
-//! count, thread count, partition policy, kNN planner and in-flight batch
-//! count — scheduling moves work, never answers. Additionally, the
+//! count, thread count, partition policy and in-flight batch count —
+//! scheduling moves work, never answers. Additionally, the
 //! engine's per-query distinct-page accounting must equal what the plain
 //! unsharded [`slpm_storage::PageStore::serve_query`] loop reads for the
 //! same queries.
@@ -21,7 +20,7 @@ use slpm_graph::grid::GridSpec;
 use slpm_graph::points::PointSet;
 use slpm_linalg::Pool;
 use slpm_querysim::mappings::curve_order;
-use slpm_serve::engine::{EngineConfig, KnnPlanner, ServeEngine};
+use slpm_serve::engine::{EngineConfig, ServeEngine};
 use slpm_serve::shard::Partition;
 use slpm_serve::workload::{grid_points, mixed_workload, WorkloadConfig};
 use slpm_serve::Query;
@@ -93,10 +92,10 @@ fn results_identical_across_shards_threads_and_partitions() {
 }
 
 #[test]
-fn results_identical_across_planners_and_inflight_batches() {
-    // The acceptance matrix: kNN result sets and batch digests bitwise
-    // identical between expanding-ball and best-first planners, across
-    // {1,4} shards × {1,4} threads × {1,4} in-flight batches.
+fn results_identical_across_inflight_batches() {
+    // The acceptance matrix: result sets, page and run counts and batch
+    // digests bitwise identical across {1,4} shards × {1,4} threads ×
+    // {1,4} in-flight batches, and R-tree costs independent of all three.
     for &(side, queries) in CASES {
         let spec = GridSpec::cube(side, 2);
         let points = grid_points(&spec);
@@ -115,56 +114,29 @@ fn results_identical_across_planners_and_inflight_batches() {
         let reference = ServeEngine::new(&points, &order, base)
             .run(&workload)
             .expect("no replay panic");
-        let mut best_first_nodes = 0usize;
-        let mut expanding_nodes = 0usize;
-        for planner in [KnnPlanner::BestFirst, KnnPlanner::ExpandingBall] {
-            for shards in [1usize, 4] {
-                for threads in [1usize, 4] {
-                    for inflight in [1usize, 4] {
-                        let cfg = EngineConfig {
-                            shards,
-                            threads,
-                            knn_planner: planner,
-                            ..base
-                        };
-                        let engine = ServeEngine::new(&points, &order, cfg);
-                        let report = engine
-                            .run_inflight(&workload, inflight)
-                            .expect("no replay panic");
-                        let label =
-                            format!("{side}x{side} {planner} S={shards} T={threads} I={inflight}");
-                        assert_eq!(report.digest, reference.digest, "digest: {label}");
-                        let mut tree_cost = 0usize;
-                        for (q, (a, b)) in
-                            report.outcomes.iter().zip(&reference.outcomes).enumerate()
-                        {
-                            assert_eq!(a.results, b.results, "results of query {q}: {label}");
-                            assert_eq!(a.pages, b.pages, "pages of query {q}: {label}");
-                            assert_eq!(a.runs, b.runs, "runs of query {q}: {label}");
-                            tree_cost += a.tree.nodes_visited + a.tree.leaves_visited;
-                        }
-                        // Tree costs depend only on the planner, not on
-                        // sharding, threading or admission.
-                        match planner {
-                            KnnPlanner::BestFirst if best_first_nodes == 0 => {
-                                best_first_nodes = tree_cost;
-                            }
-                            KnnPlanner::BestFirst => assert_eq!(tree_cost, best_first_nodes),
-                            KnnPlanner::ExpandingBall if expanding_nodes == 0 => {
-                                expanding_nodes = tree_cost;
-                            }
-                            KnnPlanner::ExpandingBall => assert_eq!(tree_cost, expanding_nodes),
-                        }
+        for shards in [1usize, 4] {
+            for threads in [1usize, 4] {
+                for inflight in [1usize, 4] {
+                    let cfg = EngineConfig {
+                        shards,
+                        threads,
+                        ..base
+                    };
+                    let engine = ServeEngine::new(&points, &order, cfg);
+                    let report = engine
+                        .run_inflight(&workload, inflight)
+                        .expect("no replay panic");
+                    let label = format!("{side}x{side} S={shards} T={threads} I={inflight}");
+                    assert_eq!(report.digest, reference.digest, "digest: {label}");
+                    for (q, (a, b)) in report.outcomes.iter().zip(&reference.outcomes).enumerate() {
+                        assert_eq!(a.results, b.results, "results of query {q}: {label}");
+                        assert_eq!(a.pages, b.pages, "pages of query {q}: {label}");
+                        assert_eq!(a.runs, b.runs, "runs of query {q}: {label}");
+                        assert_eq!(a.tree, b.tree, "tree cost of query {q}: {label}");
                     }
                 }
             }
         }
-        // The point of the planner: strictly fewer node visits on the
-        // same workload (range scans identical, kNN cheaper).
-        assert!(
-            best_first_nodes < expanding_nodes,
-            "{side}x{side}: best-first {best_first_nodes} vs expanding {expanding_nodes}"
-        );
     }
 }
 
@@ -311,29 +283,26 @@ fn holey_point_set_under_spectral_order_is_invariant_and_exact() {
             "query {q} differs from a full scan"
         );
     }
-    for planner in [KnnPlanner::BestFirst, KnnPlanner::ExpandingBall] {
-        for shards in [1usize, 4] {
-            for threads in [1usize, 4] {
-                for inflight in [1usize, 4] {
-                    let cfg = EngineConfig {
-                        shards,
-                        threads,
-                        knn_planner: planner,
-                        ..base
-                    };
-                    let report = ServeEngine::new(points, &order, cfg)
-                        .run_inflight(&workload, inflight)
-                        .expect("no replay panic");
-                    let label = format!(
-                        "holey {w}x{h} ({} points) {planner} S={shards} T={threads} I={inflight}",
-                        points.len()
-                    );
-                    assert_eq!(report.digest, reference.digest, "digest: {label}");
-                    for (q, (a, b)) in report.outcomes.iter().zip(&reference.outcomes).enumerate() {
-                        assert_eq!(a.results, b.results, "results of query {q}: {label}");
-                        assert_eq!(a.pages, b.pages, "pages of query {q}: {label}");
-                        assert_eq!(a.runs, b.runs, "runs of query {q}: {label}");
-                    }
+    for shards in [1usize, 4] {
+        for threads in [1usize, 4] {
+            for inflight in [1usize, 4] {
+                let cfg = EngineConfig {
+                    shards,
+                    threads,
+                    ..base
+                };
+                let report = ServeEngine::new(points, &order, cfg)
+                    .run_inflight(&workload, inflight)
+                    .expect("no replay panic");
+                let label = format!(
+                    "holey {w}x{h} ({} points) S={shards} T={threads} I={inflight}",
+                    points.len()
+                );
+                assert_eq!(report.digest, reference.digest, "digest: {label}");
+                for (q, (a, b)) in report.outcomes.iter().zip(&reference.outcomes).enumerate() {
+                    assert_eq!(a.results, b.results, "results of query {q}: {label}");
+                    assert_eq!(a.pages, b.pages, "pages of query {q}: {label}");
+                    assert_eq!(a.runs, b.runs, "runs of query {q}: {label}");
                 }
             }
         }

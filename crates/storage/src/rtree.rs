@@ -103,24 +103,12 @@ pub struct QueryCost {
 }
 
 impl QueryCost {
-    /// The all-zero cost, the identity of [`QueryCost::absorb`].
+    /// The all-zero cost: nothing visited, nothing returned.
     pub const ZERO: QueryCost = QueryCost {
         nodes_visited: 0,
         leaves_visited: 0,
         results: 0,
     };
-
-    /// Saturating accumulate: add another probe's counters without ever
-    /// overflow-panicking in debug builds. Iterative planners (the
-    /// expanding-ball kNN probe re-pays the tree on every doubling round)
-    /// can rack up counters far past any single traversal on adversarial
-    /// workloads; pinning the sum at `usize::MAX` keeps the accounting a
-    /// diagnostic, never a crash.
-    pub fn absorb(&mut self, other: &QueryCost) {
-        self.nodes_visited = self.nodes_visited.saturating_add(other.nodes_visited);
-        self.leaves_visited = self.leaves_visited.saturating_add(other.leaves_visited);
-        self.results = self.results.saturating_add(other.results);
-    }
 }
 
 impl PackedRTree {
@@ -465,10 +453,9 @@ impl PackedRTree {
     /// saturates at `i64::MAX`.
     ///
     /// Results come back sorted ascending by `(distance, id)` — bitwise
-    /// identical to brute force (score every point, sort, truncate) and to
-    /// the expanding-ball probe the serving engine used before, while
-    /// visiting each node **at most once** instead of re-paying the root
-    /// path on every doubling round.
+    /// identical to brute force (score every point, sort, truncate), while
+    /// visiting each node **at most once** — a doubling range probe would
+    /// re-pay the root path on every round.
     ///
     /// `k` is clamped to the point count; `k == 0` returns nothing and
     /// touches nothing.
@@ -769,23 +756,6 @@ mod tests {
             let (got, _) = t.knn_best_first(&[i64::MIN, i64::MAX], 4);
             assert_eq!(got, [0, 3, 2, 1]);
         }
-    }
-
-    #[test]
-    fn query_cost_absorb_saturates() {
-        let mut a = QueryCost {
-            nodes_visited: usize::MAX - 1,
-            leaves_visited: 3,
-            results: 0,
-        };
-        a.absorb(&QueryCost {
-            nodes_visited: 5,
-            leaves_visited: 2,
-            results: 1,
-        });
-        assert_eq!(a.nodes_visited, usize::MAX);
-        assert_eq!(a.leaves_visited, 5);
-        assert_eq!(a.results, 1);
     }
 
     #[test]

@@ -851,7 +851,7 @@ mod tests {
         let blessed = "fn save() {\n    // xtask:allow(fs-only-in-storage): bench \
                        artifact\n    std::fs::write(path, bytes).unwrap();\n}\n";
         let mut v = Vec::new();
-        lint_file("crates/bench/src/bin/serve_throughput.rs", blessed, &mut v);
+        lint_file("crates/bench/src/bin/serve_bench.rs", blessed, &mut v);
         assert!(
             v.is_empty(),
             "pragma should silence: {:?}",

@@ -96,7 +96,7 @@ fn main() {
         "\nThe affinity edge buys the hot pair proximity at a global cost to the\n\
          rest of the arrangement — the trade Section 4 of the paper describes.\n\
          The heavier the edge (or the more edges mined), the stronger the pull\n\
-         and the higher the cost; see `cargo run -p slpm-bench --bin ablations`\n\
-         for the full weight sweep."
+         and the higher the cost; see `slpm experiment ablations` for the full\n\
+         weight sweep."
     );
 }

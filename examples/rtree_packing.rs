@@ -66,6 +66,6 @@ fn main() {
     println!(
         "\nHilbert's recursive tiles give the tightest leaves and the fewest node\n\
          visits; the spectral order's diagonal level-sets pack poorly here.\n\
-         Compare with `cargo run -p slpm-bench --bin knn`, where the roles flip."
+         Compare with `slpm experiment knn`, where the roles flip."
     );
 }
