@@ -1,6 +1,6 @@
-//! Ablation bench: cost of shift-invert Lanczos against the dense path as
-//! the grid grows. Shift-invert does few, expensive (CG) iterations; dense
-//! is cubic.
+//! Ablation bench: cost of the multilevel solver against the dense path as
+//! the grid grows. Multilevel solves up to 256 vertices with the dense path
+//! itself, so every size here is above that; dense is cubic.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_linalg::fiedler::{fiedler_pair_on, FiedlerMethod, FiedlerOptions};
@@ -11,11 +11,10 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.measurement_time(std::time::Duration::from_secs(2));
-    for side in [8usize, 16, 24] {
+    for side in [20usize, 24, 28] {
         let spec = GridSpec::cube(side, 2);
         let lap = spec.graph(Connectivity::Orthogonal).laplacian();
-        for method in [FiedlerMethod::ShiftInvert, FiedlerMethod::Dense] {
-            // Dense at 24^2=576 is already slow-ish but fine for n=10.
+        for method in [FiedlerMethod::Multilevel, FiedlerMethod::Dense] {
             g.bench_with_input(
                 BenchmarkId::new(method.to_string(), side * side),
                 &lap,

@@ -1,12 +1,11 @@
-//! End-to-end pipeline scaling: dense QL vs shift-invert Lanczos vs the
-//! multilevel solver, 32x32 up to 1024x1024 (1,048,576 points).
+//! End-to-end pipeline scaling: dense QL vs the multilevel solver, 32x32
+//! up to 1024x1024 (1,048,576 points).
 //!
 //! This runs the whole Spectral LPM pipeline per method — grid graph,
 //! Laplacian, degeneracy-aware Fiedler solve, linear order — so the
-//! numbers are what a user of `SpectralMapper` actually pays. Each method
-//! only runs up to the size it is sensible at (dense is O(n^3); Lanczos
-//! shift-invert re-solves the full graph every iteration); the multilevel
-//! path covers every size.
+//! numbers are what a user of `SpectralMapper` actually pays. Dense is
+//! O(n^3), so it only runs at 32x32; the multilevel path covers every
+//! size.
 //!
 //! Usage:
 //!   pipeline_scale [--max-side N] [--threads N] [--oocore SIDE]
@@ -31,7 +30,7 @@
 //! Every entry also records the multilevel solver's counters
 //! (`slpm_linalg::solver_counters`): the finest level's inner correction
 //! solves and their PCG iterations, plus the fallbacks taken (V-cycle
-//! solves retried with Jacobi-PCG, coarse shift-invert fallbacks). The
+//! solves retried with Jacobi-PCG, coarse solves of stalled hierarchies). The
 //! `iteration_gate` requires the serial multilevel path's PCG iterations
 //! per finest-level solve at the largest recorded side to stay within
 //! 1.25× of those at the smallest side ≥ 64 — the V-cycle preconditioner's
@@ -80,8 +79,6 @@ use std::time::Instant;
 const SIDES: [usize; 6] = [32, 64, 128, 256, 512, 1024];
 /// Dense QL is O(n^3): cap it at 32x32.
 const DENSE_MAX_VERTICES: usize = 1_100;
-/// Shift-invert Lanczos iterates full-graph CG solves: cap at 256x256.
-const LANCZOS_MAX_VERTICES: usize = 66_000;
 /// Backend jobs the 2-thread multilevel run submitted per side *before*
 /// the chunk-plan dispatcher (recorded on this trajectory's own
 /// instrumentation; one job per engagement). The counters depend only on
@@ -686,15 +683,8 @@ fn main() {
     for &side in SIDES.iter().filter(|&&s| s <= max_side) {
         let spec = GridSpec::cube(side, 2);
         let n = spec.num_points();
-        let mut methods = Vec::new();
         if n <= DENSE_MAX_VERTICES {
-            methods.push(FiedlerMethod::Dense);
-        }
-        if n <= LANCZOS_MAX_VERTICES {
-            methods.push(FiedlerMethod::ShiftInvert);
-        }
-        for method in methods {
-            match run_one(&spec, method, 1) {
+            match run_one(&spec, FiedlerMethod::Dense, 1) {
                 Ok((e, _)) => {
                     print_entry(&e);
                     entries.push(e);

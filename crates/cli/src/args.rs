@@ -75,8 +75,7 @@ pub enum Command {
         /// machine default. Never changes the computed order.
         threads: Option<usize>,
     },
-    /// `slpm fiedler --grid AxBx… [--method dense|shift-invert|multilevel]
-    /// [--threads N]`
+    /// `slpm fiedler --grid AxBx… [--method dense|multilevel] [--threads N]`
     Fiedler {
         /// Grid extents.
         dims: Vec<usize>,
@@ -296,9 +295,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "--method" => {
                         let v = take_value(args, &mut i, "--method")?;
                         method = Some(FiedlerMethod::parse(v).ok_or_else(|| {
-                            ParseError(format!(
-                                "unknown method '{v}' (dense, shift-invert, multilevel)"
-                            ))
+                            ParseError(format!("unknown method '{v}' (dense, multilevel)"))
                         })?);
                     }
                     "--threads" => threads = Some(parse_threads(args, &mut i)?),
@@ -559,7 +556,7 @@ slpm — Spectral LPM reproduction CLI
 
 USAGE:
   slpm order   --grid 8x8 --mapping spectral [--csv] [--threads N]
-  slpm fiedler --grid 8x8 [--method dense|shift-invert|multilevel] [--threads N]
+  slpm fiedler --grid 8x8 [--method dense|multilevel] [--threads N]
   slpm figure  <fig1|fig3|fig4|fig5a|fig5b|fig6a|fig6b>
   slpm experiment <knn|storage|rtree|decluster|pointcloud|ablations>
   slpm report  --grid 8x8 --mapping hilbert
@@ -586,7 +583,7 @@ the paper's drawn-pair note; fig6a the partial-query variant); `slpm
 experiment` prints the four ablation studies or an experiment beyond the
 paper.
 Spectral mappings pick their eigensolver automatically by grid size (dense
--> shift-invert Lanczos -> multilevel); `slpm fiedler --method` overrides.
+up to 96 points, multilevel above); `slpm fiedler --method` overrides.
 --threads N pins the eigensolver's worker threads (default: the machine's
 available parallelism, or the SLPM_THREADS env var); results are bitwise
 identical for every thread count.
@@ -697,7 +694,20 @@ mod tests {
                 "method {bad} should be rejected"
             );
         }
-        for m in ["multilevel", "dense", "shift-invert"] {
+        // An unknown method is a typed error that names the two methods.
+        assert_eq!(
+            parse(&argv(&[
+                "fiedler",
+                "--grid",
+                "4x4",
+                "--method",
+                "shift-invert"
+            ])),
+            Err(ParseError(
+                "unknown method 'shift-invert' (dense, multilevel)".into()
+            ))
+        );
+        for m in ["multilevel", "dense"] {
             assert!(
                 parse(&argv(&["fiedler", "--grid", "4x4", "--method", m])).is_ok(),
                 "method {m} should parse"

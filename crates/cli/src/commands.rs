@@ -61,10 +61,9 @@ fn build_order(
             } else {
                 Connectivity::Full
             };
-            // The default eigensolver policy picks dense on tiny grids,
-            // shift-invert in the mid range and multilevel at scale, so
-            // `slpm order --mapping spectral` stays fast from 3x3 up to
-            // production-sized grids.
+            // The default eigensolver policy picks dense on tiny grids and
+            // multilevel above 96 points, so `slpm order --mapping
+            // spectral` stays fast from 3x3 up to production-sized grids.
             let mapper = SpectralMapper::new(SpectralConfig {
                 connectivity,
                 ..Default::default()
@@ -630,10 +629,17 @@ mod tests {
         assert!(out.contains("lambda_2 = 1.000000"), "{out}");
         // Without --method the size policy chooses, and the output names
         // the method that ran, not a flag string.
-        let out = run(&["fiedler", "--grid", "8x8"]).unwrap();
-        assert!(out.contains("method dense"), "{out}");
-        let out = run(&["fiedler", "--grid", "10x10"]).unwrap();
-        assert!(out.contains("method shift-invert"), "{out}");
+        // The policy's boundary: dense at 96 points, multilevel from 97 on.
+        for (grid, method) in [
+            ("8x8", "dense"),
+            ("8x12", "dense"),
+            ("97", "multilevel"),
+            ("32x32", "multilevel"),
+            ("64x64", "multilevel"),
+        ] {
+            let out = run(&["fiedler", "--grid", grid]).unwrap();
+            assert!(out.contains(&format!("method {method}")), "{grid}: {out}");
+        }
         assert!(matches!(
             run(&["fiedler", "--grid", "8x8", "--method", "auto"]),
             Err(ParseError(_))
@@ -982,7 +988,7 @@ mod tests {
         let sections: Vec<&str> = out.split("\n\n").collect();
         assert_eq!(sections.len(), 4, "{out}");
         for (section, (title, row)) in sections.iter().zip([
-            ("eigensolver strategies (16x16 grid)", "shift-invert"),
+            ("eigensolver strategies (20x20 grid)", "multilevel"),
             ("graph connectivity (8x8 grid)", "full (8-connectivity)"),
             ("affinity edge weight (8x8 grid, corner pair)", "8.0"),
             ("ordering strategies (16x16 grid)", "direct Fiedler (paper)"),

@@ -300,6 +300,12 @@ mod tests {
             SpectralMapper::new(SpectralConfig {
                 fiedler: FiedlerOptions {
                     method: Some(method),
+                    // Small enough that the 15-vertex grid is solved on a
+                    // real hierarchy, not the driver's exact dense path.
+                    multilevel: slpm_linalg::MultilevelOptions {
+                        coarsest_size: 4,
+                        ..Default::default()
+                    },
                     ..Default::default()
                 },
                 ..Default::default()
@@ -308,16 +314,16 @@ mod tests {
             .unwrap()
         };
         let dense = with_method(FiedlerMethod::Dense);
-        let si = with_method(FiedlerMethod::ShiftInvert);
+        let ml = with_method(FiedlerMethod::Multilevel);
         // λ₂ agrees tightly.
-        assert!((dense.fiedler.lambda2 - si.fiedler.lambda2).abs() < 1e-7);
+        assert!((dense.fiedler.lambda2 - ml.fiedler.lambda2).abs() < 1e-7);
         // The Fiedler vectors agree up to sign (λ₂ is simple on a 5×3
         // grid). Note the *orders* may still differ at exactly-tied values
         // — rows of the grid share one Fiedler value and ties are broken by
         // solver round-off before the index tie-break kicks in — so the
         // vector, not the rank array, is the right thing to compare.
         let d = &dense.fiedler.vector;
-        let s = &si.fiedler.vector;
+        let s = &ml.fiedler.vector;
         let same: f64 = d
             .iter()
             .zip(s)
@@ -353,12 +359,11 @@ mod tests {
     #[test]
     fn size_policy_is_the_default() {
         let dense_max = FiedlerMethod::DENSE_MAX;
-        let crossover = FiedlerMethod::SHIFT_INVERT_MAX;
         for (n, expect) in [
             (dense_max, FiedlerMethod::Dense),
-            (dense_max + 1, FiedlerMethod::ShiftInvert),
-            (crossover, FiedlerMethod::ShiftInvert),
-            (crossover + 1, FiedlerMethod::Multilevel),
+            (dense_max + 1, FiedlerMethod::Multilevel),
+            (1024, FiedlerMethod::Multilevel),
+            (4096, FiedlerMethod::Multilevel),
         ] {
             assert_eq!(FiedlerMethod::for_size(n), expect, "n = {n}");
             // `auto()` is the default: the options perfbench reads from it

@@ -152,15 +152,11 @@ fn fragment_fiedler_vector(
         // the median; refining well below it shrinks the mixture under
         // the snap window of `fragment_order`.
         fo.tolerance = fo.tolerance.min(RSB_FRAGMENT_TOLERANCE);
-        // Fragments at or below the multilevel coarsest size would take
-        // the solver's exact-dense path: a full O(n³) eigendecomposition
-        // per fragment, and RSB visits hundreds of them. Route those to
-        // the size policy instead — below the shift-invert crossover it
-        // picks exact dense only for tiny fragments and Lanczos
-        // shift-invert otherwise (3–25× cheaper than the full
-        // decomposition at 97–256 vertices). Both are
-        // hierarchy-independent, so the reuse and re-coarsen
-        // configurations stay bitwise identical on small fragments.
+        // Fragments at or below the multilevel coarsest size are solved
+        // exactly by the size policy: dense up to `DENSE_MAX` vertices,
+        // and the multilevel driver's own dense path above it. Neither
+        // touches a hierarchy, so the reuse and re-coarsen configurations
+        // stay bitwise identical on small fragments.
         let n = sub_laplacian.rows();
         let dense_cutoff = fo
             .multilevel

@@ -11,6 +11,7 @@
 
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_graph::points::PointSet;
+use slpm_linalg::fiedler::fiedler_pair_balanced_on;
 use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool};
 use spectral_lpm::{objective, SpectralConfig, SpectralMapper};
 use std::collections::BTreeSet;
@@ -72,6 +73,43 @@ fn multilevel_matches_dense_order_4_connected() {
 #[test]
 fn multilevel_matches_dense_order_8_connected() {
     assert_parity(Connectivity::Full);
+}
+
+/// Square grids for the representative check. Dense at 32×32 takes
+/// seconds even optimised, so debug builds stop at 20×20.
+#[cfg(debug_assertions)]
+const SQUARE_SIDES: &[usize] = &[10, 16, 20];
+#[cfg(not(debug_assertions))]
+const SQUARE_SIDES: &[usize] = &[10, 12, 16, 20, 24, 28, 32];
+
+#[test]
+fn balanced_representative_matches_dense_on_square_grids() {
+    // Square grids have a double λ₂. The default policy (multilevel at
+    // these sizes) must see both copies and project the same fixed probe
+    // onto the eigenspace as dense does, giving the same vector.
+    for &side in SQUARE_SIDES {
+        let lap = GridSpec::cube(side, 2)
+            .graph(Connectivity::Orthogonal)
+            .laplacian();
+        let dense_opts = FiedlerOptions {
+            method: Some(FiedlerMethod::Dense),
+            ..Default::default()
+        };
+        let dense = fiedler_pair_balanced_on(&lap, &dense_opts, &Pool::default()).unwrap();
+        let auto =
+            fiedler_pair_balanced_on(&lap, &FiedlerOptions::default(), &Pool::default()).unwrap();
+        assert_eq!(auto.method, FiedlerMethod::Multilevel, "{side}x{side}");
+        let diff = dense
+            .vector
+            .iter()
+            .zip(&auto.vector)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(
+            diff < 1e-8,
+            "{side}x{side}: representatives differ by {diff:.2e}"
+        );
+    }
 }
 
 /// SplitMix64 — a tiny seeded generator for the irregular layouts.

@@ -1,9 +1,9 @@
 //! Row-major dense matrices.
 //!
 //! Dense matrices appear in three places in the reproduction: the dense
-//! reference eigensolver (for graphs small enough to materialise), the Ritz
-//! problem inside Lanczos, and unit tests that compare sparse kernels
-//! against a straightforward dense ground truth.
+//! eigensolver (for graphs small enough to materialise), the Rayleigh–Ritz
+//! problem of each multilevel block iteration, and unit tests that compare
+//! sparse kernels against a straightforward dense ground truth.
 
 use crate::error::LinalgError;
 use crate::operator::LinearOperator;

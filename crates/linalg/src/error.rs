@@ -130,13 +130,13 @@ mod tests {
     #[test]
     fn display_no_convergence_mentions_solver() {
         let e = LinalgError::NoConvergence {
-            solver: "lanczos",
+            solver: "multilevel",
             iterations: 10,
             residual: 1e-3,
             tolerance: 1e-10,
         };
         let s = e.to_string();
-        assert!(s.contains("lanczos"));
+        assert!(s.contains("multilevel"));
         assert!(s.contains("10"));
     }
 

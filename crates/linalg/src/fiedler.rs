@@ -5,27 +5,21 @@
 //! *algebraic connectivity* (Fiedler 1973) — and its eigenvector, whose
 //! component order is the spectral linear order.
 //!
-//! Three interchangeable strategies are provided, and one size policy
-//! ([`FiedlerMethod::for_size`]) picks among them unless a caller names a
+//! Two strategies are provided, and one size policy
+//! ([`FiedlerMethod::for_size`]) picks between them unless a caller names a
 //! method in [`FiedlerOptions::method`]:
 //!
 //! * [`FiedlerMethod::Dense`] — Householder + QL on the materialised
 //!   Laplacian, O(n³); exact and instant on tiny graphs.
-//! * [`FiedlerMethod::ShiftInvert`] — Lanczos on the operator
-//!   `x ↦ P L⁺ P x`, where the pseudo-inverse action is an inner CG solve
-//!   and `P` deflates the constant kernel. The spectrum of that operator is
-//!   `{1/λ₂ > 1/λ₃ > …}`, so the *largest* eigenvalue — the thing Lanczos
-//!   finds fastest — maps straight to λ₂, with separation `λ₃/λ₂` that is
-//!   excellent on grid graphs.
 //! * [`FiedlerMethod::Multilevel`] — the coarsen–project–refine scheme of
-//!   [`crate::multilevel`], the only path practical at 10⁵–10⁶ vertices.
+//!   [`crate::multilevel`]: exact dense up to its coarsest size, block
+//!   inverse iteration on a coarsening hierarchy beyond it. The block
+//!   carries guard vectors, so a repeated λ₂ comes back with every copy.
 
 use crate::error::LinalgError;
-use crate::lanczos::{self, LanczosOptions};
 use crate::multilevel::{self, MultilevelOptions};
-use crate::operator::{ones_direction, DeflatedOperator, LinearOperator};
+use crate::operator::LinearOperator;
 use crate::parallel::Pool;
-use crate::pcg::{self, CgOptions};
 use crate::sparse::CsrMatrix;
 use crate::tql;
 use crate::vector;
@@ -36,9 +30,6 @@ use std::fmt;
 /// Strategy for the Fiedler computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FiedlerMethod {
-    /// Lanczos on the deflated pseudo-inverse (inner CG solves). Fast
-    /// convergence in iterations; each iteration costs one Laplacian solve.
-    ShiftInvert,
     /// Dense Householder + QL (exact, O(n³)); only sensible for n ≲ 2000.
     Dense,
     /// Coarsen–project–refine multilevel scheme (see [`crate::multilevel`]):
@@ -52,20 +43,15 @@ impl FiedlerMethod {
     /// Largest vertex count [`FiedlerMethod::for_size`] solves with the
     /// exact dense path.
     pub const DENSE_MAX: usize = 96;
-    /// Largest vertex count [`FiedlerMethod::for_size`] solves with
-    /// shift-invert Lanczos; beyond it the multilevel scheme runs.
-    pub const SHIFT_INVERT_MAX: usize = 4096;
 
     /// The size policy: the method every solve of an `n`-vertex Laplacian
     /// uses unless [`FiedlerOptions::method`] names one. Dense QL up to
-    /// [`FiedlerMethod::DENSE_MAX`] (exact and instant), shift-invert
-    /// Lanczos up to [`FiedlerMethod::SHIFT_INVERT_MAX`], multilevel beyond
-    /// — the crossovers measured by the `pipeline_scale` benchmark.
+    /// [`FiedlerMethod::DENSE_MAX`] (exact and instant), multilevel beyond
+    /// (which itself solves up to [`MultilevelOptions::coarsest_size`]
+    /// vertices with the exact dense path).
     pub fn for_size(n: usize) -> Self {
         if n <= Self::DENSE_MAX {
             FiedlerMethod::Dense
-        } else if n <= Self::SHIFT_INVERT_MAX {
-            FiedlerMethod::ShiftInvert
         } else {
             FiedlerMethod::Multilevel
         }
@@ -75,7 +61,6 @@ impl FiedlerMethod {
     pub fn parse(s: &str) -> Option<Self> {
         Some(match s {
             "dense" => FiedlerMethod::Dense,
-            "shift-invert" => FiedlerMethod::ShiftInvert,
             "multilevel" => FiedlerMethod::Multilevel,
             _ => return None,
         })
@@ -86,7 +71,6 @@ impl fmt::Display for FiedlerMethod {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.pad(match self {
             FiedlerMethod::Dense => "dense",
-            FiedlerMethod::ShiftInvert => "shift-invert",
             FiedlerMethod::Multilevel => "multilevel",
         })
     }
@@ -101,7 +85,8 @@ pub struct FiedlerOptions {
     pub method: Option<FiedlerMethod>,
     /// Relative residual tolerance on the eigenpair.
     pub tolerance: f64,
-    /// RNG seed for Lanczos start vectors.
+    /// RNG seed for the multilevel block's random vectors and for the
+    /// direction [`fiedler_pair_balanced_on`] projects onto a repeated λ₂.
     pub seed: u64,
     /// Tuning knobs for [`FiedlerMethod::Multilevel`] (ignored by the other
     /// methods).
@@ -132,62 +117,6 @@ pub struct FiedlerPair {
     /// Which method produced the answer: [`FiedlerOptions::method`], or
     /// what the size policy chose for it.
     pub method: FiedlerMethod,
-}
-
-/// The pseudo-inverse action `y = P L⁺ P x` implemented by conjugate
-/// gradients, exposed as a [`LinearOperator`] so Lanczos can consume it.
-pub struct LaplacianPseudoInverse<'a> {
-    laplacian: &'a CsrMatrix,
-    cg_opts: CgOptions,
-    pool: Pool<'a>,
-}
-
-impl<'a> LaplacianPseudoInverse<'a> {
-    /// Wrap a Laplacian. `tolerance` is the inner solve tolerance, which
-    /// must be tighter than the outer Lanczos tolerance for residuals to
-    /// settle. The requested tolerance is floored at the round-off level a
-    /// conjugate-gradient solve can actually attain on this matrix — scaled
-    /// by the diagonal spread, a cheap condition-number proxy — so large
-    /// weighted Laplacians converge instead of spinning to the iteration
-    /// cap on an unreachable fixed target. Every inner PCG solve schedules
-    /// its kernels onto `pool`.
-    pub fn with_pool(laplacian: &'a CsrMatrix, tolerance: f64, pool: Pool<'a>) -> Self {
-        let n = laplacian.rows();
-        let mut max_d = 0.0f64;
-        let mut min_d = f64::INFINITY;
-        for i in 0..n {
-            let d = laplacian.get(i, i);
-            max_d = max_d.max(d);
-            min_d = min_d.min(d.abs().max(f64::MIN_POSITIVE));
-        }
-        let spread = if max_d > 0.0 { max_d / min_d } else { 1.0 };
-        let floor = f64::EPSILON * 16.0 * spread.sqrt();
-        LaplacianPseudoInverse {
-            laplacian,
-            cg_opts: CgOptions {
-                tolerance: tolerance.max(floor),
-                max_iterations: None,
-                deflate_mean: true,
-            },
-            pool,
-        }
-    }
-}
-
-impl LinearOperator for LaplacianPseudoInverse<'_> {
-    fn dim(&self) -> usize {
-        self.laplacian.rows()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        // Jacobi-PCG with mean deflation computes L⁺ applied to the centred
-        // input; the diagonal preconditioner keeps the iteration count flat
-        // on Section 4's weighted graphs whose degrees vary by orders of
-        // magnitude.
-        let out = pcg::solve_jacobi_on(self.laplacian, x, &self.cg_opts, self.pool)
-            .expect("inner PCG solve failed: Laplacian not PSD or graph disconnected");
-        y.copy_from_slice(&out.solution);
-    }
 }
 
 /// Shared precondition check: symmetric with zero row sums — i.e. actually
@@ -222,8 +151,8 @@ fn require_laplacian(laplacian: &CsrMatrix) -> Result<(), LinalgError> {
 /// the caller (the graph layer does) and is re-checked here cheaply via the
 /// computed λ₂.
 ///
-/// Every kernel down the call chain (inner PCG solves, multilevel
-/// coarsening/smoothing/refinement, CSR matvec) schedules onto `pool`;
+/// Every kernel down the call chain (multilevel coarsening, smoothing,
+/// refinement and inner PCG solves, CSR matvec) schedules onto `pool`;
 /// the pool alone decides how many threads run, and never changes a
 /// result bit.
 pub fn fiedler_pair_on(
@@ -243,7 +172,6 @@ pub fn fiedler_pair_on(
     let method = opts.method.unwrap_or_else(|| FiedlerMethod::for_size(n));
     let (lambda2, mut v) = match method {
         FiedlerMethod::Dense => dense_fiedler(laplacian)?,
-        FiedlerMethod::ShiftInvert => shift_invert_fiedler(laplacian, opts, pool)?,
         FiedlerMethod::Multilevel => multilevel::fiedler_pair_on(
             laplacian,
             opts.tolerance,
@@ -282,10 +210,8 @@ pub fn fiedler_pair_on(
 /// `pool`.
 ///
 /// Honours `opts.method` (resolved by [`FiedlerMethod::for_size`] when
-/// `None`): dense QL, shift-invert Lanczos requesting `k` Ritz pairs of the
-/// deflated pseudo-inverse (whose top-k eigenvalues are `1/λ₂ ≥ … ≥
-/// 1/λ_{k+1}`) with Rayleigh-quotient refinement of each eigenvalue, or
-/// the multilevel scheme.
+/// `None`): dense QL or the multilevel scheme. Both return canonical-form
+/// pairs (centred, unit-norm, sign-canonicalised), ascending.
 pub fn smallest_nonzero_eigenpairs_on(
     laplacian: &CsrMatrix,
     k: usize,
@@ -303,53 +229,17 @@ pub fn smallest_nonzero_eigenpairs_on(
     if k == 0 {
         return Ok(vec![]);
     }
-    let res = match opts.method.unwrap_or_else(|| FiedlerMethod::for_size(n)) {
-        FiedlerMethod::Dense => return multilevel::dense_smallest(laplacian, k),
-        // The multilevel driver already returns canonical-form pairs,
-        // ascending, with Rayleigh-refined eigenvalues.
-        FiedlerMethod::Multilevel => {
-            return multilevel::smallest_nonzero_eigenpairs_on(
-                laplacian,
-                k,
-                opts.tolerance,
-                opts.seed,
-                &opts.multilevel,
-                pool,
-            )
-        }
-        // Top-k of the deflated pseudo-inverse are 1/λ₂ ≥ … ≥ 1/λ_{k+1}.
-        FiedlerMethod::ShiftInvert => {
-            let inner_tol = (opts.tolerance * 1e-3).max(1e-14);
-            let pinv = LaplacianPseudoInverse::with_pool(laplacian, inner_tol, *pool);
-            let ones = vec![ones_direction(n)];
-            let deflated = DeflatedOperator::new(&pinv, &ones);
-            let lopts = lanczos::LanczosOptions {
-                num_eigenpairs: k,
-                tolerance: opts.tolerance,
-                seed: opts.seed,
-                max_subspace: Some((n - 1).min(40 + 8 * k)),
-                deflation: vec![ones_direction(n)],
-            };
-            lanczos::largest_eigenpairs(&deflated, &lopts)?
-        }
-    };
-    // Ritz pairs come in the transformed operator's descending order, i.e.
-    // ascending in λ — refine eigenvalues against L, normalise
-    // representatives, and sort to be safe.
-    let mut out = Vec::with_capacity(k);
-    for mut v in res.eigenvectors {
-        vector::center(&mut v);
-        if vector::normalize(&mut v) == 0.0 {
-            return Err(LinalgError::NonFiniteInput {
-                context: "smallest_nonzero_eigenpairs_on: collapsed Ritz vector",
-            });
-        }
-        vector::canonicalize_sign(&mut v);
-        let lambda = laplacian.rayleigh_quotient(&v);
-        out.push((lambda, v));
+    match opts.method.unwrap_or_else(|| FiedlerMethod::for_size(n)) {
+        FiedlerMethod::Dense => multilevel::dense_smallest(laplacian, k),
+        FiedlerMethod::Multilevel => multilevel::smallest_nonzero_eigenpairs_on(
+            laplacian,
+            k,
+            opts.tolerance,
+            opts.seed,
+            &opts.multilevel,
+            pool,
+        ),
     }
-    out.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite eigenvalues"));
-    Ok(out)
 }
 
 /// Relative gap below which λ₂ and λ₃ are treated as one degenerate
@@ -360,8 +250,8 @@ const DEGENERACY_REL_TOL: f64 = 1e-6;
 ///
 /// On symmetric inputs (square grids, hypercubes) λ₂ has multiplicity > 1
 /// and *any* unit vector in its eigenspace is an optimal solution of the
-/// spectral relaxation. A Krylov solver then returns an arbitrary,
-/// start-vector-dependent element of that space — in the worst case a pure
+/// spectral relaxation. A solver then returns an arbitrary,
+/// method-dependent element of that space — in the worst case a pure
 /// axis mode, which collapses the spectral order onto a row-major sweep and
 /// destroys the fairness property of paper Figure 5b. This entry point
 /// detects the cluster (λ ≤ λ₂·(1 + 1e-6)), and replaces the solver's
@@ -478,33 +368,6 @@ fn dense_fiedler(laplacian: &CsrMatrix) -> Result<(f64, Vec<f64>), LinalgError> 
     Ok((eig.eigenvalues[1], eig.eigenvector(1)))
 }
 
-fn shift_invert_fiedler(
-    laplacian: &CsrMatrix,
-    opts: &FiedlerOptions,
-    pool: &Pool<'_>,
-) -> Result<(f64, Vec<f64>), LinalgError> {
-    let n = laplacian.rows();
-    let inner_tol = (opts.tolerance * 1e-3).max(1e-14);
-    let pinv = LaplacianPseudoInverse::with_pool(laplacian, inner_tol, *pool);
-    let ones = vec![ones_direction(n)];
-    let deflated = DeflatedOperator::new(&pinv, &ones);
-    let lopts = LanczosOptions {
-        num_eigenpairs: 1,
-        tolerance: opts.tolerance,
-        seed: opts.seed,
-        max_subspace: Some(n.min(80)),
-        deflation: vec![ones_direction(n)],
-    };
-    let (theta, v) = lanczos::largest_eigenpair(&deflated, &lopts)?;
-    if theta <= 0.0 {
-        return Err(LinalgError::NotPositiveDefinite { curvature: theta });
-    }
-    // Refine λ₂ with a Rayleigh quotient against the true Laplacian (the
-    // Lanczos value 1/θ inherits inner-solve error).
-    let lambda2 = laplacian.rayleigh_quotient(&v);
-    Ok((lambda2, v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,12 +400,25 @@ mod tests {
         4.0 * (std::f64::consts::PI / (2.0 * n as f64)).sin().powi(2)
     }
 
-    fn shift_invert() -> FiedlerOptions {
+    /// Options pinning `method`. Multilevel gets a coarsest size of 4, so
+    /// that even these tiny graphs are solved on a real hierarchy rather
+    /// than by the driver's exact dense path.
+    fn with_method(method: FiedlerMethod) -> FiedlerOptions {
         FiedlerOptions {
-            method: Some(FiedlerMethod::ShiftInvert),
+            method: Some(method),
+            multilevel: MultilevelOptions {
+                coarsest_size: 4,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }
+
+    fn multilevel() -> FiedlerOptions {
+        with_method(FiedlerMethod::Multilevel)
+    }
+
+    const METHODS: [FiedlerMethod; 2] = [FiedlerMethod::Dense, FiedlerMethod::Multilevel];
 
     #[test]
     fn default_options_follow_the_size_policy() {
@@ -562,14 +438,10 @@ mod tests {
 
     #[test]
     fn method_names_round_trip() {
-        for m in [
-            FiedlerMethod::Dense,
-            FiedlerMethod::ShiftInvert,
-            FiedlerMethod::Multilevel,
-        ] {
+        for m in METHODS {
             assert_eq!(FiedlerMethod::parse(&m.to_string()), Some(m));
         }
-        for bad in ["auto", "shifted-direct", "Dense", ""] {
+        for bad in ["auto", "shift-invert", "shifted-direct", "Dense", ""] {
             assert_eq!(FiedlerMethod::parse(bad), None, "{bad}");
         }
     }
@@ -579,11 +451,8 @@ mod tests {
         let n = 16;
         let lap = path_laplacian(n);
         let expect = expected_path_lambda2(n);
-        for method in [FiedlerMethod::Dense, FiedlerMethod::ShiftInvert] {
-            let opts = FiedlerOptions {
-                method: Some(method),
-                ..Default::default()
-            };
+        for method in METHODS {
+            let opts = with_method(method);
             let pair = fiedler_pair_on(&lap, &opts, &Pool::default()).unwrap();
             assert!(
                 (pair.lambda2 - expect).abs() < 1e-7,
@@ -604,11 +473,8 @@ mod tests {
         // λ₂ of a path is simple, so the balanced entry point must return
         // the same pair as fiedler_pair_on (fast path, no second solve).
         let lap = path_laplacian(16);
-        for method in [FiedlerMethod::Dense, FiedlerMethod::ShiftInvert] {
-            let opts = FiedlerOptions {
-                method: Some(method),
-                ..Default::default()
-            };
+        for method in METHODS {
+            let opts = with_method(method);
             let plain = fiedler_pair_on(&lap, &opts, &Pool::default()).unwrap();
             let balanced = fiedler_pair_balanced_on(&lap, &opts, &Pool::default()).unwrap();
             assert!(
@@ -646,7 +512,7 @@ mod tests {
         // The path's Fiedler vector is cos(π(i+0.5)/n): strictly monotone,
         // so the spectral order recovers the path order (or its reverse).
         let lap = path_laplacian(10);
-        let pair = fiedler_pair_on(&lap, &shift_invert(), &Pool::default()).unwrap();
+        let pair = fiedler_pair_on(&lap, &multilevel(), &Pool::default()).unwrap();
         let v = &pair.vector;
         let increasing = v.windows(2).all(|w| w[1] > w[0]);
         let decreasing = v.windows(2).all(|w| w[1] < w[0]);
@@ -659,16 +525,8 @@ mod tests {
         let n = 12;
         let lap = cycle_laplacian(n);
         let expect = 2.0 - 2.0 * (2.0 * std::f64::consts::PI / n as f64).cos();
-        for method in [FiedlerMethod::Dense, FiedlerMethod::ShiftInvert] {
-            let pair = fiedler_pair_on(
-                &lap,
-                &FiedlerOptions {
-                    method: Some(method),
-                    ..Default::default()
-                },
-                &Pool::default(),
-            )
-            .unwrap();
+        for method in METHODS {
+            let pair = fiedler_pair_on(&lap, &with_method(method), &Pool::default()).unwrap();
             assert!(
                 (pair.lambda2 - expect).abs() < 1e-7,
                 "{method:?}: {} vs {expect}",
@@ -681,7 +539,7 @@ mod tests {
     #[test]
     fn vector_is_centered_unit_sign_canonical() {
         let lap = path_laplacian(9);
-        let pair = fiedler_pair_on(&lap, &shift_invert(), &Pool::default()).unwrap();
+        let pair = fiedler_pair_on(&lap, &multilevel(), &Pool::default()).unwrap();
         assert!(vector::mean(&pair.vector).abs() < 1e-10);
         assert!((vector::norm2(&pair.vector) - 1.0).abs() < 1e-10);
         let mut copy = pair.vector.clone();
@@ -703,7 +561,7 @@ mod tests {
             }
         }
         let lap = CsrMatrix::from_triplets(n, n, &t).unwrap();
-        let pair = fiedler_pair_on(&lap, &shift_invert(), &Pool::default()).unwrap();
+        let pair = fiedler_pair_on(&lap, &multilevel(), &Pool::default()).unwrap();
         assert!((pair.lambda2 - n as f64).abs() < 1e-7);
     }
 
@@ -725,8 +583,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let lap = path_laplacian(20);
-        let a = fiedler_pair_on(&lap, &shift_invert(), &Pool::default()).unwrap();
-        let b = fiedler_pair_on(&lap, &shift_invert(), &Pool::default()).unwrap();
+        let a = fiedler_pair_on(&lap, &multilevel(), &Pool::default()).unwrap();
+        let b = fiedler_pair_on(&lap, &multilevel(), &Pool::default()).unwrap();
         assert_eq!(a.vector, b.vector);
         assert_eq!(a.lambda2, b.lambda2);
     }
@@ -736,14 +594,11 @@ mod tests {
         let n = 14;
         let lap = path_laplacian(n);
         let iterative =
-            smallest_nonzero_eigenpairs_on(&lap, 3, &shift_invert(), &Pool::default()).unwrap();
+            smallest_nonzero_eigenpairs_on(&lap, 3, &multilevel(), &Pool::default()).unwrap();
         let dense = smallest_nonzero_eigenpairs_on(
             &lap,
             3,
-            &FiedlerOptions {
-                method: Some(FiedlerMethod::Dense),
-                ..Default::default()
-            },
+            &with_method(FiedlerMethod::Dense),
             &Pool::default(),
         )
         .unwrap();

@@ -11,16 +11,15 @@
 //! * [`dense`] — a row-major dense matrix with symmetric helpers.
 //! * [`sparse`] — a compressed-sparse-row (CSR) symmetric matrix, the format
 //!   in which graph Laplacians are materialised.
-//! * [`operator`] — the [`operator::LinearOperator`] abstraction that lets
-//!   Lanczos and CG run on dense matrices, CSR matrices, or composed
-//!   operators (projected, inverted) without copies.
+//! * [`operator`] — the [`operator::LinearOperator`] abstraction (`y = A x`
+//!   and the Rayleigh quotient) over dense and CSR matrices.
 //! * [`householder`] + [`tql`] — the classic dense symmetric eigensolver
 //!   pipeline (tridiagonalise, then implicit-shift QL), used directly for
-//!   small problems and to solve the Lanczos Ritz problem.
+//!   small problems, for the multilevel coarsest level and for each
+//!   block iteration's Rayleigh–Ritz problem.
 //! * [`pcg`] — preconditioned conjugate gradients on CSR matrices for SPD
 //!   (optionally mean-deflated) systems, with the preconditioner as an
 //!   argument (Jacobi, or the multilevel V-cycle).
-//! * [`lanczos`] — Lanczos iteration with full reorthogonalisation.
 //! * [`multilevel`] — heavy-edge coarsening plus a coarsen–project–refine
 //!   driver whose inner solves are preconditioned by an aggregation
 //!   V-cycle on the same hierarchy, the path that scales the Fiedler
@@ -34,9 +33,9 @@
 //!   kernels (CSR matvec, dot/axpy, Jacobi smoothing, PCG) run on it with
 //!   results bitwise identical to the serial path for every thread count.
 //! * [`fiedler`] — the high-level entry point: compute the Fiedler pair of a
-//!   Laplacian by the dense path, shift-invert Lanczos or the multilevel
-//!   scheme, chosen per input size by one policy
-//!   ([`FiedlerMethod::for_size`]) unless the caller names a method.
+//!   Laplacian by the dense path or the multilevel scheme, chosen per input
+//!   size by one policy ([`FiedlerMethod::for_size`]: dense up to 96
+//!   vertices, multilevel above) unless the caller names a method.
 //!
 //! All algorithms are deterministic given the caller-supplied RNG seed.
 //!
@@ -62,7 +61,6 @@ pub mod dense;
 pub mod error;
 pub mod fiedler;
 pub mod householder;
-pub mod lanczos;
 pub mod multilevel;
 pub mod operator;
 pub mod parallel;
@@ -75,7 +73,6 @@ pub mod vector;
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
 pub use fiedler::{FiedlerMethod, FiedlerOptions, FiedlerPair};
-pub use lanczos::{LanczosOptions, LanczosResult};
 pub use multilevel::{solver_counters, Coarsening, Hierarchy, MultilevelOptions, SolverCounters};
 pub use operator::LinearOperator;
 pub use parallel::{dispatch_counters, with_threads, DispatchCounters, Pool};

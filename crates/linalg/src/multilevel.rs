@@ -1,9 +1,8 @@
 //! Multilevel (coarsen → project → refine) Fiedler solver.
 //!
-//! The dense QL path is O(n³) and even the Lanczos shift-invert path runs
-//! every inner CG solve on the *full* graph, which makes step 3 of the
-//! paper's pipeline the scalability bottleneck. This module implements the
-//! classic multilevel scheme from the same relaxation lineage the paper
+//! The dense QL path is O(n³), which makes step 3 of the paper's pipeline
+//! the scalability bottleneck. This module implements the classic
+//! multilevel scheme from the same relaxation lineage the paper
 //! cites (Hall 1970 / Fiedler 1973; popularised for spectral partitioning
 //! by Barnard & Simon):
 //!
@@ -33,9 +32,9 @@
 //! which is what makes spectral ordering at 10⁵–10⁶ points practical.
 //!
 //! Every fallback the solver takes is counted in [`solver_counters`]: a
-//! coarsest level too big for the dense path (shift-invert coarse solve,
-//! Jacobi-PCG inner solves), a failed V-cycle solve retried with
-//! Jacobi-PCG, and a failed warm start.
+//! coarsest level too big for the dense path (block inverse iteration from
+//! a random start on that level, Jacobi-PCG inner solves), a failed V-cycle
+//! solve retried with Jacobi-PCG, and a failed warm start.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
@@ -110,8 +109,10 @@ pub struct SolverCounters {
     /// Jacobi-PCG.
     pub vcycle_retries: u64,
     /// Hierarchy solves whose coarsest level exceeded the dense cap: the
-    /// coarse pairs came from shift-invert Lanczos, and the walk's inner
-    /// solves ran on Jacobi-PCG for want of a coarse pseudo-inverse.
+    /// coarse pairs came from Jacobi-PCG block inverse iteration on that
+    /// level, started from a seeded random block, and the walk's inner
+    /// solves ran on Jacobi-PCG too for want of a coarse pseudo-inverse. A
+    /// failure there is an error of the solve, not a warm-start failure.
     pub coarse_fallbacks: u64,
     /// Warm-started refinements ([`refine_warm_started_on`]) that failed;
     /// recursive bisection falls back to the hierarchy solve on each.
@@ -431,7 +432,7 @@ pub fn coarsen_laplacian(laplacian: &CsrMatrix, pool: &Pool) -> Result<Coarsenin
 ///
 /// Each representative is mean-centred, unit-norm and sign-canonicalised,
 /// with its eigenvalue refreshed as a Rayleigh quotient against the input
-/// Laplacian — the same canonical form the dense and Lanczos paths return.
+/// Laplacian — the same canonical form the dense path returns.
 ///
 /// Preconditions are the caller's (see [`crate::fiedler::fiedler_pair_on`]):
 /// the matrix must be an actual Laplacian of a **connected** graph. The
@@ -513,12 +514,14 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
     // Matching can stall far above `coarsest_size` (hub/clique-like graphs
     // defeat edge matching); materialising such a level densely would cost
     // O(n²) memory, so past a small multiple of the intended coarsest size
-    // the bottom pairs come from shift-invert Lanczos instead.
+    // the bottom pairs come from block inverse iteration on that level
+    // instead, started from a seeded random block with Jacobi-PCG inner
+    // solves ([`refine_from_block`]).
     //
     // The dense path's full eigendecomposition also yields the coarsest
     // pseudo-inverse the V-cycle preconditioner bottoms out in, built once
-    // here for every level's inner solves. Without it (the shift-invert
-    // branch) the walk's inner solves fall back to Jacobi-PCG, counted in
+    // here for every level's inner solves. Without it (the fallback
+    // branch) the walk's inner solves run on Jacobi-PCG too, counted in
     // [`SolverCounters::coarse_fallbacks`].
     let coarsest = levels.last().map_or(laplacian, |c| &c.coarse);
     let dense_cap = coarsest_size.saturating_mul(4);
@@ -531,18 +534,15 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
         )
     } else {
         COARSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-        let pairs = crate::fiedler::smallest_nonzero_eigenpairs_on(
+        let pairs = refine_from_block(
             coarsest,
+            &[],
             block,
-            &crate::fiedler::FiedlerOptions {
-                // Pinned: the size policy could pick multilevel here and
-                // recurse into this same fallback.
-                method: Some(crate::fiedler::FiedlerMethod::ShiftInvert),
-                tolerance,
-                seed,
-                ..Default::default()
-            },
+            tolerance,
+            seed,
+            opts,
             pool,
+            "multilevel coarse fallback",
         )?;
         (pairs, None)
     };
@@ -660,9 +660,43 @@ pub fn refine_warm_started_on(
             });
         }
     }
+    refine_from_block(
+        laplacian,
+        warm,
+        k,
+        tolerance,
+        seed,
+        opts,
+        pool,
+        "multilevel warm start",
+    )
+    .inspect_err(|_| {
+        WARM_START_FAILURES.fetch_add(1, Ordering::Relaxed);
+    })
+}
+
+/// Block inverse iteration at `laplacian`'s own level from the `start`
+/// vectors, padded to `k + guard_vectors` with seeded random vectors, with
+/// Jacobi-PCG inner solves: the shared body of the warm start and of the
+/// coarse solve of a stalled hierarchy. Returns the bottom `k` nonzero
+/// pairs in canonical form, or [`LinalgError::NoConvergence`] (reported as
+/// `solver`) when [`MultilevelOptions::max_refine_steps`] sweeps miss the
+/// target `tolerance · max(gershgorin, 1)`. Callers check `k < n`.
+#[allow(clippy::too_many_arguments)]
+fn refine_from_block(
+    laplacian: &CsrMatrix,
+    start: &[Vec<f64>],
+    k: usize,
+    tolerance: f64,
+    seed: u64,
+    opts: &MultilevelOptions,
+    pool: &Pool,
+    solver: &'static str,
+) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
+    let n = laplacian.rows();
     let block = (k + opts.guard_vectors).max(k).min(n - 1);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_AA3A_5E00_0001);
-    let mut vectors: Vec<Vec<f64>> = warm.iter().take(block).cloned().collect();
+    let mut vectors: Vec<Vec<f64>> = start.iter().take(block).cloned().collect();
     while vectors.len() < block {
         let mut v = vec![0.0; n];
         vector::fill_random(&mut rng, &mut v);
@@ -670,7 +704,7 @@ pub fn refine_warm_started_on(
     }
     let scale = laplacian.gershgorin_upper_bound().max(1.0);
     let target = tolerance * scale;
-    let refined = refine_block(
+    let lambdas = refine_block(
         laplacian,
         &mut vectors,
         k,
@@ -679,28 +713,22 @@ pub fn refine_warm_started_on(
         None,
         &mut rng,
         pool,
-    )
-    .and_then(|lambdas| {
-        let worst = worst_residual(laplacian, &vectors, &lambdas, k, pool)?;
-        if worst > target {
-            return Err(LinalgError::NoConvergence {
-                solver: "multilevel warm start",
-                iterations: opts.max_refine_steps,
-                residual: worst,
-                tolerance: target,
-            });
-        }
-        Ok(lambdas)
-    });
-    let lambdas = refined.inspect_err(|_| {
-        WARM_START_FAILURES.fetch_add(1, Ordering::Relaxed);
-    })?;
+    )?;
+    let worst = worst_residual(laplacian, &vectors, &lambdas, k, pool)?;
+    if worst > target {
+        return Err(LinalgError::NoConvergence {
+            solver,
+            iterations: opts.max_refine_steps,
+            residual: worst,
+            tolerance: target,
+        });
+    }
     let mut out = Vec::with_capacity(k);
     for (lambda, mut v) in lambdas.into_iter().zip(vectors).take(k) {
         vector::center(&mut v);
         if vector::normalize(&mut v) == 0.0 {
             return Err(LinalgError::NonFiniteInput {
-                context: "multilevel warm start: refined eigenvector collapsed",
+                context: "multilevel block refinement: eigenvector collapsed",
             });
         }
         vector::canonicalize_sign(&mut v);
@@ -1493,8 +1521,9 @@ mod tests {
     fn matching_stall_falls_back_to_iterative_coarse_solve() {
         // Star K_{1,n-1}: edge matching contracts exactly one pair per
         // level, so the hierarchy stalls at the input itself. The solver
-        // must route the coarse solve through shift-invert Lanczos instead
-        // of materialising an O(n²) dense matrix. λ₂ of a star is 1.
+        // must solve that level by block inverse iteration from a random
+        // start instead of materialising an O(n²) dense matrix. λ₂ of a
+        // star is 1, with multiplicity n − 2.
         let n = 1500; // > 4 × default coarsest_size
         let mut t = Vec::new();
         for i in 1..n {

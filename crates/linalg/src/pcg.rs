@@ -8,8 +8,8 @@
 //!   constant. Section 4's weighted graphs (inverse-distance weights,
 //!   heavy affinity edges) can skew the diagonal by orders of magnitude;
 //!   dividing by it restores the iteration count at one extra vector
-//!   multiply per step. Shift-invert Lanczos and the multilevel warm
-//!   start, which have no coarsening hierarchy, use it.
+//!   multiply per step. The multilevel warm start and the coarse solve
+//!   of a stalled hierarchy, which have no V-cycle to offer, use it.
 //! * The aggregation V-cycle of [`crate::multilevel`], which the
 //!   multilevel walk uses on the hierarchy it already built.
 
@@ -118,9 +118,8 @@ impl Preconditioner for Jacobi<'_> {
 /// The matvec, dot, axpy, and preconditioner kernels run on `pool`
 /// ([`crate::parallel`]); the reductions use fixed chunking, so the
 /// returned solution is bitwise identical for every thread count. The
-/// shift-invert operator and the multilevel warm start pass the pool
-/// they were given, so nested solves schedule onto the same workers as
-/// everything else.
+/// multilevel solver passes the pool it was given, so nested solves
+/// schedule onto the same workers as everything else.
 pub fn solve_jacobi_on(
     a: &CsrMatrix,
     b: &[f64],

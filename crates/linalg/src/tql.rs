@@ -1,9 +1,9 @@
 //! Implicit-shift QL iteration for symmetric tridiagonal matrices.
 //!
 //! Second half of the dense symmetric eigensolver (EISPACK `tql2`): given
-//! the tridiagonal produced by [`crate::householder::tridiagonalize`] (or a
-//! Lanczos recurrence), compute all eigenvalues and, optionally, the
-//! eigenvectors accumulated onto an initial basis.
+//! the tridiagonal produced by [`crate::householder::tridiagonalize`],
+//! compute all eigenvalues and the eigenvectors accumulated onto an
+//! initial basis.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
@@ -38,8 +38,7 @@ fn hypot(a: f64, b: f64) -> f64 {
 /// accumulation, consuming `diag`/`off` (EISPACK convention: `off[0] == 0`,
 /// `off[i]` couples `i-1, i`). `z` must hold the basis the eigenvectors are
 /// expressed in (identity for "eigenvectors of T itself", the Householder
-/// `Q` for "eigenvectors of the original dense matrix", the Lanczos basis
-/// for Ritz vectors).
+/// `Q` for "eigenvectors of the original dense matrix").
 ///
 /// On success, eigenvalues (and the columns of `z`) are sorted ascending.
 pub fn tql2_with_basis(
@@ -159,13 +158,6 @@ pub fn tql2_with_basis(
     })
 }
 
-/// Eigen-decompose a tridiagonal (`diag`, `off` in EISPACK convention) with
-/// eigenvectors of `T` itself.
-pub fn tridiagonal_eigen(diag: Vec<f64>, off: Vec<f64>) -> Result<SymmetricEigen, LinalgError> {
-    let n = diag.len();
-    tql2_with_basis(diag, off, DenseMatrix::identity(n))
-}
-
 /// Full dense symmetric eigendecomposition: Householder + QL.
 pub fn symmetric_eigen(a: &DenseMatrix) -> Result<SymmetricEigen, LinalgError> {
     let Tridiagonal { diag, off, q } = crate::householder::tridiagonalize(a)?;
@@ -176,6 +168,12 @@ pub fn symmetric_eigen(a: &DenseMatrix) -> Result<SymmetricEigen, LinalgError> {
 mod tests {
     use super::*;
     use crate::vector;
+
+    /// The eigenpairs of the tridiagonal `T` itself.
+    fn tridiagonal_pairs(diag: Vec<f64>, off: Vec<f64>) -> Result<SymmetricEigen, LinalgError> {
+        let n = diag.len();
+        tql2_with_basis(diag, off, DenseMatrix::identity(n))
+    }
 
     fn check_eigen(a: &DenseMatrix, eig: &SymmetricEigen, tol: f64) {
         let n = a.rows();
@@ -272,21 +270,21 @@ mod tests {
     #[test]
     fn tridiagonal_eigen_direct() {
         // T = [[1, 2], [2, 1]] has eigenvalues -1, 3.
-        let eig = tridiagonal_eigen(vec![1.0, 1.0], vec![0.0, 2.0]).unwrap();
+        let eig = tridiagonal_pairs(vec![1.0, 1.0], vec![0.0, 2.0]).unwrap();
         assert!((eig.eigenvalues[0] + 1.0).abs() < 1e-12);
         assert!((eig.eigenvalues[1] - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_and_singleton() {
-        let eig = tridiagonal_eigen(vec![], vec![]).unwrap();
+        let eig = tridiagonal_pairs(vec![], vec![]).unwrap();
         assert!(eig.eigenvalues.is_empty());
-        let eig = tridiagonal_eigen(vec![4.0], vec![0.0]).unwrap();
+        let eig = tridiagonal_pairs(vec![4.0], vec![0.0]).unwrap();
         assert_eq!(eig.eigenvalues, vec![4.0]);
     }
 
     #[test]
     fn mismatched_off_len_rejected() {
-        assert!(tridiagonal_eigen(vec![1.0, 2.0], vec![0.0]).is_err());
+        assert!(tridiagonal_pairs(vec![1.0, 2.0], vec![0.0]).is_err());
     }
 }

@@ -149,24 +149,14 @@ pub fn project_out(q: &[f64], x: &mut [f64]) -> f64 {
     c
 }
 
-/// Classical Gram–Schmidt re-orthogonalisation of `x` against a basis of
-/// unit vectors, performed twice ("twice is enough", Kahan–Parlett) for
-/// numerical robustness. The basis is given as a slice of rows.
-pub fn reorthogonalize(basis: &[Vec<f64>], x: &mut [f64]) {
-    for _ in 0..2 {
-        for q in basis {
-            project_out(q, x);
-        }
-    }
-}
-
 /// True if every entry is finite.
 pub fn all_finite(x: &[f64]) -> bool {
     x.iter().all(|v| v.is_finite())
 }
 
 /// Fill `x` with uniform random values in `(-1, 1)` from the supplied RNG.
-/// Deterministic for a seeded RNG; used to start Lanczos / power iterations.
+/// Deterministic for a seeded RNG; used to start block iterations and
+/// to draw probe directions.
 pub fn fill_random<R: rand::Rng>(rng: &mut R, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi = rng.gen_range(-1.0..1.0);
@@ -272,19 +262,6 @@ mod tests {
         let mut x = vec![1.0, 2.0, 3.0, 4.0];
         project_out(&q, &mut x);
         assert!(dot(&q, &x).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reorthogonalize_against_two_vectors() {
-        let mut q1 = vec![1.0, 0.0, 0.0, 0.0];
-        normalize(&mut q1);
-        let mut q2 = vec![0.0, 1.0, 1.0, 0.0];
-        normalize(&mut q2);
-        let basis = vec![q1.clone(), q2.clone()];
-        let mut x = vec![1.0, 2.0, 3.0, 4.0];
-        reorthogonalize(&basis, &mut x);
-        assert!(dot(&q1, &x).abs() < 1e-12);
-        assert!(dot(&q2, &x).abs() < 1e-12);
     }
 
     #[test]

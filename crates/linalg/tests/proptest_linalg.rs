@@ -9,7 +9,6 @@ mod jacobi;
 use jacobi::jacobi_eigen;
 use proptest::prelude::*;
 use slpm_linalg::dense::DenseMatrix;
-use slpm_linalg::lanczos::{self, LanczosOptions};
 use slpm_linalg::sparse::CsrMatrix;
 use slpm_linalg::tql::symmetric_eigen;
 use slpm_linalg::vector;
@@ -111,19 +110,6 @@ proptest! {
         let eig = symmetric_eigen(&lap.to_dense()).unwrap();
         prop_assert!(eig.eigenvalues[0] > -1e-9, "smallest eigenvalue {}", eig.eigenvalues[0]);
         prop_assert!(eig.eigenvalues[0].abs() < 1e-8, "kernel missing");
-    }
-
-    #[test]
-    fn lanczos_top_matches_dense(lap in laplacian()) {
-        let dense = symmetric_eigen(&lap.to_dense()).unwrap();
-        let expect = *dense.eigenvalues.last().unwrap();
-        let (got, v) = lanczos::largest_eigenpair(&lap, &LanczosOptions::default()).unwrap();
-        prop_assert!((got - expect).abs() < 1e-6, "{} vs {}", got, expect);
-        // Returned vector is a genuine eigenvector.
-        let lv = lap.matvec(&v).unwrap();
-        let mut r = lv;
-        vector::axpy(-got, &v, &mut r);
-        prop_assert!(vector::norm2(&r) < 1e-6);
     }
 
     #[test]

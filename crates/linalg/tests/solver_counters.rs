@@ -5,7 +5,7 @@
 //! bleed into the deltas.
 
 use slpm_linalg::multilevel::{refine_warm_started_on, smallest_nonzero_eigenpairs_on};
-use slpm_linalg::{solver_counters, CsrMatrix, MultilevelOptions, Pool};
+use slpm_linalg::{solver_counters, CsrMatrix, LinalgError, MultilevelOptions, Pool};
 
 fn grid_laplacian(w: usize, h: usize) -> CsrMatrix {
     let idx = |x: usize, y: usize| x * h + y;
@@ -59,22 +59,37 @@ fn fallbacks_are_counted_and_grids_take_none() {
     assert!(grid.finest_solves > 0, "{grid:?}");
     assert!(grid.finest_iterations >= grid.finest_solves, "{grid:?}");
 
-    // The star's stalled hierarchy takes the shift-invert coarse branch.
+    // The star's stalled hierarchy takes the coarse fallback: block
+    // inverse iteration from a random start on the input itself.
+    let star_lap = star_laplacian(1500);
     let before = solver_counters();
-    let pairs =
-        smallest_nonzero_eigenpairs_on(&star_laplacian(1500), 1, 1e-9, 5, &opts, &pool).unwrap();
+    let pairs = smallest_nonzero_eigenpairs_on(&star_lap, 1, 1e-9, 5, &opts, &pool).unwrap();
     let star = solver_counters().since(&before);
     assert!((pairs[0].0 - 1.0).abs() < 1e-6);
     assert_eq!(star.coarse_fallbacks, 1, "{star:?}");
     assert_eq!(star.vcycle_retries, 0, "{star:?}");
+    assert_eq!(star.warm_start_failures, 0, "{star:?}");
 
-    // A warm start that cannot converge in one sweep is counted.
-    let lap = grid_laplacian(48, 40);
-    let ramp: Vec<f64> = (0..lap.rows()).map(|i| ((i * 7919) % 101) as f64).collect();
+    // A coarse fallback that misses its target (here one sweep towards an
+    // unreachable tolerance) is a typed error of the solve, still counted
+    // as a coarse fallback and never as a failed warm start.
     let one_sweep = MultilevelOptions {
         max_refine_steps: 1,
         ..Default::default()
     };
+    let before = solver_counters();
+    let err = smallest_nonzero_eigenpairs_on(&star_lap, 1, 1e-30, 5, &one_sweep, &pool);
+    let failed = solver_counters().since(&before);
+    assert!(
+        matches!(err, Err(LinalgError::NoConvergence { solver, .. }) if solver == "multilevel coarse fallback"),
+        "{err:?}"
+    );
+    assert_eq!(failed.coarse_fallbacks, 1, "{failed:?}");
+    assert_eq!(failed.warm_start_failures, 0, "{failed:?}");
+
+    // A warm start that cannot converge in one sweep is counted.
+    let lap = grid_laplacian(48, 40);
+    let ramp: Vec<f64> = (0..lap.rows()).map(|i| ((i * 7919) % 101) as f64).collect();
     let before = solver_counters();
     assert!(refine_warm_started_on(&lap, &[ramp], 1, 1e-9, 1, &one_sweep, &pool).is_err());
     let warm = solver_counters().since(&before);

@@ -30,12 +30,13 @@ pub struct EigensolverRow {
     pub two_sum: f64,
 }
 
-/// Compare shift-invert Lanczos with the dense reference on a
-/// `side × side` grid.
+/// Compare the multilevel solver with the dense reference on a
+/// `side × side` grid. Multilevel solves graphs of up to 256 vertices
+/// with the dense path itself, so only sides above 16 compare two solvers.
 pub fn eigensolver_agreement(side: usize) -> Vec<EigensolverRow> {
     let spec = GridSpec::cube(side, 2);
     let graph = spec.graph(Connectivity::Orthogonal);
-    [FiedlerMethod::ShiftInvert, FiedlerMethod::Dense]
+    [FiedlerMethod::Multilevel, FiedlerMethod::Dense]
         .into_iter()
         .map(|method| {
             let mapper = SpectralMapper::new(SpectralConfig {
@@ -226,7 +227,7 @@ pub fn ordering_comparison(side: usize) -> Vec<OrderingRow> {
 pub fn render() -> String {
     use crate::table::TextTable;
     let mut eigen = TextTable::new(["method", "lambda2", "residual", "2-sum cost"]);
-    for r in eigensolver_agreement(16) {
+    for r in eigensolver_agreement(20) {
         eigen.push_row([
             r.method,
             format!("{:.8}", r.lambda2),
@@ -261,7 +262,7 @@ pub fn render() -> String {
         ]);
     }
     [
-        ("eigensolver strategies (16x16 grid)", eigen),
+        ("eigensolver strategies (20x20 grid)", eigen),
         ("graph connectivity (8x8 grid)", conn),
         ("affinity edge weight (8x8 grid, corner pair)", affinity),
         ("ordering strategies (16x16 grid)", ordering),
@@ -297,7 +298,8 @@ mod tests {
 
     #[test]
     fn eigensolvers_agree_on_lambda2() {
-        let rows = eigensolver_agreement(6);
+        // 17×17 = 289 vertices: above the size multilevel solves densely.
+        let rows = eigensolver_agreement(17);
         assert_eq!(rows.len(), 2);
         let reference = rows.iter().find(|r| r.method == "dense").unwrap().lambda2;
         for r in &rows {

@@ -68,7 +68,7 @@ pub fn run(side: usize) -> Fig4Result {
         let graph = spec.graph(conn);
         let mapper = SpectralMapper::new(SpectralConfig {
             connectivity: conn,
-            fiedler: super::shift_invert(),
+            ..Default::default()
         });
         let mapping = mapper
             .map_graph_on(&graph, &Pool::default())

@@ -8,7 +8,8 @@
 //! ```
 //!
 //! The individual crates are:
-//! * [`linalg`] — eigensolvers (dense QL, Jacobi, Lanczos, shift-invert CG);
+//! * [`linalg`] — the Fiedler eigensolvers (dense QL for small graphs, the
+//!   multilevel coarsen–project–refine scheme above 96 vertices);
 //! * [`graph`] — CSR graphs, k-D grid builders, Laplacians;
 //! * [`sfc`] — Sweep/Snake/Peano/Gray/Hilbert space-filling curves;
 //! * [`core`] — the Spectral LPM algorithm itself;
