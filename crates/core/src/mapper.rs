@@ -6,7 +6,7 @@ use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_graph::points::PointSet;
 use slpm_graph::{Graph, GraphError};
 use slpm_linalg::fiedler::{fiedler_pair_balanced_on, FiedlerMethod, FiedlerOptions, FiedlerPair};
-use slpm_linalg::{LinalgError, Pool};
+use slpm_linalg::{CsrMatrix, LinalgError, Pool};
 use std::fmt;
 
 /// Errors from the mapping pipeline.
@@ -122,7 +122,12 @@ impl SpectralMapper {
         pool: &Pool<'_>,
     ) -> Result<SpectralMapping, MappingError> {
         let graph = points.neighbourhood_graph(self.config.connectivity);
-        self.map_graph_on(&graph, pool)
+        graph.require_connected()?;
+        let (laplacian, num_edges) = (graph.laplacian(), graph.num_edges());
+        // The order needs only the Laplacian: free the edge map before the
+        // eigensolve, whose workspace is the peak of the whole mapping.
+        drop(graph);
+        self.map_laplacian_on(&laplacian, num_edges, pool)
     }
 
     /// Map a pre-built graph — the fully general Section 4 form (weighted
@@ -139,12 +144,21 @@ impl SpectralMapper {
     ) -> Result<SpectralMapping, MappingError> {
         graph.require_connected()?;
         // Step 2: the Laplacian.
-        let laplacian = graph.laplacian();
+        self.map_laplacian_on(&graph.laplacian(), graph.num_edges(), pool)
+    }
+
+    /// Steps 3–5 on a connected graph's Laplacian.
+    fn map_laplacian_on(
+        &self,
+        laplacian: &CsrMatrix,
+        num_edges: usize,
+        pool: &Pool<'_>,
+    ) -> Result<SpectralMapping, MappingError> {
         // Step 3 — degeneracy-aware: on symmetric grids λ₂ has multiplicity
         // > 1 and the balanced entry point picks a canonical mixed
         // representative instead of an arbitrary (possibly axis-pure,
         // sweep-like) element of the eigenspace.
-        let fiedler = fiedler_pair_balanced_on(&laplacian, &self.config.fiedler, pool)?;
+        let fiedler = fiedler_pair_balanced_on(laplacian, &self.config.fiedler, pool)?;
         // Steps 4–5: sort on the Fiedler values. Snap values that agree up
         // to solver round-off so ties (grid rows share one value in exact
         // arithmetic) are broken by the documented vertex-index rule, not
@@ -155,7 +169,7 @@ impl SpectralMapper {
         Ok(SpectralMapping {
             order,
             fiedler,
-            num_edges: graph.num_edges(),
+            num_edges,
         })
     }
 

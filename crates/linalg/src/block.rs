@@ -1,0 +1,413 @@
+//! Interleaved blocks of vectors and the kernels that run on them.
+//!
+//! A block holds `w` vectors of length `n` row-major: entry `(i, c)`, row
+//! `i` of column `c`, sits at `i·w + c`. A CSR row then reads all `w`
+//! values of each neighbour from one place, so an operator applied to a
+//! block walks the matrix once for every column (an SpMM:
+//! `acc[c] += a_ik · x[k·w + c]`). The multilevel solver keeps its
+//! eigenvector block in this layout, and PCG ([`crate::pcg`]) its lockstep
+//! columns.
+//!
+//! # The bitwise rule
+//!
+//! Every column of a block kernel performs the floating-point operations
+//! of the one-vector kernel it replaces, in the same order:
+//! - a CSR row sums its terms in stored order, starting from `0.0`;
+//! - a dot product accumulates the 4 lanes of [`vector::lanes`] within each
+//!   [`REDUCE_CHUNK`] of rows and tree-folds the chunk partials;
+//! - a sum folds from [`vector::empty_sum`] within each chunk, then
+//!   tree-folds;
+//! - an elementwise update evaluates the same expression.
+//!
+//! Work splits on the pool at chunk boundaries of [`REDUCE_CHUNK`] *rows*
+//! (`REDUCE_CHUNK · w` elements), and the engagement thresholds count rows,
+//! so a block kernel schedules like the one-vector kernel and returns the
+//! same bits at any thread count. A column's bits never depend on the other
+//! columns of its block.
+//!
+//! # Widths
+//!
+//! The hot kernels take the width as a const generic: a loop over a
+//! runtime width neither unrolls nor keeps its accumulators in registers.
+//! [`with_width!`] turns a runtime width in `1..=LOCKSTEP_MAX` into the
+//! constant, and [`spmm`] walks wider blocks in windows of at most
+//! [`LOCKSTEP_MAX`] columns.
+
+use crate::parallel::{tree_fold, Pool, LIGHT_SPAWN_MIN, REDUCE_CHUNK, SPAWN_MIN};
+use crate::pcg::LOCKSTEP_MAX;
+use crate::sparse::CsrMatrix;
+use crate::vector::{dot_kernel_block, empty_sum};
+
+/// One value per column of a block at most [`LOCKSTEP_MAX`] wide.
+pub(crate) type Cols = [f64; LOCKSTEP_MAX];
+
+/// Evaluate `$body` with `$W` bound to the runtime width `$w` as a
+/// constant. The arms cover exactly `1..=LOCKSTEP_MAX`.
+macro_rules! with_width {
+    ($w:expr, $W:ident => $body:expr) => {
+        match $w {
+            1 => {
+                const $W: usize = 1;
+                $body
+            }
+            2 => {
+                const $W: usize = 2;
+                $body
+            }
+            3 => {
+                const $W: usize = 3;
+                $body
+            }
+            4 => {
+                const $W: usize = 4;
+                $body
+            }
+            5 => {
+                const $W: usize = 5;
+                $body
+            }
+            w => unreachable!("block width {w} outside 1..={}", crate::pcg::LOCKSTEP_MAX),
+        }
+    };
+}
+pub(crate) use with_width;
+const _: () = assert!(LOCKSTEP_MAX == 5, "with_width! must cover 1..=LOCKSTEP_MAX");
+
+/// An `n × width` block of vectors, row-major.
+#[derive(Debug, Clone)]
+pub(crate) struct Block {
+    pub(crate) data: Vec<f64>,
+    pub(crate) width: usize,
+}
+
+impl Block {
+    /// Interleave equal-length columns.
+    pub(crate) fn from_columns(columns: &[Vec<f64>]) -> Block {
+        let width = columns.len();
+        let n = columns.first().map_or(0, Vec::len);
+        let mut data = vec![0.0; n * width];
+        for (c, col) in columns.iter().enumerate() {
+            for (i, &v) in col.iter().enumerate() {
+                data[i * width + c] = v;
+            }
+        }
+        Block { data, width }
+    }
+
+    /// Vector length `n`.
+    pub(crate) fn rows(&self) -> usize {
+        self.data.len() / self.width
+    }
+
+    /// Column `c` as an owned vector.
+    pub(crate) fn column(&self, c: usize) -> Vec<f64> {
+        self.data
+            .iter()
+            .skip(c)
+            .step_by(self.width)
+            .copied()
+            .collect()
+    }
+}
+
+impl Pool<'_> {
+    /// Run `f(first_row, span)` over the whole rows of an `n × w` block,
+    /// split at chunk boundaries of [`REDUCE_CHUNK`] rows; `min` is the
+    /// engagement threshold in rows ([`SPAWN_MIN`] or [`LIGHT_SPAWN_MIN`]).
+    pub(crate) fn block_rows<F>(&self, w: usize, min: usize, data: &mut [f64], f: F)
+    where
+        F: Fn(usize, &mut [f64]) + Sync,
+    {
+        let workers = self.workers_for_min(data.len() / w, min);
+        self.split_run(workers, REDUCE_CHUNK * w, data, |off, span| {
+            f(off / w, span)
+        });
+    }
+
+    /// One reduction per column over `rows` rows: `partial(lo, hi)` is
+    /// evaluated on every fixed [`REDUCE_CHUNK`]-row chunk and each
+    /// column's partials are tree-folded in chunk order, as [`Pool::reduce`]
+    /// folds a single column's.
+    pub(crate) fn reduce_cols<const W: usize, F>(&self, rows: usize, partial: F) -> [f64; W]
+    where
+        F: Fn(usize, usize) -> [f64; W] + Sync,
+    {
+        fold_chunks(&self.map_chunks_min(LIGHT_SPAWN_MIN, rows, partial))
+    }
+
+    /// [`Pool::reduce_cols`] for a pass that also writes its rows:
+    /// `f(first_row, chunk)` runs on every fixed [`REDUCE_CHUNK`]-row chunk
+    /// of the `n × W` block (light-kernel threshold) and returns the chunk's
+    /// partials.
+    pub(crate) fn rows_reduce<const W: usize, F>(&self, data: &mut [f64], f: F) -> [f64; W]
+    where
+        F: Fn(usize, &mut [f64]) -> [f64; W] + Sync,
+    {
+        let rows = data.len() / W;
+        let mut chunks: Vec<(&mut [f64], [f64; W])> = data
+            .chunks_mut(REDUCE_CHUNK * W)
+            .map(|chunk| (chunk, [0.0; W]))
+            .collect();
+        if chunks.is_empty() {
+            return f(0, &mut []);
+        }
+        let workers = self.workers_for_min(rows, LIGHT_SPAWN_MIN);
+        self.split_run(workers, 1, &mut chunks, |first, span| {
+            for (k, (chunk, part)) in span.iter_mut().enumerate() {
+                *part = f((first + k) * REDUCE_CHUNK, chunk);
+            }
+        });
+        let parts: Vec<[f64; W]> = chunks.into_iter().map(|(_, part)| part).collect();
+        fold_chunks(&parts)
+    }
+}
+
+/// Tree-fold each column of per-chunk partials in chunk order.
+fn fold_chunks<const W: usize>(parts: &[[f64; W]]) -> [f64; W] {
+    let mut column = vec![0.0; parts.len()];
+    std::array::from_fn(|c| {
+        for (slot, part) in column.iter_mut().zip(parts) {
+            *slot = part[c];
+        }
+        tree_fold(&mut column)
+    })
+}
+
+/// Widen a `W`-column result to [`Cols`].
+fn pad<const W: usize>(v: [f64; W]) -> Cols {
+    let mut out = [0.0; LOCKSTEP_MAX];
+    out[..W].copy_from_slice(&v);
+    out
+}
+
+/// `y = A x` for `n × w` blocks of any width: one pass over the matrix per
+/// window of at most [`LOCKSTEP_MAX`] columns. Heavy-kernel threshold, as
+/// [`Pool::matvec_into`].
+pub(crate) fn spmm(pool: &Pool, a: &CsrMatrix, x: &[f64], y: &mut [f64], w: usize) {
+    debug_assert_eq!(x.len(), a.cols() * w);
+    debug_assert_eq!(y.len(), a.rows() * w);
+    if w <= LOCKSTEP_MAX {
+        return with_width!(w, W => pool.block_rows(W, SPAWN_MIN, y, |row0, span| {
+            for (j, out) in span.chunks_exact_mut(W).enumerate() {
+                out.copy_from_slice(&a.row_times::<W>(row0 + j, x, W, 0));
+            }
+        }));
+    }
+    for c0 in (0..w).step_by(LOCKSTEP_MAX) {
+        with_width!((w - c0).min(LOCKSTEP_MAX), W => pool.block_rows(w, SPAWN_MIN, y, |row0, span| {
+            for (j, out) in span.chunks_exact_mut(w).enumerate() {
+                out[c0..c0 + W].copy_from_slice(&a.row_times::<W>(row0 + j, x, w, c0));
+            }
+        }));
+    }
+}
+
+/// Per-column dot products of two `n × w` blocks.
+pub(crate) fn dot(pool: &Pool, x: &[f64], y: &[f64], w: usize) -> Cols {
+    debug_assert_eq!(x.len(), y.len());
+    with_width!(w, W => pad(pool.reduce_cols::<W, _>(x.len() / W, |lo, hi| {
+        dot_kernel_block::<W>(&x[lo * W..hi * W], &y[lo * W..hi * W])
+    })))
+}
+
+/// Per-column means of an `n × w` block: each column's sum folded from
+/// [`empty_sum`] within every chunk and tree-folded, then divided by `n`
+/// as [`Pool::center`] divides.
+pub(crate) fn means(pool: &Pool, x: &[f64], w: usize) -> Cols {
+    let rows = x.len() / w;
+    with_width!(w, W => pad(pool.reduce_cols::<W, _>(rows, |lo, hi| {
+        let mut s = [empty_sum(); W];
+        for row in x[lo * W..hi * W].chunks_exact(W) {
+            for c in 0..W {
+                s[c] += row[c];
+            }
+        }
+        s
+    }).map(|s| s / rows as f64)))
+}
+
+/// Subtract `mean[c]` from every entry of column `c` (when given), then
+/// return each column's dot product with the same column of `other`, or
+/// with itself when `other` is `None`: a centring and the dot product that
+/// follows it in one pass.
+pub(crate) fn subtract_dot(
+    pool: &Pool,
+    x: &mut [f64],
+    mean: Option<&Cols>,
+    other: Option<&[f64]>,
+    w: usize,
+) -> Cols {
+    with_width!(w, W => pad(pool.rows_reduce::<W, _>(x, |row0, chunk| {
+        if let Some(m) = mean {
+            for row in chunk.chunks_exact_mut(W) {
+                for c in 0..W {
+                    row[c] -= m[c];
+                }
+            }
+        }
+        match other {
+            Some(o) => dot_kernel_block::<W>(chunk, &o[row0 * W..row0 * W + chunk.len()]),
+            None => dot_kernel_block::<W>(chunk, chunk),
+        }
+    })))
+}
+
+/// The CG step `x += α p`, `r += (−α) q`, column by column; returns the
+/// per-column means of the new `r`, as [`means`] would compute them.
+pub(crate) fn cg_step(
+    pool: &Pool,
+    alpha: &Cols,
+    p: &[f64],
+    q: &[f64],
+    x: &mut [f64],
+    r: &mut [f64],
+    w: usize,
+) -> Cols {
+    let rows = r.len() / w;
+    with_width!(w, W => {
+        pool.block_rows(W, LIGHT_SPAWN_MIN, x, |row0, span| {
+            for (j, xr) in span.chunks_exact_mut(W).enumerate() {
+                let pr = &p[(row0 + j) * W..(row0 + j + 1) * W];
+                for c in 0..W {
+                    xr[c] += alpha[c] * pr[c];
+                }
+            }
+        });
+        pad(pool.rows_reduce::<W, _>(r, |row0, chunk| {
+            let mut s = [empty_sum(); W];
+            for (j, rr) in chunk.chunks_exact_mut(W).enumerate() {
+                let qr = &q[(row0 + j) * W..(row0 + j + 1) * W];
+                for c in 0..W {
+                    rr[c] += -alpha[c] * qr[c];
+                    s[c] += rr[c];
+                }
+            }
+            s
+        }).map(|s| s / rows as f64))
+    })
+}
+
+/// The CG direction update `p ← z + β p`, column by column; a `fresh`
+/// column takes `p ← z`.
+pub(crate) fn update_direction(
+    pool: &Pool,
+    z: &[f64],
+    beta: &Cols,
+    fresh: &[bool; LOCKSTEP_MAX],
+    p: &mut [f64],
+    w: usize,
+) {
+    with_width!(w, W => pool.block_rows(W, LIGHT_SPAWN_MIN, p, |row0, span| {
+        for (j, pr) in span.chunks_exact_mut(W).enumerate() {
+            let zr = &z[(row0 + j) * W..(row0 + j + 1) * W];
+            for c in 0..W {
+                pr[c] = if fresh[c] { zr[c] } else { zr[c] + beta[c] * pr[c] };
+            }
+        }
+    }))
+}
+
+/// Run `f(row, values)` on every row of an `n × w` block with the
+/// light-kernel threshold: the elementwise passes that touch one or a few
+/// columns.
+pub(crate) fn for_rows<F>(pool: &Pool, data: &mut [f64], w: usize, f: F)
+where
+    F: Fn(usize, &mut [f64]) + Sync,
+{
+    pool.block_rows(w, LIGHT_SPAWN_MIN, data, |row0, span| {
+        for (j, row) in span.chunks_exact_mut(w).enumerate() {
+            f(row0 + j, row);
+        }
+    });
+}
+
+/// Sum of column `c` of an `n × w` block, bitwise equal to [`Pool::sum`]
+/// of that column.
+pub(crate) fn col_sum(pool: &Pool, x: &[f64], w: usize, c: usize) -> f64 {
+    pool.reduce_cols::<1, _>(x.len() / w, |lo, hi| {
+        let mut s = empty_sum();
+        for i in lo..hi {
+            s += x[i * w + c];
+        }
+        [s]
+    })[0]
+}
+
+/// Dot product of column `cx` of the `n × wx` block `x` with column `cy` of
+/// the `n × wy` block `y`, bitwise equal to [`Pool::dot`] of the two
+/// columns.
+pub(crate) fn col_dot(
+    pool: &Pool,
+    x: &[f64],
+    wx: usize,
+    cx: usize,
+    y: &[f64],
+    wy: usize,
+    cy: usize,
+) -> f64 {
+    col_reduce(pool, x.len() / wx, |i| x[i * wx + cx] * y[i * wy + cy])
+}
+
+/// The dot-product reduction of one column's per-row products `term(i)`:
+/// bitwise equal to [`Pool::dot`] on the two vectors whose elementwise
+/// product `term` computes.
+pub(crate) fn col_reduce(pool: &Pool, rows: usize, term: impl Fn(usize) -> f64 + Sync) -> f64 {
+    pool.reduce_cols::<1, _>(rows, |lo, hi| {
+        // The lanes of `dot_kernel`, one column.
+        let mut acc = [0.0f64; 4];
+        let quads = (hi - lo) / 4;
+        for q in 0..quads {
+            for (l, lane) in acc.iter_mut().enumerate() {
+                *lane += term(lo + q * 4 + l);
+            }
+        }
+        let mut tail = 0.0;
+        for i in lo + quads * 4..hi {
+            tail += term(i);
+        }
+        [acc[0] + acc[1] + acc[2] + acc[3] + tail]
+    })[0]
+}
+
+/// Subtract column `c`'s mean from it, bitwise equal to [`Pool::center`].
+pub(crate) fn col_center(pool: &Pool, x: &mut [f64], w: usize, c: usize) {
+    let rows = x.len() / w;
+    if rows == 0 {
+        return;
+    }
+    let mean = col_sum(pool, x, w, c) / rows as f64;
+    for_rows(pool, x, w, |_, row| row[c] -= mean);
+}
+
+/// Drop the columns of an `n × w` block whose `keep` flag is false, in
+/// place; returns the new width.
+pub(crate) fn compact(data: &mut Vec<f64>, w: usize, keep: &[bool]) -> usize {
+    let kept: Vec<usize> = (0..w).filter(|&c| keep[c]).collect();
+    let rows = data.len().checked_div(w).unwrap_or(0);
+    let nw = kept.len();
+    if nw == w {
+        return w;
+    }
+    // Destination indices never pass their sources, so a forward copy is
+    // safe in place.
+    for i in 0..rows {
+        for (j, &c) in kept.iter().enumerate() {
+            data[i * nw + j] = data[i * w + c];
+        }
+    }
+    data.truncate(rows * nw);
+    nw
+}
+
+/// Append `k` zero columns to an `n × w` block, in place.
+pub(crate) fn widen(data: &mut Vec<f64>, n: usize, w: usize, k: usize) {
+    let nw = w + k;
+    data.resize(n * nw, 0.0);
+    // Destination indices never trail their sources, so a backward copy is
+    // safe in place.
+    for i in (0..n).rev() {
+        for c in (0..nw).rev() {
+            data[i * nw + c] = if c < w { data[i * w + c] } else { 0.0 };
+        }
+    }
+}

@@ -112,12 +112,6 @@ impl DenseMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutably borrow row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Raw row-major storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -137,17 +131,6 @@ impl DenseMatrix {
             y[i] = crate::vector::dot(self.row(i), x);
         }
         Ok(y)
-    }
-
-    /// Transpose into a new matrix.
-    pub fn transpose(&self) -> DenseMatrix {
-        let mut t = DenseMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t.set(j, i, self.get(i, j));
-            }
-        }
-        t
     }
 
     /// Matrix product `self * other`.
@@ -263,8 +246,6 @@ mod tests {
         m.set(0, 1, 9.0);
         assert_eq!(m.get(0, 1), 9.0);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        m.row_mut(1)[0] = 7.0;
-        assert_eq!(m.get(1, 0), 7.0);
     }
 
     #[test]
@@ -277,13 +258,6 @@ mod tests {
     #[test]
     fn matvec_rejects_bad_length() {
         assert!(sample().matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = sample();
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose().get(0, 1), 3.0);
     }
 
     #[test]

@@ -567,7 +567,7 @@ mod tests {
 
     #[test]
     fn rejects_tiny_problems() {
-        let lap = CsrMatrix::from_diagonal(&[0.0]);
+        let lap = CsrMatrix::from_triplets(1, 1, &[(0, 0, 0.0)]).unwrap();
         assert!(matches!(
             fiedler_pair_on(&lap, &FiedlerOptions::default(), &Pool::default()),
             Err(LinalgError::ProblemTooSmall { .. })
@@ -576,7 +576,7 @@ mod tests {
 
     #[test]
     fn rejects_non_laplacian() {
-        let m = CsrMatrix::from_diagonal(&[1.0, 2.0, 3.0]);
+        let m = CsrMatrix::from_triplets(3, 3, &[(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)]).unwrap();
         assert!(fiedler_pair_on(&m, &FiedlerOptions::default(), &Pool::default()).is_err());
     }
 

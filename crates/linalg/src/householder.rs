@@ -42,8 +42,10 @@ pub fn tridiagonalize(a: &DenseMatrix) -> Result<Tridiagonal, LinalgError> {
         });
     }
 
-    // Work on a copy; `z` ends up holding Q.
-    let mut z = a.clone();
+    // Work on a row-major copy; `z` ends up holding Q. Every loop below
+    // walks rows of `z`; each sum keeps the term order of the textbook
+    // column-walking form.
+    let mut z = a.as_slice().to_vec();
     let mut d = vec![0.0f64; n];
     let mut e = vec![0.0f64; n];
 
@@ -51,83 +53,99 @@ pub fn tridiagonalize(a: &DenseMatrix) -> Result<Tridiagonal, LinalgError> {
     // to 0-based indexing).
     for i in (1..n).rev() {
         let l = i - 1;
+        let (above, rest) = z.split_at_mut(i * n);
+        let zi = &mut rest[..n];
         let mut h = 0.0f64;
         let mut scale = 0.0f64;
         if l > 0 {
-            for k in 0..=l {
-                scale += z.get(i, k).abs();
+            for v in &zi[..=l] {
+                scale += v.abs();
             }
             if scale == 0.0 {
-                e[i] = z.get(i, l);
+                e[i] = zi[l];
             } else {
-                for k in 0..=l {
-                    let v = z.get(i, k) / scale;
-                    z.set(i, k, v);
-                    h += v * v;
+                for v in zi[..=l].iter_mut() {
+                    *v /= scale;
+                    h += *v * *v;
                 }
-                let mut f = z.get(i, l);
+                let mut f = zi[l];
                 let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
                 e[i] = scale * g;
                 h -= f * g;
-                z.set(i, l, f - g);
+                zi[l] = f - g;
                 f = 0.0;
+                // e[j] = (Σ_{k≤j} z[j][k]·z[i][k] + Σ_{k>j} z[k][j]·z[i][k]) / h,
+                // both sums in ascending k. The second one reads column j of
+                // the lower triangle, so it is gathered row by row once every
+                // first sum is complete: the same terms in the same order.
                 for j in 0..=l {
-                    z.set(j, i, z.get(i, j) / h);
+                    above[j * n + i] = zi[j] / h;
                     let mut g = 0.0;
-                    for k in 0..=j {
-                        g += z.get(j, k) * z.get(i, k);
+                    for (zjk, zik) in above[j * n..=j * n + j].iter().zip(&zi[..=j]) {
+                        g += zjk * zik;
                     }
-                    for k in j + 1..=l {
-                        g += z.get(k, j) * z.get(i, k);
+                    e[j] = g;
+                }
+                for k in 1..=l {
+                    let zik = zi[k];
+                    for (ej, zkj) in e[..k].iter_mut().zip(&above[k * n..k * n + k]) {
+                        *ej += zkj * zik;
                     }
-                    e[j] = g / h;
-                    f += e[j] * z.get(i, j);
+                }
+                for j in 0..=l {
+                    e[j] /= h;
+                    f += e[j] * zi[j];
                 }
                 let hh = f / (h + h);
                 for j in 0..=l {
-                    let f = z.get(i, j);
+                    let f = zi[j];
                     let g = e[j] - hh * f;
                     e[j] = g;
-                    for k in 0..=j {
-                        let v = z.get(j, k) - (f * e[k] + g * z.get(i, k));
-                        z.set(j, k, v);
+                    let row = &mut above[j * n..=j * n + j];
+                    for (zjk, (ek, zik)) in row.iter_mut().zip(e[..=j].iter().zip(&zi[..=j])) {
+                        *zjk -= f * ek + g * zik;
                     }
                 }
             }
         } else {
-            e[i] = z.get(i, l);
+            e[i] = zi[l];
         }
         d[i] = h;
     }
 
     d[0] = 0.0;
     e[0] = 0.0;
-    // Accumulate transformation matrices.
+    // Accumulate transformation matrices: g[j] = Σ_{k<i} z[i][k]·z[k][j] in
+    // ascending k, then z[k][j] −= g[j]·z[k][i].
     for i in 0..n {
         if d[i] != 0.0 {
-            for j in 0..i {
-                let mut g = 0.0;
-                for k in 0..i {
-                    g += z.get(i, k) * z.get(k, j);
+            let (above, rest) = z.split_at_mut(i * n);
+            let zi = &rest[..i];
+            let mut g = vec![0.0; i];
+            for (k, &zik) in zi.iter().enumerate() {
+                for (gj, zkj) in g.iter_mut().zip(&above[k * n..k * n + i]) {
+                    *gj += zik * zkj;
                 }
-                for k in 0..i {
-                    let v = z.get(k, j) - g * z.get(k, i);
-                    z.set(k, j, v);
+            }
+            for row in above.chunks_exact_mut(n) {
+                let zki = row[i];
+                for (zkj, gj) in row[..i].iter_mut().zip(&g) {
+                    *zkj -= gj * zki;
                 }
             }
         }
-        d[i] = z.get(i, i);
-        z.set(i, i, 1.0);
+        d[i] = z[i * n + i];
+        z[i * n + i] = 1.0;
         for j in 0..i {
-            z.set(j, i, 0.0);
-            z.set(i, j, 0.0);
+            z[j * n + i] = 0.0;
+            z[i * n + j] = 0.0;
         }
     }
 
     Ok(Tridiagonal {
         diag: d,
         off: e,
-        q: z,
+        q: DenseMatrix::from_vec(n, n, z)?,
     })
 }
 
@@ -135,6 +153,16 @@ pub fn tridiagonalize(a: &DenseMatrix) -> Result<Tridiagonal, LinalgError> {
 mod tests {
     use super::*;
     use crate::vector;
+
+    fn transpose(m: &DenseMatrix) -> DenseMatrix {
+        let mut t = DenseMatrix::zeros(m.cols(), m.rows());
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                t.set(j, i, m.get(i, j));
+            }
+        }
+        t
+    }
 
     fn reconstruct(t: &Tridiagonal) -> DenseMatrix {
         // A = Q T Qᵀ
@@ -147,7 +175,7 @@ mod tests {
                 tm.set(i - 1, i, t.off[i]);
             }
         }
-        t.q.matmul(&tm).unwrap().matmul(&t.q.transpose()).unwrap()
+        t.q.matmul(&tm).unwrap().matmul(&transpose(&t.q)).unwrap()
     }
 
     fn assert_close(a: &DenseMatrix, b: &DenseMatrix, tol: f64) {
@@ -199,7 +227,7 @@ mod tests {
         ])
         .unwrap();
         let t = tridiagonalize(&a).unwrap();
-        let qtq = t.q.transpose().matmul(&t.q).unwrap();
+        let qtq = transpose(&t.q).matmul(&t.q).unwrap();
         assert_close(&qtq, &DenseMatrix::identity(4), 1e-12);
     }
 

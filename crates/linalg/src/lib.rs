@@ -19,7 +19,9 @@
 //!   block iteration's Rayleigh–Ritz problem.
 //! * [`pcg`] — preconditioned conjugate gradients on CSR matrices for SPD
 //!   (optionally mean-deflated) systems, with the preconditioner as an
-//!   argument (Jacobi, or the multilevel V-cycle).
+//!   argument (Jacobi, or the multilevel V-cycle); many right-hand sides
+//!   step in lockstep through one interleaved block, each column bitwise
+//!   as it would run alone.
 //! * [`multilevel`] — heavy-edge coarsening plus a coarsen–project–refine
 //!   driver whose inner solves are preconditioned by an aggregation
 //!   V-cycle on the same hierarchy, the path that scales the Fiedler
@@ -57,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block;
 pub mod dense;
 pub mod error;
 pub mod fiedler;

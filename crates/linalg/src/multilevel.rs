@@ -31,20 +31,31 @@
 //! Only a handful of loosely-converged solves ever touch the finest graph,
 //! which is what makes spectral ordering at 10⁵–10⁶ points practical.
 //!
+//! The walk keeps its block of eigenvector estimates interleaved — entry
+//! `(i, c)` at `i·b + c`, the layout of [`pcg::solve_on`] — so every
+//! operator application reads the matrix once for the whole block: the
+//! smoothing passes, the Rayleigh–Ritz product `LV`, and the sweep's
+//! inverse-iteration corrections, which run as one batched PCG solve
+//! through a block V-cycle. The bitwise rule of [`crate::pcg`] holds
+//! throughout: each column's floating-point operations happen in the order
+//! of a one-vector solve, so every order, eigenvalue and solver counter is
+//! what one column at a time would give, at any thread count.
+//!
 //! Every fallback the solver takes is counted in [`solver_counters`]: a
 //! coarsest level too big for the dense path (block inverse iteration from
 //! a random start on that level, Jacobi-PCG inner solves), a failed V-cycle
 //! solve retried with Jacobi-PCG, and a failed warm start.
 
+use crate::block::{self, Block};
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
-use crate::parallel::Pool;
+use crate::parallel::{tree_fold, Pool, LIGHT_SPAWN_MIN, REDUCE_CHUNK, SPAWN_MIN};
 use crate::pcg::{self, CgOptions};
 use crate::sparse::CsrMatrix;
 use crate::tql;
 use crate::vector;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tuning knobs for the multilevel solver (carried inside
@@ -552,7 +563,10 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
         return Ok(coarse_pairs.into_iter().take(k).collect());
     }
     let mut lambdas: Vec<f64> = coarse_pairs.iter().map(|(l, _)| *l).collect();
-    let mut vectors: Vec<Vec<f64>> = coarse_pairs.into_iter().map(|(_, v)| v).collect();
+    let columns: Vec<Vec<f64>> = coarse_pairs.into_iter().map(|(_, v)| v).collect();
+    let mut vectors = Block::from_columns(&columns);
+    drop(columns);
+    let mut scratch = Vec::new();
 
     // --- 3. Walk back up: prolong, then refine at every level. ---
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_C0A2_5E00_0000);
@@ -565,10 +579,15 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
         } else {
             &levels[depth - 1].coarse
         };
-        for v in &mut vectors {
-            *v = prolong_pooled(fine, step, v, pool);
-        }
-        smooth_block(fine, &mut vectors, &lambdas, SMOOTHING_PASSES, pool);
+        vectors = prolong_block(fine, step, &vectors, pool);
+        smooth_block(
+            fine,
+            &mut vectors,
+            &lambdas,
+            SMOOTHING_PASSES,
+            &mut scratch,
+            pool,
+        );
         let finest = depth == 0;
         let sweeps = if finest {
             opts.max_refine_steps
@@ -586,11 +605,12 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
             level_target,
             sweeps,
             level_vcycle.as_mut(),
+            &mut scratch,
             &mut rng,
             pool,
         )?;
         if finest {
-            let worst = worst_residual(fine, &vectors, &lambdas, k, pool)?;
+            let worst = worst_residual(fine, &vectors, &lambdas, k, pool);
             if worst > target {
                 return Err(LinalgError::NoConvergence {
                     solver: "multilevel",
@@ -601,14 +621,28 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
             }
         }
     }
+    canonical_block(
+        &vectors,
+        &lambdas,
+        k,
+        "multilevel: refined eigenvector collapsed",
+    )
+}
 
+/// The first `k` columns of a refined block in the crate's canonical form
+/// (centred, unit, sign-canonical), paired with their Ritz values.
+fn canonical_block(
+    vectors: &Block,
+    lambdas: &[f64],
+    k: usize,
+    collapsed: &'static str,
+) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
     let mut out = Vec::with_capacity(k);
-    for (lambda, mut v) in lambdas.into_iter().zip(vectors).take(k) {
+    for (c, &lambda) in lambdas.iter().enumerate().take(k) {
+        let mut v = vectors.column(c);
         vector::center(&mut v);
         if vector::normalize(&mut v) == 0.0 {
-            return Err(LinalgError::NonFiniteInput {
-                context: "multilevel: refined eigenvector collapsed",
-            });
+            return Err(LinalgError::NonFiniteInput { context: collapsed });
         }
         vector::canonicalize_sign(&mut v);
         out.push((lambda, v));
@@ -696,12 +730,14 @@ fn refine_from_block(
     let n = laplacian.rows();
     let block = (k + opts.guard_vectors).max(k).min(n - 1);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_AA3A_5E00_0001);
-    let mut vectors: Vec<Vec<f64>> = start.iter().take(block).cloned().collect();
-    while vectors.len() < block {
+    let mut columns: Vec<Vec<f64>> = start.iter().take(block).cloned().collect();
+    while columns.len() < block {
         let mut v = vec![0.0; n];
         vector::fill_random(&mut rng, &mut v);
-        vectors.push(v);
+        columns.push(v);
     }
+    let mut vectors = Block::from_columns(&columns);
+    drop(columns);
     let scale = laplacian.gershgorin_upper_bound().max(1.0);
     let target = tolerance * scale;
     let lambdas = refine_block(
@@ -711,10 +747,11 @@ fn refine_from_block(
         target,
         opts.max_refine_steps,
         None,
+        &mut Vec::new(),
         &mut rng,
         pool,
     )?;
-    let worst = worst_residual(laplacian, &vectors, &lambdas, k, pool)?;
+    let worst = worst_residual(laplacian, &vectors, &lambdas, k, pool);
     if worst > target {
         return Err(LinalgError::NoConvergence {
             solver,
@@ -723,18 +760,12 @@ fn refine_from_block(
             tolerance: target,
         });
     }
-    let mut out = Vec::with_capacity(k);
-    for (lambda, mut v) in lambdas.into_iter().zip(vectors).take(k) {
-        vector::center(&mut v);
-        if vector::normalize(&mut v) == 0.0 {
-            return Err(LinalgError::NonFiniteInput {
-                context: "multilevel block refinement: eigenvector collapsed",
-            });
-        }
-        vector::canonicalize_sign(&mut v);
-        out.push((lambda, v));
-    }
-    Ok(out)
+    canonical_block(
+        &vectors,
+        &lambdas,
+        k,
+        "multilevel block refinement: eigenvector collapsed",
+    )
 }
 
 /// [`smallest_nonzero_eigenpairs_on`] specialised to the Fiedler pair.
@@ -782,89 +813,97 @@ fn canonical_pairs(
     Ok(out)
 }
 
-/// Interpolate one coarse-level vector to the fine level on the pool by
-/// edge-weight-scaled interpolation: each fine vertex takes the weighted
-/// average of its neighbours' aggregate values,
+/// Interpolate a block of coarse-level vectors to the fine level on the
+/// pool by edge-weight-scaled interpolation: each fine vertex takes the
+/// weighted average of its neighbours' aggregate values,
 /// `x[v] = Σ_j w_vj · x_c[parent[j]] / Σ_j w_vj`. The injected error is far
 /// smoother than piecewise-constant blocks `x_c[parent[v]]`, which cuts
 /// the refinement sweeps the finest levels need.
 ///
 /// `fine` is the matrix of the level being prolonged **to** (its row count
-/// equals `step.parent.len()`). Elementwise per fine vertex, so bitwise
-/// identical for every thread count.
-fn prolong_pooled(
-    fine: &CsrMatrix,
-    step: &Coarsening,
-    coarse_values: &[f64],
-    pool: &Pool,
-) -> Vec<f64> {
+/// equals `step.parent.len()`). Elementwise per fine vertex and column, so
+/// bitwise identical for every thread count and block width.
+fn prolong_block(fine: &CsrMatrix, step: &Coarsening, coarse: &Block, pool: &Pool) -> Block {
     let parent = &step.parent;
     debug_assert_eq!(fine.rows(), parent.len());
-    let mut out = vec![0.0; parent.len()];
-    pool.for_each_chunk(&mut out, |off, chunk| {
-        for (j, o) in chunk.iter_mut().enumerate() {
-            let v = off + j;
-            let mut num = 0.0;
+    let w = coarse.width;
+    let cv = &coarse.data;
+    let mut out = vec![0.0; parent.len() * w];
+    pool.block_rows(w, SPAWN_MIN, &mut out, |row0, span| {
+        let mut num = vec![0.0; w];
+        for (j, o) in span.chunks_exact_mut(w).enumerate() {
+            let v = row0 + j;
+            num.fill(0.0);
             let mut den = 0.0;
             for (u, entry) in fine.row_iter(v) {
                 if u != v && entry < 0.0 {
-                    num += -entry * coarse_values[parent[u]];
+                    let cu = &cv[parent[u] * w..(parent[u] + 1) * w];
+                    for (nc, &x) in num.iter_mut().zip(cu) {
+                        *nc += -entry * x;
+                    }
                     den += -entry;
                 }
             }
             // Isolated vertices (no edges) fall back to injection.
-            *o = if den > 0.0 {
-                num / den
+            if den > 0.0 {
+                for (oc, &nc) in o.iter_mut().zip(&num) {
+                    *oc = nc / den;
+                }
             } else {
-                coarse_values[parent[v]]
-            };
+                o.copy_from_slice(&cv[parent[v] * w..(parent[v] + 1) * w]);
+            }
         }
     });
-    out
+    Block {
+        data: out,
+        width: w,
+    }
 }
 
 /// Worst residual `‖Lvᵢ − λᵢvᵢ‖` over the first `k` block vectors.
 fn worst_residual(
     laplacian: &CsrMatrix,
-    vectors: &[Vec<f64>],
+    vectors: &Block,
     lambdas: &[f64],
     k: usize,
     pool: &Pool,
-) -> Result<f64, LinalgError> {
-    let n = laplacian.rows();
-    let mut worst = 0.0f64;
-    let mut r = vec![0.0; n];
-    for i in 0..k {
-        if vectors[i].len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                context: "multilevel worst_residual",
-                expected: n,
-                found: vectors[i].len(),
-            });
-        }
-        pool.matvec_into(laplacian, &vectors[i], &mut r);
-        pool.axpy(-lambdas[i], &vectors[i], &mut r);
-        worst = worst.max(pool.norm2(&r));
-    }
-    Ok(worst)
+) -> f64 {
+    let w = vectors.width;
+    let v = &vectors.data;
+    let mut lv = vec![0.0; v.len()];
+    block::spmm(pool, laplacian, v, &mut lv, w);
+    (0..k)
+        .map(|c| {
+            let neg = -lambdas[c];
+            block::col_reduce(pool, vectors.rows(), |i| {
+                let e = lv[i * w + c] + neg * v[i * w + c];
+                e * e
+            })
+            .sqrt()
+        })
+        .fold(0.0f64, f64::max)
 }
 
 /// Damp the high-frequency component of freshly-prolonged vectors with a
 /// few weighted-Jacobi passes on `(L − θI)v`: eigencomponents near θ are
 /// preserved while the blocky interpolation error (which lives at the top
 /// of the spectrum) shrinks by a constant factor per pass, at one matvec
-/// each. Row-parallel on the pool; thread count never changes the result.
+/// each. Every column takes its passes in lockstep with the others, each
+/// with its own θ; row-parallel on the pool, and thread count never
+/// changes the result.
 fn smooth_block(
     laplacian: &CsrMatrix,
-    vectors: &mut [Vec<f64>],
+    vectors: &mut Block,
     lambdas: &[f64],
     passes: usize,
+    r: &mut Vec<f64>,
     pool: &Pool,
 ) {
     if passes == 0 {
         return;
     }
     let n = laplacian.rows();
+    let w = vectors.width;
     let mut inv_diag = vec![0.0; n];
     pool.for_each_chunk(&mut inv_diag, |row0, chunk| {
         for (j, d) in chunk.iter_mut().enumerate() {
@@ -873,18 +912,21 @@ fn smooth_block(
         }
     });
     const OMEGA: f64 = 0.7;
-    let mut r = vec![0.0; n];
-    for (v, &theta) in vectors.iter_mut().zip(lambdas) {
-        for _ in 0..passes {
-            pool.matvec_into(laplacian, v, &mut r);
-            pool.axpy(-theta, v, &mut r);
-            // Level-1 elementwise update — light engagement threshold.
-            pool.for_each_chunk_light(v, |off, chunk| {
-                for (j, vi) in chunk.iter_mut().enumerate() {
-                    *vi -= OMEGA * r[off + j] * inv_diag[off + j];
-                }
-            });
-        }
+    r.resize(n * w, 0.0);
+    for _ in 0..passes {
+        block::spmm(pool, laplacian, &vectors.data, r, w);
+        // r += (−θ) v, then v −= ω r / d: level-1 elementwise updates.
+        let v = &vectors.data;
+        block::for_rows(pool, r, w, |i, row| {
+            for (c, rc) in row.iter_mut().enumerate() {
+                *rc += -lambdas[c] * v[i * w + c];
+            }
+        });
+        block::for_rows(pool, &mut vectors.data, w, |i, row| {
+            for (c, vc) in row.iter_mut().enumerate() {
+                *vc -= OMEGA * r[i * w + c] * inv_diag[i];
+            }
+        });
     }
 }
 
@@ -907,9 +949,9 @@ const VCYCLE_OVERCORRECTION: f64 = 1.5;
 /// Level `l`'s operator is `A_l` (`A_0` the input Laplacian, `A_{l+1}`
 /// the Galerkin product `PᵀA_lP` of [`Coarsening`] `l`), and `P` is the
 /// piecewise-constant prolongation through [`Coarsening::parent`] — the
-/// same `P` that defines the coarse operators. Restriction by `Pᵀ` is a
-/// gather over each aggregate's members in ascending vertex order, so
-/// every coarse entry is summed in one fixed order at any thread count.
+/// same `P` that defines the coarse operators. Restriction by `Pᵀ` adds
+/// each fine residual to its aggregate in ascending vertex order, so every
+/// coarse entry is summed in one fixed order at any thread count.
 struct VCycleSetup<'a> {
     /// `A_l` for every level, finest first, the coarsest last.
     operators: Vec<&'a CsrMatrix>,
@@ -918,10 +960,6 @@ struct VCycleSetup<'a> {
     /// The hierarchy's coarsenings: level `l`'s fine → coarse map is
     /// `levels[l].parent`.
     levels: &'a [Coarsening],
-    /// Per non-coarsest level: aggregate `c`'s members are
-    /// `members[start[c]..start[c + 1]]`, ascending.
-    member_starts: Vec<Vec<usize>>,
-    members: Vec<Vec<usize>>,
     /// Mean-deflated pseudo-inverse of the coarsest operator, dense and
     /// row-major.
     coarse_pinv: Vec<f64>,
@@ -953,121 +991,198 @@ impl<'a> VCycleSetup<'a> {
                 d
             })
             .collect();
-        let (member_starts, members) = hierarchy
-            .levels
-            .iter()
-            .map(|c| {
-                // Counting sort by aggregate: stable, so members ascend.
-                let mut start = vec![0usize; c.coarse_len() + 1];
-                for &p in &c.parent {
-                    start[p + 1] += 1;
-                }
-                for i in 0..c.coarse_len() {
-                    start[i + 1] += start[i];
-                }
-                let mut next = start.clone();
-                let mut members = vec![0usize; c.parent.len()];
-                for (v, &p) in c.parent.iter().enumerate() {
-                    members[next[p]] = v;
-                    next[p] += 1;
-                }
-                (start, members)
-            })
-            .unzip();
         VCycleSetup {
             operators,
             damped_inv_diag,
             levels: &hierarchy.levels,
-            member_starts,
-            members,
             coarse_pinv: deflated_pseudo_inverse(eig),
         }
     }
 
-    /// The V-cycle preconditioner for level `depth`'s operator, with one
-    /// workspace per level below it.
+    /// The V-cycle preconditioner for level `depth`'s operator, with a
+    /// workspace for blocks of up to [`pcg::LOCKSTEP_MAX`] columns: one
+    /// correction slot per level below, or the root's post-smoothing
+    /// residual, whichever is larger.
     fn at<'s, 'p>(&'s self, depth: usize, pool: Pool<'p>) -> VCycle<'s, 'p> {
-        let work = (depth..self.levels.len())
-            .map(|l| {
-                let coarse = self.operators[l + 1].rows();
-                LevelWork {
-                    residual: vec![0.0; self.operators[l].rows()],
-                    coarse_rhs: vec![0.0; coarse],
-                    coarse_x: vec![0.0; coarse],
-                }
-            })
-            .collect();
+        let below: usize = self.operators[depth + 1..].iter().map(|a| a.rows()).sum();
+        let rows = below.max(self.operators[depth].rows());
         VCycle {
             setup: self,
             depth,
-            work,
+            arena: vec![0.0; rows * pcg::LOCKSTEP_MAX],
             pool,
         }
     }
 
-    /// `x ← B_l rhs` for the V-cycle `B_l` rooted at `level`; `work` holds
-    /// the workspaces of `level` and every level below it.
-    fn cycle(&self, level: usize, rhs: &[f64], x: &mut [f64], work: &mut [LevelWork], pool: &Pool) {
-        let Some((w, deeper)) = work.split_first_mut() else {
-            let n = rhs.len();
-            let pinv = &self.coarse_pinv;
-            pool.for_each_chunk(x, |row0, chunk| {
-                for (j, xi) in chunk.iter_mut().enumerate() {
-                    *xi = vector::dot(&pinv[(row0 + j) * n..(row0 + j + 1) * n], rhs);
+    /// `x ← B_l rhs` for every column of the `n_l × W` blocks, for the
+    /// V-cycle `B_l` rooted at `level`; `rhs` is left as it was. `arena`
+    /// holds the levels below, then serves as the post-smoothing residual.
+    fn cycle<const W: usize>(
+        &self,
+        level: usize,
+        rhs: &[f64],
+        x: &mut [f64],
+        arena: &mut [f64],
+        pool: &Pool,
+    ) {
+        if level == self.levels.len() {
+            return self.coarse_solve::<W>(rhs, x, pool);
+        }
+        self.descend::<W>(level, rhs, x, arena, pool);
+        let residual = &mut arena[..rhs.len()];
+        let a = self.operators[level];
+        pool.block_rows(W, SPAWN_MIN, residual, |row0, span| {
+            for (j, o) in span.chunks_exact_mut(W).enumerate() {
+                let i = row0 + j;
+                let ax = a.row_times::<W>(i, x, W, 0);
+                for c in 0..W {
+                    o[c] = rhs[i * W + c] - ax[c];
                 }
-            });
-            return;
-        };
+            }
+        });
+        self.post_smooth::<W>(level, residual, x, pool);
+    }
+
+    /// [`VCycleSetup::cycle`] for a level below the root, whose `rhs` (the
+    /// level above's restricted residual) is dead once this returns: the
+    /// post-smoothing residual overwrites it in place.
+    fn cycle_in_place<const W: usize>(
+        &self,
+        level: usize,
+        rhs: &mut [f64],
+        x: &mut [f64],
+        arena: &mut [f64],
+        pool: &Pool,
+    ) {
+        if level == self.levels.len() {
+            return self.coarse_solve::<W>(rhs, x, pool);
+        }
+        self.descend::<W>(level, rhs, x, arena, pool);
+        let a = self.operators[level];
+        let x_ref = &*x;
+        pool.block_rows(W, SPAWN_MIN, rhs, |row0, span| {
+            for (j, b) in span.chunks_exact_mut(W).enumerate() {
+                let ax = a.row_times::<W>(row0 + j, x_ref, W, 0);
+                for c in 0..W {
+                    b[c] -= ax[c];
+                }
+            }
+        });
+        self.post_smooth::<W>(level, rhs, x, pool);
+    }
+
+    /// Pre-smoothing from a zero guess, restriction, the next level's cycle
+    /// and the over-corrected prolongation of its correction.
+    ///
+    /// The pre-smoothed `x = ωD⁻¹ rhs` is never stored: the restriction
+    /// forms each `A x` term from `rhs` on the spot, and the prolongation
+    /// writes `x = ωD⁻¹ rhs + γ P x_c`, the same two roundings the stored
+    /// form would take. Until then `x`'s slot holds the restricted residual
+    /// (the next level's right-hand side), and the next level's correction
+    /// takes the front of `arena`.
+    fn descend<const W: usize>(
+        &self,
+        level: usize,
+        rhs: &[f64],
+        x: &mut [f64],
+        arena: &mut [f64],
+        pool: &Pool,
+    ) {
         let a = self.operators[level];
         let d = &self.damped_inv_diag[level];
         let parent = &self.levels[level].parent;
-        let (start, members) = (&self.member_starts[level], &self.members[level]);
-        // Pre-smoothing from a zero guess: x = ωD⁻¹ rhs.
-        pool.for_each_chunk_light(x, |off, chunk| {
-            for (j, xi) in chunk.iter_mut().enumerate() {
-                *xi = d[off + j] * rhs[off + j];
+        let nc = self.operators[level + 1].rows();
+        let (coarse_x, deeper) = arena.split_at_mut(nc * W);
+        let coarse_rhs = &mut x[..nc * W];
+        // Restriction Pᵀ(rhs − A x): each fine residual, computed on the
+        // spot, is added to its aggregate's sum in ascending vertex order.
+        // Every engaged worker owns a range of aggregates and scans the fine
+        // vertices for their members; engaged by the size of the fine
+        // level, whose rows it reads.
+        let workers = pool
+            .workers_for_min(a.rows(), SPAWN_MIN)
+            .min(nc.div_ceil(REDUCE_CHUNK));
+        pool.split_run(workers, REDUCE_CHUNK * W, coarse_rhs, |off, span| {
+            let (first, end) = (off / W, (off + span.len()) / W);
+            span.fill(vector::empty_sum());
+            for (v, &agg) in parent.iter().enumerate() {
+                if !(first..end).contains(&agg) {
+                    continue;
+                }
+                let ax = a.row_times_scaled::<W>(v, d, rhs);
+                let sum = &mut span[(agg - first) * W..(agg - first + 1) * W];
+                for c in 0..W {
+                    sum[c] += rhs[v * W + c] - ax[c];
+                }
             }
         });
-        residual_into(a, rhs, x, &mut w.residual, pool);
-        // Restriction Pᵀ: gather each aggregate's residuals in member order.
-        let residual = &w.residual;
-        pool.for_each_chunk_light(&mut w.coarse_rhs, |off, chunk| {
-            for (j, ci) in chunk.iter_mut().enumerate() {
-                let c = off + j;
-                // xtask:allow(float-reduce): serial fold over one aggregate's members, ascending
-                *ci = members[start[c]..start[c + 1]]
-                    .iter()
-                    .map(|&v| residual[v])
-                    .sum();
-            }
-        });
-        self.cycle(level + 1, &w.coarse_rhs, &mut w.coarse_x, deeper, pool);
-        // Over-corrected prolongation: x += γ P x_c.
-        let coarse_x = &w.coarse_x;
-        pool.for_each_chunk_light(x, |off, chunk| {
-            for (j, xi) in chunk.iter_mut().enumerate() {
-                *xi += VCYCLE_OVERCORRECTION * coarse_x[parent[off + j]];
-            }
-        });
-        // Post-smoothing: x += ωD⁻¹ (rhs − A x).
-        residual_into(a, rhs, x, &mut w.residual, pool);
-        let residual = &w.residual;
-        pool.for_each_chunk_light(x, |off, chunk| {
-            for (j, xi) in chunk.iter_mut().enumerate() {
-                *xi += d[off + j] * residual[off + j];
+        self.cycle_in_place::<W>(level + 1, coarse_rhs, coarse_x, deeper, pool);
+        // x = ωD⁻¹ rhs + γ P x_c: pre-smoothing plus over-corrected
+        // prolongation.
+        let coarse_x = &*coarse_x;
+        pool.block_rows(W, LIGHT_SPAWN_MIN, x, |row0, span| {
+            for (j, xr) in span.chunks_exact_mut(W).enumerate() {
+                let i = row0 + j;
+                let xc = &coarse_x[parent[i] * W..(parent[i] + 1) * W];
+                let b = &rhs[i * W..(i + 1) * W];
+                for c in 0..W {
+                    xr[c] = d[i] * b[c] + VCYCLE_OVERCORRECTION * xc[c];
+                }
             }
         });
     }
-}
 
-/// `out = rhs − A x`, row-chunked on the pool (one fused pass per row).
-fn residual_into(a: &CsrMatrix, rhs: &[f64], x: &[f64], out: &mut [f64], pool: &Pool) {
-    pool.for_each_chunk(out, |row0, chunk| {
-        a.matvec_rows_into(row0, x, chunk);
-        for (j, o) in chunk.iter_mut().enumerate() {
-            *o = rhs[row0 + j] - *o;
-        }
-    });
+    /// Post-smoothing `x += ωD⁻¹ residual`.
+    fn post_smooth<const W: usize>(
+        &self,
+        level: usize,
+        residual: &[f64],
+        x: &mut [f64],
+        pool: &Pool,
+    ) {
+        let d = &self.damped_inv_diag[level];
+        pool.block_rows(W, LIGHT_SPAWN_MIN, x, |row0, span| {
+            for (j, xr) in span.chunks_exact_mut(W).enumerate() {
+                let i = row0 + j;
+                let r = &residual[i * W..(i + 1) * W];
+                for c in 0..W {
+                    xr[c] += d[i] * r[c];
+                }
+            }
+        });
+    }
+
+    /// The coarsest level: `x = Pinv rhs`, each entry the crate's chunked
+    /// dot product ([`vector::dot`]) of a pseudo-inverse row with a column
+    /// of `rhs`.
+    fn coarse_solve<const W: usize>(&self, rhs: &[f64], x: &mut [f64], pool: &Pool) {
+        let n = rhs.len() / W;
+        let pinv = &self.coarse_pinv;
+        pool.block_rows(W, SPAWN_MIN, x, |row0, span| {
+            let mut partials = vec![[0.0; W]; n.div_ceil(REDUCE_CHUNK).max(1)];
+            let mut fold = vec![0.0; partials.len()];
+            // The pseudo-inverse row broadcast across the block's columns.
+            let mut row = vec![0.0; REDUCE_CHUNK.min(n) * W];
+            for (j, xr) in span.chunks_exact_mut(W).enumerate() {
+                let prow = &pinv[(row0 + j) * n..(row0 + j + 1) * n];
+                for (k, part) in partials.iter_mut().enumerate() {
+                    let lo = k * REDUCE_CHUNK;
+                    let hi = (lo + REDUCE_CHUNK).min(n);
+                    let row = &mut row[..(hi - lo) * W];
+                    for (r, &p) in row.chunks_exact_mut(W).zip(&prow[lo..hi]) {
+                        r.fill(p);
+                    }
+                    *part = vector::dot_kernel_block::<W>(row, &rhs[lo * W..hi * W]);
+                }
+                for c in 0..W {
+                    for (f, part) in fold.iter_mut().zip(&partials) {
+                        *f = part[c];
+                    }
+                    xr[c] = tree_fold(&mut fold);
+                }
+            }
+        });
+    }
 }
 
 /// The mean-deflated pseudo-inverse `Σ_{k≥1} v_k v_kᵀ / λ_k` of a
@@ -1097,14 +1212,6 @@ fn deflated_pseudo_inverse(eig: &tql::SymmetricEigen) -> Vec<f64> {
     pinv
 }
 
-/// One level's V-cycle workspace: the fine residual plus the coarse
-/// right-hand side and correction of the level below.
-struct LevelWork {
-    residual: Vec<f64>,
-    coarse_rhs: Vec<f64>,
-    coarse_x: Vec<f64>,
-}
-
 /// The symmetric aggregation V-cycle rooted at one level of a
 /// [`VCycleSetup`]: per level one weighted-Jacobi pre- and post-smoothing
 /// sweep around an over-corrected coarse correction, and the dense
@@ -1112,94 +1219,104 @@ struct LevelWork {
 /// `2S − SAS + γ(I − SA)P B_c Pᵀ(I − AS)` with `S = ωD⁻¹` and `B_c` the
 /// next level's cycle — symmetric, and positive definite because
 /// `ω·ρ(D⁻¹A) < 2`.
+///
+/// It runs on a whole block at once: every smoothing pass, residual and
+/// `Pᵀ` gather reads each matrix row once for all columns, and each column
+/// comes out bitwise as it would alone.
 struct VCycle<'s, 'p> {
     setup: &'s VCycleSetup<'s>,
     depth: usize,
-    work: Vec<LevelWork>,
+    /// The levels' coarse right-hand sides and corrections, stacked.
+    arena: Vec<f64>,
     pool: Pool<'p>,
 }
 
 impl pcg::Preconditioner for VCycle<'_, '_> {
-    fn apply(&mut self, r: &[f64], z: &mut [f64]) {
-        self.setup
-            .cycle(self.depth, r, z, &mut self.work, &self.pool);
+    fn apply(&mut self, w: usize, r: &[f64], z: &mut [f64]) {
+        let (setup, depth, pool) = (self.setup, self.depth, &self.pool);
+        let arena = &mut self.arena;
+        block::with_width!(w, W => setup.cycle::<W>(depth, r, z, arena, pool))
     }
 }
 
 /// Block inverse iteration with per-sweep Rayleigh–Ritz projection.
 ///
-/// Refines `vectors` in place towards the bottom nonzero eigenspace of
-/// `laplacian` and returns the Ritz values (ascending, aligned with the
-/// block). Stops early once the first `k` residuals are below `target`.
+/// Refines the block `vectors` in place towards the bottom nonzero
+/// eigenspace of `laplacian` and returns the Ritz values (ascending,
+/// aligned with the block's columns). Stops early once the first `k`
+/// residuals are below `target`.
 ///
 /// Each sweep: (a) centre + orthonormalise the block, (b) Rayleigh–Ritz on
-/// the b-dimensional subspace, (c) one warm-started inverse-iteration
-/// correction per vector — solve `L d = v − Lv/θ` with PCG and set
+/// the b-dimensional subspace (one SpMM for `LV`, the rotation applied to
+/// `V` and `LV` in place), (c) one warm-started inverse-iteration
+/// correction per unlocked vector — solve `L d = v − Lv/θ` with PCG and set
 /// `v ← v/θ + d`, which equals the inverse-iteration update `L⁻¹v` but
 /// hands the solver a right-hand side that shrinks with the eigen-residual.
+/// The corrections of one sweep are one batched solve ([`pcg::solve_on`])
+/// whose right-hand sides are built inside the `LV` buffer.
 ///
 /// The inner solves are preconditioned by `vcycle`, or by Jacobi without
 /// one (the warm start, which has no hierarchy, and walks whose coarsest
 /// level was too big for a dense pseudo-inverse). A V-cycle solve that
 /// fails with [`LinalgError::NotPositiveDefinite`] or
-/// [`LinalgError::NoConvergence`] is retried with Jacobi-PCG and counted
-/// in [`SolverCounters::vcycle_retries`]. A finite `target` marks the
-/// finest level, whose inner solves and PCG iterations are counted too.
+/// [`LinalgError::NoConvergence`] is retried alone with Jacobi-PCG and
+/// counted in [`SolverCounters::vcycle_retries`]. A finite `target` marks
+/// the finest level, whose inner solves and PCG iterations are counted
+/// too. Counters and errors are taken column by column in block order, so
+/// they are those of one solve after another.
 #[allow(clippy::too_many_arguments)]
 fn refine_block(
     laplacian: &CsrMatrix,
-    vectors: &mut [Vec<f64>],
+    vectors: &mut Block,
     k: usize,
     target: f64,
     sweeps: usize,
     mut vcycle: Option<&mut VCycle<'_, '_>>,
+    lv: &mut Vec<f64>,
     rng: &mut StdRng,
     pool: &Pool,
 ) -> Result<Vec<f64>, LinalgError> {
     let n = laplacian.rows();
-    let b = vectors.len();
+    let b = vectors.width;
     let cg_opts = CgOptions {
         tolerance: INNER_TOLERANCE,
         max_iterations: None,
         deflate_mean: true,
     };
     let mut lambdas = vec![0.0; b];
+    let mut jacobi: Option<pcg::Jacobi<'_>> = None;
     for sweep in 0..sweeps.max(1) {
         orthonormalize(vectors, rng, pool);
+        let v = &mut vectors.data;
 
-        // Rayleigh–Ritz: T = VᵀLV, rotate V by T's eigenbasis.
-        let lv: Vec<Vec<f64>> = vectors
-            .iter()
-            .map(|v| {
-                let mut y = vec![0.0; n];
-                pool.matvec_into(laplacian, v, &mut y);
-                y
-            })
-            .collect();
+        // Rayleigh–Ritz: T = VᵀLV, rotate V and LV by T's eigenbasis.
+        lv.resize(n * b, 0.0);
+        block::spmm(pool, laplacian, v, lv, b);
         let mut t = DenseMatrix::zeros(b, b);
         for i in 0..b {
             for j in i..b {
-                let e = pool.dot(&vectors[i], &lv[j]);
+                let e = block::col_dot(pool, v, b, i, lv, b, j);
                 t.set(i, j, e);
                 t.set(j, i, e);
             }
         }
         let ritz = tql::symmetric_eigen(&t)?;
-        let rotated = rotate(vectors, &ritz, pool);
-        let rotated_lv = rotate(&lv, &ritz, pool);
-        for (dst, src) in vectors.iter_mut().zip(rotated) {
-            *dst = src;
-        }
+        rotate(v, &ritz, pool);
+        rotate(lv, &ritz, pool);
         lambdas.copy_from_slice(&ritz.eigenvalues);
 
         // Residuals of the whole block (we have LV for free); convergence
         // is gated on the k wanted pairs only.
-        let mut residuals = vec![0.0f64; b];
-        for i in 0..b {
-            let mut r = rotated_lv[i].clone();
-            pool.axpy(-lambdas[i], &vectors[i], &mut r);
-            residuals[i] = pool.norm2(&r);
-        }
+        let residuals: Vec<f64> = (0..b)
+            .map(|c| {
+                let neg = -lambdas[c];
+                block::col_reduce(pool, n, |i| {
+                    let e = lv[i * b + c] + neg * v[i * b + c];
+                    e * e
+                })
+                .sqrt()
+            })
+            .collect();
         let worst = residuals[..k].iter().cloned().fold(0.0f64, f64::max);
         // With a finite target this is a convergence check; on intermediate
         // levels (infinite target) every sweep but the last runs its
@@ -1209,99 +1326,187 @@ fn refine_block(
             break;
         }
 
-        // Inverse-iteration correction per block vector, skipping (locking)
-        // vectors already well below the convergence target — typically the
-        // wanted pairs, whose spectral gaps are widest, leaving only the
-        // guard vectors to pay for solves in late sweeps.
+        // Inverse-iteration corrections, skipping (locking) vectors already
+        // well below the convergence target — typically the wanted pairs,
+        // whose spectral gaps are widest, leaving only the guard vectors to
+        // pay for solves in late sweeps. A non-positive Ritz value is an
+        // error once the vectors before it have had their corrections.
         let lock_below = if target.is_finite() {
             0.3 * target
         } else {
             0.0
         };
-        for (i, v) in vectors.iter_mut().enumerate() {
-            if residuals[i] <= lock_below {
+        let mut unlocked = Vec::with_capacity(b);
+        let mut bad_theta = None;
+        for (i, (&res, &theta)) in residuals.iter().zip(&lambdas).enumerate() {
+            if res <= lock_below {
                 continue;
             }
-            let theta = lambdas[i];
             if !(theta.is_finite() && theta > 0.0) {
-                return Err(LinalgError::NotPositiveDefinite { curvature: theta });
+                bad_theta = Some(theta);
+                break;
             }
-            // rhs = v − Lv/θ has norm ‖residual‖/θ, so the relative PCG
-            // tolerance tightens automatically as the pair converges.
-            let mut rhs = rotated_lv[i].clone();
-            pool.scale(-1.0 / theta, &mut rhs);
-            pool.axpy(1.0, v, &mut rhs);
-            // The inner solve inherits this pool, so its kernels run on
-            // the same workers as the rest of the walk.
-            let correction = match vcycle.as_deref_mut() {
-                Some(vcycle) => match pcg::solve_on(laplacian, &rhs, &cg_opts, vcycle, *pool) {
-                    Ok(out) => out,
-                    Err(
-                        LinalgError::NotPositiveDefinite { .. } | LinalgError::NoConvergence { .. },
-                    ) => {
-                        VCYCLE_RETRIES.fetch_add(1, Ordering::Relaxed);
-                        pcg::solve_jacobi_on(laplacian, &rhs, &cg_opts, *pool)?
-                    }
-                    Err(e) => return Err(e),
-                },
-                None => pcg::solve_jacobi_on(laplacian, &rhs, &cg_opts, *pool)?,
-            };
-            if target.is_finite() {
-                FINEST_SOLVES.fetch_add(1, Ordering::Relaxed);
-                FINEST_ITERATIONS.fetch_add(correction.iterations as u64, Ordering::Relaxed);
-            }
-            let mut x = correction.solution;
-            pool.axpy(1.0 / theta, v, &mut x);
-            *v = x;
+            unlocked.push(i);
+        }
+        if !unlocked.is_empty() {
+            correct(
+                laplacian,
+                v,
+                lv,
+                b,
+                &unlocked,
+                &lambdas,
+                target,
+                &cg_opts,
+                &mut vcycle,
+                &mut jacobi,
+                pool,
+            )?;
+        }
+        if let Some(theta) = bad_theta {
+            return Err(LinalgError::NotPositiveDefinite { curvature: theta });
         }
     }
     Ok(lambdas)
 }
 
-/// Centre every block vector and orthonormalise with modified Gram–Schmidt,
-/// replacing any collapsed vector by a fresh seeded random direction.
-/// Runs the dots/axpys on the pool (bitwise equal to serial).
-fn orthonormalize(vectors: &mut [Vec<f64>], rng: &mut StdRng, pool: &Pool) {
-    for i in 0..vectors.len() {
+/// One sweep's inverse-iteration corrections for the `unlocked` columns of
+/// the `n × b` block `v`, whose rotated `L v` is in `lv`: `lv` is compacted
+/// to the unlocked columns and each becomes its right-hand side
+/// `v − Lv/θ`, all are solved in one batched PCG call, and each solution
+/// `d` updates its column to `v/θ + d`. Failed V-cycle columns are retried
+/// with Jacobi-PCG afterwards, in column order, from the right-hand sides
+/// the batched solve left untouched.
+#[allow(clippy::too_many_arguments)]
+fn correct<'p>(
+    laplacian: &CsrMatrix,
+    v: &mut [f64],
+    lv: &mut Vec<f64>,
+    b: usize,
+    unlocked: &[usize],
+    lambdas: &[f64],
+    target: f64,
+    cg_opts: &CgOptions,
+    vcycle: &mut Option<&mut VCycle<'_, '_>>,
+    jacobi: &mut Option<pcg::Jacobi<'p>>,
+    pool: &Pool<'p>,
+) -> Result<(), LinalgError> {
+    let n = laplacian.rows();
+    let mut keep = vec![false; b];
+    for &i in unlocked {
+        keep[i] = true;
+    }
+    let u = block::compact(lv, b, &keep);
+    // rhs = v − Lv/θ has norm ‖residual‖/θ, so the relative PCG tolerance
+    // tightens automatically as the pair converges.
+    let scales: Vec<f64> = unlocked.iter().map(|&i| -1.0 / lambdas[i]).collect();
+    let vr = &*v;
+    block::for_rows(pool, lv, u, |r, row| {
+        for ((e, &i), &s) in row.iter_mut().zip(unlocked).zip(&scales) {
+            let scaled = *e * s;
+            *e = scaled + 1.0 * vr[r * b + i];
+        }
+    });
+    // v ← d + v/θ for a solved column.
+    let update = |v: &mut [f64], i: usize, d: &(dyn Fn(usize) -> f64 + Sync)| {
+        let inv = 1.0 / lambdas[i];
+        block::for_rows(pool, v, b, |r, row| row[i] = d(r) + inv * row[i]);
+    };
+    let precond: &mut dyn pcg::Preconditioner = match vcycle.as_deref_mut() {
+        Some(vcycle) => vcycle,
+        None => match jacobi {
+            Some(jacobi) => jacobi,
+            None => jacobi.insert(pcg::Jacobi::new(laplacian, *pool)?),
+        },
+    };
+    let mut outcomes: Vec<Option<Result<usize, LinalgError>>> = vec![None; u];
+    pcg::solve_on(
+        laplacian,
+        lv,
+        u,
+        cg_opts,
+        precond,
+        *pool,
+        &mut |j, result| {
+            outcomes[j] = Some(result.map(|solved| {
+                update(v, unlocked[j], &|r| solved.get(r));
+                solved.iterations
+            }));
+        },
+    )?;
+    for (j, outcome) in outcomes.into_iter().enumerate() {
+        let iterations = match outcome.expect("every column reports") {
+            Ok(iterations) => iterations,
+            Err(LinalgError::NotPositiveDefinite { .. } | LinalgError::NoConvergence { .. })
+                if vcycle.is_some() =>
+            {
+                VCYCLE_RETRIES.fetch_add(1, Ordering::Relaxed);
+                let rhs: Vec<f64> = (0..n).map(|r| lv[r * u + j]).collect();
+                let retry = pcg::solve_jacobi_on(laplacian, &rhs, cg_opts, *pool)?;
+                update(v, unlocked[j], &|r| retry.solution[r]);
+                retry.iterations
+            }
+            Err(e) => return Err(e),
+        };
+        if target.is_finite() {
+            FINEST_SOLVES.fetch_add(1, Ordering::Relaxed);
+            FINEST_ITERATIONS.fetch_add(iterations as u64, Ordering::Relaxed);
+        }
+    }
+    Ok(())
+}
+
+/// Centre every column of the block and orthonormalise the columns with
+/// modified Gram–Schmidt, replacing any collapsed column by a fresh seeded
+/// random direction. Column by column on the pool, bitwise equal to the
+/// same steps on separate vectors.
+fn orthonormalize(vectors: &mut Block, rng: &mut StdRng, pool: &Pool) {
+    let b = vectors.width;
+    let v = &mut vectors.data;
+    for i in 0..b {
         let mut attempts = 0;
         loop {
-            let (done, rest) = vectors.split_at_mut(i);
-            let v = &mut rest[0];
-            pool.center(v);
-            for q in done.iter() {
-                let c = pool.dot(q, v);
-                pool.axpy(-c, q, v);
+            block::col_center(pool, v, b, i);
+            for q in 0..i {
+                let c = -block::col_dot(pool, v, b, q, v, b, i);
+                block::for_rows(pool, v, b, |_, row| row[i] += c * row[q]);
             }
-            let norm = pool.norm2(v);
-            if norm > 1e-10 {
-                pool.scale(1.0 / norm, v);
-                break;
-            }
-            if attempts >= 4 {
+            let norm = block::col_dot(pool, v, b, i, v, b, i).sqrt();
+            if norm > 1e-10 || attempts >= 4 {
                 if norm > 0.0 {
-                    pool.scale(1.0 / norm, v);
+                    let inv = 1.0 / norm;
+                    block::for_rows(pool, v, b, |_, row| row[i] *= inv);
                 }
                 break;
             }
-            vector::fill_random(rng, v);
+            for row in v.chunks_exact_mut(b) {
+                row[i] = rng.gen_range(-1.0..1.0);
+            }
             attempts += 1;
         }
     }
 }
 
-/// `V · Y` for the Ritz rotation `Y` (eigenvectors of the projected
-/// operator, ascending). Axpys run on the pool.
-fn rotate(vectors: &[Vec<f64>], ritz: &tql::SymmetricEigen, pool: &Pool) -> Vec<Vec<f64>> {
-    let b = vectors.len();
-    let n = vectors[0].len();
-    let mut out = vec![vec![0.0; n]; b];
-    for (col, dst) in out.iter_mut().enumerate() {
-        let y = ritz.eigenvector(col);
-        for (j, vj) in vectors.iter().enumerate() {
-            pool.axpy(y[j], vj, dst);
+/// `V ← V · Y` in place for the Ritz rotation `Y` (eigenvectors of the
+/// projected operator, ascending), row by row: each new entry is
+/// `Σ_j y_j v_j` summed from `0.0` in `j` order, as an axpy per source
+/// column would build it.
+fn rotate(v: &mut [f64], ritz: &tql::SymmetricEigen, pool: &Pool) {
+    let b = ritz.eigenvalues.len();
+    let y = ritz.eigenvectors.as_slice();
+    pool.block_rows(b, LIGHT_SPAWN_MIN, v, |_, span| {
+        let mut old = vec![0.0; b];
+        for row in span.chunks_exact_mut(b) {
+            old.copy_from_slice(row);
+            for (col, out) in row.iter_mut().enumerate() {
+                let mut sum = 0.0;
+                for (j, &vj) in old.iter().enumerate() {
+                    sum += y[j * b + col] * vj;
+                }
+                *out = sum;
+            }
         }
-    }
-    out
+    });
 }
 
 #[cfg(test)]
@@ -1615,7 +1820,8 @@ mod tests {
             vector::dot(v, &lv) / vector::dot(v, v)
         };
         let mut pc: Vec<f64> = step.parent.iter().map(|&c| coarse_v[c]).collect();
-        let mut wt = prolong_pooled(&lap, &step, coarse_v, &Pool::serial());
+        let coarse = Block::from_columns(std::slice::from_ref(coarse_v));
+        let mut wt = prolong_block(&lap, &step, &coarse, &Pool::serial()).column(0);
         vector::center(&mut pc);
         vector::center(&mut wt);
         let (rq_pc, rq_wt) = (rq(&pc), rq(&wt));
@@ -1690,7 +1896,7 @@ mod tests {
             .iter()
             .map(|r| {
                 let mut z = vec![0.0; r.len()];
-                pcg::Preconditioner::apply(&mut vcycle, r, &mut z);
+                pcg::Preconditioner::apply(&mut vcycle, 1, r, &mut z);
                 z
             })
             .collect()
@@ -1759,6 +1965,193 @@ mod tests {
     }
 
     #[test]
+    fn block_vcycle_equals_one_column_cycles() {
+        // One application to an n × w block gives each column the bits of
+        // its own width-1 application, at every width and thread count.
+        for (name, lap) in vcycle_inputs() {
+            let xs = random_vectors(lap.rows(), pcg::LOCKSTEP_MAX, 25, true);
+            let solo = apply_vcycle(&lap, &xs, Pool::serial());
+            for threads in [1usize, 2] {
+                with_threads(Some(threads), |pool| {
+                    let hierarchy =
+                        Hierarchy::build(&lap, 3, &MultilevelOptions::default(), pool).unwrap();
+                    let eig = tql::symmetric_eigen(&hierarchy.coarsest(&lap).to_dense()).unwrap();
+                    let setup = VCycleSetup::new(&lap, &hierarchy, &eig, pool);
+                    let mut vcycle = setup.at(0, *pool);
+                    for w in 1..=pcg::LOCKSTEP_MAX {
+                        let r = Block::from_columns(&xs[..w]);
+                        let mut z = vec![0.0; r.data.len()];
+                        pcg::Preconditioner::apply(&mut vcycle, w, &r.data, &mut z);
+                        let z = Block { data: z, width: w };
+                        for (c, expect) in solo.iter().take(w).enumerate() {
+                            assert_eq!(
+                                &z.column(c),
+                                expect,
+                                "{name}: w={w} column {c} threads={threads}"
+                            );
+                        }
+                    }
+                });
+            }
+        }
+    }
+
+    /// Every column's outcome: solution, iterations and residual bits, or
+    /// the error.
+    type Outcomes = Vec<Result<(Vec<f64>, usize, u64), LinalgError>>;
+
+    /// Solve the columns of `rhs` in one batched call.
+    fn batched(
+        lap: &CsrMatrix,
+        rhs: &[Vec<f64>],
+        opts: &CgOptions,
+        precond: &mut dyn pcg::Preconditioner,
+        pool: Pool<'_>,
+    ) -> Outcomes {
+        let block = Block::from_columns(rhs);
+        let mut out: Vec<Option<_>> = vec![None; rhs.len()];
+        pcg::solve_on(
+            lap,
+            &block.data,
+            rhs.len(),
+            opts,
+            precond,
+            pool,
+            &mut |c, result| {
+                out[c] =
+                    Some(result.map(|s| (s.to_vec(), s.iterations, s.relative_residual.to_bits())));
+            },
+        )
+        .unwrap();
+        out.into_iter()
+            .map(|o| o.expect("every column reports"))
+            .collect()
+    }
+
+    /// Solve each column of `rhs` alone, at width 1.
+    fn one_by_one(
+        lap: &CsrMatrix,
+        rhs: &[Vec<f64>],
+        opts: &CgOptions,
+        precond: &mut dyn pcg::Preconditioner,
+        pool: Pool<'_>,
+    ) -> Outcomes {
+        rhs.iter()
+            .map(|b| {
+                pcg::solve_one_on(lap, b, opts, precond, pool)
+                    .map(|o| (o.solution, o.iterations, o.relative_residual.to_bits()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_solves_equal_one_column_solves() {
+        // More columns than LOCKSTEP_MAX, so later columns join the
+        // lockstep set as earlier ones finish: random and smooth columns
+        // that converge on different iterations, a zero column, and
+        // failing columns among them.
+        for (name, lap) in vcycle_inputs() {
+            let n = lap.rows();
+            let mut rhs = random_vectors(n, 4, 26, true);
+            let mut ramp: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
+            vector::center(&mut ramp);
+            let wiggle: Vec<f64> = (0..n)
+                .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+                .collect();
+            rhs.insert(1, vec![0.0; n]);
+            rhs.insert(3, ramp);
+            rhs.push(wiggle);
+            // Jacobi without mean deflation on the singular Laplacian: the
+            // degree vector's preconditioned residual is the constant
+            // vector, whose curvature is zero.
+            let degrees: Vec<f64> = (0..n).map(|i| lap.get(i, i)).collect();
+            let mut jacobi_rhs = rhs.clone();
+            jacobi_rhs.insert(2, degrees);
+            let jacobi_opts = CgOptions {
+                tolerance: 1e-1,
+                max_iterations: Some(60),
+                deflate_mean: false,
+            };
+            // V-cycle with deflation, capped so slow columns fail with
+            // `NoConvergence`, and a non-finite column.
+            let mut vcycle_rhs = rhs.clone();
+            let mut bad = vec![1.0; n];
+            bad[n / 2] = f64::NAN;
+            vcycle_rhs.insert(4, bad);
+            let mut vcycle_opts = CgOptions {
+                tolerance: 1e-9,
+                max_iterations: None,
+                deflate_mean: true,
+            };
+            let pool = Pool::serial();
+            let hierarchy =
+                Hierarchy::build(&lap, 3, &MultilevelOptions::default(), &pool).unwrap();
+            let eig = tql::symmetric_eigen(&hierarchy.coarsest(&lap).to_dense()).unwrap();
+            let setup = VCycleSetup::new(&lap, &hierarchy, &eig, &pool);
+            let uncapped = one_by_one(
+                &lap,
+                &vcycle_rhs,
+                &vcycle_opts,
+                &mut setup.at(0, pool),
+                pool,
+            );
+            let slowest = uncapped
+                .iter()
+                .filter_map(|o| o.as_ref().ok())
+                .map(|s| s.1)
+                .max();
+            vcycle_opts.max_iterations = Some(slowest.unwrap() - 1);
+            let mut reference = None;
+            for threads in [1usize, 2] {
+                let (jacobi, vcycle) = with_threads(Some(threads), |pool| {
+                    let mut jacobi = pcg::Jacobi::new(&lap, *pool).unwrap();
+                    let jacobi_out = batched(&lap, &jacobi_rhs, &jacobi_opts, &mut jacobi, *pool);
+                    let alone = one_by_one(&lap, &jacobi_rhs, &jacobi_opts, &mut jacobi, *pool);
+                    assert_eq!(jacobi_out, alone, "{name}: jacobi, threads={threads}");
+                    let mut vc = setup.at(0, *pool);
+                    let vcycle_out = batched(&lap, &vcycle_rhs, &vcycle_opts, &mut vc, *pool);
+                    let alone = one_by_one(&lap, &vcycle_rhs, &vcycle_opts, &mut vc, *pool);
+                    assert_eq!(vcycle_out, alone, "{name}: v-cycle, threads={threads}");
+                    (jacobi_out, vcycle_out)
+                });
+                let reference = reference.get_or_insert_with(|| (jacobi.clone(), vcycle.clone()));
+                assert_eq!(reference, &(jacobi, vcycle), "{name}: threads={threads}");
+            }
+            let (jacobi, vcycle) = reference.unwrap();
+            // The zero column returns at once, the others leave the
+            // lockstep set on different iterations, and each failure is
+            // its own.
+            let iterations = |outcomes: &Outcomes| -> Vec<usize> {
+                outcomes
+                    .iter()
+                    .filter_map(|o| o.as_ref().ok().map(|s| s.1))
+                    .filter(|&i| i > 0)
+                    .collect()
+            };
+            assert_eq!(jacobi[1].as_ref().unwrap().1, 0, "{name}");
+            assert_eq!(vcycle[1].as_ref().unwrap().1, 0, "{name}");
+            assert!(
+                matches!(jacobi[2], Err(LinalgError::NotPositiveDefinite { .. })),
+                "{name}"
+            );
+            assert!(
+                matches!(vcycle[4], Err(LinalgError::NonFiniteInput { .. })),
+                "{name}"
+            );
+            let solved = iterations(&jacobi);
+            assert!(solved.len() >= 5, "{name}: {solved:?}");
+            assert!(solved.iter().any(|&i| i != solved[0]), "{name}: {solved:?}");
+            assert!(!iterations(&vcycle).is_empty(), "{name}");
+            assert!(
+                vcycle
+                    .iter()
+                    .any(|o| matches!(o, Err(LinalgError::NoConvergence { .. }))),
+                "{name}: no column hit the iteration cap"
+            );
+        }
+    }
+
+    #[test]
     fn vcycle_cuts_inner_iterations_against_jacobi() {
         // The point of the preconditioner: on the same mean-free
         // right-hand side, V-cycle PCG needs a small fraction of
@@ -1775,7 +2168,7 @@ mod tests {
                 Hierarchy::build(&lap, 3, &MultilevelOptions::default(), &pool).unwrap();
             let eig = tql::symmetric_eigen(&hierarchy.coarsest(&lap).to_dense()).unwrap();
             let setup = VCycleSetup::new(&lap, &hierarchy, &eig, &pool);
-            let vc = pcg::solve_on(&lap, b, &opts, &mut setup.at(0, pool), pool).unwrap();
+            let vc = pcg::solve_one_on(&lap, b, &opts, &mut setup.at(0, pool), pool).unwrap();
             let jac = pcg::solve_jacobi_on(&lap, b, &opts, pool).unwrap();
             assert!(
                 vc.iterations * 5 < jac.iterations,

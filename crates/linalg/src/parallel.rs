@@ -248,7 +248,7 @@ impl<'e> Pool<'e> {
 
     /// Number of workers to engage for `n` independent elements given an
     /// engagement threshold.
-    fn workers_for_min(&self, n: usize, min: usize) -> usize {
+    pub(crate) fn workers_for_min(&self, n: usize, min: usize) -> usize {
         let threads = self.threads();
         if threads <= 1 || n < min {
             1
@@ -263,7 +263,7 @@ impl<'e> Pool<'e> {
     /// `remaining / (workers − w)` chunks; the last span runs on the
     /// calling thread, the others as pool jobs. With one worker, `f(0,
     /// items)` runs inline.
-    fn split_run<T, F>(&self, workers: usize, unit: usize, items: &mut [T], f: F)
+    pub(crate) fn split_run<T, F>(&self, workers: usize, unit: usize, items: &mut [T], f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
@@ -359,7 +359,7 @@ impl<'e> Pool<'e> {
         self.map_chunks_min(SPAWN_MIN, n, f)
     }
 
-    fn map_chunks_min<T, F>(&self, min: usize, n: usize, f: F) -> Vec<T>
+    pub(crate) fn map_chunks_min<T, F>(&self, min: usize, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, usize) -> T + Sync,

@@ -1,4 +1,5 @@
-//! Preconditioned conjugate gradients on CSR matrices.
+//! Preconditioned conjugate gradients on CSR matrices, many right-hand
+//! sides at a time.
 //!
 //! [`solve_on`] takes the preconditioner as an argument ([`Preconditioner`]).
 //! Two exist in the crate:
@@ -12,12 +13,48 @@
 //!   of a stalled hierarchy, which have no V-cycle to offer, use it.
 //! * The aggregation V-cycle of [`crate::multilevel`], which the
 //!   multilevel walk uses on the hierarchy it already built.
+//!
+//! # Batched inner solves
+//!
+//! [`solve_on`] solves every column of an `n × w` right-hand-side block as
+//! independent CG runs that step in lockstep. The block is row-major —
+//! entry `(i, c)`, row `i` of column `c`, at `i·w + c` — so a CSR row reads
+//! the `w` values of each neighbour from one place: up to [`LOCKSTEP_MAX`]
+//! columns share each matrix read (`acc[c] += a_ik · x[k·w + c]`), each
+//! preconditioner application and each level-1 pass, while every column
+//! keeps its own `α`, `β`, `‖b‖`, iteration count and convergence test. A
+//! column that converges or fails leaves the active set at once, the block
+//! is compacted, and the next waiting column joins at the following
+//! preconditioner application. A single vector is width 1.
+//!
+//! The contract is bitwise: every column performs the floating-point
+//! operations of a one-vector solve in the same order —
+//! - a CSR row sums its terms in stored order from `0.0`;
+//! - a dot product accumulates 4 lanes within each
+//!   [`crate::parallel::REDUCE_CHUNK`] of rows, then tree-folds the chunk
+//!   partials;
+//! - a mean folds each chunk from the empty sum of `Iterator::sum`, then
+//!   tree-folds, then divides by `n`;
+//! - an elementwise update evaluates the same expression —
+//!
+//! and the pool splits work at chunk boundaries of `REDUCE_CHUNK` rows. So
+//! a column's solution, iteration count and residual depend neither on
+//! which other columns share its block nor on the thread count.
 
+use crate::block::{self, Cols};
 use crate::error::LinalgError;
 use crate::operator::LinearOperator;
-use crate::parallel::Pool;
+use crate::parallel::{Pool, LIGHT_SPAWN_MIN};
 use crate::sparse::CsrMatrix;
-use crate::vector;
+
+/// The most columns one batched solve steps in lockstep; further columns
+/// wait and join as active ones finish. Picked by measurement on a
+/// 31,836-point holey set, whose sweeps solve a block of 3 wanted pairs
+/// plus 2 guard vectors: at 5 a sweep's corrections run as one lockstep
+/// set, while at 4 the fifth column trails the others and the solve was no
+/// faster than at 3. Each column costs about five vectors of workspace:
+/// the four PCG buffers and its share of the V-cycle's.
+pub const LOCKSTEP_MAX: usize = 5;
 
 /// Options controlling a CG solve.
 #[derive(Debug, Clone)]
@@ -44,7 +81,7 @@ impl Default for CgOptions {
     }
 }
 
-/// Outcome of a preconditioned solve.
+/// Outcome of a single-vector preconditioned solve.
 #[derive(Debug, Clone)]
 pub struct PcgOutcome {
     /// The solution vector.
@@ -55,21 +92,50 @@ pub struct PcgOutcome {
     pub relative_residual: f64,
 }
 
+/// One column of a batched solve that succeeded, as [`solve_on`] reports
+/// it: the solution borrowed from the solver's block, valid for the call.
+#[derive(Debug, Clone, Copy)]
+pub struct Solved<'a> {
+    block: &'a [f64],
+    width: usize,
+    column: usize,
+    /// Iterations performed.
+    pub iterations: usize,
+    /// Final relative residual `‖b − Ax‖ / ‖b‖`.
+    pub relative_residual: f64,
+}
+
+impl Solved<'_> {
+    /// Entry `i` of the solution.
+    #[inline]
+    pub fn get(&self, i: usize) -> f64 {
+        self.block[i * self.width + self.column]
+    }
+
+    /// The solution as an owned vector.
+    pub fn to_vec(&self) -> Vec<f64> {
+        let n = self.block.len() / self.width;
+        (0..n).map(|i| self.get(i)).collect()
+    }
+}
+
 /// A symmetric positive (semi)definite preconditioner: `z ← M⁻¹ r`.
 ///
-/// PCG calls [`Preconditioner::apply`] once per iteration with a residual
-/// of the operator's dimension; implementations may keep workspace in
-/// `self`, which is why the receiver is mutable. Mean deflation (if the
+/// PCG calls [`Preconditioner::apply`] once per lockstep iteration with
+/// the residuals of its active columns; implementations may keep workspace
+/// in `self`, which is why the receiver is mutable. Mean deflation (if the
 /// solve asks for it) is applied by PCG after `apply`, so a
 /// preconditioner for a singular Laplacian only has to be symmetric and
 /// positive on mean-free vectors.
 pub trait Preconditioner {
-    /// Write `M⁻¹ r` into `z` (both of the operator's dimension).
-    fn apply(&mut self, r: &[f64], z: &mut [f64]);
+    /// Write `M⁻¹ r` into `z` for every column of the `n × w` blocks `r`
+    /// and `z` (`1 ≤ w ≤` [`LOCKSTEP_MAX`], row-major). Each column must
+    /// come out bitwise as it would alone.
+    fn apply(&mut self, w: usize, r: &[f64], z: &mut [f64]);
 }
 
 /// The Jacobi (diagonal) preconditioner `M = diag(A)`, applied on a pool.
-struct Jacobi<'p> {
+pub(crate) struct Jacobi<'p> {
     inv_diag: Vec<f64>,
     pool: Pool<'p>,
 }
@@ -78,7 +144,7 @@ impl<'p> Jacobi<'p> {
     /// Invert `A`'s diagonal. Zero, negative or non-finite entries are
     /// rejected with [`LinalgError::NotPositiveDefinite`] — the
     /// preconditioner requires an SPD-compatible diagonal.
-    fn new(a: &CsrMatrix, pool: Pool<'p>) -> Result<Self, LinalgError> {
+    pub(crate) fn new(a: &CsrMatrix, pool: Pool<'p>) -> Result<Self, LinalgError> {
         let mut inv_diag = vec![0.0; a.rows()];
         pool.for_each_chunk(&mut inv_diag, |row0, chunk| {
             for (j, d) in chunk.iter_mut().enumerate() {
@@ -96,11 +162,14 @@ impl<'p> Jacobi<'p> {
 }
 
 impl Preconditioner for Jacobi<'_> {
-    fn apply(&mut self, r: &[f64], z: &mut [f64]) {
+    fn apply(&mut self, w: usize, r: &[f64], z: &mut [f64]) {
         let inv_diag = &self.inv_diag;
-        self.pool.for_each_chunk_light(z, |off, chunk| {
-            for (j, zi) in chunk.iter_mut().enumerate() {
-                *zi = r[off + j] * inv_diag[off + j];
+        self.pool.block_rows(w, LIGHT_SPAWN_MIN, z, |row0, span| {
+            for (j, zr) in span.chunks_exact_mut(w).enumerate() {
+                let i = row0 + j;
+                for (c, zi) in zr.iter_mut().enumerate() {
+                    *zi = r[i * w + c] * inv_diag[i];
+                }
             }
         });
     }
@@ -115,131 +184,324 @@ impl Preconditioner for Jacobi<'_> {
 /// subspace exactly like plain CG (the standard treatment for singular
 /// Laplacians).
 ///
-/// The matvec, dot, axpy, and preconditioner kernels run on `pool`
-/// ([`crate::parallel`]); the reductions use fixed chunking, so the
-/// returned solution is bitwise identical for every thread count. The
-/// multilevel solver passes the pool it was given, so nested solves
-/// schedule onto the same workers as everything else.
+/// This is [`solve_on`] at width 1: the matvec, dot, axpy, and
+/// preconditioner kernels run on `pool` with fixed-chunk reductions, so
+/// the returned solution is bitwise identical for every thread count.
 pub fn solve_jacobi_on(
     a: &CsrMatrix,
     b: &[f64],
     opts: &CgOptions,
     pool: Pool<'_>,
 ) -> Result<PcgOutcome, LinalgError> {
-    solve_on(a, b, opts, &mut Jacobi::new(a, pool)?, pool)
+    solve_one_on(a, b, opts, &mut Jacobi::new(a, pool)?, pool)
 }
 
-/// Preconditioned conjugate gradients for `A x = b` with a caller-chosen
-/// [`Preconditioner`] (which must be symmetric and positive on the
-/// solve's subspace). With `opts.deflate_mean` the right-hand side, every
-/// residual, every preconditioned residual and the solution are kept
-/// mean-free. All kernels run on `pool` with fixed-chunk reductions, so
-/// the result is bitwise identical for every thread count as long as the
-/// preconditioner is.
-pub fn solve_on(
+/// [`solve_on`] for the single right-hand side `b`.
+pub fn solve_one_on(
     a: &CsrMatrix,
     b: &[f64],
     opts: &CgOptions,
     precond: &mut dyn Preconditioner,
     pool: Pool<'_>,
 ) -> Result<PcgOutcome, LinalgError> {
+    let mut outcome = None;
+    solve_on(a, b, 1, opts, precond, pool, &mut |_, result| {
+        outcome = Some(result.map(|s| PcgOutcome {
+            solution: s.to_vec(),
+            iterations: s.iterations,
+            relative_residual: s.relative_residual,
+        }));
+    })?;
+    outcome.expect("the one column reports")
+}
+
+/// A column in the lockstep set: its place in the caller's block and its
+/// own CG scalars.
+struct Lane {
+    column: usize,
+    b_norm: f64,
+    /// `rᵀz` of the column's last preconditioned residual.
+    rz: f64,
+    /// The lockstep round in which the column took its first step.
+    start: usize,
+    /// Admitted, but its search direction is not set yet.
+    fresh: bool,
+}
+
+/// Preconditioned conjugate gradients for `A X = B`, where `rhs` holds the
+/// `width` right-hand sides as an `n × width` row-major block.
+///
+/// The preconditioner must be symmetric and positive on the solve's
+/// subspace. With `opts.deflate_mean` each right-hand side, residual,
+/// preconditioned residual and solution is kept mean-free. Up to
+/// [`LOCKSTEP_MAX`] columns step together (module docs); each column ends
+/// with one call `done(column, result)`, in completion order:
+/// `Ok(`[`Solved`]`)`, or [`LinalgError::NonFiniteInput`] for a
+/// non-finite right-hand side, [`LinalgError::NotPositiveDefinite`] for
+/// non-positive curvature, or [`LinalgError::NoConvergence`] at the
+/// iteration cap. One column's failure does not disturb the others.
+///
+/// All kernels run on `pool` with fixed-chunk reductions, so every column
+/// is bitwise identical for every thread count as long as the
+/// preconditioner is. The call itself fails only on a block of the wrong
+/// length.
+pub fn solve_on(
+    a: &CsrMatrix,
+    rhs: &[f64],
+    width: usize,
+    opts: &CgOptions,
+    precond: &mut dyn Preconditioner,
+    pool: Pool<'_>,
+    done: &mut dyn FnMut(usize, Result<Solved<'_>, LinalgError>),
+) -> Result<(), LinalgError> {
     let n = a.dim();
-    if b.len() != n {
+    if rhs.len() != n * width {
         return Err(LinalgError::DimensionMismatch {
             context: "pcg rhs",
-            expected: n,
-            found: b.len(),
+            expected: n * width,
+            found: rhs.len(),
         });
-    }
-    if !vector::all_finite(b) {
-        return Err(LinalgError::NonFiniteInput { context: "pcg rhs" });
     }
     let max_iters = opts.max_iterations.unwrap_or(10 * n + 100);
-    let mut rhs = b.to_vec();
-    if opts.deflate_mean {
-        pool.center(&mut rhs);
-    }
-    let b_norm = pool.norm2(&rhs);
-    if b_norm == 0.0 {
-        return Ok(PcgOutcome {
-            solution: vec![0.0; n],
-            iterations: 0,
-            relative_residual: 0.0,
-        });
-    }
-
-    let mut x = vec![0.0; n];
-    let mut r = rhs;
-    // z = M⁻¹ r
-    let mut z = vec![0.0; n];
-    precond.apply(&r, &mut z);
-    if opts.deflate_mean {
-        pool.center(&mut z);
-    }
-    let mut p = z.clone();
-    let mut rz_old = pool.dot(&r, &z);
-    let mut ap = vec![0.0; n];
-
-    for iter in 0..max_iters {
-        pool.matvec_into(a, &p, &mut ap);
-        if opts.deflate_mean {
-            pool.center(&mut ap);
+    let cap = n * width.min(LOCKSTEP_MAX);
+    // The four lockstep buffers: solution, residual, search direction, and
+    // `q`, which holds `A p` and then the preconditioned residual `z`.
+    let (mut x, mut r, mut p, mut q) = (
+        Vec::with_capacity(cap),
+        Vec::with_capacity(cap),
+        Vec::with_capacity(cap),
+        Vec::with_capacity(cap),
+    );
+    let mut lanes: Vec<Lane> = Vec::with_capacity(LOCKSTEP_MAX);
+    let mut next = 0;
+    let mut round = 0;
+    loop {
+        // Admit waiting columns while there is room: r = b (centred), x = 0.
+        let w0 = lanes.len();
+        let mut admitted = Vec::with_capacity(LOCKSTEP_MAX - w0);
+        while w0 + admitted.len() < LOCKSTEP_MAX && next < width {
+            let column = next;
+            next += 1;
+            if (0..n).all(|i| rhs[i * width + column].is_finite()) {
+                admitted.push(column);
+            } else {
+                done(
+                    column,
+                    Err(LinalgError::NonFiniteInput { context: "pcg rhs" }),
+                );
+            }
         }
-        let curvature = pool.dot(&p, &ap);
-        if curvature <= 0.0 {
-            let rel = pool.norm2(&r) / b_norm;
-            if rel <= opts.tolerance.max(1e-10) {
-                return Ok(PcgOutcome {
-                    solution: x,
-                    iterations: iter,
-                    relative_residual: rel,
+        if !admitted.is_empty() {
+            let w = w0 + admitted.len();
+            for buf in [&mut x, &mut r, &mut p, &mut q] {
+                block::widen(buf, n, w0, admitted.len());
+            }
+            block::for_rows(&pool, &mut r, w, |i, row| {
+                for (slot, &column) in row[w0..].iter_mut().zip(&admitted) {
+                    *slot = rhs[i * width + column];
+                }
+            });
+            // Centre the new columns only: subtracting 0.0 leaves the
+            // others' bits as they are.
+            let mean = opts.deflate_mean.then(|| {
+                let mut m = block::means(&pool, &r, w);
+                m[..w0].fill(0.0);
+                m
+            });
+            let rr = block::subtract_dot(&pool, &mut r, mean.as_ref(), None, w);
+            let mut keep = [true; LOCKSTEP_MAX];
+            for (j, &column) in admitted.iter().enumerate() {
+                let slot = w0 + j;
+                let b_norm = rr[slot].sqrt();
+                if b_norm == 0.0 || max_iters == 0 {
+                    keep[slot] = false;
+                    done(
+                        column,
+                        if b_norm == 0.0 {
+                            Ok(Solved {
+                                block: &x,
+                                width: w,
+                                column: slot,
+                                iterations: 0,
+                                relative_residual: 0.0,
+                            })
+                        } else {
+                            Err(LinalgError::NoConvergence {
+                                solver: "pcg",
+                                iterations: max_iters,
+                                // ‖r‖ / ‖b‖ before any step.
+                                residual: 1.0,
+                                tolerance: opts.tolerance,
+                            })
+                        },
+                    );
+                }
+                lanes.push(Lane {
+                    column,
+                    b_norm,
+                    rz: 0.0,
+                    start: round,
+                    fresh: true,
                 });
             }
-            return Err(LinalgError::NotPositiveDefinite { curvature });
-        }
-        let alpha = rz_old / curvature;
-        pool.axpy(alpha, &p, &mut x);
-        pool.axpy(-alpha, &ap, &mut r);
-        if opts.deflate_mean {
-            pool.center(&mut r);
-        }
-        let rel = pool.norm2(&r) / b_norm;
-        if rel <= opts.tolerance {
-            if opts.deflate_mean {
-                pool.center(&mut x);
+            retire(
+                &keep,
+                &mut lanes,
+                [&mut x, &mut r, &mut p, &mut q],
+                &mut [0.0; LOCKSTEP_MAX],
+            );
+            if lanes.len() < LOCKSTEP_MAX && next < width {
+                continue;
             }
-            return Ok(PcgOutcome {
-                solution: x,
-                iterations: iter + 1,
-                relative_residual: rel,
-            });
         }
-        precond.apply(&r, &mut z);
-        if opts.deflate_mean {
-            pool.center(&mut z);
+        let w = lanes.len();
+        if w == 0 {
+            return Ok(());
         }
-        let rz_new = pool.dot(&r, &z);
-        let beta = rz_new / rz_old;
-        pool.for_each_chunk_light(&mut p, |off, chunk| {
-            for (j, pi) in chunk.iter_mut().enumerate() {
-                *pi = z[off + j] + beta * *pi;
-            }
-        });
-        rz_old = rz_new;
-    }
 
-    Err(LinalgError::NoConvergence {
-        solver: "pcg",
-        iterations: max_iters,
-        residual: pool.norm2(&r) / b_norm,
-        tolerance: opts.tolerance,
-    })
+        // z = M⁻¹ r; a fresh column starts its direction at z, the others
+        // take p ← z + β p with β = rᵀz / (rᵀz)_old.
+        precond.apply(w, &r, &mut q);
+        let mean = opts.deflate_mean.then(|| block::means(&pool, &q, w));
+        let rz = block::subtract_dot(&pool, &mut q, mean.as_ref(), Some(&r), w);
+        let mut beta: Cols = [0.0; LOCKSTEP_MAX];
+        let mut fresh = [false; LOCKSTEP_MAX];
+        for (c, lane) in lanes.iter_mut().enumerate() {
+            if lane.fresh {
+                fresh[c] = true;
+            } else {
+                beta[c] = rz[c] / lane.rz;
+            }
+            lane.rz = rz[c];
+            lane.fresh = false;
+        }
+        block::update_direction(&pool, &q, &beta, &fresh, &mut p, w);
+
+        // One CG step per column.
+        block::spmm(&pool, a, &p, &mut q, w);
+        let mean = opts.deflate_mean.then(|| block::means(&pool, &q, w));
+        let mut curvature = block::subtract_dot(&pool, &mut q, mean.as_ref(), Some(&p), w);
+        if curvature[..w].iter().any(|&c| c <= 0.0) {
+            let rr = block::dot(&pool, &r, &r, w);
+            let mut keep = [true; LOCKSTEP_MAX];
+            for (c, lane) in lanes.iter().enumerate() {
+                if curvature[c] > 0.0 {
+                    continue;
+                }
+                keep[c] = false;
+                let rel = rr[c].sqrt() / lane.b_norm;
+                let result = if rel <= opts.tolerance.max(1e-10) {
+                    Ok(Solved {
+                        block: &x,
+                        width: w,
+                        column: c,
+                        iterations: round - lane.start,
+                        relative_residual: rel,
+                    })
+                } else {
+                    Err(LinalgError::NotPositiveDefinite {
+                        curvature: curvature[c],
+                    })
+                };
+                done(lane.column, result);
+            }
+            retire(
+                &keep,
+                &mut lanes,
+                [&mut x, &mut r, &mut p, &mut q],
+                &mut curvature,
+            );
+            if lanes.is_empty() {
+                continue;
+            }
+        }
+        let w = lanes.len();
+        let mut alpha: Cols = [0.0; LOCKSTEP_MAX];
+        for (c, lane) in lanes.iter().enumerate() {
+            alpha[c] = lane.rz / curvature[c];
+        }
+        let mean = block::cg_step(&pool, &alpha, &p, &q, &mut x, &mut r, w);
+        let rr = block::subtract_dot(&pool, &mut r, opts.deflate_mean.then_some(&mean), None, w);
+        round += 1;
+        let mut keep = [true; LOCKSTEP_MAX];
+        for (c, lane) in lanes.iter().enumerate() {
+            let rel = rr[c].sqrt() / lane.b_norm;
+            if rel <= opts.tolerance {
+                if opts.deflate_mean {
+                    block::col_center(&pool, &mut x, w, c);
+                }
+                keep[c] = false;
+                done(
+                    lane.column,
+                    Ok(Solved {
+                        block: &x,
+                        width: w,
+                        column: c,
+                        iterations: round - lane.start,
+                        relative_residual: rel,
+                    }),
+                );
+            } else if round - lane.start == max_iters {
+                keep[c] = false;
+                done(
+                    lane.column,
+                    Err(LinalgError::NoConvergence {
+                        solver: "pcg",
+                        iterations: max_iters,
+                        residual: rel,
+                        tolerance: opts.tolerance,
+                    }),
+                );
+            }
+        }
+        retire(
+            &keep,
+            &mut lanes,
+            [&mut x, &mut r, &mut p, &mut q],
+            &mut curvature,
+        );
+    }
+}
+
+/// Drop the finished lanes (`keep[c] == false`) from the lockstep set: their
+/// columns leave all four buffers and the per-column `values`.
+fn retire(
+    keep: &[bool; LOCKSTEP_MAX],
+    lanes: &mut Vec<Lane>,
+    bufs: [&mut Vec<f64>; 4],
+    values: &mut Cols,
+) {
+    let w = lanes.len();
+    if keep[..w].iter().all(|&k| k) {
+        return;
+    }
+    for buf in bufs {
+        block::compact(buf, w, keep);
+    }
+    let mut c = 0;
+    lanes.retain(|_| {
+        c += 1;
+        keep[c - 1]
+    });
+    let mut j = 0;
+    for c in 0..w {
+        if keep[c] {
+            values[j] = values[c];
+            j += 1;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parallel::with_threads;
+    use crate::vector;
+
+    fn diagonal(d: &[f64]) -> CsrMatrix {
+        let t: Vec<_> = d.iter().enumerate().map(|(i, &v)| (i, i, v)).collect();
+        CsrMatrix::from_triplets(d.len(), d.len(), &t).unwrap()
+    }
 
     #[test]
     fn solves_spd_system() {
@@ -263,7 +525,7 @@ mod tests {
             ),
             Err(LinalgError::NotPositiveDefinite { .. })
         ));
-        let a = CsrMatrix::from_diagonal(&[1.0, 1.0]);
+        let a = diagonal(&[1.0, 1.0]);
         assert!(solve_jacobi_on(&a, &[1.0], &CgOptions::default(), Pool::default()).is_err());
         assert!(
             solve_jacobi_on(&a, &[f64::NAN, 0.0], &CgOptions::default(), Pool::default()).is_err()
@@ -330,7 +592,7 @@ mod tests {
 
     #[test]
     fn zero_rhs_short_circuits() {
-        let a = CsrMatrix::from_diagonal(&[2.0, 3.0]);
+        let a = diagonal(&[2.0, 3.0]);
         let out = solve_jacobi_on(&a, &[0.0, 0.0], &CgOptions::default(), Pool::default()).unwrap();
         assert_eq!(out.iterations, 0);
         assert_eq!(out.solution, vec![0.0, 0.0]);

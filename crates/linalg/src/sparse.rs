@@ -92,14 +92,6 @@ impl CsrMatrix {
         })
     }
 
-    /// Build a diagonal matrix from its diagonal entries.
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let triplets: Vec<_> = diag.iter().enumerate().map(|(i, &v)| (i, i, v)).collect();
-        // Constructing from in-range triplets cannot fail.
-        Self::from_triplets(n, n, &triplets).expect("diagonal triplets are in range")
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -165,6 +157,51 @@ impl CsrMatrix {
             }
             *out = acc;
         }
+    }
+
+    /// Row `i` of `A X` for a block `X` of row stride `xs` whose columns
+    /// `x0 .. x0 + W` are read ([`crate::block`]): each column's terms are
+    /// summed in stored order from `0.0`, exactly as
+    /// [`CsrMatrix::matvec_rows_into`] sums one vector's.
+    #[inline(always)]
+    pub(crate) fn row_times<const W: usize>(
+        &self,
+        i: usize,
+        x: &[f64],
+        xs: usize,
+        x0: usize,
+    ) -> [f64; W] {
+        let mut acc = [0.0f64; W];
+        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        for (&col, &a) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+            let xr = &x[col * xs + x0..col * xs + x0 + W];
+            for c in 0..W {
+                acc[c] += a * xr[c];
+            }
+        }
+        acc
+    }
+
+    /// Row `i` of `A (D X)` for a diagonal `D = diag(d)` and a compact
+    /// `n × W` block `X`, with each entry `d[k]·x[k, c]` rounded before it
+    /// is multiplied in: the terms of [`CsrMatrix::row_times`] on the stored
+    /// product, without storing it.
+    #[inline(always)]
+    pub(crate) fn row_times_scaled<const W: usize>(
+        &self,
+        i: usize,
+        d: &[f64],
+        x: &[f64],
+    ) -> [f64; W] {
+        let mut acc = [0.0f64; W];
+        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        for (&col, &a) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+            let (dk, xr) = (d[col], &x[col * W..(col + 1) * W]);
+            for c in 0..W {
+                acc[c] += a * (dk * xr[c]);
+            }
+        }
+        acc
     }
 
     /// `y = A x` returning a fresh vector, with dimension checking.
@@ -265,6 +302,11 @@ impl LinearOperator for CsrMatrix {
 mod tests {
     use super::*;
 
+    fn diagonal(d: &[f64]) -> CsrMatrix {
+        let t: Vec<_> = d.iter().enumerate().map(|(i, &v)| (i, i, v)).collect();
+        CsrMatrix::from_triplets(d.len(), d.len(), &t).unwrap()
+    }
+
     fn sample() -> CsrMatrix {
         // [2 -1 0; -1 2 -1; 0 -1 2]
         CsrMatrix::from_triplets(
@@ -339,7 +381,7 @@ mod tests {
 
     #[test]
     fn diagonal_constructor() {
-        let d = CsrMatrix::from_diagonal(&[1.0, 2.0, 3.0]);
+        let d = diagonal(&[1.0, 2.0, 3.0]);
         assert_eq!(d.get(1, 1), 2.0);
         assert_eq!(d.get(0, 1), 0.0);
         assert_eq!(d.nnz(), 3);

@@ -44,7 +44,7 @@ fn hypot(a: f64, b: f64) -> f64 {
 pub fn tql2_with_basis(
     mut diag: Vec<f64>,
     mut off: Vec<f64>,
-    mut z: DenseMatrix,
+    z: DenseMatrix,
 ) -> Result<SymmetricEigen, LinalgError> {
     let n = diag.len();
     if off.len() != n {
@@ -73,6 +73,17 @@ pub fn tql2_with_basis(
         off[i - 1] = off[i];
     }
     off[n - 1] = 0.0;
+
+    // The rotations act on pairs of basis columns; keep the basis
+    // transposed (`zt[i·rows + k]` is entry `(k, i)`) so each one walks
+    // two contiguous rows. The arithmetic per entry is unchanged.
+    let rows = z.rows();
+    let mut zt = vec![0.0; n * rows];
+    for k in 0..rows {
+        for (i, &v) in z.row(k).iter().enumerate() {
+            zt[i * rows + k] = v;
+        }
+    }
 
     for l in 0..n {
         let mut iter = 0;
@@ -108,7 +119,7 @@ pub fn tql2_with_basis(
             let mut p = 0.0;
             let mut broke_early = false;
             for i in (l..m).rev() {
-                let mut f = s * off[i];
+                let f = s * off[i];
                 let b = c * off[i];
                 r = hypot(f, g);
                 off[i + 1] = r;
@@ -126,11 +137,12 @@ pub fn tql2_with_basis(
                 diag[i + 1] = g + p;
                 g = c * r - b;
                 // Accumulate the rotation into the eigenvector basis.
-                for k in 0..z.rows() {
-                    f = z.get(k, i + 1);
-                    let v = z.get(k, i);
-                    z.set(k, i + 1, s * v + c * f);
-                    z.set(k, i, c * v - s * f);
+                let (head, tail) = zt.split_at_mut((i + 1) * rows);
+                let (zi, zi1) = (&mut head[i * rows..], &mut tail[..rows]);
+                for (v, f) in zi.iter_mut().zip(zi1.iter_mut()) {
+                    let (vi, fi) = (*v, *f);
+                    *f = s * vi + c * fi;
+                    *v = c * vi - s * fi;
                 }
             }
             if broke_early {
@@ -146,15 +158,15 @@ pub fn tql2_with_basis(
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| diag[a].partial_cmp(&diag[b]).expect("finite eigenvalues"));
     let eigenvalues: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-    let mut sorted_z = DenseMatrix::zeros(z.rows(), n);
+    let mut sorted = vec![0.0; rows * n];
     for (new_col, &old_col) in order.iter().enumerate() {
-        for r in 0..z.rows() {
-            sorted_z.set(r, new_col, z.get(r, old_col));
+        for (r, &v) in zt[old_col * rows..(old_col + 1) * rows].iter().enumerate() {
+            sorted[r * n + new_col] = v;
         }
     }
     Ok(SymmetricEigen {
         eigenvalues,
-        eigenvectors: sorted_z,
+        eigenvectors: DenseMatrix::from_vec(rows, n, sorted)?,
     })
 }
 

@@ -32,6 +32,45 @@ pub(crate) fn dot_kernel(x: &[f64], y: &[f64]) -> f64 {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
+/// [`dot_kernel`] for `W` columns at once: `x` and `y` are row-major
+/// blocks of `W` columns, and each column accumulates exactly as
+/// [`dot_kernel`] does on that column alone — rows `0, 4, 8, …` in lane 0,
+/// rows `1, 5, …` in lane 1 and so on, the rows past the last whole group
+/// of 4 in a tail, and `((lane0 + lane1) + lane2) + lane3 + tail`. This is
+/// the rule that makes a batched solve's columns bitwise equal to
+/// single-vector solves.
+#[inline]
+pub(crate) fn dot_kernel_block<const W: usize>(x: &[f64], y: &[f64]) -> [f64; W] {
+    debug_assert_eq!(x.len(), y.len());
+    let rows = x.len() / W;
+    let quads = rows / 4;
+    let mut acc = [[0.0f64; W]; 4];
+    for q in 0..quads {
+        for (l, lane) in acc.iter_mut().enumerate() {
+            let at = (q * 4 + l) * W;
+            let (xr, yr) = (&x[at..at + W], &y[at..at + W]);
+            for c in 0..W {
+                lane[c] += xr[c] * yr[c];
+            }
+        }
+    }
+    let mut tail = [0.0f64; W];
+    for i in quads * 4..rows {
+        let (xr, yr) = (&x[i * W..(i + 1) * W], &y[i * W..(i + 1) * W]);
+        for c in 0..W {
+            tail[c] += xr[c] * yr[c];
+        }
+    }
+    std::array::from_fn(|c| acc[0][c] + acc[1][c] + acc[2][c] + acc[3][c] + tail[c])
+}
+
+/// The value a float `Iterator::sum` starts its fold from; the batched
+/// sums fold from it too, so they repeat [`sum_kernel`] bit for bit.
+#[inline(always)]
+pub(crate) fn empty_sum() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
 /// Single-chunk entry-sum kernel (same role as [`dot_kernel`]).
 /// Deliberately a plain sequential fold: for sub-chunk inputs it is
 /// bit-identical to the pre-chunking `iter().sum()` this crate always
@@ -77,12 +116,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 #[inline]
 pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
-}
-
-/// Infinity norm `max |x_i|` (0 for an empty slice).
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
 }
 
 /// `y ← y + alpha * x`.
@@ -207,12 +240,6 @@ mod tests {
     fn norm2_of_unit_axes() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(norm2(&[]), 0.0);
-    }
-
-    #[test]
-    fn norm_inf_finds_largest_magnitude() {
-        assert_eq!(norm_inf(&[1.0, -7.0, 3.0]), 7.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]

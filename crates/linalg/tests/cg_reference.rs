@@ -137,7 +137,13 @@ fn random_spd_systems_solve() {
                 m.set(i, j, rng.gen_range(-1.0..1.0));
             }
         }
-        let mut a = m.transpose().matmul(&m).unwrap();
+        let mut mt = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                mt.set(j, i, m.get(i, j));
+            }
+        }
+        let mut a = mt.matmul(&m).unwrap();
         for i in 0..n {
             a.add_to(i, i, 1.0);
         }
