@@ -751,6 +751,26 @@ mod tests {
     }
 
     #[test]
+    fn serve_with_a_pool_larger_than_memory_answers_like_the_default() {
+        // A billion frames per shard is far more than any host could
+        // pre-size; the pool only grows with the pages it admits, so the
+        // run answers, reads and hits exactly as the default pool does
+        // (both hold every page of this grid).
+        let grid = ["serve", "--grid", "16x16", "--queries", "10"];
+        let report = |out: &str, prefix: &str| {
+            out.lines()
+                .find(|l| l.starts_with(prefix))
+                .unwrap_or_else(|| panic!("no {prefix:?} line"))
+                .to_string()
+        };
+        let huge = run(&[&grid[..], &["--buffer-pages", "1000000000"]].concat()).unwrap();
+        assert!(huge.contains("buffer: 1000000000 frames/shard"));
+        let default = run(&grid).unwrap();
+        assert_eq!(report(&huge, "digest:"), report(&default, "digest:"));
+        assert_eq!(report(&huge, "results:"), report(&default, "results:"));
+    }
+
+    #[test]
     fn serve_stream_reports_slo_and_parity() {
         let digest_line = |out: &str| {
             out.lines()

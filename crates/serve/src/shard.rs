@@ -20,7 +20,9 @@
 
 use crossbeam::sync::{Arc, Mutex};
 use slpm_storage::decluster::Declustering;
-use slpm_storage::{BufferPool, BufferStats, PageMapper, PageStore, RoundRobin, StorageError};
+use slpm_storage::{
+    BufferPool, BufferStats, BytesMut, PageMapper, PageStore, RoundRobin, StorageError,
+};
 use std::fmt;
 use std::path::Path;
 
@@ -150,6 +152,9 @@ pub struct Shard {
     /// Readahead window: on a demand miss, up to this many following
     /// pages of the miss's monotone run are prefetched. `0` = off.
     readahead: usize,
+    /// The buffer of the frame the last demand admission evicted, when
+    /// the pool held its only handle: the next demand miss reads into it.
+    spare: Option<BytesMut>,
 }
 
 impl Shard {
@@ -185,6 +190,7 @@ impl Shard {
             store,
             buffer: BufferPool::new(read_path.buffer_pages.max(1)),
             readahead: read_path.readahead,
+            spare: None,
         })
     }
 
@@ -203,7 +209,9 @@ impl Shard {
     /// (counted reads) and, with readahead on, pull the next pages of the
     /// miss's monotone run into the pool ahead of demand. Returns
     /// `(hits, misses)`; storage failures (disk errors, corruption,
-    /// injected faults) surface as typed [`StorageError`]s.
+    /// injected faults) surface as typed [`StorageError`]s. Once the pool
+    /// is full, each demand miss reads into the buffer of the frame the
+    /// previous one evicted, so steady-state misses allocate nothing.
     ///
     /// Replay order is the caller's page order — the engine routes each
     /// shard's queries in deterministic batch order, which is what makes
@@ -224,12 +232,15 @@ impl Shard {
             // storage condition: keep the panicking contract (the engine
             // catches it and surfaces the lost unit). Everything else —
             // disk errors, corruption, injected faults — is typed.
-            let bytes = match self.store.try_read_page(page) {
+            let bytes = match self.store.try_read_page_reusing(page, self.spare.take()) {
                 Ok(bytes) => bytes,
                 Err(e @ StorageError::PageNotOwned { .. }) => panic!("{e}"),
                 Err(e) => return Err(e),
             };
-            self.buffer.admit(page, bytes);
+            self.spare = self
+                .buffer
+                .admit(page, bytes)
+                .and_then(|evicted| evicted.try_into_mut().ok());
             if self.readahead > 0 {
                 self.prefetch_run(pages, i)?;
             }

@@ -6,6 +6,14 @@
 //! frames own their page payloads (capacity-bounded, LRU-evicted), so with
 //! a disk-backed store a miss is a real read and a hit really avoids one.
 //!
+//! Every operation is O(1) and none walks the resident frames: a page-id
+//! index (4 bytes per page id up to the largest one admitted) finds a
+//! page's frame, and an intrusive doubly linked recency list keeps the
+//! frames in LRU order — a hit moves its frame to the head, and the
+//! victim is always the tail. The frame table grows only as pages are
+//! admitted, so memory is bounded by the resident frames, not by the
+//! configured capacity.
+//!
 //! Readahead is accounted separately: pages brought in speculatively by
 //! the shard's run prefetcher are admitted with [`BufferPool::admit_prefetch`]
 //! (counted as `prefetched`, **not** as demand misses), and the first
@@ -14,7 +22,9 @@
 //! much of the speculation paid.
 
 use bytes::Bytes;
-use std::collections::HashMap;
+
+/// The empty marker of the page index and of the recency-list links.
+const NONE: u32 = u32::MAX;
 
 /// Statistics of a buffer-pool run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,32 +82,44 @@ impl BufferStats {
     }
 }
 
-/// One resident page: its payload, recency stamp, and whether it is an
-/// as-yet-untouched readahead admission.
+/// One resident page: its id, payload, whether it is an as-yet-untouched
+/// readahead admission, and its neighbours in the recency list.
 #[derive(Debug)]
 struct Frame {
+    page: usize,
     bytes: Bytes,
-    stamp: u64,
     prefetched: bool,
+    /// The next more recently used frame (`NONE` at the head).
+    newer: u32,
+    /// The next less recently used frame (`NONE` at the tail).
+    older: u32,
 }
 
 /// A fixed-capacity, byte-owning LRU buffer pool.
 ///
 /// Frames hold the actual page payloads, so the pool's memory footprint is
-/// genuinely bounded by `capacity · page_size` — with a disk-backed
-/// [`crate::store::PageStore`] this is the only place cold page bytes live.
-/// (Callers that only want residency accounting can use [`BufferPool::access`],
-/// which admits empty payloads.)
+/// genuinely bounded by `min(capacity, pages admitted) · page_size` — with
+/// a disk-backed [`crate::store::PageStore`] this is the only place cold
+/// page bytes live. `get`, `admit`, `admit_prefetch`, `is_resident` and
+/// eviction each take constant time. (Callers that only want residency
+/// accounting can use [`BufferPool::access`], which admits empty payloads.)
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    frames: HashMap<usize, Frame>,
-    clock: u64,
+    /// Resident frames; a victim's slot is reused by the page evicting it.
+    frames: Vec<Frame>,
+    /// Page id → frame slot (`NONE` = not resident).
+    slot_of: Vec<u32>,
+    /// Most recently used frame (`NONE` when empty).
+    head: u32,
+    /// Least recently used frame, the next victim (`NONE` when empty).
+    tail: u32,
     stats: BufferStats,
 }
 
 impl BufferPool {
-    /// Create a pool with room for `capacity` pages.
+    /// Create a pool with room for `capacity` pages. Nothing is allocated
+    /// up front: frames are added as pages are admitted.
     ///
     /// # Panics
     /// Panics on zero capacity (a configuration bug).
@@ -105,8 +127,10 @@ impl BufferPool {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         BufferPool {
             capacity,
-            frames: HashMap::with_capacity(capacity + 1),
-            clock: 0,
+            frames: Vec::new(),
+            slot_of: Vec::new(),
+            head: NONE,
+            tail: NONE,
             stats: BufferStats::default(),
         }
     }
@@ -120,57 +144,117 @@ impl BufferPool {
     /// counts a `prefetch_hit` too if readahead brought the frame in); on
     /// a miss returns `None` — the caller reads storage and [`BufferPool::admit`]s.
     pub fn get(&mut self, page: usize) -> Option<Bytes> {
-        self.clock += 1;
-        if let Some(frame) = self.frames.get_mut(&page) {
-            frame.stamp = self.clock;
-            self.stats.hits += 1;
-            if frame.prefetched {
-                frame.prefetched = false;
-                self.stats.prefetch_hits += 1;
-            }
-            return Some(frame.bytes.clone());
+        let Some(slot) = self.slot(page) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.make_head(slot);
+        self.stats.hits += 1;
+        let frame = &mut self.frames[slot as usize];
+        if frame.prefetched {
+            frame.prefetched = false;
+            self.stats.prefetch_hits += 1;
         }
-        self.stats.misses += 1;
-        None
+        Some(frame.bytes.clone())
     }
 
     /// Admit a page read on demand (after a [`BufferPool::get`] miss, which
-    /// already counted it), evicting the LRU frame when full.
-    pub fn admit(&mut self, page: usize, bytes: Bytes) {
-        self.insert(page, bytes, false);
+    /// already counted it), evicting the LRU frame when full. Returns the
+    /// payload the pool let go of — the evicted frame's, or the replaced
+    /// one when `page` was already resident — so a caller holding its only
+    /// handle can reuse the buffer for its next read.
+    pub fn admit(&mut self, page: usize, bytes: Bytes) -> Option<Bytes> {
+        self.insert(page, bytes, false)
     }
 
     /// Admit a page brought in by readahead: counted as `prefetched`, not
     /// as a demand miss. A page that is already resident is left untouched
     /// (its recency is not refreshed — speculation must not pin frames).
     pub fn admit_prefetch(&mut self, page: usize, bytes: Bytes) {
-        if self.frames.contains_key(&page) {
+        if self.is_resident(page) {
             return;
         }
         self.stats.prefetched += 1;
         self.insert(page, bytes, true);
     }
 
-    fn insert(&mut self, page: usize, bytes: Bytes, prefetched: bool) {
-        if !self.frames.contains_key(&page) && self.frames.len() == self.capacity {
-            // Evict the least recently used frame.
-            let (&victim, _) = self
-                .frames
-                .iter()
-                .min_by_key(|(_, frame)| frame.stamp)
-                .expect("pool is non-empty at capacity");
-            self.frames.remove(&victim);
-            self.stats.evictions += 1;
+    fn insert(&mut self, page: usize, bytes: Bytes, prefetched: bool) -> Option<Bytes> {
+        if let Some(slot) = self.slot(page) {
+            self.make_head(slot);
+            let frame = &mut self.frames[slot as usize];
+            frame.prefetched = prefetched;
+            return Some(std::mem::replace(&mut frame.bytes, bytes));
         }
-        self.clock += 1;
-        self.frames.insert(
-            page,
-            Frame {
+        if page >= self.slot_of.len() {
+            self.slot_of.resize(page + 1, NONE);
+        }
+        if self.frames.len() < self.capacity {
+            assert!(
+                self.frames.len() < NONE as usize,
+                "a buffer pool holds fewer than 2^32 - 1 frames"
+            );
+            let slot = self.frames.len() as u32;
+            self.frames.push(Frame {
+                page,
                 bytes,
-                stamp: self.clock,
                 prefetched,
-            },
-        );
+                newer: NONE,
+                older: NONE,
+            });
+            self.slot_of[page] = slot;
+            self.push_head(slot);
+            return None;
+        }
+        // Evict the least recently used frame and reuse its slot.
+        let slot = self.tail;
+        self.unlink(slot);
+        self.stats.evictions += 1;
+        let frame = &mut self.frames[slot as usize];
+        self.slot_of[frame.page] = NONE;
+        frame.page = page;
+        frame.prefetched = prefetched;
+        let evicted = std::mem::replace(&mut frame.bytes, bytes);
+        self.slot_of[page] = slot;
+        self.push_head(slot);
+        Some(evicted)
+    }
+
+    /// The frame slot holding `page`, if resident.
+    fn slot(&self, page: usize) -> Option<u32> {
+        self.slot_of.get(page).copied().filter(|&s| s != NONE)
+    }
+
+    /// Mark a resident frame most recently used.
+    fn make_head(&mut self, slot: u32) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_head(slot);
+        }
+    }
+
+    /// Detach a frame from the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Frame { newer, older, .. } = self.frames[slot as usize];
+        match newer {
+            NONE => self.head = older,
+            n => self.frames[n as usize].older = older,
+        }
+        match older {
+            NONE => self.tail = newer,
+            o => self.frames[o as usize].newer = newer,
+        }
+    }
+
+    /// Attach a detached frame at the most recently used end.
+    fn push_head(&mut self, slot: u32) {
+        let frame = &mut self.frames[slot as usize];
+        frame.newer = NONE;
+        frame.older = self.head;
+        match self.head {
+            NONE => self.tail = slot,
+            h => self.frames[h as usize].newer = slot,
+        }
+        self.head = slot;
     }
 
     /// Touch a page without bytes: returns `true` on a hit, `false` on a
@@ -206,7 +290,7 @@ impl BufferPool {
 
     /// Whether a page is currently resident (does not count as a touch).
     pub fn is_resident(&self, page: usize) -> bool {
-        self.frames.contains_key(&page)
+        self.slot(page).is_some()
     }
 
     /// Cumulative statistics.
@@ -323,6 +407,38 @@ mod tests {
         // get() on a miss counts the miss; admit() does not double-count.
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    #[test]
+    fn admit_hands_back_the_evicted_payload() {
+        let mut pool = BufferPool::new(2);
+        assert!(pool.admit(1, Bytes::from(vec![1])).is_none());
+        assert!(pool.admit(2, Bytes::from(vec![2])).is_none());
+        assert!(pool.get(1).is_some()); // 2 is now LRU
+        let evicted = pool.admit(3, Bytes::from(vec![3])).expect("pool was full");
+        assert_eq!(&evicted[..], &[2]);
+        // Re-admitting a resident page replaces (and returns) its payload.
+        let replaced = pool.admit(3, Bytes::from(vec![33])).expect("3 is resident");
+        assert_eq!(&replaced[..], &[3]);
+        assert_eq!(&pool.get(3).expect("resident")[..], &[33]);
+        assert_eq!(pool.stats().evictions, 1);
+    }
+
+    #[test]
+    fn huge_capacity_allocates_only_resident_frames() {
+        // A capacity far beyond any store (2^40 frames) allocates nothing
+        // up front and serves the same stream exactly like a pool sized
+        // to the working set: same hits, misses, residency, no evictions.
+        let stream = [4, 9, 4, 0, 9, 17, 4, 0];
+        let mut huge = BufferPool::new(1 << 40);
+        let mut fitted = BufferPool::new(4);
+        for &p in &stream {
+            assert_eq!(huge.access(p), fitted.access(p), "page {p}");
+        }
+        assert_eq!(huge.capacity(), 1 << 40);
+        assert_eq!(huge.stats(), fitted.stats());
+        assert_eq!(huge.resident_count(), 4);
+        assert_eq!(huge.stats().evictions, 0);
     }
 
     #[test]

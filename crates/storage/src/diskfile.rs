@@ -67,7 +67,7 @@
 // storage` xtask lint pins the whole tree to that rule by path).
 use crate::pages::PageMapper;
 use crate::store::record_payload;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -446,13 +446,42 @@ impl PageFile {
 
     /// Read one page frame by global id, verifying its checksum.
     pub fn read_page(&self, page: usize) -> Result<Bytes, StorageError> {
-        let mut run = self.read_run(page, 1)?;
-        Ok(run.pop().expect("read_run(_, 1) returns one page"))
+        self.read_page_reusing(page, None)
+    }
+
+    /// [`PageFile::read_page`] into a caller-supplied buffer — one
+    /// positional read of the frame, then its checksum check. A buffer
+    /// recycled from an evicted page of this file already has the frame's
+    /// capacity, so the read allocates nothing and zero-fills nothing but
+    /// the 8 checksum bytes; with `None` it reads into a fresh buffer.
+    pub fn read_page_reusing(
+        &self,
+        page: usize,
+        buf: Option<BytesMut>,
+    ) -> Result<Bytes, StorageError> {
+        let num_pages = self.header.num_pages;
+        if page >= num_pages {
+            return Err(StorageError::PageOutOfRange { page, num_pages });
+        }
+        let frame_len = self.header.frame_len();
+        let page_bytes = self.header.page_bytes();
+        let mut buf = buf.unwrap_or_default();
+        buf.resize(frame_len, 0);
+        let offset = HEADER_LEN as u64 + (page as u64) * frame_len as u64;
+        self.file.read_exact_at(&mut buf, offset)?;
+        let (payload, sum) = buf.split_at(page_bytes);
+        if u64::from_le_bytes(sum.try_into().expect("8 bytes")) != frame_checksum(payload) {
+            return Err(StorageError::ChecksumMismatch { page });
+        }
+        buf.truncate(page_bytes);
+        Ok(buf.freeze())
     }
 
     /// Read `count` contiguous page frames starting at global id `start`
     /// with **one positional read** — one call is one physical run: the
-    /// I/O the cost model prices as `1 seek + count transfers`.
+    /// I/O the cost model prices as `1 seek + count transfers`. This is
+    /// the readahead primitive; single pages go through
+    /// [`PageFile::read_page`].
     ///
     /// Every frame is verified before any page is returned. The pages are
     /// zero-copy slices of one shared run buffer, so a page held in a
@@ -550,6 +579,44 @@ mod tests {
         assert!(file.read_run(5, 0).unwrap().is_empty());
         assert_eq!(
             file.read_run(6, 3).unwrap_err(),
+            StorageError::PageOutOfRange {
+                page: 8,
+                num_pages: 8
+            }
+        );
+    }
+
+    #[test]
+    fn recycled_buffers_are_read_in_place() {
+        let order = LinearOrder::identity(32);
+        let mapper = PageMapper::new(&order, PageLayout::new(4));
+        let tmp = TempFile::new("recycle");
+        write_page_file(&tmp.0, &mapper, 16).unwrap();
+        let file = PageFile::open(&tmp.0).unwrap();
+        // A single page's buffer comes back with the frame's capacity, so
+        // the next read lands in the same allocation with the right bytes.
+        let first = file.read_page(1).unwrap();
+        let ptr = first.as_ptr();
+        let again = file
+            .read_page_reusing(5, Some(first.try_into_mut().unwrap()))
+            .unwrap();
+        assert_eq!(again.as_ptr(), ptr);
+        assert_eq!(&again[..], &file.read_page(5).unwrap()[..]);
+        // So does the last page of a run once its neighbours are gone, or
+        // a buffer of any other size.
+        let last = file.read_run(2, 3).unwrap().pop().unwrap();
+        let spare = last.try_into_mut().unwrap();
+        assert_eq!(
+            &file.read_page_reusing(0, Some(spare)).unwrap()[..],
+            &file.read_page(0).unwrap()[..]
+        );
+        let odd = Some(BytesMut::zeroed(3));
+        assert_eq!(
+            &file.read_page_reusing(7, odd).unwrap()[..],
+            &file.read_page(7).unwrap()[..]
+        );
+        assert_eq!(
+            file.read_page(8).unwrap_err(),
             StorageError::PageOutOfRange {
                 page: 8,
                 num_pages: 8

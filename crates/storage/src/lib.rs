@@ -49,6 +49,9 @@ pub mod rtree;
 pub mod store;
 
 pub use buffer::{BufferPool, BufferStats};
+/// The page payload types of this crate's API, so callers that recycle
+/// page buffers need no dependency of their own.
+pub use bytes::{Bytes, BytesMut};
 pub use clustering::cluster_count;
 pub use decluster::{Declustering, RoundRobin};
 pub use diskfile::{write_page_file, PageFile, PageFileHeader, StorageError};

@@ -283,6 +283,18 @@ impl PageStore {
     /// unowned pages, disk errors, corruption, and armed injected faults
     /// all come back as [`StorageError`]s instead of panics.
     pub fn try_read_page(&self, page: usize) -> Result<Bytes, StorageError> {
+        self.try_read_page_reusing(page, None)
+    }
+
+    /// [`PageStore::try_read_page`] that hands a spare buffer — typically
+    /// an evicted frame's ([`bytes::Bytes::try_into_mut`]) — to the disk
+    /// read ([`PageFile::read_page_reusing`]), so a demand miss allocates
+    /// nothing. The memory backing clones its page and drops the spare.
+    pub fn try_read_page_reusing(
+        &self,
+        page: usize,
+        spare: Option<BytesMut>,
+    ) -> Result<Bytes, StorageError> {
         if self.armed_fault.get() == Some(page) {
             self.armed_fault.set(None);
             return Err(StorageError::Injected { page });
@@ -296,7 +308,7 @@ impl PageStore {
         self.reads.set(self.reads.get() + 1);
         match &self.backing {
             Backing::Memory(pages) => Ok(pages[local].clone()),
-            Backing::Disk(file) => file.read_page(page),
+            Backing::Disk(file) => file.read_page_reusing(page, spare),
         }
     }
 

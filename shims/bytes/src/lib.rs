@@ -1,11 +1,13 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! Provides the `Bytes` / `BytesMut` surface the page store uses: zeroed
-//! mutable buffers, freeze into a cheaply clonable shared buffer, and
-//! zero-copy sub-slicing. Backed by `Arc<Vec<u8>>` + (start, end) offsets,
-//! which preserves the real crate's O(1) behaviour: `Bytes::from(Vec)`
-//! and `freeze` move the vector without copying its bytes, and `clone`
-//! and `slice` share it.
+//! mutable buffers, freeze into a cheaply clonable shared buffer,
+//! zero-copy sub-slicing, and taking a buffer back for reuse once its
+//! last handle is the only one. Backed by `Arc<Vec<u8>>` + (start, end)
+//! offsets, which preserves the real crate's O(1) behaviour:
+//! `Bytes::from(Vec)` moves the vector without copying its bytes, `clone`
+//! and `slice` share it, and `freeze` / `try_into_mut` hand the same
+//! allocation back and forth without allocating.
 
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
@@ -58,6 +60,18 @@ impl Bytes {
             end: self.start + hi,
         }
     }
+
+    /// Take the buffer back as a [`BytesMut`] holding this view's bytes,
+    /// without allocating — only when no other handle shares the backing
+    /// allocation; otherwise `self` comes back unchanged in `Err`.
+    pub fn try_into_mut(mut self) -> Result<BytesMut, Bytes> {
+        let Some(buf) = Arc::get_mut(&mut self.data) else {
+            return Err(self);
+        };
+        buf.truncate(self.end);
+        buf.drain(..self.start);
+        Ok(BytesMut { data: self.data })
+    }
 }
 
 impl Default for Bytes {
@@ -99,67 +113,98 @@ impl PartialEq for Bytes {
 impl Eq for Bytes {}
 
 /// A mutable byte buffer that freezes into [`Bytes`].
-#[derive(Clone, Debug, Default)]
+///
+/// It holds the same `Arc<Vec<u8>>` a [`Bytes`] does, never shared while
+/// it is a `BytesMut`, so [`BytesMut::freeze`] and [`Bytes::try_into_mut`]
+/// move one allocation between the two.
+#[derive(Debug, Default)]
 pub struct BytesMut {
-    buf: Vec<u8>,
+    data: Arc<Vec<u8>>,
 }
 
 impl BytesMut {
     /// An empty buffer.
     pub fn new() -> Self {
-        BytesMut { buf: Vec::new() }
+        BytesMut::default()
     }
 
     /// A buffer of `len` zero bytes.
     pub fn zeroed(len: usize) -> Self {
         BytesMut {
-            buf: vec![0u8; len],
+            data: Arc::new(vec![0u8; len]),
         }
     }
 
     /// Buffer length in bytes.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.data.len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.data.is_empty()
+    }
+
+    /// Grow (filling with `value`) or shrink the buffer to `new_len` bytes.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.vec_mut().resize(new_len, value);
+    }
+
+    /// Shorten the buffer to `len` bytes, keeping its capacity.
+    pub fn truncate(&mut self, len: usize) {
+        self.vec_mut().truncate(len);
     }
 
     /// Append bytes to the buffer.
     pub fn extend_from_slice(&mut self, extend: &[u8]) {
-        self.buf.extend_from_slice(extend);
+        self.vec_mut().extend_from_slice(extend);
     }
 
     /// Convert into an immutable shared [`Bytes`].
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
+        let end = self.data.len();
+        Bytes {
+            data: self.data,
+            start: 0,
+            end,
+        }
+    }
+
+    fn vec_mut(&mut self) -> &mut Vec<u8> {
+        Arc::get_mut(&mut self.data).expect("a BytesMut never shares its buffer")
+    }
+}
+
+impl Clone for BytesMut {
+    fn clone(&self) -> Self {
+        BytesMut {
+            data: Arc::new(self.data.to_vec()),
+        }
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf
+        &self.data
     }
 }
 
 impl DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
+        self.vec_mut()
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
-        &self.buf
+        self
     }
 }
 
 impl AsMut<[u8]> for BytesMut {
     fn as_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
+        self
     }
 }
 
@@ -179,5 +224,30 @@ mod tests {
         let m = BytesMut::zeroed(64);
         let ptr = m.as_ptr();
         assert_eq!(m.freeze().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn a_lone_handle_gives_its_buffer_back_for_reuse() {
+        let mut m = BytesMut::zeroed(16);
+        m[3] = 9;
+        let ptr = m.as_ptr();
+        let frozen = m.freeze();
+        let shared = frozen.clone();
+        // A second handle keeps the buffer shared: no reuse.
+        let frozen = frozen.try_into_mut().unwrap_err();
+        drop(shared);
+        let mut back = frozen.try_into_mut().unwrap();
+        assert_eq!((back.as_ptr(), back.len(), back[3]), (ptr, 16, 9));
+        back.truncate(4);
+        back.resize(6, 1);
+        assert_eq!((&back[..], back.as_ptr()), (&[0, 0, 0, 9, 1, 1][..], ptr));
+        // A lone sub-view comes back holding exactly its own bytes.
+        let view = Bytes::from((0..8).collect::<Vec<u8>>()).slice(2..5);
+        assert_eq!(&view.try_into_mut().unwrap()[..], &[2, 3, 4]);
+        // A clone of a BytesMut is a copy, never a second handle.
+        let a = BytesMut::zeroed(4);
+        let mut b = a.clone();
+        b[0] = 1;
+        assert_eq!((a[0], a.freeze().try_into_mut().is_ok()), (0, true));
     }
 }
