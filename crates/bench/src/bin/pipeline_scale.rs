@@ -38,12 +38,12 @@
 //! (`"n/a"` when fewer than two such sides ran).
 //!
 //! `--bisection SIDE` additionally runs the **recursive-bisection stage**
-//! on a non-square SIDE × (3·SIDE/2) grid: the RSB order once with the
-//! root coarsening hierarchy restricted to each half
-//! (`reuse_hierarchy: true`) and once re-coarsening every fragment from
-//! scratch. It gates on the two orders being rank-for-rank identical and
-//! on the reuse run being faster, and records the reuse run's solver
-//! fallbacks (failed warm starts, V-cycle retries, coarse fallbacks).
+//! on a non-square SIDE × (3·SIDE/2) grid (leaf size 64): the RSB order
+//! once serially and once on `--threads` workers. It records both wall
+//! times, the thread speedup, the solver fallbacks taken (V-cycle
+//! retries, coarse fallbacks) and `order_digest`, an FNV-1a digest of the
+//! order's ranks. `bisection_gate` is the determinism contract: the two
+//! orders must be rank-for-rank identical.
 //!
 //! `--oocore SIDE` additionally runs the **out-of-core stage**: pack a
 //! SIDE×SIDE grid's Hilbert order into an on-disk page file (at 2048 that
@@ -56,7 +56,7 @@
 //! readahead-off digest) and on readahead cutting demand misses.
 //!
 //! `--json` additionally writes the machine-readable benchmark trajectory
-//! (schema `slpm.pipeline_scale.v5`) to PATH (default BENCH_pipeline.json);
+//! (schema `slpm.pipeline_scale.v6`) to PATH (default BENCH_pipeline.json);
 //! CI uploads that file as a build artifact on every push. The process
 //! exits nonzero if any attempted solver path fails, a threaded run
 //! diverges from serial, or the out-of-core, dispatch, speedup, iteration
@@ -69,6 +69,7 @@ use slpm_linalg::{solver_counters, with_threads, SolverCounters};
 use slpm_querysim::mappings::curve_order_by_name;
 use slpm_serve::engine::{EngineConfig, Query, ServeEngine};
 use slpm_serve::workload::grid_points;
+use slpm_storage::diskfile::order_digest;
 use slpm_storage::{write_page_file, Mbr, PageLayout, PageMapper};
 use spectral_lpm::{
     objective, rsb_order_on, LinearOrder, RsbOptions, SpectralConfig, SpectralMapper,
@@ -278,73 +279,70 @@ fn run_oocore(side: usize) -> Result<Oocore, String> {
     })
 }
 
-/// The recursive-bisection stage: the same RSB order computed with the
-/// root hierarchy restricted per half vs re-coarsened per fragment.
+/// The recursive-bisection stage: one RSB order computed serially and on
+/// the threaded pool.
 struct Bisection {
     dims: [usize; 2],
     vertices: usize,
     threads: usize,
-    reuse_seconds: f64,
-    scratch_seconds: f64,
-    orders_match: bool,
-    /// Solver counters of the reuse run (warm-start failures among them).
-    reuse_solver: SolverCounters,
+    serial_seconds: f64,
+    threaded_seconds: f64,
+    /// FNV-1a digest of the serial order's ranks.
+    order_digest: u64,
+    /// Solver counters of the serial run (fallbacks among them).
+    solver: SolverCounters,
+    /// The threaded order equals the serial one rank for rank.
     gate: bool,
 }
 
 /// RSB on a non-square `side x (3*side/2)` grid (λ₂ simple, so the order
-/// is solver-independent), once with hierarchy reuse and once without.
-/// Both runs share the leaf size and eigensolver configuration; only the
-/// coarsening strategy differs, so the orders must agree rank for rank.
+/// is solver-independent), serially and on `threads` workers.
 fn run_bisection(side: usize, threads: usize) -> Result<Bisection, String> {
     let dims = [side, side * 3 / 2];
     let spec = GridSpec::new(&dims);
     let graph = spec.graph(Connectivity::Orthogonal);
-    let config = SpectralConfig {
-        fiedler: FiedlerOptions {
-            method: Some(FiedlerMethod::Multilevel),
+    let opts = RsbOptions {
+        leaf_size: 64,
+        config: SpectralConfig {
+            fiedler: FiedlerOptions {
+                method: Some(FiedlerMethod::Multilevel),
+                ..Default::default()
+            },
             ..Default::default()
         },
-        ..Default::default()
     };
-    let run = |reuse: bool| -> Result<(f64, LinearOrder, SolverCounters), String> {
-        let opts = RsbOptions {
-            leaf_size: 64,
-            config: config.clone(),
-            reuse_hierarchy: reuse,
-        };
+    let run = |threads: usize| -> Result<(f64, LinearOrder, SolverCounters), String> {
         let before = solver_counters();
         let start = Instant::now();
         let order = with_threads(Some(threads), |pool| rsb_order_on(&graph, &opts, pool))
-            .map_err(|e| format!("rsb (reuse={reuse}) on {dims:?}: {e}"))?;
+            .map_err(|e| format!("rsb ({threads} threads) on {dims:?}: {e}"))?;
         let seconds = start.elapsed().as_secs_f64();
         Ok((seconds, order, solver_counters().since(&before)))
     };
-    let (reuse_seconds, reuse_order, reuse_solver) = run(true)?;
-    let (scratch_seconds, scratch_order, _) = run(false)?;
-    let orders_match = reuse_order.ranks() == scratch_order.ranks();
-    let gate = orders_match && reuse_seconds < scratch_seconds;
+    let (serial_seconds, serial_order, solver) = run(1)?;
+    let (threaded_seconds, threaded_order, _) = run(threads)?;
+    let gate = serial_order.ranks() == threaded_order.ranks();
+    let order_digest = order_digest(serial_order.ranks());
     println!(
-        "bisection: {}x{} rsb reuse {reuse_seconds:.2}s vs re-coarsen {scratch_seconds:.2}s \
-         ({:.2}x), orders {} -> {}; reuse run: {} warm-start failures, {} v-cycle retries, \
-         {} coarse fallbacks",
+        "bisection: {}x{} rsb serial {serial_seconds:.2}s vs {threads} threads \
+         {threaded_seconds:.2}s ({:.2}x), order {order_digest:016x}, threaded order {} -> {}; \
+         {} v-cycle retries, {} coarse fallbacks",
         dims[0],
         dims[1],
-        scratch_seconds / reuse_seconds,
-        if orders_match { "match" } else { "DIVERGE" },
+        serial_seconds / threaded_seconds,
+        if gate { "matches" } else { "DIVERGES" },
         if gate { "pass" } else { "FAIL" },
-        reuse_solver.warm_start_failures,
-        reuse_solver.vcycle_retries,
-        reuse_solver.coarse_fallbacks,
+        solver.vcycle_retries,
+        solver.coarse_fallbacks,
     );
     Ok(Bisection {
         dims,
         vertices: spec.num_points(),
         threads,
-        reuse_seconds,
-        scratch_seconds,
-        orders_match,
-        reuse_solver,
+        serial_seconds,
+        threaded_seconds,
+        order_digest,
+        solver,
         gate,
     })
 }
@@ -425,7 +423,7 @@ fn to_json(
     bisection: Option<&Bisection>,
 ) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"slpm.pipeline_scale.v5\",\n");
+    out.push_str("  \"schema\": \"slpm.pipeline_scale.v6\",\n");
     out.push_str(
         "  \"description\": \"End-to-end Spectral LPM pipeline wall time per eigensolver\",\n",
     );
@@ -437,19 +435,19 @@ fn to_json(
         None => out.push_str("  \"bisection\": null,\n"),
         Some(b) => out.push_str(&format!(
             "  \"bisection\": {{\"dims\": [{}, {}], \"vertices\": {}, \"threads\": {}, \
-             \"reuse_seconds\": {:.3}, \"scratch_seconds\": {:.3}, \
-             \"orders_match\": {}, \"warm_start_failures\": {}, \"vcycle_retries\": {}, \
-             \"coarse_fallbacks\": {}, \"bisection_gate\": {}}},\n",
+             \"serial_seconds\": {:.3}, \"threaded_seconds\": {:.3}, \"speedup\": {:.2}, \
+             \"order_digest\": \"{:016x}\", \"vcycle_retries\": {}, \"coarse_fallbacks\": {}, \
+             \"bisection_gate\": {}}},\n",
             b.dims[0],
             b.dims[1],
             b.vertices,
             b.threads,
-            b.reuse_seconds,
-            b.scratch_seconds,
-            b.orders_match,
-            b.reuse_solver.warm_start_failures,
-            b.reuse_solver.vcycle_retries,
-            b.reuse_solver.coarse_fallbacks,
+            b.serial_seconds,
+            b.threaded_seconds,
+            b.serial_seconds / b.threaded_seconds,
+            b.order_digest,
+            b.solver.vcycle_retries,
+            b.solver.coarse_fallbacks,
             b.gate,
         )),
     }
@@ -766,7 +764,9 @@ fn main() {
         match run_bisection(bisection_side, threads) {
             Ok(b) => {
                 if !b.gate {
-                    eprintln!("FAILED: the recursive-bisection stage missed its gate");
+                    eprintln!(
+                        "FAILED: the threaded recursive-bisection order diverges from serial"
+                    );
                     failed = true;
                 }
                 Some(b)

@@ -20,7 +20,7 @@ use crate::mapper::{MappingError, SpectralConfig};
 use crate::order::{for_each_snapped_group, LinearOrder};
 use slpm_graph::{traversal, Graph};
 use slpm_linalg::fiedler::{fiedler_pair_on, smallest_nonzero_eigenpairs_on, FiedlerMethod};
-use slpm_linalg::{multilevel, CsrMatrix, Hierarchy, MultilevelOptions, Pool};
+use slpm_linalg::{CsrMatrix, MultilevelOptions, Pool};
 
 /// Options for recursive spectral bisection.
 #[derive(Debug, Clone)]
@@ -30,14 +30,6 @@ pub struct RsbOptions {
     pub leaf_size: usize,
     /// Eigensolver configuration shared by all levels.
     pub config: SpectralConfig,
-    /// Reuse the root's multilevel coarsening hierarchy across recursion
-    /// levels: each fragment whose solve goes through the multilevel
-    /// method restricts the hierarchy built once for the whole graph
-    /// ([`Hierarchy::restrict`]) to its vertex set instead of re-running
-    /// heavy-edge matching from scratch. Off, every fragment re-coarsens —
-    /// kept as the ablation baseline the `pipeline_scale` benchmark's
-    /// `--bisection` stage compares against.
-    pub reuse_hierarchy: bool,
 }
 
 impl Default for RsbOptions {
@@ -45,23 +37,8 @@ impl Default for RsbOptions {
         RsbOptions {
             leaf_size: 8,
             config: SpectralConfig::default(),
-            reuse_hierarchy: true,
         }
     }
-}
-
-/// Root-level state shared by every recursion level when
-/// [`RsbOptions::reuse_hierarchy`] is on.
-struct ReuseCtx {
-    /// Number of vertices of the root graph (the hierarchy's finest level).
-    root_len: usize,
-    /// The coarsening hierarchy of the whole graph, built once.
-    hierarchy: Hierarchy,
-    /// The floor [`Hierarchy::build`] was given — restrictions must use
-    /// the same one so their stop conditions mirror a from-scratch build.
-    floor: usize,
-    /// The multilevel knobs of the root solve.
-    ml: MultilevelOptions,
 }
 
 /// Recursive-spectral-bisection order of a connected graph on `pool`:
@@ -77,86 +54,46 @@ pub fn rsb_order_on(
     let mut rank = vec![0usize; n];
     let vertices: Vec<usize> = (0..n).collect();
     let mut next_position = 0usize;
-    // Build the root hierarchy once if the root solve will take the
-    // multilevel path; fragments restrict it instead of re-coarsening.
-    let reuse = if opts.reuse_hierarchy {
-        let fo = opts.config.resolved_fiedler(n);
-        if fo.method == Some(FiedlerMethod::Multilevel) {
-            let ml = fo.multilevel.clone();
-            let floor = rsb_block(&ml);
-            let hierarchy = Hierarchy::build(&graph.laplacian(), floor, &ml, pool)?;
-            Some(ReuseCtx {
-                root_len: n,
-                hierarchy,
-                floor,
-                ml,
-            })
-        } else {
-            None
-        }
-    } else {
-        None
-    };
-    place(
-        graph,
-        &vertices,
-        opts,
-        reuse.as_ref(),
-        None,
-        pool,
-        &mut rank,
-        &mut next_position,
-    )?;
+    place(graph, &vertices, opts, pool, &mut rank, &mut next_position)?;
     debug_assert_eq!(next_position, n);
     Ok(LinearOrder::from_ranks(rank).expect("RSB assigns each position once"))
 }
 
 /// Residual tolerance floor for multilevel fragment solves (see
-/// [`fragment_fiedler_vector`]): tight enough that the reuse and
-/// re-coarsen hierarchies converge to the same snapped order, comfortably
-/// above the round-off floor of the block refinement.
+/// [`fragment_fiedler_vector`]): comfortably above the round-off floor of
+/// the block refinement, and tight enough that the eigenvector mixture a
+/// near-degenerate fragment leaves sits under the snap window of
+/// [`fragment_order`], so the median membership is a property of the
+/// eigenvector rather than of how far its solve went.
 const RSB_FRAGMENT_TOLERANCE: f64 = 1e-11;
 
-/// The block width (and therefore hierarchy floor) every RSB multilevel
-/// solve uses: `k = 1` Fiedler pair plus the guard vectors, exactly what
+/// The block width every RSB multilevel solve uses: `k = 1` Fiedler pair
+/// plus the guard vectors, exactly what
 /// `multilevel::smallest_nonzero_eigenpairs_on` computes internally.
 fn rsb_block(ml: &MultilevelOptions) -> usize {
     (1 + ml.guard_vectors).min(ml.coarsest_size.max(3) - 1)
 }
 
-/// The Fiedler vector of a connected fragment, reusing the root hierarchy
-/// when the fragment's solve resolves to the multilevel method and a
-/// [`ReuseCtx`] is available. When the parent fragment's refined vector is
-/// supplied as `warm` (restricted to this fragment), the solve first tries
-/// [`multilevel::refine_warm_started_on`] — fine-level block refinement
-/// seeded with the parent's solution, skipping the coarsest solve and the
-/// walk-up — and only falls back to the restricted-hierarchy path if the
-/// warm start fails to converge. Post-processing (centre, normalise,
-/// canonical sign) mirrors `fiedler_pair_on` exactly so the reuse and
-/// re-coarsen paths produce comparable vectors.
+/// The Fiedler vector of a connected fragment under the size policy, with
+/// multilevel solves refined to [`RSB_FRAGMENT_TOLERANCE`] and fragments
+/// the multilevel driver would solve densely handed to the size policy
+/// directly.
 fn fragment_fiedler_vector(
     sub_laplacian: &CsrMatrix,
-    vertices: &[usize],
     opts: &RsbOptions,
-    reuse: Option<&ReuseCtx>,
-    warm: Option<&[f64]>,
     pool: &Pool<'_>,
 ) -> Result<Vec<f64>, MappingError> {
     let mut fo = opts.config.resolved_fiedler(sub_laplacian.rows());
     if fo.method == Some(FiedlerMethod::Multilevel) {
         // RSB only consumes the *median membership* of each fragment
-        // vector, but that membership must not depend on which hierarchy
-        // (restricted vs freshly coarsened) refined the vector. At the
-        // default 1e-9 a near-degenerate fragment leaves an eigenvector
-        // mixture of order residual/(λ₃−λ₂) that can flip vertices across
-        // the median; refining well below it shrinks the mixture under
-        // the snap window of `fragment_order`.
+        // vector. At the default 1e-9 a near-degenerate fragment leaves an
+        // eigenvector mixture of order residual/(λ₃−λ₂) that can flip
+        // vertices across the median; refining well below it shrinks the
+        // mixture under the snap window of `fragment_order`.
         fo.tolerance = fo.tolerance.min(RSB_FRAGMENT_TOLERANCE);
         // Fragments at or below the multilevel coarsest size are solved
         // exactly by the size policy: dense up to `DENSE_MAX` vertices,
-        // and the multilevel driver's own dense path above it. Neither
-        // touches a hierarchy, so the reuse and re-coarsen configurations
-        // stay bitwise identical on small fragments.
+        // and the multilevel driver's own dense path above it.
         let n = sub_laplacian.rows();
         let dense_cutoff = fo
             .multilevel
@@ -164,61 +101,6 @@ fn fragment_fiedler_vector(
             .max(rsb_block(&fo.multilevel) + 2);
         if n <= dense_cutoff {
             fo.method = Some(FiedlerMethod::for_size(n));
-        } else if let Some(ctx) = reuse {
-            // Cheapest first: refine straight from the parent's vector.
-            // Any failure (typically NoConvergence from a weak guess on a
-            // near-degenerate half) falls back to the hierarchy walk-up —
-            // deterministically, so reruns take the same path.
-            let mut pairs = warm
-                .and_then(|w| {
-                    let warm_block = [w.to_vec()];
-                    multilevel::refine_warm_started_on(
-                        sub_laplacian,
-                        &warm_block,
-                        1,
-                        fo.tolerance,
-                        fo.seed,
-                        &ctx.ml,
-                        pool,
-                    )
-                    .ok()
-                })
-                .map(Ok)
-                .unwrap_or_else(|| {
-                    let restricted;
-                    let hierarchy = if vertices.len() == ctx.root_len {
-                        &ctx.hierarchy
-                    } else {
-                        restricted = ctx.hierarchy.restrict(
-                            vertices,
-                            sub_laplacian,
-                            ctx.floor,
-                            &ctx.ml,
-                            pool,
-                        )?;
-                        &restricted
-                    };
-                    multilevel::smallest_nonzero_eigenpairs_on_hierarchy(
-                        sub_laplacian,
-                        hierarchy,
-                        1,
-                        fo.tolerance,
-                        fo.seed,
-                        &ctx.ml,
-                        pool,
-                    )
-                })?;
-            let (_, mut v) = pairs.swap_remove(0);
-            slpm_linalg::vector::center(&mut v);
-            if slpm_linalg::vector::normalize(&mut v) == 0.0 {
-                return Err(MappingError::Linalg(
-                    slpm_linalg::LinalgError::NonFiniteInput {
-                        context: "rsb: fragment eigenvector collapsed",
-                    },
-                ));
-            }
-            slpm_linalg::vector::canonicalize_sign(&mut v);
-            return Ok(v);
         }
     }
     Ok(fiedler_pair_on(sub_laplacian, &fo, pool)?.vector)
@@ -227,8 +109,8 @@ fn fragment_fiedler_vector(
 /// Snap a fragment's Fiedler values into a rank order the same way the
 /// direct mapper does: values that agree up to solver round-off share a
 /// key, so ties break by the documented vertex-index rule instead of by
-/// noise — and the reuse/re-coarsen hierarchies (whose refined vectors
-/// differ below the convergence tolerance) yield identical orders.
+/// noise, and changes to the solver below its convergence tolerance
+/// leave the order as it is.
 fn fragment_order(vector: &[f64]) -> LinearOrder {
     let max_abs = vector.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     LinearOrder::from_keys_snapped(vector, max_abs * 1e-7).expect("finite eigenvector")
@@ -238,14 +120,14 @@ fn fragment_order(vector: &[f64]) -> LinearOrder {
 /// canonical sign keys off the first entry within `1e-9` of the maximum
 /// magnitude — but fragment Fiedler vectors are near-antisymmetric, so
 /// whole plateaus of *both* signs sit at ±max separated only by solver
-/// round-off, and sub-tolerance differences between the reuse and
-/// re-coarsen refinements can flip which plateau wins. A sign flip is not
-/// absorbed by [`orient`]: reversing a snapped order keeps each tie group
-/// ascending by vertex index, so `order(-v)` reversed is *not* `order(v)`.
-/// Keying the sign off the first entry that clears a coarse threshold
-/// (`1e-3` of the max, far above round-off, far below the plateau spacing)
-/// is invariant to those perturbations, making the ordered direction a
-/// stable function of the eigenvector's line rather than of solver noise.
+/// round-off, and a sub-tolerance change to the refinement can flip which
+/// plateau wins. A sign flip is not absorbed by [`orient`]: reversing a
+/// snapped order keeps each tie group ascending by vertex index, so
+/// `order(-v)` reversed is *not* `order(v)`. Keying the sign off the first
+/// entry that clears a coarse threshold (`1e-3` of the max, far above
+/// round-off, far below the plateau spacing) is invariant to those
+/// perturbations, making the ordered direction a stable function of the
+/// eigenvector's line rather than of solver noise.
 fn stabilize_sign(v: &mut [f64]) {
     let max_abs = v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
     if max_abs == 0.0 {
@@ -262,16 +144,11 @@ fn stabilize_sign(v: &mut [f64]) {
 }
 
 /// Recursively lay out `vertices` (ids in the *original* graph) starting at
-/// `*next_position`. `warm` carries the parent fragment's refined Fiedler
-/// vector restricted to `vertices` (aligned index-for-index with it) when
-/// hierarchy reuse is active; it seeds the fragment solve.
-#[allow(clippy::too_many_arguments)]
+/// `*next_position`.
 fn place(
     original: &Graph,
     vertices: &[usize],
     opts: &RsbOptions,
-    reuse: Option<&ReuseCtx>,
-    warm: Option<Vec<f64>>,
     pool: &Pool<'_>,
     rank: &mut [usize],
     next_position: &mut usize,
@@ -289,26 +166,13 @@ fn place(
     let num_comps = comps.iter().copied().max().map_or(0, |m| m + 1);
     if num_comps > 1 {
         for c in 0..num_comps {
-            let mut part = Vec::new();
-            let mut part_warm = warm.as_ref().map(|_| Vec::new());
-            for (i, (&v, &cc)) in vertices.iter().zip(comps.iter()).enumerate() {
-                if cc == c {
-                    part.push(v);
-                    if let (Some(pw), Some(w)) = (part_warm.as_mut(), warm.as_ref()) {
-                        pw.push(w[i]);
-                    }
-                }
-            }
-            place(
-                original,
-                &part,
-                opts,
-                reuse,
-                part_warm,
-                pool,
-                rank,
-                next_position,
-            )?;
+            let part: Vec<usize> = vertices
+                .iter()
+                .zip(&comps)
+                .filter(|&(_, &cc)| cc == c)
+                .map(|(&v, _)| v)
+                .collect();
+            place(original, &part, opts, pool, rank, next_position)?;
         }
         return Ok(());
     }
@@ -317,14 +181,7 @@ fn place(
         // Base case: single-vector spectral order of the fragment (or the
         // trivial order for fragments the eigensolver is too small for).
         let local = if sub.num_vertices() >= 2 && sub.num_edges() >= 1 {
-            let mut v = fragment_fiedler_vector(
-                &sub.laplacian(),
-                vertices,
-                opts,
-                reuse,
-                warm.as_deref(),
-                pool,
-            )?;
+            let mut v = fragment_fiedler_vector(&sub.laplacian(), opts, pool)?;
             stabilize_sign(&mut v);
             orient(fragment_order(&v))
         } else {
@@ -339,14 +196,7 @@ fn place(
 
     // Median cut on the Fiedler vector (Chan–Ciarlet–Szeto optimal
     // bisection point).
-    let mut v = fragment_fiedler_vector(
-        &sub.laplacian(),
-        vertices,
-        opts,
-        reuse,
-        warm.as_deref(),
-        pool,
-    )?;
+    let mut v = fragment_fiedler_vector(&sub.laplacian(), opts, pool)?;
     stabilize_sign(&mut v);
     let local = orient(fragment_order(&v));
     let half = vertices.len() / 2;
@@ -354,41 +204,8 @@ fn place(
     let high: Vec<usize> = (half..vertices.len())
         .map(|p| back[local.vertex_at(p)])
         .collect();
-    // Seed each half with this fragment's vector (only useful — and only
-    // consumed — when hierarchy reuse is on; the re-coarsen configuration
-    // must measure the true from-scratch cost).
-    let (low_warm, high_warm) = if reuse.is_some() {
-        (
-            Some((0..half).map(|p| v[local.vertex_at(p)]).collect()),
-            Some(
-                (half..vertices.len())
-                    .map(|p| v[local.vertex_at(p)])
-                    .collect(),
-            ),
-        )
-    } else {
-        (None, None)
-    };
-    place(
-        original,
-        &low,
-        opts,
-        reuse,
-        low_warm,
-        pool,
-        rank,
-        next_position,
-    )?;
-    place(
-        original,
-        &high,
-        opts,
-        reuse,
-        high_warm,
-        pool,
-        rank,
-        next_position,
-    )
+    place(original, &low, opts, pool, rank, next_position)?;
+    place(original, &high, opts, pool, rank, next_position)
 }
 
 /// Orient a fragment's local order to follow the direction its vertices
@@ -561,45 +378,69 @@ mod tests {
         assert_eq!(single.ranks(), multi.ranks());
     }
 
-    #[test]
-    fn rsb_hierarchy_reuse_matches_recoarsening() {
-        // Restricting the root hierarchy to each half must produce the
-        // exact order that re-coarsening every fragment from scratch does
-        // (the eigenvectors differ below the convergence tolerance; the
-        // snapped keys absorb that). Non-square grid, big enough that the
-        // root and the first recursion levels genuinely build hierarchies
-        // (default coarsest_size is 256).
-        use slpm_linalg::{FiedlerMethod, FiedlerOptions};
-        let spec = GridSpec::new(&[36, 24]);
-        let g = spec.graph(Connectivity::Orthogonal);
-        let config = SpectralConfig {
-            fiedler: FiedlerOptions {
-                method: Some(FiedlerMethod::Multilevel),
-                ..Default::default()
-            },
-            ..Default::default()
+    /// FNV-1a over the ranks, each hashed as a little-endian `u64`.
+    fn rank_digest(order: &LinearOrder) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &r in order.ranks() {
+            for b in (r as u64).to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// A `w × h` grid with one disc hole (radius 2–4, centre drawn from
+    /// `seed`) inside each quadrant, keeping a margin so the set stays
+    /// 4-connected.
+    fn holey_graph(w: i64, h: i64, seed: u64) -> Graph {
+        let mut state = seed;
+        let mut draw = |lo: i64, hi: i64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lo + ((state >> 33) % (hi - lo + 1) as u64) as i64
         };
-        let reuse = rsb_order_on(
-            &g,
-            &RsbOptions {
-                leaf_size: 8,
-                config: config.clone(),
-                reuse_hierarchy: true,
-            },
-            &Pool::default(),
-        )
-        .unwrap();
-        let scratch = rsb_order_on(
-            &g,
-            &RsbOptions {
-                leaf_size: 8,
-                config,
-                reuse_hierarchy: false,
-            },
-            &Pool::default(),
-        )
-        .unwrap();
-        assert_eq!(reuse.ranks(), scratch.ranks());
+        let holes: Vec<(i64, i64, i64)> = (0..4)
+            .map(|q| {
+                let (qx, qy) = ((q % 2) * w / 2, (q / 2) * h / 2);
+                let r = draw(2, 4);
+                let x = draw(qx + r + 1, qx + w / 2 - r - 2);
+                let y = draw(qy + r + 1, qy + h / 2 - r - 2);
+                (x, y, r)
+            })
+            .collect();
+        let points = (0..w)
+            .flat_map(|x| (0..h).map(move |y| (x, y)))
+            .filter(|&(x, y)| {
+                holes
+                    .iter()
+                    .all(|&(hx, hy, r)| (x - hx).pow(2) + (y - hy).pow(2) > r * r)
+            })
+            .map(|(x, y)| vec![x, y])
+            .collect();
+        slpm_graph::PointSet::new(points)
+            .unwrap()
+            .neighbourhood_graph(Connectivity::Orthogonal)
+    }
+
+    #[test]
+    fn rsb_orders_match_their_recorded_digests() {
+        // Multilevel RSB at leaf size 8 on a non-square grid (the root and
+        // the first recursion levels build hierarchies; default
+        // coarsest_size is 256) and on an irregular set. A change to either
+        // digest is a change to RSB's output.
+        let grid = GridSpec::new(&[36, 24]).graph(Connectivity::Orthogonal);
+        let holey = holey_graph(40, 30, 7);
+        assert_eq!(holey.num_vertices(), 1044);
+        for (name, g, digest) in [
+            ("36x24 grid", &grid, 0xf1f6_5e01_dcb9_fd49u64),
+            ("holey 40x30 set", &holey, 0x8732_bf31_38e3_d4ad),
+        ] {
+            let order = rsb_order_on(g, &RsbOptions::default(), &Pool::default()).unwrap();
+            let got = rank_digest(&order);
+            assert_eq!(got, digest, "{name}: {got:016x}");
+        }
     }
 
     #[test]

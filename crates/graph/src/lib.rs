@@ -10,8 +10,6 @@
 //!
 //! * [`graph`] — the weighted undirected [`Graph`] type (edge-list builder +
 //!   CSR adjacency), degrees, Laplacians.
-//! * [`coarsen`] — heavy-edge-matching contraction into weighted coarse
-//!   graphs, the substrate of the multilevel Fiedler solver.
 //! * [`grid`] — k-dimensional grid specifications with index ⇄ coordinate
 //!   conversion and grid-graph builders for every connectivity the paper
 //!   uses.
@@ -34,13 +32,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coarsen;
 pub mod graph;
 pub mod grid;
 pub mod points;
 pub mod traversal;
 
-pub use coarsen::GraphCoarsening;
 pub use graph::{Graph, GraphError};
 pub use grid::{Connectivity, GridSpec};
 pub use points::PointSet;

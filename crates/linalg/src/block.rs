@@ -126,8 +126,8 @@ impl Pool<'_> {
 
     /// One reduction per column over `rows` rows: `partial(lo, hi)` is
     /// evaluated on every fixed [`REDUCE_CHUNK`]-row chunk and each
-    /// column's partials are tree-folded in chunk order, as [`Pool::reduce`]
-    /// folds a single column's.
+    /// column's partials are tree-folded in chunk order, as
+    /// [`crate::vector::dot`] folds a single vector's.
     pub(crate) fn reduce_cols<const W: usize, F>(&self, rows: usize, partial: F) -> [f64; W]
     where
         F: Fn(usize, usize) -> [f64; W] + Sync,
@@ -181,8 +181,8 @@ fn pad<const W: usize>(v: [f64; W]) -> Cols {
 }
 
 /// `y = A x` for `n × w` blocks of any width: one pass over the matrix per
-/// window of at most [`LOCKSTEP_MAX`] columns. Heavy-kernel threshold, as
-/// [`Pool::matvec_into`].
+/// window of at most [`LOCKSTEP_MAX`] columns. Heavy-kernel threshold
+/// ([`SPAWN_MIN`] rows); each column is bitwise [`CsrMatrix::matvec_into`].
 pub(crate) fn spmm(pool: &Pool, a: &CsrMatrix, x: &[f64], y: &mut [f64], w: usize) {
     debug_assert_eq!(x.len(), a.cols() * w);
     debug_assert_eq!(y.len(), a.rows() * w);
@@ -212,7 +212,7 @@ pub(crate) fn dot(pool: &Pool, x: &[f64], y: &[f64], w: usize) -> Cols {
 
 /// Per-column means of an `n × w` block: each column's sum folded from
 /// [`empty_sum`] within every chunk and tree-folded, then divided by `n`
-/// as [`Pool::center`] divides.
+/// as [`crate::vector::mean`] divides.
 pub(crate) fn means(pool: &Pool, x: &[f64], w: usize) -> Cols {
     let rows = x.len() / w;
     with_width!(w, W => pad(pool.reduce_cols::<W, _>(rows, |lo, hi| {
@@ -321,8 +321,8 @@ where
     });
 }
 
-/// Sum of column `c` of an `n × w` block, bitwise equal to [`Pool::sum`]
-/// of that column.
+/// Sum of column `c` of an `n × w` block, bitwise equal to the chunked sum
+/// behind [`crate::vector::mean`] of that column.
 pub(crate) fn col_sum(pool: &Pool, x: &[f64], w: usize, c: usize) -> f64 {
     pool.reduce_cols::<1, _>(x.len() / w, |lo, hi| {
         let mut s = empty_sum();
@@ -334,8 +334,8 @@ pub(crate) fn col_sum(pool: &Pool, x: &[f64], w: usize, c: usize) -> f64 {
 }
 
 /// Dot product of column `cx` of the `n × wx` block `x` with column `cy` of
-/// the `n × wy` block `y`, bitwise equal to [`Pool::dot`] of the two
-/// columns.
+/// the `n × wy` block `y`, bitwise equal to [`crate::vector::dot`] of the
+/// two columns.
 pub(crate) fn col_dot(
     pool: &Pool,
     x: &[f64],
@@ -349,7 +349,7 @@ pub(crate) fn col_dot(
 }
 
 /// The dot-product reduction of one column's per-row products `term(i)`:
-/// bitwise equal to [`Pool::dot`] on the two vectors whose elementwise
+/// bitwise equal to [`crate::vector::dot`] on the two vectors whose elementwise
 /// product `term` computes.
 pub(crate) fn col_reduce(pool: &Pool, rows: usize, term: impl Fn(usize) -> f64 + Sync) -> f64 {
     pool.reduce_cols::<1, _>(rows, |lo, hi| {
@@ -369,7 +369,8 @@ pub(crate) fn col_reduce(pool: &Pool, rows: usize, term: impl Fn(usize) -> f64 +
     })[0]
 }
 
-/// Subtract column `c`'s mean from it, bitwise equal to [`Pool::center`].
+/// Subtract column `c`'s mean from it, bitwise equal to
+/// [`crate::vector::center`].
 pub(crate) fn col_center(pool: &Pool, x: &mut [f64], w: usize, c: usize) {
     let rows = x.len() / w;
     if rows == 0 {
@@ -408,6 +409,104 @@ pub(crate) fn widen(data: &mut Vec<f64>, n: usize, w: usize, k: usize) {
     for i in (0..n).rev() {
         for c in (0..nw).rev() {
             data[i * nw + c] = if c < w { data[i * w + c] } else { 0.0 };
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pool::WorkerPool;
+
+    /// More rows than [`LIGHT_SPAWN_MIN`], with a ragged last chunk, so the
+    /// level-1 kernels engage the workers too.
+    const ROWS: usize = LIGHT_SPAWN_MIN + 3 * REDUCE_CHUNK + 17;
+
+    /// A `ROWS × w` block of deterministic values.
+    fn block_of(w: usize, seed: f64) -> Vec<f64> {
+        (0..ROWS * w)
+            .map(|i| (i as f64 * 0.37 + seed).sin())
+            .collect()
+    }
+
+    /// Laplacian of the path on `n` vertices.
+    fn path_laplacian(n: usize) -> CsrMatrix {
+        let mut t = Vec::with_capacity(3 * n);
+        for i in 0..n {
+            let deg = if i == 0 || i == n - 1 { 1.0 } else { 2.0 };
+            t.push((i, i, deg));
+            if i + 1 < n {
+                t.push((i, i + 1, -1.0));
+                t.push((i + 1, i, -1.0));
+            }
+        }
+        CsrMatrix::from_triplets(n, n, &t).unwrap()
+    }
+
+    /// FNV-1a over the bits of every value.
+    fn bits(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Digests of `dot`, `means`, `spmm`, `update_direction` and `cg_step`
+    /// at width `w` on `pool`.
+    fn kernels(pool: &Pool<'_>, lap: &CsrMatrix, w: usize) -> Vec<u64> {
+        let mut x = block_of(w, 1.0);
+        let mut y = block_of(w, 2.0);
+        let mut r = block_of(w, 3.0);
+        let coef: Cols = [0.5, -0.25, 1.5, 0.75, -2.0];
+        let fresh = [false, true, false, false, true];
+        let dots = dot(pool, &x, &y, w);
+        let mean = means(pool, &x, w);
+        let mut ax = vec![0.0; ROWS * w];
+        spmm(pool, lap, &x, &mut ax, w);
+        update_direction(pool, &ax, &coef, &fresh, &mut y, w);
+        let r_mean = cg_step(pool, &coef, &y, &ax, &mut x, &mut r, w);
+        vec![
+            bits(&dots[..w]),
+            bits(&mean[..w]),
+            bits(&ax),
+            bits(&y),
+            bits(&r_mean[..w]),
+            bits(&x),
+            bits(&r),
+        ]
+    }
+
+    #[test]
+    fn block_kernels_are_bitwise_identical_across_thread_counts() {
+        let lap = path_laplacian(ROWS);
+        for w in [1usize, 3, 5] {
+            let serial = kernels(&Pool::serial(), &lap, w);
+            for threads in [2usize, 4] {
+                let workers = WorkerPool::new(threads);
+                assert_eq!(
+                    kernels(&workers.linalg_pool(), &lap, w),
+                    serial,
+                    "width {w}, threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_on_the_default_pool_get_the_serial_bits() {
+        // The process-wide pool is shared: callers on different threads
+        // submit to the same workers at once, and each still gets the
+        // serial bits, because chunk grids and fold orders depend on the
+        // problem size only.
+        let lap = path_laplacian(ROWS);
+        let serial = kernels(&Pool::serial(), &lap, 1);
+        let results: Vec<_> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| kernels(&Pool::default(), &lap, 1)))
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for (caller, result) in results.iter().enumerate() {
+            assert_eq!(result, &serial, "caller {caller}");
         }
     }
 }

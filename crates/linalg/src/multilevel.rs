@@ -43,8 +43,8 @@
 //!
 //! Every fallback the solver takes is counted in [`solver_counters`]: a
 //! coarsest level too big for the dense path (block inverse iteration from
-//! a random start on that level, Jacobi-PCG inner solves), a failed V-cycle
-//! solve retried with Jacobi-PCG, and a failed warm start.
+//! a random start on that level, Jacobi-PCG inner solves) and a failed
+//! V-cycle solve retried with Jacobi-PCG.
 
 use crate::block::{self, Block};
 use crate::dense::DenseMatrix;
@@ -105,7 +105,6 @@ const MIN_SHRINK: f64 = 0.95;
 
 static VCYCLE_RETRIES: AtomicU64 = AtomicU64::new(0);
 static COARSE_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-static WARM_START_FAILURES: AtomicU64 = AtomicU64::new(0);
 static FINEST_SOLVES: AtomicU64 = AtomicU64::new(0);
 static FINEST_ITERATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -123,11 +122,8 @@ pub struct SolverCounters {
     /// coarse pairs came from Jacobi-PCG block inverse iteration on that
     /// level, started from a seeded random block, and the walk's inner
     /// solves ran on Jacobi-PCG too for want of a coarse pseudo-inverse. A
-    /// failure there is an error of the solve, not a warm-start failure.
+    /// failure there is an error of the solve.
     pub coarse_fallbacks: u64,
-    /// Warm-started refinements ([`refine_warm_started_on`]) that failed;
-    /// recursive bisection falls back to the hierarchy solve on each.
-    pub warm_start_failures: u64,
     /// Inner correction solves on the finest level of a solve.
     pub finest_solves: u64,
     /// PCG iterations of those finest-level solves.
@@ -140,7 +136,6 @@ impl SolverCounters {
         SolverCounters {
             vcycle_retries: self.vcycle_retries - earlier.vcycle_retries,
             coarse_fallbacks: self.coarse_fallbacks - earlier.coarse_fallbacks,
-            warm_start_failures: self.warm_start_failures - earlier.warm_start_failures,
             finest_solves: self.finest_solves - earlier.finest_solves,
             finest_iterations: self.finest_iterations - earlier.finest_iterations,
         }
@@ -152,7 +147,6 @@ pub fn solver_counters() -> SolverCounters {
     SolverCounters {
         vcycle_retries: VCYCLE_RETRIES.load(Ordering::Relaxed),
         coarse_fallbacks: COARSE_FALLBACKS.load(Ordering::Relaxed),
-        warm_start_failures: WARM_START_FAILURES.load(Ordering::Relaxed),
         finest_solves: FINEST_SOLVES.load(Ordering::Relaxed),
         finest_iterations: FINEST_ITERATIONS.load(Ordering::Relaxed),
     }
@@ -174,14 +168,9 @@ pub struct Coarsening {
 /// [`Coarsening`] steps the multilevel solver walks down and back up.
 ///
 /// Building the hierarchy (greedy matching + Galerkin contraction per
-/// level) is a fixed cost independent of how many eigensolves run on it.
-/// Recursive spectral bisection exploits that through
-/// [`Hierarchy::restrict`]: instead of re-matching each half from
-/// scratch, the parent hierarchy is **restricted** to the half's vertex
-/// set — every matched pair that survives inside the half stays merged,
-/// pairs straddling the cut degrade to singletons, and each coarse
-/// operator is the Galerkin contraction of the restricted fine operator,
-/// so every level remains a genuine Laplacian.
+/// level) is a fixed cost independent of how many eigensolves run on it,
+/// so it is built once and [`smallest_nonzero_eigenpairs_on_hierarchy`]
+/// can solve on it any number of times.
 #[derive(Debug, Clone, Default)]
 pub struct Hierarchy {
     /// Fine-to-coarse steps, finest first; `levels[i].coarse` is the
@@ -222,122 +211,12 @@ impl Hierarchy {
     pub fn coarsest<'a>(&'a self, fallback: &'a CsrMatrix) -> &'a CsrMatrix {
         self.levels.last().map_or(fallback, |c| &c.coarse)
     }
-
-    /// Restrict this hierarchy to an induced sub-problem.
-    ///
-    /// `vertices` are finest-level vertex indices of this hierarchy (in
-    /// the order the sub-problem numbers them — the `ids` returned by
-    /// `induced_subgraph`), and `sub` is the sub-problem's own Laplacian
-    /// on that numbering. Per level, the parent map is compressed onto
-    /// the surviving vertices (distinct coarse ids in ascending order, so
-    /// the numbering is deterministic) and the coarse operator is the
-    /// Galerkin contraction `PᵀLP` of the restricted fine operator. The
-    /// walk stops exactly as [`Hierarchy::build`] does — insufficient
-    /// shrink or small enough — and if the parent hierarchy runs out of
-    /// levels while the sub-problem is still large, fresh heavy-edge
-    /// coarsening extends it.
-    ///
-    /// Matched pairs are edges of the parent graph, so a pair inside the
-    /// sub-problem is still an edge of `sub`; contraction by such pairs
-    /// preserves connectivity, which keeps the solver's connected-input
-    /// precondition intact for connected sub-problems.
-    pub fn restrict(
-        &self,
-        vertices: &[usize],
-        sub: &CsrMatrix,
-        floor: usize,
-        opts: &MultilevelOptions,
-        pool: &Pool,
-    ) -> Result<Hierarchy, LinalgError> {
-        let coarsest_size = opts.coarsest_size.max(floor + 2);
-        let mut levels: Vec<Coarsening> = Vec::new();
-        // `ids[i]` = the parent-hierarchy vertex (at the current depth's
-        // fine level) that local vertex `i` of the current operator is.
-        let mut ids: Vec<usize> = vertices.to_vec();
-        let mut current: CsrMatrix = sub.clone();
-        for step in &self.levels {
-            if current.rows() <= coarsest_size {
-                break;
-            }
-            // Compress the parent map onto the surviving vertices:
-            // distinct coarse ids, ascending, become the local numbering.
-            let mut coarse_ids: Vec<usize> = ids.iter().map(|&v| step.parent[v]).collect();
-            let mut sorted = coarse_ids.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let rank = |c: usize| sorted.binary_search(&c).expect("own coarse id");
-            for c in coarse_ids.iter_mut() {
-                *c = rank(*c);
-            }
-            let local_parent = coarse_ids;
-            let coarse_len = sorted.len();
-            let shrunk = coarse_len < (current.rows() as f64 * MIN_SHRINK) as usize;
-            if !shrunk || coarse_len <= floor {
-                break;
-            }
-            // Galerkin contraction of the *restricted* fine operator by
-            // the restricted parent map — same triplet remap as
-            // `coarsen_laplacian`, so the result is a Laplacian.
-            let coarse = galerkin_contract(&current, &local_parent, coarse_len, pool)?;
-            ids = sorted;
-            current = coarse.clone();
-            levels.push(Coarsening {
-                coarse,
-                parent: local_parent,
-            });
-        }
-        // Parent hierarchy exhausted but the sub-problem is still big:
-        // extend with fresh matching (rare — restricted levels shrink at
-        // the parent's rate).
-        while current.rows() > coarsest_size {
-            let step = coarsen_laplacian(&current, pool)?;
-            let shrunk = step.coarse_len() < (current.rows() as f64 * MIN_SHRINK) as usize;
-            if !shrunk || step.coarse_len() <= floor {
-                break;
-            }
-            current = step.coarse.clone();
-            levels.push(step);
-        }
-        Ok(Hierarchy { levels })
-    }
-}
-
-/// Galerkin contraction `PᵀLP` for a piecewise-constant prolongation given
-/// by `parent`: every fine triplet `(i, j, v)` lands at
-/// `(parent[i], parent[j])` and `from_triplets` sums duplicates, which
-/// preserves symmetry and zero row sums exactly. Row-chunked on the pool.
-fn galerkin_contract(
-    fine: &CsrMatrix,
-    parent: &[usize],
-    coarse_len: usize,
-    pool: &Pool,
-) -> Result<CsrMatrix, LinalgError> {
-    let n = fine.rows();
-    debug_assert_eq!(parent.len(), n);
-    let triplets = pool
-        .map_chunks(n, |lo, hi| {
-            let mut local = Vec::new();
-            for i in lo..hi {
-                for (j, v) in fine.row_iter(i) {
-                    local.push((parent[i], parent[j], v));
-                }
-            }
-            local
-        })
-        .concat();
-    CsrMatrix::from_triplets(coarse_len, coarse_len, &triplets)
 }
 
 impl Coarsening {
     /// Number of coarse vertices.
     pub fn coarse_len(&self) -> usize {
         self.coarse.rows()
-    }
-
-    /// Interpolate a coarse-level vector back to the fine level
-    /// (piecewise-constant prolongation).
-    pub fn prolong(&self, coarse_values: &[f64]) -> Vec<f64> {
-        self.parent.iter().map(|&p| coarse_values[p]).collect()
     }
 }
 
@@ -489,8 +368,8 @@ pub fn smallest_nonzero_eigenpairs_on(
 
 /// The solve phase of [`smallest_nonzero_eigenpairs_on`] on a prebuilt
 /// [`Hierarchy`]: coarsest-level solve, then the prolong + smooth +
-/// refine walk back up. Recursive bisection calls this directly with
-/// [`Hierarchy::restrict`]ed hierarchies so each half skips re-coarsening.
+/// refine walk back up, for callers that build the [`Hierarchy`] once and
+/// time or reuse it apart from the solve.
 ///
 /// The hierarchy must belong to `laplacian` (its first level's parent map
 /// is indexed by `laplacian`'s rows); small problems
@@ -545,16 +424,7 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
         )
     } else {
         COARSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-        let pairs = refine_from_block(
-            coarsest,
-            &[],
-            block,
-            tolerance,
-            seed,
-            opts,
-            pool,
-            "multilevel coarse fallback",
-        )?;
+        let pairs = refine_from_block(coarsest, block, tolerance, seed, opts, pool)?;
         (pairs, None)
     };
     if levels.is_empty() {
@@ -650,92 +520,30 @@ fn canonical_block(
     Ok(out)
 }
 
-/// Refine the bottom `k` nonzero eigenpairs **directly at the fine
-/// level** from caller-supplied warm-start vectors, skipping the coarse
-/// hierarchy entirely.
-///
-/// Recursive bisection uses this to amortise the parent fragment's solve:
-/// the parent's refined Fiedler vector restricted to a half is an
-/// excellent starting block for the half's own eigenproblem, so the child
-/// can skip the coarsest dense solve and the prolong/smooth walk-up. The
-/// block is padded to `k + guard_vectors` with seeded random guards, and
-/// the convergence target is identical to the hierarchy path's
-/// (`tolerance · max(gershgorin, 1)`); if [`MultilevelOptions::max_refine_steps`]
-/// sweeps cannot reach it from the supplied guess, the call returns
-/// [`LinalgError::NoConvergence`] and the caller should fall back to a
-/// full hierarchy solve. Every failure is counted in
-/// [`SolverCounters::warm_start_failures`]. With no hierarchy at hand,
-/// the inner solves are Jacobi-PCG.
-pub fn refine_warm_started_on(
-    laplacian: &CsrMatrix,
-    warm: &[Vec<f64>],
-    k: usize,
-    tolerance: f64,
-    seed: u64,
-    opts: &MultilevelOptions,
-    pool: &Pool,
-) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
-    let n = laplacian.rows();
-    if n < k + 1 {
-        return Err(LinalgError::ProblemTooSmall {
-            dimension: n,
-            minimum: k + 1,
-        });
-    }
-    if k == 0 {
-        return Ok(vec![]);
-    }
-    for w in warm {
-        if w.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                context: "multilevel warm start",
-                expected: n,
-                found: w.len(),
-            });
-        }
-    }
-    refine_from_block(
-        laplacian,
-        warm,
-        k,
-        tolerance,
-        seed,
-        opts,
-        pool,
-        "multilevel warm start",
-    )
-    .inspect_err(|_| {
-        WARM_START_FAILURES.fetch_add(1, Ordering::Relaxed);
-    })
-}
-
-/// Block inverse iteration at `laplacian`'s own level from the `start`
-/// vectors, padded to `k + guard_vectors` with seeded random vectors, with
-/// Jacobi-PCG inner solves: the shared body of the warm start and of the
+/// Block inverse iteration at `laplacian`'s own level from a seeded random
+/// block of `k + guard_vectors` vectors, with Jacobi-PCG inner solves: the
 /// coarse solve of a stalled hierarchy. Returns the bottom `k` nonzero
-/// pairs in canonical form, or [`LinalgError::NoConvergence`] (reported as
-/// `solver`) when [`MultilevelOptions::max_refine_steps`] sweeps miss the
-/// target `tolerance · max(gershgorin, 1)`. Callers check `k < n`.
-#[allow(clippy::too_many_arguments)]
+/// pairs in canonical form, or [`LinalgError::NoConvergence`] when
+/// [`MultilevelOptions::max_refine_steps`] sweeps miss the target
+/// `tolerance · max(gershgorin, 1)`. Callers check `k < n`.
 fn refine_from_block(
     laplacian: &CsrMatrix,
-    start: &[Vec<f64>],
     k: usize,
     tolerance: f64,
     seed: u64,
     opts: &MultilevelOptions,
     pool: &Pool,
-    solver: &'static str,
 ) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
     let n = laplacian.rows();
-    let block = (k + opts.guard_vectors).max(k).min(n - 1);
+    let block = (k + opts.guard_vectors).min(n - 1);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_AA3A_5E00_0001);
-    let mut columns: Vec<Vec<f64>> = start.iter().take(block).cloned().collect();
-    while columns.len() < block {
-        let mut v = vec![0.0; n];
-        vector::fill_random(&mut rng, &mut v);
-        columns.push(v);
-    }
+    let columns: Vec<Vec<f64>> = (0..block)
+        .map(|_| {
+            let mut v = vec![0.0; n];
+            vector::fill_random(&mut rng, &mut v);
+            v
+        })
+        .collect();
     let mut vectors = Block::from_columns(&columns);
     drop(columns);
     let scale = laplacian.gershgorin_upper_bound().max(1.0);
@@ -754,7 +562,7 @@ fn refine_from_block(
     let worst = worst_residual(laplacian, &vectors, &lambdas, k, pool);
     if worst > target {
         return Err(LinalgError::NoConvergence {
-            solver,
+            solver: "multilevel coarse fallback",
             iterations: opts.max_refine_steps,
             residual: worst,
             tolerance: target,
@@ -1256,8 +1064,8 @@ impl pcg::Preconditioner for VCycle<'_, '_> {
 /// whose right-hand sides are built inside the `LV` buffer.
 ///
 /// The inner solves are preconditioned by `vcycle`, or by Jacobi without
-/// one (the warm start, which has no hierarchy, and walks whose coarsest
-/// level was too big for a dense pseudo-inverse). A V-cycle solve that
+/// one (walks whose coarsest level was too big for a dense
+/// pseudo-inverse). A V-cycle solve that
 /// fails with [`LinalgError::NotPositiveDefinite`] or
 /// [`LinalgError::NoConvergence`] is retried alone with Jacobi-PCG and
 /// counted in [`SolverCounters::vcycle_retries`]. A finite `target` marks
@@ -1576,25 +1384,48 @@ mod tests {
     #[test]
     fn coarsening_is_galerkin_product() {
         // The contracted operator must satisfy (PᵀLP)x = Pᵀ(L(Px)) for any
-        // coarse vector x.
-        let lap = grid_laplacian(5, 4);
-        let c = coarsen_laplacian(&lap, &Pool::default()).unwrap();
-        let nc = c.coarse_len();
-        let x: Vec<f64> = (0..nc).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
-        let px = c.prolong(&x);
-        let lpx = lap.matvec(&px).unwrap();
-        let mut ptlpx = vec![0.0; nc];
-        for (v, &p) in c.parent.iter().enumerate() {
-            ptlpx[p] += lpx[v];
-        }
-        let direct = c.coarse.matvec(&x).unwrap();
-        for i in 0..nc {
-            assert!(
-                (ptlpx[i] - direct[i]).abs() < 1e-10,
-                "coarse row {i}: {} vs {}",
-                ptlpx[i],
-                direct[i]
-            );
+        // coarse vector x. The 4-cycle matches into two pairs joined by two
+        // parallel edges, whose weights must add up (coarse entry −2); the
+        // edgeless graph has nothing to match and stays all singletons.
+        let cycle = CsrMatrix::from_triplets(
+            4,
+            4,
+            &(0..4)
+                .flat_map(|i| {
+                    let j = (i + 1) % 4;
+                    [(i, i, 2.0), (i, j, -1.0), (j, i, -1.0)]
+                })
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let edgeless = CsrMatrix::from_triplets(5, 5, &[]).unwrap();
+        for (name, lap, expected) in [
+            ("5x4 grid", grid_laplacian(5, 4), None),
+            ("4-cycle", cycle, Some((2, -2.0))),
+            ("edgeless", edgeless, Some((5, 0.0))),
+        ] {
+            let c = coarsen_laplacian(&lap, &Pool::default()).unwrap();
+            let nc = c.coarse_len();
+            if let Some((len, weight)) = expected {
+                assert_eq!(nc, len, "{name}");
+                assert_eq!(c.coarse.get(0, 1), weight, "{name}");
+            }
+            let x: Vec<f64> = (0..nc).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
+            let px: Vec<f64> = c.parent.iter().map(|&p| x[p]).collect();
+            let lpx = lap.matvec(&px).unwrap();
+            let mut ptlpx = vec![0.0; nc];
+            for (v, &p) in c.parent.iter().enumerate() {
+                ptlpx[p] += lpx[v];
+            }
+            let direct = c.coarse.matvec(&x).unwrap();
+            for i in 0..nc {
+                assert!(
+                    (ptlpx[i] - direct[i]).abs() < 1e-10,
+                    "{name}, coarse row {i}: {} vs {}",
+                    ptlpx[i],
+                    direct[i]
+                );
+            }
         }
     }
 

@@ -12,14 +12,14 @@
 //!   for elementwise updates (axpy, scale, Jacobi sweeps) and row-chunked
 //!   SpMV, all of which compute each output element independently, so the
 //!   result is bitwise identical no matter how the slice is split.
-//! * [`Pool::reduce`] — *deterministic tree reduction*: partial results are
+//! * [`Pool::map_chunks`] — *deterministic chunk map*: results are
 //!   computed per **fixed-size chunk** (boundaries depend only on the
-//!   problem size, never on the thread count) and combined by a pairwise
-//!   tree in chunk order. A parallel dot product therefore returns the
-//!   **same bits** whether run on 1, 2, or 64 threads — and the serial
-//!   kernels in [`crate::vector`] use the identical chunking, so switching
-//!   threading on or off cannot change a single eigenvalue, residual, or
-//!   linear-order rank downstream.
+//!   problem size, never on the thread count) and returned in chunk order.
+//!   Reductions fold those partials by a pairwise tree in chunk order, so a
+//!   parallel dot product returns the **same bits** whether run on 1, 2,
+//!   or 64 threads — and the serial kernels in [`crate::vector`] use the
+//!   identical chunking, so switching threading on or off cannot change a
+//!   single eigenvalue, residual, or linear-order rank downstream.
 //!
 //! # Dispatch: one job per worker, not per chunk
 //!
@@ -69,8 +69,6 @@
 //! — `pipeline_scale` records them and CI gates on them.
 
 use crate::pool::WorkerPool;
-use crate::sparse::CsrMatrix;
-use crate::vector;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -294,8 +292,8 @@ impl<'e> Pool<'e> {
     /// Chunked `par_for`: split `data` into one contiguous chunk-aligned
     /// span per engaged worker and run `f(offset, span)` on each in
     /// parallel. Engages workers at [`SPAWN_MIN`] — the heavy-kernel
-    /// threshold; level-1 wrappers use the [`LIGHT_SPAWN_MIN`] variant
-    /// internally.
+    /// threshold; the block kernels' level-1 passes engage at
+    /// [`LIGHT_SPAWN_MIN`] rows.
     ///
     /// `f` must compute each element of its span from the element's
     /// *global* index only (`offset + local`), independent of the split —
@@ -313,44 +311,13 @@ impl<'e> Pool<'e> {
         );
     }
 
-    /// [`Pool::for_each_chunk`] with the light-kernel engagement
-    /// threshold — for level-1, memory-bound elementwise passes.
-    pub(crate) fn for_each_chunk_light<T, F>(&self, data: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        let workers = self.workers_for_min(data.len(), LIGHT_SPAWN_MIN);
-        self.split_run(workers, REDUCE_CHUNK, data, f);
-    }
-
-    /// Deterministic reduction over `0..n`: `partial(start, end)` is
-    /// evaluated for every fixed [`REDUCE_CHUNK`]-sized chunk (in parallel
-    /// when worthwhile, via [`Pool::map_chunks`]) and the partials are
-    /// combined by a pairwise tree fold in chunk order — bitwise
-    /// reproducible for any thread count.
-    pub fn reduce<F>(&self, n: usize, partial: F) -> f64
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        tree_fold(&mut self.map_chunks(n, partial))
-    }
-
-    /// [`Pool::reduce`] with the light-kernel engagement threshold.
-    pub(crate) fn reduce_light<F>(&self, n: usize, partial: F) -> f64
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        tree_fold(&mut self.map_chunks_min(LIGHT_SPAWN_MIN, n, partial))
-    }
-
     /// Evaluate `f(start, end)` for every fixed [`REDUCE_CHUNK`]-sized
     /// chunk of `0..n` (in parallel when worthwhile) and return the
-    /// per-chunk results **in chunk order** — the gather analogue of
-    /// [`Pool::reduce`], used for passes that collect variable-sized
-    /// output per row range (e.g. the edge-rating pass of heavy-edge
-    /// matching). Chunk boundaries depend only on `n`, so the concatenated
-    /// result is identical for every thread count.
+    /// per-chunk results **in chunk order**: the partials of a reduction
+    /// (tree-folded by the caller), or the variable-sized output of a pass
+    /// over row ranges (e.g. the edge-rating pass of heavy-edge matching).
+    /// Chunk boundaries depend only on `n`, so the result is identical for
+    /// every thread count.
     pub fn map_chunks<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -359,6 +326,7 @@ impl<'e> Pool<'e> {
         self.map_chunks_min(SPAWN_MIN, n, f)
     }
 
+    /// [`Pool::map_chunks`] with the engagement threshold `min`.
     pub(crate) fn map_chunks_min<T, F>(&self, min: usize, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -381,63 +349,6 @@ impl<'e> Pool<'e> {
         out.into_iter()
             .map(|slot| slot.expect("every chunk evaluated"))
             .collect()
-    }
-
-    /// Dot product `xᵀy` — parallel, bitwise equal to [`vector::dot`].
-    pub fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        debug_assert_eq!(x.len(), y.len(), "dot: length mismatch");
-        self.reduce_light(x.len(), |a, b| vector::dot_kernel(&x[a..b], &y[a..b]))
-    }
-
-    /// Euclidean norm `‖x‖₂` — parallel, bitwise equal to
-    /// [`vector::norm2`].
-    pub fn norm2(&self, x: &[f64]) -> f64 {
-        self.dot(x, x).sqrt()
-    }
-
-    /// Entry sum — parallel, bitwise equal to the serial chunked sum
-    /// behind [`vector::mean`].
-    pub fn sum(&self, x: &[f64]) -> f64 {
-        self.reduce_light(x.len(), |a, b| vector::sum_kernel(&x[a..b]))
-    }
-
-    /// `y ← y + alpha·x` — parallel, elementwise (bitwise equal to
-    /// [`vector::axpy`] for any thread count).
-    pub fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-        self.for_each_chunk_light(y, |off, chunk| {
-            vector::axpy(alpha, &x[off..off + chunk.len()], chunk);
-        });
-    }
-
-    /// `x ← alpha·x` — parallel.
-    pub fn scale(&self, alpha: f64, x: &mut [f64]) {
-        self.for_each_chunk_light(x, |_, chunk| vector::scale(alpha, chunk));
-    }
-
-    /// Subtract the mean from every entry — parallel, bitwise equal to
-    /// [`vector::center`].
-    pub fn center(&self, x: &mut [f64]) {
-        if x.is_empty() {
-            return;
-        }
-        let m = self.sum(x) / x.len() as f64;
-        self.for_each_chunk_light(x, |_, chunk| {
-            for v in chunk.iter_mut() {
-                *v -= m;
-            }
-        });
-    }
-
-    /// `y = A x` with row-chunked parallelism — each output row is an
-    /// independent sparse dot product, so the result is bitwise equal to
-    /// [`CsrMatrix::matvec_into`] for any thread count. Heavy-kernel
-    /// threshold: a CSR row costs a sparse dot, so [`SPAWN_MIN`] rows
-    /// amortise the engagement.
-    pub fn matvec_into(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), a.cols());
-        debug_assert_eq!(y.len(), a.rows());
-        self.for_each_chunk(y, |row0, chunk| a.matvec_rows_into(row0, x, chunk));
     }
 }
 
@@ -470,6 +381,9 @@ pub(crate) fn tree_fold(partials: &mut [f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block;
+    use crate::sparse::CsrMatrix;
+    use crate::vector;
     use rand::{Rng, SeedableRng};
     use std::sync::Mutex;
     use std::thread::ThreadId;
@@ -501,19 +415,20 @@ mod tests {
         CsrMatrix::from_triplets(w * h, w * h, &t).unwrap()
     }
 
-    /// The threads `reduce_light` / `map_chunks` evaluate chunks on.
-    fn chunk_threads(pool: &Pool<'_>, n: usize, light: bool) -> Vec<ThreadId> {
+    /// The threads `map_chunks_min` evaluates chunks on at threshold `min`.
+    fn chunk_threads(pool: &Pool<'_>, n: usize, min: usize) -> Vec<ThreadId> {
         let seen = Mutex::new(Vec::new());
-        let record = |_: usize, _: usize| {
+        pool.map_chunks_min(min, n, |_, _| {
             seen.lock().unwrap().push(std::thread::current().id());
-            0.0
-        };
-        if light {
-            pool.reduce_light(n, record);
-        } else {
-            pool.map_chunks(n, record);
-        }
+        });
         seen.into_inner().unwrap()
+    }
+
+    /// `y ← y + alpha·x` and `y ← beta·y` on the light elementwise pass
+    /// the solver's column updates run on.
+    fn axpy_then_scale(pool: &Pool<'_>, alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
+        block::for_rows(pool, y, 1, |i, row| row[0] += alpha * x[i]);
+        block::for_rows(pool, y, 1, |_, row| row[0] *= beta);
     }
 
     #[test]
@@ -596,7 +511,7 @@ mod tests {
         let y = random_vec(n, 2);
         let serial = vector::dot(&x, &y);
         for t in [1usize, 2, 4] {
-            let par = with_threads(Some(t), |pool| pool.dot(&x, &y));
+            let par = with_threads(Some(t), |pool| block::dot(pool, &x, &y, 1)[0]);
             assert_eq!(par.to_bits(), serial.to_bits(), "threads={t}");
         }
     }
@@ -608,11 +523,12 @@ mod tests {
         let serial_sum: f64 = vector::sum_kernel_chunked(&base);
         for t in [1usize, 2, 4] {
             with_threads(Some(t), |pool| {
-                assert_eq!(pool.sum(&base).to_bits(), serial_sum.to_bits());
+                let sum = block::col_sum(pool, &base, 1, 0);
+                assert_eq!(sum.to_bits(), serial_sum.to_bits());
                 let mut a = base.clone();
                 let mut b = base.clone();
                 vector::center(&mut a);
-                pool.center(&mut b);
+                block::col_center(pool, &mut b, 1, 0);
                 assert_eq!(a, b, "center differs at threads={t}");
             });
         }
@@ -628,18 +544,16 @@ mod tests {
                 let mut a = base.clone();
                 let mut b = base.clone();
                 vector::axpy(0.37, &x, &mut a);
-                pool.axpy(0.37, &x, &mut b);
-                assert_eq!(a, b, "axpy differs at threads={t}");
                 vector::scale(-1.5, &mut a);
-                pool.scale(-1.5, &mut b);
-                assert_eq!(a, b, "scale differs at threads={t}");
+                axpy_then_scale(pool, 0.37, &x, -1.5, &mut b);
+                assert_eq!(a, b, "axpy and scale differ at threads={t}");
             });
         }
     }
 
     #[test]
     fn light_kernels_below_threshold_run_inline_but_match() {
-        // Between SPAWN_MIN and LIGHT_SPAWN_MIN the level-1 wrappers run
+        // Between SPAWN_MIN and LIGHT_SPAWN_MIN the level-1 passes run
         // inline (dispatch would cost more than the pass), with results
         // bitwise unchanged.
         let n = SPAWN_MIN + 3 * REDUCE_CHUNK;
@@ -648,8 +562,13 @@ mod tests {
         let workers = WorkerPool::new(4);
         let pool = workers.linalg_pool();
         let caller = std::thread::current().id();
-        assert!(chunk_threads(&pool, n, true).iter().all(|&t| t == caller));
-        assert_eq!(pool.dot(&x, &y).to_bits(), vector::dot(&x, &y).to_bits());
+        assert!(chunk_threads(&pool, n, LIGHT_SPAWN_MIN)
+            .iter()
+            .all(|&t| t == caller));
+        assert_eq!(
+            block::dot(&pool, &x, &y, 1)[0].to_bits(),
+            vector::dot(&x, &y).to_bits()
+        );
     }
 
     #[test]
@@ -660,7 +579,7 @@ mod tests {
         lap.matvec_into(&x, &mut serial);
         for t in [1usize, 2, 4] {
             let mut y = vec![0.0; lap.rows()];
-            with_threads(Some(t), |pool| pool.matvec_into(&lap, &x, &mut y));
+            with_threads(Some(t), |pool| block::spmm(pool, &lap, &x, &mut y, 1));
             assert_eq!(y, serial, "matvec differs at threads={t}");
         }
     }
@@ -671,8 +590,10 @@ mod tests {
         let x = random_vec(100, 7);
         let y = random_vec(100, 8);
         with_threads(Some(8), |pool| {
-            assert_eq!(pool.dot(&x, &y).to_bits(), vector::dot(&x, &y).to_bits());
-            assert_eq!(pool.norm2(&x).to_bits(), vector::norm2(&x).to_bits());
+            let dot = block::dot(pool, &x, &y, 1)[0];
+            assert_eq!(dot.to_bits(), vector::dot(&x, &y).to_bits());
+            let norm = block::dot(pool, &x, &x, 1)[0].sqrt();
+            assert_eq!(norm.to_bits(), vector::norm2(&x).to_bits());
         });
     }
 
@@ -685,7 +606,7 @@ mod tests {
         let mut y = vec![0.0; lap.rows()];
         let workers = WorkerPool::new(4);
         let before = dispatch_counters();
-        workers.linalg_pool().matvec_into(&lap, &x, &mut y);
+        block::spmm(&workers.linalg_pool(), &lap, &x, &mut y, 1);
         let d = dispatch_counters().since(&before);
         assert_eq!(d.scope_entries, 1);
         assert_eq!(d.jobs_submitted, 3);
@@ -705,22 +626,22 @@ mod tests {
             let pooled = workers.linalg_pool();
             assert_eq!(pooled.threads(), t);
             assert_eq!(
-                pooled.dot(&x, &y).to_bits(),
-                serial.dot(&x, &y).to_bits(),
+                block::dot(&pooled, &x, &y, 1)[0].to_bits(),
+                block::dot(&serial, &x, &y, 1)[0].to_bits(),
                 "dot differs at threads={t}"
             );
             let mut a = y.clone();
             let mut b = y.clone();
-            serial.axpy(0.73, &x, &mut a);
-            pooled.axpy(0.73, &x, &mut b);
+            axpy_then_scale(&serial, 0.73, &x, 1.0, &mut a);
+            axpy_then_scale(&pooled, 0.73, &x, 1.0, &mut b);
             assert_eq!(a, b, "axpy differs at threads={t}");
-            serial.center(&mut a);
-            pooled.center(&mut b);
+            block::col_center(&serial, &mut a, 1, 0);
+            block::col_center(&pooled, &mut b, 1, 0);
             assert_eq!(a, b, "center differs at threads={t}");
             let mut mv_serial = vec![0.0; lap.rows()];
             let mut mv_pooled = vec![0.0; lap.rows()];
-            serial.matvec_into(&lap, &v, &mut mv_serial);
-            pooled.matvec_into(&lap, &v, &mut mv_pooled);
+            block::spmm(&serial, &lap, &v, &mut mv_serial, 1);
+            block::spmm(&pooled, &lap, &v, &mut mv_pooled, 1);
             assert_eq!(mv_pooled, mv_serial, "matvec differs at threads={t}");
         }
     }
@@ -732,17 +653,19 @@ mod tests {
         let workers = WorkerPool::new(8);
         let pool = workers.linalg_pool();
         let caller = std::thread::current().id();
-        assert!(chunk_threads(&pool, 64, false).iter().all(|&t| t == caller));
-        assert!(chunk_threads(&pool, SPAWN_MIN - 1, false)
+        assert!(chunk_threads(&pool, 64, SPAWN_MIN)
+            .iter()
+            .all(|&t| t == caller));
+        assert!(chunk_threads(&pool, SPAWN_MIN - 1, SPAWN_MIN)
             .iter()
             .all(|&t| t == caller));
         // Light ops stay inline all the way up to LIGHT_SPAWN_MIN.
-        assert!(chunk_threads(&pool, LIGHT_SPAWN_MIN - 1, true)
+        assert!(chunk_threads(&pool, LIGHT_SPAWN_MIN - 1, LIGHT_SPAWN_MIN)
             .iter()
             .all(|&t| t == caller));
         let x = random_vec(64, 14);
         assert_eq!(
-            pool.sum(&x).to_bits(),
+            block::col_sum(&pool, &x, 1, 0).to_bits(),
             vector::sum_kernel_chunked(&x).to_bits()
         );
     }
@@ -763,16 +686,13 @@ mod tests {
 
     #[test]
     fn reduce_chunk_boundaries_depend_on_size_only() {
-        // A reduction whose partial records its chunk start: the observed
-        // chunk grid must be the same for 1 and 4 threads.
+        // A chunk map that records each chunk's start: the observed chunk
+        // grid must be the same for 1 and 4 threads.
         let n = SPAWN_MIN * 2 + 5;
         let collect = |threads: usize| {
             let starts = Mutex::new(Vec::new());
             with_threads(Some(threads), |pool| {
-                pool.reduce(n, |a, _b| {
-                    starts.lock().unwrap().push(a);
-                    0.0
-                })
+                pool.map_chunks(n, |a, _b| starts.lock().unwrap().push(a))
             });
             let mut v = starts.into_inner().unwrap();
             v.sort_unstable();

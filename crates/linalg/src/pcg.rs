@@ -9,8 +9,8 @@
 //!   constant. Section 4's weighted graphs (inverse-distance weights,
 //!   heavy affinity edges) can skew the diagonal by orders of magnitude;
 //!   dividing by it restores the iteration count at one extra vector
-//!   multiply per step. The multilevel warm start and the coarse solve
-//!   of a stalled hierarchy, which have no V-cycle to offer, use it.
+//!   multiply per step. The coarse solve of a stalled hierarchy, which
+//!   has no V-cycle to offer, uses it.
 //! * The aggregation V-cycle of [`crate::multilevel`], which the
 //!   multilevel walk uses on the hierarchy it already built.
 //!

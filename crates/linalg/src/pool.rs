@@ -263,17 +263,14 @@ mod tests {
         let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
         let serial = crate::Pool::serial();
         assert_eq!(
-            shared.dot(&x, &y).to_bits(),
-            serial.dot(&x, &y).to_bits(),
+            crate::block::dot(&shared, &x, &y, 1)[0].to_bits(),
+            crate::block::dot(&serial, &x, &y, 1)[0].to_bits(),
             "pooled dot diverged from serial"
         );
         let mut a = y.clone();
         let mut b = y.clone();
-        serial.axpy(1.25, &x, &mut a);
-        shared.axpy(1.25, &x, &mut b);
-        assert_eq!(a, b);
-        serial.center(&mut a);
-        shared.center(&mut b);
+        crate::block::col_center(&serial, &mut a, 1, 0);
+        crate::block::col_center(&shared, &mut b, 1, 0);
         assert_eq!(a, b);
         // The pool keeps serving ordinary jobs afterwards.
         let mut results = vec![0usize; 1];

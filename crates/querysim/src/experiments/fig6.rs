@@ -19,7 +19,7 @@
 
 use crate::experiments::{series_per_mapping, FigureData, FigureSeries};
 use crate::mappings::MappingSet;
-use crate::metrics::{self, SpanStats};
+use crate::metrics;
 use crate::workloads;
 use serde::Serialize;
 use slpm_graph::grid::GridSpec;
@@ -155,21 +155,6 @@ pub fn run_worst_case_partial(cfg: &Fig6Config) -> FigureData {
     }
 }
 
-/// Detailed span statistics per mapping at one query size — used by the
-/// storage layer's experiments and the benches.
-pub fn span_stats_at(cfg: &Fig6Config, percent: f64) -> Vec<(String, SpanStats)> {
-    let spec = GridSpec::cube(cfg.side, cfg.ndim);
-    let set = MappingSet::paper_set(&spec).expect("power-of-two grid");
-    set.iter()
-        .map(|(label, order)| {
-            (
-                label.to_string(),
-                metrics::partial_range_span_stats(&spec, order, percent, cfg.shape_tolerance),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,15 +253,6 @@ mod tests {
         }
         for s in &fair.series {
             assert_eq!(s.points[0].1, 0.0, "{}", s.label);
-        }
-    }
-
-    #[test]
-    fn span_stats_at_returns_all_mappings() {
-        let stats = span_stats_at(&Fig6Config::quick(), 12.5);
-        assert_eq!(stats.len(), 5);
-        for (_, s) in &stats {
-            assert!(s.count > 0);
         }
     }
 }

@@ -132,19 +132,6 @@ pub fn partial_range_span_stats(
     SpanStats::from_observations(values)
 }
 
-/// Span statistics over a *sampled* set of boxes (large grids).
-pub fn sampled_range_span_stats(
-    spec: &GridSpec,
-    order: &LinearOrder,
-    side: usize,
-    samples: usize,
-    seed: u64,
-) -> SpanStats {
-    let sides = vec![side; spec.ndim()];
-    let boxes = workloads::sample_boxes(spec, &sides, samples, seed);
-    SpanStats::from_observations(boxes.iter().map(|b| range_span(spec, order, b)))
-}
-
 /// The *boundary stretch* of an order: the maximum 1-D distance across any
 /// Manhattan-distance-1 pair — Figure 1's per-curve numbers are exactly
 /// this quantity evaluated on specific pairs, and its maximum is the
@@ -235,16 +222,6 @@ mod tests {
         let o = sweep_order(&spec);
         let s = range_span_stats(&spec, &o, 1);
         assert_eq!(s.max, 0);
-    }
-
-    #[test]
-    fn sampled_stats_bounded_by_exhaustive() {
-        let spec = GridSpec::new(&[8, 8]);
-        let o = sweep_order(&spec);
-        let full = range_span_stats(&spec, &o, 3);
-        let sampled = sampled_range_span_stats(&spec, &o, 3, 20, 42);
-        assert!(sampled.max <= full.max);
-        assert!(sampled.min >= full.min);
     }
 
     #[test]

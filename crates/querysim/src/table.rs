@@ -27,11 +27,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with right-aligned columns separated by two spaces.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -69,17 +64,6 @@ impl TextTable {
     }
 }
 
-/// Format a float with 2 decimal places (the precision the paper's plots
-/// can be read to).
-pub fn fmt_f(v: f64) -> String {
-    format!("{v:.2}")
-}
-
-/// Format a percentage with 1 decimal place.
-pub fn fmt_pct(v: f64) -> String {
-    format!("{v:.1}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,7 +80,6 @@ mod tests {
         assert!(lines[1].starts_with('-'));
         // Right alignment pads the short cells.
         assert!(lines[2].starts_with("        a"));
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]
@@ -104,11 +87,5 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = TextTable::new(["a", "b"]);
         t.push_row(["only-one"]);
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(fmt_f(1.234), "1.23");
-        assert_eq!(fmt_pct(33.333), "33.3");
     }
 }

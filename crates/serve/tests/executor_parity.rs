@@ -7,13 +7,15 @@
 //! [`WorkerPool`] (`WorkerPool::linalg_pool()`), at **any thread count**
 //! — the fixed `REDUCE_CHUNK` tree-reduction
 //! grid depends only on the problem size, so scheduling moves work, never
-//! bits. This matrix covers the level-1 kernels (dot, norm2, axpy), the
-//! CSR matvec, the full multilevel Fiedler solve and the recursive
-//! spectral-bisection order across {1, 2, 4} threads.
+//! bits. This matrix covers a Jacobi-PCG solve (the level-1 block kernels
+//! and the CSR matvec), the chunked row-parallel matvec, the full
+//! multilevel Fiedler solve and the recursive spectral-bisection order
+//! across {1, 2, 4} threads.
 
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_linalg::fiedler::fiedler_pair_on;
-use slpm_linalg::{CsrMatrix, FiedlerMethod, FiedlerOptions, FiedlerPair, Pool};
+use slpm_linalg::pcg::solve_jacobi_on;
+use slpm_linalg::{CgOptions, CsrMatrix, FiedlerMethod, FiedlerOptions, FiedlerPair, Pool};
 use slpm_serve::WorkerPool;
 use spectral_lpm::{rsb_order_on, RsbOptions, SpectralConfig};
 
@@ -28,36 +30,47 @@ fn pooled<T>(threads: usize, f: impl Fn(&Pool<'_>) -> T) -> (String, T) {
 
 #[test]
 fn level1_kernels_and_matvec_match_serial_bitwise() {
-    // Long enough that even the memory-bound level-1 kernels engage the
-    // pool instead of staying on the caller thread.
+    // A Jacobi-PCG solve runs the level-1 block kernels (dots, the CG
+    // step, the direction update) and the CSR matvec on the pool; the
+    // chunked par_for runs the matvec on its own. Long enough that even the
+    // memory-bound level-1 passes engage the pool instead of staying on the
+    // caller thread: a shifted, diagonally dominant path operator, so the
+    // solve converges in a few iterations.
     let n = slpm_linalg::parallel::LIGHT_SPAWN_MIN + 12_345;
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-    let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
-    // Heavy-op threshold is lower; a modest grid Laplacian crosses it.
-    let spec = GridSpec::new(&[160, 120]);
-    let lap: CsrMatrix = spec.graph(Connectivity::Orthogonal).laplacian();
-    let v: Vec<f64> = (0..lap.rows()).map(|i| (i as f64 * 0.73).sin()).collect();
-
-    let serial = Pool::serial();
-    let dot0 = serial.dot(&x, &y);
-    let norm0 = serial.norm2(&x);
-    let mut axpy0 = y.clone();
-    serial.axpy(1.25, &x, &mut axpy0);
-    let mut mv0 = vec![0.0; lap.rows()];
-    serial.matvec_into(&lap, &v, &mut mv0);
+    let mut t = Vec::with_capacity(3 * n);
+    for i in 0..n {
+        t.push((i, i, 4.0 + (i % 7) as f64));
+        if i + 1 < n {
+            t.push((i, i + 1, -1.0));
+            t.push((i + 1, i, -1.0));
+        }
+    }
+    let a = CsrMatrix::from_triplets(n, n, &t).unwrap();
+    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+    let opts = CgOptions {
+        tolerance: 1e-10,
+        ..Default::default()
+    };
+    let run = |pool: &Pool<'_>| {
+        let solved = solve_jacobi_on(&a, &b, &opts, *pool).unwrap();
+        let mut ab = vec![0.0; n];
+        pool.for_each_chunk(&mut ab, |row0, chunk| a.matvec_rows_into(row0, &b, chunk));
+        (solved.solution, solved.iterations, ab)
+    };
+    let (x0, iterations0, ab0) = run(&Pool::serial());
+    assert!(iterations0 > 1, "the solve must take several CG steps");
 
     for threads in THREAD_COUNTS {
-        let (label, (dot, norm, axpy, mv)) = pooled(threads, |pool| {
-            let mut a = y.clone();
-            pool.axpy(1.25, &x, &mut a);
-            let mut m = vec![0.0; lap.rows()];
-            pool.matvec_into(&lap, &v, &mut m);
-            (pool.dot(&x, &y), pool.norm2(&x), a, m)
-        });
-        assert_eq!(dot.to_bits(), dot0.to_bits(), "dot: {label}");
-        assert_eq!(norm.to_bits(), norm0.to_bits(), "norm2: {label}");
-        assert_eq!(axpy, axpy0, "axpy: {label}");
-        assert_eq!(mv, mv0, "matvec: {label}");
+        let (label, (x, iterations, ab)) = pooled(threads, run);
+        assert_eq!(iterations, iterations0, "iterations: {label}");
+        assert!(
+            x.iter().zip(&x0).all(|(p, q)| p.to_bits() == q.to_bits()),
+            "pcg solution: {label}"
+        );
+        assert!(
+            ab.iter().zip(&ab0).all(|(p, q)| p.to_bits() == q.to_bits()),
+            "matvec: {label}"
+        );
     }
 }
 
@@ -88,8 +101,8 @@ fn multilevel_fiedler_solve_matches_serial_bitwise() {
 
 #[test]
 fn recursive_bisection_order_matches_serial_exactly() {
-    // The hierarchy-reusing recursive bisection driver on top of it all:
-    // identical ranks at every thread count.
+    // The recursive bisection driver on top of it all: identical ranks at
+    // every thread count.
     let spec = GridSpec::new(&[36, 24]);
     let graph = spec.graph(Connectivity::Orthogonal);
     let opts = RsbOptions {
@@ -101,7 +114,6 @@ fn recursive_bisection_order_matches_serial_exactly() {
             },
             ..Default::default()
         },
-        reuse_hierarchy: true,
     };
     let reference = rsb_order_on(&graph, &opts, &Pool::serial()).unwrap();
 
