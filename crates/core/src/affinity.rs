@@ -42,11 +42,8 @@ impl AffinityEdge {
 /// Superimpose affinity edges on a copy of `base`. Weights add to any
 /// existing edge weight (repeating an observation strengthens the tie).
 pub fn apply_affinity(base: &Graph, edges: &[AffinityEdge]) -> Result<Graph, GraphError> {
-    let mut g = base.clone();
-    for e in edges {
-        g.add_weighted_edge(e.u, e.v, e.weight)?;
-    }
-    Ok(g)
+    let extra = edges.iter().map(|e| (e.u, e.v, e.weight));
+    Graph::from_edges(base.num_vertices(), base.edges().chain(extra))
 }
 
 /// Derive affinity edges from an access trace: every consecutive pair of
@@ -81,11 +78,7 @@ mod tests {
     use super::*;
 
     fn path(n: usize) -> Graph {
-        let mut g = Graph::new(n);
-        for i in 0..n - 1 {
-            g.add_edge(i, i + 1).unwrap();
-        }
-        g
+        Graph::from_edges(n, (1..n).map(|i| (i - 1, i, 1.0))).unwrap()
     }
 
     #[test]
@@ -110,6 +103,19 @@ mod tests {
         let base = path(3);
         assert!(apply_affinity(&base, &[AffinityEdge::unit(0, 9)]).is_err());
         assert!(apply_affinity(&base, &[AffinityEdge::weighted(0, 1, -1.0)]).is_err());
+    }
+
+    #[test]
+    fn overflowing_affinity_weights_are_typed_errors() {
+        let base = path(3);
+        let huge = |u, v| AffinityEdge::weighted(u, v, 1e308);
+        // Summed onto one pair, and meeting at one vertex.
+        for edges in [[huge(0, 1), huge(0, 1)], [huge(0, 1), huge(1, 2)]] {
+            assert!(matches!(
+                apply_affinity(&base, &edges),
+                Err(GraphError::BadWeight { .. })
+            ));
+        }
     }
 
     #[test]

@@ -137,10 +137,7 @@ mod tests {
 
     #[test]
     fn identity_on_path_is_perfect() {
-        let mut g = Graph::new(6);
-        for i in 0..5 {
-            g.add_edge(i, i + 1).unwrap();
-        }
+        let g = Graph::from_edges(6, (1..6).map(|i| (i - 1, i, 1.0))).unwrap();
         let report = OrderReport::compute(
             &g,
             &LinearOrder::identity(6),

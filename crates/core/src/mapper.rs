@@ -123,11 +123,8 @@ impl SpectralMapper {
     ) -> Result<SpectralMapping, MappingError> {
         let graph = points.neighbourhood_graph(self.config.connectivity);
         graph.require_connected()?;
-        let (laplacian, num_edges) = (graph.laplacian(), graph.num_edges());
-        // The order needs only the Laplacian: free the edge map before the
-        // eigensolve, whose workspace is the peak of the whole mapping.
-        drop(graph);
-        self.map_laplacian_on(&laplacian, num_edges, pool)
+        let num_edges = graph.num_edges();
+        self.map_laplacian_on(&graph.into_laplacian(), num_edges, pool)
     }
 
     /// Map a pre-built graph — the fully general Section 4 form (weighted
@@ -248,10 +245,35 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_point_sets_give_orders_or_typed_errors() {
+        let map = |points: Vec<Vec<i64>>| {
+            let points = PointSet::new(points).unwrap();
+            mapper().map_points_on(&points, &Pool::default())
+        };
+        assert!(matches!(
+            map(vec![vec![3, 4]]),
+            Err(MappingError::Linalg(LinalgError::ProblemTooSmall { .. }))
+        ));
+        assert_eq!(map(vec![vec![0, 0], vec![0, 1]]).unwrap().order.len(), 2);
+        let duplicates = vec![vec![1, 1], vec![0, 1], vec![1, 1], vec![0, 1], vec![1, 0]];
+        assert_eq!(map(duplicates).unwrap().order.len(), 3);
+        assert!(matches!(
+            map(vec![vec![0, 0], vec![9, 9]]),
+            Err(MappingError::Graph(GraphError::Disconnected {
+                components: 2
+            }))
+        ));
+        let line: Vec<Vec<i64>> = (0..200).map(|x| vec![x, 7]).collect();
+        let order = map(line).unwrap().order;
+        assert_eq!(order.len(), 200);
+        // A line's spectral order is the line, one way or the other.
+        let ranks: Vec<usize> = (0..200).map(|v| order.rank_of(v)).collect();
+        assert!(ranks.windows(2).all(|w| w[0].abs_diff(w[1]) == 1));
+    }
+
+    #[test]
     fn disconnected_input_is_rejected() {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(2, 3).unwrap();
+        let g = Graph::from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]).unwrap();
         let err = mapper().map_graph_on(&g, &Pool::default()).unwrap_err();
         assert!(matches!(
             err,
@@ -278,10 +300,7 @@ mod tests {
     fn affinity_edges_pull_points_together() {
         // Section 4's motivating scenario on a path: affinity between the
         // endpoints drags them closer in the new order than without it.
-        let mut base = Graph::new(10);
-        for i in 0..9 {
-            base.add_edge(i, i + 1).unwrap();
-        }
+        let base = Graph::from_edges(10, (1..10).map(|i| (i - 1, i, 1.0))).unwrap();
         let plain = mapper().map_graph_on(&base, &Pool::default()).unwrap();
         let strong = mapper()
             .map_graph_with_affinity(
@@ -358,16 +377,16 @@ mod tests {
     /// of a 32-wide grid in row-major order.
     fn truncated_grid(n: usize) -> Graph {
         let width = 32;
-        let mut g = Graph::new(n);
+        let mut edges = Vec::new();
         for v in 0..n {
             if (v + 1) % width != 0 && v + 1 < n {
-                g.add_edge(v, v + 1).unwrap();
+                edges.push((v, v + 1, 1.0));
             }
             if v + width < n {
-                g.add_edge(v, v + width).unwrap();
+                edges.push((v, v + width, 1.0));
             }
         }
-        g
+        Graph::from_edges(n, edges).unwrap()
     }
 
     #[test]

@@ -112,11 +112,7 @@ mod tests {
     use slpm_graph::grid::{Connectivity, GridSpec};
 
     fn path(n: usize) -> Graph {
-        let mut g = Graph::new(n);
-        for i in 0..n - 1 {
-            g.add_edge(i, i + 1).unwrap();
-        }
-        g
+        Graph::from_edges(n, (1..n).map(|i| (i - 1, i, 1.0))).unwrap()
     }
 
     #[test]
@@ -133,8 +129,7 @@ mod tests {
 
     #[test]
     fn weighted_edges_scale_the_form() {
-        let mut g = Graph::new(2);
-        g.add_weighted_edge(0, 1, 3.0).unwrap();
+        let g = Graph::from_edges(2, [(0, 1, 3.0)]).unwrap();
         assert_eq!(quadratic_form(&g, &[0.0, 2.0]), 12.0);
     }
 
@@ -187,7 +182,7 @@ mod tests {
 
     #[test]
     fn bandwidth_of_empty_graph_is_zero() {
-        let g = Graph::new(3);
+        let g = Graph::from_edges(3, []).unwrap();
         assert_eq!(bandwidth(&g, &LinearOrder::identity(3)), 0);
     }
 

@@ -156,7 +156,7 @@ fn place(
     if vertices.is_empty() {
         return Ok(());
     }
-    let (sub, back) = original
+    let sub = original
         .induced_subgraph(vertices)
         .expect("vertex lists are deduplicated by construction");
 
@@ -181,14 +181,14 @@ fn place(
         // Base case: single-vector spectral order of the fragment (or the
         // trivial order for fragments the eigensolver is too small for).
         let local = if sub.num_vertices() >= 2 && sub.num_edges() >= 1 {
-            let mut v = fragment_fiedler_vector(&sub.laplacian(), opts, pool)?;
+            let mut v = fragment_fiedler_vector(&sub.into_laplacian(), opts, pool)?;
             stabilize_sign(&mut v);
             orient(fragment_order(&v))
         } else {
             LinearOrder::identity(sub.num_vertices())
         };
         for p in 0..local.len() {
-            rank[back[local.vertex_at(p)]] = *next_position;
+            rank[vertices[local.vertex_at(p)]] = *next_position;
             *next_position += 1;
         }
         return Ok(());
@@ -196,13 +196,13 @@ fn place(
 
     // Median cut on the Fiedler vector (Chan–Ciarlet–Szeto optimal
     // bisection point).
-    let mut v = fragment_fiedler_vector(&sub.laplacian(), opts, pool)?;
+    let mut v = fragment_fiedler_vector(&sub.into_laplacian(), opts, pool)?;
     stabilize_sign(&mut v);
     let local = orient(fragment_order(&v));
     let half = vertices.len() / 2;
-    let low: Vec<usize> = (0..half).map(|p| back[local.vertex_at(p)]).collect();
+    let low: Vec<usize> = (0..half).map(|p| vertices[local.vertex_at(p)]).collect();
     let high: Vec<usize> = (half..vertices.len())
-        .map(|p| back[local.vertex_at(p)])
+        .map(|p| vertices[local.vertex_at(p)])
         .collect();
     place(original, &low, opts, pool, rank, next_position)?;
     place(original, &high, opts, pool, rank, next_position)
@@ -294,10 +294,7 @@ mod tests {
 
     #[test]
     fn rsb_on_path_recovers_path() {
-        let mut g = Graph::new(12);
-        for i in 0..11 {
-            g.add_edge(i, i + 1).unwrap();
-        }
+        let g = Graph::from_edges(12, (1..12).map(|i| (i - 1, i, 1.0))).unwrap();
         let order = rsb_order_on(&g, &RsbOptions::default(), &Pool::default()).unwrap();
         let fwd: Vec<usize> = (0..12).collect();
         let bwd: Vec<usize> = (0..12).rev().collect();
@@ -310,7 +307,7 @@ mod tests {
 
     #[test]
     fn rsb_rejects_disconnected() {
-        let g = Graph::new(4);
+        let g = Graph::from_edges(4, []).unwrap();
         assert!(rsb_order_on(&g, &RsbOptions::default(), &Pool::default()).is_err());
     }
 
@@ -364,10 +361,7 @@ mod tests {
 
     #[test]
     fn multi_vector_with_one_vector_matches_fiedler_order_on_path() {
-        let mut g = Graph::new(9);
-        for i in 0..8 {
-            g.add_edge(i, i + 1).unwrap();
-        }
+        let g = Graph::from_edges(9, (1..9).map(|i| (i - 1, i, 1.0))).unwrap();
         let single = crate::mapper::SpectralMapper::new(SpectralConfig::default())
             .map_graph_on(&g, &Pool::default())
             .unwrap()

@@ -13,7 +13,9 @@ use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_graph::points::PointSet;
 use slpm_linalg::fiedler::fiedler_pair_balanced_on;
 use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool};
-use spectral_lpm::{objective, SpectralConfig, SpectralMapper};
+use spectral_lpm::{
+    objective, rsb_order_on, OrderReport, RsbOptions, SpectralConfig, SpectralMapper,
+};
 use std::collections::BTreeSet;
 
 fn mapper(method: FiedlerMethod, connectivity: Connectivity) -> SpectralMapper {
@@ -296,5 +298,31 @@ fn multilevel_matches_dense_on_holey_point_sets() {
             "{family} ({n} points): orders differ and 2-sum off by >1%: \
              {sigma_ml} vs {sigma_dense}"
         );
+    }
+}
+
+/// λ₂ is the minimum of σ over the feasible set, so no order's normalised
+/// 2-sum may fall below it: an order whose `optimality_gap` reads under 1
+/// means λ₂ was overestimated. Checked without a second solver on the
+/// spectral and RSB orders of every irregular family.
+#[test]
+fn spectral_and_rsb_orders_respect_the_lambda2_bound() {
+    let config = SpectralConfig::default();
+    for (family, points) in irregular_families() {
+        let mapping = SpectralMapper::new(config.clone())
+            .map_points_on(&points, &Pool::default())
+            .unwrap();
+        let graph = points.manhattan_graph();
+        let rsb = rsb_order_on(&graph, &RsbOptions::default(), &Pool::default()).unwrap();
+        for (name, order) in [("spectral", &mapping.order), ("RSB", &rsb)] {
+            let lambda2 = Some(mapping.fiedler.lambda2);
+            let report =
+                OrderReport::compute(&graph, order, lambda2, &config, &Pool::default()).unwrap();
+            assert!(
+                report.optimality_gap() >= 1.0 - 1e-9,
+                "{family}, {name}: σ/λ₂ = {}",
+                report.optimality_gap()
+            );
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! The weighted undirected [`Graph`] type and its matrix views.
 
 use slpm_linalg::sparse::CsrMatrix;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Errors from graph construction and matrix extraction.
@@ -66,7 +65,12 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// A weighted undirected graph on vertices `0..n`.
+/// A weighted undirected graph on vertices `0..n`, stored as its own
+/// combinatorial Laplacian `L = D − A` (paper step 2) in one CSR matrix:
+/// an edge `(u, v)` of weight `w` is the pair of off-diagonal entries
+/// `−w`, and each diagonal entry is its vertex's weighted degree (absent
+/// for isolated vertices). Every read — edges, degrees, traversal — comes
+/// from that matrix.
 ///
 /// Parallel edges are merged by **summing** weights (adding an affinity edge
 /// on top of a grid edge strengthens the tie, matching the paper's
@@ -74,66 +78,122 @@ impl std::error::Error for GraphError {}
 /// treated as if they have Manhattan distance 1" — and more so if repeated).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
-    num_vertices: usize,
-    /// Canonical edge map: key is `(min, max)` vertex pair, value is weight.
-    edges: BTreeMap<(usize, usize), f64>,
+    laplacian: CsrMatrix,
+    num_edges: usize,
 }
 
 impl Graph {
-    /// Create an edgeless graph on `n` vertices.
-    pub fn new(n: usize) -> Self {
-        Graph {
-            num_vertices: n,
-            edges: BTreeMap::new(),
+    /// Build the graph on `n` vertices from undirected weighted edges
+    /// `(u, v, w)` given in either orientation.
+    ///
+    /// Repeated pairs merge: their weights are summed from `0.0` in the
+    /// order given, and each degree is the sum of its vertex's merged
+    /// weights in ascending neighbour order. Errors on an endpoint out of
+    /// range, a self-loop, a weight that is not positive and finite, and a
+    /// merged weight or degree that overflows to infinity.
+    pub fn from_edges<I>(n: usize, edges: I) -> Result<Graph, GraphError>
+    where
+        I: IntoIterator<Item = (usize, usize, f64)>,
+    {
+        let edges: Vec<(usize, usize, f64)> = edges.into_iter().collect();
+        // Count each row's entries, one extra slot per row for its diagonal.
+        let mut row_ptr = vec![0usize; n + 1];
+        for &(u, v, w) in &edges {
+            for vertex in [u, v] {
+                if vertex >= n {
+                    return Err(GraphError::VertexOutOfRange {
+                        vertex,
+                        num_vertices: n,
+                    });
+                }
+            }
+            if u == v {
+                return Err(GraphError::SelfLoop { vertex: u });
+            }
+            if !(w.is_finite() && w > 0.0) {
+                return Err(GraphError::BadWeight { weight: w });
+            }
+            row_ptr[u + 1] += 1;
+            row_ptr[v + 1] += 1;
         }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i] + 1;
+        }
+        // Counting sort by row: each row holds its entries in input order.
+        let mut row_end = row_ptr[..n].to_vec();
+        let mut col_idx = vec![0usize; row_ptr[n]];
+        let mut values = vec![0.0f64; row_ptr[n]];
+        for (u, v, w) in edges {
+            for (row, col) in [(u, v), (v, u)] {
+                col_idx[row_end[row]] = col;
+                values[row_end[row]] = w;
+                row_end[row] += 1;
+            }
+        }
+        // Sort, merge and compact each row in place, writing `−w` and the
+        // diagonal. A row never writes past its own slots, so the rows
+        // after it are still intact when they are read.
+        let mut row: Vec<(usize, f64)> = Vec::new();
+        let (mut written, mut num_edges) = (0, 0);
+        for i in 0..n {
+            let start = row_ptr[i];
+            row.clear();
+            row.extend((start..row_end[i]).map(|k| (col_idx[k], values[k])));
+            // Stable, so a repeated pair's weights add up in input order.
+            row.sort_by_key(|&(col, _)| col);
+            row.dedup_by(|later, kept| {
+                later.0 == kept.0 && {
+                    kept.1 += later.1;
+                    true
+                }
+            });
+            let mut degree = 0.0;
+            for &(_, w) in &row {
+                degree += w;
+            }
+            if !degree.is_finite() {
+                return Err(GraphError::BadWeight { weight: degree });
+            }
+            let below = row.partition_point(|&(col, _)| col < i);
+            num_edges += row.len() - below;
+            // The diagonal goes in as `−degree`, so one negation writes all.
+            let diagonal = (!row.is_empty()).then_some((i, -degree));
+            row_ptr[i] = written;
+            for &(col, w) in row[..below].iter().chain(&diagonal).chain(&row[below..]) {
+                (col_idx[written], values[written]) = (col, -w);
+                written += 1;
+            }
+        }
+        row_ptr[n] = written;
+        col_idx.truncate(written);
+        values.truncate(written);
+        let laplacian = CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
+            .expect("rows are sorted, in range and finite by construction");
+        Ok(Graph {
+            laplacian,
+            num_edges,
+        })
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.laplacian.rows()
     }
 
     /// Number of (undirected, merged) edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Add an undirected unit-weight edge.
-    pub fn add_edge(&mut self, u: usize, v: usize) -> Result<(), GraphError> {
-        self.add_weighted_edge(u, v, 1.0)
-    }
-
-    /// Add an undirected weighted edge; merging duplicates sums weights.
-    pub fn add_weighted_edge(&mut self, u: usize, v: usize, w: f64) -> Result<(), GraphError> {
-        if u >= self.num_vertices {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: u,
-                num_vertices: self.num_vertices,
-            });
-        }
-        if v >= self.num_vertices {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.num_vertices,
-            });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { vertex: u });
-        }
-        if !(w.is_finite() && w > 0.0) {
-            return Err(GraphError::BadWeight { weight: w });
-        }
-        let key = (u.min(v), u.max(v));
-        *self.edges.entry(key).or_insert(0.0) += w;
-        Ok(())
+        self.num_edges
     }
 
     /// Weight of edge `(u, v)` (0 when absent).
     pub fn edge_weight(&self, u: usize, v: usize) -> f64 {
-        let key = (u.min(v), u.max(v));
-        self.edges.get(&key).copied().unwrap_or(0.0)
+        if u == v || u.max(v) >= self.num_vertices() {
+            return 0.0;
+        }
+        // `0 − (−w)` is `w` exactly, and an absent entry gives `+0`.
+        0.0 - self.laplacian.get(u, v)
     }
 
     /// True if `(u, v)` is an edge.
@@ -143,120 +203,73 @@ impl Graph {
 
     /// Iterate over edges as `(u, v, w)` with `u < v`, sorted.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.edges.iter().map(|(&(u, v), &w)| (u, v, w))
+        (0..self.num_vertices()).flat_map(move |u| {
+            self.laplacian
+                .row_iter(u)
+                .filter(move |&(v, _)| v > u)
+                .map(move |(v, a)| (u, v, -a))
+        })
+    }
+
+    /// The neighbours of `u`, ascending.
+    pub(crate) fn neighbours(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        self.laplacian
+            .row_iter(u)
+            .map(|(v, _)| v)
+            .filter(move |&v| v != u)
     }
 
     /// Weighted degree of every vertex (`d_i = Σ_j w_ij`).
     pub fn degrees(&self) -> Vec<f64> {
-        let mut deg = vec![0.0; self.num_vertices];
-        for (&(u, v), &w) in &self.edges {
-            deg[u] += w;
-            deg[v] += w;
-        }
-        deg
+        (0..self.num_vertices())
+            .map(|i| self.laplacian.get(i, i))
+            .collect()
     }
 
-    /// Neighbour lists (vertex ids only), sorted ascending.
-    pub fn adjacency_lists(&self) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.num_vertices];
-        for &(u, v) in self.edges.keys() {
-            adj[u].push(v);
-            adj[v].push(u);
-        }
-        for l in &mut adj {
-            l.sort_unstable();
-        }
-        adj
-    }
-
-    /// The weighted adjacency matrix `A` in CSR form.
-    pub fn adjacency_matrix(&self) -> CsrMatrix {
-        let n = self.num_vertices;
-        let mut t = Vec::with_capacity(2 * self.edges.len());
-        for (&(u, v), &w) in &self.edges {
-            t.push((u, v, w));
-            t.push((v, u, w));
-        }
-        CsrMatrix::from_triplets(n, n, &t).expect("edge endpoints validated on insert")
-    }
-
-    /// The combinatorial Laplacian `L = D − A` in CSR form (paper step 2).
+    /// A copy of the combinatorial Laplacian `L = D − A` (paper step 2).
     pub fn laplacian(&self) -> CsrMatrix {
-        let n = self.num_vertices;
-        let mut t = Vec::with_capacity(2 * self.edges.len() + n);
-        let mut deg = vec![0.0; n];
-        for (&(u, v), &w) in &self.edges {
-            t.push((u, v, -w));
-            t.push((v, u, -w));
-            deg[u] += w;
-            deg[v] += w;
-        }
-        for (i, d) in deg.into_iter().enumerate() {
-            if d != 0.0 {
-                t.push((i, i, d));
-            }
-        }
-        CsrMatrix::from_triplets(n, n, &t).expect("edge endpoints validated on insert")
+        self.laplacian.clone()
     }
 
-    /// The symmetric normalised Laplacian `I − D^{-1/2} A D^{-1/2}`.
-    ///
-    /// Not used by the paper's algorithm but provided for ablation: spectral
-    /// orders from the normalised Laplacian differ on irregular graphs.
-    pub fn normalized_laplacian(&self) -> CsrMatrix {
-        let n = self.num_vertices;
-        let deg = self.degrees();
-        let inv_sqrt: Vec<f64> = deg
-            .iter()
-            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-            .collect();
-        let mut t = Vec::with_capacity(2 * self.edges.len() + n);
-        for (&(u, v), &w) in &self.edges {
-            let nv = -w * inv_sqrt[u] * inv_sqrt[v];
-            t.push((u, v, nv));
-            t.push((v, u, nv));
-        }
-        for i in 0..n {
-            if deg[i] > 0.0 {
-                t.push((i, i, 1.0));
-            }
-        }
-        CsrMatrix::from_triplets(n, n, &t).expect("edge endpoints validated on insert")
+    /// The Laplacian, without a copy.
+    pub fn into_laplacian(self) -> CsrMatrix {
+        self.laplacian
     }
 
-    /// Induced subgraph on a set of vertices.
-    ///
-    /// Returns the subgraph (with vertices renumbered `0..set.len()` in the
-    /// order given) plus the mapping from new ids back to original ids.
-    /// Duplicate vertices in `vertices` are rejected.
-    pub fn induced_subgraph(&self, vertices: &[usize]) -> Result<(Graph, Vec<usize>), GraphError> {
-        let mut new_id = std::collections::BTreeMap::new();
+    /// Induced subgraph on a set of vertices, numbered in the order given:
+    /// its vertex `i` is `vertices[i]`. Only the listed vertices' rows are
+    /// read. Duplicate vertices in `vertices` are rejected.
+    pub fn induced_subgraph(&self, vertices: &[usize]) -> Result<Graph, GraphError> {
+        let n = self.num_vertices();
+        let mut local = vec![u32::MAX; n];
         for (new, &old) in vertices.iter().enumerate() {
-            if old >= self.num_vertices {
+            if old >= n {
                 return Err(GraphError::VertexOutOfRange {
                     vertex: old,
-                    num_vertices: self.num_vertices,
+                    num_vertices: n,
                 });
             }
-            if new_id.insert(old, new).is_some() {
+            if local[old] != u32::MAX {
                 return Err(GraphError::DuplicateVertex { vertex: old });
             }
+            local[old] = u32::try_from(new).expect("vertex ids fit in u32");
         }
-        let mut g = Graph::new(vertices.len());
-        for (&(u, v), &w) in &self.edges {
-            if let (Some(&nu), Some(&nv)) = (new_id.get(&u), new_id.get(&v)) {
-                g.add_weighted_edge(nu, nv, w)
-                    .expect("subgraph edges valid by construction");
-            }
-        }
-        Ok((g, vertices.to_vec()))
+        let local = &local;
+        let edges = vertices.iter().enumerate().flat_map(|(i, &old)| {
+            self.laplacian.row_iter(old).filter_map(move |(col, a)| {
+                let j = local[col];
+                // Each retained edge once, from its lower local endpoint
+                // (the diagonal maps to `j == i` and is skipped).
+                (j != u32::MAX && i < j as usize).then_some((i, j as usize, -a))
+            })
+        });
+        Graph::from_edges(vertices.len(), edges)
     }
 
     /// Require connectivity, returning a typed error otherwise.
     pub fn require_connected(&self) -> Result<(), GraphError> {
-        let comps = crate::traversal::connected_components(self);
-        let count = comps.iter().copied().max().map_or(0, |m| m + 1);
-        if self.num_vertices > 0 && count != 1 {
+        let count = crate::traversal::num_components(self);
+        if self.num_vertices() > 0 && count != 1 {
             return Err(GraphError::Disconnected { components: count });
         }
         Ok(())
@@ -267,12 +280,12 @@ impl Graph {
 mod tests {
     use super::*;
 
+    fn unit(edges: &[(usize, usize)]) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        edges.iter().map(|&(u, v)| (u, v, 1.0))
+    }
+
     fn triangle() -> Graph {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(1, 2).unwrap();
-        g.add_edge(2, 0).unwrap();
-        g
+        Graph::from_edges(3, unit(&[(0, 1), (1, 2), (2, 0)])).unwrap()
     }
 
     #[test]
@@ -283,36 +296,47 @@ mod tests {
         assert!(g.has_edge(0, 1));
         assert!(g.has_edge(1, 0));
         assert!(!g.has_edge(0, 0));
+        assert!(!g.has_edge(0, 3));
     }
 
     #[test]
     fn duplicate_edges_sum_weights() {
-        let mut g = Graph::new(2);
-        g.add_weighted_edge(0, 1, 1.5).unwrap();
-        g.add_weighted_edge(1, 0, 2.5).unwrap();
+        let g = Graph::from_edges(2, [(0, 1, 1.5), (1, 0, 2.5)]).unwrap();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_weight(0, 1), 4.0);
+        assert_eq!(g.edge_weight(1, 0), 4.0);
     }
 
     #[test]
     fn rejects_bad_edges() {
-        let mut g = Graph::new(2);
+        let build = |e: (usize, usize, f64)| Graph::from_edges(2, [(0, 1, 1.0), e]);
         assert!(matches!(
-            g.add_edge(0, 2),
-            Err(GraphError::VertexOutOfRange { .. })
-        ));
-        assert!(matches!(g.add_edge(1, 1), Err(GraphError::SelfLoop { .. })));
-        assert!(matches!(
-            g.add_weighted_edge(0, 1, 0.0),
-            Err(GraphError::BadWeight { .. })
+            build((0, 2, 1.0)),
+            Err(GraphError::VertexOutOfRange { vertex: 2, .. })
         ));
         assert!(matches!(
-            g.add_weighted_edge(0, 1, -1.0),
-            Err(GraphError::BadWeight { .. })
+            build((1, 1, 1.0)),
+            Err(GraphError::SelfLoop { vertex: 1 })
         ));
+        for w in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                build((0, 1, w)),
+                Err(GraphError::BadWeight { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn overflowing_merged_weight_or_degree_is_a_bad_weight() {
+        // Two finite weights on one pair sum past f64::MAX.
         assert!(matches!(
-            g.add_weighted_edge(0, 1, f64::NAN),
-            Err(GraphError::BadWeight { .. })
+            Graph::from_edges(2, [(0, 1, 1e308), (1, 0, 1e308)]),
+            Err(GraphError::BadWeight { weight }) if weight == f64::INFINITY
+        ));
+        // Two distinct edges meeting at vertex 1 overflow its degree.
+        assert!(matches!(
+            Graph::from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)]),
+            Err(GraphError::BadWeight { weight }) if weight == f64::INFINITY
         ));
     }
 
@@ -322,11 +346,10 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_lists_sorted() {
-        let mut g = Graph::new(4);
-        g.add_edge(3, 0).unwrap();
-        g.add_edge(0, 1).unwrap();
-        assert_eq!(g.adjacency_lists()[0], vec![1, 3]);
+    fn neighbours_are_sorted() {
+        let g = Graph::from_edges(4, unit(&[(3, 0), (0, 1)])).unwrap();
+        assert_eq!(g.neighbours(0).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(g.neighbours(2).count(), 0);
     }
 
     #[test]
@@ -346,49 +369,29 @@ mod tests {
 
     #[test]
     fn laplacian_equals_d_minus_a() {
-        let g = triangle();
+        let g = Graph::from_edges(4, [(0, 1, 1.0), (1, 2, 2.5), (0, 2, 0.5), (2, 3, 4.0)]).unwrap();
         let l = g.laplacian().to_dense();
-        let a = g.adjacency_matrix().to_dense();
         let deg = g.degrees();
-        for i in 0..3 {
-            for j in 0..3 {
-                let expect = if i == j { deg[i] } else { 0.0 } - a.get(i, j);
+        for i in 0..4 {
+            for j in 0..4 {
+                let expect = if i == j { deg[i] } else { 0.0 } - g.edge_weight(i, j);
                 assert_eq!(l.get(i, j), expect);
             }
         }
+        assert_eq!(g.clone().into_laplacian(), g.laplacian());
     }
 
     #[test]
     fn weighted_laplacian() {
-        let mut g = Graph::new(2);
-        g.add_weighted_edge(0, 1, 3.0).unwrap();
-        let l = g.laplacian();
+        let l = Graph::from_edges(2, [(0, 1, 3.0)]).unwrap().laplacian();
         assert_eq!(l.get(0, 0), 3.0);
         assert_eq!(l.get(0, 1), -3.0);
     }
 
     #[test]
-    fn normalized_laplacian_diagonal_is_one() {
-        let g = triangle();
-        let nl = g.normalized_laplacian();
-        for i in 0..3 {
-            assert!((nl.get(i, i) - 1.0).abs() < 1e-15);
-        }
-        // Triangle is 2-regular: normalised = L / 2.
-        let l = g.laplacian();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((nl.get(i, j) - l.get(i, j) / 2.0).abs() < 1e-15);
-            }
-        }
-    }
-
-    #[test]
     fn connectivity_check() {
         triangle().require_connected().unwrap();
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(2, 3).unwrap();
+        let g = Graph::from_edges(4, unit(&[(0, 1), (2, 3)])).unwrap();
         assert!(matches!(
             g.require_connected(),
             Err(GraphError::Disconnected { components: 2 })
@@ -397,7 +400,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = Graph::new(0);
+        let g = Graph::from_edges(0, []).unwrap();
         assert_eq!(g.num_vertices(), 0);
         g.require_connected().unwrap(); // vacuously connected
         let l = g.laplacian();
@@ -406,37 +409,38 @@ mod tests {
 
     #[test]
     fn isolated_vertices_graph_is_disconnected() {
-        let g = Graph::new(3);
+        let g = Graph::from_edges(3, []).unwrap();
         assert!(g.require_connected().is_err());
+        // An isolated vertex stores no diagonal entry; its degree reads 0.
+        assert_eq!(g.laplacian().row_iter(1).count(), 0);
+        assert_eq!(g.degrees(), vec![0.0; 3]);
     }
 
     #[test]
     fn edges_iterator_is_canonical() {
-        let mut g = Graph::new(3);
-        g.add_edge(2, 1).unwrap();
-        g.add_edge(1, 0).unwrap();
+        let g = Graph::from_edges(3, unit(&[(2, 1), (1, 0)])).unwrap();
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1, 1.0), (1, 2, 1.0)]);
     }
 
     #[test]
     fn induced_subgraph_renumbers() {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1).unwrap();
-        g.add_weighted_edge(1, 2, 2.0).unwrap();
-        g.add_edge(3, 4).unwrap();
-        let (sub, back) = g.induced_subgraph(&[2, 1, 0]).unwrap();
+        let g = Graph::from_edges(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0)]).unwrap();
+        let sub = g.induced_subgraph(&[2, 1, 0]).unwrap();
         assert_eq!(sub.num_vertices(), 3);
-        assert_eq!(back, vec![2, 1, 0]);
         // Edge (1,2) maps to new ids (1,0) with weight 2; edge (0,1) → (2,1).
         assert_eq!(sub.edge_weight(0, 1), 2.0);
         assert_eq!(sub.edge_weight(1, 2), 1.0);
         assert!(!sub.has_edge(0, 2));
+        // Degrees count only the retained edges.
+        assert_eq!(sub.degrees(), vec![2.0, 3.0, 1.0]);
+        let tail = g.induced_subgraph(&[4, 0]).unwrap();
+        assert_eq!(tail.num_edges(), 0);
     }
 
     #[test]
     fn induced_subgraph_rejects_bad_input() {
-        let g = Graph::new(3);
+        let g = Graph::from_edges(3, []).unwrap();
         assert!(matches!(
             g.induced_subgraph(&[0, 5]),
             Err(GraphError::VertexOutOfRange { .. })

@@ -21,6 +21,28 @@ pub enum Connectivity {
     Full,
 }
 
+impl Connectivity {
+    /// The neighbour offsets in `k` dimensions whose first nonzero entry
+    /// is `+1`: unit steps when orthogonal, every other `{−1, 0, +1}^k`
+    /// offset when full. Probing only these from every point generates
+    /// each undirected edge once, from its lexicographically smaller end.
+    pub(crate) fn forward_offsets(self, k: usize) -> Vec<Vec<i64>> {
+        let all = (0..3usize.pow(k as u32)).map(|code| {
+            // The base-3 digits of `code`, most significant first, less one.
+            let digits = (0..k)
+                .rev()
+                .map(|d| (code / 3usize.pow(d as u32) % 3) as i64 - 1);
+            digits.collect::<Vec<i64>>()
+        });
+        all.filter(|offset| {
+            let nonzero = offset.iter().filter(|&&o| o != 0).count();
+            offset.iter().find(|&&o| o != 0) == Some(&1)
+                && (self == Connectivity::Full || nonzero == 1)
+        })
+        .collect()
+    }
+}
+
 /// A finite axis-aligned grid `[0, dims[0]) × … × [0, dims[k-1])`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GridSpec {
@@ -146,90 +168,47 @@ impl GridSpec {
     /// Dimensions of extent ≤ 2 do not wrap (the wrap edge would duplicate
     /// an existing edge or form a self-loop).
     pub fn torus_graph(&self) -> Graph {
-        let n = self.num_points();
-        let k = self.ndim();
-        let mut g = Graph::new(n);
-        let mut neighbor = vec![0usize; k];
+        let mut edges = Vec::new();
         for coords in self.iter_points() {
-            let idx = self.index_of(&coords);
-            for d in 0..k {
-                if coords[d] + 1 < self.dims[d] {
-                    neighbor.copy_from_slice(&coords);
-                    neighbor[d] += 1;
-                    g.add_edge(idx, self.index_of(&neighbor))
-                        .expect("grid edges valid");
-                } else if self.dims[d] > 2 {
-                    // Wrap edge from the last cell back to the first.
-                    neighbor.copy_from_slice(&coords);
-                    neighbor[d] = 0;
-                    g.add_edge(idx, self.index_of(&neighbor))
-                        .expect("wrap edges valid");
+            for d in 0..self.ndim() {
+                // The last cell wraps back to the first above extent 2.
+                if coords[d] + 1 < self.dims[d] || self.dims[d] > 2 {
+                    let mut neighbor = coords.clone();
+                    neighbor[d] = (coords[d] + 1) % self.dims[d];
+                    edges.push((self.index_of(&coords), self.index_of(&neighbor), 1.0));
                 }
             }
         }
-        g
+        Graph::from_edges(self.num_points(), edges).expect("torus edges are valid by construction")
     }
 
     /// Build a weighted grid graph: `weight(a_coords, b_coords)` is called
     /// for every neighbouring pair (Section 4's general weighted model,
     /// e.g. `w_ij = 1 / manhattan(i, j)`).
     ///
-    /// Weights must be positive and finite.
+    /// # Panics
+    /// Panics if `weight` returns a weight that is not positive and finite.
     pub fn weighted_graph<F>(&self, connectivity: Connectivity, weight: F) -> Graph
     where
         F: Fn(&[usize], &[usize]) -> f64,
     {
-        let n = self.num_points();
-        let k = self.ndim();
-        let mut g = Graph::new(n);
-        let mut neighbor = vec![0usize; k];
+        let offsets = connectivity.forward_offsets(self.ndim());
+        let mut edges = Vec::new();
+        let mut neighbor = vec![0usize; self.ndim()];
         for coords in self.iter_points() {
-            let idx = self.index_of(&coords);
-            match connectivity {
-                Connectivity::Orthogonal => {
-                    // Only +1 steps: each edge is generated once.
-                    for d in 0..k {
-                        if coords[d] + 1 < self.dims[d] {
-                            neighbor.copy_from_slice(&coords);
-                            neighbor[d] += 1;
-                            let w = weight(&coords, &neighbor);
-                            g.add_weighted_edge(idx, self.index_of(&neighbor), w)
-                                .expect("grid edges are valid by construction");
-                        }
+            'offsets: for offset in &offsets {
+                for d in 0..self.ndim() {
+                    let nc = coords[d] as i64 + offset[d];
+                    if nc < 0 || nc as usize >= self.dims[d] {
+                        continue 'offsets;
                     }
+                    neighbor[d] = nc as usize;
                 }
-                Connectivity::Full => {
-                    // All {-1,0,+1}^k offsets, enumerated by counting in
-                    // base 3; keep only lexicographically positive ones
-                    // (first nonzero offset is +1) so each undirected edge
-                    // is generated exactly once.
-                    let total = 3usize.pow(k as u32);
-                    'offsets: for code in 0..total {
-                        let mut c = code;
-                        let mut offsets = vec![0isize; k];
-                        for d in (0..k).rev() {
-                            offsets[d] = (c % 3) as isize - 1;
-                            c /= 3;
-                        }
-                        match offsets.iter().find(|&&o| o != 0) {
-                            Some(&1) => {}
-                            _ => continue, // zero offset or leading −1
-                        }
-                        for d in 0..k {
-                            let nc = coords[d] as isize + offsets[d];
-                            if nc < 0 || nc as usize >= self.dims[d] {
-                                continue 'offsets;
-                            }
-                            neighbor[d] = nc as usize;
-                        }
-                        let w = weight(&coords, &neighbor);
-                        g.add_weighted_edge(idx, self.index_of(&neighbor), w)
-                            .expect("grid edges are valid by construction");
-                    }
-                }
+                let w = weight(&coords, &neighbor);
+                edges.push((self.index_of(&coords), self.index_of(&neighbor), w));
             }
         }
-        g
+        Graph::from_edges(self.num_points(), edges).expect("grid edges are valid by construction")
     }
 }
 

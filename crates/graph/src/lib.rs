@@ -8,8 +8,9 @@
 //! graph models plus the Laplacian `L = D − A` that the eigensolver layer
 //! consumes:
 //!
-//! * [`graph`] — the weighted undirected [`Graph`] type (edge-list builder +
-//!   CSR adjacency), degrees, Laplacians.
+//! * [`graph`] — the weighted undirected [`Graph`] type, stored as its own
+//!   Laplacian in one CSR matrix and built by [`Graph::from_edges`]; edges,
+//!   degrees and neighbours are read from that matrix.
 //! * [`grid`] — k-dimensional grid specifications with index ⇄ coordinate
 //!   conversion and grid-graph builders for every connectivity the paper
 //!   uses.

@@ -139,60 +139,31 @@ impl PointSet {
     /// Neighbourhood graph under either connectivity model: Manhattan
     /// distance 1 (orthogonal) or Chebyshev distance 1 (full).
     ///
-    /// Implementation: for each point, probe the finitely many candidate
-    /// neighbour coordinates with a binary search, generating each edge from
-    /// its lexicographically smaller endpoint. O(n · 3^k · log n) — fine for
-    /// the ≤ 6 dimensions the paper considers.
+    /// Implementation: from each point, probe the neighbour offsets whose
+    /// first nonzero entry is +1, generating each edge from its
+    /// lexicographically smaller endpoint. Adding a fixed offset keeps the
+    /// points' lexicographic order, so each offset's candidates rise with
+    /// the point and one forward-only cursor per offset finds them:
+    /// O(n · 3^k · k) — fine for the ≤ 6 dimensions the paper considers.
     pub fn neighbourhood_graph(&self, connectivity: Connectivity) -> Graph {
-        let n = self.len();
-        let k = self.ndim;
-        let mut g = Graph::new(n);
-        let mut candidate = vec![0i64; k];
-        match connectivity {
-            Connectivity::Orthogonal => {
-                for (i, p) in self.points.iter().enumerate() {
-                    for d in 0..k {
-                        // Only the +1 probe: the −1 neighbour generates the
-                        // edge from its own side.
-                        candidate.copy_from_slice(p);
-                        candidate[d] += 1;
-                        if let Some(j) = self.index_of(&candidate) {
-                            g.add_edge(i, j).expect("indices valid");
-                        }
-                    }
+        let offsets = connectivity.forward_offsets(self.ndim);
+        let mut cursors = vec![0usize; offsets.len()];
+        let mut edges = Vec::new();
+        let mut candidate = vec![0i64; self.ndim];
+        for (i, p) in self.points.iter().enumerate() {
+            for (offset, j) in offsets.iter().zip(&mut cursors) {
+                for (c, (x, o)) in candidate.iter_mut().zip(p.iter().zip(offset)) {
+                    *c = x + o;
                 }
-            }
-            Connectivity::Full => {
-                let total = 3usize.pow(k as u32);
-                for (i, p) in self.points.iter().enumerate() {
-                    'offsets: for code in 0..total {
-                        let mut c = code;
-                        let mut lex_positive = false;
-                        let mut decided = false;
-                        for d in (0..k).rev() {
-                            let off = (c % 3) as i64 - 1;
-                            c /= 3;
-                            candidate[d] = p[d] + off;
-                        }
-                        // Determine lexicographic positivity of the offset.
-                        for d in 0..k {
-                            let off = candidate[d] - p[d];
-                            if off != 0 && !decided {
-                                lex_positive = off > 0;
-                                decided = true;
-                            }
-                        }
-                        if !decided || !lex_positive {
-                            continue 'offsets;
-                        }
-                        if let Some(j) = self.index_of(&candidate) {
-                            g.add_edge(i, j).expect("indices valid");
-                        }
-                    }
+                while self.points.get(*j).is_some_and(|q| *q < candidate) {
+                    *j += 1;
+                }
+                if self.points.get(*j) == Some(&candidate) {
+                    edges.push((i, *j, 1.0));
                 }
             }
         }
-        g
+        Graph::from_edges(self.len(), edges).expect("neighbour indices are valid")
     }
 
     /// Weighted complete-neighbourhood graph of Section 4's footnote:
@@ -200,17 +171,13 @@ impl PointSet {
     /// `1 / manhattan(i, j)`. O(n²) — intended for small point sets.
     pub fn inverse_distance_graph(&self, radius: u64) -> Graph {
         let n = self.len();
-        let mut g = Graph::new(n);
-        for i in 0..n {
-            for j in i + 1..n {
+        let edges = (0..n).flat_map(|i| {
+            (i + 1..n).filter_map(move |j| {
                 let d = self.manhattan(i, j);
-                if d >= 1 && d <= radius {
-                    g.add_weighted_edge(i, j, 1.0 / d as f64)
-                        .expect("indices valid, weight positive");
-                }
-            }
-        }
-        g
+                (d >= 1 && d <= radius).then(|| (i, j, 1.0 / d as f64))
+            })
+        });
+        Graph::from_edges(n, edges).expect("indices valid, weights positive")
     }
 }
 

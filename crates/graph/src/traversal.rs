@@ -11,13 +11,12 @@ use crate::graph::Graph;
 /// (`usize::MAX` for unreachable vertices).
 pub fn bfs_distances(g: &Graph, source: usize) -> Vec<usize> {
     assert!(source < g.num_vertices(), "BFS source out of range");
-    let adj = g.adjacency_lists();
     let mut dist = vec![usize::MAX; g.num_vertices()];
     let mut queue = std::collections::VecDeque::new();
     dist[source] = 0;
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
-        for &v in &adj[u] {
+        for v in g.neighbours(u) {
             if dist[v] == usize::MAX {
                 dist[v] = dist[u] + 1;
                 queue.push_back(v);
@@ -31,7 +30,6 @@ pub fn bfs_distances(g: &Graph, source: usize) -> Vec<usize> {
 /// order of first discovery.
 pub fn connected_components(g: &Graph) -> Vec<usize> {
     let n = g.num_vertices();
-    let adj = g.adjacency_lists();
     let mut comp = vec![usize::MAX; n];
     let mut next = 0usize;
     let mut queue = std::collections::VecDeque::new();
@@ -42,7 +40,7 @@ pub fn connected_components(g: &Graph) -> Vec<usize> {
         comp[s] = next;
         queue.push_back(s);
         while let Some(u) = queue.pop_front() {
-            for &v in &adj[u] {
+            for v in g.neighbours(u) {
                 if comp[v] == usize::MAX {
                     comp[v] = next;
                     queue.push_back(v);
@@ -92,12 +90,12 @@ mod tests {
     use super::*;
     use crate::grid::{Connectivity, GridSpec};
 
+    fn graph(n: usize, edges: &[(usize, usize)]) -> Graph {
+        Graph::from_edges(n, edges.iter().map(|&(u, v)| (u, v, 1.0))).unwrap()
+    }
+
     fn path(n: usize) -> Graph {
-        let mut g = Graph::new(n);
-        for i in 0..n - 1 {
-            g.add_edge(i, i + 1).unwrap();
-        }
-        g
+        Graph::from_edges(n, (1..n).map(|i| (i - 1, i, 1.0))).unwrap()
     }
 
     #[test]
@@ -109,8 +107,7 @@ mod tests {
 
     #[test]
     fn bfs_unreachable_is_max() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1).unwrap();
+        let g = graph(3, &[(0, 1)]);
         let d = bfs_distances(&g, 0);
         assert_eq!(d[2], usize::MAX);
     }
@@ -123,9 +120,7 @@ mod tests {
 
     #[test]
     fn components_of_two_paths() {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(3, 4).unwrap();
+        let g = graph(5, &[(0, 1), (3, 4)]);
         let c = connected_components(&g);
         assert_eq!(c[0], c[1]);
         assert_eq!(c[3], c[4]);
@@ -166,13 +161,13 @@ mod tests {
 
     #[test]
     fn diameter_of_disconnected_is_none() {
-        let g = Graph::new(3);
+        let g = graph(3, &[]);
         assert_eq!(diameter(&g), None);
     }
 
     #[test]
     fn empty_graph_is_connected() {
-        let g = Graph::new(0);
+        let g = graph(0, &[]);
         assert!(is_connected(&g));
         assert_eq!(num_components(&g), 0);
     }

@@ -63,6 +63,11 @@ pub enum LinalgError {
         /// What the caller was doing.
         context: &'static str,
     },
+    /// Sparse arrays that break an invariant of [`crate::CsrMatrix`].
+    InvalidStructure {
+        /// What the caller was doing.
+        context: &'static str,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -103,6 +108,9 @@ impl fmt::Display for LinalgError {
             ),
             LinalgError::NonFiniteInput { context } => {
                 write!(f, "non-finite value encountered in {context}")
+            }
+            LinalgError::InvalidStructure { context } => {
+                write!(f, "malformed sparse arrays in {context}")
             }
         }
     }

@@ -598,22 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_counters_count_submitted_jobs() {
-        // A heavy engagement at 4 threads submits workers - 1 jobs and
-        // covers the whole chunk grid exactly once.
-        let lap = grid_laplacian(200, 120); // 24,000 rows -> 6 chunks
-        let x = random_vec(lap.rows(), 23);
-        let mut y = vec![0.0; lap.rows()];
-        let workers = WorkerPool::new(4);
-        let before = dispatch_counters();
-        block::spmm(&workers.linalg_pool(), &lap, &x, &mut y, 1);
-        let d = dispatch_counters().since(&before);
-        assert_eq!(d.scope_entries, 1);
-        assert_eq!(d.jobs_submitted, 3);
-        assert_eq!(d.chunks_executed, lap.rows().div_ceil(REDUCE_CHUNK) as u64);
-    }
-
-    #[test]
     fn pooled_backend_is_bitwise_identical_to_serial() {
         let n = LIGHT_SPAWN_MIN + 3 * REDUCE_CHUNK + 29;
         let x = random_vec(n, 11);

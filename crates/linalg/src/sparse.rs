@@ -2,9 +2,10 @@
 //!
 //! Graph Laplacians of k-dimensional grids have ≤ 2k+1 nonzeros per row, so
 //! CSR is the natural storage: one `matvec` is a single pass over two flat
-//! arrays. Construction goes through a coordinate (triplet) accumulator that
-//! sorts, merges duplicates, and drops explicit zeros, which is exactly what
-//! building `L = D − A` from an edge list produces.
+//! arrays. A matrix is built either from coordinate triplets (sorted,
+//! duplicates merged, explicit zeros dropped) or, by a caller that already
+//! holds sorted rows such as the graph layer's Laplacian, from its CSR
+//! arrays directly.
 
 use crate::error::LinalgError;
 use crate::operator::LinearOperator;
@@ -82,6 +83,44 @@ impl CsrMatrix {
         // Turn per-row counts into cumulative offsets.
         for i in 0..rows {
             row_ptr[i + 1] += row_ptr[i];
+        }
+        Ok(CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        })
+    }
+
+    /// Take ownership of ready-made CSR arrays, checking every invariant
+    /// listed on [`CsrMatrix`] and that every value is finite.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Result<Self, LinalgError> {
+        let nnz = col_idx.len();
+        let offsets_ok = row_ptr.len() == rows + 1
+            && row_ptr[0] == 0
+            && row_ptr.windows(2).all(|w| w[0] <= w[1])
+            && row_ptr[rows] == nnz
+            && values.len() == nnz;
+        let row_ok = |w: &[usize]| {
+            let row = &col_idx[w[0]..w[1]];
+            row.windows(2).all(|p| p[0] < p[1]) && row.last().is_none_or(|&c| c < cols)
+        };
+        if !(offsets_ok && row_ptr.windows(2).all(row_ok)) {
+            return Err(LinalgError::InvalidStructure {
+                context: "CsrMatrix::from_parts",
+            });
+        }
+        if values.iter().any(|v| !v.is_finite()) {
+            return Err(LinalgError::NonFiniteInput {
+                context: "CsrMatrix::from_parts",
+            });
         }
         Ok(CsrMatrix {
             rows,
@@ -354,6 +393,23 @@ mod tests {
         assert!(CsrMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]).is_err());
         assert!(CsrMatrix::from_triplets(2, 2, &[(0, 2, 1.0)]).is_err());
         assert!(CsrMatrix::from_triplets(2, 2, &[(0, 0, f64::NAN)]).is_err());
+    }
+
+    #[test]
+    fn from_parts_keeps_valid_arrays_and_rejects_broken_ones() {
+        let m =
+            CsrMatrix::from_parts(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![1.0, 2.0, 3.0]).unwrap();
+        assert_eq!((m.get(0, 2), m.get(1, 1), m.get(1, 0)), (2.0, 3.0, 0.0));
+        let parts =
+            |p: Vec<usize>, c: Vec<usize>, v: Vec<f64>| CsrMatrix::from_parts(2, 3, p, c, v);
+        assert!(parts(vec![0, 2], vec![0, 1], vec![1.0; 2]).is_err()); // row_ptr too short
+        assert!(parts(vec![1, 2, 2], vec![0, 1], vec![1.0; 2]).is_err()); // offset 0 missing
+        assert!(parts(vec![0, 1, 2], vec![0, 1], vec![1.0; 1]).is_err()); // counts disagree
+        assert!(parts(vec![0, 2, 1], vec![0], vec![1.0; 1]).is_err()); // decreasing offsets
+        assert!(parts(vec![0, 2, 2], vec![1, 1], vec![1.0; 2]).is_err()); // repeated column
+        assert!(parts(vec![0, 2, 2], vec![2, 1], vec![1.0; 2]).is_err()); // descending columns
+        assert!(parts(vec![0, 1, 1], vec![3], vec![1.0]).is_err()); // column out of range
+        assert!(parts(vec![0, 1, 1], vec![0], vec![f64::INFINITY]).is_err());
     }
 
     #[test]
