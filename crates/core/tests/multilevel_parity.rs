@@ -12,7 +12,7 @@
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_graph::points::PointSet;
 use slpm_linalg::fiedler::fiedler_pair_balanced_on;
-use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool};
+use slpm_linalg::{with_threads, FiedlerMethod, FiedlerOptions, Pool};
 use spectral_lpm::{
     objective, rsb_order_on, OrderReport, RsbOptions, SpectralConfig, SpectralMapper,
 };
@@ -324,5 +324,37 @@ fn spectral_and_rsb_orders_respect_the_lambda2_bound() {
                 report.optimality_gap()
             );
         }
+    }
+}
+
+/// The 4⁵ grid (Figure 5a's input) has a five-fold λ₂, so the degeneracy
+/// probe widens to 6 pairs and the multilevel walk refines a block of 8
+/// vectors: wider than the block kernels' constant widths, so every wide
+/// path runs. Its λ₂ and order are pinned bit for bit, at 1 and 2
+/// threads.
+#[test]
+fn wide_block_solve_is_pinned_on_the_4_to_the_5_grid() {
+    let spec = GridSpec::new(&[4; 5]);
+    for threads in [1, 2] {
+        let mapping = with_threads(Some(threads), |pool| {
+            SpectralMapper::new(SpectralConfig::default()).map_grid_on(&spec, pool)
+        })
+        .unwrap();
+        assert_eq!(mapping.fiedler.method, FiedlerMethod::Multilevel);
+        let digest = mapping
+            .order
+            .ranks()
+            .iter()
+            .flat_map(|&r| (r as u64).to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(
+            mapping.fiedler.lambda2.to_bits(),
+            0x3fe2_bec3_3301_8867,
+            "λ₂ {}, {threads} threads",
+            mapping.fiedler.lambda2
+        );
+        assert_eq!(digest, 0x88b1_ec0c_f7bd_a3a5, "order, {threads} threads");
     }
 }

@@ -13,8 +13,8 @@
 //! Every column of a block kernel performs the floating-point operations
 //! of the one-vector kernel it replaces, in the same order:
 //! - a CSR row sums its terms in stored order, starting from `0.0`;
-//! - a dot product accumulates the 4 lanes of [`vector::lanes`] within each
-//!   [`REDUCE_CHUNK`] of rows and tree-folds the chunk partials;
+//! - a dot product accumulates the 4 lanes of [`vector::dot_kernel`]
+//!   within each [`REDUCE_CHUNK`] of rows and tree-folds the chunk partials;
 //! - a sum folds from [`vector::empty_sum`] within each chunk, then
 //!   tree-folds;
 //! - an elementwise update evaluates the same expression.
@@ -30,13 +30,26 @@
 //! The hot kernels take the width as a const generic: a loop over a
 //! runtime width neither unrolls nor keeps its accumulators in registers.
 //! [`with_width!`] turns a runtime width in `1..=LOCKSTEP_MAX` into the
-//! constant, and [`spmm`] walks wider blocks in windows of at most
-//! [`LOCKSTEP_MAX`] columns.
+//! constant. Blocks can be wider: the multilevel solver refines `k` wanted
+//! pairs plus guard vectors, and a degenerate λ₂ widens `k` up to 8. The
+//! kernels whose columns are independent ([`spmm`], [`residual_norms`] and
+//! the multilevel walk's smoothing and prolongation) walk such a block in
+//! windows of at most [`LOCKSTEP_MAX`] columns at a row stride of `w`; the
+//! two that mix columns ([`gram`] and [`rotate`]) keep a runtime-width loop
+//! for them. Each column's bits are the same either way.
+//!
+//! The reductions of the Rayleigh–Ritz step and of modified Gram–Schmidt
+//! each read the block once: [`gram`] forms every `b(b+1)/2` dot product
+//! in one pass, [`residual_norms`] every residual norm, and
+//! [`update_dot`] / [`update_sum`] fuse an elementwise update with the
+//! reduction that reads its result. Every reduction still keeps its own
+//! lanes per chunk and its own tree fold.
 
 use crate::parallel::{tree_fold, Pool, LIGHT_SPAWN_MIN, REDUCE_CHUNK, SPAWN_MIN};
 use crate::pcg::LOCKSTEP_MAX;
 use crate::sparse::CsrMatrix;
-use crate::vector::{dot_kernel_block, empty_sum};
+use crate::vector::empty_sum;
+use std::array::from_fn;
 
 /// One value per column of a block at most [`LOCKSTEP_MAX`] wide.
 pub(crate) type Cols = [f64; LOCKSTEP_MAX];
@@ -124,60 +137,115 @@ impl Pool<'_> {
         });
     }
 
-    /// One reduction per column over `rows` rows: `partial(lo, hi)` is
-    /// evaluated on every fixed [`REDUCE_CHUNK`]-row chunk and each
-    /// column's partials are tree-folded in chunk order, as
-    /// [`crate::vector::dot`] folds a single vector's.
-    pub(crate) fn reduce_cols<const W: usize, F>(&self, rows: usize, partial: F) -> [f64; W]
+    /// Reductions over `rows` rows: `partial(lo, hi)` returns the partials
+    /// of every fixed [`REDUCE_CHUNK`]-row chunk, and each slot's partials
+    /// are tree-folded in chunk order, as [`crate::vector::dot`] folds a
+    /// single vector's.
+    pub(crate) fn reduce_cols<P, F>(&self, rows: usize, partial: F) -> Vec<f64>
     where
-        F: Fn(usize, usize) -> [f64; W] + Sync,
+        P: AsRef<[f64]> + Send,
+        F: Fn(usize, usize) -> P + Sync,
     {
         fold_chunks(&self.map_chunks_min(LIGHT_SPAWN_MIN, rows, partial))
     }
 
     /// [`Pool::reduce_cols`] for a pass that also writes its rows:
     /// `f(first_row, chunk)` runs on every fixed [`REDUCE_CHUNK`]-row chunk
-    /// of the `n × W` block (light-kernel threshold) and returns the chunk's
+    /// of the `n × w` block (light-kernel threshold) and returns the chunk's
     /// partials.
-    pub(crate) fn rows_reduce<const W: usize, F>(&self, data: &mut [f64], f: F) -> [f64; W]
+    pub(crate) fn rows_reduce<P, F>(&self, data: &mut [f64], w: usize, f: F) -> Vec<f64>
     where
-        F: Fn(usize, &mut [f64]) -> [f64; W] + Sync,
+        P: AsRef<[f64]> + Send,
+        F: Fn(usize, &mut [f64]) -> P + Sync,
     {
-        let rows = data.len() / W;
-        let mut chunks: Vec<(&mut [f64], [f64; W])> = data
-            .chunks_mut(REDUCE_CHUNK * W)
-            .map(|chunk| (chunk, [0.0; W]))
+        let rows = data.len() / w;
+        let mut chunks: Vec<(&mut [f64], Option<P>)> = data
+            .chunks_mut(REDUCE_CHUNK * w)
+            .map(|chunk| (chunk, None))
             .collect();
         if chunks.is_empty() {
-            return f(0, &mut []);
+            return fold_chunks(&[f(0, &mut [])]);
         }
         let workers = self.workers_for_min(rows, LIGHT_SPAWN_MIN);
         self.split_run(workers, 1, &mut chunks, |first, span| {
             for (k, (chunk, part)) in span.iter_mut().enumerate() {
-                *part = f((first + k) * REDUCE_CHUNK, chunk);
+                *part = Some(f((first + k) * REDUCE_CHUNK, chunk));
             }
         });
-        let parts: Vec<[f64; W]> = chunks.into_iter().map(|(_, part)| part).collect();
+        let parts: Vec<P> = chunks
+            .into_iter()
+            .map(|(_, part)| part.expect("every chunk evaluated"))
+            .collect();
         fold_chunks(&parts)
     }
 }
 
-/// Tree-fold each column of per-chunk partials in chunk order.
-fn fold_chunks<const W: usize>(parts: &[[f64; W]]) -> [f64; W] {
+/// Tree-fold each slot of per-chunk partials in chunk order.
+fn fold_chunks<P: AsRef<[f64]>>(parts: &[P]) -> Vec<f64> {
+    let slots = parts.first().map_or(0, |p| p.as_ref().len());
     let mut column = vec![0.0; parts.len()];
-    std::array::from_fn(|c| {
-        for (slot, part) in column.iter_mut().zip(parts) {
-            *slot = part[c];
-        }
-        tree_fold(&mut column)
-    })
+    (0..slots)
+        .map(|s| {
+            for (slot, part) in column.iter_mut().zip(parts) {
+                *slot = part.as_ref()[s];
+            }
+            tree_fold(&mut column)
+        })
+        .collect()
 }
 
-/// Widen a `W`-column result to [`Cols`].
-fn pad<const W: usize>(v: [f64; W]) -> Cols {
+/// Widen a result of at most [`LOCKSTEP_MAX`] columns to [`Cols`].
+fn pad(v: &[f64]) -> Cols {
     let mut out = [0.0; LOCKSTEP_MAX];
-    out[..W].copy_from_slice(&v);
+    out[..v.len()].copy_from_slice(v);
     out
+}
+
+/// Accumulate `add(lane, row)` over rows `0..rows` in the lanes of
+/// [`crate::vector::dot_kernel`]: within the whole groups of 4 rows, row
+/// `r` goes to lane `r % 4`; the rows after the last whole group go to the
+/// tail, `lanes[4]`. A sum is then [`fold_lanes`] of its five accumulators.
+#[inline(always)]
+fn lanes<A: Copy>(rows: usize, zero: A, mut add: impl FnMut(&mut A, usize)) -> [A; 5] {
+    let mut acc = [zero; 5];
+    let quads = rows / 4;
+    for q in 0..quads {
+        for (l, lane) in acc[..4].iter_mut().enumerate() {
+            add(lane, q * 4 + l);
+        }
+    }
+    for r in quads * 4..rows {
+        add(&mut acc[4], r);
+    }
+    acc
+}
+
+/// `lane0 + lane1 + lane2 + lane3 + tail`, left to right.
+#[inline(always)]
+fn fold_lanes(acc: [f64; 5]) -> f64 {
+    acc[0] + acc[1] + acc[2] + acc[3] + acc[4]
+}
+
+/// [`fold_lanes`] for every column of per-column lanes.
+#[inline(always)]
+fn fold_lane_cols<const W: usize>(acc: [[f64; W]; 5]) -> [f64; W] {
+    from_fn(|c| fold_lanes(from_fn(|l| acc[l][c])))
+}
+
+/// [`crate::vector::dot_kernel`] for `W` columns at once: `x` and `y` are
+/// row-major blocks of `W` columns, and each column accumulates in the
+/// [`lanes`] exactly as `dot_kernel` does on that column alone. This is the
+/// rule that makes a batched solve's columns bitwise equal to
+/// single-vector solves.
+#[inline]
+pub(crate) fn dot_kernel_block<const W: usize>(x: &[f64], y: &[f64]) -> [f64; W] {
+    debug_assert_eq!(x.len(), y.len());
+    fold_lane_cols(lanes(x.len() / W, [0.0; W], |lane, r| {
+        let (xr, yr) = (&x[r * W..(r + 1) * W], &y[r * W..(r + 1) * W]);
+        for c in 0..W {
+            lane[c] += xr[c] * yr[c];
+        }
+    }))
 }
 
 /// `y = A x` for `n × w` blocks of any width: one pass over the matrix per
@@ -205,7 +273,7 @@ pub(crate) fn spmm(pool: &Pool, a: &CsrMatrix, x: &[f64], y: &mut [f64], w: usiz
 /// Per-column dot products of two `n × w` blocks.
 pub(crate) fn dot(pool: &Pool, x: &[f64], y: &[f64], w: usize) -> Cols {
     debug_assert_eq!(x.len(), y.len());
-    with_width!(w, W => pad(pool.reduce_cols::<W, _>(x.len() / W, |lo, hi| {
+    with_width!(w, W => pad(&pool.reduce_cols(x.len() / W, |lo, hi| {
         dot_kernel_block::<W>(&x[lo * W..hi * W], &y[lo * W..hi * W])
     })))
 }
@@ -215,7 +283,7 @@ pub(crate) fn dot(pool: &Pool, x: &[f64], y: &[f64], w: usize) -> Cols {
 /// as [`crate::vector::mean`] divides.
 pub(crate) fn means(pool: &Pool, x: &[f64], w: usize) -> Cols {
     let rows = x.len() / w;
-    with_width!(w, W => pad(pool.reduce_cols::<W, _>(rows, |lo, hi| {
+    with_width!(w, W => pad(&pool.reduce_cols(rows, |lo, hi| {
         let mut s = [empty_sum(); W];
         for row in x[lo * W..hi * W].chunks_exact(W) {
             for c in 0..W {
@@ -223,7 +291,7 @@ pub(crate) fn means(pool: &Pool, x: &[f64], w: usize) -> Cols {
             }
         }
         s
-    }).map(|s| s / rows as f64)))
+    })).map(|s| s / rows as f64))
 }
 
 /// Subtract `mean[c]` from every entry of column `c` (when given), then
@@ -237,7 +305,7 @@ pub(crate) fn subtract_dot(
     other: Option<&[f64]>,
     w: usize,
 ) -> Cols {
-    with_width!(w, W => pad(pool.rows_reduce::<W, _>(x, |row0, chunk| {
+    with_width!(w, W => pad(&pool.rows_reduce(x, W, |row0, chunk| {
         if let Some(m) = mean {
             for row in chunk.chunks_exact_mut(W) {
                 for c in 0..W {
@@ -273,7 +341,7 @@ pub(crate) fn cg_step(
                 }
             }
         });
-        pad(pool.rows_reduce::<W, _>(r, |row0, chunk| {
+        pad(&pool.rows_reduce(r, W, |row0, chunk| {
             let mut s = [empty_sum(); W];
             for (j, rr) in chunk.chunks_exact_mut(W).enumerate() {
                 let qr = &q[(row0 + j) * W..(row0 + j + 1) * W];
@@ -283,7 +351,7 @@ pub(crate) fn cg_step(
                 }
             }
             s
-        }).map(|s| s / rows as f64))
+        })).map(|s| s / rows as f64)
     })
 }
 
@@ -321,51 +389,47 @@ where
     });
 }
 
-/// Sum of column `c` of an `n × w` block, bitwise equal to the chunked sum
-/// behind [`crate::vector::mean`] of that column.
-pub(crate) fn col_sum(pool: &Pool, x: &[f64], w: usize, c: usize) -> f64 {
-    pool.reduce_cols::<1, _>(x.len() / w, |lo, hi| {
+/// One pass over the rows of an `n × w` block: `f` rewrites each row and
+/// returns the row's term of a dot product, accumulated as
+/// [`crate::vector::dot`] accumulates `x_i·y_i` (lanes per chunk, chunk
+/// partials tree-folded). An update fused with the dot product that reads
+/// its result.
+pub(crate) fn update_dot<F>(pool: &Pool, data: &mut [f64], w: usize, f: F) -> f64
+where
+    F: Fn(&mut [f64]) -> f64 + Sync,
+{
+    pool.rows_reduce(data, w, |_, chunk| {
+        let rows = chunk.len() / w;
+        [fold_lanes(lanes(rows, 0.0, |lane, r| {
+            *lane += f(&mut chunk[r * w..(r + 1) * w]);
+        }))]
+    })[0]
+}
+
+/// [`update_dot`] for a sum: the terms fold from [`empty_sum`] within
+/// each chunk, as [`col_sum`] folds a column.
+pub(crate) fn update_sum<F>(pool: &Pool, data: &mut [f64], w: usize, f: F) -> f64
+where
+    F: Fn(&mut [f64]) -> f64 + Sync,
+{
+    pool.rows_reduce(data, w, |_, chunk| {
         let mut s = empty_sum();
-        for i in lo..hi {
-            s += x[i * w + c];
+        for row in chunk.chunks_exact_mut(w) {
+            s += f(row);
         }
         [s]
     })[0]
 }
 
-/// Dot product of column `cx` of the `n × wx` block `x` with column `cy` of
-/// the `n × wy` block `y`, bitwise equal to [`crate::vector::dot`] of the
-/// two columns.
-pub(crate) fn col_dot(
-    pool: &Pool,
-    x: &[f64],
-    wx: usize,
-    cx: usize,
-    y: &[f64],
-    wy: usize,
-    cy: usize,
-) -> f64 {
-    col_reduce(pool, x.len() / wx, |i| x[i * wx + cx] * y[i * wy + cy])
-}
-
-/// The dot-product reduction of one column's per-row products `term(i)`:
-/// bitwise equal to [`crate::vector::dot`] on the two vectors whose elementwise
-/// product `term` computes.
-pub(crate) fn col_reduce(pool: &Pool, rows: usize, term: impl Fn(usize) -> f64 + Sync) -> f64 {
-    pool.reduce_cols::<1, _>(rows, |lo, hi| {
-        // The lanes of `dot_kernel`, one column.
-        let mut acc = [0.0f64; 4];
-        let quads = (hi - lo) / 4;
-        for q in 0..quads {
-            for (l, lane) in acc.iter_mut().enumerate() {
-                *lane += term(lo + q * 4 + l);
-            }
+/// Sum of column `c` of an `n × w` block, bitwise equal to the chunked sum
+/// behind [`crate::vector::mean`] of that column.
+pub(crate) fn col_sum(pool: &Pool, x: &[f64], w: usize, c: usize) -> f64 {
+    pool.reduce_cols(x.len() / w, |lo, hi| {
+        let mut s = empty_sum();
+        for i in lo..hi {
+            s += x[i * w + c];
         }
-        let mut tail = 0.0;
-        for i in lo + quads * 4..hi {
-            tail += term(i);
-        }
-        [acc[0] + acc[1] + acc[2] + acc[3] + tail]
+        [s]
     })[0]
 }
 
@@ -378,6 +442,128 @@ pub(crate) fn col_center(pool: &Pool, x: &mut [f64], w: usize, c: usize) {
     }
     let mean = col_sum(pool, x, w, c) / rows as f64;
     for_rows(pool, x, w, |_, row| row[c] -= mean);
+}
+
+/// The projected operator `T = VᵀLV` of two `n × w` blocks `v` and
+/// `lv = L v`, row-major `w × w`: every entry `i ≤ j` is the dot product of
+/// column `i` of `v` with column `j` of `lv`, each accumulated as
+/// [`crate::vector::dot`] accumulates, and mirrored below the diagonal.
+/// One pass over both blocks.
+pub(crate) fn gram(pool: &Pool, v: &[f64], lv: &[f64], w: usize) -> Vec<f64> {
+    debug_assert_eq!(v.len(), lv.len());
+    let mut t = if w <= LOCKSTEP_MAX {
+        with_width!(w, W => pool.reduce_cols(v.len() / W, |lo, hi| {
+            let (v, lv) = (&v[lo * W..hi * W], &lv[lo * W..hi * W]);
+            let acc = lanes(hi - lo, [[0.0; W]; W], |lane, r| {
+                let (vr, lr) = (&v[r * W..(r + 1) * W], &lv[r * W..(r + 1) * W]);
+                for i in 0..W {
+                    for j in i..W {
+                        lane[i][j] += vr[i] * lr[j];
+                    }
+                }
+            });
+            let acc = &acc;
+            (0..W)
+                .flat_map(|i| (0..W).map(move |j| fold_lanes(from_fn(|l| acc[l][i][j]))))
+                .collect::<Vec<f64>>()
+        }))
+    } else {
+        pool.reduce_cols(v.len() / w, |lo, hi| {
+            let mut acc = vec![0.0; 5 * w * w];
+            let quads = (hi - lo) / 4;
+            for r in 0..hi - lo {
+                let lane = if r < quads * 4 { r % 4 } else { 4 };
+                let sums = &mut acc[lane * w * w..(lane + 1) * w * w];
+                let row = (lo + r) * w;
+                let (vr, lr) = (&v[row..row + w], &lv[row..row + w]);
+                for i in 0..w {
+                    for j in i..w {
+                        sums[i * w + j] += vr[i] * lr[j];
+                    }
+                }
+            }
+            (0..w * w)
+                .map(|e| fold_lanes(from_fn(|l| acc[l * w * w + e])))
+                .collect::<Vec<f64>>()
+        })
+    };
+    for i in 0..w {
+        for j in 0..i {
+            t[i * w + j] = t[j * w + i];
+        }
+    }
+    t
+}
+
+/// `‖(L v)_c + (−λ_c) v_c‖` for the first `cols` columns of the `n × w`
+/// blocks `v` and `lv = L v`, in one pass: each column's squares accumulate
+/// as [`crate::vector::dot`] of the residual vector with itself would.
+pub(crate) fn residual_norms(
+    pool: &Pool,
+    v: &[f64],
+    lv: &[f64],
+    lambdas: &[f64],
+    w: usize,
+    cols: usize,
+) -> Vec<f64> {
+    debug_assert_eq!(v.len(), lv.len());
+    let squares = pool.reduce_cols(v.len() / w, |lo, hi| {
+        let mut out = vec![0.0; cols];
+        for c0 in (0..cols).step_by(LOCKSTEP_MAX) {
+            with_width!((cols - c0).min(LOCKSTEP_MAX), W => {
+                let neg: [f64; W] = from_fn(|c| -lambdas[c0 + c]);
+                let acc = lanes(hi - lo, [0.0; W], |lane, r| {
+                    let at = (lo + r) * w + c0;
+                    let (vr, lr) = (&v[at..at + W], &lv[at..at + W]);
+                    for c in 0..W {
+                        let e = lr[c] + neg[c] * vr[c];
+                        lane[c] += e * e;
+                    }
+                });
+                out[c0..c0 + W].copy_from_slice(&fold_lane_cols(acc));
+            });
+        }
+        out
+    });
+    squares.into_iter().map(f64::sqrt).collect()
+}
+
+/// `V ← V·Y` in place for a row-major `w × w` rotation `Y`: each new
+/// entry `(r, c)` is `Σ_j y_jc · v_rj`, summed from `0.0` in `j` order, as
+/// an axpy per source column would build it.
+pub(crate) fn rotate(pool: &Pool, v: &mut [f64], y: &[f64], w: usize) {
+    debug_assert_eq!(y.len(), w * w);
+    if w <= LOCKSTEP_MAX {
+        return with_width!(w, W => {
+            // Column c of Y, held as a row.
+            let yt: [[f64; W]; W] = from_fn(|c| from_fn(|j| y[j * W + c]));
+            pool.block_rows(W, LIGHT_SPAWN_MIN, v, |_, span| {
+                for row in span.chunks_exact_mut(W) {
+                    let old: [f64; W] = from_fn(|j| row[j]);
+                    for (out, yc) in row.iter_mut().zip(&yt) {
+                        let mut sum = 0.0;
+                        for j in 0..W {
+                            sum += yc[j] * old[j];
+                        }
+                        *out = sum;
+                    }
+                }
+            })
+        });
+    }
+    pool.block_rows(w, LIGHT_SPAWN_MIN, v, |_, span| {
+        let mut old = vec![0.0; w];
+        for row in span.chunks_exact_mut(w) {
+            old.copy_from_slice(row);
+            for (c, out) in row.iter_mut().enumerate() {
+                let mut sum = 0.0;
+                for (j, &vj) in old.iter().enumerate() {
+                    sum += y[j * w + c] * vj;
+                }
+                *out = sum;
+            }
+        }
+    });
 }
 
 /// Drop the columns of an `n × w` block whose `keep` flag is false, in
@@ -404,12 +590,15 @@ pub(crate) fn compact(data: &mut Vec<f64>, w: usize, keep: &[bool]) -> usize {
 pub(crate) fn widen(data: &mut Vec<f64>, n: usize, w: usize, k: usize) {
     let nw = w + k;
     data.resize(n * nw, 0.0);
-    // Destination indices never trail their sources, so a backward copy is
-    // safe in place.
+    if w == 0 {
+        return;
+    }
+    // Row i moves from i·w to i·nw: destinations never trail their
+    // sources, so rows copied last to first never overwrite a row still
+    // to be read.
     for i in (0..n).rev() {
-        for c in (0..nw).rev() {
-            data[i * nw + c] = if c < w { data[i * w + c] } else { 0.0 };
-        }
+        data.copy_within(i * w..(i + 1) * w, i * nw);
+        data[i * nw + w..(i + 1) * nw].fill(0.0);
     }
 }
 

@@ -11,7 +11,11 @@
 //!    [`MultilevelOptions::coarsest_size`] vertices. The coarse operator is
 //!    the Galerkin product `PᵀLP` for the piecewise-constant prolongation
 //!    `P`, which is again a combinatorial Laplacian of a weighted graph —
-//!    exactly the Section 4 weighted-graph extension.
+//!    exactly the Section 4 weighted-graph extension. It is built row by
+//!    row without a global sort, and every coarse entry sums its fine
+//!    entries in one fixed order: members of the aggregate in ascending
+//!    fine order, each row in stored order, from the first value — the
+//!    order [`CsrMatrix::from_triplets`] sums the remapped fine triplets in.
 //! 2. **Solve** — compute the bottom eigenpairs of the coarsest Laplacian
 //!    with the existing dense Householder + QL path.
 //! 3. **Prolong + refine** — interpolate each eigenvector back up one level
@@ -36,10 +40,14 @@
 //! operator application reads the matrix once for the whole block: the
 //! smoothing passes, the Rayleigh–Ritz product `LV`, and the sweep's
 //! inverse-iteration corrections, which run as one batched PCG solve
-//! through a block V-cycle. The bitwise rule of [`crate::pcg`] holds
-//! throughout: each column's floating-point operations happen in the order
-//! of a one-vector solve, so every order, eigenvalue and solver counter is
-//! what one column at a time would give, at any thread count.
+//! through a block V-cycle. The rest of a sweep reads the block once per
+//! step too: the Gram matrix `VᵀLV`, the Ritz rotation and the residual
+//! norms in one pass each, and each modified Gram–Schmidt update fused with
+//! the dot product that reads it (the `block` module). The bitwise rule of
+//! [`crate::pcg`] holds throughout: each column's floating-point operations
+//! happen in the order of a one-vector solve, so every order, eigenvalue
+//! and solver counter is what one column at a time would give, at any
+//! thread count.
 //!
 //! Every fallback the solver takes is counted in [`solver_counters`]: a
 //! coarsest level too big for the dense path (block inverse iteration from
@@ -227,16 +235,19 @@ impl Coarsening {
 /// endpoints are both unmatched contracts them into one coarse vertex —
 /// the classic greedy ½-approximation of the maximum-weight matching.
 /// Vertices left unmatched become singletons. The contracted operator is
-/// the Galerkin product `PᵀLP`, computed directly by re-mapping the fine
-/// triplets — merged-pair internal edges cancel into the diagonal, and
-/// parallel coarse edges sum their weights, preserving Laplacian structure
-/// (symmetry and zero row sums) exactly.
+/// the Galerkin product `PᵀLP`, built row by row in CSR form: coarse row
+/// `a` sums the entries of its members' rows at columns `parent[j]`,
+/// repeats in ascending fine row order, then stored order, from the first
+/// value — exactly what [`CsrMatrix::from_triplets`] gives for the fine
+/// triplets remapped to `(parent[i], parent[j])`. Merged-pair internal
+/// edges cancel into the diagonal and parallel coarse edges sum their
+/// weights, preserving Laplacian structure (symmetry and zero row sums).
 ///
 /// The edge-rating pass (collecting and weighting every undirected edge
-/// for the greedy matching) and the Galerkin triplet remap both run
-/// row-chunked on `pool`; the matching itself is inherently sequential
-/// and stays serial. Chunk order is fixed, so the result is identical for
-/// every thread count.
+/// for the greedy matching) and the coarse rows both run row-chunked on
+/// `pool`; the matching itself is inherently sequential and stays serial.
+/// Chunk order is fixed, so the result is identical for every thread
+/// count.
 pub fn coarsen_laplacian(laplacian: &CsrMatrix, pool: &Pool) -> Result<Coarsening, LinalgError> {
     let n = laplacian.rows();
     if laplacian.cols() != n {
@@ -297,23 +308,56 @@ pub fn coarsen_laplacian(laplacian: &CsrMatrix, pool: &Pool) -> Result<Coarsenin
         next += 1;
     }
 
-    // Galerkin triplets: every fine entry (i, j, v) lands at
-    // (parent[i], parent[j]); from_triplets sums duplicates. Row-chunked
-    // remap on the pool (the sort/merge inside from_triplets stays
-    // serial).
-    let parent_ref = &parent;
-    let triplets = pool
-        .map_chunks(n, |lo, hi| {
-            let mut local = Vec::new();
-            for i in lo..hi {
-                for (j, v) in laplacian.row_iter(i) {
-                    local.push((parent_ref[i], parent_ref[j], v));
+    // Galerkin product PᵀLP, one coarse row per aggregate: its members'
+    // rows, in ascending fine order, give `(parent[j], v)` for every
+    // nonzero `v`; a stable sort by column keeps repeats in that order, and
+    // they are summed from the first value, as `from_triplets` sums the
+    // fine triplets in row order. Coarse ids follow each aggregate's first
+    // member, so the aggregates a chunk of fine rows starts are a
+    // contiguous run of coarse rows: row-chunked on the pool, the chunks
+    // concatenated in order.
+    let chunks = pool.map_chunks(n, |lo, hi| {
+        let (mut counts, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+        let mut entries: Vec<(usize, f64)> = Vec::new();
+        for u in lo..hi {
+            let m = mate[u];
+            if m < u {
+                continue; // the row of its first member
+            }
+            entries.clear();
+            for member in std::iter::once(u).chain((m != u).then_some(m)) {
+                for (j, v) in laplacian.row_iter(member) {
+                    if v != 0.0 {
+                        entries.push((parent[j], v));
+                    }
                 }
             }
-            local
-        })
-        .concat();
-    let coarse = CsrMatrix::from_triplets(next, next, &triplets)?;
+            entries.sort_by_key(|e| e.0);
+            let start = cols.len();
+            for &(c, v) in &entries {
+                if cols.len() > start && cols.last() == Some(&c) {
+                    *vals.last_mut().expect("a repeat follows its first value") += v;
+                } else {
+                    cols.push(c);
+                    vals.push(v);
+                }
+            }
+            counts.push(cols.len() - start);
+        }
+        (counts, cols, vals)
+    });
+    let nnz: usize = chunks.iter().map(|c| c.1.len()).sum();
+    let mut row_ptr = Vec::with_capacity(next + 1);
+    row_ptr.push(0);
+    let (mut col_idx, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+    for (counts, cols, vals) in chunks {
+        for count in counts {
+            row_ptr.push(row_ptr.last().expect("starts at 0") + count);
+        }
+        col_idx.extend(cols);
+        values.extend(vals);
+    }
+    let coarse = CsrMatrix::from_parts(next, next, row_ptr, col_idx, values)?;
     Ok(Coarsening { coarse, parent })
 }
 
@@ -629,8 +673,9 @@ fn canonical_pairs(
 /// the refinement sweeps the finest levels need.
 ///
 /// `fine` is the matrix of the level being prolonged **to** (its row count
-/// equals `step.parent.len()`). Elementwise per fine vertex and column, so
-/// bitwise identical for every thread count and block width.
+/// equals `step.parent.len()`). Elementwise per fine vertex and column, in
+/// windows of at most [`pcg::LOCKSTEP_MAX`] columns, so bitwise identical
+/// for every thread count and block width.
 fn prolong_block(fine: &CsrMatrix, step: &Coarsening, coarse: &Block, pool: &Pool) -> Block {
     let parent = &step.parent;
     debug_assert_eq!(fine.rows(), parent.len());
@@ -638,28 +683,33 @@ fn prolong_block(fine: &CsrMatrix, step: &Coarsening, coarse: &Block, pool: &Poo
     let cv = &coarse.data;
     let mut out = vec![0.0; parent.len() * w];
     pool.block_rows(w, SPAWN_MIN, &mut out, |row0, span| {
-        let mut num = vec![0.0; w];
-        for (j, o) in span.chunks_exact_mut(w).enumerate() {
-            let v = row0 + j;
-            num.fill(0.0);
-            let mut den = 0.0;
-            for (u, entry) in fine.row_iter(v) {
-                if u != v && entry < 0.0 {
-                    let cu = &cv[parent[u] * w..(parent[u] + 1) * w];
-                    for (nc, &x) in num.iter_mut().zip(cu) {
-                        *nc += -entry * x;
+        for c0 in (0..w).step_by(pcg::LOCKSTEP_MAX) {
+            block::with_width!((w - c0).min(pcg::LOCKSTEP_MAX), W => {
+                let at = |u: usize| parent[u] * w + c0;
+                for (j, o) in span.chunks_exact_mut(w).enumerate() {
+                    let v = row0 + j;
+                    let mut num = [0.0; W];
+                    let mut den = 0.0;
+                    for (u, entry) in fine.row_iter(v) {
+                        if u != v && entry < 0.0 {
+                            let cu = &cv[at(u)..at(u) + W];
+                            for c in 0..W {
+                                num[c] += -entry * cu[c];
+                            }
+                            den += -entry;
+                        }
                     }
-                    den += -entry;
+                    let o = &mut o[c0..c0 + W];
+                    // Isolated vertices (no edges) fall back to injection.
+                    if den > 0.0 {
+                        for c in 0..W {
+                            o[c] = num[c] / den;
+                        }
+                    } else {
+                        o.copy_from_slice(&cv[at(v)..at(v) + W]);
+                    }
                 }
-            }
-            // Isolated vertices (no edges) fall back to injection.
-            if den > 0.0 {
-                for (oc, &nc) in o.iter_mut().zip(&num) {
-                    *oc = nc / den;
-                }
-            } else {
-                o.copy_from_slice(&cv[parent[v] * w..(parent[v] + 1) * w]);
-            }
+            });
         }
     });
     Block {
@@ -680,15 +730,8 @@ fn worst_residual(
     let v = &vectors.data;
     let mut lv = vec![0.0; v.len()];
     block::spmm(pool, laplacian, v, &mut lv, w);
-    (0..k)
-        .map(|c| {
-            let neg = -lambdas[c];
-            block::col_reduce(pool, vectors.rows(), |i| {
-                let e = lv[i * w + c] + neg * v[i * w + c];
-                e * e
-            })
-            .sqrt()
-        })
+    block::residual_norms(pool, v, &lv, lambdas, w, k)
+        .into_iter()
         .fold(0.0f64, f64::max)
 }
 
@@ -699,12 +742,17 @@ fn worst_residual(
 /// each. Every column takes its passes in lockstep with the others, each
 /// with its own θ; row-parallel on the pool, and thread count never
 /// changes the result.
+///
+/// A pass writes `v − ω D⁻¹((L v) + (−θ) v)` row by row into `scratch`
+/// and swaps it in, rounding each residual entry as a stored residual
+/// would be: one read of the matrix and the block, windows of at most
+/// [`pcg::LOCKSTEP_MAX`] columns.
 fn smooth_block(
     laplacian: &CsrMatrix,
     vectors: &mut Block,
     lambdas: &[f64],
     passes: usize,
-    r: &mut Vec<f64>,
+    scratch: &mut Vec<f64>,
     pool: &Pool,
 ) {
     if passes == 0 {
@@ -720,21 +768,26 @@ fn smooth_block(
         }
     });
     const OMEGA: f64 = 0.7;
-    r.resize(n * w, 0.0);
+    scratch.resize(n * w, 0.0);
     for _ in 0..passes {
-        block::spmm(pool, laplacian, &vectors.data, r, w);
-        // r += (−θ) v, then v −= ω r / d: level-1 elementwise updates.
         let v = &vectors.data;
-        block::for_rows(pool, r, w, |i, row| {
-            for (c, rc) in row.iter_mut().enumerate() {
-                *rc += -lambdas[c] * v[i * w + c];
+        pool.block_rows(w, SPAWN_MIN, scratch, |row0, span| {
+            for c0 in (0..w).step_by(pcg::LOCKSTEP_MAX) {
+                block::with_width!((w - c0).min(pcg::LOCKSTEP_MAX), W => {
+                    let neg: [f64; W] = std::array::from_fn(|c| -lambdas[c0 + c]);
+                    for (j, out) in span.chunks_exact_mut(w).enumerate() {
+                        let i = row0 + j;
+                        let lv = laplacian.row_times::<W>(i, v, w, c0);
+                        let vi = &v[i * w + c0..i * w + c0 + W];
+                        for c in 0..W {
+                            let r = lv[c] + neg[c] * vi[c];
+                            out[c0 + c] = vi[c] - OMEGA * r * inv_diag[i];
+                        }
+                    }
+                });
             }
         });
-        block::for_rows(pool, &mut vectors.data, w, |i, row| {
-            for (c, vc) in row.iter_mut().enumerate() {
-                *vc -= OMEGA * r[i * w + c] * inv_diag[i];
-            }
-        });
+        std::mem::swap(&mut vectors.data, scratch);
     }
 }
 
@@ -980,7 +1033,7 @@ impl<'a> VCycleSetup<'a> {
                     for (r, &p) in row.chunks_exact_mut(W).zip(&prow[lo..hi]) {
                         r.fill(p);
                     }
-                    *part = vector::dot_kernel_block::<W>(row, &rhs[lo * W..hi * W]);
+                    *part = block::dot_kernel_block::<W>(row, &rhs[lo * W..hi * W]);
                 }
                 for c in 0..W {
                     for (f, part) in fold.iter_mut().zip(&partials) {
@@ -1093,6 +1146,7 @@ fn refine_block(
     };
     let mut lambdas = vec![0.0; b];
     let mut jacobi: Option<pcg::Jacobi<'_>> = None;
+    let mut workspace = pcg::Workspace::default();
     for sweep in 0..sweeps.max(1) {
         orthonormalize(vectors, rng, pool);
         let v = &mut vectors.data;
@@ -1100,31 +1154,16 @@ fn refine_block(
         // Rayleigh–Ritz: T = VᵀLV, rotate V and LV by T's eigenbasis.
         lv.resize(n * b, 0.0);
         block::spmm(pool, laplacian, v, lv, b);
-        let mut t = DenseMatrix::zeros(b, b);
-        for i in 0..b {
-            for j in i..b {
-                let e = block::col_dot(pool, v, b, i, lv, b, j);
-                t.set(i, j, e);
-                t.set(j, i, e);
-            }
-        }
+        let t = DenseMatrix::from_vec(b, b, block::gram(pool, v, lv, b))?;
         let ritz = tql::symmetric_eigen(&t)?;
-        rotate(v, &ritz, pool);
-        rotate(lv, &ritz, pool);
+        let y = ritz.eigenvectors.as_slice();
+        block::rotate(pool, v, y, b);
+        block::rotate(pool, lv, y, b);
         lambdas.copy_from_slice(&ritz.eigenvalues);
 
         // Residuals of the whole block (we have LV for free); convergence
         // is gated on the k wanted pairs only.
-        let residuals: Vec<f64> = (0..b)
-            .map(|c| {
-                let neg = -lambdas[c];
-                block::col_reduce(pool, n, |i| {
-                    let e = lv[i * b + c] + neg * v[i * b + c];
-                    e * e
-                })
-                .sqrt()
-            })
-            .collect();
+        let residuals = block::residual_norms(pool, v, lv, &lambdas, b, b);
         let worst = residuals[..k].iter().cloned().fold(0.0f64, f64::max);
         // With a finite target this is a convergence check; on intermediate
         // levels (infinite target) every sweep but the last runs its
@@ -1168,6 +1207,7 @@ fn refine_block(
                 &cg_opts,
                 &mut vcycle,
                 &mut jacobi,
+                &mut workspace,
                 pool,
             )?;
         }
@@ -1184,7 +1224,8 @@ fn refine_block(
 /// `v − Lv/θ`, all are solved in one batched PCG call, and each solution
 /// `d` updates its column to `v/θ + d`. Failed V-cycle columns are retried
 /// with Jacobi-PCG afterwards, in column order, from the right-hand sides
-/// the batched solve left untouched.
+/// the batched solve left untouched. The batched solve runs in the
+/// level's `workspace`, reused from sweep to sweep.
 #[allow(clippy::too_many_arguments)]
 fn correct<'p>(
     laplacian: &CsrMatrix,
@@ -1197,6 +1238,7 @@ fn correct<'p>(
     cg_opts: &CgOptions,
     vcycle: &mut Option<&mut VCycle<'_, '_>>,
     jacobi: &mut Option<pcg::Jacobi<'p>>,
+    workspace: &mut pcg::Workspace,
     pool: &Pool<'p>,
 ) -> Result<(), LinalgError> {
     let n = laplacian.rows();
@@ -1228,7 +1270,8 @@ fn correct<'p>(
         },
     };
     let mut outcomes: Vec<Option<Result<usize, LinalgError>>> = vec![None; u];
-    pcg::solve_on(
+    pcg::solve_in(
+        workspace,
         laplacian,
         lv,
         u,
@@ -1266,23 +1309,49 @@ fn correct<'p>(
 
 /// Centre every column of the block and orthonormalise the columns with
 /// modified Gram–Schmidt, replacing any collapsed column by a fresh seeded
-/// random direction. Column by column on the pool, bitwise equal to the
-/// same steps on separate vectors.
+/// random direction. Bitwise equal to the same steps on separate vectors:
+/// centre, project out each earlier column, normalise.
+///
+/// Each pass over the block fuses an update with the reduction that reads
+/// its result: the centring of column `i` with its first dot product (or
+/// its norm, for column 0), each `v_i += c·v_q` with the next dot product
+/// or the norm, and the scaling of column `i` with the sum of column
+/// `i + 1` that its centring needs.
 fn orthonormalize(vectors: &mut Block, rng: &mut StdRng, pool: &Pool) {
     let b = vectors.width;
+    let rows = vectors.rows();
     let v = &mut vectors.data;
+    let mut sum = block::update_sum(pool, v, b, |row| row[0]);
     for i in 0..b {
         let mut attempts = 0;
         loop {
-            block::col_center(pool, v, b, i);
+            // Column q's coefficient is −⟨v_q, v_i⟩; after the last one,
+            // ⟨v_i, v_i⟩ is the squared norm.
+            let partner = |q: usize| if q < i { q } else { i };
+            let mean = sum / rows as f64;
+            let mut d = block::update_dot(pool, v, b, |row| {
+                row[i] -= mean;
+                row[partner(0)] * row[i]
+            });
             for q in 0..i {
-                let c = -block::col_dot(pool, v, b, q, v, b, i);
-                block::for_rows(pool, v, b, |_, row| row[i] += c * row[q]);
+                let c = -d;
+                d = block::update_dot(pool, v, b, |row| {
+                    row[i] += c * row[q];
+                    row[partner(q + 1)] * row[i]
+                });
             }
-            let norm = block::col_dot(pool, v, b, i, v, b, i).sqrt();
+            let norm = d.sqrt();
             if norm > 1e-10 || attempts >= 4 {
-                if norm > 0.0 {
-                    let inv = 1.0 / norm;
+                let inv = 1.0 / norm;
+                let scale = norm > 0.0;
+                if i + 1 < b {
+                    sum = block::update_sum(pool, v, b, |row| {
+                        if scale {
+                            row[i] *= inv;
+                        }
+                        row[i + 1]
+                    });
+                } else if scale {
                     block::for_rows(pool, v, b, |_, row| row[i] *= inv);
                 }
                 break;
@@ -1291,30 +1360,9 @@ fn orthonormalize(vectors: &mut Block, rng: &mut StdRng, pool: &Pool) {
                 row[i] = rng.gen_range(-1.0..1.0);
             }
             attempts += 1;
+            sum = block::update_sum(pool, v, b, |row| row[i]);
         }
     }
-}
-
-/// `V ← V · Y` in place for the Ritz rotation `Y` (eigenvectors of the
-/// projected operator, ascending), row by row: each new entry is
-/// `Σ_j y_j v_j` summed from `0.0` in `j` order, as an axpy per source
-/// column would build it.
-fn rotate(v: &mut [f64], ritz: &tql::SymmetricEigen, pool: &Pool) {
-    let b = ritz.eigenvalues.len();
-    let y = ritz.eigenvectors.as_slice();
-    pool.block_rows(b, LIGHT_SPAWN_MIN, v, |_, span| {
-        let mut old = vec![0.0; b];
-        for row in span.chunks_exact_mut(b) {
-            old.copy_from_slice(row);
-            for (col, out) in row.iter_mut().enumerate() {
-                let mut sum = 0.0;
-                for (j, &vj) in old.iter().enumerate() {
-                    sum += y[j * b + col] * vj;
-                }
-                *out = sum;
-            }
-        }
-    });
 }
 
 #[cfg(test)]
@@ -2039,3 +2087,7 @@ mod tests {
         .is_empty());
     }
 }
+
+#[cfg(test)]
+#[path = "kernel_parity.rs"]
+mod kernel_parity;

@@ -254,6 +254,34 @@ pub fn solve_on(
     pool: Pool<'_>,
     done: &mut dyn FnMut(usize, Result<Solved<'_>, LinalgError>),
 ) -> Result<(), LinalgError> {
+    let mut workspace = Workspace::default();
+    solve_in(&mut workspace, a, rhs, width, opts, precond, pool, done)
+}
+
+/// The four lockstep buffers of [`solve_on`]: solution, residual, search
+/// direction, and `q`, which holds `A p` and then the preconditioned
+/// residual `z`. A caller that solves again and again keeps one, so every
+/// solve after the first reuses memory that is already mapped.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    q: Vec<f64>,
+}
+
+/// [`solve_on`] with the buffers of `workspace`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_in(
+    workspace: &mut Workspace,
+    a: &CsrMatrix,
+    rhs: &[f64],
+    width: usize,
+    opts: &CgOptions,
+    precond: &mut dyn Preconditioner,
+    pool: Pool<'_>,
+    done: &mut dyn FnMut(usize, Result<Solved<'_>, LinalgError>),
+) -> Result<(), LinalgError> {
     let n = a.dim();
     if rhs.len() != n * width {
         return Err(LinalgError::DimensionMismatch {
@@ -264,14 +292,16 @@ pub fn solve_on(
     }
     let max_iters = opts.max_iterations.unwrap_or(10 * n + 100);
     let cap = n * width.min(LOCKSTEP_MAX);
-    // The four lockstep buffers: solution, residual, search direction, and
-    // `q`, which holds `A p` and then the preconditioned residual `z`.
-    let (mut x, mut r, mut p, mut q) = (
-        Vec::with_capacity(cap),
-        Vec::with_capacity(cap),
-        Vec::with_capacity(cap),
-        Vec::with_capacity(cap),
-    );
+    let Workspace {
+        mut x,
+        mut r,
+        mut p,
+        mut q,
+    } = std::mem::take(workspace);
+    for buf in [&mut x, &mut r, &mut p, &mut q] {
+        buf.clear();
+        buf.reserve(cap);
+    }
     let mut lanes: Vec<Lane> = Vec::with_capacity(LOCKSTEP_MAX);
     let mut next = 0;
     let mut round = 0;
@@ -356,6 +386,7 @@ pub fn solve_on(
         }
         let w = lanes.len();
         if w == 0 {
+            *workspace = Workspace { x, r, p, q };
             return Ok(());
         }
 

@@ -29,9 +29,10 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Build from coordinate triplets `(row, col, value)`.
     ///
-    /// Duplicate coordinates are summed; entries that sum to exactly zero
-    /// are kept (callers may rely on structural nonzeros), but triplets with
-    /// value `0.0` are dropped up front.
+    /// Duplicate coordinates are summed in input order, starting from the
+    /// first one's value; entries that sum to exactly zero are kept (callers
+    /// may rely on structural nonzeros), but triplets with value `0.0` are
+    /// dropped up front.
     pub fn from_triplets(
         rows: usize,
         cols: usize,
@@ -63,7 +64,9 @@ impl CsrMatrix {
             .copied()
             .filter(|&(_, _, v)| v != 0.0)
             .collect();
-        sorted.sort_unstable_by_key(|a| (a.0, a.1));
+        // Stable, so repeated coordinates stay in input order and their
+        // sum does not depend on the sort's internals.
+        sorted.sort_by_key(|a| (a.0, a.1));
 
         let mut row_ptr = vec![0usize; rows + 1];
         let mut col_idx: Vec<usize> = Vec::with_capacity(sorted.len());
@@ -378,6 +381,16 @@ mod tests {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 0, 2.5), (1, 1, 1.0)]).unwrap();
         assert_eq!(m.get(0, 0), 3.5);
         assert_eq!(stored(&m), 2);
+    }
+
+    #[test]
+    fn duplicates_are_summed_in_input_order() {
+        // Left to right, 1e16 + 1 rounds back to 1e16 and the sum is 0;
+        // adding the two large values first would give 1.
+        let t = [(0, 0, 1e16), (1, 1, 2.0), (0, 0, 1.0), (0, 0, -1e16)];
+        let m = CsrMatrix::from_triplets(2, 2, &t).unwrap();
+        assert_eq!(m.get(0, 0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(stored(&m), 2, "a zero sum stays a structural entry");
     }
 
     #[test]

@@ -32,38 +32,6 @@ pub(crate) fn dot_kernel(x: &[f64], y: &[f64]) -> f64 {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
-/// [`dot_kernel`] for `W` columns at once: `x` and `y` are row-major
-/// blocks of `W` columns, and each column accumulates exactly as
-/// [`dot_kernel`] does on that column alone — rows `0, 4, 8, …` in lane 0,
-/// rows `1, 5, …` in lane 1 and so on, the rows past the last whole group
-/// of 4 in a tail, and `((lane0 + lane1) + lane2) + lane3 + tail`. This is
-/// the rule that makes a batched solve's columns bitwise equal to
-/// single-vector solves.
-#[inline]
-pub(crate) fn dot_kernel_block<const W: usize>(x: &[f64], y: &[f64]) -> [f64; W] {
-    debug_assert_eq!(x.len(), y.len());
-    let rows = x.len() / W;
-    let quads = rows / 4;
-    let mut acc = [[0.0f64; W]; 4];
-    for q in 0..quads {
-        for (l, lane) in acc.iter_mut().enumerate() {
-            let at = (q * 4 + l) * W;
-            let (xr, yr) = (&x[at..at + W], &y[at..at + W]);
-            for c in 0..W {
-                lane[c] += xr[c] * yr[c];
-            }
-        }
-    }
-    let mut tail = [0.0f64; W];
-    for i in quads * 4..rows {
-        let (xr, yr) = (&x[i * W..(i + 1) * W], &y[i * W..(i + 1) * W]);
-        for c in 0..W {
-            tail[c] += xr[c] * yr[c];
-        }
-    }
-    std::array::from_fn(|c| acc[0][c] + acc[1][c] + acc[2][c] + acc[3][c] + tail[c])
-}
-
 /// The value a float `Iterator::sum` starts its fold from; the batched
 /// sums fold from it too, so they repeat [`sum_kernel`] bit for bit.
 #[inline(always)]
