@@ -74,7 +74,8 @@ use crate::shard::{Partition, ReadPath, Shard, ShardMap, ShardSet};
 use crossbeam::sync::{is_model_abort, Arc, Condvar, Mutex};
 use slpm_linalg::WorkerPool;
 use slpm_storage::{
-    BufferStats, IoCost, IoModel, Mbr, PackedRTree, PageLayout, PageMapper, QueryCost, StorageError,
+    BufferStats, IoCost, IoModel, Mbr, PackedRTree, PageLayout, PageMapper, PlanScratch, QueryCost,
+    StorageError,
 };
 use spectral_lpm::LinearOrder;
 use std::collections::VecDeque;
@@ -1547,19 +1548,6 @@ impl<'a> ServeEngine<'a> {
     /// chunked across the pool when one exists (the planning half of the
     /// hot path; replay overlaps it across in-flight batches).
     fn plan_and_route(&self, queries: &[Query]) -> (Vec<Plan>, Vec<Route>) {
-        let rpp = self.layout.records_per_page;
-        let shard_map = self.shard_map;
-        let plan_route = |q: &Query| {
-            let plan = self.plan(q);
-            let route = route_query(
-                &plan.results,
-                plan.rank_ordered,
-                self.order.ranks(),
-                rpp,
-                &shard_map,
-            );
-            (plan, route)
-        };
         match &self.pool {
             Some(pool) if queries.len() > 1 => {
                 let mut slots: Vec<Option<(Plan, Route)>> =
@@ -1571,10 +1559,9 @@ impl<'a> ServeEngine<'a> {
                     .chunks_mut(chunk)
                     .zip(queries.chunks(chunk))
                     .map(|(out, qs)| {
-                        let pr = &plan_route;
                         Box::new(move || {
-                            for (slot, q) in out.iter_mut().zip(qs) {
-                                *slot = Some(pr(q));
+                            for (slot, planned) in out.iter_mut().zip(self.plan_run(qs)) {
+                                *slot = Some(planned);
                             }
                         }) as Box<dyn FnOnce() + Send + '_>
                     })
@@ -1585,15 +1572,33 @@ impl<'a> ServeEngine<'a> {
                     .map(|slot| slot.expect("every query planned"))
                     .unzip()
             }
-            _ => queries.iter().map(plan_route).unzip(),
+            _ => self.plan_run(queries).unzip(),
         }
     }
 
+    /// Plan and route `queries` in turn on one [`PlanScratch`] and one
+    /// page list, so a query allocates only what its plan and route keep.
+    fn plan_run<'q>(&'q self, queries: &'q [Query]) -> impl Iterator<Item = (Plan, Route)> + 'q {
+        let (mut scratch, mut pages) = (PlanScratch::default(), Vec::new());
+        queries.iter().map(move |q| {
+            let plan = self.plan(q, &mut scratch);
+            let route = route_query(
+                &plan.results,
+                plan.rank_ordered,
+                self.order.ranks(),
+                self.layout.records_per_page,
+                &self.shard_map,
+                &mut pages,
+            );
+            (plan, route)
+        })
+    }
+
     /// Plan one query against the R-tree.
-    fn plan(&self, query: &Query) -> Plan {
+    fn plan(&self, query: &Query, scratch: &mut PlanScratch) -> Plan {
         match query {
             Query::Range(mbr) => {
-                let (results, tree) = self.rtree.range_query_ordered(mbr);
+                let (results, tree) = self.rtree.range_query_ordered_with(mbr, scratch);
                 Plan {
                     results,
                     rank_ordered: true,
@@ -1601,7 +1606,7 @@ impl<'a> ServeEngine<'a> {
                 }
             }
             Query::Knn { center, k } => {
-                let (results, tree) = self.rtree.knn_best_first(center, *k);
+                let (results, tree) = self.rtree.knn_best_first_with(center, *k, scratch);
                 Plan {
                     results,
                     rank_ordered: false,
@@ -1613,22 +1618,25 @@ impl<'a> ServeEngine<'a> {
 }
 
 /// Route one query's result ids to pages and shard slices — a pure
-/// function of the rank array, page size and shard map.
+/// function of the rank array, page size and shard map. `pages` is
+/// working memory: its contents on entry are ignored.
 fn route_query(
     ids: &[usize],
     rank_ordered: bool,
     ranks: &[usize],
     records_per_page: usize,
     shard_map: &ShardMap,
+    pages: &mut Vec<usize>,
 ) -> Route {
-    let mut pages: Vec<usize> = ids.iter().map(|&id| ranks[id] / records_per_page).collect();
+    pages.clear();
+    pages.extend(ids.iter().map(|&id| ranks[id] / records_per_page));
     if !rank_ordered {
         pages.sort_unstable();
     }
     pages.dedup();
-    let runs = count_runs(&pages);
+    let runs = count_runs(pages);
     let mut slices: Vec<ShardSlice> = Vec::new();
-    for &page in &pages {
+    for &page in pages.iter() {
         let shard = shard_map.shard_of(page);
         match slices.iter_mut().find(|s| s.shard == shard) {
             Some(slice) => slice.pages.push(page),

@@ -58,5 +58,5 @@ pub use diskfile::{write_page_file, PageFile, PageFileHeader, StorageError};
 pub use io::{IoCost, IoModel};
 pub use mbr::{chebyshev, Mbr};
 pub use pages::{PageLayout, PageMapper};
-pub use rtree::{PackedRTree, QueryCost};
+pub use rtree::{PackedRTree, PlanScratch, QueryCost};
 pub use store::PageStore;

@@ -45,10 +45,12 @@ pub fn reference_levels(points: &[Vec<i64>], order: &LinearOrder, fanout: usize)
     levels
 }
 
-/// A fanout: small ones give deep trees, large ones (up to 64, the
-/// serving default) give long leaves.
+/// A fanout: small ones give deep trees, large ones (64 is the serving
+/// default) give long leaves, and those above 64 give leaves that span
+/// two or three `u64` words of the range planner's leaf bitset, the last
+/// word often partial.
 pub fn fanout() -> impl Strategy<Value = usize> {
-    prop_oneof![2usize..=9, 10usize..=64]
+    prop_oneof![2usize..=9, 10usize..=64, 65usize..=130]
 }
 
 /// `(points, order keys, fanout)` of a 2-D set packed column by column,

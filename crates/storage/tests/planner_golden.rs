@@ -4,10 +4,13 @@
 //! (`SpectralConfig::default()`), packs into R-tree leaves that are tall
 //! bands, the shape the per-leaf key index is built for. This test pins
 //! the total node and leaf visits, result counts and a digest of the
-//! returned ids of a seeded batch of range and kNN queries at two
-//! fanouts. The totals were recorded before the leaf scans gained the
-//! key index: a planner change may change what a query costs in time,
-//! never which nodes it visits or what it returns.
+//! returned ids of a seeded batch of range and kNN queries at four
+//! fanouts; at 100 and 128 a leaf spans two `u64` words of the range
+//! planner's leaf bitset, the last one partial at 100. The totals at 16
+//! and 64 were recorded before the leaf scans gained the key index, and
+//! those at 100 and 128 before the bitset and the outward kNN walk: a
+//! planner change may change what a query costs in time, never which
+//! nodes it visits or what it returns.
 
 use slpm_graph::points::PointSet;
 use slpm_linalg::Pool;
@@ -118,7 +121,7 @@ fn planner_counts_on_a_holey_spectral_set_are_pinned() {
         .collect();
 
     let mut got = Vec::new();
-    for fanout in [16usize, 64] {
+    for fanout in [16usize, 64, 100, 128] {
         let tree = PackedRTree::pack(points, &order, fanout);
         let (mut range, mut knn) = (Totals::new(), Totals::new());
         for q in &ranges {
@@ -141,6 +144,16 @@ fn planner_counts_on_a_holey_spectral_set_are_pinned() {
             64,
             (5_699, 4_997, 36_281, 0x3762_D59E_0578_1268),
             (7_123, 6_248, 12_900, 0x4346_49FB_38C0_3CBF),
+        ),
+        (
+            100,
+            (3_678, 3_361, 36_281, 0x3762_D59E_0578_1268),
+            (4_809, 4_409, 12_900, 0x4346_49FB_38C0_3CBF),
+        ),
+        (
+            128,
+            (2_993, 2_676, 36_281, 0x3762_D59E_0578_1268),
+            (3_913, 3_513, 12_900, 0x4346_49FB_38C0_3CBF),
         ),
     ];
     for ((fanout, range, knn), (pf, r, k)) in got.iter().zip(pinned) {

@@ -1,8 +1,9 @@
 //! Property tests for the best-first kNN planner. On random point sets —
-//! dimensions 2 and 3 with duplicate points common and `k` often at or
-//! beyond the point count; 2-D sets packed into tall column-shaped leaves
-//! with centres well outside the data; and coordinates pinned against
-//! both ends of `i64` — [`PackedRTree::knn_best_first`] must return
+//! dimensions 1 to 3, up to 160 points, with duplicate points common, `k`
+//! often at or beyond the point count and fanouts up to 130; 2-D sets
+//! packed into tall column-shaped leaves with centres well outside the
+//! data; and coordinates pinned against both ends of `i64` —
+//! [`PackedRTree::knn_best_first`] must return
 //! exactly the brute-force answer (score every point by its exact
 //! Chebyshev distance, sort by `(distance, id)`, truncate to `k`), and
 //! visit exactly the nodes and leaves the reference below visits.
@@ -148,7 +149,7 @@ fn check_probes(points: &[Vec<i64>], keys: &[u64], fanout: usize, probes: &[Prob
     }
 }
 
-/// `(points, order keys, fanout, probes)` in a shared dimension of 2 or 3.
+/// `(points, order keys, fanout, probes)` in a shared dimension of 1 to 3.
 /// `element` draws point coordinates and `centre` probe coordinates; keys
 /// come from a small range, so the order is a random permutation.
 fn knn_case<E, C>(
@@ -159,7 +160,7 @@ where
     E: Strategy<Value = i64>,
     C: Strategy<Value = i64>,
 {
-    (2usize..=3, 1usize..=48).prop_flat_map(move |(dim, n)| {
+    (1usize..=3, 1usize..=160).prop_flat_map(move |(dim, n)| {
         (
             proptest::collection::vec(proptest::collection::vec(element(), dim), n),
             proptest::collection::vec(0u64..=16, n),

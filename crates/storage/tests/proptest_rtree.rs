@@ -1,12 +1,14 @@
 //! Property tests for the packed R-tree's range queries: on random point
-//! sets — dimensions 2 and 3, coordinates drawn from a tight range (so
-//! duplicate points are common) or pinned against `i64::MIN`/`i64::MAX`,
-//! random packing orders and fanouts 2–64 — and on 2-D sets packed into
-//! tall column-shaped leaves, every query, inverted ones (`lo > hi` in one
-//! dimension) included, must return exactly the points a brute-force scan
-//! finds and visit exactly the nodes a reference tree built by the
-//! packing rule says it intersects. Thin queries on the column-shaped
-//! leaves take the key-slab scan, wide ones the whole-leaf mask scan.
+//! sets — dimensions 1 to 3, up to 160 points, coordinates drawn from a
+//! tight range (so duplicate points are common) or pinned against
+//! `i64::MIN`/`i64::MAX`, random packing orders and fanouts 2–130, so
+//! leaves span one to three words of the planner's leaf bitset, the last
+//! one often partial — and on 2-D sets packed into tall column-shaped
+//! leaves, every query, inverted ones (`lo > hi` in one dimension)
+//! included, must return exactly the points a brute-force scan finds and
+//! visit exactly the nodes a reference tree built by the packing rule
+//! says it intersects. Thin queries on the column-shaped leaves take the
+//! key-slab scan, wide ones the whole-leaf scan.
 
 mod common;
 
@@ -19,11 +21,11 @@ use spectral_lpm::LinearOrder;
 /// index that inverts that dimension when it is below the dimension.
 type RawQuery = (Vec<(i64, i64)>, usize);
 
-/// `(points, order keys, fanout, queries)` in a shared dimension of 2 or
+/// `(points, order keys, fanout, queries)` in a shared dimension of 1 to
 /// 3. Keys come from a small range, so ties (broken by id) are common and
 /// the order is a random permutation rather than the identity.
 fn range_case() -> impl Strategy<Value = (Vec<Vec<i64>>, Vec<u64>, usize, Vec<RawQuery>)> {
-    (2usize..=3, 1usize..=64).prop_flat_map(|(dim, n)| {
+    (1usize..=3, 1usize..=160).prop_flat_map(|(dim, n)| {
         (
             proptest::collection::vec(proptest::collection::vec(coord(), dim), n),
             proptest::collection::vec(0u64..=16, n),
