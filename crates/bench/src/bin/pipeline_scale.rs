@@ -7,9 +7,8 @@
 //! O(n^3), so it only runs at 32x32; the multilevel path covers every
 //! size.
 //!
-//! Usage:
-//!   pipeline_scale [--max-side N] [--threads N] [--oocore SIDE]
-//!                  [--bisection SIDE] [--json] [--out PATH]
+//! The flags and their defaults are the `FLAGS` table (`slpm_cli::flags`);
+//! an unknown flag or a bad value prints them and exits with code 2.
 //!
 //! `--threads N` (N > 1) additionally runs the multilevel path on N worker
 //! threads at every size and **verifies in-process that the threaded
@@ -62,6 +61,7 @@
 //! diverges from serial, or the out-of-core, dispatch, speedup, iteration
 //! or bisection gate misses.
 
+use slpm_cli::flags::{self, Flag, Kind::*};
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_linalg::fiedler::{FiedlerMethod, FiedlerOptions};
 use slpm_linalg::parallel::{dispatch_counters, DispatchCounters};
@@ -571,86 +571,44 @@ fn to_json(
     out
 }
 
+/// The command line.
+#[derive(Default)]
+struct Flags {
+    max_side: usize,
+    threads: usize,
+    /// Side of the out-of-core stage; `None` = stage off.
+    oocore: Option<usize>,
+    /// Side of the recursive-bisection stage; `None` = stage off.
+    bisection: Option<usize>,
+    json: bool,
+    out: String,
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag<Flags>] = &[
+    // A --max-side below the smallest side would record an empty trajectory
+    // and exit 0: the silent success the CI perf-smoke job must not produce.
+    ("--max-side", Preset("1024"), |f, a| a.int(SIDES[0]).map(|n| f.max_side = n)),
+    ("--threads", Preset("1"), |f, a| a.int(1).map(|n| f.threads = n)),
+    ("--oocore", Optional("SIDE"), |f, a| a.int(16).map(|n| f.oocore = Some(n))),
+    ("--bisection", Optional("SIDE"), |f, a| a.int(16).map(|n| f.bisection = Some(n))),
+    ("--json", Switch, |f, _| { f.json = true; Ok(()) }),
+    ("--out", Preset("BENCH_pipeline.json"), |f, a| a.string().map(|s| f.out = s)),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut max_side = 1024usize;
-    let mut threads = 1usize;
-    let mut oocore_side = 0usize; // 0 = stage off
-    let mut bisection_side = 0usize; // 0 = stage off
-    let mut json = false;
-    let mut out_path = String::from("BENCH_pipeline.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--max-side" => {
-                i += 1;
-                max_side = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--max-side requires a positive integer");
-                    std::process::exit(2);
-                });
-            }
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t| t >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads requires a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            "--oocore" => {
-                i += 1;
-                oocore_side = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s| s >= 16)
-                    .unwrap_or_else(|| {
-                        eprintln!("--oocore requires a grid side >= 16");
-                        std::process::exit(2);
-                    });
-            }
-            "--bisection" => {
-                i += 1;
-                bisection_side = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s| s >= 16)
-                    .unwrap_or_else(|| {
-                        eprintln!("--bisection requires a grid side >= 16");
-                        std::process::exit(2);
-                    });
-            }
-            other => {
-                eprintln!(
-                    "unknown flag '{other}' (try --max-side N, --threads N, --oocore SIDE, \
-                     --bisection SIDE, --json, --out PATH)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    if !SIDES.iter().any(|&s| s <= max_side) {
-        // A too-small (or zero) --max-side would otherwise record an empty
-        // trajectory and exit 0 — exactly the silent success the CI
-        // perf-smoke job must not produce.
-        eprintln!(
-            "--max-side {max_side} selects no grids (smallest is {}x{})",
-            SIDES[0], SIDES[0]
-        );
-        std::process::exit(2);
-    }
+    let Flags {
+        max_side,
+        threads,
+        oocore,
+        bisection,
+        json,
+        out: out_path,
+    } = flags::parse("pipeline_scale", FLAGS, &args).unwrap_or_else(|e| {
+        eprintln!("{e}\n{}", flags::usage("usage: pipeline_scale ", FLAGS));
+        std::process::exit(2)
+    });
 
     println!(
         "{:>6}  {:>8}  {:>14}  {:>7}  {:>10}  {:>12}  {:>9}  {:>14}",
@@ -740,8 +698,8 @@ fn main() {
     }
 
     // ---- Out-of-core stage ------------------------------------------
-    let oocore = if oocore_side > 0 {
-        match run_oocore(oocore_side) {
+    let oocore = if let Some(side) = oocore {
+        match run_oocore(side) {
             Ok(o) => {
                 if !o.gate {
                     eprintln!("FAILED: the out-of-core stage missed its gate");
@@ -760,8 +718,8 @@ fn main() {
     };
 
     // ---- Recursive-bisection stage ----------------------------------
-    let bisection = if bisection_side > 0 {
-        match run_bisection(bisection_side, threads) {
+    let bisection = if let Some(side) = bisection {
+        match run_bisection(side, threads) {
             Ok(b) => {
                 if !b.gate {
                     eprintln!(
@@ -823,5 +781,48 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Flags, flags::ParseError> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        flags::parse("pipeline_scale", FLAGS, &args)
+    }
+
+    #[test]
+    fn presets_and_stage_sides() {
+        let f = parse(&[]).expect("the presets parse");
+        assert_eq!(
+            (f.max_side, f.threads, f.oocore, f.bisection),
+            (1024, 1, None, None)
+        );
+        assert_eq!((f.json, f.out.as_str()), (false, "BENCH_pipeline.json"));
+        let f = parse(&["--oocore", "16", "--bisection", "64", "--max-side", "32"]).unwrap();
+        assert_eq!(
+            (f.oocore, f.bisection, f.max_side),
+            (Some(16), Some(64), 32)
+        );
+        assert!(parse(&["--max-side", "31"]).is_err(), "selects no grid");
+        assert!(parse(&["--oocore", "15"]).is_err());
+        assert!(parse(&["--threads", "0"]).is_err());
+    }
+
+    #[test]
+    fn every_flag_rejects_a_missing_or_bad_value_with_its_name() {
+        for &(flag, kind, _) in FLAGS {
+            match parse(&[flag]) {
+                Ok(_) => assert_eq!(kind, Switch, "{flag}"),
+                Err(e) => assert_eq!(e.0, format!("{flag} requires a value")),
+            }
+            for junk in ["", "0", "-1", "x", "15", "18446744073709551616"] {
+                if let Err(e) = parse(&[flag, junk]) {
+                    assert!(e.0.contains(flag) || e.0.starts_with("unknown"), "{e}");
+                }
+            }
+        }
     }
 }

@@ -42,27 +42,19 @@
 //! sweep compares that window against none. Wall-clock fields are
 //! observables only.
 //!
-//! Usage (defaults in parentheses are the CI configuration):
-//!   serve_bench [--grid N (64)] [--shards S (2)] [--threads T (2)]
-//!               [--queries Q (400)] [--mapping M (hilbert)]
-//!               [--partition P (contiguous)] [--repeats R (3)]
-//!               [--inflight B (4)] [--shapes a,b,.. (all four)]
-//!               [--queue-depth D (64)] [--batch-delay-us U (200)]
-//!               [--slo-us U (2000)] [--fault-plan SPEC]
-//!               [--page-file PATH] [--readahead N (8)]
-//!               [--buffer-pages N (storage pool; ~10% of the file)]
-//!               [--json] [--out PATH (BENCH_serve.json)]
-//!
-//! Unknown flags and bad values exit with code 2. `--json` writes the
-//! results to PATH; CI uploads that file as a build artifact. The JSON
+//! The flags and their defaults, which are the CI configuration, are the
+//! `FLAGS` table (`slpm_cli::flags`); an unknown flag or a bad value
+//! prints them and exits with code 2. `--json` writes the results to the
+//! `--out` path; CI uploads that file as a build artifact. The JSON
 //! stamps `host_parallelism`: on a single-core host the pooled matrix
 //! entries measure scheduling overhead, not speedup.
 
+use slpm_cli::args::{fault_plan, partition};
+use slpm_cli::flags::{self, Flag, Kind::*};
 use slpm_graph::grid::GridSpec;
 use slpm_querysim::mappings::curve_order_by_name;
 use slpm_serve::arrival::{ArrivalConfig, ArrivalShape};
 use slpm_serve::engine::{BatchReport, EngineConfig, Query, ServeEngine};
-use slpm_serve::shard::Partition;
 use slpm_serve::stream::{stream_serve, AdmissionPolicy, ServiceModel, StreamConfig};
 use slpm_serve::workload::{grid_points, mixed_workload_labeled, WorkloadConfig, CLASS_LABELS};
 use slpm_serve::FaultPlan;
@@ -70,26 +62,24 @@ use slpm_storage::{write_page_file, Mbr, PageLayout, PageMapper};
 use spectral_lpm::LinearOrder;
 use std::path::{Path, PathBuf};
 use std::process::exit;
-use std::str::FromStr;
 use std::time::Instant;
 
-/// The command line; the defaults are the CI configuration.
+/// The command line, in the library's configurations where it has them.
+#[derive(Default)]
 struct Flags {
     side: usize,
-    shards: usize,
-    threads: usize,
-    queries: usize,
+    /// Shards, threads, placement and readahead of every engine.
+    engine: EngineConfig,
+    /// The query count.
+    workload: WorkloadConfig,
     mapping: String,
-    partition: Partition,
     repeats: usize,
     inflight: usize,
     shapes: Vec<ArrivalShape>,
-    queue_depth: usize,
-    batch_delay_us: u64,
-    slo_us: u64,
+    /// Micro-batch window, queue bound and SLO of every stream.
+    stream: StreamConfig,
     fault_plan: Option<String>,
     page_file: Option<String>,
-    readahead: usize,
     /// The storage section's capped pool; `None` sizes it at ~10% of the
     /// file.
     buffer_pages: Option<usize>,
@@ -97,117 +87,37 @@ struct Flags {
     out: String,
 }
 
-const FLAGS: &str = "--grid N, --shards S, --threads T, --queries Q, --mapping M, \
-    --partition P, --repeats R, --inflight B, --shapes a,b, --queue-depth D, \
-    --batch-delay-us U, --slo-us U, --fault-plan SPEC, --page-file PATH, --readahead N, \
-    --buffer-pages N, --json, --out PATH";
-
-/// Print a usage error and exit 2.
-fn usage(msg: &str) -> ! {
-    eprintln!("{msg}");
-    exit(2);
-}
+/// The flags and their defaults, which are the CI configuration.
+#[rustfmt::skip]
+const FLAGS: &[Flag<Flags>] = &[
+    ("--grid", Preset("64"), |f, a| a.int(4).map(|n| f.side = n)),
+    ("--shards", Preset("2"), |f, a| a.int(1).map(|n| f.engine.shards = n)),
+    ("--threads", Preset("2"), |f, a| a.int(1).map(|n| f.engine.threads = n)),
+    ("--queries", Preset("400"), |f, a| a.int(1).map(|n| f.workload.queries = n)),
+    ("--mapping", Preset("hilbert"), |f, a| a.string().map(|s| f.mapping = s)),
+    ("--partition", Preset("contiguous"), |f, a| partition(a).map(|p| f.engine.partition = p)),
+    ("--repeats", Preset("3"), |f, a| a.int(1).map(|n| f.repeats = n)),
+    ("--inflight", Preset("4"), |f, a| a.int(1).map(|n| f.inflight = n)),
+    ("--shapes", Preset("deterministic,poisson,bursty,diurnal"), |f, a| {
+        let names = "a comma-separated list of deterministic, poisson, bursty, diurnal";
+        let shapes = |v: &str| v.split(',').map(|s| ArrivalShape::parse(s.trim())).collect();
+        a.name("arrival shapes", names, shapes).map(|s| f.shapes = s)
+    }),
+    ("--queue-depth", Preset("64"), |f, a| a.int(1).map(|n| f.stream.queue_depth = n)),
+    ("--batch-delay-us", Preset("200"), |f, a| a.float(0).map(|n| f.stream.batch_delay_us = n)),
+    ("--slo-us", Preset("2000"), |f, a| a.float(1).map(|n| f.stream.slo_us = n)),
+    ("--fault-plan", Optional("SPEC"), |f, a| fault_plan(a).map(|(_, s)| f.fault_plan = Some(s))),
+    ("--page-file", Optional("PATH"), |f, a| a.string().map(|s| f.page_file = Some(s))),
+    ("--readahead", Preset("8"), |f, a| a.int(1).map(|n| f.engine.readahead = n)),
+    ("--buffer-pages", Optional("N"), |f, a| a.int(1).map(|n| f.buffer_pages = Some(n))),
+    ("--json", Switch, |f, _| { f.json = true; Ok(()) }),
+    ("--out", Preset("BENCH_serve.json"), |f, a| a.string().map(|s| f.out = s)),
+];
 
 /// Print why the run could not be measured and exit 1.
 fn fail(msg: &str) -> ! {
     eprintln!("FAILED: {msg}");
     exit(1);
-}
-
-/// The value after `flag`, converted by `parse`; a missing or rejected
-/// value is a usage error saying what `flag` needs.
-fn value<T>(
-    args: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-    need: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> T {
-    args.next()
-        .and_then(|v| parse(v))
-        .unwrap_or_else(|| usage(&format!("{flag} requires {need}")))
-}
-
-/// A positive integer.
-fn positive<T: FromStr + PartialOrd + From<u8>>(v: &str) -> Option<T> {
-    v.parse().ok().filter(|n| *n >= T::from(1))
-}
-
-impl Flags {
-    fn parse(args: &[String]) -> Flags {
-        let mut f = Flags {
-            side: 64,
-            shards: 2,
-            threads: 2,
-            queries: 400,
-            mapping: "hilbert".into(),
-            partition: Partition::Contiguous,
-            repeats: 3,
-            inflight: 4,
-            shapes: ArrivalShape::ALL.to_vec(),
-            queue_depth: 64,
-            batch_delay_us: 200,
-            slo_us: 2_000,
-            fault_plan: None,
-            page_file: None,
-            readahead: 8,
-            buffer_pages: None,
-            json: false,
-            out: "BENCH_serve.json".into(),
-        };
-        let pos = "a positive integer";
-        let text = |v: &str| Some(v.to_string());
-        let mut args = args.iter();
-        while let Some(flag) = args.next() {
-            let a = &mut args;
-            match flag.as_str() {
-                "--json" => f.json = true,
-                "--grid" => {
-                    f.side = value(a, flag, "a side >= 4", |v| {
-                        v.parse().ok().filter(|&n| n >= 4)
-                    })
-                }
-                "--shards" => f.shards = value(a, flag, pos, positive),
-                "--threads" => f.threads = value(a, flag, pos, positive),
-                "--queries" => f.queries = value(a, flag, pos, positive),
-                "--repeats" => f.repeats = value(a, flag, pos, positive),
-                "--inflight" => f.inflight = value(a, flag, pos, positive),
-                "--queue-depth" => f.queue_depth = value(a, flag, pos, positive),
-                "--slo-us" => f.slo_us = value(a, flag, pos, positive),
-                "--readahead" => f.readahead = value(a, flag, pos, positive),
-                "--buffer-pages" => f.buffer_pages = Some(value(a, flag, pos, positive)),
-                "--batch-delay-us" => {
-                    f.batch_delay_us = value(a, flag, "a non-negative integer", |v| v.parse().ok())
-                }
-                "--mapping" => f.mapping = value(a, flag, "a name", text),
-                "--out" => f.out = value(a, flag, "a path", text),
-                "--page-file" => {
-                    f.page_file = Some(value(a, flag, "a path (from `slpm pack`)", text))
-                }
-                "--partition" => {
-                    f.partition = value(a, flag, "contiguous or round-robin", Partition::parse)
-                }
-                "--shapes" => {
-                    f.shapes = value(
-                        a,
-                        flag,
-                        "a comma-separated list of deterministic, poisson, bursty, diurnal",
-                        |v| {
-                            v.split(',')
-                                .map(|s| ArrivalShape::parse(s.trim()))
-                                .collect()
-                        },
-                    )
-                }
-                "--fault-plan" => {
-                    f.fault_plan = Some(value(a, flag, "a valid plan (e.g. kill!:0@12)", |v| {
-                        FaultPlan::parse(v).ok().map(|_| v.to_string())
-                    }))
-                }
-                other => usage(&format!("unknown flag '{other}' (try {FLAGS})")),
-            }
-        }
-        f
-    }
 }
 
 /// What every section shares: one grid, order, point set and labelled
@@ -218,7 +128,6 @@ struct Bench {
     points: Vec<Vec<i64>>,
     workload: Vec<Query>,
     labels: Vec<&'static str>,
-    cfg: EngineConfig,
 }
 
 impl Bench {
@@ -251,11 +160,8 @@ impl Bench {
     ) -> StreamConfig {
         StreamConfig {
             arrival: ArrivalConfig::new(shape, rate_qps, 42),
-            batch_delay_us: self.flags.batch_delay_us as f64,
-            queue_depth: self.flags.queue_depth,
             policy,
-            slo_us: self.flags.slo_us as f64,
-            ..Default::default()
+            ..self.flags.stream
         }
     }
 }
@@ -295,7 +201,12 @@ fn matrix(b: &Bench, digest: u64) -> (Vec<String>, bool) {
         "hit warm",
         "digest"
     );
-    let mut combos = vec![(1, 1), (f.shards, 1), (1, f.threads), (f.shards, f.threads)];
+    let mut combos = vec![
+        (1, 1),
+        (f.engine.shards, 1),
+        (1, f.engine.threads),
+        (f.engine.shards, f.engine.threads),
+    ];
     combos.sort_unstable();
     combos.dedup();
     let mut flights = vec![1usize, f.inflight];
@@ -306,7 +217,7 @@ fn matrix(b: &Bench, digest: u64) -> (Vec<String>, bool) {
         let cfg = EngineConfig {
             shards,
             threads,
-            ..b.cfg
+            ..b.flags.engine
         };
         // One engine per in-flight count (buffer pools persist across
         // repeats: the first replay is cold, the last is steady-state),
@@ -328,7 +239,7 @@ fn matrix(b: &Bench, digest: u64) -> (Vec<String>, bool) {
         for ((&inflight, seconds), runs) in flights.iter().zip(seconds).zip(&runs) {
             parity &= runs.iter().all(|r| r.digest == digest);
             let (cold, warm) = (&runs[0], &runs[runs.len() - 1]);
-            let qps = (f.queries * f.repeats) as f64 / seconds;
+            let qps = (f.workload.queries * f.repeats) as f64 / seconds;
             let latency: Vec<String> = CLASS_LABELS
                 .iter()
                 .map(|&class| {
@@ -397,12 +308,12 @@ fn stream(b: &Bench, engine: &ServeEngine) -> (String, bool, bool, f64) {
                 .sum::<f64>()
         })
         .sum();
-    let capacity_qps = f.shards as f64 * f.queries as f64 * 1e6 / total_service_us;
+    let capacity_qps = f.engine.shards as f64 * f.workload.queries as f64 * 1e6 / total_service_us;
     let (base_rate, overload_rate) = (0.2 * capacity_qps, 3.0 * capacity_qps);
     println!(
         "\ncalibration: mean service {:.1}us/query, capacity {capacity_qps:.0} q/s, \
          headroom {base_rate:.0} q/s, overload {overload_rate:.0} q/s",
-        total_service_us / f.queries as f64,
+        total_service_us / f.workload.queries as f64,
     );
     println!(
         "{:>14} {:>9} {:>10} {:>6} {:>9} {:>5} {:>9} {:>9} {:>9} {:>7} {:>6} {:>7}",
@@ -546,10 +457,10 @@ fn faults(b: &Bench, engine: &ServeEngine, base_rate: f64) -> (Vec<String>, bool
     let baseline = stream_serve(engine, &b.workload, &b.labels, &cfg)
         .expect("the unfaulted baseline has no replay panics");
     let permanent = f.fault_plan.clone().unwrap_or_else(|| "kill!:0@12".into());
-    let transient = format!("flaky:{}@0+2", 1.min(f.shards - 1));
+    let transient = format!("flaky:{}@0+2", 1.min(f.engine.shards - 1));
     let (mut entries, mut gate) = (Vec::new(), true);
     for (label, plan) in [("permanent", permanent), ("transient", transient)] {
-        let faulted = b.engine(b.cfg);
+        let faulted = b.engine(b.flags.engine);
         faulted.inject_faults(FaultPlan::parse(&plan).expect("plans are pre-validated"));
         let report = stream_serve(&faulted, &b.workload, &b.labels, &cfg)
             .unwrap_or_else(|e| fail(&format!("fault sweep '{label}' errored: {e}")));
@@ -610,17 +521,19 @@ fn faults(b: &Bench, engine: &ServeEngine, base_rate: f64) -> (Vec<String>, bool
 /// storage gate.
 fn storage(b: &Bench) -> (String, bool) {
     let f = &b.flags;
-    let mapper = PageMapper::new(&b.order, PageLayout::new(b.cfg.records_per_page));
+    let mapper = PageMapper::new(&b.order, PageLayout::new(b.flags.engine.records_per_page));
     let pages = mapper.num_pages();
     // Auto pool: ~10% of the file, floored so the prefetch budget (which
     // never evicts the demand page, so caps at capacity - 1) stays open.
-    let pool = f.buffer_pages.unwrap_or((pages / 10).max(f.readahead + 2));
+    let pool = f
+        .buffer_pages
+        .unwrap_or((pages / 10).max(f.engine.readahead + 2));
     let path = match &f.page_file {
         Some(p) => PathBuf::from(p),
         None => {
             let p =
                 std::env::temp_dir().join(format!("slpm-serve-bench-{}.pages", std::process::id()));
-            write_page_file(&p, &mapper, b.cfg.record_size)
+            write_page_file(&p, &mapper, b.flags.engine.record_size)
                 .unwrap_or_else(|e| fail(&format!("cannot write page file {}: {e}", p.display())));
             p
         }
@@ -629,21 +542,21 @@ fn storage(b: &Bench) -> (String, bool) {
         let cfg = EngineConfig {
             buffer_pages: pool,
             readahead,
-            ..b.cfg
+            ..b.flags.engine
         };
         b.disk_engine(cfg, &path)
     };
-    let memory_digest = ServeEngine::new(&b.points, &b.order, b.cfg)
+    let memory_digest = ServeEngine::new(&b.points, &b.order, b.flags.engine)
         .run(&b.workload)
         .expect("no replay panic")
         .digest;
-    let oocore = disk(f.readahead);
+    let oocore = disk(f.engine.readahead);
     let t0 = Instant::now();
     let cold = oocore.run(&b.workload).expect("no replay panic");
-    let cold_qps = f.queries as f64 / t0.elapsed().as_secs_f64();
+    let cold_qps = f.workload.queries as f64 / t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
     let warm = oocore.run(&b.workload).expect("no replay panic");
-    let warm_qps = f.queries as f64 / t1.elapsed().as_secs_f64();
+    let warm_qps = f.workload.queries as f64 / t1.elapsed().as_secs_f64();
     // The ordered sweep: each full-domain range is one monotone pass over
     // every page in linear order; with the pool capped at ~10% of the
     // file, the second pass re-faults everything the first evicted, so
@@ -657,7 +570,9 @@ fn storage(b: &Bench) -> (String, bool) {
             })
         })
         .collect();
-    let ahead = disk(f.readahead).run(&sweep).expect("no replay panic");
+    let ahead = disk(f.engine.readahead)
+        .run(&sweep)
+        .expect("no replay panic");
     let plain = disk(0).run(&sweep).expect("no replay panic");
     let (ra, pl) = (ahead.buffer_stats(), plain.buffer_stats());
     if f.page_file.is_none() {
@@ -673,7 +588,7 @@ fn storage(b: &Bench) -> (String, bool) {
         "out-of-core: {pages} pages, pool {pool}, readahead {}: cold {cold_qps:.0} q/s, \
          warm {warm_qps:.0} q/s, sweep misses {} (readahead) vs {} (none), \
          prefetched {} ({} hit) -> {}",
-        f.readahead,
+        f.engine.readahead,
         ra.misses,
         pl.misses,
         ra.prefetched,
@@ -694,7 +609,7 @@ fn storage(b: &Bench) -> (String, bool) {
          \"sweep_readahead_misses\": {}, \"sweep_prefetched\": {}, \
          \"sweep_prefetch_hits\": {}}}",
         f.page_file.as_deref().unwrap_or("(temp)"),
-        f.readahead,
+        f.engine.readahead,
         cold.digest,
         warm.digest,
         pl.misses,
@@ -716,32 +631,21 @@ fn json_lines(items: &[String]) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = Flags::parse(&args);
+    let flags = flags::parse("serve_bench", FLAGS, &args).unwrap_or_else(|e| {
+        eprintln!("{e}\n{}", flags::usage("usage: serve_bench ", FLAGS));
+        exit(2)
+    });
     let spec = GridSpec::cube(flags.side, 2);
     let order = curve_order_by_name(&spec, &flags.mapping).unwrap_or_else(|msg| fail(&msg));
-    let (workload, labels) = mixed_workload_labeled(
-        &spec,
-        &WorkloadConfig {
-            queries: flags.queries,
-            ..Default::default()
-        },
-    )
-    .into_iter()
-    .unzip();
-    let cfg = EngineConfig {
-        shards: flags.shards,
-        threads: flags.threads,
-        partition: flags.partition,
-        readahead: flags.readahead,
-        ..Default::default()
-    };
+    let (workload, labels) = mixed_workload_labeled(&spec, &flags.workload)
+        .into_iter()
+        .unzip();
     let b = Bench {
         flags,
         order,
         points: grid_points(&spec),
         workload,
         labels,
-        cfg,
     };
     let f = &b.flags;
 
@@ -749,7 +653,7 @@ fn main() {
     // run on it: the digest every matrix entry must reproduce, and the
     // best-first planner's R-tree cost (a function of the workload and
     // the order alone, whatever the shards, threads or backing).
-    let engine = b.engine(b.cfg);
+    let engine = b.engine(b.flags.engine);
     let reference = engine.run(&b.workload).expect("no replay panic");
     let (mut knn_nodes, mut knn_leaves, mut total_nodes) = (0usize, 0usize, 0usize);
     for (outcome, query) in reference.outcomes.iter().zip(&b.workload) {
@@ -788,14 +692,14 @@ fn main() {
              \"faults\": {{\"entries\": [\n{}\n  ]}},\n  \
              \"storage\": {storage_json}\n}}\n",
             f.mapping,
-            f.queries,
-            f.shards,
-            f.threads,
-            f.partition,
-            b.cfg.records_per_page,
-            b.cfg.buffer_pages,
+            f.workload.queries,
+            f.engine.shards,
+            f.engine.threads,
+            f.engine.partition,
+            b.flags.engine.records_per_page,
+            b.flags.engine.buffer_pages,
             f.page_file.as_ref().map_or("null".into(), |p| format!("\"{p}\"")),
-            f.readahead,
+            f.engine.readahead,
             std::thread::available_parallelism().map_or(1, |n| n.get()),
             f.repeats,
             f.inflight,
@@ -811,5 +715,65 @@ fn main() {
     }
     if !(parity && slo_gate && fault_gate && storage_gate) {
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slpm_serve::shard::Partition;
+
+    fn parse(args: &[&str]) -> Result<Flags, flags::ParseError> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        flags::parse("serve_bench", FLAGS, &args)
+    }
+
+    #[test]
+    fn the_presets_are_the_ci_configuration() {
+        let f = parse(&[]).expect("the presets parse");
+        let e = f.engine;
+        assert_eq!(
+            (f.side, e.shards, e.threads, f.workload.queries),
+            (64, 2, 2, 400)
+        );
+        assert_eq!(
+            (f.mapping.as_str(), e.partition),
+            ("hilbert", Partition::Contiguous)
+        );
+        assert_eq!(
+            (f.repeats, f.inflight, f.shapes),
+            (3, 4, ArrivalShape::ALL.to_vec())
+        );
+        let s = f.stream;
+        assert_eq!(
+            (s.queue_depth, s.batch_delay_us, s.slo_us),
+            (64, 200.0, 2_000.0)
+        );
+        assert_eq!(
+            (f.fault_plan, f.page_file, f.buffer_pages),
+            (None, None, None)
+        );
+        assert_eq!(
+            (e.readahead, f.json, f.out.as_str()),
+            (8, false, "BENCH_serve.json")
+        );
+    }
+
+    #[test]
+    fn every_flag_rejects_a_missing_or_bad_value_with_its_name() {
+        for &(flag, kind, _) in FLAGS {
+            match parse(&[flag]) {
+                Ok(_) => assert_eq!(kind, Switch, "{flag}"),
+                Err(e) => assert_eq!(e.0, format!("{flag} requires a value")),
+            }
+            for junk in ["", "0", "-1", "x", "3", "kill!:9@x", "poisson,"] {
+                if let Err(e) = parse(&[flag, junk]) {
+                    assert!(e.0.contains(flag) || e.0.starts_with("unknown"), "{e}");
+                }
+            }
+        }
+        assert!(parse(&["--grid", "3"]).is_err());
+        assert!(parse(&["--readahead", "0"]).is_err());
+        assert!(parse(&["--fault-plan", "zap:0@1"]).is_err());
     }
 }

@@ -1,13 +1,20 @@
-//! Hand-rolled argument parsing for the `slpm` binary.
+//! The `slpm` commands: one flag table per command, parsed by
+//! [`crate::flags`] into the library's own configurations.
 
+use crate::commands::{Runner, EXPERIMENTS, FIGURES};
+pub use crate::flags::ParseError;
+use crate::flags::{self, Arg, Flag, Kind::*};
 use slpm_linalg::FiedlerMethod;
 use slpm_serve::arrival::ArrivalShape;
+use slpm_serve::engine::EngineConfig;
 use slpm_serve::shard::Partition;
-use slpm_serve::stream::AdmissionPolicy;
+use slpm_serve::stream::{AdmissionPolicy, StreamConfig};
+use slpm_serve::workload::WorkloadConfig;
+use slpm_serve::FaultPlan;
 use std::fmt;
 
 /// A mapping selectable on the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MappingChoice {
     /// Row-major sweep.
     Sweep,
@@ -20,6 +27,7 @@ pub enum MappingChoice {
     /// Gray-coded curve.
     Gray,
     /// Hilbert curve.
+    #[default]
     Hilbert,
     /// Spectral LPM, 4-connectivity.
     Spectral,
@@ -27,553 +35,339 @@ pub enum MappingChoice {
     Spectral8,
 }
 
+/// Every mapping: its name, the other names it answers to, the variant.
+#[rustfmt::skip]
+const MAPPINGS: &[(&str, &[&str], MappingChoice)] = &[
+    ("sweep", &[], MappingChoice::Sweep),
+    ("snake", &[], MappingChoice::Snake),
+    ("peano", &["z", "zorder", "z-order", "morton"], MappingChoice::Peano),
+    ("truepeano", &["true-peano", "peano3"], MappingChoice::TruePeano),
+    ("gray", &[], MappingChoice::Gray),
+    ("hilbert", &[], MappingChoice::Hilbert),
+    ("spectral", &[], MappingChoice::Spectral),
+    ("spectral8", &[], MappingChoice::Spectral8),
+];
+
 impl MappingChoice {
     /// Parse a mapping name (case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "sweep" => MappingChoice::Sweep,
-            "snake" => MappingChoice::Snake,
-            "peano" | "z" | "zorder" | "z-order" | "morton" => MappingChoice::Peano,
-            "truepeano" | "true-peano" | "peano3" => MappingChoice::TruePeano,
-            "gray" => MappingChoice::Gray,
-            "hilbert" => MappingChoice::Hilbert,
-            "spectral" => MappingChoice::Spectral,
-            "spectral8" => MappingChoice::Spectral8,
-            _ => return None,
-        })
+        let s = s.to_ascii_lowercase();
+        let found = MAPPINGS
+            .iter()
+            .find(|(name, aliases, _)| *name == s || aliases.contains(&&*s));
+        found.map(|m| m.2)
     }
 }
 
 impl fmt::Display for MappingChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            MappingChoice::Sweep => "sweep",
-            MappingChoice::Snake => "snake",
-            MappingChoice::Peano => "peano",
-            MappingChoice::TruePeano => "truepeano",
-            MappingChoice::Gray => "gray",
-            MappingChoice::Hilbert => "hilbert",
-            MappingChoice::Spectral => "spectral",
-            MappingChoice::Spectral8 => "spectral8",
-        };
-        f.write_str(s)
+        let (name, ..) = MAPPINGS
+            .iter()
+            .find(|m| m.2 == *self)
+            .expect("every mapping is listed");
+        f.write_str(name)
     }
 }
 
 /// A parsed command.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `slpm order --grid AxBx… --mapping M [--csv] [--threads N]`
-    Order {
-        /// Grid extents.
-        dims: Vec<usize>,
-        /// Which mapping.
-        mapping: MappingChoice,
-        /// Emit CSV instead of a grid/point listing.
-        csv: bool,
-        /// Eigensolver worker threads (spectral mappings only); `None` =
-        /// machine default. Never changes the computed order.
-        threads: Option<usize>,
-    },
-    /// `slpm fiedler --grid AxBx… [--method dense|multilevel] [--threads N]`
-    Fiedler {
-        /// Grid extents.
-        dims: Vec<usize>,
-        /// Eigensolver method; `None` = the size policy
-        /// ([`FiedlerMethod::for_size`]).
-        method: Option<FiedlerMethod>,
-        /// Eigensolver worker threads; `None` = machine default.
-        threads: Option<usize>,
-    },
-    /// `slpm figure <id>` where id ∈ fig1, fig3, fig4, fig5a, fig5b,
-    /// fig6a, fig6b.
+    /// `slpm order`: the rank of every grid point.
+    Order(Order),
+    /// `slpm fiedler`: λ₂ and the Fiedler vector of a grid.
+    Fiedler(Fiedler),
+    /// `slpm figure <id>`: one of [`FIGURES`].
     Figure {
         /// Figure id.
-        id: String,
+        id: &'static str,
     },
-    /// `slpm experiment <name>` where name ∈ knn, storage, rtree,
-    /// decluster, pointcloud, ablations.
+    /// `slpm experiment <name>`: one of [`EXPERIMENTS`].
     Experiment {
         /// Experiment name.
-        name: String,
+        name: &'static str,
     },
-    /// `slpm report --grid AxB --mapping M` — quality report of an order.
-    Report {
-        /// Grid extents.
-        dims: Vec<usize>,
-        /// Which mapping.
-        mapping: MappingChoice,
-    },
-    /// `slpm pack --grid AxB --out FILE [--mapping M] [--page-records N]
-    /// [--record-size B]` — write the grid's records to a disk page file
-    /// in linear-order sequence, for `slpm serve --page-file`.
-    Pack {
-        /// Grid extents.
-        dims: Vec<usize>,
-        /// Which mapping lays out the file (default Hilbert).
-        mapping: MappingChoice,
-        /// Output path of the page file.
-        out: String,
-        /// Records per page.
-        page_records: usize,
-        /// Bytes per record payload.
-        record_size: usize,
-    },
-    /// `slpm serve --grid AxB [--mapping M] [--shards S] [--threads T]
-    /// [--queries Q] [--seed N] [--partition contiguous|round-robin]
-    /// [--buffer-pages N] [--page-records N] [--inflight B]
-    /// [--page-file FILE] [--readahead N]` — run a mixed range/kNN
-    /// workload through the sharded serving engine.
-    Serve {
-        /// Grid extents.
-        dims: Vec<usize>,
-        /// Which mapping lays out the store (default Hilbert).
-        mapping: MappingChoice,
-        /// Number of shards.
-        shards: usize,
-        /// Worker threads (1 = serial baseline, no pool).
-        threads: usize,
-        /// Queries in the generated batch.
-        queries: usize,
-        /// Workload seed.
-        seed: u64,
-        /// Page → shard placement.
-        partition: Partition,
-        /// LRU frames per shard.
-        buffer_pages: usize,
-        /// Records per page.
-        page_records: usize,
-        /// Concurrently admitted batches the workload is split into
-        /// (1 = one batch, the serial-admission baseline).
-        inflight: usize,
-        /// Streaming mode: serve the workload as an open-loop arrival
-        /// stream with admission control and SLO accounting instead of
-        /// one closed-loop batch.
-        stream: bool,
-        /// Streaming: mean arrival rate in queries per second.
-        rate: u64,
-        /// Streaming: the arrival-process shape.
-        arrival: ArrivalShape,
-        /// Streaming: micro-batch window in simulated µs.
-        batch_delay_us: u64,
-        /// Streaming: micro-batch size cap (a full batch dispatches
-        /// early).
-        max_batch: usize,
-        /// Streaming: per-shard bound on queued replay units.
-        queue_depth: usize,
-        /// Streaming: what happens at the bound (shed or block).
-        admission: AdmissionPolicy,
-        /// Streaming: SLO latency target in simulated µs.
-        slo_us: u64,
-        /// Seeded fault plan (validated `FaultPlan` grammar), `None` =
-        /// fault-free.
-        fault_plan: Option<String>,
-        /// Replay attempts per unit (1 = no retry).
-        retry: u32,
-        /// Per-attempt timeout in simulated µs.
-        timeout_us: u64,
-        /// Base retry backoff in simulated µs (doubles per attempt).
-        backoff_us: u64,
-        /// Consecutive doomed units that trip a shard's breaker.
-        breaker_threshold: u32,
-        /// Units an open breaker fast-fails before probing.
-        probe_cooldown: u32,
-        /// Serve pages from this disk page file (written by `slpm pack`
-        /// under the same grid, mapping and page geometry) instead of
-        /// materialising them in memory.
-        page_file: Option<String>,
-        /// Run-readahead window per demand miss (0 = off; only
-        /// meaningful with a buffer pool smaller than the working set).
-        readahead: usize,
-    },
+    /// `slpm report`: the quality report of an order.
+    Report(Report),
+    /// `slpm pack`: the grid's records as a disk page file.
+    Pack(Pack),
+    /// `slpm serve`: a mixed range/kNN workload through the serving engine.
+    Serve(Box<Serve>),
     /// `slpm help`
     Help,
 }
 
-/// Parse failures, with a message suitable for direct printing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError(pub String);
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
+/// `slpm order`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Order {
+    /// Grid extents.
+    pub dims: Vec<usize>,
+    /// Which mapping.
+    pub mapping: MappingChoice,
+    /// Emit CSV instead of a grid/point listing.
+    pub csv: bool,
+    /// Eigensolver worker threads (spectral mappings only); `None` =
+    /// machine default. Never changes the computed order.
+    pub threads: Option<usize>,
 }
 
-impl std::error::Error for ParseError {}
+#[rustfmt::skip]
+const ORDER: &[Flag<Order>] = &[
+    ("--grid", Required("8x8"), |c, a| dims(a).map(|d| c.dims = d)),
+    ("--mapping", Required("spectral"), |c, a| mapping(a).map(|m| c.mapping = m)),
+    ("--csv", Switch, |c, _| { c.csv = true; Ok(()) }),
+    ("--threads", Optional("N"), |c, a| a.int(1).map(|n| c.threads = Some(n))),
+];
+
+/// `slpm fiedler`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Fiedler {
+    /// Grid extents.
+    pub dims: Vec<usize>,
+    /// Eigensolver method; `None` = the size policy
+    /// ([`FiedlerMethod::for_size`]).
+    pub method: Option<FiedlerMethod>,
+    /// Eigensolver worker threads; `None` = machine default.
+    pub threads: Option<usize>,
+}
+
+#[rustfmt::skip]
+const FIEDLER: &[Flag<Fiedler>] = &[
+    ("--grid", Required("8x8"), |c, a| dims(a).map(|d| c.dims = d)),
+    ("--method", Optional("dense|multilevel"), |c, a| method(a).map(|m| c.method = Some(m))),
+    ("--threads", Optional("N"), |c, a| a.int(1).map(|n| c.threads = Some(n))),
+];
+
+/// `slpm report`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Report {
+    /// Grid extents.
+    pub dims: Vec<usize>,
+    /// Which mapping.
+    pub mapping: MappingChoice,
+}
+
+#[rustfmt::skip]
+const REPORT: &[Flag<Report>] = &[
+    ("--grid", Required("8x8"), |c, a| dims(a).map(|d| c.dims = d)),
+    ("--mapping", Required("hilbert"), |c, a| mapping(a).map(|m| c.mapping = m)),
+];
+
+/// `slpm pack`: the grid's records in linear-order sequence, for `slpm
+/// serve --page-file`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Pack {
+    /// Grid extents.
+    pub dims: Vec<usize>,
+    /// Which mapping lays out the file.
+    pub mapping: MappingChoice,
+    /// Output path of the page file.
+    pub out: String,
+    /// Records per page.
+    pub page_records: usize,
+    /// Bytes per record payload.
+    pub record_size: usize,
+}
+
+#[rustfmt::skip]
+const PACK: &[Flag<Pack>] = &[
+    ("--grid", Required("256x256"), |c, a| dims(a).map(|d| c.dims = d)),
+    ("--out", Required("pages.slpm"), |c, a| a.string().map(|s| c.out = s)),
+    ("--mapping", Preset("hilbert"), |c, a| mapping(a).map(|m| c.mapping = m)),
+    ("--page-records", Preset("64"), |c, a| a.int(1).map(|n| c.page_records = n)),
+    ("--record-size", Preset("64"), |c, a| a.int(1).map(|n| c.record_size = n)),
+];
+
+/// `slpm serve`: the configurations of the engine, the workload and the
+/// stream, as the library takes them.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Serve {
+    /// Grid extents.
+    pub dims: Vec<usize>,
+    /// Which mapping lays out the store.
+    pub mapping: MappingChoice,
+    /// Shards, threads, placement, buffer pool, page geometry (one R-tree
+    /// leaf per page), readahead and the recovery knobs.
+    pub engine: EngineConfig,
+    /// Query count and seed.
+    pub workload: WorkloadConfig,
+    /// Concurrently admitted batches (1 = serial admission).
+    pub inflight: usize,
+    /// Serve the workload as an open-loop arrival stream under `stream`
+    /// instead of as batches.
+    pub streaming: bool,
+    /// Arrivals (seeded by the workload seed), micro-batching,
+    /// backpressure and the SLO target.
+    pub stream: StreamConfig,
+    /// The `--fault-plan` and its text; `None` = fault-free.
+    pub fault_plan: Option<(FaultPlan, String)>,
+    /// Serve pages from this file (written by `slpm pack` under the same
+    /// grid, mapping and page geometry) instead of from memory.
+    pub page_file: Option<String>,
+}
+
+#[rustfmt::skip]
+const SERVE: &[Flag<Serve>] = &[
+    ("--grid", Required("256x256"), |c, a| dims(a).map(|d| c.dims = d)),
+    ("--mapping", Preset("hilbert"), |c, a| mapping(a).map(|m| c.mapping = m)),
+    ("--shards", Preset("2"), |c, a| a.int(1).map(|n| c.engine.shards = n)),
+    ("--threads", Preset("1"), |c, a| a.int(1).map(|n| c.engine.threads = n)),
+    ("--queries", Preset("1000"), |c, a| a.int(1).map(|n| c.workload.queries = n)),
+    // The seed draws the workload and the stream's arrivals.
+    ("--seed", Preset("42"), |c, a| {
+        a.int(0).map(|n| (c.workload.seed, c.stream.arrival.seed) = (n, n))
+    }),
+    ("--partition", Preset("contiguous"), |c, a| partition(a).map(|p| c.engine.partition = p)),
+    ("--buffer-pages", Preset("64"), |c, a| a.int(1).map(|n| c.engine.buffer_pages = n)),
+    // One R-tree leaf per page.
+    ("--page-records", Preset("64"), |c, a| {
+        a.int(1).map(|n| (c.engine.records_per_page, c.engine.fanout) = (n, n))
+    }),
+    ("--inflight", Preset("1"), |c, a| a.int(1).map(|n| c.inflight = n)),
+    ("--page-file", Optional("pages.slpm"), |c, a| a.string().map(|s| c.page_file = Some(s))),
+    ("--readahead", Preset("0"), |c, a| a.int(0).map(|n| c.engine.readahead = n)),
+    ("--stream", Switch, |c, _| { c.streaming = true; Ok(()) }),
+    ("--rate", Preset("20000"), |c, a| a.float(1).map(|n| c.stream.arrival.rate_qps = n)),
+    ("--arrival", Preset("poisson"), |c, a| arrival(a).map(|s| c.stream.arrival.shape = s)),
+    ("--batch-delay-us", Preset("200"), |c, a| a.float(0).map(|n| c.stream.batch_delay_us = n)),
+    ("--max-batch", Preset("32"), |c, a| a.int(1).map(|n| c.stream.max_batch = n)),
+    ("--queue-depth", Preset("64"), |c, a| a.int(1).map(|n| c.stream.queue_depth = n)),
+    ("--admission", Preset("shed"), |c, a| admission(a).map(|p| c.stream.policy = p)),
+    ("--slo-us", Preset("2000"), |c, a| a.float(1).map(|n| c.stream.slo_us = n)),
+    ("--fault-plan", Optional("SPEC"), |c, a| fault_plan(a).map(|p| c.fault_plan = Some(p))),
+    ("--retry", Preset("3"), |c, a| a.int(1).map(|n| c.engine.recovery.max_attempts = n)),
+    ("--timeout-us", Preset("10000"), |c, a| a.float(1).map(|n| c.engine.recovery.timeout_us = n)),
+    ("--backoff-us", Preset("100"), |c, a| a.float(1).map(|n| c.engine.recovery.backoff_us = n)),
+    ("--breaker-threshold", Preset("3"), |c, a| {
+        a.int(1).map(|n| c.engine.recovery.breaker_threshold = n)
+    }),
+    ("--probe-cooldown", Preset("4"), |c, a| {
+        a.int(0).map(|n| c.engine.recovery.probe_cooldown = n)
+    }),
+];
 
 /// Parse `AxBxC` grid syntax (e.g. `8x8`, `4x4x4x4`).
+///
+/// # Errors
+/// An empty or zero extent, a non-number, or extents whose product (the
+/// number of points) overflows `usize`.
 pub fn parse_dims(s: &str) -> Result<Vec<usize>, ParseError> {
-    let dims: Result<Vec<usize>, _> = s.split(['x', 'X']).map(str::parse::<usize>).collect();
-    match dims {
-        Ok(d) if !d.is_empty() && d.iter().all(|&x| x > 0) => Ok(d),
-        _ => Err(ParseError(format!(
-            "invalid grid '{s}': expected AxB... with positive extents"
-        ))),
+    let invalid = |why: &str| ParseError(format!("invalid grid '{s}': {why}"));
+    let dims: Vec<usize> = s
+        .split(['x', 'X'])
+        .map(|d| d.parse().ok().filter(|&d| d > 0))
+        .collect::<Option<_>>()
+        .ok_or_else(|| invalid("expected AxB... with positive extents"))?;
+    match dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) {
+        Some(_) => Ok(dims),
+        None => Err(invalid("too many points to count")),
     }
 }
 
-/// Extract the value following a `--flag`.
-fn take_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, ParseError> {
-    *i += 1;
-    args.get(*i)
-        .map(String::as_str)
-        .ok_or_else(|| ParseError(format!("{flag} requires a value")))
+// The value converters the tables share.
+
+fn dims(a: Arg) -> Result<Vec<usize>, ParseError> {
+    parse_dims(a.text)
 }
 
-/// Parse a `--threads` value (a positive integer).
-fn parse_threads(args: &[String], i: &mut usize) -> Result<usize, ParseError> {
-    parse_positive(args, i, "--threads")
+fn mapping(a: Arg) -> Result<MappingChoice, ParseError> {
+    let names: Vec<_> = MAPPINGS.iter().map(|m| m.0).collect();
+    a.name("mapping", &names.join(", "), MappingChoice::parse)
 }
 
-/// Parse a positive-integer flag value.
-fn parse_positive(args: &[String], i: &mut usize, flag: &str) -> Result<usize, ParseError> {
-    let v = take_value(args, i, flag)?;
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(ParseError(format!(
-            "invalid {flag} '{v}': expected a positive integer"
+fn method(a: Arg) -> Result<FiedlerMethod, ParseError> {
+    a.name("method", "dense, multilevel", FiedlerMethod::parse)
+}
+
+/// A page → shard placement (also `serve_bench --partition`).
+pub fn partition(a: Arg) -> Result<Partition, ParseError> {
+    a.name("partition", "contiguous, round-robin", Partition::parse)
+}
+
+fn arrival(a: Arg) -> Result<ArrivalShape, ParseError> {
+    let names = "deterministic, poisson, bursty, diurnal";
+    a.name("arrival shape", names, ArrivalShape::parse)
+}
+
+fn admission(a: Arg) -> Result<AdmissionPolicy, ParseError> {
+    a.name("admission policy", "shed, block", AdmissionPolicy::parse)
+}
+
+/// A fault plan and its text (also `serve_bench --fault-plan`).
+pub fn fault_plan(a: Arg) -> Result<(FaultPlan, String), ParseError> {
+    a.with(FaultPlan::parse)
+        .map(|plan| (plan, a.text.to_string()))
+}
+
+/// The runner named `args[0]` in `table`; `what` names the table.
+fn named(
+    what: &str,
+    table: &'static [Runner],
+    args: &[String],
+) -> Result<&'static str, ParseError> {
+    let known = || table.iter().map(|r| r.0).collect::<Vec<_>>().join(", ");
+    let name = args
+        .first()
+        .ok_or_else(|| ParseError(format!("{what} requires a name ({})", known())))?;
+    match table.iter().find(|r| r.0 == name) {
+        Some(r) => Ok(r.0),
+        None => Err(ParseError(format!(
+            "unknown {what} '{name}' (known: {})",
+            known()
         ))),
     }
-}
-
-/// Parse a non-negative integer flag value (0 is meaningful, e.g. a
-/// probe cooldown of zero probes immediately after a trip).
-fn parse_nonneg(args: &[String], i: &mut usize, flag: &str) -> Result<u64, ParseError> {
-    let v = take_value(args, i, flag)?;
-    v.parse::<u64>()
-        .map_err(|_| ParseError(format!("invalid {flag} '{v}': expected an integer >= 0")))
 }
 
 /// Parse a full argument vector (without the program name).
+///
+/// # Errors
+/// No or an unknown command, or any error of [`flags::parse`].
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let cmd = args
-        .first()
-        .map(String::as_str)
+    let (cmd, rest) = args
+        .split_first()
         .ok_or_else(|| ParseError("no command; try `slpm help`".into()))?;
-    match cmd {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "order" => {
-            let mut dims = None;
-            let mut mapping = None;
-            let mut csv = false;
-            let mut threads = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--grid" => dims = Some(parse_dims(take_value(args, &mut i, "--grid")?)?),
-                    "--mapping" => {
-                        let v = take_value(args, &mut i, "--mapping")?;
-                        mapping = Some(MappingChoice::parse(v).ok_or_else(|| {
-                            ParseError(format!(
-                                "unknown mapping '{v}' (try sweep, snake, peano, truepeano, \
-                                 gray, hilbert, spectral, spectral8)"
-                            ))
-                        })?);
-                    }
-                    "--csv" => csv = true,
-                    "--threads" => threads = Some(parse_threads(args, &mut i)?),
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Order {
-                dims: dims.ok_or_else(|| ParseError("order requires --grid".into()))?,
-                mapping: mapping.ok_or_else(|| ParseError("order requires --mapping".into()))?,
-                csv,
-                threads,
-            })
+    Ok(match cmd.as_str() {
+        "help" | "--help" | "-h" => Command::Help,
+        "order" => Command::Order(flags::parse(cmd, ORDER, rest)?),
+        "fiedler" => Command::Fiedler(flags::parse(cmd, FIEDLER, rest)?),
+        "figure" => Command::Figure {
+            id: named(cmd, FIGURES, rest)?,
+        },
+        "experiment" => Command::Experiment {
+            name: named(cmd, EXPERIMENTS, rest)?,
+        },
+        "report" => Command::Report(flags::parse(cmd, REPORT, rest)?),
+        "pack" => Command::Pack(flags::parse(cmd, PACK, rest)?),
+        "serve" => Command::Serve(Box::new(flags::parse(cmd, SERVE, rest)?)),
+        other => {
+            return Err(ParseError(format!(
+                "unknown command '{other}'; try `slpm help`"
+            )))
         }
-        "fiedler" => {
-            let mut dims = None;
-            let mut method = None;
-            let mut threads = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--grid" => dims = Some(parse_dims(take_value(args, &mut i, "--grid")?)?),
-                    "--method" => {
-                        let v = take_value(args, &mut i, "--method")?;
-                        method = Some(FiedlerMethod::parse(v).ok_or_else(|| {
-                            ParseError(format!("unknown method '{v}' (dense, multilevel)"))
-                        })?);
-                    }
-                    "--threads" => threads = Some(parse_threads(args, &mut i)?),
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Fiedler {
-                dims: dims.ok_or_else(|| ParseError("fiedler requires --grid".into()))?,
-                method,
-                threads,
-            })
-        }
-        "figure" => {
-            let id = args
-                .get(1)
-                .ok_or_else(|| ParseError("figure requires an id (fig1..fig6b)".into()))?;
-            let known = ["fig1", "fig3", "fig4", "fig5a", "fig5b", "fig6a", "fig6b"];
-            if !known.contains(&id.as_str()) {
-                return Err(ParseError(format!(
-                    "unknown figure '{id}' (known: {})",
-                    known.join(", ")
-                )));
-            }
-            Ok(Command::Figure { id: id.clone() })
-        }
-        "experiment" => {
-            let name = args
-                .get(1)
-                .ok_or_else(|| ParseError("experiment requires a name".into()))?;
-            let known = [
-                "knn",
-                "storage",
-                "rtree",
-                "decluster",
-                "pointcloud",
-                "ablations",
-            ];
-            if !known.contains(&name.as_str()) {
-                return Err(ParseError(format!(
-                    "unknown experiment '{name}' (known: {})",
-                    known.join(", ")
-                )));
-            }
-            Ok(Command::Experiment { name: name.clone() })
-        }
-        "pack" => {
-            let mut dims = None;
-            let mut mapping = MappingChoice::Hilbert;
-            let mut out = None;
-            let mut page_records = 64usize;
-            let mut record_size = 64usize;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--grid" => dims = Some(parse_dims(take_value(args, &mut i, "--grid")?)?),
-                    "--mapping" => {
-                        let v = take_value(args, &mut i, "--mapping")?;
-                        mapping = MappingChoice::parse(v)
-                            .ok_or_else(|| ParseError(format!("unknown mapping '{v}'")))?;
-                    }
-                    "--out" => out = Some(take_value(args, &mut i, "--out")?.to_string()),
-                    "--page-records" => {
-                        page_records = parse_positive(args, &mut i, "--page-records")?
-                    }
-                    "--record-size" => record_size = parse_positive(args, &mut i, "--record-size")?,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Pack {
-                dims: dims.ok_or_else(|| ParseError("pack requires --grid".into()))?,
-                mapping,
-                out: out.ok_or_else(|| ParseError("pack requires --out".into()))?,
-                page_records,
-                record_size,
-            })
-        }
-        "serve" => {
-            let mut dims = None;
-            let mut mapping = MappingChoice::Hilbert;
-            let mut shards = 2usize;
-            let mut threads = 1usize;
-            let mut queries = 1000usize;
-            let mut seed = 42u64;
-            let mut partition = Partition::Contiguous;
-            let mut buffer_pages = 64usize;
-            let mut page_records = 64usize;
-            let mut inflight = 1usize;
-            let mut stream = false;
-            let mut rate = 20_000u64;
-            let mut arrival = ArrivalShape::Poisson;
-            let mut batch_delay_us = 200u64;
-            let mut max_batch = 32usize;
-            let mut queue_depth = 64usize;
-            let mut admission = AdmissionPolicy::Shed;
-            let mut slo_us = 2_000u64;
-            let mut fault_plan = None;
-            let mut retry = 3u32;
-            let mut timeout_us = 10_000u64;
-            let mut backoff_us = 100u64;
-            let mut breaker_threshold = 3u32;
-            let mut probe_cooldown = 4u32;
-            let mut page_file = None;
-            let mut readahead = 0usize;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--grid" => dims = Some(parse_dims(take_value(args, &mut i, "--grid")?)?),
-                    "--mapping" => {
-                        let v = take_value(args, &mut i, "--mapping")?;
-                        mapping = MappingChoice::parse(v)
-                            .ok_or_else(|| ParseError(format!("unknown mapping '{v}'")))?;
-                    }
-                    "--shards" => shards = parse_positive(args, &mut i, "--shards")?,
-                    "--threads" => threads = parse_threads(args, &mut i)?,
-                    "--queries" => queries = parse_positive(args, &mut i, "--queries")?,
-                    "--seed" => {
-                        let v = take_value(args, &mut i, "--seed")?;
-                        seed = v.parse::<u64>().map_err(|_| {
-                            ParseError(format!("invalid --seed '{v}': expected an integer"))
-                        })?;
-                    }
-                    "--partition" => {
-                        let v = take_value(args, &mut i, "--partition")?;
-                        partition = Partition::parse(v).ok_or_else(|| {
-                            ParseError(format!("unknown partition '{v}' (contiguous, round-robin)"))
-                        })?;
-                    }
-                    "--buffer-pages" => {
-                        buffer_pages = parse_positive(args, &mut i, "--buffer-pages")?
-                    }
-                    "--page-records" => {
-                        page_records = parse_positive(args, &mut i, "--page-records")?
-                    }
-                    "--inflight" => inflight = parse_positive(args, &mut i, "--inflight")?,
-                    "--stream" => stream = true,
-                    "--rate" => rate = parse_positive(args, &mut i, "--rate")? as u64,
-                    "--arrival" => {
-                        let v = take_value(args, &mut i, "--arrival")?;
-                        arrival = ArrivalShape::parse(v).ok_or_else(|| {
-                            ParseError(format!(
-                                "unknown arrival shape '{v}' (deterministic, poisson, \
-                                 bursty, diurnal)"
-                            ))
-                        })?;
-                    }
-                    "--batch-delay-us" => {
-                        let v = take_value(args, &mut i, "--batch-delay-us")?;
-                        batch_delay_us = v.parse::<u64>().map_err(|_| {
-                            ParseError(format!(
-                                "invalid --batch-delay-us '{v}': expected an integer"
-                            ))
-                        })?;
-                    }
-                    "--max-batch" => max_batch = parse_positive(args, &mut i, "--max-batch")?,
-                    "--queue-depth" => queue_depth = parse_positive(args, &mut i, "--queue-depth")?,
-                    "--admission" => {
-                        let v = take_value(args, &mut i, "--admission")?;
-                        admission = AdmissionPolicy::parse(v).ok_or_else(|| {
-                            ParseError(format!("unknown admission policy '{v}' (shed, block)"))
-                        })?;
-                    }
-                    "--slo-us" => slo_us = parse_positive(args, &mut i, "--slo-us")? as u64,
-                    "--fault-plan" => {
-                        let v = take_value(args, &mut i, "--fault-plan")?;
-                        // Validate the grammar up front so a typo fails
-                        // at the command line, not mid-run.
-                        slpm_serve::FaultPlan::parse(v)
-                            .map_err(|e| ParseError(format!("invalid --fault-plan: {e}")))?;
-                        fault_plan = Some(v.to_string());
-                    }
-                    "--retry" => retry = parse_positive(args, &mut i, "--retry")? as u32,
-                    "--timeout-us" => {
-                        timeout_us = parse_positive(args, &mut i, "--timeout-us")? as u64
-                    }
-                    "--backoff-us" => {
-                        backoff_us = parse_positive(args, &mut i, "--backoff-us")? as u64
-                    }
-                    "--breaker-threshold" => {
-                        breaker_threshold =
-                            parse_positive(args, &mut i, "--breaker-threshold")? as u32
-                    }
-                    "--probe-cooldown" => {
-                        probe_cooldown = parse_nonneg(args, &mut i, "--probe-cooldown")? as u32
-                    }
-                    "--page-file" => {
-                        page_file = Some(take_value(args, &mut i, "--page-file")?.to_string())
-                    }
-                    "--readahead" => {
-                        readahead = parse_nonneg(args, &mut i, "--readahead")? as usize
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Serve {
-                dims: dims.ok_or_else(|| ParseError("serve requires --grid".into()))?,
-                mapping,
-                shards,
-                threads,
-                queries,
-                seed,
-                partition,
-                buffer_pages,
-                page_records,
-                inflight,
-                stream,
-                rate,
-                arrival,
-                batch_delay_us,
-                max_batch,
-                queue_depth,
-                admission,
-                slo_us,
-                fault_plan,
-                retry,
-                timeout_us,
-                backoff_us,
-                breaker_threshold,
-                probe_cooldown,
-                page_file,
-                readahead,
-            })
-        }
-        "report" => {
-            let mut dims = None;
-            let mut mapping = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--grid" => dims = Some(parse_dims(take_value(args, &mut i, "--grid")?)?),
-                    "--mapping" => {
-                        let v = take_value(args, &mut i, "--mapping")?;
-                        mapping = Some(
-                            MappingChoice::parse(v)
-                                .ok_or_else(|| ParseError(format!("unknown mapping '{v}'")))?,
-                        );
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Report {
-                dims: dims.ok_or_else(|| ParseError("report requires --grid".into()))?,
-                mapping: mapping.ok_or_else(|| ParseError("report requires --mapping".into()))?,
-            })
-        }
-        other => Err(ParseError(format!(
-            "unknown command '{other}'; try `slpm help`"
-        ))),
-    }
+    })
 }
 
-/// The help text.
-pub const HELP: &str = "\
-slpm — Spectral LPM reproduction CLI
+/// The help text: a USAGE block printed from the flag and runner tables,
+/// then what the commands do.
+pub fn help() -> String {
+    let names = |table: &[Runner]| table.iter().map(|r| r.0).collect::<Vec<_>>().join("|");
+    let usage = [
+        flags::usage("  slpm order   ", ORDER),
+        flags::usage("  slpm fiedler ", FIEDLER),
+        format!("  slpm figure  <{}>", names(FIGURES)),
+        format!("  slpm experiment <{}>", names(EXPERIMENTS)),
+        flags::usage("  slpm report  ", REPORT),
+        flags::usage("  slpm pack    ", PACK),
+        flags::usage("  slpm serve   ", SERVE),
+        "  slpm help".to_string(),
+    ];
+    format!(
+        "slpm — Spectral LPM reproduction CLI\n\nUSAGE:\n{}\n\n{ABOUT}",
+        usage.join("\n")
+    )
+}
 
-USAGE:
-  slpm order   --grid 8x8 --mapping spectral [--csv] [--threads N]
-  slpm fiedler --grid 8x8 [--method dense|multilevel] [--threads N]
-  slpm figure  <fig1|fig3|fig4|fig5a|fig5b|fig6a|fig6b>
-  slpm experiment <knn|storage|rtree|decluster|pointcloud|ablations>
-  slpm report  --grid 8x8 --mapping hilbert
-  slpm pack    --grid 256x256 --out pages.slpm [--mapping hilbert]
-               [--page-records 64] [--record-size 64]
-  slpm serve   --grid 256x256 [--mapping hilbert] [--shards 2] [--threads 1]
-               [--queries 1000] [--seed 42] [--partition contiguous|round-robin]
-               [--buffer-pages 64] [--page-records 64] [--inflight 1]
-               [--page-file pages.slpm] [--readahead 0]
-               [--stream] [--rate 20000]
-               [--arrival deterministic|poisson|bursty|diurnal]
-               [--batch-delay-us 200] [--max-batch 32] [--queue-depth 64]
-               [--admission shed|block] [--slo-us 2000]
-               [--fault-plan SPEC] [--retry 3] [--timeout-us 10000]
-               [--backoff-us 100] [--breaker-threshold 3] [--probe-cooldown 4]
-  slpm help
-
+/// What the commands do, after the USAGE block of [`help`].
+const ABOUT: &str = "\
 Mappings: sweep, snake, peano (Z-order), truepeano, gray, hilbert,
           spectral (4-connectivity), spectral8 (8-connectivity).
 Grids for the recursive curves need power-of-two sides (truepeano: powers
@@ -627,6 +421,15 @@ their unserved rank ranges reported.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slpm_serve::arrival::ArrivalConfig;
+    use slpm_serve::RecoveryConfig;
+
+    fn serve(c: Command) -> Serve {
+        match c {
+            Command::Serve(s) => *s,
+            other => panic!("expected serve, got {other:?}"),
+        }
+    }
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -647,12 +450,12 @@ mod tests {
         let c = parse(&argv(&["order", "--grid", "8x8", "--mapping", "hilbert"])).unwrap();
         assert_eq!(
             c,
-            Command::Order {
+            Command::Order(Order {
                 dims: vec![8, 8],
                 mapping: MappingChoice::Hilbert,
                 csv: false,
                 threads: None
-            }
+            })
         );
         let c = parse(&argv(&[
             "order",
@@ -663,7 +466,7 @@ mod tests {
             "--csv",
         ]))
         .unwrap();
-        assert!(matches!(c, Command::Order { csv: true, .. }));
+        assert!(matches!(c, Command::Order(Order { csv: true, .. })));
     }
 
     #[test]
@@ -679,11 +482,11 @@ mod tests {
         let c = parse(&argv(&["fiedler", "--grid", "4x4"])).unwrap();
         assert_eq!(
             c,
-            Command::Fiedler {
+            Command::Fiedler(Fiedler {
                 dims: vec![4, 4],
                 method: None,
                 threads: None
-            }
+            })
         );
         for bad in ["qr", "auto", "shifted-direct"] {
             assert!(
@@ -729,11 +532,11 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Fiedler {
+            Command::Fiedler(Fiedler {
                 dims: vec![4, 4],
                 method: Some(FiedlerMethod::Multilevel),
                 threads: Some(4)
-            }
+            })
         );
         let c = parse(&argv(&[
             "order",
@@ -747,10 +550,10 @@ mod tests {
         .unwrap();
         assert!(matches!(
             c,
-            Command::Order {
+            Command::Order(Order {
                 threads: Some(2),
                 ..
-            }
+            })
         ));
         // Zero, junk, and missing values are rejected.
         assert!(parse(&argv(&["fiedler", "--grid", "4x4", "--threads", "0"])).is_err());
@@ -762,12 +565,12 @@ mod tests {
     fn parse_figure_and_experiment() {
         assert_eq!(
             parse(&argv(&["figure", "fig5a"])).unwrap(),
-            Command::Figure { id: "fig5a".into() }
+            Command::Figure { id: "fig5a" }
         );
         assert!(parse(&argv(&["figure", "fig9"])).is_err());
         assert_eq!(
             parse(&argv(&["experiment", "knn"])).unwrap(),
-            Command::Experiment { name: "knn".into() }
+            Command::Experiment { name: "knn" }
         );
         assert!(parse(&argv(&["experiment", "nope"])).is_err());
     }
@@ -777,34 +580,45 @@ mod tests {
         let c = parse(&argv(&["serve", "--grid", "64x64"])).unwrap();
         assert_eq!(
             c,
-            Command::Serve {
+            Command::Serve(Box::new(Serve {
                 dims: vec![64, 64],
                 mapping: MappingChoice::Hilbert,
-                shards: 2,
-                threads: 1,
-                queries: 1000,
-                seed: 42,
-                partition: Partition::Contiguous,
-                buffer_pages: 64,
-                page_records: 64,
+                engine: EngineConfig {
+                    shards: 2,
+                    threads: 1,
+                    partition: Partition::Contiguous,
+                    buffer_pages: 64,
+                    records_per_page: 64,
+                    fanout: 64,
+                    readahead: 0,
+                    recovery: RecoveryConfig {
+                        max_attempts: 3,
+                        timeout_us: 10_000.0,
+                        backoff_us: 100.0,
+                        breaker_threshold: 3,
+                        probe_cooldown: 4,
+                    },
+                    ..EngineConfig::default()
+                },
+                workload: WorkloadConfig {
+                    queries: 1000,
+                    seed: 42,
+                    ..WorkloadConfig::default()
+                },
                 inflight: 1,
-                stream: false,
-                rate: 20_000,
-                arrival: ArrivalShape::Poisson,
-                batch_delay_us: 200,
-                max_batch: 32,
-                queue_depth: 64,
-                admission: AdmissionPolicy::Shed,
-                slo_us: 2_000,
+                streaming: false,
+                stream: StreamConfig {
+                    arrival: ArrivalConfig::new(ArrivalShape::Poisson, 20_000.0, 42),
+                    batch_delay_us: 200.0,
+                    max_batch: 32,
+                    queue_depth: 64,
+                    policy: AdmissionPolicy::Shed,
+                    slo_us: 2_000.0,
+                    ..StreamConfig::default()
+                },
                 fault_plan: None,
-                retry: 3,
-                timeout_us: 10_000,
-                backoff_us: 100,
-                breaker_threshold: 3,
-                probe_cooldown: 4,
                 page_file: None,
-                readahead: 0,
-            }
+            }))
         );
         let c = parse(&argv(&[
             "serve",
@@ -832,34 +646,45 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Serve {
+            Command::Serve(Box::new(Serve {
                 dims: vec![32, 32],
                 mapping: MappingChoice::Snake,
-                shards: 4,
-                threads: 4,
-                queries: 200,
-                seed: 7,
-                partition: Partition::RoundRobin,
-                buffer_pages: 16,
-                page_records: 32,
+                engine: EngineConfig {
+                    shards: 4,
+                    threads: 4,
+                    partition: Partition::RoundRobin,
+                    buffer_pages: 16,
+                    records_per_page: 32,
+                    fanout: 32,
+                    readahead: 0,
+                    recovery: RecoveryConfig {
+                        max_attempts: 3,
+                        timeout_us: 10_000.0,
+                        backoff_us: 100.0,
+                        breaker_threshold: 3,
+                        probe_cooldown: 4,
+                    },
+                    ..EngineConfig::default()
+                },
+                workload: WorkloadConfig {
+                    queries: 200,
+                    seed: 7,
+                    ..WorkloadConfig::default()
+                },
                 inflight: 4,
-                stream: false,
-                rate: 20_000,
-                arrival: ArrivalShape::Poisson,
-                batch_delay_us: 200,
-                max_batch: 32,
-                queue_depth: 64,
-                admission: AdmissionPolicy::Shed,
-                slo_us: 2_000,
+                streaming: false,
+                stream: StreamConfig {
+                    arrival: ArrivalConfig::new(ArrivalShape::Poisson, 20_000.0, 7),
+                    batch_delay_us: 200.0,
+                    max_batch: 32,
+                    queue_depth: 64,
+                    policy: AdmissionPolicy::Shed,
+                    slo_us: 2_000.0,
+                    ..StreamConfig::default()
+                },
                 fault_plan: None,
-                retry: 3,
-                timeout_us: 10_000,
-                backoff_us: 100,
-                breaker_threshold: 3,
-                probe_cooldown: 4,
                 page_file: None,
-                readahead: 0,
-            }
+            }))
         );
         // Missing grid, bad values, bad partition, bad inflight.
         assert!(parse(&argv(&["serve"])).is_err());
@@ -890,13 +715,13 @@ mod tests {
         let c = parse(&argv(&["pack", "--grid", "16x16", "--out", "f.pages"])).unwrap();
         assert_eq!(
             c,
-            Command::Pack {
+            Command::Pack(Pack {
                 dims: vec![16, 16],
                 mapping: MappingChoice::Hilbert,
                 out: "f.pages".into(),
                 page_records: 64,
                 record_size: 64,
-            }
+            })
         );
         let c = parse(&argv(&[
             "pack",
@@ -914,13 +739,13 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Pack {
+            Command::Pack(Pack {
                 dims: vec![8, 8],
                 mapping: MappingChoice::Snake,
                 out: "g.pages".into(),
                 page_records: 16,
                 record_size: 32,
-            }
+            })
         );
         // pack needs both a grid and an output path.
         assert!(parse(&argv(&["pack", "--out", "f.pages"])).is_err());
@@ -938,17 +763,9 @@ mod tests {
             "4",
         ]))
         .unwrap();
-        match c {
-            Command::Serve {
-                page_file,
-                readahead,
-                ..
-            } => {
-                assert_eq!(page_file.as_deref(), Some("f.pages"));
-                assert_eq!(readahead, 4);
-            }
-            other => panic!("expected serve, got {other:?}"),
-        }
+        let s = serve(c);
+        assert_eq!(s.page_file.as_deref(), Some("f.pages"));
+        assert_eq!(s.engine.readahead, 4);
         assert!(parse(&argv(&["serve", "--grid", "8x8", "--page-file"])).is_err());
         assert!(parse(&argv(&["serve", "--grid", "8x8", "--readahead", "x"])).is_err());
     }
@@ -976,29 +793,15 @@ mod tests {
             "1500",
         ]))
         .unwrap();
-        match c {
-            Command::Serve {
-                stream,
-                rate,
-                arrival,
-                batch_delay_us,
-                max_batch,
-                queue_depth,
-                admission,
-                slo_us,
-                ..
-            } => {
-                assert!(stream);
-                assert_eq!(rate, 50_000);
-                assert_eq!(arrival, ArrivalShape::Bursty);
-                assert_eq!(batch_delay_us, 100);
-                assert_eq!(max_batch, 16);
-                assert_eq!(queue_depth, 8);
-                assert_eq!(admission, AdmissionPolicy::Block);
-                assert_eq!(slo_us, 1_500);
-            }
-            other => panic!("expected Serve, got {other:?}"),
-        }
+        let s = serve(c);
+        assert!(s.streaming);
+        assert_eq!(s.stream.arrival.rate_qps, 50_000.0);
+        assert_eq!(s.stream.arrival.shape, ArrivalShape::Bursty);
+        assert_eq!(s.stream.batch_delay_us, 100.0);
+        assert_eq!(s.stream.max_batch, 16);
+        assert_eq!(s.stream.queue_depth, 8);
+        assert_eq!(s.stream.policy, AdmissionPolicy::Block);
+        assert_eq!(s.stream.slo_us, 1_500.0);
         // Bad streaming values are rejected.
         assert!(parse(&argv(&["serve", "--grid", "8x8", "--rate", "0"])).is_err());
         assert!(parse(&argv(&["serve", "--grid", "8x8", "--arrival", "lognormal"])).is_err());
@@ -1027,25 +830,16 @@ mod tests {
             "0",
         ]))
         .unwrap();
-        match c {
-            Command::Serve {
-                fault_plan,
-                retry,
-                timeout_us,
-                backoff_us,
-                breaker_threshold,
-                probe_cooldown,
-                ..
-            } => {
-                assert_eq!(fault_plan.as_deref(), Some("kill!:0@2,flaky:1@0+2"));
-                assert_eq!(retry, 5);
-                assert_eq!(timeout_us, 500);
-                assert_eq!(backoff_us, 20);
-                assert_eq!(breaker_threshold, 2);
-                assert_eq!(probe_cooldown, 0);
-            }
-            other => panic!("expected Serve, got {other:?}"),
-        }
+        let s = serve(c);
+        let (plan, text) = s.fault_plan.expect("a fault plan");
+        assert_eq!(text, "kill!:0@2,flaky:1@0+2");
+        assert_eq!(plan, slpm_serve::FaultPlan::parse(&text).unwrap());
+        let recovery = s.engine.recovery;
+        assert_eq!(recovery.max_attempts, 5);
+        assert_eq!(recovery.timeout_us, 500.0);
+        assert_eq!(recovery.backoff_us, 20.0);
+        assert_eq!(recovery.breaker_threshold, 2);
+        assert_eq!(recovery.probe_cooldown, 0);
         // A malformed plan fails at the command line with the offending
         // event named, and nonsensical recovery knobs are rejected.
         let err = parse(&argv(&[
@@ -1080,6 +874,145 @@ mod tests {
         assert_eq!(parse(&argv(&["-h"])).unwrap(), Command::Help);
         assert!(parse(&[]).is_err());
         assert!(parse(&argv(&["frobnicate"])).is_err());
+    }
+
+    #[test]
+    fn grid_sizes_that_overflow_are_rejected() {
+        let err = parse(&argv(&[
+            "order",
+            "--grid",
+            "4294967296x4294967296x4",
+            "--mapping",
+            "spectral",
+        ]))
+        .expect_err("2^66 points");
+        assert!(err.0.contains("4294967296x4294967296x4"), "{err}");
+        assert!(err.0.contains("too many points"), "{err}");
+        assert!(parse_dims("4294967296x4294967295").is_ok());
+    }
+
+    /// The names and kinds of every `slpm` flag table, by command.
+    fn tables() -> Vec<(&'static str, Vec<(&'static str, flags::Kind)>)> {
+        fn rows<C>(table: &[Flag<C>]) -> Vec<(&'static str, flags::Kind)> {
+            table.iter().map(|&(name, kind, _)| (name, kind)).collect()
+        }
+        vec![
+            ("order", rows(ORDER)),
+            ("fiedler", rows(FIEDLER)),
+            ("report", rows(REPORT)),
+            ("pack", rows(PACK)),
+            ("serve", rows(SERVE)),
+        ]
+    }
+
+    #[test]
+    fn every_value_flag_names_itself_when_its_value_is_missing() {
+        for (cmd, rows) in tables() {
+            for (flag, kind) in rows {
+                let parsed = parse(&argv(&[cmd, flag]));
+                if kind == flags::Kind::Switch {
+                    continue;
+                }
+                assert_eq!(
+                    parsed,
+                    Err(ParseError(format!("{flag} requires a value"))),
+                    "{cmd} {flag}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_table_parses_its_own_examples_and_defaults() {
+        for (cmd, rows) in tables() {
+            let mut args = vec![cmd.to_string()];
+            for (flag, kind) in rows {
+                match kind {
+                    Required(v) | Preset(v) => args.extend([flag.to_string(), v.to_string()]),
+                    Switch => args.push(flag.to_string()),
+                    Optional(_) => {}
+                }
+            }
+            assert!(parse(&args).is_ok(), "{args:?}: {:?}", parse(&args));
+        }
+        assert!(help().contains("[--probe-cooldown 4]"));
+    }
+
+    /// Values worth trying after any flag: valid ones of some flag, and junk.
+    const TOKENS: &[&str] = &[
+        "8x8",
+        "3x5x2",
+        "4294967296x4294967296x4",
+        "0",
+        "1",
+        "4",
+        "-1",
+        "18446744073709551616",
+        "x",
+        "",
+        "spectral",
+        "z-order",
+        "round-robin",
+        "bursty",
+        "block",
+        "dense",
+        "kill!:0@2",
+        "zap:0@1",
+        "flaky:1@0+2",
+        "--grid",
+        "--bogus",
+        "help",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary argv drawn from the tables' flag names, their valid
+        /// values and junk: parse answers `Ok` or a `ParseError`, never a
+        /// panic.
+        #[test]
+        fn parse_never_panics(
+            pick in 0usize..16,
+            picks in proptest::collection::vec((0usize..64, 0usize..64, 0usize..10), 0..10),
+        ) {
+            let tables = tables();
+            let names = ["figure", "experiment", "fig5a", "knn"];
+            // Half the draws start with every required flag.
+            let (cmd, required) = (pick / 2, pick % 2 == 0);
+            let (name, rows) = match tables.get(cmd) {
+                Some((name, rows)) => (*name, rows.clone()),
+                None => (names[cmd - tables.len()], Vec::new()),
+            };
+            let mut args = vec![name.to_string()];
+            if required {
+                for (flag, kind) in &rows {
+                    if let Required(v) = kind {
+                        args.extend([flag.to_string(), v.to_string()]);
+                    }
+                }
+            }
+            for (row, token, shape) in picks {
+                // Mostly a flag with its own valid value; shapes 7 and 8
+                // give it a token instead, and 9 puts a token where a
+                // flag belongs.
+                let (flag, kind) =
+                    rows.get(row % rows.len().max(1)).copied().unwrap_or(("--bogus", Switch));
+                let value = match kind {
+                    Required(v) | Preset(v) if shape < 7 => v,
+                    _ => TOKENS[token % TOKENS.len()],
+                };
+                match shape {
+                    9 => args.push(value.to_string()),
+                    _ if kind == Switch => args.push(flag.to_string()),
+                    _ => args.extend([flag.to_string(), value.to_string()]),
+                }
+            }
+            if let Ok(parsed) = parse(&args) {
+                // An accepted argv is the command it names.
+                let debug = format!("{parsed:?}").to_lowercase();
+                proptest::prop_assert!(debug.starts_with(name), "{args:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Command execution for the `slpm` binary.
 
-use crate::args::{Command, MappingChoice, ParseError};
+use crate::args::{Command, MappingChoice, ParseError, Serve};
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_linalg::fiedler::{fiedler_pair_on, FiedlerOptions};
 use slpm_linalg::with_threads;
@@ -9,11 +9,10 @@ use slpm_querysim::experiments::{
     storage_io,
 };
 use slpm_querysim::mappings::{curve_order, curve_order_by_name};
-use slpm_serve::arrival::{ArrivalConfig, ArrivalShape};
-use slpm_serve::engine::{EngineConfig, ServeEngine};
-use slpm_serve::stream::{stream_serve, AdmissionPolicy, StreamConfig};
-use slpm_serve::workload::{grid_points, mixed_workload, mixed_workload_labeled, WorkloadConfig};
-use slpm_serve::{CoverageReport, FaultPlan, RecoveryConfig};
+use slpm_serve::engine::ServeEngine;
+use slpm_serve::stream::stream_serve;
+use slpm_serve::workload::{grid_points, mixed_workload, mixed_workload_labeled};
+use slpm_serve::CoverageReport;
 use slpm_sfc::TruePeanoCurve;
 use slpm_storage::{write_page_file, PageLayout, PageMapper};
 use spectral_lpm::{LinearOrder, SpectralConfig, SpectralMapper};
@@ -95,6 +94,53 @@ fn fig6a(cfg: &fig6::Fig6Config) -> String {
     )
 }
 
+/// A named runner. `slpm figure` and `slpm experiment` check their
+/// argument against these tables, run the entry it names, and list the
+/// names in the help text.
+pub type Runner = (&'static str, fn() -> String);
+
+/// The tables behind the paper's figures.
+#[rustfmt::skip]
+pub const FIGURES: &[Runner] = &[
+    ("fig1", || format!("{}\n{FIG1_NOTE}", fig1::run(4).render())),
+    ("fig3", || fig3::run().render()),
+    ("fig4", || fig4::run(4).render()),
+    ("fig5a", || fig5::run_worst_case(&fig5::Fig5Config::default()).render()),
+    ("fig5b", || fig5::run_fairness(&fig5::Fig5Config::default()).render()),
+    ("fig6a", || fig6a(&fig6::Fig6Config::default())),
+    ("fig6b", || fig6::run_fairness(&fig6::Fig6Config::default()).render()),
+];
+
+/// The ablations and the experiments beyond the paper.
+pub const EXPERIMENTS: &[Runner] = &[
+    ("knn", || knn::run(&knn::KnnConfig::default()).render()),
+    ("storage", || {
+        let cfg = storage_io::StorageIoConfig::default();
+        storage_io::render(&storage_io::run(&cfg), &cfg)
+    }),
+    ("rtree", || {
+        let cfg = rtree_packing::RtreeConfig::default();
+        rtree_packing::render(&rtree_packing::run(&cfg), &cfg)
+    }),
+    ("decluster", || {
+        let cfg = declustering::DeclusterConfig::default();
+        declustering::render(&declustering::run(&cfg), &cfg)
+    }),
+    ("pointcloud", || {
+        let cfg = point_cloud::PointCloudConfig::default();
+        point_cloud::render(&point_cloud::run(&cfg), &cfg)
+    }),
+    ("ablations", ablation::render),
+];
+
+/// Run the entry of `table` called `name`.
+fn run_named(table: &[Runner], name: &str) -> Result<String, ParseError> {
+    let runner = table.iter().find(|r| r.0 == name);
+    runner
+        .map(|r| r.1())
+        .ok_or_else(|| ParseError(format!("unknown name '{name}'")))
+}
+
 /// Render the fault-plane section shared by the batch and stream paths:
 /// the active plan, per-query coverage with the degraded rank ranges,
 /// breaker health per shard, and the slice epoch.
@@ -139,42 +185,12 @@ fn render_fault_section(
 /// subsequence as one batch and compares digests, so every streamed
 /// invocation doubles as a correctness check (skipped under a fault
 /// plan, whose stamp cursors are consumed by the streamed run).
-#[allow(clippy::too_many_arguments)]
-fn serve_stream(
-    engine: &ServeEngine,
-    spec: &GridSpec,
-    dims: &[usize],
-    mapping: MappingChoice,
-    queries: usize,
-    seed: u64,
-    rate: u64,
-    arrival: ArrivalShape,
-    batch_delay_us: u64,
-    max_batch: usize,
-    queue_depth: usize,
-    admission: AdmissionPolicy,
-    slo_us: u64,
-    fault_plan: Option<&str>,
-) -> Result<String, ParseError> {
-    let labeled = mixed_workload_labeled(
-        spec,
-        &WorkloadConfig {
-            queries,
-            seed,
-            ..Default::default()
-        },
-    );
-    let (workload, labels): (Vec<_>, Vec<_>) = labeled.into_iter().unzip();
-    let cfg = StreamConfig {
-        arrival: ArrivalConfig::new(arrival, rate as f64, seed),
-        batch_delay_us: batch_delay_us as f64,
-        max_batch,
-        queue_depth,
-        policy: admission,
-        slo_us: slo_us as f64,
-        ..Default::default()
-    };
-    let report = stream_serve(engine, &workload, &labels, &cfg)
+fn serve_stream(engine: &ServeEngine, spec: &GridSpec, s: &Serve) -> Result<String, ParseError> {
+    let (workload, labels): (Vec<_>, Vec<_>) = mixed_workload_labeled(spec, &s.workload)
+        .into_iter()
+        .unzip();
+    let cfg = &s.stream;
+    let report = stream_serve(engine, &workload, &labels, cfg)
         .map_err(|e| ParseError(format!("stream failed: {e}")))?;
     let slo = &report.slo;
     let mut out = String::new();
@@ -182,7 +198,15 @@ fn serve_stream(
         "streaming {} queries over a {:?} grid ({} mapping)\n\
          arrival: {} @ {} q/s  batch delay: {}us  max batch: {}  \
          queue depth: {}  admission: {}\n",
-        queries, dims, mapping, arrival, rate, batch_delay_us, max_batch, queue_depth, admission,
+        s.workload.queries,
+        s.dims,
+        s.mapping,
+        cfg.arrival.shape,
+        cfg.arrival.rate_qps,
+        cfg.batch_delay_us,
+        cfg.max_batch,
+        cfg.queue_depth,
+        cfg.policy,
     ));
     out.push_str(&format!(
         "offered: {}  admitted: {}  shed: {}  micro-batches: {}  \
@@ -215,7 +239,7 @@ fn serve_stream(
         report.elapsed_seconds,
         report.queries_per_second(),
     ));
-    if let Some(plan) = fault_plan {
+    if let Some((_, plan)) = &s.fault_plan {
         out.push_str(&format!(
             "degraded: {}  fault-free p99: {:.1}us  breaker trips: {}\n",
             slo.degraded, slo.fault_free_p99_us, report.trips,
@@ -255,20 +279,111 @@ fn serve_stream(
     Ok(out)
 }
 
+/// `slpm serve`: build the engine the command's configuration describes,
+/// then serve the workload as batches or as a stream.
+fn serve(s: &Serve) -> Result<String, ParseError> {
+    let spec = GridSpec::new(&s.dims);
+    let (order, _) = build_order(&s.dims, s.mapping, None)?;
+    let points = grid_points(&spec);
+    let engine = match &s.page_file {
+        // Out-of-core: shard slices fault pages off the packed file; a
+        // geometry/order mismatch fails here, up front.
+        Some(path) => ServeEngine::with_page_file(&points, &order, s.engine, PathBuf::from(path))
+            .map_err(|e| ParseError(format!("cannot open page file '{path}': {e}")))?,
+        None => ServeEngine::new(&points, &order, s.engine),
+    };
+    if let Some((plan, _)) = &s.fault_plan {
+        engine.inject_faults(plan.clone());
+    }
+    if s.streaming {
+        return serve_stream(&engine, &spec, s);
+    }
+    let workload = mixed_workload(&spec, &s.workload);
+    let report = engine
+        .run_inflight(&workload, s.inflight)
+        .map_err(|e| ParseError(format!("serve failed: {e}")))?;
+    let buffer = report.buffer_stats();
+    let cfg = &s.engine;
+    let mut out = String::new();
+    out.push_str(&format!(
+        "serving {} queries over a {:?} grid ({} mapping)\n\
+         shards: {}  threads: {}  partition: {}  pages: {}  \
+         buffer: {} frames/shard  page: {} records\n\
+         in-flight batches: {}\n",
+        s.workload.queries,
+        s.dims,
+        s.mapping,
+        cfg.shards,
+        cfg.threads,
+        cfg.partition,
+        engine.num_pages(),
+        cfg.buffer_pages,
+        cfg.records_per_page,
+        s.inflight,
+    ));
+    if let Some(path) = &s.page_file {
+        out.push_str(&format!(
+            "storage: page file {path} (readahead {})\n",
+            cfg.readahead
+        ));
+    }
+    out.push_str(&format!(
+        "results: {}  pages touched: {}  storage reads: {}  hit ratio: {:.3}\n",
+        report.total_results(),
+        report.total_pages(),
+        report.total_misses(),
+        buffer.hit_ratio(),
+    ));
+    out.push_str(&format!(
+        "pages/query p50: {}  p99: {}  elapsed: {:.3}s  throughput: {:.0} q/s\n",
+        report.page_quantile(0.5),
+        report.page_quantile(0.99),
+        report.elapsed_seconds,
+        report.queries_per_second(),
+    ));
+    out.push_str(&format!(
+        "latency/query p50: {:.1}us  p99: {:.1}us  shard balance (max/mean pages): {:.2}\n",
+        report.latency_quantile(0.5) * 1e6,
+        report.latency_quantile(0.99) * 1e6,
+        report.shard_balance(),
+    ));
+    for shard in &report.shards {
+        out.push_str(&format!(
+            "  shard {}: {} queries, {} pages routed, {} runs, hit ratio {:.3}\n",
+            shard.shard,
+            shard.queries,
+            shard.pages_routed,
+            shard.runs,
+            shard.buffer.hit_ratio(),
+        ));
+    }
+    if let Some((_, plan)) = &s.fault_plan {
+        render_fault_section(
+            &mut out,
+            plan,
+            &report.coverage,
+            &engine,
+            report.degraded_digest(),
+        );
+    }
+    // The parity witness: identical for every --shards/--threads.
+    out.push_str(&format!("digest: {:016x}\n", report.digest));
+    Ok(out)
+}
+
 /// Execute a parsed command, returning its stdout text.
+///
+/// # Errors
+/// What the command's library call reports, as a printable message.
 pub fn execute(cmd: &Command) -> Result<String, ParseError> {
     match cmd {
-        Command::Help => Ok(crate::args::HELP.to_string()),
-        Command::Order {
-            dims,
-            mapping,
-            csv,
-            threads,
-        } => {
+        Command::Help => Ok(crate::args::help()),
+        Command::Order(o) => {
+            let dims = &o.dims;
             let spec = GridSpec::new(dims);
-            let (order, _) = build_order(dims, *mapping, *threads)?;
+            let (order, _) = build_order(dims, o.mapping, o.threads)?;
             let mut out = String::new();
-            if *csv {
+            if o.csv {
                 // point coordinates, then rank.
                 let header: Vec<String> = (0..dims.len()).map(|d| format!("x{d}")).collect();
                 out.push_str(&header.join(","));
@@ -280,8 +395,8 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
                 }
             } else if dims.len() == 2 {
                 out.push_str(&format!(
-                    "{mapping} order on a {}x{} grid:\n",
-                    dims[0], dims[1]
+                    "{} order on a {}x{} grid:\n",
+                    o.mapping, dims[0], dims[1]
                 ));
                 for x in 0..dims[0] {
                     let row: Vec<String> = (0..dims[1])
@@ -292,7 +407,8 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
                 }
             } else {
                 out.push_str(&format!(
-                    "{mapping} order ({} points):\n",
+                    "{} order ({} points):\n",
+                    o.mapping,
                     spec.num_points()
                 ));
                 for (i, coords) in spec.iter_points().enumerate() {
@@ -301,258 +417,53 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             }
             Ok(out)
         }
-        Command::Fiedler {
-            dims,
-            method,
-            threads,
-        } => {
-            let spec = GridSpec::new(dims);
+        Command::Fiedler(f) => {
+            let spec = GridSpec::new(&f.dims);
             let lap = spec.graph(Connectivity::Orthogonal).laplacian();
-            let pair = with_threads(*threads, |pool| {
-                fiedler_pair_on(
-                    &lap,
-                    &FiedlerOptions {
-                        method: *method,
-                        ..Default::default()
-                    },
-                    pool,
-                )
-            })
-            .map_err(|e| ParseError(e.to_string()))?;
+            let options = FiedlerOptions {
+                method: f.method,
+                ..Default::default()
+            };
+            let pair = with_threads(f.threads, |pool| fiedler_pair_on(&lap, &options, pool))
+                .map_err(|e| ParseError(e.to_string()))?;
             let comps: Vec<String> = pair.vector.iter().map(|v| format!("{v:.4}")).collect();
             Ok(format!(
                 "grid {:?}  method {}\nlambda_2 = {:.8}\nresidual = {:.2e}\nfiedler vector = [{}]\n",
-                dims,
+                f.dims,
                 pair.method,
                 pair.lambda2,
                 pair.residual,
                 comps.join(", ")
             ))
         }
-        Command::Figure { id } => Ok(match id.as_str() {
-            "fig1" => format!("{}\n{FIG1_NOTE}", fig1::run(4).render()),
-            "fig3" => fig3::run().render(),
-            "fig4" => fig4::run(4).render(),
-            "fig5a" => fig5::run_worst_case(&fig5::Fig5Config::default()).render(),
-            "fig5b" => fig5::run_fairness(&fig5::Fig5Config::default()).render(),
-            "fig6a" => fig6a(&fig6::Fig6Config::default()),
-            "fig6b" => fig6::run_fairness(&fig6::Fig6Config::default()).render(),
-            other => return Err(ParseError(format!("unknown figure '{other}'"))),
-        }),
-        Command::Experiment { name } => Ok(match name.as_str() {
-            "knn" => knn::run(&knn::KnnConfig::default()).render(),
-            "storage" => {
-                let cfg = storage_io::StorageIoConfig::default();
-                storage_io::render(&storage_io::run(&cfg), &cfg)
-            }
-            "rtree" => {
-                let cfg = rtree_packing::RtreeConfig::default();
-                rtree_packing::render(&rtree_packing::run(&cfg), &cfg)
-            }
-            "decluster" => {
-                let cfg = declustering::DeclusterConfig::default();
-                declustering::render(&declustering::run(&cfg), &cfg)
-            }
-            "pointcloud" => {
-                let cfg = point_cloud::PointCloudConfig::default();
-                point_cloud::render(&point_cloud::run(&cfg), &cfg)
-            }
-            "ablations" => ablation::render(),
-            other => return Err(ParseError(format!("unknown experiment '{other}'"))),
-        }),
-        Command::Pack {
-            dims,
-            mapping,
-            out,
-            page_records,
-            record_size,
-        } => {
-            let (order, _) = build_order(dims, *mapping, None)?;
-            let mapper = PageMapper::new(&order, PageLayout::new(*page_records));
-            let header = write_page_file(PathBuf::from(out).as_path(), &mapper, *record_size)
+        Command::Figure { id } => run_named(FIGURES, id),
+        Command::Experiment { name } => run_named(EXPERIMENTS, name),
+        Command::Pack(p) => {
+            let (order, _) = build_order(&p.dims, p.mapping, None)?;
+            let mapper = PageMapper::new(&order, PageLayout::new(p.page_records));
+            let header = write_page_file(PathBuf::from(&p.out).as_path(), &mapper, p.record_size)
                 .map_err(|e| ParseError(format!("pack failed: {e}")))?;
             Ok(format!(
-                "packed {:?} grid ({} mapping) -> {out}\n\
+                "packed {:?} grid ({} mapping) -> {}\n\
                  records: {}  pages: {}  page: {} records x {} bytes\n\
                  file: {} bytes  format v{}  order digest: {:016x}\n",
-                dims,
-                mapping,
+                p.dims,
+                p.mapping,
+                p.out,
                 header.num_records,
                 header.num_pages,
-                page_records,
-                record_size,
+                p.page_records,
+                p.record_size,
                 header.file_len(),
                 header.version,
                 header.order_digest,
             ))
         }
-        Command::Serve {
-            dims,
-            mapping,
-            shards,
-            threads,
-            queries,
-            seed,
-            partition,
-            buffer_pages,
-            page_records,
-            inflight,
-            stream,
-            rate,
-            arrival,
-            batch_delay_us,
-            max_batch,
-            queue_depth,
-            admission,
-            slo_us,
-            fault_plan,
-            retry,
-            timeout_us,
-            backoff_us,
-            breaker_threshold,
-            probe_cooldown,
-            page_file,
-            readahead,
-        } => {
-            let spec = GridSpec::new(dims);
-            let (order, _) = build_order(dims, *mapping, None)?;
-            let points = grid_points(&spec);
-            let recovery = RecoveryConfig {
-                timeout_us: *timeout_us as f64,
-                max_attempts: *retry,
-                backoff_us: *backoff_us as f64,
-                breaker_threshold: *breaker_threshold,
-                probe_cooldown: *probe_cooldown,
-            };
-            recovery
-                .validate()
-                .map_err(|e| ParseError(format!("invalid recovery knobs: {e}")))?;
-            let cfg = EngineConfig {
-                records_per_page: *page_records,
-                // Keep the documented one-leaf-per-page geometry when the
-                // page size is overridden.
-                fanout: *page_records,
-                shards: *shards,
-                threads: *threads,
-                partition: *partition,
-                buffer_pages: *buffer_pages,
-                readahead: *readahead,
-                recovery,
-                ..Default::default()
-            };
-            let engine = match page_file {
-                // Out-of-core: shard slices fault pages off the packed
-                // file; a geometry/order mismatch fails here, up front.
-                Some(path) => {
-                    ServeEngine::with_page_file(&points, &order, cfg, PathBuf::from(path))
-                        .map_err(|e| ParseError(format!("cannot open page file '{path}': {e}")))?
-                }
-                None => ServeEngine::new(&points, &order, cfg),
-            };
-            if let Some(plan) = fault_plan {
-                let plan = FaultPlan::parse(plan)
-                    .map_err(|e| ParseError(format!("invalid --fault-plan: {e}")))?;
-                engine.inject_faults(plan);
-            }
-            if *stream {
-                return serve_stream(
-                    &engine,
-                    &spec,
-                    dims,
-                    *mapping,
-                    *queries,
-                    *seed,
-                    *rate,
-                    *arrival,
-                    *batch_delay_us,
-                    *max_batch,
-                    *queue_depth,
-                    *admission,
-                    *slo_us,
-                    fault_plan.as_deref(),
-                );
-            }
-            let workload = mixed_workload(
-                &spec,
-                &WorkloadConfig {
-                    queries: *queries,
-                    seed: *seed,
-                    ..Default::default()
-                },
-            );
-            let report = engine
-                .run_inflight(&workload, *inflight)
-                .map_err(|e| ParseError(format!("serve failed: {e}")))?;
-            let buffer = report.buffer_stats();
-            let mut out = String::new();
-            out.push_str(&format!(
-                "serving {} queries over a {:?} grid ({} mapping)\n\
-                 shards: {}  threads: {}  partition: {}  pages: {}  \
-                 buffer: {} frames/shard  page: {} records\n\
-                 in-flight batches: {}\n",
-                queries,
-                dims,
-                mapping,
-                shards,
-                threads,
-                partition,
-                engine.num_pages(),
-                buffer_pages,
-                page_records,
-                inflight,
-            ));
-            if let Some(path) = page_file {
-                out.push_str(&format!(
-                    "storage: page file {path} (readahead {readahead})\n"
-                ));
-            }
-            out.push_str(&format!(
-                "results: {}  pages touched: {}  storage reads: {}  hit ratio: {:.3}\n",
-                report.total_results(),
-                report.total_pages(),
-                report.total_misses(),
-                buffer.hit_ratio(),
-            ));
-            out.push_str(&format!(
-                "pages/query p50: {}  p99: {}  elapsed: {:.3}s  throughput: {:.0} q/s\n",
-                report.page_quantile(0.5),
-                report.page_quantile(0.99),
-                report.elapsed_seconds,
-                report.queries_per_second(),
-            ));
-            out.push_str(&format!(
-                "latency/query p50: {:.1}us  p99: {:.1}us  shard balance (max/mean pages): {:.2}\n",
-                report.latency_quantile(0.5) * 1e6,
-                report.latency_quantile(0.99) * 1e6,
-                report.shard_balance(),
-            ));
-            for s in &report.shards {
-                out.push_str(&format!(
-                    "  shard {}: {} queries, {} pages routed, {} runs, hit ratio {:.3}\n",
-                    s.shard,
-                    s.queries,
-                    s.pages_routed,
-                    s.runs,
-                    s.buffer.hit_ratio(),
-                ));
-            }
-            if let Some(plan) = fault_plan {
-                render_fault_section(
-                    &mut out,
-                    plan,
-                    &report.coverage,
-                    &engine,
-                    report.degraded_digest(),
-                );
-            }
-            // The parity witness: identical for every --shards/--threads.
-            out.push_str(&format!("digest: {:016x}\n", report.digest));
-            Ok(out)
-        }
-        Command::Report { dims, mapping } => {
-            let spec = GridSpec::new(dims);
+        Command::Serve(s) => serve(s),
+        Command::Report(r) => {
+            let spec = GridSpec::new(&r.dims);
             let graph = spec.graph(Connectivity::Orthogonal);
-            let (order, lambda2) = build_order(dims, *mapping, None)?;
+            let (order, lambda2) = build_order(&r.dims, r.mapping, None)?;
             let report = with_threads(None, |pool| {
                 spectral_lpm::OrderReport::compute(
                     &graph,
@@ -563,7 +474,7 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
                 )
             })
             .map_err(|e| ParseError(e.to_string()))?;
-            Ok(report.render(&mapping.to_string()))
+            Ok(report.render(&r.mapping.to_string()))
         }
     }
 }

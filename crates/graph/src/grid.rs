@@ -53,13 +53,21 @@ impl GridSpec {
     /// Create a grid with the given per-dimension extents.
     ///
     /// # Panics
-    /// Panics if `dims` is empty or any extent is zero — a grid with no
-    /// cells has no meaningful mapping and indicates a caller bug.
+    /// Panics if `dims` is empty, any extent is zero, or the number of
+    /// points (the product of the extents) overflows `usize` — a grid with
+    /// no cells, or more cells than an index can name, indicates a caller
+    /// bug.
     pub fn new(dims: &[usize]) -> Self {
         assert!(!dims.is_empty(), "grid must have at least one dimension");
         assert!(
             dims.iter().all(|&d| d > 0),
             "every grid dimension must be positive"
+        );
+        assert!(
+            dims.iter()
+                .try_fold(1usize, |n, &d| n.checked_mul(d))
+                .is_some(),
+            "grid {dims:?} has more points than usize can count"
         );
         GridSpec {
             dims: dims.to_vec(),
@@ -272,6 +280,12 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_extent_panics() {
         GridSpec::new(&[3, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more points than usize can count")]
+    fn overflowing_point_count_panics() {
+        GridSpec::new(&[usize::MAX / 2, 3]);
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub enum Query {
 }
 
 /// Engine geometry and scheduling knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Records per page (page size in records).
     pub records_per_page: usize,
@@ -1266,14 +1266,6 @@ impl<'a> ServeEngine<'a> {
     /// Total pages of the underlying store.
     pub fn num_pages(&self) -> usize {
         self.shard_map.num_pages()
-    }
-
-    /// The engine's persistent worker pool, when pooled (`threads > 1`) —
-    /// exposed so callers can borrow the same workers for eigensolver
-    /// kernels via [`WorkerPool::linalg_pool`] (one pool abstraction for
-    /// compute and serving).
-    pub fn worker_pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_ref()
     }
 
     /// Execute a batch to completion; per-query outcomes come back in

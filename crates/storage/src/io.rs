@@ -22,7 +22,7 @@ use serde::Serialize;
 /// Cost coefficients (arbitrary time units; defaults approximate a 2003-era
 /// disk with ~10 ms seek and ~0.1 ms per 8 KiB page transfer, matching the
 /// paper's publication context).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct IoModel {
     /// Cost of starting a sequential run (seek + rotational latency).
     pub seek_cost: f64,

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Diff the output of every `slpm figure` and `slpm experiment`, and the
-# answers and planner counts of `serve_bench` at the CI configuration,
-# against their committed copies in this directory, byte for byte;
-# `--bless` rewrites the copies instead. Usage, from the repository root
-# after a release build:
+# Diff the output of every `slpm figure` and `slpm experiment`, of `slpm
+# help`, and the answers and planner counts of `serve_bench` at the CI
+# configuration against their committed copies in this directory, byte
+# for byte; `--bless` rewrites the copies instead. Usage, from the
+# repository root after a release build:
 #
 #   golden/check.sh [--bless] [path/to/slpm]
 #
@@ -42,6 +42,10 @@ for run in "figure fig1" "figure fig3" "figure fig4" "figure fig5a" \
     "$slpm" $run >"$tmp/$name.txt"
     compare "$name" "slpm $run"
 done
+
+# The help text: every command's flags and defaults.
+"$slpm" help >"$tmp/help.txt"
+compare help "slpm help"
 
 # The serving record: each matrix entry's configuration and answer
 # digest, and the best-first kNN planner's node, leaf and total counts.
