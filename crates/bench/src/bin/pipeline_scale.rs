@@ -22,9 +22,13 @@
 //! Two gates ride on them: `dispatch_gate` requires the threaded jobs-
 //! submitted count to stay strictly below the pre-chunk-plan baseline at
 //! every gated side (the counters are machine-independent, so this holds
-//! on any host), and `speedup_gate` requires threaded wall time to beat
-//! serial per side whenever the host has ≥ 2 cores (recorded as `"n/a"`
-//! on a single-core host, where threading can only add overhead).
+//! on any host), and `speedup_gate` applies at the sides where the
+//! threaded run engaged workers (`jobs_submitted > 0`): there serial and
+//! threaded runs are timed 3 more times each, alternating, and the
+//! threaded median must beat the serial median by 1.05×. Each side's
+//! verdict is its `side_gate` in `thread_speedups`: `"n/a"` where no worker
+//! engaged. The whole gate reads `"n/a"` on a single-core host or when no
+//! side engaged workers.
 //!
 //! Every entry also records the multilevel solver's counters
 //! (`slpm_linalg::solver_counters`): the finest level's inner correction
@@ -54,8 +58,15 @@
 //! (nonzero exit) on disk-read determinism (cold digest == warm digest ==
 //! readahead-off digest) and on readahead cutting demand misses.
 //!
+//! `--graph SIDE` first runs the **graph stage**, before anything else in
+//! the process: the SIDE×SIDE grid's point set, its 4-connected
+//! neighbourhood graph and the Laplacian taken from it with
+//! `into_laplacian` — the ordering path's set-up. It records the build's
+//! seconds and the process's peak RSS (`VmHWM`, Linux; `null` elsewhere),
+//! which, since the stage runs first, is the build's own peak.
+//!
 //! `--json` additionally writes the machine-readable benchmark trajectory
-//! (schema `slpm.pipeline_scale.v6`) to PATH (default BENCH_pipeline.json);
+//! (schema `slpm.pipeline_scale.v7`) to PATH (default BENCH_pipeline.json);
 //! CI uploads that file as a build artifact on every push. The process
 //! exits nonzero if any attempted solver path fails, a threaded run
 //! diverges from serial, or the out-of-core, dispatch, speedup, iteration
@@ -63,6 +74,7 @@
 
 use slpm_cli::flags::{self, Flag, Kind::*};
 use slpm_graph::grid::{Connectivity, GridSpec};
+use slpm_graph::PointSet;
 use slpm_linalg::fiedler::{FiedlerMethod, FiedlerOptions};
 use slpm_linalg::parallel::{dispatch_counters, DispatchCounters};
 use slpm_linalg::{solver_counters, with_threads, SolverCounters};
@@ -89,6 +101,11 @@ const DENSE_MAX_VERTICES: usize = 1_100;
 /// (all kernels below the spawn thresholds) and are ungated.
 const DISPATCH_BASELINE_JOBS: [(usize, u64); 4] =
     [(128, 15_652), (256, 26_418), (512, 35_798), (1024, 64_552)];
+/// Alternating serial/threaded timing pairs per side the speedup gate
+/// applies at.
+const SPEEDUP_REPEATS: usize = 3;
+/// The factor by which the threaded median must beat the serial median.
+const SPEEDUP_MARGIN: f64 = 1.05;
 
 struct Entry {
     side: usize,
@@ -166,6 +183,58 @@ fn run_one(
         solver,
     };
     Ok((entry, mapping.order))
+}
+
+/// The graph stage: the ordering path's set-up at one grid side.
+struct GraphStage {
+    side: usize,
+    vertices: usize,
+    edges: usize,
+    /// Building the point set.
+    points_seconds: f64,
+    /// Building the neighbourhood graph and taking its Laplacian.
+    seconds: f64,
+    /// The process's peak resident set after the stage, in MiB.
+    peak_rss_mb: Option<f64>,
+}
+
+/// Build `side`²'s point set, its neighbourhood graph and Laplacian.
+fn run_graph(side: usize) -> GraphStage {
+    let start = Instant::now();
+    let points = PointSet::from_grid(&GridSpec::cube(side, 2));
+    let points_seconds = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let graph = points.neighbourhood_graph(Connectivity::Orthogonal);
+    let edges = graph.num_edges();
+    let laplacian = graph.into_laplacian();
+    let seconds = start.elapsed().as_secs_f64();
+    let stage = GraphStage {
+        side,
+        vertices: laplacian.rows(),
+        edges,
+        points_seconds,
+        seconds,
+        peak_rss_mb: peak_rss_mb(),
+    };
+    println!(
+        "graph: {side}x{side} points {points_seconds:.2}s, graph + Laplacian {seconds:.2}s \
+         ({} vertices, {edges} edges), peak RSS {}",
+        stage.vertices,
+        stage
+            .peak_rss_mb
+            .map_or_else(|| "unknown".to_string(), |mb| format!("{mb:.1} MiB")),
+    );
+    stage
+}
+
+/// The process's peak resident set size (`VmHWM`) in MiB, where the OS
+/// reports it.
+fn peak_rss_mb() -> Option<f64> {
+    // xtask:allow(fs-only-in-storage): reads the process's own memory report
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 /// The out-of-core stage: a page file bigger than its buffer pool,
@@ -363,27 +432,72 @@ fn dispatch_gate(entries: &[Entry]) -> bool {
         })
 }
 
-/// `speedup_gate`: threaded multilevel wall time beats serial at every
-/// side — demanded only when the host actually has ≥ 2 cores to run the
-/// workers on. Single-core hosts time-slice the pool, where threading can
-/// only break even at best; there the gate does not apply (`None`,
-/// recorded as `"n/a"`).
-fn speedup_gate(entries: &[Entry], host_parallelism: usize) -> Option<bool> {
-    if host_parallelism < 2 {
-        return None;
+/// The speedup gate's timing at one side: median serial and threaded
+/// wall times over [`SPEEDUP_REPEATS`] alternating runs each.
+struct SpeedupCheck {
+    side: usize,
+    serial_median: f64,
+    threaded_median: f64,
+}
+
+impl SpeedupCheck {
+    fn pass(&self) -> bool {
+        self.serial_median >= SPEEDUP_MARGIN * self.threaded_median
     }
-    Some(SIDES.iter().all(|&side| {
-        let serial = entries
-            .iter()
-            .find(|e| e.side == side && e.method == FiedlerMethod::Multilevel && e.threads == 1);
-        let threaded = entries
-            .iter()
-            .find(|e| e.side == side && e.method == FiedlerMethod::Multilevel && e.threads > 1);
-        match (serial, threaded) {
-            (Some(s), Some(t)) => t.seconds < s.seconds,
-            _ => true,
+}
+
+/// Median of a few wall times.
+fn median(mut seconds: Vec<f64>) -> f64 {
+    seconds.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+    seconds[seconds.len() / 2]
+}
+
+/// Time serial and threaded multilevel runs at every side where the
+/// threaded entry engaged workers: a side where none engaged runs the
+/// serial code on both, so its timings could only compare noise. Nothing
+/// is timed on a single-core host, where the pool time-slices.
+fn speedup_checks(
+    entries: &[Entry],
+    threads: usize,
+    host_parallelism: usize,
+) -> Result<Vec<SpeedupCheck>, String> {
+    if host_parallelism < 2 {
+        return Ok(Vec::new());
+    }
+    let engaged = entries.iter().filter(|e| {
+        e.method == FiedlerMethod::Multilevel && e.threads > 1 && e.dispatch.jobs_submitted > 0
+    });
+    let mut checks = Vec::new();
+    for side in engaged.map(|e| e.side) {
+        let spec = GridSpec::cube(side, 2);
+        let time = |t| run_one(&spec, FiedlerMethod::Multilevel, t).map(|(e, _)| e.seconds);
+        let (mut serial, mut threaded) = (Vec::new(), Vec::new());
+        for _ in 0..SPEEDUP_REPEATS {
+            serial.push(time(1)?);
+            threaded.push(time(threads)?);
         }
-    }))
+        let check = SpeedupCheck {
+            side,
+            serial_median: median(serial),
+            threaded_median: median(threaded),
+        };
+        println!(
+            "speedup: {side}^2 median serial {:.4}s vs {threads} threads {:.4}s ({:.2}x, \
+             need {SPEEDUP_MARGIN}x) -> {}",
+            check.serial_median,
+            check.threaded_median,
+            check.serial_median / check.threaded_median,
+            if check.pass() { "pass" } else { "FAIL" },
+        );
+        checks.push(check);
+    }
+    Ok(checks)
+}
+
+/// `speedup_gate`: every timed side passes its check; `None` (recorded
+/// as `"n/a"`) when no side was timed.
+fn speedup_gate(checks: &[SpeedupCheck]) -> Option<bool> {
+    (!checks.is_empty()).then(|| checks.iter().all(SpeedupCheck::pass))
 }
 
 /// `iteration_gate`: PCG iterations per finest-level inner solve of the
@@ -419,11 +533,12 @@ fn to_json(
     max_side: usize,
     threads: usize,
     entries: &[Entry],
-    oocore: Option<&Oocore>,
-    bisection: Option<&Bisection>,
+    speedups: &[SpeedupCheck],
+    stages: (Option<&GraphStage>, Option<&Oocore>, Option<&Bisection>),
 ) -> String {
+    let (graph, oocore, bisection) = stages;
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"slpm.pipeline_scale.v6\",\n");
+    out.push_str("  \"schema\": \"slpm.pipeline_scale.v7\",\n");
     out.push_str(
         "  \"description\": \"End-to-end Spectral LPM pipeline wall time per eigensolver\",\n",
     );
@@ -431,6 +546,20 @@ fn to_json(
     out.push_str(&format!("  \"max_side\": {max_side},\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
+    match graph {
+        None => out.push_str("  \"graph\": null,\n"),
+        Some(g) => out.push_str(&format!(
+            "  \"graph\": {{\"side\": {}, \"vertices\": {}, \"edges\": {}, \
+             \"points_seconds\": {:.3}, \"seconds\": {:.3}, \"peak_rss_mb\": {}}},\n",
+            g.side,
+            g.vertices,
+            g.edges,
+            g.points_seconds,
+            g.seconds,
+            g.peak_rss_mb
+                .map_or_else(|| "null".to_string(), |mb| format!("{mb:.1}")),
+        )),
+    }
     match bisection {
         None => out.push_str("  \"bisection\": null,\n"),
         Some(b) => out.push_str(&format!(
@@ -541,14 +670,25 @@ fn to_json(
             .iter()
             .find(|e| e.side == side && e.method == FiedlerMethod::Multilevel && e.threads > 1);
         if let (Some(s1), Some(st)) = (serial, threaded) {
+            let check = speedups.iter().find(|c| c.side == side);
+            let medians = check.map_or_else(String::new, |c| {
+                format!(
+                    "\"serial_median_seconds\": {:.6}, \"threaded_median_seconds\": {:.6}, \
+                     \"median_speedup\": {:.2}, ",
+                    c.serial_median,
+                    c.threaded_median,
+                    c.serial_median / c.threaded_median
+                )
+            });
             lines.push(format!(
                 "    {{\"side\": {side}, \"threads\": {}, \"serial_seconds\": {:.6}, \
-                 \"threaded_seconds\": {:.6}, \"speedup\": {:.2}, \
-                 \"order_matches_serial\": {}}}",
+                 \"threaded_seconds\": {:.6}, \"speedup\": {:.2}, {medians}\
+                 \"side_gate\": {}, \"order_matches_serial\": {}}}",
                 st.threads,
                 s1.seconds,
                 st.seconds,
                 s1.seconds / st.seconds,
+                gate_json(check.map(SpeedupCheck::pass)),
                 st.order_matches_serial
             ));
         }
@@ -561,7 +701,7 @@ fn to_json(
     ));
     out.push_str(&format!(
         "  \"speedup_gate\": {},\n",
-        gate_json(speedup_gate(entries, host_parallelism))
+        gate_json(speedup_gate(speedups))
     ));
     out.push_str(&format!(
         "  \"iteration_gate\": {}\n",
@@ -576,6 +716,8 @@ fn to_json(
 struct Flags {
     max_side: usize,
     threads: usize,
+    /// Side of the graph stage; `None` = stage off.
+    graph: Option<usize>,
     /// Side of the out-of-core stage; `None` = stage off.
     oocore: Option<usize>,
     /// Side of the recursive-bisection stage; `None` = stage off.
@@ -590,6 +732,7 @@ const FLAGS: &[Flag<Flags>] = &[
     // and exit 0: the silent success the CI perf-smoke job must not produce.
     ("--max-side", Preset("1024"), |f, a| a.int(SIDES[0]).map(|n| f.max_side = n)),
     ("--threads", Preset("1"), |f, a| a.int(1).map(|n| f.threads = n)),
+    ("--graph", Optional("SIDE"), |f, a| a.int(16).map(|n| f.graph = Some(n))),
     ("--oocore", Optional("SIDE"), |f, a| a.int(16).map(|n| f.oocore = Some(n))),
     ("--bisection", Optional("SIDE"), |f, a| a.int(16).map(|n| f.bisection = Some(n))),
     ("--json", Switch, |f, _| { f.json = true; Ok(()) }),
@@ -601,6 +744,7 @@ fn main() {
     let Flags {
         max_side,
         threads,
+        graph,
         oocore,
         bisection,
         json,
@@ -609,6 +753,9 @@ fn main() {
         eprintln!("{e}\n{}", flags::usage("usage: pipeline_scale ", FLAGS));
         std::process::exit(2)
     });
+
+    // ---- Graph stage: first, so the peak RSS is its own -------------
+    let graph = graph.map(run_graph);
 
     println!(
         "{:>6}  {:>8}  {:>14}  {:>7}  {:>10}  {:>12}  {:>9}  {:>14}",
@@ -741,6 +888,11 @@ fn main() {
 
     // ---- Dispatch / speedup gates -----------------------------------
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let speedups = speedup_checks(&entries, threads, host_parallelism).unwrap_or_else(|msg| {
+        eprintln!("FAILED: {msg}");
+        failed = true;
+        Vec::new()
+    });
     if !dispatch_gate(&entries) {
         eprintln!(
             "FAILED: dispatch_gate — a threaded run submitted at least as many backend jobs \
@@ -748,10 +900,10 @@ fn main() {
         );
         failed = true;
     }
-    if speedup_gate(&entries, host_parallelism) == Some(false) {
+    if speedup_gate(&speedups) == Some(false) {
         eprintln!(
-            "FAILED: speedup_gate — threaded multilevel slower than serial on a \
-             {host_parallelism}-core host"
+            "FAILED: speedup_gate — where workers engaged, the threaded multilevel median is \
+             not {SPEEDUP_MARGIN}x faster than serial on a {host_parallelism}-core host"
         );
         failed = true;
     }
@@ -768,8 +920,8 @@ fn main() {
             max_side,
             threads,
             &entries,
-            oocore.as_ref(),
-            bisection.as_ref(),
+            &speedups,
+            (graph.as_ref(), oocore.as_ref(), bisection.as_ref()),
         );
         // xtask:allow(fs-only-in-storage): benches persist their JSON artifacts
         if let Err(e) = std::fs::write(&out_path, &body) {
@@ -797,8 +949,8 @@ mod tests {
     fn presets_and_stage_sides() {
         let f = parse(&[]).expect("the presets parse");
         assert_eq!(
-            (f.max_side, f.threads, f.oocore, f.bisection),
-            (1024, 1, None, None)
+            (f.max_side, f.threads, f.graph, f.oocore, f.bisection),
+            (1024, 1, None, None, None)
         );
         assert_eq!((f.json, f.out.as_str()), (false, "BENCH_pipeline.json"));
         let f = parse(&["--oocore", "16", "--bisection", "64", "--max-side", "32"]).unwrap();
@@ -806,9 +958,27 @@ mod tests {
             (f.oocore, f.bisection, f.max_side),
             (Some(16), Some(64), 32)
         );
+        assert_eq!(parse(&["--graph", "2048"]).unwrap().graph, Some(2048));
         assert!(parse(&["--max-side", "31"]).is_err(), "selects no grid");
         assert!(parse(&["--oocore", "15"]).is_err());
+        assert!(parse(&["--graph", "15"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
+    }
+
+    #[test]
+    fn speedup_gate_needs_timed_sides_and_the_margin() {
+        let check = |serial_median, threaded_median| SpeedupCheck {
+            side: 128,
+            serial_median,
+            threaded_median,
+        };
+        assert_eq!(speedup_gate(&[]), None, "no side engaged workers");
+        assert_eq!(speedup_gate(&[check(1.06, 1.0)]), Some(true));
+        assert_eq!(
+            speedup_gate(&[check(1.06, 1.0), check(1.04, 1.0)]),
+            Some(false)
+        );
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The weighted undirected [`Graph`] type and its matrix views.
 
-use slpm_linalg::sparse::CsrMatrix;
+use slpm_linalg::sparse::{CsrMatrix, MAX_DIM};
 use std::fmt;
 
 /// Errors from graph construction and matrix extraction.
@@ -35,6 +35,12 @@ pub enum GraphError {
         /// Number of connected components found.
         components: usize,
     },
+    /// More vertices than a 32-bit vertex id can name (above
+    /// [`MAX_DIM`]).
+    TooManyVertices {
+        /// The vertex count asked for.
+        num_vertices: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -59,6 +65,9 @@ impl fmt::Display for GraphError {
             GraphError::Disconnected { components } => {
                 write!(f, "graph is disconnected ({components} components)")
             }
+            GraphError::TooManyVertices { num_vertices } => {
+                write!(f, "{num_vertices} vertices is above the limit of {MAX_DIM}")
+            }
         }
     }
 }
@@ -82,58 +91,113 @@ pub struct Graph {
     num_edges: usize,
 }
 
+/// A typed error for more vertices than a 32-bit id can name.
+fn check_vertex_count(n: usize) -> Result<(), GraphError> {
+    if n > MAX_DIM {
+        return Err(GraphError::TooManyVertices { num_vertices: n });
+    }
+    Ok(())
+}
+
+/// Check one edge: endpoints in range, no self-loop, a weight positive and
+/// finite, in that order.
+fn check_edge(n: usize, u: usize, v: usize, w: f64) -> Result<(), GraphError> {
+    for vertex in [u, v] {
+        if vertex >= n {
+            return Err(GraphError::VertexOutOfRange {
+                vertex,
+                num_vertices: n,
+            });
+        }
+    }
+    if u == v {
+        return Err(GraphError::SelfLoop { vertex: u });
+    }
+    if !(w.is_finite() && w > 0.0) {
+        return Err(GraphError::BadWeight { weight: w });
+    }
+    Ok(())
+}
+
 impl Graph {
     /// Build the graph on `n` vertices from undirected weighted edges
     /// `(u, v, w)` given in either orientation.
     ///
     /// Repeated pairs merge: their weights are summed from `0.0` in the
     /// order given, and each degree is the sum of its vertex's merged
-    /// weights in ascending neighbour order. Errors on an endpoint out of
-    /// range, a self-loop, a weight that is not positive and finite, and a
-    /// merged weight or degree that overflows to infinity.
+    /// weights in ascending neighbour order. Errors on more than
+    /// [`MAX_DIM`] vertices (before anything is allocated), an endpoint
+    /// out of range, a self-loop, a weight that is not positive and
+    /// finite, and a merged weight or degree that overflows to infinity.
+    ///
+    /// `edges` is walked once, into a buffer the build then reads twice;
+    /// the crate's own builders walk their edges twice instead and hold no
+    /// such buffer.
     pub fn from_edges<I>(n: usize, edges: I) -> Result<Graph, GraphError>
     where
         I: IntoIterator<Item = (usize, usize, f64)>,
     {
+        check_vertex_count(n)?;
         let edges: Vec<(usize, usize, f64)> = edges.into_iter().collect();
-        // Count each row's entries, one extra slot per row for its diagonal.
+        Graph::from_edge_walk(n, |emit| {
+            for &(u, v, w) in &edges {
+                emit(u, v, w);
+            }
+        })
+    }
+
+    /// Build the graph on `n` vertices from an edge source that `walk`
+    /// replays: each call of `walk(emit)` must call `emit(u, v, w)` for the
+    /// same edges in the same order. The first walk checks the edges and
+    /// counts each row's entries, the second fills the CSR arrays, so no
+    /// edge list is ever held. Same result and errors as
+    /// [`Graph::from_edges`] on those edges.
+    pub(crate) fn from_edge_walk<W>(n: usize, walk: W) -> Result<Graph, GraphError>
+    where
+        W: Fn(&mut dyn FnMut(usize, usize, f64)),
+    {
+        check_vertex_count(n)?;
+        // Count each row's entries, one extra slot per row for its
+        // diagonal. The first bad edge in walk order is the error.
         let mut row_ptr = vec![0usize; n + 1];
-        for &(u, v, w) in &edges {
-            for vertex in [u, v] {
-                if vertex >= n {
-                    return Err(GraphError::VertexOutOfRange {
-                        vertex,
-                        num_vertices: n,
-                    });
+        let mut error = None;
+        walk(&mut |u, v, w| {
+            if error.is_none() {
+                match check_edge(n, u, v, w) {
+                    Ok(()) => {
+                        row_ptr[u + 1] += 1;
+                        row_ptr[v + 1] += 1;
+                    }
+                    Err(e) => error = Some(e),
                 }
             }
-            if u == v {
-                return Err(GraphError::SelfLoop { vertex: u });
-            }
-            if !(w.is_finite() && w > 0.0) {
-                return Err(GraphError::BadWeight { weight: w });
-            }
-            row_ptr[u + 1] += 1;
-            row_ptr[v + 1] += 1;
+        });
+        if let Some(e) = error {
+            return Err(e);
         }
         for i in 0..n {
             row_ptr[i + 1] += row_ptr[i] + 1;
         }
-        // Counting sort by row: each row holds its entries in input order.
+        // Counting sort by row: each row holds its entries in walk order.
+        // Every vertex id is below `n <= MAX_DIM`, so it fits in a `u32`.
         let mut row_end = row_ptr[..n].to_vec();
-        let mut col_idx = vec![0usize; row_ptr[n]];
+        let mut col_idx = vec![0u32; row_ptr[n]];
         let mut values = vec![0.0f64; row_ptr[n]];
-        for (u, v, w) in edges {
+        walk(&mut |u, v, w| {
             for (row, col) in [(u, v), (v, u)] {
-                col_idx[row_end[row]] = col;
+                col_idx[row_end[row]] = col as u32;
                 values[row_end[row]] = w;
                 row_end[row] += 1;
             }
-        }
+        });
+        debug_assert!(
+            (0..n).all(|i| row_end[i] + 1 == row_ptr[i + 1]),
+            "the second walk emitted other edges than the first"
+        );
         // Sort, merge and compact each row in place, writing `−w` and the
         // diagonal. A row never writes past its own slots, so the rows
         // after it are still intact when they are read.
-        let mut row: Vec<(usize, f64)> = Vec::new();
+        let mut row: Vec<(u32, f64)> = Vec::new();
         let (mut written, mut num_edges) = (0, 0);
         for i in 0..n {
             let start = row_ptr[i];
@@ -154,10 +218,10 @@ impl Graph {
             if !degree.is_finite() {
                 return Err(GraphError::BadWeight { weight: degree });
             }
-            let below = row.partition_point(|&(col, _)| col < i);
+            let below = row.partition_point(|&(col, _)| (col as usize) < i);
             num_edges += row.len() - below;
             // The diagonal goes in as `−degree`, so one negation writes all.
-            let diagonal = (!row.is_empty()).then_some((i, -degree));
+            let diagonal = (!row.is_empty()).then_some((i as u32, -degree));
             row_ptr[i] = written;
             for &(col, w) in row[..below].iter().chain(&diagonal).chain(&row[below..]) {
                 (col_idx[written], values[written]) = (col, -w);
@@ -252,18 +316,22 @@ impl Graph {
             if local[old] != u32::MAX {
                 return Err(GraphError::DuplicateVertex { vertex: old });
             }
-            local[old] = u32::try_from(new).expect("vertex ids fit in u32");
+            // The vertices before `new` are distinct and below `n`, so
+            // `new < n <= MAX_DIM`: it fits and is never the marker.
+            local[old] = new as u32;
         }
-        let local = &local;
-        let edges = vertices.iter().enumerate().flat_map(|(i, &old)| {
-            self.laplacian.row_iter(old).filter_map(move |(col, a)| {
-                let j = local[col];
-                // Each retained edge once, from its lower local endpoint
-                // (the diagonal maps to `j == i` and is skipped).
-                (j != u32::MAX && i < j as usize).then_some((i, j as usize, -a))
-            })
-        });
-        Graph::from_edges(vertices.len(), edges)
+        Graph::from_edge_walk(vertices.len(), |emit| {
+            for (i, &old) in vertices.iter().enumerate() {
+                for (col, a) in self.laplacian.row_iter(old) {
+                    let j = local[col];
+                    // Each retained edge once, from its lower local
+                    // endpoint (the diagonal maps to `j == i`, skipped).
+                    if j != u32::MAX && i < j as usize {
+                        emit(i, j as usize, -a);
+                    }
+                }
+            }
+        })
     }
 
     /// Require connectivity, returning a typed error otherwise.
@@ -338,6 +406,20 @@ mod tests {
             Graph::from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)]),
             Err(GraphError::BadWeight { weight }) if weight == f64::INFINITY
         ));
+    }
+
+    #[test]
+    fn vertex_counts_above_the_32_bit_limit_are_typed_errors() {
+        // Rejected before any array is sized by `n` (which would ask for
+        // 32 GiB here), for one-shot and walked sources alike.
+        let n = MAX_DIM + 1;
+        let too_many = GraphError::TooManyVertices { num_vertices: n };
+        assert_eq!(Graph::from_edges(n, [(0, 1, 1.0)]), Err(too_many.clone()));
+        assert_eq!(
+            Graph::from_edge_walk(n, |emit| emit(0, 1, 1.0)),
+            Err(too_many.clone())
+        );
+        assert!(too_many.to_string().contains("4294967296"));
     }
 
     #[test]

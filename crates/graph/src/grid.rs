@@ -176,23 +176,26 @@ impl GridSpec {
     /// Dimensions of extent ≤ 2 do not wrap (the wrap edge would duplicate
     /// an existing edge or form a self-loop).
     pub fn torus_graph(&self) -> Graph {
-        let mut edges = Vec::new();
-        for coords in self.iter_points() {
-            for d in 0..self.ndim() {
-                // The last cell wraps back to the first above extent 2.
-                if coords[d] + 1 < self.dims[d] || self.dims[d] > 2 {
-                    let mut neighbor = coords.clone();
-                    neighbor[d] = (coords[d] + 1) % self.dims[d];
-                    edges.push((self.index_of(&coords), self.index_of(&neighbor), 1.0));
+        Graph::from_edge_walk(self.num_points(), |emit| {
+            for coords in self.iter_points() {
+                for d in 0..self.ndim() {
+                    // The last cell wraps back to the first above extent 2.
+                    if coords[d] + 1 < self.dims[d] || self.dims[d] > 2 {
+                        let mut neighbor = coords.clone();
+                        neighbor[d] = (coords[d] + 1) % self.dims[d];
+                        emit(self.index_of(&coords), self.index_of(&neighbor), 1.0);
+                    }
                 }
             }
-        }
-        Graph::from_edges(self.num_points(), edges).expect("torus edges are valid by construction")
+        })
+        .expect("torus edges are valid by construction")
     }
 
     /// Build a weighted grid graph: `weight(a_coords, b_coords)` is called
     /// for every neighbouring pair (Section 4's general weighted model,
-    /// e.g. `w_ij = 1 / manhattan(i, j)`).
+    /// e.g. `w_ij = 1 / manhattan(i, j)`). The pairs are enumerated
+    /// twice, once to size the graph's rows and once to fill them, so
+    /// `weight` is called twice per pair and must give the same value.
     ///
     /// # Panics
     /// Panics if `weight` returns a weight that is not positive and finite.
@@ -201,22 +204,23 @@ impl GridSpec {
         F: Fn(&[usize], &[usize]) -> f64,
     {
         let offsets = connectivity.forward_offsets(self.ndim());
-        let mut edges = Vec::new();
-        let mut neighbor = vec![0usize; self.ndim()];
-        for coords in self.iter_points() {
-            'offsets: for offset in &offsets {
-                for d in 0..self.ndim() {
-                    let nc = coords[d] as i64 + offset[d];
-                    if nc < 0 || nc as usize >= self.dims[d] {
-                        continue 'offsets;
+        Graph::from_edge_walk(self.num_points(), |emit| {
+            let mut neighbor = vec![0usize; self.ndim()];
+            for coords in self.iter_points() {
+                'offsets: for offset in &offsets {
+                    for d in 0..self.ndim() {
+                        let nc = coords[d] as i64 + offset[d];
+                        if nc < 0 || nc as usize >= self.dims[d] {
+                            continue 'offsets;
+                        }
+                        neighbor[d] = nc as usize;
                     }
-                    neighbor[d] = nc as usize;
+                    let w = weight(&coords, &neighbor);
+                    emit(self.index_of(&coords), self.index_of(&neighbor), w);
                 }
-                let w = weight(&coords, &neighbor);
-                edges.push((self.index_of(&coords), self.index_of(&neighbor), w));
             }
-        }
-        Graph::from_edges(self.num_points(), edges).expect("grid edges are valid by construction")
+        })
+        .expect("grid edges are valid by construction")
     }
 }
 

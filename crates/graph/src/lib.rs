@@ -9,8 +9,11 @@
 //! consumes:
 //!
 //! * [`graph`] — the weighted undirected [`Graph`] type, stored as its own
-//!   Laplacian in one CSR matrix and built by [`Graph::from_edges`]; edges,
-//!   degrees and neighbours are read from that matrix.
+//!   Laplacian in one CSR matrix with 32-bit column indices; edges,
+//!   degrees and neighbours are read from that matrix. One build path
+//!   makes every graph: a counting walk over the edges, then a filling
+//!   walk. [`Graph::from_edges`] buffers a one-shot edge list for it; the
+//!   grid and point-set builders walk their edges twice instead.
 //! * [`grid`] — k-dimensional grid specifications with index ⇄ coordinate
 //!   conversion and grid-graph builders for every connectivity the paper
 //!   uses.

@@ -145,25 +145,28 @@ impl PointSet {
     /// points' lexicographic order, so each offset's candidates rise with
     /// the point and one forward-only cursor per offset finds them:
     /// O(n · 3^k · k) — fine for the ≤ 6 dimensions the paper considers.
+    /// The probe runs twice, once to size the graph's rows and once to fill
+    /// them, so no edge list is held.
     pub fn neighbourhood_graph(&self, connectivity: Connectivity) -> Graph {
         let offsets = connectivity.forward_offsets(self.ndim);
-        let mut cursors = vec![0usize; offsets.len()];
-        let mut edges = Vec::new();
-        let mut candidate = vec![0i64; self.ndim];
-        for (i, p) in self.points.iter().enumerate() {
-            for (offset, j) in offsets.iter().zip(&mut cursors) {
-                for (c, (x, o)) in candidate.iter_mut().zip(p.iter().zip(offset)) {
-                    *c = x + o;
-                }
-                while self.points.get(*j).is_some_and(|q| *q < candidate) {
-                    *j += 1;
-                }
-                if self.points.get(*j) == Some(&candidate) {
-                    edges.push((i, *j, 1.0));
+        Graph::from_edge_walk(self.len(), |emit| {
+            let mut cursors = vec![0usize; offsets.len()];
+            let mut candidate = vec![0i64; self.ndim];
+            for (i, p) in self.points.iter().enumerate() {
+                for (offset, j) in offsets.iter().zip(&mut cursors) {
+                    for (c, (x, o)) in candidate.iter_mut().zip(p.iter().zip(offset)) {
+                        *c = x + o;
+                    }
+                    while self.points.get(*j).is_some_and(|q| *q < candidate) {
+                        *j += 1;
+                    }
+                    if self.points.get(*j) == Some(&candidate) {
+                        emit(i, *j, 1.0);
+                    }
                 }
             }
-        }
-        Graph::from_edges(self.len(), edges).expect("neighbour indices are valid")
+        })
+        .expect("neighbour indices are valid")
     }
 
     /// Weighted complete-neighbourhood graph of Section 4's footnote:

@@ -17,8 +17,10 @@ use slpm_linalg::multilevel::coarsen_laplacian;
 use slpm_linalg::{with_threads, CsrMatrix, Hierarchy, MultilevelOptions, Pool};
 
 /// The coarse operator by the triplet remap.
-fn remapped(fine: &CsrMatrix, parent: &[usize]) -> CsrMatrix {
+fn remapped(fine: &CsrMatrix, parent: &[u32]) -> CsrMatrix {
+    let parent: Vec<usize> = parent.iter().map(|&p| p as usize).collect();
     let nc = parent.iter().max().map_or(0, |&p| p + 1);
+    let parent = &parent;
     let triplets: Vec<(usize, usize, f64)> = (0..fine.rows())
         .flat_map(|i| {
             fine.row_iter(i)

@@ -68,6 +68,14 @@ pub enum LinalgError {
         /// What the caller was doing.
         context: &'static str,
     },
+    /// A dimension above [`crate::sparse::MAX_DIM`]: a column index of a
+    /// [`crate::CsrMatrix`] is 32 bits wide.
+    TooLarge {
+        /// What the caller was doing.
+        context: &'static str,
+        /// Dimension supplied.
+        dimension: usize,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -112,6 +120,11 @@ impl fmt::Display for LinalgError {
             LinalgError::InvalidStructure { context } => {
                 write!(f, "malformed sparse arrays in {context}")
             }
+            LinalgError::TooLarge { context, dimension } => write!(
+                f,
+                "dimension {dimension} in {context} is above the limit of {}",
+                crate::sparse::MAX_DIM
+            ),
         }
     }
 }

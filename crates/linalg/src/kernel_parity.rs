@@ -166,7 +166,8 @@ mod predecessor {
             let mut den = 0.0;
             for (u, entry) in fine.row_iter(v) {
                 if u != v && entry < 0.0 {
-                    let cu = &cv[parent[u] * w..(parent[u] + 1) * w];
+                    let p = parent[u] as usize;
+                    let cu = &cv[p * w..(p + 1) * w];
                     for (nc, &x) in num.iter_mut().zip(cu) {
                         *nc += -entry * x;
                     }
@@ -178,7 +179,8 @@ mod predecessor {
                     *oc = nc / den;
                 }
             } else {
-                o.copy_from_slice(&cv[parent[v] * w..(parent[v] + 1) * w]);
+                let p = parent[v] as usize;
+                o.copy_from_slice(&cv[p * w..(p + 1) * w]);
             }
         }
         Block {

@@ -169,7 +169,7 @@ pub struct Coarsening {
     pub coarse: CsrMatrix,
     /// `parent[v]` is the coarse vertex that fine vertex `v` was merged
     /// into. Prolongation is `x_fine[v] = x_coarse[parent[v]]`.
-    pub parent: Vec<usize>,
+    pub parent: Vec<u32>,
 }
 
 /// A full coarsening hierarchy for one Laplacian: the sequence of
@@ -260,13 +260,14 @@ pub fn coarsen_laplacian(laplacian: &CsrMatrix, pool: &Pool) -> Result<Coarsenin
     // Off-diagonal Laplacian entries are −w for edge weight w > 0; collect
     // each undirected edge once from the upper triangle (the edge-rating
     // pass, row-chunked on the pool).
-    let mut edges: Vec<(f64, usize, usize)> = pool
+    // Vertex ids are below `n <= sparse::MAX_DIM`, so 32 bits hold them.
+    let mut edges: Vec<(f64, u32, u32)> = pool
         .map_chunks(n, |lo, hi| {
             let mut local = Vec::new();
             for u in lo..hi {
                 for (v, entry) in laplacian.row_iter(u) {
                     if v > u && -entry > 0.0 {
-                        local.push((-entry, u, v));
+                        local.push((-entry, u as u32, v as u32));
                     }
                 }
             }
@@ -279,34 +280,38 @@ pub fn coarsen_laplacian(laplacian: &CsrMatrix, pool: &Pool) -> Result<Coarsenin
             .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
     });
 
-    const UNMATCHED: usize = usize::MAX;
+    // No vertex id reaches `u32::MAX`, which marks an unmatched vertex.
+    const UNMATCHED: u32 = u32::MAX;
     let mut mate = vec![UNMATCHED; n];
     for &(_, u, v) in &edges {
+        let (u, v) = (u as usize, v as usize);
         if mate[u] == UNMATCHED && mate[v] == UNMATCHED {
-            mate[u] = v;
-            mate[v] = u;
+            mate[u] = v as u32;
+            mate[v] = u as u32;
         }
     }
+    drop(edges); // matched: free the list before the coarse rows are built
     for (u, m) in mate.iter_mut().enumerate() {
         if *m == UNMATCHED {
-            *m = u; // singleton
+            *m = u as u32; // singleton
         }
     }
 
     // Assign coarse ids in order of each pair's smaller endpoint.
     let mut parent = vec![UNMATCHED; n];
-    let mut next = 0usize;
+    let mut next = 0u32;
     for u in 0..n {
         if parent[u] != UNMATCHED {
             continue;
         }
         parent[u] = next;
-        let m = mate[u];
+        let m = mate[u] as usize;
         if m != u {
             parent[m] = next;
         }
         next += 1;
     }
+    let next = next as usize;
 
     // Galerkin product PᵀLP, one coarse row per aggregate: its members'
     // rows, in ascending fine order, give `(parent[j], v)` for every
@@ -318,9 +323,9 @@ pub fn coarsen_laplacian(laplacian: &CsrMatrix, pool: &Pool) -> Result<Coarsenin
     // concatenated in order.
     let chunks = pool.map_chunks(n, |lo, hi| {
         let (mut counts, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
-        let mut entries: Vec<(usize, f64)> = Vec::new();
+        let mut entries: Vec<(u32, f64)> = Vec::new();
         for u in lo..hi {
-            let m = mate[u];
+            let m = mate[u] as usize;
             if m < u {
                 continue; // the row of its first member
             }
@@ -685,7 +690,7 @@ fn prolong_block(fine: &CsrMatrix, step: &Coarsening, coarse: &Block, pool: &Poo
     pool.block_rows(w, SPAWN_MIN, &mut out, |row0, span| {
         for c0 in (0..w).step_by(pcg::LOCKSTEP_MAX) {
             block::with_width!((w - c0).min(pcg::LOCKSTEP_MAX), W => {
-                let at = |u: usize| parent[u] * w + c0;
+                let at = |u: usize| parent[u] as usize * w + c0;
                 for (j, o) in span.chunks_exact_mut(w).enumerate() {
                     let v = row0 + j;
                     let mut num = [0.0; W];
@@ -967,6 +972,7 @@ impl<'a> VCycleSetup<'a> {
             let (first, end) = (off / W, (off + span.len()) / W);
             span.fill(vector::empty_sum());
             for (v, &agg) in parent.iter().enumerate() {
+                let agg = agg as usize;
                 if !(first..end).contains(&agg) {
                     continue;
                 }
@@ -984,7 +990,8 @@ impl<'a> VCycleSetup<'a> {
         pool.block_rows(W, LIGHT_SPAWN_MIN, x, |row0, span| {
             for (j, xr) in span.chunks_exact_mut(W).enumerate() {
                 let i = row0 + j;
-                let xc = &coarse_x[parent[i] * W..(parent[i] + 1) * W];
+                let p = parent[i] as usize;
+                let xc = &coarse_x[p * W..(p + 1) * W];
                 let b = &rhs[i * W..(i + 1) * W];
                 for c in 0..W {
                     xr[c] = d[i] * b[c] + VCYCLE_OVERCORRECTION * xc[c];
@@ -1424,7 +1431,7 @@ mod tests {
         // Every fine vertex has a parent in range; groups have size ≤ 2.
         let mut count = vec![0usize; c.coarse_len()];
         for &p in &c.parent {
-            count[p] += 1;
+            count[p as usize] += 1;
         }
         assert!(count.iter().all(|&c| (1..=2).contains(&c)));
     }
@@ -1459,11 +1466,11 @@ mod tests {
                 assert_eq!(c.coarse.get(0, 1), weight, "{name}");
             }
             let x: Vec<f64> = (0..nc).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
-            let px: Vec<f64> = c.parent.iter().map(|&p| x[p]).collect();
+            let px: Vec<f64> = c.parent.iter().map(|&p| x[p as usize]).collect();
             let lpx = lap.matvec(&px).unwrap();
             let mut ptlpx = vec![0.0; nc];
             for (v, &p) in c.parent.iter().enumerate() {
-                ptlpx[p] += lpx[v];
+                ptlpx[p as usize] += lpx[v];
             }
             let direct = c.coarse.matvec(&x).unwrap();
             for i in 0..nc {
@@ -1698,7 +1705,7 @@ mod tests {
             lap.matvec_into(v, &mut lv);
             vector::dot(v, &lv) / vector::dot(v, v)
         };
-        let mut pc: Vec<f64> = step.parent.iter().map(|&c| coarse_v[c]).collect();
+        let mut pc: Vec<f64> = step.parent.iter().map(|&c| coarse_v[c as usize]).collect();
         let coarse = Block::from_columns(std::slice::from_ref(coarse_v));
         let mut wt = prolong_block(&lap, &step, &coarse, &Pool::serial()).column(0);
         vector::center(&mut pc);

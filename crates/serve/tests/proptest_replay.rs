@@ -1,0 +1,198 @@
+//! Property test: a disk-backed shard slice replays exactly like the
+//! memory-backed slice of the same order. Whatever the pool capacity,
+//! the readahead window and the page lists (runs, repeats, gaps), every
+//! replay returns the same `(hits, misses)`, and the two slices keep the
+//! same `BufferStats` and storage read counts after every replay. Page
+//! runs read off the file, and reads into recycled buffers of any size,
+//! return the memory store's bytes.
+
+use proptest::prelude::*;
+use slpm_serve::shard::ReadPath;
+use slpm_serve::{Partition, Shard, ShardMap};
+use slpm_storage::{write_page_file, BytesMut, PageLayout, PageMapper, PageStore};
+use spectral_lpm::LinearOrder;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Records in the order; with 4 records per page, 60 pages.
+const RECORDS: usize = 240;
+const RECORDS_PER_PAGE: usize = 4;
+const RECORD_SIZE: usize = 24;
+
+/// A page file removed when the case ends.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new() -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("slpm-replay-{}-{n}.pages", std::process::id());
+        TempFile(std::env::temp_dir().join(name))
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// One scenario: the fleet layout, the shard's read path and the page
+/// lists, each a sequence of `(start, len, step)` segments over the
+/// shard's owned pages. Step 0 repeats a page, step 1 walks a run, larger
+/// steps leave gaps.
+#[derive(Debug, Clone)]
+struct Scenario {
+    shards: usize,
+    shard: usize,
+    round_robin: bool,
+    buffer_pages: usize,
+    readahead: usize,
+    queries: Vec<Vec<(usize, usize, usize)>>,
+}
+
+fn scenario() -> impl Strategy<Value = Scenario> {
+    let segment = (
+        0usize..64,
+        1usize..12,
+        prop_oneof![Just(0usize), Just(1), 2usize..5],
+    );
+    let query = proptest::collection::vec(segment, 1..6);
+    (
+        (1usize..=3, 0usize..3, 0u8..2),
+        (1usize..=8, 0usize..=8),
+        proptest::collection::vec(query, 1..8),
+    )
+        .prop_map(
+            |((shards, shard, round_robin), (buffer_pages, readahead), queries)| Scenario {
+                shards,
+                shard: shard % shards,
+                round_robin: round_robin == 1,
+                buffer_pages,
+                readahead,
+                queries,
+            },
+        )
+}
+
+/// A scrambled order, so page contents are not the identity layout.
+fn order() -> LinearOrder {
+    LinearOrder::from_ranks((0..RECORDS).map(|v| v * 7 % RECORDS).collect()).unwrap()
+}
+
+/// The page list of one query: its segments over `owned`, clipped.
+fn pages(owned: &[usize], segments: &[(usize, usize, usize)]) -> Vec<usize> {
+    segments
+        .iter()
+        .flat_map(|&(start, len, step)| {
+            (0..len)
+                .map(move |k| (start + k * step) % owned.len())
+                .map(|i| owned[i])
+        })
+        .collect()
+}
+
+fn check(s: &Scenario) {
+    let order = order();
+    let mapper = PageMapper::new(&order, PageLayout::new(RECORDS_PER_PAGE));
+    let file = TempFile::new();
+    write_page_file(&file.0, &mapper, RECORD_SIZE).unwrap();
+    let partition = if s.round_robin {
+        Partition::RoundRobin
+    } else {
+        Partition::Contiguous
+    };
+    let map = ShardMap::new(s.shards, mapper.num_pages(), partition);
+    let placement = PageStore::placement_of(&mapper);
+    let build = |page_file| {
+        let read_path = ReadPath {
+            buffer_pages: s.buffer_pages,
+            readahead: s.readahead,
+            page_file,
+        };
+        Shard::build(
+            s.shard,
+            &map,
+            &mapper,
+            placement.clone(),
+            RECORD_SIZE,
+            read_path,
+        )
+        .unwrap()
+    };
+    let mut mem = build(None);
+    let mut disk = build(Some(file.0.as_path()));
+    prop_assert!(disk.store().is_disk_backed() && !mem.store().is_disk_backed());
+    let owned = map.pages_of(s.shard);
+    for (q, segments) in s.queries.iter().enumerate() {
+        let list = pages(&owned, segments);
+        let (m, d) = (mem.replay(&list).unwrap(), disk.replay(&list).unwrap());
+        prop_assert_eq!(m, d, "query {}: (hits, misses) of {:?}", q, list);
+        prop_assert_eq!(mem.buffer_stats(), disk.buffer_stats(), "query {}", q);
+        prop_assert_eq!(mem.storage_reads(), disk.storage_reads(), "query {}", q);
+    }
+
+    // Runs, the readahead primitive: from every owned page, the run of up
+    // to 4 owned pages with consecutive ids, page by page.
+    let (mem, disk) = (mem.store(), disk.store());
+    for (k, &page) in owned.iter().enumerate() {
+        let len = owned[k..]
+            .iter()
+            .zip(page..)
+            .take_while(|(&p, id)| p == *id)
+            .count()
+            .min(4);
+        let (m, d) = (
+            mem.read_run(page, len).unwrap(),
+            disk.read_run(page, len).unwrap(),
+        );
+        for (i, (m, d)) in m.iter().zip(&d).enumerate() {
+            prop_assert_eq!(&d[..], &m[..], "page {} of the run from {}", i, page);
+        }
+    }
+
+    // Reads into spare buffers: fresh, smaller and larger than a frame,
+    // and the last page of a run once its neighbours are gone.
+    let page_bytes = RECORDS_PER_PAGE * RECORD_SIZE;
+    for (k, &page) in owned.iter().enumerate() {
+        let spare = match k % 4 {
+            0 => BytesMut::new(),
+            1 => BytesMut::zeroed(page_bytes / 3),
+            2 => BytesMut::zeroed(page_bytes * 2 + 5),
+            _ => {
+                let run = disk.read_run(page, 1).unwrap().pop().unwrap();
+                mem.read_run(page, 1).unwrap();
+                run.try_into_mut().unwrap()
+            }
+        };
+        let want = mem.try_read_page_reusing(page, None).unwrap();
+        let got = disk.try_read_page_reusing(page, Some(spare)).unwrap();
+        prop_assert_eq!(&got[..], &want[..], "page {}", page);
+    }
+    if let Some(&first) = owned.first() {
+        // A longer run's last page, once the rest of the run is dropped.
+        let len = owned.iter().take_while(|&&p| p < first + 4).count();
+        let contiguous = owned[..len]
+            .iter()
+            .enumerate()
+            .all(|(i, &p)| p == first + i);
+        if contiguous && len > 1 {
+            let spare = disk.read_run(first, len).unwrap().pop().unwrap();
+            mem.read_run(first, len).unwrap();
+            let spare = spare.try_into_mut().unwrap();
+            let got = disk.try_read_page_reusing(first, Some(spare)).unwrap();
+            let want = mem.try_read_page_reusing(first, None).unwrap();
+            prop_assert_eq!(&got[..], &want[..]);
+        }
+    }
+    prop_assert_eq!(mem.total_reads(), disk.total_reads());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn disk_and_memory_replay_agree(s in scenario()) {
+        check(&s);
+    }
+}

@@ -490,10 +490,13 @@ impl PageFile {
         if count == 0 {
             return Ok(Vec::new());
         }
-        let end = start + count;
-        if end > self.header.num_pages {
+        // A run whose end overflows lies past any file, too.
+        if start
+            .checked_add(count)
+            .is_none_or(|end| end > self.header.num_pages)
+        {
             return Err(StorageError::PageOutOfRange {
-                page: end - 1,
+                page: start.saturating_add(count - 1),
                 num_pages: self.header.num_pages,
             });
         }
@@ -584,6 +587,17 @@ mod tests {
                 num_pages: 8
             }
         );
+        // A run whose end overflows `usize` is out of range too, not a
+        // read at a wrapped offset.
+        for (start, count) in [(usize::MAX, 2), (usize::MAX, usize::MAX), (2, usize::MAX)] {
+            assert_eq!(
+                file.read_run(start, count).unwrap_err(),
+                StorageError::PageOutOfRange {
+                    page: usize::MAX,
+                    num_pages: 8
+                }
+            );
+        }
     }
 
     #[test]

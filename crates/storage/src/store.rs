@@ -318,9 +318,16 @@ impl PageStore {
     /// clones. The run counts `count` reads on both backings, keeping
     /// accounting bitwise identical.
     ///
-    /// Every page of the run must be owned by this slice.
+    /// Every page of the run must be owned by this slice, and its end must
+    /// not overflow `usize`.
     pub fn read_run(&self, start: usize, count: usize) -> Result<Vec<Bytes>, StorageError> {
-        for page in start..start + count {
+        let end = start
+            .checked_add(count)
+            .ok_or(StorageError::PageOutOfRange {
+                page: usize::MAX,
+                num_pages: self.local_of.len(),
+            })?;
+        for page in start..end {
             let owned = self.local_of.get(page).is_some_and(|&l| l != usize::MAX);
             if !owned {
                 return Err(StorageError::PageNotOwned { page });
@@ -328,7 +335,7 @@ impl PageStore {
         }
         self.reads.set(self.reads.get() + count);
         match &self.backing {
-            Backing::Memory(pages) => Ok((start..start + count)
+            Backing::Memory(pages) => Ok((start..end)
                 .map(|p| pages[self.local_of[p]].clone())
                 .collect()),
             Backing::Disk(file) => file.read_run(start, count),
@@ -564,6 +571,21 @@ mod tests {
         }
         // A run of k pages counts k reads (plus the 3 singles above).
         assert_eq!(mem.total_reads(), disk.total_reads());
+        // A run whose end overflows `usize` is a typed error on both
+        // backings, and reads nothing.
+        let reads = mem.total_reads();
+        for s in [&mem, &disk] {
+            for (start, count) in [(usize::MAX, 2), (1, usize::MAX)] {
+                assert_eq!(
+                    s.read_run(start, count).unwrap_err(),
+                    StorageError::PageOutOfRange {
+                        page: usize::MAX,
+                        num_pages: 4
+                    }
+                );
+            }
+            assert_eq!(s.total_reads(), reads);
+        }
         let _ = std::fs::remove_file(&path);
     }
 
