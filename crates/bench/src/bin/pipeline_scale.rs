@@ -58,8 +58,8 @@
 //! (nonzero exit) on disk-read determinism (cold digest == warm digest ==
 //! readahead-off digest) and on readahead cutting demand misses.
 //!
-//! `--graph SIDE` first runs the **graph stage**, before anything else in
-//! the process: the SIDE×SIDE grid's point set, its 4-connected
+//! `--graph` first runs the **graph stage**, before anything else in
+//! the process: the 2048×2048 grid's point set, its 4-connected
 //! neighbourhood graph and the Laplacian taken from it with
 //! `into_laplacian` — the ordering path's set-up. It records the build's
 //! seconds and the process's peak RSS (`VmHWM`, Linux; `null` elsewhere),
@@ -106,6 +106,8 @@ const DISPATCH_BASELINE_JOBS: [(usize, u64); 4] =
 const SPEEDUP_REPEATS: usize = 3;
 /// The factor by which the threaded median must beat the serial median.
 const SPEEDUP_MARGIN: f64 = 1.05;
+/// Grid side of the graph stage (4,194,304 points).
+const GRAPH_SIDE: usize = 2048;
 
 struct Entry {
     side: usize,
@@ -716,8 +718,8 @@ fn to_json(
 struct Flags {
     max_side: usize,
     threads: usize,
-    /// Side of the graph stage; `None` = stage off.
-    graph: Option<usize>,
+    /// Run the graph stage.
+    graph: bool,
     /// Side of the out-of-core stage; `None` = stage off.
     oocore: Option<usize>,
     /// Side of the recursive-bisection stage; `None` = stage off.
@@ -732,7 +734,7 @@ const FLAGS: &[Flag<Flags>] = &[
     // and exit 0: the silent success the CI perf-smoke job must not produce.
     ("--max-side", Preset("1024"), |f, a| a.int(SIDES[0]).map(|n| f.max_side = n)),
     ("--threads", Preset("1"), |f, a| a.int(1).map(|n| f.threads = n)),
-    ("--graph", Optional("SIDE"), |f, a| a.int(16).map(|n| f.graph = Some(n))),
+    ("--graph", Switch, |f, _| { f.graph = true; Ok(()) }),
     ("--oocore", Optional("SIDE"), |f, a| a.int(16).map(|n| f.oocore = Some(n))),
     ("--bisection", Optional("SIDE"), |f, a| a.int(16).map(|n| f.bisection = Some(n))),
     ("--json", Switch, |f, _| { f.json = true; Ok(()) }),
@@ -755,7 +757,7 @@ fn main() {
     });
 
     // ---- Graph stage: first, so the peak RSS is its own -------------
-    let graph = graph.map(run_graph);
+    let graph = graph.then(|| run_graph(GRAPH_SIDE));
 
     println!(
         "{:>6}  {:>8}  {:>14}  {:>7}  {:>10}  {:>12}  {:>9}  {:>14}",
@@ -950,7 +952,7 @@ mod tests {
         let f = parse(&[]).expect("the presets parse");
         assert_eq!(
             (f.max_side, f.threads, f.graph, f.oocore, f.bisection),
-            (1024, 1, None, None, None)
+            (1024, 1, false, None, None)
         );
         assert_eq!((f.json, f.out.as_str()), (false, "BENCH_pipeline.json"));
         let f = parse(&["--oocore", "16", "--bisection", "64", "--max-side", "32"]).unwrap();
@@ -958,10 +960,9 @@ mod tests {
             (f.oocore, f.bisection, f.max_side),
             (Some(16), Some(64), 32)
         );
-        assert_eq!(parse(&["--graph", "2048"]).unwrap().graph, Some(2048));
+        assert!(parse(&["--graph"]).unwrap().graph);
         assert!(parse(&["--max-side", "31"]).is_err(), "selects no grid");
         assert!(parse(&["--oocore", "15"]).is_err());
-        assert!(parse(&["--graph", "15"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
     }
 

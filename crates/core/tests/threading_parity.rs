@@ -50,14 +50,14 @@ fn assert_same(serial: &SpectralMapping, threaded: &SpectralMapping, what: &str)
 }
 
 /// Grids forcing a real coarsening hierarchy (default coarsest size 256).
-/// The 132×132 case crosses the pool's spawn threshold so worker threads
+/// The 184×184 case crosses the pool's spawn threshold so worker threads
 /// genuinely run; it is release-only because a debug multilevel solve at
-/// 17k vertices is painfully slow (the kernel-level bitwise tests in
+/// 34k vertices is painfully slow (the kernel-level bitwise tests in
 /// `slpm_linalg` cover genuine spawning in debug builds too).
 #[cfg(debug_assertions)]
 const GRIDS: &[[usize; 2]] = &[[24, 24], [40, 33]];
 #[cfg(not(debug_assertions))]
-const GRIDS: &[[usize; 2]] = &[[24, 24], [40, 33], [132, 132]];
+const GRIDS: &[[usize; 2]] = &[[24, 24], [40, 33], [184, 184]];
 
 fn assert_thread_parity(connectivity: Connectivity) {
     let (serial_pool, threaded_pool) = pools();
@@ -136,13 +136,13 @@ fn holey_points(w: i64, h: i64, cols: i64, rows: i64, max_r: i64, seed: u64) -> 
 
 /// The irregular input: `(w, h, cols, rows, max_r)` of the holey grid and
 /// the fewest points it must keep. Release runs pass the pool's spawn
-/// threshold (`SPAWN_MIN` = 16,384 vertices) so the 4-thread solve really
+/// threshold (`SPAWN_MIN` = 32,768 vertices) so the 4-thread solve really
 /// spreads its heavy kernels over workers; debug runs stay small enough
 /// for an unoptimised multilevel solve.
 #[cfg(debug_assertions)]
 const HOLEY: ((i64, i64, i64, i64, i64), usize) = ((60, 45, 4, 3, 4), 2_000);
 #[cfg(not(debug_assertions))]
-const HOLEY: ((i64, i64, i64, i64, i64), usize) = ((168, 132, 8, 6, 8), 17_000);
+const HOLEY: ((i64, i64, i64, i64, i64), usize) = ((240, 180, 8, 6, 8), 33_000);
 
 #[test]
 fn threaded_order_matches_serial_on_holey_point_set() {

@@ -99,6 +99,10 @@ fn check_vertex_count(n: usize) -> Result<(), GraphError> {
     Ok(())
 }
 
+/// The panic message of a [`Graph::from_edge_walk`] walk that does not
+/// replay.
+const REPLAY: &str = "the filling walk emitted other edges than the counting walk";
+
 /// Check one edge: endpoints in range, no self-loop, a weight positive and
 /// finite, in that order.
 fn check_edge(n: usize, u: usize, v: usize, w: f64) -> Result<(), GraphError> {
@@ -149,9 +153,10 @@ impl Graph {
     /// Build the graph on `n` vertices from an edge source that `walk`
     /// replays: each call of `walk(emit)` must call `emit(u, v, w)` for the
     /// same edges in the same order. The first walk checks the edges and
-    /// counts each row's entries, the second fills the CSR arrays, so no
-    /// edge list is ever held. Same result and errors as
-    /// [`Graph::from_edges`] on those edges.
+    /// counts each row's entries, the second checks them again and fills
+    /// the CSR arrays, so no edge list is ever held. Same result and errors
+    /// as [`Graph::from_edges`] on those edges. Panics if the second walk
+    /// emits other edges than the first.
     pub(crate) fn from_edge_walk<W>(n: usize, walk: W) -> Result<Graph, GraphError>
     where
         W: Fn(&mut dyn FnMut(usize, usize, f64)),
@@ -180,20 +185,31 @@ impl Graph {
         }
         // Counting sort by row: each row holds its entries in walk order.
         // Every vertex id is below `n <= MAX_DIM`, so it fits in a `u32`.
+        // The filling walk checks its edges again and never writes past a
+        // row's counted slots, so a walk that does not replay (a weight
+        // closure that changes between calls, say) cannot corrupt the rows.
         let mut row_end = row_ptr[..n].to_vec();
         let mut col_idx = vec![0u32; row_ptr[n]];
         let mut values = vec![0.0f64; row_ptr[n]];
         walk(&mut |u, v, w| {
+            if error.is_some() {
+                return;
+            }
+            if let Err(e) = check_edge(n, u, v, w) {
+                error = Some(e);
+                return;
+            }
             for (row, col) in [(u, v), (v, u)] {
-                col_idx[row_end[row]] = col as u32;
-                values[row_end[row]] = w;
+                let slot = row_end[row];
+                assert!(slot + 1 < row_ptr[row + 1], "{REPLAY}");
+                (col_idx[slot], values[slot]) = (col as u32, w);
                 row_end[row] += 1;
             }
         });
-        debug_assert!(
-            (0..n).all(|i| row_end[i] + 1 == row_ptr[i + 1]),
-            "the second walk emitted other edges than the first"
-        );
+        if let Some(e) = error {
+            return Err(e);
+        }
+        assert!((0..n).all(|i| row_end[i] + 1 == row_ptr[i + 1]), "{REPLAY}");
         // Sort, merge and compact each row in place, writing `−w` and the
         // diagonal. A row never writes past its own slots, so the rows
         // after it are still intact when they are read.
@@ -347,6 +363,41 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A walk whose filling pass emits `second` instead of `first`.
+    fn changing_walk(
+        first: &'static [(usize, usize)],
+        second: &'static [(usize, usize)],
+    ) -> Result<Graph, GraphError> {
+        let walks = std::cell::Cell::new(0);
+        Graph::from_edge_walk(4, |emit| {
+            walks.set(walks.get() + 1);
+            let edges = if walks.get() == 1 { first } else { second };
+            for &(u, v) in edges {
+                emit(u, v, 1.0);
+            }
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "other edges than the counting walk")]
+    fn a_filling_walk_with_an_extra_edge_panics() {
+        let _ = changing_walk(&[(0, 1), (1, 2)], &[(0, 1), (1, 2), (1, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "other edges than the counting walk")]
+    fn a_filling_walk_with_a_missing_edge_panics() {
+        let _ = changing_walk(&[(0, 1), (1, 2)], &[(0, 1)]);
+    }
+
+    #[test]
+    fn a_filling_walk_with_a_bad_edge_is_an_error() {
+        assert_eq!(
+            changing_walk(&[(0, 1)], &[(0, 0)]).unwrap_err(),
+            GraphError::SelfLoop { vertex: 0 }
+        );
+    }
 
     fn unit(edges: &[(usize, usize)]) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         edges.iter().map(|&(u, v)| (u, v, 1.0))

@@ -198,7 +198,8 @@ impl GridSpec {
     /// `weight` is called twice per pair and must give the same value.
     ///
     /// # Panics
-    /// Panics if `weight` returns a weight that is not positive and finite.
+    /// Panics if `weight` returns a weight that is not positive and finite,
+    /// on either call.
     pub fn weighted_graph<F>(&self, connectivity: Connectivity, weight: F) -> Graph
     where
         F: Fn(&[usize], &[usize]) -> f64,
@@ -220,7 +221,7 @@ impl GridSpec {
                 }
             }
         })
-        .expect("grid edges are valid by construction")
+        .unwrap_or_else(|e| panic!("weighted_graph: {e}"))
     }
 }
 
@@ -251,6 +252,22 @@ impl Iterator for GridPointIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "weighted_graph: ")]
+    fn a_weight_that_turns_bad_on_the_filling_walk_panics() {
+        // 12 pairs on a 3x3 grid: the counting walk sees 1.0, the filling
+        // walk −1.0, which leaves every degree finite.
+        let calls = std::cell::Cell::new(0);
+        GridSpec::new(&[3, 3]).weighted_graph(Connectivity::Orthogonal, |_, _| {
+            calls.set(calls.get() + 1);
+            if calls.get() <= 12 {
+                1.0
+            } else {
+                -1.0
+            }
+        });
+    }
 
     #[test]
     fn index_roundtrip_2d() {

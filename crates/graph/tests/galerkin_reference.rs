@@ -115,7 +115,7 @@ fn coarse_levels_equal_the_triplet_remap() {
 fn pooled_coarse_rows_equal_the_triplet_remap() {
     // Above the pool's engagement threshold, so the coarse rows are built
     // in chunks on several workers.
-    let graph = GridSpec::new(&[150, 120]).weighted_graph(Connectivity::Orthogonal, uneven);
+    let graph = GridSpec::new(&[200, 180]).weighted_graph(Connectivity::Orthogonal, uneven);
     let fine = graph.laplacian();
     let serial = coarsen_laplacian(&fine, &Pool::serial()).unwrap();
     assert_eq!(bits(&serial.coarse), bits(&remapped(&fine, &serial.parent)));

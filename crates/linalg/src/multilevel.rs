@@ -1660,7 +1660,7 @@ mod tests {
         // The whole multilevel path — pooled coarsening, prolongation,
         // Jacobi smoothing, block refinement with V-cycle PCG — must
         // return bit-identical eigenpairs for 1, 2, and 4 workers.
-        let lap = grid_laplacian(150, 140); // 21,000 vertices > SPAWN_MIN
+        let lap = grid_laplacian(200, 180); // 36,000 vertices > SPAWN_MIN
         let run = |threads: usize| {
             let opts = MultilevelOptions::default();
             with_threads(Some(threads), |pool| {
@@ -1679,7 +1679,7 @@ mod tests {
 
     #[test]
     fn coarsening_identical_across_thread_counts() {
-        let lap = grid_laplacian(160, 160); // 25,600 vertices > SPAWN_MIN
+        let lap = grid_laplacian(200, 200); // 40,000 vertices > SPAWN_MIN
         let serial = coarsen_laplacian(&lap, &Pool::serial()).unwrap();
         for threads in [2usize, 4] {
             let par = with_threads(Some(threads), |pool| coarsen_laplacian(&lap, pool)).unwrap();
@@ -1765,8 +1765,8 @@ mod tests {
     /// point set, both above `SPAWN_MIN` so threaded pools really split.
     fn vcycle_inputs() -> Vec<(&'static str, CsrMatrix)> {
         vec![
-            ("grid 160x120", grid_laplacian(160, 120)),
-            ("holey 176x128", holey_grid_laplacian(176, 128, 16, 5)),
+            ("grid 240x160", grid_laplacian(240, 160)),
+            ("holey 256x192", holey_grid_laplacian(256, 192, 16, 5)),
         ]
     }
 

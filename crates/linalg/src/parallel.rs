@@ -36,15 +36,20 @@
 //! thresholds encode that:
 //!
 //! * [`SPAWN_MIN`] — heavy, compute-bound passes (CSR matvec, the edge
-//!   rating map): a row costs a sparse dot product, so even ~16k rows
-//!   amortise an engagement.
+//!   rating map): a row costs a sparse dot product, so ~32k rows amortise
+//!   an engagement. At 16k rows they did not: the 2-thread 128×128 grid
+//!   solve, whose matvecs engaged at that size, ran at 0.61–1.04× the
+//!   serial speed on a 2-core host.
 //! * [`LIGHT_SPAWN_MIN`] — level-1, memory-bound passes (dot, axpy, sum,
 //!   scale, center, Jacobi elementwise updates): a few flops per element
-//!   leave nothing to hide dispatch behind until vectors are hundreds of
-//!   thousands of elements long, and even then the win is capped by
-//!   memory bandwidth, not core count. Below the threshold these run
-//!   inline — which is also what keeps the dispatch-counter trajectory
-//!   (and the 2-thread wall time on a single-core host) close to serial.
+//!   need twice the heavy threshold before a split hides its dispatch,
+//!   and the win is capped by memory bandwidth, not core count. Engaging
+//!   them from 64k rows (rather than 512k) took the 2-thread 512×512 grid
+//!   solve from a median 1.10× to 1.43× the serial speed on a 2-core
+//!   host.
+//!   Below the threshold these run inline — which is also what keeps the
+//!   dispatch-counter trajectory (and the 2-thread wall time on a
+//!   single-core host) close to serial.
 //!
 //! Thresholds affect scheduling only, never results: the serial kernels
 //! share the chunk grid and fold order bit for bit.
@@ -81,7 +86,7 @@ pub const REDUCE_CHUNK: usize = 4096;
 /// CSR matvec, the chunk maps — engages worker threads; below this the
 /// dispatch cost exceeds the kernel cost and everything runs inline.
 /// Has no effect on results, only on scheduling.
-pub const SPAWN_MIN: usize = 16_384;
+pub const SPAWN_MIN: usize = 32_768;
 
 /// Minimum element count before a **light** (level-1, memory-bound)
 /// primitive — dot, axpy, sum, scale, center, elementwise sweeps —
@@ -89,7 +94,7 @@ pub const SPAWN_MIN: usize = 16_384;
 /// cheap pooled dispatch until vectors are this long, and the achievable
 /// win is bounded by memory bandwidth; below the threshold light kernels
 /// run inline on the calling thread. Scheduling only — never results.
-pub const LIGHT_SPAWN_MIN: usize = 524_288;
+pub const LIGHT_SPAWN_MIN: usize = 65_536;
 
 /// Process-wide dispatch-cost counters (relaxed atomics, bumped only on
 /// parallel engagements — serial/inline execution never touches them).

@@ -570,7 +570,7 @@ mod tests {
         // same bits, iteration count, and residual as the serial run,
         // because matvec/dot/axpy/center all use fixed-chunk deterministic
         // kernels.
-        let (w, h) = (160, 120); // 19,200 > parallel::SPAWN_MIN
+        let (w, h) = (184, 184); // 33,856 > parallel::SPAWN_MIN
         let n = w * h;
         let idx = |x: usize, y: usize| x * h + y;
         let mut t = Vec::new();

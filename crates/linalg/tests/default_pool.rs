@@ -45,7 +45,7 @@ fn work(pool: &Pool<'_>, lap: &CsrMatrix) -> (u64, Vec<f64>) {
 
 #[test]
 fn concurrent_callers_on_the_default_pool_get_the_serial_bits() {
-    let lap = grid_laplacian(136, 128);
+    let lap = grid_laplacian(192, 176);
     assert!(
         lap.rows() > SPAWN_MIN,
         "the solve's matvecs must engage the pool"

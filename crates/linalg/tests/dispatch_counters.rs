@@ -11,7 +11,7 @@ use slpm_linalg::{dispatch_counters, CsrMatrix, DispatchCounters, WorkerPool};
 fn dispatch_counters_count_submitted_jobs() {
     // A heavy engagement at 4 threads submits workers - 1 jobs and covers
     // the whole chunk grid exactly once.
-    let n = 24_000; // 6 chunks
+    let n = 36_000; // 9 chunks
     let path: Vec<_> = (1..n)
         .flat_map(|i| [(i - 1, i, -1.0), (i, i - 1, -1.0)])
         .collect();
