@@ -1,6 +1,6 @@
 //! The serving bench: one reproducible mixed range/kNN workload through
 //! the sharded engine, measured in four sections and written to one JSON
-//! file (schema `slpm.serve.v6`).
+//! file (schema `slpm.serve.v7`).
 //!
 //! 1. **matrix** — the {1, S} shards × {1, T} threads × {1, B} in-flight
 //!    batches matrix: queries/sec, pages-per-query quantiles, per-class
@@ -17,8 +17,11 @@
 //!    and a transient flaky plan.
 //! 4. **storage** — the workload served from a page file on disk
 //!    (`--page-file`, else a temp file packed in-process) against the
-//!    in-memory engine, and an ordered full-domain sweep through a buffer
-//!    pool capped at ~10% of the file, with and without readahead.
+//!    in-memory engine, an ordered full-domain sweep through a buffer
+//!    pool capped at ~10% of the file, with and without readahead, and
+//!    the workload's misses, prefetches and page reads per query through
+//!    pools holding 1/16 of each shard's pages with readahead 8, served
+//!    in 64-query batches and one query at a time.
 //!
 //! The run **fails** (nonzero exit) unless every gate holds; all four
 //! are deterministic counter or simulated-clock arithmetic:
@@ -58,7 +61,7 @@ use slpm_serve::engine::{BatchReport, EngineConfig, Query, ServeEngine};
 use slpm_serve::stream::{stream_serve, AdmissionPolicy, ServiceModel, StreamConfig};
 use slpm_serve::workload::{grid_points, mixed_workload_labeled, WorkloadConfig, CLASS_LABELS};
 use slpm_serve::FaultPlan;
-use slpm_storage::{write_page_file, Mbr, PageLayout, PageMapper};
+use slpm_storage::{write_page_file, BufferStats, Mbr, PageLayout, PageMapper};
 use spectral_lpm::LinearOrder;
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -575,6 +578,27 @@ fn storage(b: &Bench) -> (String, bool) {
         .expect("no replay panic");
     let plain = disk(0).run(&sweep).expect("no replay panic");
     let (ra, pl) = (ahead.buffer_stats(), plain.buffer_stats());
+    // The random workload in 64-query batches through pools holding 1/16
+    // of each shard's pages with readahead 8 (the acceptance benchmark's
+    // serve-disk geometry), and the same queries one per batch, where the
+    // pool knows no access beyond the query it serves.
+    let shard_pool = pages.div_ceil(f.engine.shards).div_ceil(16);
+    let random_batches = |batch: usize| {
+        let engine = b.disk_engine(
+            EngineConfig {
+                buffer_pages: shard_pool,
+                readahead: 8,
+                ..b.flags.engine
+            },
+            &path,
+        );
+        let mut stats = BufferStats::default();
+        for queries in b.workload.chunks(batch) {
+            stats.merge(&engine.run(queries).expect("no replay panic").buffer_stats());
+        }
+        stats
+    };
+    let (batched, single) = (random_batches(64), random_batches(1));
     if f.page_file.is_none() {
         // xtask:allow(fs-only-in-storage): removes its own temp page file
         let _ = std::fs::remove_file(&path);
@@ -584,6 +608,7 @@ fn storage(b: &Bench) -> (String, bool) {
         && ahead.digest == plain.digest;
     let readahead_cut = ra.misses < pl.misses && ra.prefetch_hits > 0;
     let gate = parity && readahead_cut;
+    let per_query = |n: usize| n as f64 / f.workload.queries as f64;
     println!(
         "out-of-core: {pages} pages, pool {pool}, readahead {}: cold {cold_qps:.0} q/s, \
          warm {warm_qps:.0} q/s, sweep misses {} (readahead) vs {} (none), \
@@ -594,6 +619,14 @@ fn storage(b: &Bench) -> (String, bool) {
         ra.prefetched,
         ra.prefetch_hits,
         if gate { "pass" } else { "FAIL" },
+    );
+    println!(
+        "random batches (pool {shard_pool} per shard, readahead 8): {:.2} misses and {:.2} reads \
+         per query in 64-query batches, {:.2} and {:.2} one query at a time",
+        per_query(batched.misses),
+        per_query(batched.misses + batched.prefetched),
+        per_query(single.misses),
+        per_query(single.misses + single.prefetched),
     );
     if !parity {
         eprintln!("FAILED: disk-backed serving diverged from the in-memory engine");
@@ -607,7 +640,11 @@ fn storage(b: &Bench) -> (String, bool) {
          \"memory_digest\": \"{memory_digest:016x}\", \"cold_digest\": \"{:016x}\", \
          \"warm_digest\": \"{:016x}\", \"sweep_plain_misses\": {}, \
          \"sweep_readahead_misses\": {}, \"sweep_prefetched\": {}, \
-         \"sweep_prefetch_hits\": {}}}",
+         \"sweep_prefetch_hits\": {}, \"random_batches\": {{\"buffer_pages\": {shard_pool}, \
+         \"readahead\": 8, \"batch\": 64, \"misses\": {}, \"prefetched\": {}, \
+         \"misses_per_query\": {:.4}, \"reads_per_query\": {:.4}, \"single_misses\": {}, \
+         \"single_prefetched\": {}, \"single_misses_per_query\": {:.4}, \
+         \"single_reads_per_query\": {:.4}}}}}",
         f.page_file.as_deref().unwrap_or("(temp)"),
         f.engine.readahead,
         cold.digest,
@@ -616,6 +653,14 @@ fn storage(b: &Bench) -> (String, bool) {
         ra.misses,
         ra.prefetched,
         ra.prefetch_hits,
+        batched.misses,
+        batched.prefetched,
+        per_query(batched.misses),
+        per_query(batched.misses + batched.prefetched),
+        single.misses,
+        single.prefetched,
+        per_query(single.misses),
+        per_query(single.misses + single.prefetched),
     );
     (json, gate)
 }
@@ -680,7 +725,7 @@ fn main() {
     println!("gates: {gates}");
     if f.json {
         let body = format!(
-            "{{\n  \"schema\": \"slpm.serve.v6\",\n  \
+            "{{\n  \"schema\": \"slpm.serve.v7\",\n  \
              \"description\": \"One mixed range/kNN workload through the serving engine: matrix, stream, faults, storage\",\n  \
              \"grid\": [{side}, {side}],\n  \"mapping\": \"{}\",\n  \"queries\": {},\n  \
              \"shards\": {},\n  \"threads\": {},\n  \"partition\": \"{}\",\n  \

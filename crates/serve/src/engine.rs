@@ -17,11 +17,16 @@
 //!    order's borrowed ranks and the [`ShardMap`].
 //! 3. **Replay** (pooled, admission-queued): each shard owns a FIFO work
 //!    queue. A submitted batch enqueues one work unit per (query, shard)
-//!    slice, **in batch order**; at most one runner per shard drains its
-//!    queue on the [`WorkerPool`], taking one unit per queued batch in
-//!    turn (round-robin fairness across in-flight batches) so a huge
-//!    batch cannot starve a small one. Within a batch, a shard's units
-//!    replay in batch order — the sequence the digest contract relies on.
+//!    slice; at most one runner per shard drains its queue on the
+//!    [`WorkerPool`], taking one unit per queued batch in turn
+//!    (round-robin fairness across in-flight batches) so a huge batch
+//!    cannot starve a small one. Within a batch, a shard whose buffer
+//!    pool can evict replays its units as **one ascending page sweep**:
+//!    admission sorts them by (first page, query index) and gives every
+//!    access the position of its page's next access in that sequence, so
+//!    the pool evicts the frame used furthest ahead (Belady's MIN over
+//!    the batch; see [`slpm_storage::BufferPool`]). A pool holding its
+//!    whole shard can never evict, and replays its units in query order.
 //! 4. **Merge** (at [`BatchHandle::wait`]): per-query outcomes are
 //!    reassembled in query order and folded into a digest plus per-shard
 //!    aggregates.
@@ -35,14 +40,17 @@
 //! concurrently admitted batches and merges the reports.
 //!
 //! **Determinism.** Planning and routing are pure per-query functions,
-//! and a batch's replay sequence on each shard is internally ordered, so
+//! and a batch's replay sequence on each shard is fixed at admission, so
 //! result sets, page counts, run counts and the digest are bitwise
 //! identical for every shard count, thread count, kNN planner and
 //! in-flight batch count ([`digest_outcomes`] is invariant under batch
-//! splitting). Buffer hit/miss statistics are the one scheduling-
-//! dependent quantity under *concurrent* admission: interleaving changes
-//! which batch finds a page warm (totals per shard still add up) —
-//! exactly as in any shared-cache server.
+//! splitting). With one batch in flight at a time, hit/miss/prefetch
+//! counters repeat exactly at any thread count: the sort and the next-use
+//! positions depend only on the batch's page lists. Buffer statistics are
+//! the one scheduling-dependent quantity under *concurrent* admission:
+//! interleaving changes which batch finds a page warm (and a pool drops
+//! a batch's plan when another batch's unit cuts in), while totals per
+//! shard still add up — exactly as in any shared-cache server.
 //!
 //! **Failure and recovery.** Shards break; the engine keeps answering.
 //! An installed [`FaultPlan`] ([`ServeEngine::inject_faults`]) is
@@ -70,12 +78,12 @@ use crate::fault::{FaultPlan, FaultState, ServeError, UnitFailure, UnitFault};
 use crate::health::{
     BreakerSnapshot, RecoveryConfig, ShardBreaker, UnitDirective, UnitDisposition,
 };
-use crate::shard::{Partition, ReadPath, Shard, ShardMap, ShardSet};
+use crate::shard::{Lookahead, Partition, ReadPath, Shard, ShardMap, ShardSet};
 use crossbeam::sync::{is_model_abort, Arc, Condvar, Mutex};
 use slpm_linalg::WorkerPool;
 use slpm_storage::{
     BufferStats, IoCost, IoModel, Mbr, PackedRTree, PageLayout, PageMapper, PlanScratch, QueryCost,
-    StorageError,
+    StorageError, NO_NEXT_USE,
 };
 use spectral_lpm::LinearOrder;
 use std::collections::VecDeque;
@@ -113,7 +121,7 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Page → shard placement policy.
     pub partition: Partition,
-    /// LRU frames per shard's buffer pool.
+    /// Frames per shard's buffer pool.
     pub buffer_pages: usize,
     /// Run-readahead window per demand miss (`0` = off). With a
     /// locality-preserving order a range query's shard pages form
@@ -543,17 +551,70 @@ struct Route {
 }
 
 /// One (query, shard) replay unit of a batch, carrying its
-/// admission-time fault/breaker verdict to the replay seam.
+/// admission-time fault/breaker verdict and its place in the batch's
+/// replay plan to the replay seam.
 struct Unit {
     qidx: usize,
     pages: Vec<usize>,
+    /// Position of the unit's first access in its batch's sequence on
+    /// the shard.
+    start: u32,
+    /// For each page, the position of its next access in that sequence
+    /// ([`NO_NEXT_USE`]: none); empty when the shard replays its units
+    /// in query order without lookahead.
+    next_use: Vec<u32>,
     directive: UnitDirective,
 }
 
-/// A batch's pending units on one shard, FIFO in batch order. Pins the
+impl Unit {
+    /// The plan [`Shard::replay`] hands the buffer pool, if any.
+    fn lookahead(&self, batch: u64) -> Option<Lookahead<'_>> {
+        (!self.next_use.is_empty()).then_some(Lookahead {
+            batch,
+            start: self.start,
+            next_use: &self.next_use,
+        })
+    }
+}
+
+/// Plan one shard's units of a batch for a pool that can evict: order
+/// them as one ascending sweep — by first page, then query — number the
+/// accesses of that sequence, and give every access the position of its
+/// page's next access in it (the accesses sorted by page, then position,
+/// list each page's uses in turn).
+fn plan_lookahead(units: &mut [Unit]) {
+    units.sort_unstable_by_key(|u| (u.pages[0], u.qidx));
+    let accesses: usize = units.iter().map(|u| u.pages.len()).sum();
+    assert!(
+        accesses < NO_NEXT_USE as usize,
+        "a batch's accesses on one shard are numbered in 32 bits"
+    );
+    let mut uses: Vec<(usize, u32)> = Vec::with_capacity(accesses);
+    let mut start = 0;
+    for unit in units.iter_mut() {
+        unit.start = start;
+        uses.extend(unit.pages.iter().zip(start..).map(|(&page, at)| (page, at)));
+        start += unit.pages.len() as u32;
+    }
+    uses.sort_unstable();
+    let mut next_use = vec![NO_NEXT_USE; accesses];
+    for pair in uses.windows(2) {
+        if pair[0].0 == pair[1].0 {
+            next_use[pair[0].1 as usize] = pair[1].1;
+        }
+    }
+    for unit in units {
+        let at = unit.start as usize;
+        unit.next_use = next_use[at..at + unit.pages.len()].to_vec();
+    }
+}
+
+/// A batch's pending units on one shard, in replay order. Pins the
 /// epoch the batch was admitted against: the runner replays these units
 /// on `slices`, so a failover swap never moves in-flight work.
 struct BatchWork {
+    /// The batch's admission number (see [`Lookahead::batch`]).
+    batch: u64,
     state: Arc<BatchState>,
     units: VecDeque<Unit>,
     slices: Arc<ShardSet>,
@@ -593,6 +654,8 @@ impl ShardGate {
 struct FleetHealth {
     breakers: Vec<ShardBreaker>,
     faults: Option<FaultState>,
+    /// Batches admitted so far.
+    batches: u64,
 }
 
 impl FleetHealth {
@@ -749,7 +812,13 @@ enum UnitResult {
 /// admission-time directive: injected stalls/failures pay their simulated
 /// penalty through a bounded retry/backoff loop; injected panics really
 /// unwind (and are caught); fast-fails skip the shard entirely.
-fn replay_unit(shared: &EngineShared, set: &ShardSet, shard_id: usize, unit: &Unit) -> UnitResult {
+fn replay_unit(
+    shared: &EngineShared,
+    set: &ShardSet,
+    shard_id: usize,
+    batch: u64,
+    unit: &Unit,
+) -> UnitResult {
     let fault = match &unit.directive {
         UnitDirective::FastFail => {
             // Open breaker: don't touch the shard at all. The unit pays
@@ -805,7 +874,7 @@ fn replay_unit(shared: &EngineShared, set: &ShardSet, shard_id: usize, unit: &Un
         let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut shard = set.shard(shard_id).lock().expect("shard lock");
             let before = shard.buffer_stats();
-            let outcome = shard.replay(&unit.pages);
+            let outcome = shard.replay(&unit.pages, unit.lookahead(batch));
             let after = shard.buffer_stats();
             let delta = BufferStats {
                 hits: after.hits - before.hits,
@@ -840,14 +909,14 @@ fn replay_unit(shared: &EngineShared, set: &ShardSet, shard_id: usize, unit: &Un
 /// rotate that batch to the back of the line (round-robin fairness across
 /// in-flight batches), and replay the unit against the shard. Exactly one
 /// runner is active per shard (the `running` flag), which is what keeps
-/// each batch's units on a shard in batch order.
+/// each batch's units on a shard in the order admission gave them.
 fn run_shard_queue(shared: &EngineShared, shard_id: usize) {
     // xtask:allow(unbounded-retry): queue-drain loop, not a retry loop —
     // each iteration consumes one queued unit and the loop exits when the
     // queue is empty; the faultable call inside is bounded by
     // `replay_unit`'s attempt budget.
     loop {
-        let (state, unit, slices) = {
+        let (batch, state, unit, slices) = {
             let gate = &shared.queues[shard_id];
             let mut queue = gate.queue.lock().expect("shard queue lock");
             match queue.batches.pop_front() {
@@ -861,6 +930,7 @@ fn run_shard_queue(shared: &EngineShared, shard_id: usize) {
                     let unit = work.units.pop_front().expect("queued batches have work");
                     let state = Arc::clone(&work.state);
                     let slices = Arc::clone(&work.slices);
+                    let batch = work.batch;
                     if !work.units.is_empty() {
                         queue.batches.push_back(work);
                     }
@@ -869,11 +939,11 @@ fn run_shard_queue(shared: &EngineShared, shard_id: usize) {
                     // the same lock, so the wakeup can't be lost).
                     queue.pending_units -= 1;
                     gate.space.notify_all();
-                    (state, unit, slices)
+                    (batch, state, unit, slices)
                 }
             }
         };
-        match replay_unit(shared, &slices, shard_id, &unit) {
+        match replay_unit(shared, &slices, shard_id, batch, &unit) {
             UnitResult::Served {
                 hits,
                 misses,
@@ -1236,6 +1306,7 @@ impl<'a> ServeEngine<'a> {
                 fleet: Mutex::new(FleetHealth {
                     breakers: (0..cfg.shards).map(|_| ShardBreaker::default()).collect(),
                     faults: None,
+                    batches: 0,
                 }),
                 recovery: cfg.recovery,
                 records_per_page: cfg.records_per_page,
@@ -1440,17 +1511,19 @@ impl<'a> ServeEngine<'a> {
         self.install_rebuilds();
         let slices = Arc::clone(&*self.shared.slices.lock().expect("shard slices lock"));
 
-        // Build the per-shard unit queues, each in batch (query) order.
-        // Page lists move out of the routes (page_count stays behind for
-        // the merge), so only one copy exists while the batch is in
-        // flight. Fault/breaker verdicts are stamped here — serially,
-        // under one fleet lock, in query order within each shard — so
-        // resolution depends only on the admission sequence, never on
-        // replay scheduling.
+        // Build the per-shard unit queues. Page lists move out of the
+        // routes (page_count stays behind for the merge), so only one copy
+        // exists while the batch is in flight. Fault/breaker verdicts are
+        // stamped here — serially, under one fleet lock, in query order
+        // within each shard — so resolution depends only on the admission
+        // sequence, never on replay scheduling. Then each shard whose pool
+        // can evict gets its units as one ascending page sweep with every
+        // access's next use in it; a pool holding its whole shard never
+        // evicts, so it skips that work and replays in query order.
         let mut per_shard: Vec<VecDeque<Unit>> =
             (0..self.cfg.shards).map(|_| VecDeque::new()).collect();
         let mut units_left = vec![0usize; queries];
-        {
+        let batch = {
             let mut fleet = self.shared.fleet.lock().expect("fleet health lock");
             let rec = self.shared.recovery;
             for (qidx, route) in routes.iter_mut().enumerate() {
@@ -1461,9 +1534,18 @@ impl<'a> ServeEngine<'a> {
                     per_shard[slice.shard].push_back(Unit {
                         qidx,
                         pages,
+                        start: 0,
+                        next_use: Vec::new(),
                         directive,
                     });
                 }
+            }
+            fleet.batches += 1;
+            fleet.batches
+        };
+        for (shard_id, units) in per_shard.iter_mut().enumerate() {
+            if self.shard_map.page_count(shard_id) > self.cfg.buffer_pages.max(1) {
+                plan_lookahead(units.make_contiguous());
             }
         }
         let pending_units: usize = units_left.iter().sum();
@@ -1502,6 +1584,7 @@ impl<'a> ServeEngine<'a> {
             }
             queue.pending_units += units.len();
             queue.batches.push_back(BatchWork {
+                batch,
                 state: Arc::clone(&state),
                 units,
                 slices: Arc::clone(&slices),
@@ -1519,8 +1602,9 @@ impl<'a> ServeEngine<'a> {
                 }
             }
             // Serial baseline: drain inline before returning, so the
-            // handle is already complete (and replay order is the batch
-            // order — the deterministic buffer-accounting baseline).
+            // handle is already complete (and each shard replays its units
+            // in admission order — the deterministic buffer-accounting
+            // baseline).
             None => {
                 for shard_id in to_run {
                     run_shard_queue(&self.shared, shard_id);
@@ -2195,6 +2279,8 @@ mod tests {
         units.push_back(Unit {
             qidx: 0,
             pages: vec![usize::MAX],
+            start: 0,
+            next_use: Vec::new(),
             directive: UnitDirective::Serve,
         });
         {
@@ -2205,6 +2291,7 @@ mod tests {
                 .expect("shard queue lock");
             queue.pending_units += 1;
             queue.batches.push_back(BatchWork {
+                batch: 0,
                 state: Arc::clone(&state),
                 units,
                 slices,

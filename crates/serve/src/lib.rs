@@ -12,7 +12,7 @@
 //!   ([`shard::Partition::Contiguous`] rank ranges, or the declustered
 //!   [`shard::Partition::RoundRobin`] reusing
 //!   [`slpm_storage::decluster`]), each shard owning a
-//!   [`slpm_storage::PageStore`] slice plus its own LRU buffer pool.
+//!   [`slpm_storage::PageStore`] slice plus its own buffer pool.
 //! * [`engine`] — the batch executor: plan each query on the packed
 //!   R-tree (range scans plus a best-first branch-and-bound kNN planner),
 //!   admit any number of concurrent batches

@@ -1,7 +1,7 @@
 //! Sharding the page store: partitioning one linear order's pages.
 //!
 //! A shard owns a subset of the global pages ([`slpm_storage::PageStore`]
-//! shard slices) plus its own LRU [`BufferPool`]. Two placements are
+//! shard slices) plus its own [`BufferPool`]. Two placements are
 //! provided:
 //!
 //! * [`Partition::Contiguous`] — shard `s` owns one contiguous run of
@@ -21,7 +21,8 @@
 use crossbeam::sync::{Arc, Mutex};
 use slpm_storage::decluster::Declustering;
 use slpm_storage::{
-    BufferPool, BufferStats, BytesMut, PageMapper, PageStore, RoundRobin, StorageError,
+    BufferPool, BufferStats, Bytes, BytesMut, PageMapper, PageStore, RoundRobin, StorageError,
+    NO_NEXT_USE,
 };
 use std::fmt;
 use std::path::Path;
@@ -119,23 +120,31 @@ impl ShardMap {
 
     /// Global page ids owned by `shard`, ascending.
     pub fn pages_of(&self, shard: usize) -> Vec<usize> {
-        assert!(shard < self.shards, "shard {shard} out of range");
+        let len = self.page_count(shard);
         match self.partition {
             Partition::Contiguous => {
                 let start = shard * self.base + shard.min(self.rem);
-                let len = self.base + usize::from(shard < self.rem);
                 (start..start + len).collect()
             }
-            Partition::RoundRobin => (shard..self.num_pages).step_by(self.shards).collect(),
+            Partition::RoundRobin => (shard..).step_by(self.shards).take(len).collect(),
+        }
+    }
+
+    /// Number of pages `shard` owns.
+    pub fn page_count(&self, shard: usize) -> usize {
+        assert!(shard < self.shards, "shard {shard} out of range");
+        match self.partition {
+            Partition::Contiguous => self.base + usize::from(shard < self.rem),
+            Partition::RoundRobin => self.num_pages.saturating_sub(shard).div_ceil(self.shards),
         }
     }
 }
 
-/// How a shard reads its pages: LRU pool size, readahead window, and
-/// the optional disk page file to fault frames from.
+/// How a shard reads its pages: pool size, readahead window, and the
+/// optional disk page file to fault frames from.
 #[derive(Clone, Copy, Debug)]
 pub struct ReadPath<'a> {
-    /// LRU pool capacity in pages (clamped to at least 1).
+    /// Buffer pool capacity in pages (clamped to at least 1).
     pub buffer_pages: usize,
     /// Readahead window: pages of a miss's monotone run prefetched per
     /// demand miss. `0` = off.
@@ -144,7 +153,20 @@ pub struct ReadPath<'a> {
     pub page_file: Option<&'a Path>,
 }
 
-/// One shard: a slice of the page store plus its private LRU pool.
+/// Where one replay unit sits in its batch's access sequence on a shard
+/// — the batch's plan that [`Shard::replay`] hands to the [`BufferPool`].
+#[derive(Clone, Copy, Debug)]
+pub struct Lookahead<'a> {
+    /// The batch's admission number.
+    pub batch: u64,
+    /// Position of the unit's first access in the batch's sequence.
+    pub start: u32,
+    /// For each page of the unit, the position of that page's next access
+    /// in the batch's sequence ([`NO_NEXT_USE`] when there is none).
+    pub next_use: &'a [u32],
+}
+
+/// One shard: a slice of the page store plus its private buffer pool.
 pub struct Shard {
     id: usize,
     store: PageStore,
@@ -152,14 +174,20 @@ pub struct Shard {
     /// Readahead window: on a demand miss, up to this many following
     /// pages of the miss's monotone run are prefetched. `0` = off.
     readahead: usize,
-    /// The buffer of the frame the last demand admission evicted, when
-    /// the pool held its only handle: the next demand miss reads into it.
-    spare: Option<BytesMut>,
+    /// Buffers of evicted frames the pool held the only handle to: the
+    /// next reads fill them instead of allocating.
+    spares: Vec<BytesMut>,
+    /// The buffer prefetch runs are read into before their pages are
+    /// copied out, kept at its largest length.
+    staging: Vec<u8>,
+    /// `(batch, position)` at which the pool's plan continues, when the
+    /// last replayed unit followed one to its end.
+    cursor: Option<(u64, u32)>,
 }
 
 impl Shard {
     /// Build shard `id` of the map: a [`PageStore`] slice over the owned
-    /// pages and a fresh LRU pool sized by the [`ReadPath`]. `placement`
+    /// pages and a fresh buffer pool sized by the [`ReadPath`]. `placement`
     /// is the store's shared record placement
     /// ([`PageStore::placement_of`]), computed once per fleet so S shards
     /// hold one copy, not S.
@@ -168,8 +196,7 @@ impl Shard {
     /// page file at `path` instead of materialising payloads — same
     /// bytes, same accounting, reads fault frames off disk.
     /// `read_path.readahead` sets the run-prefetch window (pages per
-    /// demand miss; `0` disables, which also keeps hit/miss accounting
-    /// bitwise identical to the pre-disk engine).
+    /// demand miss; `0` disables).
     pub fn build(
         id: usize,
         map: &ShardMap,
@@ -190,7 +217,9 @@ impl Shard {
             store,
             buffer: BufferPool::new(read_path.buffer_pages.max(1)),
             readahead: read_path.readahead,
-            spare: None,
+            spares: Vec::new(),
+            staging: Vec::new(),
+            cursor: None,
         })
     }
 
@@ -205,25 +234,44 @@ impl Shard {
     }
 
     /// Replay one query's page list against this shard: pages served from
-    /// the LRU pool are hits; misses fault their payload from the store
+    /// the pool are hits; misses fault their payload from the store
     /// (counted reads) and, with readahead on, pull the next pages of the
     /// miss's monotone run into the pool ahead of demand. Returns
     /// `(hits, misses)`; storage failures (disk errors, corruption,
-    /// injected faults) surface as typed [`StorageError`]s. Once the pool
-    /// is full, each demand miss reads into the buffer of the frame the
-    /// previous one evicted, so steady-state misses allocate nothing.
+    /// injected faults) surface as typed [`StorageError`]s. Reads fill the
+    /// buffers of evicted frames the pool held the only handle to, so
+    /// once the pool is full, no read allocates a page buffer.
     ///
-    /// Replay order is the caller's page order — the engine routes each
-    /// shard's queries in deterministic batch order, which is what makes
-    /// hit/miss accounting reproducible for every thread count. The
-    /// prefetcher is deterministic too (it looks only at the page list
-    /// and pool residency), so accounting stays bitwise identical between
-    /// memory- and disk-backed slices.
-    pub fn replay(&mut self, pages: &[usize]) -> Result<(usize, usize), StorageError> {
+    /// With a [`Lookahead`], every access tells the pool where its page is
+    /// needed next in the batch, and a readahead frame is marked with the
+    /// position of its use later in this unit, so a full pool evicts the
+    /// frame used furthest ahead. The pool follows one batch's plan unit
+    /// by unit: a unit that does not continue where the last one left off
+    /// (the first of a batch, or one after a skipped or failed unit)
+    /// first drops the known next uses. Without one, every next use is
+    /// unknown and the pool evicts by LRU.
+    ///
+    /// Replay order is the caller's — the engine hands each shard its
+    /// units of a batch in a fixed order, which is what makes hit/miss
+    /// accounting reproducible for every thread count. The prefetcher is
+    /// deterministic too (it looks only at the page list and pool
+    /// residency), so accounting stays bitwise identical between memory-
+    /// and disk-backed slices.
+    pub fn replay(
+        &mut self,
+        pages: &[usize],
+        plan: Option<Lookahead<'_>>,
+    ) -> Result<(usize, usize), StorageError> {
+        let at = plan.map(|p| (p.batch, p.start));
+        if self.cursor != at {
+            self.buffer.forget_plan();
+        }
+        self.cursor = None;
+        let next_use = |i: usize| plan.map_or(NO_NEXT_USE, |p| p.next_use[i]);
         let mut hits = 0;
         let mut misses = 0;
         for (i, &page) in pages.iter().enumerate() {
-            if self.buffer.get(page).is_some() {
+            if self.buffer.get(page, next_use(i)).is_some() {
                 hits += 1;
                 continue;
             }
@@ -232,30 +280,34 @@ impl Shard {
             // storage condition: keep the panicking contract (the engine
             // catches it and surfaces the lost unit). Everything else —
             // disk errors, corruption, injected faults — is typed.
-            let bytes = match self.store.try_read_page_reusing(page, self.spare.take()) {
+            let bytes = match self.store.try_read_page_reusing(page, self.spares.pop()) {
                 Ok(bytes) => bytes,
                 Err(e @ StorageError::PageNotOwned { .. }) => panic!("{e}"),
                 Err(e) => return Err(e),
             };
-            self.spare = self
-                .buffer
-                .admit(page, bytes)
-                .and_then(|evicted| evicted.try_into_mut().ok());
+            let gone = self.buffer.admit(page, bytes, next_use(i));
+            self.recycle(gone);
             if self.readahead > 0 {
-                self.prefetch_run(pages, i)?;
+                self.prefetch_run(pages, i, plan)?;
             }
         }
+        self.cursor = plan.map(|p| (p.batch, p.start + pages.len() as u32));
         Ok((hits, misses))
     }
 
     /// Extend the demand miss at `pages[i]` into its monotone run: the
     /// linear order already sorted each query's shard list, so pages that
     /// follow contiguously in the list are contiguous **on disk** — one
-    /// [`PageStore::read_run`] (one positional read) fetches them all. The
-    /// window stops at the readahead budget, at the first gap in the run,
-    /// at the first already-resident page, and always below the pool
-    /// capacity (speculation must never evict the demand page).
-    fn prefetch_run(&mut self, pages: &[usize], i: usize) -> Result<(), StorageError> {
+    /// [`PageStore::read_run_reusing`] (one positional read) fetches them
+    /// all. The window stops at the readahead budget, at the first gap in
+    /// the run, at the first already-resident page, and always below the
+    /// pool capacity. Each run page is next needed where the list uses it.
+    fn prefetch_run(
+        &mut self,
+        pages: &[usize],
+        i: usize,
+        plan: Option<Lookahead<'_>>,
+    ) -> Result<(), StorageError> {
         let budget = self.readahead.min(self.buffer.capacity().saturating_sub(1));
         let start = pages[i] + 1;
         let mut count = 0;
@@ -268,11 +320,23 @@ impl Shard {
         if count == 0 {
             return Ok(());
         }
-        let run = self.store.read_run(start, count)?;
+        let run = self
+            .store
+            .read_run_reusing(start, count, &mut self.staging, &mut self.spares)?;
         for (k, bytes) in run.into_iter().enumerate() {
-            self.buffer.admit_prefetch(start + k, bytes);
+            let use_at = plan.map_or(NO_NEXT_USE, |p| p.start + (i + 1 + k) as u32);
+            let gone = self.buffer.admit_prefetch(start + k, bytes, use_at);
+            self.recycle(gone);
         }
         Ok(())
+    }
+
+    /// Keep a payload the pool let go of for the next read, when the pool
+    /// held its only handle.
+    fn recycle(&mut self, gone: Option<Bytes>) {
+        if let Some(buf) = gone.and_then(|bytes| bytes.try_into_mut().ok()) {
+            self.spares.push(buf);
+        }
     }
 
     /// Cumulative buffer statistics.
@@ -425,7 +489,7 @@ mod tests {
         let placement = PageStore::placement_of(&mapper);
         let mut shard = Shard::build(0, &map, &mapper, placement, 8, mem_pool(8, 0)).unwrap();
         // Shard 0 owns pages {0, 1}.
-        let (h, m) = shard.replay(&[0, 1, 0]).unwrap();
+        let (h, m) = shard.replay(&[0, 1, 0], None).unwrap();
         assert_eq!((h, m), (1, 2));
         assert_eq!(shard.storage_reads(), 2); // only misses hit the store
         assert_eq!(shard.buffer_stats().hits, 1);
@@ -452,13 +516,13 @@ mod tests {
         };
         // An ordered sweep of a 4-page run, readahead off: 4 demand misses.
         let mut plain = build(0);
-        let (h0, m0) = plain.replay(&[2, 3, 4, 5]).unwrap();
+        let (h0, m0) = plain.replay(&[2, 3, 4, 5], None).unwrap();
         assert_eq!((h0, m0), (0, 4));
         assert_eq!(plain.buffer_stats().prefetched, 0);
         // Readahead 3: the first miss prefetches the rest of the run, so
         // the remaining touches are hits — all of them prefetch hits.
         let mut ahead = build(3);
-        let (h1, m1) = ahead.replay(&[2, 3, 4, 5]).unwrap();
+        let (h1, m1) = ahead.replay(&[2, 3, 4, 5], None).unwrap();
         assert_eq!((h1, m1), (3, 1));
         let stats = ahead.buffer_stats();
         assert_eq!(stats.prefetched, 3);
@@ -468,7 +532,7 @@ mod tests {
         assert_eq!(ahead.storage_reads(), plain.storage_reads());
         // A gap breaks the run: page 7 is not prefetched from the 2..=5 run.
         let mut gap = build(8);
-        let (_, m2) = gap.replay(&[0, 1, 7]).unwrap();
+        let (_, m2) = gap.replay(&[0, 1, 7], None).unwrap();
         assert_eq!(m2, 2); // 0 misses+prefetches 1, 7 misses separately
         assert_eq!(gap.buffer_stats().prefetched, 1);
     }
@@ -482,11 +546,11 @@ mod tests {
         let mut shard = Shard::build(0, &map, &mapper, placement, 8, mem_pool(8, 0)).unwrap();
         shard.store().arm_read_error(2);
         assert_eq!(
-            shard.replay(&[1, 2]).unwrap_err(),
+            shard.replay(&[1, 2], None).unwrap_err(),
             StorageError::Injected { page: 2 }
         );
         // The failed page never entered the pool; a retry reads it fresh.
-        let (h, m) = shard.replay(&[1, 2]).unwrap();
+        let (h, m) = shard.replay(&[1, 2], None).unwrap();
         assert_eq!((h, m), (1, 1));
     }
 
@@ -504,7 +568,7 @@ mod tests {
         assert_eq!(set.len(), 2);
         assert!(!set.is_empty());
         // Warm shard 1's pool, then swap shard 0 out.
-        let _ = set.shard(1).lock().unwrap().replay(&[2, 3]);
+        let _ = set.shard(1).lock().unwrap().replay(&[2, 3], None);
         let next = set.with_replacements(vec![(0, build(0))]);
         assert_eq!(next.epoch(), 1);
         // The healthy slice is the *same* object (Arc-shared)…

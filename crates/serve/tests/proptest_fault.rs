@@ -107,7 +107,7 @@ proptest! {
         // (a) Every fault-free query answers bitwise identically to the
         // clean run — the same (results, pages, runs) triple the digest
         // folds. (Buffer hit/miss splits may differ: degraded units skip
-        // replay, so LRU state legitimately diverges on a faulted shard.)
+        // replay, so pool state legitimately diverges on a faulted shard.)
         let mut saw_degraded = 0usize;
         for (a, b) in faulted.outcomes.iter().zip(&clean.outcomes) {
             if a.degraded_pages > 0 {

@@ -126,7 +126,10 @@ fn check(s: &Scenario) {
     let owned = map.pages_of(s.shard);
     for (q, segments) in s.queries.iter().enumerate() {
         let list = pages(&owned, segments);
-        let (m, d) = (mem.replay(&list).unwrap(), disk.replay(&list).unwrap());
+        let (m, d) = (
+            mem.replay(&list, None).unwrap(),
+            disk.replay(&list, None).unwrap(),
+        );
         prop_assert_eq!(m, d, "query {}: (hits, misses) of {:?}", q, list);
         prop_assert_eq!(mem.buffer_stats(), disk.buffer_stats(), "query {}", q);
         prop_assert_eq!(mem.storage_reads(), disk.storage_reads(), "query {}", q);

@@ -481,12 +481,26 @@ impl PageFile {
     /// with **one positional read** — one call is one physical run: the
     /// I/O the cost model prices as `1 seek + count transfers`. This is
     /// the readahead primitive; single pages go through
-    /// [`PageFile::read_page`].
-    ///
-    /// Every frame is verified before any page is returned. The pages are
-    /// zero-copy slices of one shared run buffer, so a page held in a
-    /// cache keeps its whole run (at most `count` frames) alive.
+    /// [`PageFile::read_page`]. The pages are fresh buffers; see
+    /// [`PageFile::read_run_reusing`].
     pub fn read_run(&self, start: usize, count: usize) -> Result<Vec<Bytes>, StorageError> {
+        self.read_run_reusing(start, count, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// [`PageFile::read_run`] through caller-owned buffers: the run lands
+    /// in `staging` (grown to the run's length when shorter, so a reused
+    /// staging buffer is never zero-filled again), every frame's checksum
+    /// is verified before any page is returned, and each payload is then
+    /// copied into a buffer popped from `spares` (typically evicted
+    /// frames'), or a new one when none is left. No page keeps the run
+    /// buffer alive, so each can be recycled on its own.
+    pub fn read_run_reusing(
+        &self,
+        start: usize,
+        count: usize,
+        staging: &mut Vec<u8>,
+        spares: &mut Vec<BytesMut>,
+    ) -> Result<Vec<Bytes>, StorageError> {
         if count == 0 {
             return Ok(Vec::new());
         }
@@ -502,18 +516,30 @@ impl PageFile {
         }
         let frame_len = self.header.frame_len();
         let offset = HEADER_LEN as u64 + (start as u64) * frame_len as u64;
-        let mut buf = vec![0u8; frame_len * count];
-        self.file.read_exact_at(&mut buf, offset)?;
+        let len = frame_len * count;
+        if staging.len() < len {
+            staging.resize(len, 0);
+        }
+        let run = &mut staging[..len];
+        self.file.read_exact_at(run, offset)?;
         let page_bytes = self.header.page_bytes();
-        for (i, frame) in buf.chunks_exact(frame_len).enumerate() {
+        for (i, frame) in run.chunks_exact(frame_len).enumerate() {
             let (payload, sum) = frame.split_at(page_bytes);
             if u64::from_le_bytes(sum.try_into().expect("8 bytes")) != frame_checksum(payload) {
                 return Err(StorageError::ChecksumMismatch { page: start + i });
             }
         }
-        let run = Bytes::from(buf);
-        Ok((0..count)
-            .map(|i| run.slice(i * frame_len..i * frame_len + page_bytes))
+        Ok(run
+            .chunks_exact(frame_len)
+            .map(|frame| {
+                // Room for a whole frame, so a demand read can reuse it.
+                let mut buf = spares
+                    .pop()
+                    .unwrap_or_else(|| BytesMut::with_capacity(frame_len));
+                buf.clear();
+                buf.extend_from_slice(&frame[..page_bytes]);
+                buf.freeze()
+            })
             .collect())
     }
 }
@@ -598,6 +624,39 @@ mod tests {
                 }
             );
         }
+    }
+
+    #[test]
+    fn runs_read_through_reused_buffers_match_single_reads() {
+        let order = LinearOrder::identity(32);
+        let mapper = PageMapper::new(&order, PageLayout::new(4));
+        let tmp = TempFile::new("run-reuse");
+        write_page_file(&tmp.0, &mapper, 16).unwrap();
+        let file = PageFile::open(&tmp.0).unwrap();
+        let frame_len = file.header().frame_len();
+        // A staging buffer left longer and dirty by an earlier run, and
+        // spares of every size: a fresh one, a short one, a long one, and
+        // a page evicted from an earlier run.
+        let mut staging = vec![0xAB; 5 * frame_len + 3];
+        let evicted = file.read_run(0, 2).unwrap().pop().unwrap();
+        let mut spares = vec![
+            BytesMut::new(),
+            BytesMut::zeroed(3),
+            BytesMut::zeroed(3 * frame_len),
+            evicted.try_into_mut().unwrap(),
+        ];
+        let run = file
+            .read_run_reusing(3, 5, &mut staging, &mut spares)
+            .unwrap();
+        assert!(spares.is_empty(), "four spares filled, one page allocated");
+        assert_eq!(staging.len(), 5 * frame_len + 3, "staging never shrinks");
+        for (i, bytes) in run.iter().enumerate() {
+            assert_eq!(&bytes[..], &file.read_page(3 + i).unwrap()[..]);
+        }
+        // Each page owns its buffer: dropping the others frees nothing it
+        // needs, and it can be recycled on its own.
+        let last = run.into_iter().last().unwrap();
+        assert!(last.try_into_mut().is_ok());
     }
 
     #[test]

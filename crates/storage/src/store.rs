@@ -321,6 +321,21 @@ impl PageStore {
     /// Every page of the run must be owned by this slice, and its end must
     /// not overflow `usize`.
     pub fn read_run(&self, start: usize, count: usize) -> Result<Vec<Bytes>, StorageError> {
+        self.read_run_reusing(start, count, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// [`PageStore::read_run`] through caller-owned buffers: on disk the
+    /// run lands in the reused `staging` buffer and each page is copied
+    /// into a buffer popped from `spares` (evicted frames', typically)
+    /// ([`PageFile::read_run_reusing`]); the memory backing clones its
+    /// pages and leaves both alone.
+    pub fn read_run_reusing(
+        &self,
+        start: usize,
+        count: usize,
+        staging: &mut Vec<u8>,
+        spares: &mut Vec<BytesMut>,
+    ) -> Result<Vec<Bytes>, StorageError> {
         let end = start
             .checked_add(count)
             .ok_or(StorageError::PageOutOfRange {
@@ -338,7 +353,7 @@ impl PageStore {
             Backing::Memory(pages) => Ok((start..end)
                 .map(|p| pages[self.local_of[p]].clone())
                 .collect()),
-            Backing::Disk(file) => file.read_run(start, count),
+            Backing::Disk(file) => file.read_run_reusing(start, count, staging, spares),
         }
     }
 

@@ -1,15 +1,17 @@
 #!/bin/sh
 # Diff the output of every `slpm figure` and `slpm experiment`, of `slpm
-# help`, and the answers and planner counts of `serve_bench` at the CI
-# configuration against their committed copies in this directory, byte
-# for byte; `--bless` rewrites the copies instead. Usage, from the
-# repository root after a release build:
+# help`, the answers, planner counts and page accounting of `serve_bench`
+# at the CI configuration, and the out-of-core answers and page
+# accounting of `serve_bench` and `pipeline_scale` on a packed 256x256
+# page file against their committed copies in this directory, byte for
+# byte; `--bless` rewrites the copies instead. Usage, from the repository
+# root after a release build:
 #
 #   golden/check.sh [--bless] [path/to/slpm]
 #
-# `serve_bench` is taken from the directory `slpm` is in. The outputs are
-# seeded and bitwise independent of the thread count, so any difference
-# is a changed result.
+# `serve_bench` and `pipeline_scale` are taken from the directory `slpm`
+# is in. The outputs are seeded and bitwise independent of the thread
+# count, so any difference is a changed result.
 set -eu
 dir=$(cd "$(dirname "$0")" && pwd)
 bless=0
@@ -19,6 +21,7 @@ if [ "${1:-}" = "--bless" ]; then
 fi
 slpm=${1:-target/release/slpm}
 serve_bench=$(dirname "$slpm")/serve_bench
+pipeline_scale=$(dirname "$slpm")/pipeline_scale
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 status=0
@@ -47,16 +50,39 @@ done
 "$slpm" help >"$tmp/help.txt"
 compare help "slpm help"
 
+# The storage section's digests and page accounting: the ordered sweep
+# with and without readahead, and the random batches.
+storage() {
+    grep '"storage": {' "$1" | sed -E 's/.*("memory_digest")/storage {\1/'
+}
+
 # The serving record: each matrix entry's configuration and answer
-# digest, and the best-first kNN planner's node, leaf and total counts.
-# Timings, hit ratios and the stream and fault sections are left out:
-# they move with the host or with scheduling.
+# digest, the best-first kNN planner's node, leaf and total counts, and
+# the storage section. Timings, the matrix's hit ratios (several batches
+# in flight share each pool) and the stream and fault sections are left
+# out: they move with the host or with scheduling.
 "$serve_bench" --grid 64 --shards 2 --threads 2 --queries 400 --inflight 4 \
     --json --out "$tmp/serve.json" >/dev/null
 {
     grep '"mode": ' "$tmp/serve.json" |
         sed -E 's/.*"shards": ([0-9]+), "threads": ([0-9]+), "inflight": ([0-9]+), "mode": "([a-z]+)".*"digest": "([0-9a-f]+)".*/matrix shards \1 threads \2 inflight \3 \4 digest \5/'
     grep '"knn": {' "$tmp/serve.json" | sed -E 's/^ *"knn": (\{[^}]*\}).*/knn \1/'
+    storage "$tmp/serve.json"
 } >"$tmp/serve.txt"
 compare serve "serve_bench"
+
+# The out-of-core record: `serve_bench`'s storage section on a packed
+# 256x256 Hilbert page file, and `pipeline_scale`'s out-of-core stage
+# (its own 256x256 file streamed through a pool of 10% of its pages):
+# digest, cold, warm and readahead-off misses, prefetches and gate.
+"$slpm" pack --grid 256x256 --out "$tmp/pages.slpm" >/dev/null
+"$serve_bench" --grid 256 --shards 2 --threads 2 --queries 400 --inflight 4 \
+    --page-file "$tmp/pages.slpm" --readahead 8 --json --out "$tmp/oocore.json" >/dev/null
+"$pipeline_scale" --max-side 32 --oocore 256 --json --out "$tmp/pipeline.json" >/dev/null
+{
+    storage "$tmp/oocore.json"
+    grep -o '"oocore": {[^}]*}' "$tmp/pipeline.json" |
+        sed -E 's/"(pack|cold|warm)_seconds": [0-9.]+, //g; s/^"oocore": /oocore /'
+} >"$tmp/oocore.txt"
+compare oocore "serve_bench and pipeline_scale out of core"
 exit $status

@@ -128,6 +128,13 @@ impl BytesMut {
         BytesMut::default()
     }
 
+    /// An empty buffer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        BytesMut {
+            data: Arc::new(Vec::with_capacity(capacity)),
+        }
+    }
+
     /// A buffer of `len` zero bytes.
     pub fn zeroed(len: usize) -> Self {
         BytesMut {
@@ -148,6 +155,11 @@ impl BytesMut {
     /// Grow (filling with `value`) or shrink the buffer to `new_len` bytes.
     pub fn resize(&mut self, new_len: usize, value: u8) {
         self.vec_mut().resize(new_len, value);
+    }
+
+    /// Empty the buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.vec_mut().clear();
     }
 
     /// Shorten the buffer to `len` bytes, keeping its capacity.
