@@ -170,8 +170,8 @@ fn render_fault_section(
     }
     for b in engine.health_snapshot() {
         out.push_str(&format!(
-            "  breaker[{}]: {} trips: {} incarnation: {}\n",
-            b.shard, b.state, b.trips, b.incarnation,
+            "  breaker[{}]: {} trips: {} incarnation: {} failed rebuilds: {}\n",
+            b.shard, b.state, b.trips, b.incarnation, b.failed_rebuilds,
         ));
     }
     out.push_str(&format!(

@@ -16,7 +16,7 @@ use crate::mappings::MappingSet;
 use crate::workloads;
 use serde::Serialize;
 use slpm_graph::grid::GridSpec;
-use slpm_storage::{Mbr, PackedRTree};
+use slpm_storage::{Mbr, PackedRTree, PlanScratch};
 
 /// Configuration of the R-tree packing experiment.
 #[derive(Debug, Clone, Serialize)]
@@ -89,12 +89,13 @@ pub fn run(cfg: &RtreeConfig) -> Vec<RtreeRow> {
             let mut nodes = 0usize;
             let mut leaves = 0usize;
             let mut results = 0usize;
+            let mut scratch = PlanScratch::default();
             workloads::for_each_box(&spec, &sides, |b| {
                 let q = Mbr {
                     lo: b.lo.iter().map(|&x| x as i64).collect(),
                     hi: b.hi.iter().map(|&x| x as i64).collect(),
                 };
-                let (_, cost) = tree.range_query(&q);
+                let (_, cost) = tree.range_query(&q, &mut scratch);
                 nodes += cost.nodes_visited;
                 leaves += cost.leaves_visited;
                 results += cost.results;

@@ -8,10 +8,12 @@
 //! queries. A batch flows through four phases:
 //!
 //! 1. **Plan** (at [`ServeEngine::plan_batch`], chunk-parallel on the pool):
-//!    each query runs against the packed R-tree. Range queries use
-//!    [`PackedRTree::range_query_ordered`], so result ranks — and the
-//!    page ids derived from them — are monotone; kNN queries run
-//!    best-first branch-and-bound ([`PackedRTree::knn_best_first`]).
+//!    each query runs against the packed R-tree on one reused
+//!    [`PlanScratch`] per chunk. Range queries
+//!    ([`PackedRTree::range_query`]) return their matches in packed
+//!    order, so result ranks — and the page ids derived from them — are
+//!    monotone; kNN queries run best-first branch-and-bound
+//!    ([`PackedRTree::knn_best_first`]).
 //! 2. **Route** (with planning): result ids become per-query page lists
 //!    and per-shard slices — a pure pass of integer divisions over the
 //!    order's borrowed ranks and the [`ShardMap`].
@@ -68,7 +70,10 @@
 //! tripped shard's rank-range is rebuilt on a fresh slice and published
 //! under an atomic epoch swap ([`crate::shard::ShardSet`]) — in-flight
 //! batches drain on their admission-time epoch while new admissions
-//! route to the rebuilt slice. Panics *outside* the fault plan (routing
+//! route to the rebuilt slice. A rebuild that cannot reopen the page file
+//! keeps the current slice, is counted
+//! ([`BreakerSnapshot::failed_rebuilds`]) and is tried again at the next
+//! admission. Panics *outside* the fault plan (routing
 //! bugs, poisoned locks) surface as a typed
 //! [`ServeError::ReplayPanicked`] naming every failed unit's query and
 //! shard, and the affected slice is likewise rebuilt at the next
@@ -856,7 +861,7 @@ fn replay_unit(
                 // memory- and disk-backed slices.
                 if let Ok(shard) = set.shard(shard_id).lock() {
                     shard.store().arm_read_error(fault.fail_page);
-                    let read = shard.store().try_read_page(fault.fail_page);
+                    let read = shard.store().read_page(fault.fail_page, None);
                     debug_assert!(
                         matches!(read, Err(StorageError::Injected { .. })),
                         "armed page read must fail"
@@ -1219,9 +1224,6 @@ pub struct ServeEngine<'a> {
     layout: PageLayout,
     shard_map: ShardMap,
     shared: Arc<EngineShared>,
-    /// The fleet-shared page placement, kept so failover can rebuild a
-    /// tripped shard's slice without re-deriving it.
-    placement: Arc<Vec<(usize, usize)>>,
     /// `None` when `threads == 1`: the serial baseline runs inline.
     pool: Option<WorkerPool>,
     /// `Some(path)`: shard slices fault pages off this disk page file
@@ -1271,16 +1273,12 @@ impl<'a> ServeEngine<'a> {
         let layout = PageLayout::new(cfg.records_per_page);
         let mapper = PageMapper::new(order, layout);
         let shard_map = ShardMap::new(cfg.shards, mapper.num_pages(), cfg.partition);
-        // One placement shared by the whole fleet (the store-side analogue
-        // of the rank-borrowing PageMapper — no per-shard dense copies).
-        let placement = slpm_storage::PageStore::placement_of(&mapper);
         let shards: Vec<Shard> = (0..cfg.shards)
             .map(|id| {
                 Shard::build(
                     id,
                     &shard_map,
                     &mapper,
-                    Arc::clone(&placement),
                     cfg.record_size,
                     ReadPath {
                         buffer_pages: cfg.buffer_pages,
@@ -1312,7 +1310,6 @@ impl<'a> ServeEngine<'a> {
                 records_per_page: cfg.records_per_page,
                 records: points.len(),
             }),
-            placement,
             pool: (cfg.threads > 1).then(|| WorkerPool::new(cfg.threads)),
             page_file,
             cfg,
@@ -1459,6 +1456,12 @@ impl<'a> ServeEngine<'a> {
     /// buffer pool, fresh lock) for each, publish a new [`ShardSet`]
     /// under the next epoch, and leave old-epoch `Arc`s to drain in
     /// whatever batches still hold them.
+    ///
+    /// A shard whose page file cannot be reopened (removed, truncated or
+    /// rewritten since the engine started) keeps its current slice; the
+    /// failure is counted in its breaker and the rebuild stays pending
+    /// for the next admission, so the submitter never pays for it with a
+    /// panic.
     fn install_rebuilds(&self) {
         let pending: Vec<usize> = {
             let mut fleet = self.shared.fleet.lock().expect("fleet health lock");
@@ -1470,28 +1473,33 @@ impl<'a> ServeEngine<'a> {
             return;
         }
         let mapper = PageMapper::new(self.order, self.layout);
-        let replacements: Vec<(usize, Shard)> = pending
-            .into_iter()
-            .map(|id| {
-                let fresh = Shard::build(
-                    id,
-                    &self.shard_map,
-                    &mapper,
-                    Arc::clone(&self.placement),
-                    self.cfg.record_size,
-                    ReadPath {
-                        buffer_pages: self.cfg.buffer_pages,
-                        readahead: self.cfg.readahead,
-                        page_file: self.page_file.as_deref(),
-                    },
-                )
-                // The file opened at engine construction; failing to
-                // reopen it mid-failover is an environment change no
-                // rebuild can paper over.
-                .expect("rebuild reopens the page file the engine started with");
-                (id, fresh)
-            })
-            .collect();
+        let read_path = ReadPath {
+            buffer_pages: self.cfg.buffer_pages,
+            readahead: self.cfg.readahead,
+            page_file: self.page_file.as_deref(),
+        };
+        let (mut replacements, mut failed) = (Vec::new(), Vec::new());
+        for id in pending {
+            match Shard::build(
+                id,
+                &self.shard_map,
+                &mapper,
+                self.cfg.record_size,
+                read_path,
+            ) {
+                Ok(fresh) => replacements.push((id, fresh)),
+                Err(_) => failed.push(id),
+            }
+        }
+        if !failed.is_empty() {
+            let mut fleet = self.shared.fleet.lock().expect("fleet health lock");
+            for id in failed {
+                fleet.breakers[id].rebuild_failed();
+            }
+        }
+        if replacements.is_empty() {
+            return;
+        }
         let mut slices = self.shared.slices.lock().expect("shard slices lock");
         *slices = Arc::new(slices.with_replacements(replacements));
     }
@@ -1674,7 +1682,7 @@ impl<'a> ServeEngine<'a> {
     fn plan(&self, query: &Query, scratch: &mut PlanScratch) -> Plan {
         match query {
             Query::Range(mbr) => {
-                let (results, tree) = self.rtree.range_query_ordered_with(mbr, scratch);
+                let (results, tree) = self.rtree.range_query(mbr, scratch);
                 Plan {
                     results,
                     rank_ordered: true,
@@ -1682,7 +1690,7 @@ impl<'a> ServeEngine<'a> {
                 }
             }
             Query::Knn { center, k } => {
-                let (results, tree) = self.rtree.knn_best_first_with(center, *k, scratch);
+                let (results, tree) = self.rtree.knn_best_first(center, *k, scratch);
                 Plan {
                     results,
                     rank_ordered: false,
@@ -2439,8 +2447,8 @@ mod tests {
 
     #[test]
     fn page_reads_match_unsharded_store_accounting() {
-        // Total distinct-page touches must equal what PageStore::serve_query
-        // would read per query on the full store.
+        // Each query's distinct-page touches must equal the pages its
+        // results occupy under the unsharded layout.
         let (points, order) = small_engine();
         let cfg = EngineConfig {
             records_per_page: 4,
@@ -2450,16 +2458,9 @@ mod tests {
         };
         let engine = ServeEngine::new(&points, &order, cfg);
         let report = engine.run(&queries()).expect("no replay panic");
-        let layout = PageLayout::new(4);
-        let mapper = PageMapper::new(&order, layout);
-        let store = slpm_storage::PageStore::build(&mapper, order.len(), 8);
+        let mapper = PageMapper::new(&order, PageLayout::new(4));
         for (q, outcome) in queries().iter().zip(&report.outcomes) {
-            let sorted_ids = {
-                let mut ids = outcome.results.clone();
-                ids.sort_unstable();
-                ids
-            };
-            let direct = store.serve_query(sorted_ids.iter().copied());
+            let direct = mapper.page_count(outcome.results.iter().copied());
             assert_eq!(outcome.pages, direct, "query {q:?}");
         }
     }
@@ -2802,6 +2803,49 @@ mod tests {
             let snap = engine.health_snapshot();
             assert_eq!(snap[0].incarnation, 1);
         });
+    }
+
+    #[test]
+    fn failed_rebuild_keeps_the_slice_and_retries_at_the_next_admission() {
+        // After a trip, a page file whose header has since been
+        // overwritten cannot be reopened: the rebuild must not panic the
+        // submitter. The shard keeps its current slice, the failure is
+        // counted, and once the file is whole again the next admission
+        // swaps the rebuilt slice in.
+        use std::os::unix::fs::FileExt;
+        let (points, order) = small_engine();
+        let path = temp_page_file("failed-rebuild", &order, 4, 64);
+        let cfg = EngineConfig {
+            records_per_page: 4,
+            fanout: 4,
+            shards: 2,
+            ..Default::default()
+        };
+        let engine = ServeEngine::with_page_file(&points, &order, cfg, path.clone())
+            .expect("page file opens");
+        engine.inject_faults(FaultPlan::parse("kill:0@0").unwrap());
+        let qs: Vec<Query> = (0..4).flat_map(|_| queries()).collect();
+        engine.run(&qs).expect("degrades, not errors");
+        assert!(engine.health_snapshot()[0].trips >= 1);
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .expect("page file reopens for writing");
+        let mut header = [0u8; slpm_storage::diskfile::HEADER_LEN];
+        file.read_exact_at(&mut header, 0).expect("header reads");
+        file.write_all_at(&[0u8; slpm_storage::diskfile::HEADER_LEN], 0)
+            .expect("header overwrites");
+        engine
+            .run(&queries())
+            .expect("a failed rebuild is not an error");
+        assert_eq!(engine.epoch(), 0, "the current slice keeps serving");
+        assert_eq!(engine.health_snapshot()[0].failed_rebuilds, 1);
+        file.write_all_at(&header, 0).expect("header restores");
+        engine.run(&queries()).expect("the retried rebuild serves");
+        assert_eq!(engine.epoch(), 1, "the retried rebuild swaps in");
+        assert_eq!(engine.health_snapshot()[0].failed_rebuilds, 1);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -131,6 +131,9 @@ pub struct ShardBreaker {
     /// A trip (or an un-modeled panic) happened since the last swap; the
     /// engine rebuilds this shard's slice at the next admission boundary.
     rebuild_pending: bool,
+    /// Rebuilds that could not build a fresh slice (the page file could
+    /// not be reopened); each left the current slice serving.
+    failed_rebuilds: u32,
 }
 
 impl Default for ShardBreaker {
@@ -142,6 +145,7 @@ impl Default for ShardBreaker {
             incarnation: 0,
             cooldown_left: 0,
             rebuild_pending: false,
+            failed_rebuilds: 0,
         }
     }
 }
@@ -215,6 +219,13 @@ impl ShardBreaker {
         std::mem::take(&mut self.rebuild_pending)
     }
 
+    /// A taken rebuild could not build its slice: count it, and keep it
+    /// pending so the next admission boundary tries again.
+    pub(crate) fn rebuild_failed(&mut self) {
+        self.failed_rebuilds += 1;
+        self.rebuild_pending = true;
+    }
+
     /// Incarnation the *next* stamped unit targets.
     pub(crate) fn incarnation(&self) -> u32 {
         self.incarnation
@@ -228,6 +239,7 @@ impl ShardBreaker {
             consecutive_failures: self.consecutive_failures,
             trips: self.trips,
             incarnation: self.incarnation,
+            failed_rebuilds: self.failed_rebuilds,
         }
     }
 }
@@ -245,6 +257,9 @@ pub struct BreakerSnapshot {
     pub trips: u32,
     /// Current slice incarnation (0 = the original build).
     pub incarnation: u32,
+    /// Rebuilds that failed to reopen the page file and left the shard's
+    /// current slice serving until a later admission rebuilt it.
+    pub failed_rebuilds: u32,
 }
 
 /// The admission-time verdict for one unit, combining the fault stamp

@@ -1,8 +1,8 @@
 //! Sharding the page store: partitioning one linear order's pages.
 //!
-//! A shard owns a subset of the global pages ([`slpm_storage::PageStore`]
-//! shard slices) plus its own [`BufferPool`]. Two placements are
-//! provided:
+//! A shard owns a subset of the global pages (a [`slpm_storage::PageStore`]
+//! built over its owned page ids) plus its own [`BufferPool`]. Two
+//! placements are provided:
 //!
 //! * [`Partition::Contiguous`] — shard `s` owns one contiguous run of
 //!   page ids. With a locality-preserving order a query's pages are
@@ -179,18 +179,15 @@ pub struct Shard {
     spares: Vec<BytesMut>,
     /// The buffer prefetch runs are read into before their pages are
     /// copied out, kept at its largest length.
-    staging: Vec<u8>,
+    staging: BytesMut,
     /// `(batch, position)` at which the pool's plan continues, when the
     /// last replayed unit followed one to its end.
     cursor: Option<(u64, u32)>,
 }
 
 impl Shard {
-    /// Build shard `id` of the map: a [`PageStore`] slice over the owned
-    /// pages and a fresh buffer pool sized by the [`ReadPath`]. `placement`
-    /// is the store's shared record placement
-    /// ([`PageStore::placement_of`]), computed once per fleet so S shards
-    /// hold one copy, not S.
+    /// Build shard `id` of the map: a [`PageStore`] over the owned pages
+    /// and a fresh buffer pool sized by the [`ReadPath`].
     ///
     /// With `read_path.page_file: Some(path)` the slice opens the disk
     /// page file at `path` instead of materialising payloads — same
@@ -201,16 +198,13 @@ impl Shard {
         id: usize,
         map: &ShardMap,
         mapper: &PageMapper,
-        placement: Arc<Vec<(usize, usize)>>,
         record_size: usize,
         read_path: ReadPath<'_>,
     ) -> Result<Self, StorageError> {
         let owned = map.pages_of(id);
         let store = match read_path.page_file {
-            None => PageStore::build_shard_placed(mapper, record_size, &owned, placement),
-            Some(path) => {
-                PageStore::open_shard_placed(path, mapper, record_size, &owned, placement)?
-            }
+            None => PageStore::in_memory(mapper, record_size, &owned),
+            Some(path) => PageStore::open(path, mapper, record_size, &owned)?,
         };
         Ok(Shard {
             id,
@@ -218,7 +212,7 @@ impl Shard {
             buffer: BufferPool::new(read_path.buffer_pages.max(1)),
             readahead: read_path.readahead,
             spares: Vec::new(),
-            staging: Vec::new(),
+            staging: BytesMut::new(),
             cursor: None,
         })
     }
@@ -280,7 +274,7 @@ impl Shard {
             // storage condition: keep the panicking contract (the engine
             // catches it and surfaces the lost unit). Everything else —
             // disk errors, corruption, injected faults — is typed.
-            let bytes = match self.store.try_read_page_reusing(page, self.spares.pop()) {
+            let bytes = match self.store.read_page(page, self.spares.pop()) {
                 Ok(bytes) => bytes,
                 Err(e @ StorageError::PageNotOwned { .. }) => panic!("{e}"),
                 Err(e) => return Err(e),
@@ -298,7 +292,7 @@ impl Shard {
     /// Extend the demand miss at `pages[i]` into its monotone run: the
     /// linear order already sorted each query's shard list, so pages that
     /// follow contiguously in the list are contiguous **on disk** — one
-    /// [`PageStore::read_run_reusing`] (one positional read) fetches them
+    /// [`PageStore::read_run`] (one positional read) fetches them
     /// all. The window stops at the readahead budget, at the first gap in
     /// the run, at the first already-resident page, and always below the
     /// pool capacity. Each run page is next needed where the list uses it.
@@ -322,7 +316,7 @@ impl Shard {
         }
         let run = self
             .store
-            .read_run_reusing(start, count, &mut self.staging, &mut self.spares)?;
+            .read_run(start, count, &mut self.staging, &mut self.spares)?;
         for (k, bytes) in run.into_iter().enumerate() {
             let use_at = plan.map_or(NO_NEXT_USE, |p| p.start + (i + 1 + k) as u32);
             let gone = self.buffer.admit_prefetch(start + k, bytes, use_at);
@@ -486,15 +480,17 @@ mod tests {
         let order = LinearOrder::identity(16);
         let mapper = PageMapper::new(&order, PageLayout::new(4)); // 4 pages
         let map = ShardMap::new(2, mapper.num_pages(), Partition::Contiguous);
-        let placement = PageStore::placement_of(&mapper);
-        let mut shard = Shard::build(0, &map, &mapper, placement, 8, mem_pool(8, 0)).unwrap();
+        let mut shard = Shard::build(0, &map, &mapper, 8, mem_pool(8, 0)).unwrap();
         // Shard 0 owns pages {0, 1}.
         let (h, m) = shard.replay(&[0, 1, 0], None).unwrap();
         assert_eq!((h, m), (1, 2));
         assert_eq!(shard.storage_reads(), 2); // only misses hit the store
         assert_eq!(shard.buffer_stats().hits, 1);
         assert_eq!(shard.id(), 0);
-        assert_eq!(shard.store().page_ids(), &[0, 1]);
+        assert_eq!(
+            shard.store().read_page(2, None).unwrap_err(),
+            StorageError::PageNotOwned { page: 2 }
+        );
     }
 
     #[test]
@@ -502,18 +498,8 @@ mod tests {
         let order = LinearOrder::identity(32);
         let mapper = PageMapper::new(&order, PageLayout::new(4)); // 8 pages
         let map = ShardMap::new(1, mapper.num_pages(), Partition::Contiguous);
-        let placement = PageStore::placement_of(&mapper);
-        let build = |readahead: usize| {
-            Shard::build(
-                0,
-                &map,
-                &mapper,
-                Arc::clone(&placement),
-                8,
-                mem_pool(8, readahead),
-            )
-            .unwrap()
-        };
+        let build =
+            |readahead: usize| Shard::build(0, &map, &mapper, 8, mem_pool(8, readahead)).unwrap();
         // An ordered sweep of a 4-page run, readahead off: 4 demand misses.
         let mut plain = build(0);
         let (h0, m0) = plain.replay(&[2, 3, 4, 5], None).unwrap();
@@ -542,8 +528,7 @@ mod tests {
         let order = LinearOrder::identity(16);
         let mapper = PageMapper::new(&order, PageLayout::new(4));
         let map = ShardMap::new(1, mapper.num_pages(), Partition::Contiguous);
-        let placement = PageStore::placement_of(&mapper);
-        let mut shard = Shard::build(0, &map, &mapper, placement, 8, mem_pool(8, 0)).unwrap();
+        let mut shard = Shard::build(0, &map, &mapper, 8, mem_pool(8, 0)).unwrap();
         shard.store().arm_read_error(2);
         assert_eq!(
             shard.replay(&[1, 2], None).unwrap_err(),
@@ -559,10 +544,7 @@ mod tests {
         let order = LinearOrder::identity(16);
         let mapper = PageMapper::new(&order, PageLayout::new(4));
         let map = ShardMap::new(2, mapper.num_pages(), Partition::Contiguous);
-        let placement = PageStore::placement_of(&mapper);
-        let build = |id: usize| {
-            Shard::build(id, &map, &mapper, Arc::clone(&placement), 8, mem_pool(8, 0)).unwrap()
-        };
+        let build = |id: usize| Shard::build(id, &map, &mapper, 8, mem_pool(8, 0)).unwrap();
         let set = ShardSet::new(vec![build(0), build(1)]);
         assert_eq!(set.epoch(), 0);
         assert_eq!(set.len(), 2);

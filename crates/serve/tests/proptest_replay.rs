@@ -103,26 +103,19 @@ fn check(s: &Scenario) {
         Partition::Contiguous
     };
     let map = ShardMap::new(s.shards, mapper.num_pages(), partition);
-    let placement = PageStore::placement_of(&mapper);
     let build = |page_file| {
         let read_path = ReadPath {
             buffer_pages: s.buffer_pages,
             readahead: s.readahead,
             page_file,
         };
-        Shard::build(
-            s.shard,
-            &map,
-            &mapper,
-            placement.clone(),
-            RECORD_SIZE,
-            read_path,
-        )
-        .unwrap()
+        Shard::build(s.shard, &map, &mapper, RECORD_SIZE, read_path)
     };
-    let mut mem = build(None);
-    let mut disk = build(Some(file.0.as_path()));
-    prop_assert!(disk.store().is_disk_backed() && !mem.store().is_disk_backed());
+    let mut mem = build(None).unwrap();
+    let mut disk = build(Some(file.0.as_path())).unwrap();
+    // The disk slice reads the file it is given: a missing one fails.
+    let missing = file.0.with_extension("missing");
+    prop_assert!(build(Some(missing.as_path())).is_err());
     let owned = map.pages_of(s.shard);
     for (q, segments) in s.queries.iter().enumerate() {
         let list = pages(&owned, segments);
@@ -138,6 +131,11 @@ fn check(s: &Scenario) {
     // Runs, the readahead primitive: from every owned page, the run of up
     // to 4 owned pages with consecutive ids, page by page.
     let (mem, disk) = (mem.store(), disk.store());
+    let run = |store: &PageStore, start, len| {
+        store
+            .read_run(start, len, &mut BytesMut::new(), &mut Vec::new())
+            .unwrap()
+    };
     for (k, &page) in owned.iter().enumerate() {
         let len = owned[k..]
             .iter()
@@ -145,10 +143,7 @@ fn check(s: &Scenario) {
             .take_while(|(&p, id)| p == *id)
             .count()
             .min(4);
-        let (m, d) = (
-            mem.read_run(page, len).unwrap(),
-            disk.read_run(page, len).unwrap(),
-        );
+        let (m, d) = (run(mem, page, len), run(disk, page, len));
         for (i, (m, d)) in m.iter().zip(&d).enumerate() {
             prop_assert_eq!(&d[..], &m[..], "page {} of the run from {}", i, page);
         }
@@ -163,13 +158,13 @@ fn check(s: &Scenario) {
             1 => BytesMut::zeroed(page_bytes / 3),
             2 => BytesMut::zeroed(page_bytes * 2 + 5),
             _ => {
-                let run = disk.read_run(page, 1).unwrap().pop().unwrap();
-                mem.read_run(page, 1).unwrap();
-                run.try_into_mut().unwrap()
+                let last = run(disk, page, 1).pop().unwrap();
+                run(mem, page, 1);
+                last.try_into_mut().unwrap()
             }
         };
-        let want = mem.try_read_page_reusing(page, None).unwrap();
-        let got = disk.try_read_page_reusing(page, Some(spare)).unwrap();
+        let want = mem.read_page(page, None).unwrap();
+        let got = disk.read_page(page, Some(spare)).unwrap();
         prop_assert_eq!(&got[..], &want[..], "page {}", page);
     }
     if let Some(&first) = owned.first() {
@@ -180,11 +175,11 @@ fn check(s: &Scenario) {
             .enumerate()
             .all(|(i, &p)| p == first + i);
         if contiguous && len > 1 {
-            let spare = disk.read_run(first, len).unwrap().pop().unwrap();
-            mem.read_run(first, len).unwrap();
+            let spare = run(disk, first, len).pop().unwrap();
+            run(mem, first, len);
             let spare = spare.try_into_mut().unwrap();
-            let got = disk.try_read_page_reusing(first, Some(spare)).unwrap();
-            let want = mem.try_read_page_reusing(first, None).unwrap();
+            let got = disk.read_page(first, Some(spare)).unwrap();
+            let want = mem.read_page(first, None).unwrap();
             prop_assert_eq!(&got[..], &want[..]);
         }
     }

@@ -6,9 +6,9 @@
 //! counts, run counts and batch digest** for every combination of shard
 //! count, thread count, partition policy and in-flight batch count —
 //! scheduling moves work, never answers. Additionally, the
-//! engine's per-query distinct-page accounting must equal what the plain
-//! unsharded [`slpm_storage::PageStore::serve_query`] loop reads for the
-//! same queries.
+//! engine's per-query distinct-page accounting must equal what a plain
+//! loop reads from the unsharded [`slpm_storage::PageStore`] for the same
+//! queries: each distinct page once.
 //!
 //! Debug builds run a small grid; the release (tier-2) run adds a
 //! 256×256 grid with the full 1 000-query acceptance workload, matching
@@ -162,10 +162,15 @@ fn engine_page_accounting_matches_plain_store_replay() {
         let report = engine.run(&workload).expect("no replay panic");
         // The classic single-threaded, single-shard accounting loop.
         let mapper = PageMapper::new(&order, PageLayout::new(cfg.records_per_page));
-        let store = PageStore::build(&mapper, order.len(), 8);
+        let all: Vec<usize> = (0..mapper.num_pages()).collect();
+        let store = PageStore::in_memory(&mapper, 8, &all);
         let mut direct_total = 0usize;
         for (outcome, _q) in report.outcomes.iter().zip(&workload) {
-            let direct = store.serve_query(outcome.results.iter().copied());
+            let pages = mapper.pages_touched(outcome.results.iter().copied());
+            for &page in &pages {
+                store.read_page(page, None).expect("an owned page reads");
+            }
+            let direct = pages.len();
             assert_eq!(outcome.pages, direct);
             direct_total += direct;
         }

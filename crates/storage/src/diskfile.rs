@@ -66,7 +66,7 @@
 // This module is the one place `std::fs` is blessed (the `fs-only-in-
 // storage` xtask lint pins the whole tree to that rule by path).
 use crate::pages::PageMapper;
-use crate::store::record_payload;
+use crate::store::fill_page;
 use bytes::{Bytes, BytesMut};
 use std::fmt;
 use std::fs::File;
@@ -322,10 +322,10 @@ impl PageFileHeader {
 /// `record_size` bytes, to `path` (overwriting).
 ///
 /// Pages are written in ascending global id — i.e. in **linear-order
-/// sequence**: the writer inverts the rank array once and streams record
-/// payloads in rank order, so packing is one sequential pass regardless of
-/// how scrambled the vertex ids are. Tail slots of the last page are
-/// zero-filled, exactly as the in-memory store zero-fills them.
+/// sequence**: the writer inverts the rank array once and lays each page
+/// out in one frame buffer exactly as the in-memory store does, so
+/// packing is one sequential pass regardless of how scrambled the vertex
+/// ids are.
 pub fn write_page_file(
     path: &Path,
     mapper: &PageMapper<'_>,
@@ -340,20 +340,11 @@ pub fn write_page_file(
         order_digest: order_digest(mapper.ranks()),
     };
     let vertex_at = mapper.vertices_by_position();
-    let rpp = header.records_per_page;
     let mut out = BufWriter::new(File::create(path)?);
     out.write_all(&header.encode())?;
     let mut frame = vec![0u8; header.page_bytes()];
     for page in 0..header.num_pages {
-        frame.fill(0);
-        for slot in 0..rpp {
-            let position = page * rpp + slot;
-            if position < header.num_records {
-                let v = vertex_at[position];
-                frame[slot * record_size..(slot + 1) * record_size]
-                    .copy_from_slice(&record_payload(v, record_size));
-            }
-        }
+        fill_page(&mut frame, page, header.records_per_page, &vertex_at);
         out.write_all(&frame)?;
         out.write_all(&frame_checksum(&frame).to_le_bytes())?;
     }
@@ -367,8 +358,9 @@ pub fn write_page_file(
 /// length** (so a truncated file fails at open, not at the first unlucky
 /// read). Each read is positional — one `read_exact_at` at the page's
 /// fixed offset, with no file cursor to move — and verifies every frame's
-/// checksum; [`PageFile::read_run`] reads a contiguous run of frames in
-/// one such read — the readahead primitive. Reads take `&self`; each
+/// checksum: [`PageFile::read_page`] reads one frame, and
+/// [`PageFile::read_run`] a contiguous run of frames in one such read —
+/// the readahead primitive. Reads take `&self`; each
 /// shard slice still owns its own `PageFile`, one file descriptor per
 /// shard.
 #[derive(Debug)]
@@ -444,92 +436,41 @@ impl PageFile {
         Ok(())
     }
 
-    /// Read one page frame by global id, verifying its checksum.
-    pub fn read_page(&self, page: usize) -> Result<Bytes, StorageError> {
-        self.read_page_reusing(page, None)
-    }
-
-    /// [`PageFile::read_page`] into a caller-supplied buffer — one
-    /// positional read of the frame, then its checksum check. A buffer
-    /// recycled from an evicted page of this file already has the frame's
-    /// capacity, so the read allocates nothing and zero-fills nothing but
-    /// the 8 checksum bytes; with `None` it reads into a fresh buffer.
-    pub fn read_page_reusing(
-        &self,
-        page: usize,
-        buf: Option<BytesMut>,
-    ) -> Result<Bytes, StorageError> {
-        let num_pages = self.header.num_pages;
-        if page >= num_pages {
-            return Err(StorageError::PageOutOfRange { page, num_pages });
-        }
-        let frame_len = self.header.frame_len();
-        let page_bytes = self.header.page_bytes();
-        let mut buf = buf.unwrap_or_default();
-        buf.resize(frame_len, 0);
-        let offset = HEADER_LEN as u64 + (page as u64) * frame_len as u64;
-        self.file.read_exact_at(&mut buf, offset)?;
-        let (payload, sum) = buf.split_at(page_bytes);
-        if u64::from_le_bytes(sum.try_into().expect("8 bytes")) != frame_checksum(payload) {
-            return Err(StorageError::ChecksumMismatch { page });
-        }
-        buf.truncate(page_bytes);
+    /// Read one page frame by global id into `spare` (a fresh buffer
+    /// when `None`) with one positional read, and verify its checksum. A
+    /// buffer recycled from an evicted page of this file already has the
+    /// frame's capacity, so the read allocates nothing and zero-fills
+    /// nothing but the 8 checksum bytes.
+    pub fn read_page(&self, page: usize, spare: Option<BytesMut>) -> Result<Bytes, StorageError> {
+        let mut buf = spare.unwrap_or_default();
+        self.read_frames(page, 1, &mut buf)?;
+        buf.truncate(self.header.page_bytes());
         Ok(buf.freeze())
     }
 
     /// Read `count` contiguous page frames starting at global id `start`
     /// with **one positional read** — one call is one physical run: the
     /// I/O the cost model prices as `1 seek + count transfers`. This is
-    /// the readahead primitive; single pages go through
-    /// [`PageFile::read_page`]. The pages are fresh buffers; see
-    /// [`PageFile::read_run_reusing`].
-    pub fn read_run(&self, start: usize, count: usize) -> Result<Vec<Bytes>, StorageError> {
-        self.read_run_reusing(start, count, &mut Vec::new(), &mut Vec::new())
-    }
-
-    /// [`PageFile::read_run`] through caller-owned buffers: the run lands
-    /// in `staging` (grown to the run's length when shorter, so a reused
-    /// staging buffer is never zero-filled again), every frame's checksum
-    /// is verified before any page is returned, and each payload is then
-    /// copied into a buffer popped from `spares` (typically evicted
-    /// frames'), or a new one when none is left. No page keeps the run
-    /// buffer alive, so each can be recycled on its own.
-    pub fn read_run_reusing(
+    /// the readahead primitive. The run lands in `staging` (grown to the
+    /// run's length when shorter, so a reused staging buffer is never
+    /// zero-filled again), every frame's checksum is verified before any
+    /// page is returned, and each payload is then copied into a buffer
+    /// popped from `spares` (typically evicted frames'), or a new one
+    /// when none is left. No page keeps the run buffer alive, so each can
+    /// be recycled on its own.
+    pub fn read_run(
         &self,
         start: usize,
         count: usize,
-        staging: &mut Vec<u8>,
+        staging: &mut BytesMut,
         spares: &mut Vec<BytesMut>,
     ) -> Result<Vec<Bytes>, StorageError> {
         if count == 0 {
             return Ok(Vec::new());
         }
-        // A run whose end overflows lies past any file, too.
-        if start
-            .checked_add(count)
-            .is_none_or(|end| end > self.header.num_pages)
-        {
-            return Err(StorageError::PageOutOfRange {
-                page: start.saturating_add(count - 1),
-                num_pages: self.header.num_pages,
-            });
-        }
-        let frame_len = self.header.frame_len();
-        let offset = HEADER_LEN as u64 + (start as u64) * frame_len as u64;
-        let len = frame_len * count;
-        if staging.len() < len {
-            staging.resize(len, 0);
-        }
-        let run = &mut staging[..len];
-        self.file.read_exact_at(run, offset)?;
-        let page_bytes = self.header.page_bytes();
-        for (i, frame) in run.chunks_exact(frame_len).enumerate() {
-            let (payload, sum) = frame.split_at(page_bytes);
-            if u64::from_le_bytes(sum.try_into().expect("8 bytes")) != frame_checksum(payload) {
-                return Err(StorageError::ChecksumMismatch { page: start + i });
-            }
-        }
-        Ok(run
+        self.read_frames(start, count, staging)?;
+        let (frame_len, page_bytes) = (self.header.frame_len(), self.header.page_bytes());
+        Ok(staging[..frame_len * count]
             .chunks_exact(frame_len)
             .map(|frame| {
                 // Room for a whole frame, so a demand read can reuse it.
@@ -542,6 +483,41 @@ impl PageFile {
             })
             .collect())
     }
+
+    /// Read the `count ≥ 1` frames from global id `start` with one
+    /// positional read into the front of `buf` (grown to the run's length
+    /// when shorter) and verify every frame's checksum.
+    fn read_frames(
+        &self,
+        start: usize,
+        count: usize,
+        buf: &mut BytesMut,
+    ) -> Result<(), StorageError> {
+        let num_pages = self.header.num_pages;
+        // A run whose end overflows lies past any file, too.
+        if start.checked_add(count).is_none_or(|end| end > num_pages) {
+            return Err(StorageError::PageOutOfRange {
+                page: start.saturating_add(count - 1),
+                num_pages,
+            });
+        }
+        let frame_len = self.header.frame_len();
+        let len = frame_len * count;
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        let run = &mut buf[..len];
+        self.file
+            .read_exact_at(run, HEADER_LEN as u64 + (start as u64) * frame_len as u64)?;
+        let page_bytes = self.header.page_bytes();
+        for (i, frame) in run.chunks_exact(frame_len).enumerate() {
+            let (payload, sum) = frame.split_at(page_bytes);
+            if u64::from_le_bytes(sum.try_into().expect("8 bytes")) != frame_checksum(payload) {
+                return Err(StorageError::ChecksumMismatch { page: start + i });
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -551,6 +527,18 @@ mod tests {
     use spectral_lpm::LinearOrder;
     use std::fs;
     use std::path::PathBuf;
+
+    /// Record `v`'s payload, spelled out independently of `fill_page`.
+    fn payload(v: usize, record_size: usize) -> Vec<u8> {
+        (0..record_size)
+            .map(|i| ((v * 31 + i) & 0xFF) as u8)
+            .collect()
+    }
+
+    /// A run read through fresh buffers.
+    fn run(file: &PageFile, start: usize, count: usize) -> Result<Vec<Bytes>, StorageError> {
+        file.read_run(start, count, &mut BytesMut::new(), &mut Vec::new())
+    }
 
     /// A self-cleaning temp path (no tempfile crate in the offline image).
     struct TempFile(PathBuf);
@@ -584,12 +572,12 @@ mod tests {
         // deterministic payload function.
         for v in 0..10 {
             let rank = order.rank_of(v);
-            let page = file.read_page(rank / 4).unwrap();
+            let page = file.read_page(rank / 4, None).unwrap();
             let slot = rank % 4;
-            assert_eq!(&page[slot * 8..(slot + 1) * 8], &record_payload(v, 8)[..]);
+            assert_eq!(&page[slot * 8..(slot + 1) * 8], &payload(v, 8)[..]);
         }
         // Tail slots of the last page are zero-filled.
-        let last = file.read_page(2).unwrap();
+        let last = file.read_page(2, None).unwrap();
         assert!(last[2 * 8..].iter().all(|&b| b == 0));
     }
 
@@ -600,14 +588,14 @@ mod tests {
         let tmp = TempFile::new("run");
         write_page_file(&tmp.0, &mapper, 16).unwrap();
         let file = PageFile::open(&tmp.0).unwrap();
-        let run = file.read_run(2, 4).unwrap();
-        assert_eq!(run.len(), 4);
-        for (i, bytes) in run.iter().enumerate() {
-            assert_eq!(&bytes[..], &file.read_page(2 + i).unwrap()[..]);
+        let pages = run(&file, 2, 4).unwrap();
+        assert_eq!(pages.len(), 4);
+        for (i, bytes) in pages.iter().enumerate() {
+            assert_eq!(&bytes[..], &file.read_page(2 + i, None).unwrap()[..]);
         }
-        assert!(file.read_run(5, 0).unwrap().is_empty());
+        assert!(run(&file, 5, 0).unwrap().is_empty());
         assert_eq!(
-            file.read_run(6, 3).unwrap_err(),
+            run(&file, 6, 3).unwrap_err(),
             StorageError::PageOutOfRange {
                 page: 8,
                 num_pages: 8
@@ -617,7 +605,7 @@ mod tests {
         // read at a wrapped offset.
         for (start, count) in [(usize::MAX, 2), (usize::MAX, usize::MAX), (2, usize::MAX)] {
             assert_eq!(
-                file.read_run(start, count).unwrap_err(),
+                run(&file, start, count).unwrap_err(),
                 StorageError::PageOutOfRange {
                     page: usize::MAX,
                     num_pages: 8
@@ -637,21 +625,20 @@ mod tests {
         // A staging buffer left longer and dirty by an earlier run, and
         // spares of every size: a fresh one, a short one, a long one, and
         // a page evicted from an earlier run.
-        let mut staging = vec![0xAB; 5 * frame_len + 3];
-        let evicted = file.read_run(0, 2).unwrap().pop().unwrap();
+        let mut staging = BytesMut::zeroed(5 * frame_len + 3);
+        staging.fill(0xAB);
+        let evicted = run(&file, 0, 2).unwrap().pop().unwrap();
         let mut spares = vec![
             BytesMut::new(),
             BytesMut::zeroed(3),
             BytesMut::zeroed(3 * frame_len),
             evicted.try_into_mut().unwrap(),
         ];
-        let run = file
-            .read_run_reusing(3, 5, &mut staging, &mut spares)
-            .unwrap();
+        let run = file.read_run(3, 5, &mut staging, &mut spares).unwrap();
         assert!(spares.is_empty(), "four spares filled, one page allocated");
         assert_eq!(staging.len(), 5 * frame_len + 3, "staging never shrinks");
         for (i, bytes) in run.iter().enumerate() {
-            assert_eq!(&bytes[..], &file.read_page(3 + i).unwrap()[..]);
+            assert_eq!(&bytes[..], &file.read_page(3 + i, None).unwrap()[..]);
         }
         // Each page owns its buffer: dropping the others frees nothing it
         // needs, and it can be recycled on its own.
@@ -668,28 +655,28 @@ mod tests {
         let file = PageFile::open(&tmp.0).unwrap();
         // A single page's buffer comes back with the frame's capacity, so
         // the next read lands in the same allocation with the right bytes.
-        let first = file.read_page(1).unwrap();
+        let first = file.read_page(1, None).unwrap();
         let ptr = first.as_ptr();
         let again = file
-            .read_page_reusing(5, Some(first.try_into_mut().unwrap()))
+            .read_page(5, Some(first.try_into_mut().unwrap()))
             .unwrap();
         assert_eq!(again.as_ptr(), ptr);
-        assert_eq!(&again[..], &file.read_page(5).unwrap()[..]);
+        assert_eq!(&again[..], &file.read_page(5, None).unwrap()[..]);
         // So does the last page of a run once its neighbours are gone, or
         // a buffer of any other size.
-        let last = file.read_run(2, 3).unwrap().pop().unwrap();
+        let last = run(&file, 2, 3).unwrap().pop().unwrap();
         let spare = last.try_into_mut().unwrap();
         assert_eq!(
-            &file.read_page_reusing(0, Some(spare)).unwrap()[..],
-            &file.read_page(0).unwrap()[..]
+            &file.read_page(0, Some(spare)).unwrap()[..],
+            &file.read_page(0, None).unwrap()[..]
         );
         let odd = Some(BytesMut::zeroed(3));
         assert_eq!(
-            &file.read_page_reusing(7, odd).unwrap()[..],
-            &file.read_page(7).unwrap()[..]
+            &file.read_page(7, odd).unwrap()[..],
+            &file.read_page(7, None).unwrap()[..]
         );
         assert_eq!(
-            file.read_page(8).unwrap_err(),
+            file.read_page(8, None).unwrap_err(),
             StorageError::PageOutOfRange {
                 page: 8,
                 num_pages: 8
@@ -733,9 +720,9 @@ mod tests {
         bytes[HEADER_LEN + frame_len + 3] ^= 0x40;
         fs::write(&tmp.0, &bytes).unwrap();
         let file = PageFile::open(&tmp.0).unwrap();
-        assert!(file.read_page(0).is_ok());
+        assert!(file.read_page(0, None).is_ok());
         assert_eq!(
-            file.read_page(1).unwrap_err(),
+            file.read_page(1, None).unwrap_err(),
             StorageError::ChecksumMismatch { page: 1 }
         );
         // Flip a header bit: open itself fails.
@@ -839,7 +826,7 @@ mod tests {
     fn frame_checksum_catches_every_single_bit_flip() {
         // A real-geometry frame: 64 records × 64 B = 4,096 bytes, so
         // 32,768 single-bit flips.
-        let frame: Vec<u8> = (0..64).flat_map(|v| record_payload(v, 64)).collect();
+        let frame: Vec<u8> = (0..64).flat_map(|v| payload(v, 64)).collect();
         assert_eq!(frame.len(), 4096);
         assert_every_bit_flip_caught(&frame);
         // Lengths 0..=100 cover every tail shape (0–31 bytes past the
@@ -902,18 +889,18 @@ mod tests {
         let file = PageFile::open(&tmp.0).unwrap();
         // Warm the page cache so both passes measure the software path
         // plus cached I/O, not first-touch disk latency.
-        file.read_run(0, pages).unwrap();
+        run(&file, 0, pages).unwrap();
         // Sequential pass: long runs, one seek per 256 pages.
         let t = Instant::now();
         for start in (0..pages).step_by(256) {
-            file.read_run(start, 256.min(pages - start)).unwrap();
+            run(&file, start, 256.min(pages - start)).unwrap();
         }
         let seq_us = t.elapsed().as_secs_f64() * 1e6;
         // Scattered pass: a coprime stride visits every page once, one
         // seek per page.
         let t = Instant::now();
         for i in 0..pages {
-            file.read_page((i * 2049) % pages).unwrap();
+            file.read_page((i * 2049) % pages, None).unwrap();
         }
         let scat_us = t.elapsed().as_secs_f64() * 1e6;
         let per_page = seq_us / pages as f64;

@@ -28,14 +28,15 @@
 //!   query, when they are at most half of the leaf, and the whole leaf
 //!   otherwise. Matches are bits of a per-leaf bitset, one `u64` per 64
 //!   positions, emitted in packed order one set bit at a time (see
-//!   [`PackedRTree::range_query_ordered`]);
+//!   [`PackedRTree::range_query`]);
 //! - a kNN query walks the key index outward from the centre's key,
 //!   nearest key first, and leaves the leaf at the first key farther than
 //!   the current k-th distance (see [`PackedRTree::knn_best_first`]).
 //!
-//! Neither changes which nodes are visited or what is returned. A caller
-//! that plans many queries passes one [`PlanScratch`] to the `_with`
-//! variants, and a query then allocates only its result list.
+//! Neither changes which nodes are visited or what is returned. There is
+//! one call per query type, and each takes the caller's [`PlanScratch`]:
+//! a caller that plans many queries passes the same one to every call,
+//! and a query then allocates only its result list.
 
 use crate::mbr::{box_min_chebyshev, boxes_intersect, Mbr};
 use serde::Serialize;
@@ -319,32 +320,14 @@ impl PackedRTree {
         );
     }
 
-    /// Answer a range query, counting node accesses.
-    ///
-    /// Results are sorted by **point id** (ascending), which is generally
-    /// *not* the packed linear order — downstream page reads derived from
-    /// this list can jump back and forth across the order. Use
-    /// [`PackedRTree::range_query_ordered`] when the consumer streams the
-    /// results to storage.
-    ///
-    /// # Panics
-    /// Panics when the query's dimension differs from the points'.
-    pub fn range_query(&self, query: &Mbr) -> (Vec<usize>, QueryCost) {
-        let (mut results, cost) = self.range_query_ordered(query);
-        results.sort_unstable();
-        (results, cost)
-    }
-
-    /// Answer a range query returning matches in **packed (linear-order)
-    /// sequence**: leaves hold consecutive runs of the order and are
-    /// visited left-to-right, so result ranks — and therefore the page
-    /// ids any [`crate::PageMapper`] over the same order derives from
-    /// them — are monotonically non-decreasing. That turns the query's
-    /// page reads into a forward-only sweep (sequential I/O), which is
-    /// what the serving layer feeds to its shards.
-    ///
-    /// Node-access counts are identical to [`PackedRTree::range_query`]
-    /// (same nodes, different visit order).
+    /// Answer a range query, counting node accesses, with matches in
+    /// **packed (linear-order) sequence**: leaves hold consecutive runs
+    /// of the order and are visited left-to-right, so result ranks — and
+    /// therefore the page ids any [`crate::PageMapper`] over the same
+    /// order derives from them — are monotonically non-decreasing. That
+    /// turns the query's page reads into a forward-only sweep (sequential
+    /// I/O), which is what the serving layer feeds to its shards. A
+    /// caller that wants the matches by point id sorts them.
     ///
     /// A visited leaf marks its matches in a bitset, one `u64` word per 64
     /// of its positions, and emits the set bits in packed order, so the
@@ -363,21 +346,7 @@ impl PackedRTree {
     ///
     /// # Panics
     /// Panics when the query's dimension differs from the points'.
-    pub fn range_query_ordered(&self, query: &Mbr) -> (Vec<usize>, QueryCost) {
-        self.range_query_ordered_with(query, &mut PlanScratch::default())
-    }
-
-    /// [`PackedRTree::range_query_ordered`] on caller-owned working
-    /// memory: a caller that plans many queries with one `scratch`
-    /// allocates only each query's result list.
-    ///
-    /// # Panics
-    /// Panics when the query's dimension differs from the points'.
-    pub fn range_query_ordered_with(
-        &self,
-        query: &Mbr,
-        scratch: &mut PlanScratch,
-    ) -> (Vec<usize>, QueryCost) {
+    pub fn range_query(&self, query: &Mbr, scratch: &mut PlanScratch) -> (Vec<usize>, QueryCost) {
         self.assert_query_dim(query.lo.len());
         self.assert_query_dim(query.hi.len());
         let n = self.ids.len();
@@ -512,17 +481,7 @@ impl PackedRTree {
     ///
     /// # Panics
     /// Panics when `center`'s dimension differs from the points'.
-    pub fn knn_best_first(&self, center: &[i64], k: usize) -> (Vec<usize>, QueryCost) {
-        self.knn_best_first_with(center, k, &mut PlanScratch::default())
-    }
-
-    /// [`PackedRTree::knn_best_first`] on caller-owned working memory: a
-    /// caller that plans many queries with one `scratch` allocates only
-    /// each query's result list.
-    ///
-    /// # Panics
-    /// Panics when `center`'s dimension differs from the points'.
-    pub fn knn_best_first_with(
+    pub fn knn_best_first(
         &self,
         center: &[i64],
         k: usize,
@@ -664,7 +623,8 @@ mod tests {
             lo: vec![1, 1],
             hi: vec![2, 2],
         };
-        let (res, cost) = t.range_query(&q);
+        let (mut res, cost) = t.range_query(&q, &mut PlanScratch::default());
+        res.sort_unstable();
         assert_eq!(cost.results, 4);
         assert_eq!(res.len(), 4);
         for &pid in &res {
@@ -683,7 +643,7 @@ mod tests {
             lo: vec![0, 0],
             hi: vec![3, 3],
         };
-        let (res, cost) = t.range_query(&q);
+        let (res, cost) = t.range_query(&q, &mut PlanScratch::default());
         assert_eq!(res.len(), 16);
         assert_eq!(cost.nodes_visited, t.num_nodes());
         assert_eq!(cost.leaves_visited, t.num_leaves());
@@ -697,7 +657,7 @@ mod tests {
             lo: vec![10, 10],
             hi: vec![12, 12],
         };
-        let (res, cost) = t.range_query(&q);
+        let (res, cost) = t.range_query(&q, &mut PlanScratch::default());
         assert!(res.is_empty());
         assert_eq!(cost.nodes_visited, 0); // root MBR doesn't intersect
     }
@@ -741,21 +701,22 @@ mod tests {
             lo: vec![1, 2],
             hi: vec![6, 5],
         };
-        let (ordered, cost) = t.range_query_ordered(&q);
+        let (ordered, cost) = t.range_query(&q, &mut PlanScratch::default());
         assert!(!ordered.is_empty());
+        assert_eq!(cost.results, ordered.len());
         // Ranks strictly increase along the ordered result stream, so the
         // derived page ids never move backwards: a forward-only sweep.
         for w in ordered.windows(2) {
             assert!(order.rank_of(w[0]) < order.rank_of(w[1]));
             assert!(mapper.page_of(w[0]) <= mapper.page_of(w[1]));
         }
-        // Same result set and identical node accounting as the id-sorted
-        // variant.
-        let (plain, plain_cost) = t.range_query(&q);
+        // Sorted by id, the stream is exactly the brute-force match set.
         let mut resorted = ordered.clone();
         resorted.sort_unstable();
-        assert_eq!(resorted, plain);
-        assert_eq!(cost, plain_cost);
+        let brute: Vec<usize> = (0..pts.len())
+            .filter(|&i| q.contains_point(&pts[i]))
+            .collect();
+        assert_eq!(resorted, brute);
     }
 
     /// Brute-force kNN reference: score, sort by (distance, id), truncate.
@@ -776,7 +737,7 @@ mod tests {
         let t = PackedRTree::pack(&pts, &LinearOrder::identity(64), 4);
         for center in [[3i64, 3], [0, 0], [7, 7], [-2, 4], [10, 10]] {
             for k in [1usize, 2, 5, 17, 64] {
-                let (got, cost) = t.knn_best_first(&center, k);
+                let (got, cost) = t.knn_best_first(&center, k, &mut PlanScratch::default());
                 assert_eq!(got, brute_knn(&pts, &center, k), "center {center:?} k {k}");
                 assert_eq!(cost.results, k.min(64));
                 // Best-first visits each node at most once.
@@ -797,12 +758,12 @@ mod tests {
             vec![5, 5],
         ];
         let t = PackedRTree::pack(&pts, &LinearOrder::identity(5), 2);
-        let (got, _) = t.knn_best_first(&[2, 2], 3);
+        let (got, _) = t.knn_best_first(&[2, 2], 3, &mut PlanScratch::default());
         assert_eq!(got, vec![0, 1, 3]);
         // k beyond the point count clamps; k == 0 touches nothing.
-        let (all, _) = t.knn_best_first(&[2, 2], 100);
+        let (all, _) = t.knn_best_first(&[2, 2], 100, &mut PlanScratch::default());
         assert_eq!(all, brute_knn(&pts, &[2, 2], 5));
-        let (none, cost) = t.knn_best_first(&[2, 2], 0);
+        let (none, cost) = t.knn_best_first(&[2, 2], 0, &mut PlanScratch::default());
         assert!(none.is_empty());
         assert_eq!(cost, QueryCost::ZERO);
     }
@@ -813,7 +774,7 @@ mod tests {
         // visit the whole tree for a small k.
         let pts = grid_points(16);
         let t = PackedRTree::pack(&pts, &LinearOrder::identity(256), 4);
-        let (res, cost) = t.knn_best_first(&[0, 0], 4);
+        let (res, cost) = t.knn_best_first(&[0, 0], 4, &mut PlanScratch::default());
         assert_eq!(res.len(), 4);
         assert!(
             cost.nodes_visited < t.num_nodes() / 2,
@@ -837,10 +798,10 @@ mod tests {
         for fanout in [2, 4] {
             let t = PackedRTree::pack(&pts, &LinearOrder::identity(4), fanout);
             for k in 1..=4 {
-                let (got, _) = t.knn_best_first(&[i64::MAX, 0], k);
+                let (got, _) = t.knn_best_first(&[i64::MAX, 0], k, &mut PlanScratch::default());
                 assert_eq!(got, [1, 2, 3, 0][..k], "fanout {fanout}, k {k}");
             }
-            let (got, _) = t.knn_best_first(&[i64::MIN, i64::MAX], 4);
+            let (got, _) = t.knn_best_first(&[i64::MIN, i64::MAX], 4, &mut PlanScratch::default());
             assert_eq!(got, [0, 3, 2, 1]);
         }
     }
@@ -872,29 +833,22 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "query dimension")]
-    fn range_query_ordered_dimension_mismatch_panics() {
-        let t = PackedRTree::pack(&grid_points(4), &LinearOrder::identity(16), 4);
-        t.range_query_ordered(&Mbr {
-            lo: vec![0],
-            hi: vec![3],
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "query dimension")]
     fn range_query_dimension_mismatch_panics() {
         let t = PackedRTree::pack(&grid_points(4), &LinearOrder::identity(16), 4);
-        t.range_query(&Mbr {
-            lo: vec![0, 0, 0],
-            hi: vec![3, 3, 3],
-        });
+        t.range_query(
+            &Mbr {
+                lo: vec![0, 0, 0],
+                hi: vec![3, 3, 3],
+            },
+            &mut PlanScratch::default(),
+        );
     }
 
     #[test]
     #[should_panic(expected = "query dimension")]
     fn knn_dimension_mismatch_panics() {
         let t = PackedRTree::pack(&grid_points(4), &LinearOrder::identity(16), 4);
-        t.knn_best_first(&[1], 3);
+        t.knn_best_first(&[1], 3, &mut PlanScratch::default());
     }
 
     #[test]
@@ -902,10 +856,13 @@ mod tests {
         let pts = [vec![5, 5]];
         let t = PackedRTree::pack(&pts, &LinearOrder::identity(1), 4);
         assert_eq!(t.height(), 1);
-        let (res, _) = t.range_query(&Mbr {
-            lo: vec![0, 0],
-            hi: vec![9, 9],
-        });
+        let (res, _) = t.range_query(
+            &Mbr {
+                lo: vec![0, 0],
+                hi: vec![9, 9],
+            },
+            &mut PlanScratch::default(),
+        );
         assert_eq!(res, vec![0]);
     }
 }

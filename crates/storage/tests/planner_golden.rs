@@ -14,7 +14,7 @@
 
 use slpm_graph::points::PointSet;
 use slpm_linalg::Pool;
-use slpm_storage::{Mbr, PackedRTree, QueryCost};
+use slpm_storage::{Mbr, PackedRTree, PlanScratch, QueryCost};
 use spectral_lpm::{SpectralConfig, SpectralMapper};
 
 /// SplitMix64, for the hole layout and the queries.
@@ -124,12 +124,13 @@ fn planner_counts_on_a_holey_spectral_set_are_pinned() {
     for fanout in [16usize, 64, 100, 128] {
         let tree = PackedRTree::pack(points, &order, fanout);
         let (mut range, mut knn) = (Totals::new(), Totals::new());
+        let mut scratch = PlanScratch::default();
         for q in &ranges {
-            let (ids, cost) = tree.range_query_ordered(q);
+            let (ids, cost) = tree.range_query(q, &mut scratch);
             range.add(&ids, cost);
         }
         for (center, k) in &probes {
-            let (ids, cost) = tree.knn_best_first(center, *k);
+            let (ids, cost) = tree.knn_best_first(center, *k, &mut scratch);
             knn.add(&ids, cost);
         }
         got.push((fanout, range, knn));

@@ -1,13 +1,17 @@
-//! Property tests for the out-of-core page file: on random orders and
-//! geometries, build → write → reopen must hand back exactly the bytes
-//! and accounting the in-memory store produces — and a file damaged at
-//! any single point (truncation, one flipped bit) must surface a typed
+//! Property tests for the out-of-core page file: on random orders,
+//! geometries and owned page subsets, write → reopen must hand back, for
+//! every owned page, exactly the page an oracle builds from the rank
+//! array and the payload formula — on the disk slice and the in-memory
+//! slice alike, with the same accounting — and a file damaged at any
+//! single point (truncation, one flipped bit) must surface a typed
 //! [`StorageError`], never a panic, attributing frame damage to the one
 //! page it hit.
 
 use proptest::prelude::*;
 use slpm_storage::diskfile::{FRAME_CHECKSUM_LEN, HEADER_LEN};
-use slpm_storage::{write_page_file, PageFile, PageLayout, PageMapper, PageStore, StorageError};
+use slpm_storage::{
+    write_page_file, BytesMut, PageFile, PageLayout, PageMapper, PageStore, StorageError,
+};
 use spectral_lpm::LinearOrder;
 use std::path::PathBuf;
 
@@ -51,48 +55,84 @@ fn file_case() -> impl Strategy<Value = (LinearOrder, usize, usize, u64)> {
         })
 }
 
+/// The owned page subset of a case, as the two `Partition`s produce it:
+/// `(0, a, b)` is the contiguous range `a..b`, `(k, r, _)` with `k > 0`
+/// every `k`-th page from `r` (each of the `a`, `b` and `r` reduced into
+/// range).
+fn owned_pages(num_pages: usize, (every, a, b): (usize, usize, usize)) -> Vec<usize> {
+    if every == 0 {
+        let (a, b) = (a % (num_pages + 1), b % (num_pages + 1));
+        (a.min(b)..a.max(b)).collect()
+    } else {
+        (a % every..num_pages).step_by(every).collect()
+    }
+}
+
+/// The oracle page: slot `s` of page `p` holds the record of rank
+/// `p · rpp + s`, record `v`'s byte `i` is `(v · 31 + i) & 0xFF`, and
+/// slots past the last record are zero.
+fn oracle_page(ranks: &[usize], page: usize, rpp: usize, record_size: usize) -> Vec<u8> {
+    let mut frame = vec![0u8; rpp * record_size];
+    for (v, &rank) in ranks.iter().enumerate() {
+        if rank / rpp == page {
+            let slot = rank % rpp;
+            for (i, byte) in frame[slot * record_size..(slot + 1) * record_size]
+                .iter_mut()
+                .enumerate()
+            {
+                *byte = ((v * 31 + i) & 0xFF) as u8;
+            }
+        }
+    }
+    frame
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn disk_store_round_trips_bitwise((order, rpp, record_size, tag) in file_case()) {
+    fn disk_store_round_trips_bitwise(
+        (order, rpp, record_size, tag) in file_case(),
+        subset in (0usize..=4, 0usize..=96, 0usize..=96),
+    ) {
         let mapper = PageMapper::new(&order, PageLayout::new(rpp));
         let tmp = TempFile::new("roundtrip", tag);
         let header = write_page_file(&tmp.0, &mapper, record_size).expect("writes");
         prop_assert_eq!(header.num_records as usize, order.len());
         prop_assert_eq!(header.num_pages as usize, mapper.num_pages());
 
-        let memory = PageStore::build(&mapper, order.len(), record_size);
-        let disk = PageStore::open(&tmp.0, &mapper, record_size).expect("reopens");
-        prop_assert!(disk.is_disk_backed());
+        let num_pages = mapper.num_pages();
+        let owned = owned_pages(num_pages, subset);
+        let memory = PageStore::in_memory(&mapper, record_size, &owned);
+        let disk = PageStore::open(&tmp.0, &mapper, record_size, &owned).expect("reopens");
 
-        // Every record's payload, addressed through the order, is the
-        // deterministic function of its vertex — identically on both
-        // backings.
-        for v in 0..order.len() {
-            prop_assert_eq!(&disk.read_record(v)[..], &memory.expected_record(v)[..]);
-            prop_assert_eq!(&disk.read_record(v)[..], &memory.read_record(v)[..]);
+        // Every owned page is the oracle's page on both slices, read
+        // alone or as part of a run of owned pages; every other page is
+        // not owned.
+        let (mut staging, mut spares) = (BytesMut::new(), Vec::new());
+        for page in 0..num_pages {
+            let (m, d) = (memory.read_page(page, None), disk.read_page(page, None));
+            if owned.contains(&page) {
+                let want = oracle_page(order.ranks(), page, rpp, record_size);
+                prop_assert_eq!(&m.expect("owned page")[..], &want[..], "memory page {}", page);
+                prop_assert_eq!(&d.expect("owned page")[..], &want[..], "disk page {}", page);
+                let len = (page..num_pages).take_while(|p| owned.contains(p)).count();
+                let runs = (
+                    memory.read_run(page, len, &mut staging, &mut spares).expect("owned run"),
+                    disk.read_run(page, len, &mut staging, &mut spares).expect("owned run"),
+                );
+                for (i, (m, d)) in runs.0.iter().zip(&runs.1).enumerate() {
+                    let want = oracle_page(order.ranks(), page + i, rpp, record_size);
+                    prop_assert_eq!(&m[..], &want[..], "memory run page {}", page + i);
+                    prop_assert_eq!(&d[..], &want[..], "disk run page {}", page + i);
+                }
+            } else {
+                prop_assert_eq!(m.unwrap_err(), StorageError::PageNotOwned { page });
+                prop_assert_eq!(d.unwrap_err(), StorageError::PageNotOwned { page });
+            }
         }
-        // Every page is bitwise identical, and run reads match single
-        // reads on the disk backing.
-        for page in 0..mapper.num_pages() {
-            prop_assert_eq!(&disk.read_page(page)[..], &memory.read_page(page)[..]);
-        }
-        let run = disk.read_run(0, mapper.num_pages()).expect("full-file run");
-        for (page, bytes) in run.iter().enumerate() {
-            prop_assert_eq!(&bytes[..], &memory.read_page(page)[..]);
-        }
-
-        // Query accounting: the same vertex set charges the same reads
-        // (deltas — the comparison loops above drove different shapes of
-        // traffic through each store).
-        let (mem_before, disk_before) = (memory.total_reads(), disk.total_reads());
-        memory.serve_query(0..order.len());
-        disk.serve_query(0..order.len());
-        prop_assert_eq!(
-            disk.total_reads() - disk_before,
-            memory.total_reads() - mem_before
-        );
+        // The same traffic charged the same reads on both slices.
+        prop_assert_eq!(disk.total_reads(), memory.total_reads());
     }
 
     #[test]
@@ -153,7 +193,7 @@ proptest! {
             let damaged = (pos - HEADER_LEN) / frame_len;
             let file = PageFile::open(&tmp.0).expect("header intact");
             for page in 0..mapper.num_pages() {
-                let got = file.read_page(page);
+                let got = file.read_page(page, None);
                 if page == damaged {
                     prop_assert_eq!(
                         got.unwrap_err(),

@@ -16,7 +16,7 @@ mod common;
 
 use common::{coord, fanout, reference_levels, tall_case};
 use proptest::prelude::*;
-use slpm_storage::{Mbr, PackedRTree};
+use slpm_storage::{Mbr, PackedRTree, PlanScratch};
 use spectral_lpm::LinearOrder;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -139,7 +139,7 @@ fn check_probes(points: &[Vec<i64>], keys: &[u64], fanout: usize, probes: &[Prob
     let order = LinearOrder::from_codes(keys);
     let tree = PackedRTree::pack(points, &order, fanout);
     for (center, k) in probes {
-        let (got, cost) = tree.knn_best_first(center, *k);
+        let (got, cost) = tree.knn_best_first(center, *k, &mut PlanScratch::default());
         assert_eq!(got, brute_knn(points, center, *k), "{center:?} k={k}");
         assert_eq!(cost.results, got.len());
         let (reference, nodes, leaves) = reference_knn(points, &order, fanout, center, *k);
@@ -225,9 +225,11 @@ proptest! {
         // A non-coprime stride is not a permutation; skip those draws.
         if let Ok(scramble) = scramble {
             for (center, k) in &probes {
-                let (a, _) = PackedRTree::pack(&points, &order, fanout).knn_best_first(center, *k);
-                let (b, _) =
-                    PackedRTree::pack(&points, &scramble, fanout).knn_best_first(center, *k);
+                let mut scratch = PlanScratch::default();
+                let (a, _) = PackedRTree::pack(&points, &order, fanout)
+                    .knn_best_first(center, *k, &mut scratch);
+                let (b, _) = PackedRTree::pack(&points, &scramble, fanout)
+                    .knn_best_first(center, *k, &mut scratch);
                 prop_assert_eq!(a, b);
             }
         }

@@ -1,4 +1,12 @@
-//! `xtask` — the repo's source-level lint pass (no external deps).
+//! `xtask` — the repo's source-level lint pass and line count (no
+//! external deps).
+//!
+//! `cargo run -p xtask -- loc [ROOT]` prints the non-test line count of
+//! the tree at `ROOT` (default: this repository): every line of the `.rs`
+//! files under `crates/`, `src/` and `examples/`, leaving out `tests/`
+//! directories, `#[cfg(test)]` regions and the files that a
+//! `#[cfg(test)] mod name;` declaration pulls in. Point `ROOT` at another
+//! checkout to count two commits with one rule.
 //!
 //! `cargo run -p xtask -- lint` scans every `.rs` file under `crates/`,
 //! `shims/` and `src/` and enforces invariants the compiler can't —
@@ -58,6 +66,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeSet;
 // xtask:allow(fs-only-in-storage): the linter must read the tree it scans
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -111,8 +120,16 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        Some("loc") if args.len() <= 2 => {
+            let root = args.get(1).map_or_else(repo_root, PathBuf::from);
+            let (lines, files) = count_loc(&root);
+            println!(
+                "xtask loc: {lines} non-test lines in {files} files under {}",
+                root.display()
+            );
+        }
         _ => {
-            eprintln!("usage: cargo run -p xtask -- lint");
+            eprintln!("usage: cargo run -p xtask -- lint | loc [ROOT]");
             std::process::exit(2);
         }
     }
@@ -170,6 +187,95 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
+}
+
+/// The non-test lines and counted files of the `.rs` files under `root`'s
+/// `crates/`, `src/` and `examples/` (see the module docs for the rule).
+fn count_loc(root: &Path) -> (usize, usize) {
+    let mut files = Vec::new();
+    for top in ["crates", "src", "examples"] {
+        collect_rs_files(&root.join(top), &mut files);
+    }
+    files.retain(|f| {
+        !f.strip_prefix(root)
+            .expect("collected under root")
+            .components()
+            .any(|c| c.as_os_str() == "tests")
+    });
+    let sources: Vec<(PathBuf, String)> = files
+        .into_iter()
+        .map(|f| {
+            let source = fs::read_to_string(&f)
+                .unwrap_or_else(|e| panic!("xtask loc: cannot read {}: {e}", f.display()));
+            (f, source)
+        })
+        .collect();
+    let test_files: BTreeSet<PathBuf> = sources
+        .iter()
+        .flat_map(|(f, source)| test_module_files(f, source))
+        .filter_map(|f| fs::canonicalize(f).ok())
+        .collect();
+    let mut lines = 0;
+    let mut counted = 0;
+    for (file, source) in &sources {
+        if fs::canonicalize(file).is_ok_and(|f| test_files.contains(&f)) {
+            continue;
+        }
+        let code = strip_comments_and_strings(source);
+        let code: Vec<&str> = code.lines().collect();
+        lines += test_regions(&code).iter().filter(|&&test| !test).count();
+        counted += 1;
+    }
+    (lines, counted)
+}
+
+/// The candidate paths of every module file that `file` declares under
+/// `#[cfg(test)]` without a body (`#[cfg(test)] mod name;`), honouring a
+/// `#[path = "…"]` attribute between the two.
+fn test_module_files(file: &Path, source: &str) -> Vec<PathBuf> {
+    let raw: Vec<&str> = source.lines().collect();
+    let code = strip_comments_and_strings(source);
+    let code: Vec<&str> = code.lines().collect();
+    let dir = file.parent().expect("a file has a parent directory");
+    let mut found = Vec::new();
+    for (idx, line) in code.iter().enumerate() {
+        if !line.contains("#[cfg(test)]") {
+            continue;
+        }
+        // The attributed item ends at its first `;` or opens at its `{`.
+        let Some(end) = (idx..code.len()).find(|&j| code[j].contains([';', '{'])) else {
+            continue;
+        };
+        let item = code[end];
+        let Some(name) = item
+            .split_once("mod ")
+            .and_then(|(_, rest)| rest.split_once(';'))
+            .map(|(name, _)| name.trim())
+            .filter(|name| !name.contains('{'))
+        else {
+            continue;
+        };
+        let path_attr = raw[idx..=end].iter().find_map(|l| {
+            let (_, rest) = l.split_once("#[path = \"")?;
+            rest.split_once('"').map(|(path, _)| path)
+        });
+        match path_attr {
+            Some(path) => found.push(dir.join(path)),
+            None => {
+                // A `mod.rs`, `lib.rs` or `main.rs` owns its directory;
+                // any other `stem.rs` owns `stem/`.
+                let stem = file.file_stem().expect("an .rs file has a stem");
+                let owner = if ["mod", "lib", "main"].iter().any(|s| stem == *s) {
+                    dir.to_path_buf()
+                } else {
+                    dir.join(stem)
+                };
+                found.push(owner.join(format!("{name}.rs")));
+                found.push(owner.join(name).join("mod.rs"));
+            }
+        }
+    }
+    found
 }
 
 fn lint_file(rel: &str, source: &str, out: &mut Vec<Violation>) {
@@ -473,7 +579,8 @@ fn contains_word(code_line: &str, word: &str) -> bool {
     false
 }
 
-/// Mark each line inside a `#[cfg(test)]`-attributed brace block.
+/// Mark each line inside a `#[cfg(test)]`-attributed brace block, and
+/// the lines of an attributed item that ends at a `;` before any brace.
 fn test_regions(code: &[&str]) -> Vec<bool> {
     let mut flags = vec![false; code.len()];
     let mut depth: i64 = 0;
@@ -503,6 +610,7 @@ fn test_regions(code: &[&str]) -> Vec<bool> {
                         region_close_depth = None;
                     }
                 }
+                ';' if region_close_depth.is_none() => pending_attr = false,
                 _ => {}
             }
         }
@@ -679,6 +787,49 @@ mod tests {
         let code: Vec<&str> = src.lines().collect();
         let flags = test_regions(&code);
         assert_eq!(flags, vec![false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn test_region_tracking_ends_at_a_braceless_item() {
+        let src = "#[cfg(test)]\nmod helper;\nfn a() {\n}\n";
+        let code: Vec<&str> = src.lines().collect();
+        assert_eq!(test_regions(&code), vec![true, true, false, false]);
+    }
+
+    #[test]
+    fn loc_leaves_out_test_regions_test_dirs_and_test_module_files() {
+        let root = std::env::temp_dir().join(format!("xtask-loc-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let files = [
+            // 3 counted lines: `f`, the blank line and `pub mod m;`.
+            (
+                "crates/a/src/lib.rs",
+                "pub fn f() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    \
+                 fn t() {}\n}\n#[cfg(test)]\nmod helper;\n#[cfg(test)]\n\
+                 #[path = \"other.rs\"]\nmod renamed;\npub mod m;\n",
+            ),
+            // 2 counted lines; its child is a test file.
+            (
+                "crates/a/src/m.rs",
+                "pub fn g() {\n}\n#[cfg(test)]\nmod child;\n",
+            ),
+            ("crates/a/src/m/child.rs", "fn c() {}\n"),
+            ("crates/a/src/helper.rs", "fn h() {}\nfn i() {}\n"),
+            ("crates/a/src/other.rs", "fn o() {}\n"),
+            ("crates/a/tests/it.rs", "fn it() {}\n"),
+            ("src/lib.rs", "pub use a;\n"),
+            ("examples/e.rs", "fn main() {\n}\n"),
+            ("shims/s/src/lib.rs", "fn s() {}\n"),
+        ];
+        for (rel, text) in files {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        }
+        let counted = count_loc(&root);
+        fs::remove_dir_all(&root).unwrap();
+        // lib.rs 3, m.rs 2, src 1, examples 2; four files counted.
+        assert_eq!(counted, (8, 4));
     }
 
     #[test]

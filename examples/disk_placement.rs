@@ -69,7 +69,8 @@ fn main() {
     );
     for (name, order) in &orders {
         let mapper = PageMapper::new(order, layout);
-        let store = PageStore::build(&mapper, n, 64);
+        let all: Vec<usize> = (0..mapper.num_pages()).collect();
+        let store = PageStore::in_memory(&mapper, 64, &all);
         let mut pages = 0usize;
         let mut seeks = 0usize;
         let mut cost = 0.0f64;
@@ -79,7 +80,12 @@ fn main() {
             pages += io.pages;
             seeks += io.runs;
             cost += io.total;
-            store.serve_query(vertices.iter().copied());
+            // Each distinct page of the window is read once.
+            for page in mapper.pages_touched(vertices.iter().copied()) {
+                store
+                    .read_page(page, None)
+                    .expect("the store owns every page");
+            }
         }
         println!(
             "{:>10}  {:>11}  {:>9}  {:>12.1}  {:>12}",

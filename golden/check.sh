@@ -3,7 +3,8 @@
 # help`, the answers, planner counts and page accounting of `serve_bench`
 # at the CI configuration, and the out-of-core answers and page
 # accounting of `serve_bench` and `pipeline_scale` on a packed 256x256
-# page file against their committed copies in this directory, byte for
+# page file, and the method, lambda_2 and residual lines of `slpm
+# fiedler` against their committed copies in this directory, byte for
 # byte; `--bless` rewrites the copies instead. Usage, from the repository
 # root after a release build:
 #
@@ -49,6 +50,16 @@ done
 # The help text: every command's flags and defaults.
 "$slpm" help >"$tmp/help.txt"
 compare help "slpm help"
+
+# The eigensolver size policy: with no --method, an 8x8 grid (64
+# vertices) is solved densely and a 32x32 (1,024) and a 72x72 grid
+# (5,184) by the multilevel scheme. Each solve's first three lines name
+# the method that ran, lambda_2 and the residual.
+for grid in 8x8 32x32 72x72; do
+    "$slpm" fiedler --grid "$grid" >"$tmp/solve.txt"
+    head -n 3 "$tmp/solve.txt"
+done >"$tmp/fiedler.txt"
+compare fiedler "slpm fiedler"
 
 # The storage section's digests and page accounting: the ordered sweep
 # with and without readahead, and the random batches.
