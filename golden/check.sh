@@ -1,9 +1,9 @@
 #!/bin/sh
 # Diff the output of every `slpm figure` and `slpm experiment`, of `slpm
-# help`, the answers, planner counts and page accounting of `serve_bench`
-# at the CI configuration, and the out-of-core answers and page
-# accounting of `serve_bench` and `pipeline_scale` on a packed 256x256
-# page file, and the method, lambda_2 and residual lines of `slpm
+# help`, the answers, planner counts, stream and fault records and page
+# accounting of `serve_bench` at the CI configuration, the out-of-core
+# answers and page accounting of `serve_bench` and `pipeline_scale` on a
+# packed 256x256 page file, and the method, lambda_2 and residual lines of `slpm
 # fiedler` against their committed copies in this directory, byte for
 # byte; `--bless` rewrites the copies instead. Usage, from the repository
 # root after a release build:
@@ -68,16 +68,23 @@ storage() {
 }
 
 # The serving record: each matrix entry's configuration and answer
-# digest, the best-first kNN planner's node, leaf and total counts, and
-# the storage section. Timings, the matrix's hit ratios (several batches
-# in flight share each pool) and the stream and fault sections are left
-# out: they move with the host or with scheduling.
+# digest, the best-first kNN planner's node, leaf and total counts, the
+# stream section (its calibration and every entry), the fault entries and
+# the storage section. The stream and fault sections run on the simulated
+# clock and the admission-time fault plan, so they repeat exactly at any
+# thread count. Timings (the stream entries' `wall_qps` among them) and
+# the matrix's hit ratios (several batches in flight share each pool) are
+# left out: they move with the host or with scheduling.
 "$serve_bench" --grid 64 --shards 2 --threads 2 --queries 400 --inflight 4 \
     --json --out "$tmp/serve.json" >/dev/null
 {
     grep '"mode": ' "$tmp/serve.json" |
         sed -E 's/.*"shards": ([0-9]+), "threads": ([0-9]+), "inflight": ([0-9]+), "mode": "([a-z]+)".*"digest": "([0-9a-f]+)".*/matrix shards \1 threads \2 inflight \3 \4 digest \5/'
     grep '"knn": {' "$tmp/serve.json" | sed -E 's/^ *"knn": (\{[^}]*\}).*/knn \1/'
+    grep '"stream": {' "$tmp/serve.json" | sed -E 's/^ *"stream": (.*), "entries": \[$/stream \1/'
+    grep '"shape": ' "$tmp/serve.json" |
+        sed -E 's/"wall_qps": [0-9.]+, //; s/^ *(\{.*\}),?$/stream \1/'
+    grep '"label": ' "$tmp/serve.json" | sed -E 's/^ *(\{.*\}),?$/fault \1/'
     storage "$tmp/serve.json"
 } >"$tmp/serve.txt"
 compare serve "serve_bench"
