@@ -57,7 +57,7 @@ use slpm_cli::flags::{self, Flag, Kind::*};
 use slpm_graph::grid::GridSpec;
 use slpm_querysim::mappings::curve_order_by_name;
 use slpm_serve::arrival::{ArrivalConfig, ArrivalShape};
-use slpm_serve::engine::{BatchReport, EngineConfig, Query, ServeEngine};
+use slpm_serve::engine::{BatchReport, EngineConfig, LatencySummary, Query, ServeEngine};
 use slpm_serve::stream::{stream_serve, AdmissionPolicy, ServiceModel, StreamConfig};
 use slpm_serve::workload::{grid_points, mixed_workload_labeled, WorkloadConfig, CLASS_LABELS};
 use slpm_serve::FaultPlan;
@@ -169,21 +169,16 @@ impl Bench {
     }
 }
 
-/// Nearest-rank quantile of per-query latencies (µs) for one class.
-fn class_latency_us(report: &BatchReport, labels: &[&'static str], class: &str, q: f64) -> f64 {
-    let mut lats: Vec<f64> = report
+/// The per-query latencies (µs) of one class.
+fn class_latency_us(report: &BatchReport, labels: &[&'static str], class: &str) -> LatencySummary {
+    let lats = report
         .outcomes
         .iter()
         .zip(labels)
         .filter(|(_, l)| **l == class)
         .map(|(o, _)| o.seconds * 1e6)
         .collect();
-    if lats.is_empty() {
-        return 0.0;
-    }
-    lats.sort_by(f64::total_cmp);
-    let rank = (q.clamp(0.0, 1.0) * lats.len() as f64).ceil() as usize;
-    lats[rank.saturating_sub(1).min(lats.len() - 1)]
+    LatencySummary::new(lats)
 }
 
 /// Section 1, the serving matrix. Returns its JSON entries and whether
@@ -246,10 +241,11 @@ fn matrix(b: &Bench, digest: u64) -> (Vec<String>, bool) {
             let latency: Vec<String> = CLASS_LABELS
                 .iter()
                 .map(|&class| {
+                    let lats = class_latency_us(warm, &b.labels, class);
                     format!(
                         "{{\"class\": \"{class}\", \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-                        class_latency_us(warm, &b.labels, class, 0.5),
-                        class_latency_us(warm, &b.labels, class, 0.99)
+                        lats.quantile(0.5),
+                        lats.quantile(0.99)
                     )
                 })
                 .collect();
@@ -302,11 +298,7 @@ fn stream(b: &Bench, engine: &ServeEngine) -> (String, bool, bool, f64) {
             planned
                 .shard_loads(q)
                 .iter()
-                .map(|&(_, pages, runs)| {
-                    service.per_unit_us
-                        + runs as f64 * service.per_seek_us
-                        + pages as f64 * service.per_page_us
-                })
+                .map(|&(_, pages, runs)| service.unit_us(pages, runs))
                 // xtask:allow(float-reduce): serial fold in query order over a fixed plan — deterministic, and only calibrates the offered rate
                 .sum::<f64>()
         })
@@ -367,7 +359,7 @@ fn stream(b: &Bench, engine: &ServeEngine) -> (String, bool, bool, f64) {
             .run(&admitted)
             .expect("the fault-free stream has no replay panics")
             .digest
-            == report.digest;
+            == report.batch.digest;
         let slo = &report.slo;
         parity &= same;
         if rate == "headroom" {
@@ -418,8 +410,8 @@ fn stream(b: &Bench, engine: &ServeEngine) -> (String, bool, bool, f64) {
             slo.violation_pct,
             slo.slo_met,
             report.sim_makespan_us,
-            report.queries_per_second(),
-            report.digest,
+            report.batch.queries_per_second(),
+            report.batch.digest,
         ));
     }
     if !parity {
@@ -470,24 +462,34 @@ fn faults(b: &Bench, engine: &ServeEngine, base_rate: f64) -> (Vec<String>, bool
         // Fault-free bitwise identity: penalties never reach admission,
         // so the admitted sequence must match, and every non-degraded
         // query must answer with the identical (results, pages, runs).
+        let (trips, epoch): (usize, u64) = (
+            faulted
+                .health_snapshot()
+                .iter()
+                .map(|b| b.trips as usize)
+                .sum(),
+            faulted.epoch(),
+        );
         let identical = report.admitted_idx == baseline.admitted_idx
             && report
+                .batch
                 .outcomes
                 .iter()
-                .zip(&baseline.outcomes)
+                .zip(&baseline.batch.outcomes)
                 .filter(|(got, _)| got.degraded_pages == 0)
                 .all(|(got, want)| {
                     got.results == want.results && got.pages == want.pages && got.runs == want.runs
                 });
         let slo = &report.slo;
         let slo_met = slo.fault_free_p99_us <= slo.target_us;
-        let recovered = report.coverage.is_clean() && report.digest == baseline.digest;
+        let recovered =
+            report.batch.coverage.is_clean() && report.batch.digest == baseline.batch.digest;
         let pass = match label {
             "transient" => identical && recovered,
             // A user-supplied plan has unknown degradation; gate on the
             // universal contracts only.
             _ if f.fault_plan.is_some() => identical && slo_met,
-            _ => identical && slo_met && report.trips >= 1 && report.epoch >= 1 && slo.degraded > 0,
+            _ => identical && slo_met && trips >= 1 && epoch >= 1 && slo.degraded > 0,
         };
         gate &= pass;
         println!(
@@ -495,8 +497,8 @@ fn faults(b: &Bench, engine: &ServeEngine, base_rate: f64) -> (Vec<String>, bool
              fault-free p99 {:.1}us identical {identical} recovered {recovered} -> {}",
             slo.admitted,
             slo.degraded,
-            report.trips,
-            report.epoch,
+            trips,
+            epoch,
             slo.fault_free_p99_us,
             if pass { "pass" } else { "FAIL" },
         );
@@ -508,10 +510,10 @@ fn faults(b: &Bench, engine: &ServeEngine, base_rate: f64) -> (Vec<String>, bool
             slo.offered,
             slo.admitted,
             slo.degraded,
-            report.trips,
-            report.epoch,
+            trips,
+            epoch,
             slo.fault_free_p99_us,
-            report.degraded_digest(),
+            report.batch.degraded_digest(),
         ));
     }
     if !gate {

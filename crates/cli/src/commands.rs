@@ -12,7 +12,7 @@ use slpm_querysim::mappings::{curve_order, curve_order_by_name};
 use slpm_serve::engine::ServeEngine;
 use slpm_serve::stream::stream_serve;
 use slpm_serve::workload::{grid_points, mixed_workload, mixed_workload_labeled};
-use slpm_serve::CoverageReport;
+use slpm_serve::BatchReport;
 use slpm_sfc::TruePeanoCurve;
 use slpm_storage::{write_page_file, PageLayout, PageMapper};
 use spectral_lpm::{LinearOrder, SpectralConfig, SpectralMapper};
@@ -143,14 +143,9 @@ fn run_named(table: &[Runner], name: &str) -> Result<String, ParseError> {
 
 /// Render the fault-plane section shared by the batch and stream paths:
 /// the active plan, per-query coverage with the degraded rank ranges,
-/// breaker health per shard, and the slice epoch.
-fn render_fault_section(
-    out: &mut String,
-    plan: &str,
-    coverage: &CoverageReport,
-    engine: &ServeEngine,
-    degraded_digest: u64,
-) {
+/// breaker health per shard, the slice epoch and the degraded digest.
+fn render_fault_section(out: &mut String, plan: &str, report: &BatchReport, engine: &ServeEngine) {
+    let coverage = &report.coverage;
     out.push_str(&format!("fault plan: {plan}\n"));
     out.push_str(&format!(
         "coverage: {} queries, {} fault-free, {} degraded\n",
@@ -175,8 +170,9 @@ fn render_fault_section(
         ));
     }
     out.push_str(&format!(
-        "epoch: {}  degraded digest: {degraded_digest:016x}\n",
+        "epoch: {}  degraded digest: {:016x}\n",
         engine.epoch(),
+        report.degraded_digest(),
     ));
 }
 
@@ -236,24 +232,19 @@ fn serve_stream(engine: &ServeEngine, spec: &GridSpec, s: &Serve) -> Result<Stri
     out.push_str(&format!(
         "sim makespan: {:.0}us  wall elapsed: {:.3}s  throughput: {:.0} q/s\n",
         report.sim_makespan_us,
-        report.elapsed_seconds,
-        report.queries_per_second(),
+        report.batch.elapsed_seconds,
+        report.batch.queries_per_second(),
     ));
     if let Some((_, plan)) = &s.fault_plan {
+        let trips: u32 = engine.health_snapshot().iter().map(|b| b.trips).sum();
         out.push_str(&format!(
-            "degraded: {}  fault-free p99: {:.1}us  breaker trips: {}\n",
-            slo.degraded, slo.fault_free_p99_us, report.trips,
+            "degraded: {}  fault-free p99: {:.1}us  breaker trips: {trips}\n",
+            slo.degraded, slo.fault_free_p99_us,
         ));
-        render_fault_section(
-            &mut out,
-            plan,
-            &report.coverage,
-            engine,
-            report.degraded_digest(),
-        );
+        render_fault_section(&mut out, plan, &report.batch, engine);
         out.push_str(&format!(
             "digest: {:016x}\nparity (stream vs batch): skipped (fault plan active)\n",
-            report.digest,
+            report.batch.digest,
         ));
         return Ok(out);
     }
@@ -269,8 +260,8 @@ fn serve_stream(engine: &ServeEngine, spec: &GridSpec, s: &Serve) -> Result<Stri
         .map_err(|e| ParseError(format!("parity replay failed: {e}")))?;
     out.push_str(&format!(
         "digest: {:016x}\nparity (stream vs batch): {}\n",
-        report.digest,
-        if report.digest == one_shot.digest {
+        report.batch.digest,
+        if report.batch.digest == one_shot.digest {
             "ok"
         } else {
             "MISMATCH"
@@ -341,10 +332,11 @@ fn serve(s: &Serve) -> Result<String, ParseError> {
         report.elapsed_seconds,
         report.queries_per_second(),
     ));
+    let latency = report.latency_summary();
     out.push_str(&format!(
         "latency/query p50: {:.1}us  p99: {:.1}us  shard balance (max/mean pages): {:.2}\n",
-        report.latency_quantile(0.5) * 1e6,
-        report.latency_quantile(0.99) * 1e6,
+        latency.quantile(0.5) * 1e6,
+        latency.quantile(0.99) * 1e6,
         report.shard_balance(),
     ));
     for shard in &report.shards {
@@ -358,13 +350,7 @@ fn serve(s: &Serve) -> Result<String, ParseError> {
         ));
     }
     if let Some((_, plan)) = &s.fault_plan {
-        render_fault_section(
-            &mut out,
-            plan,
-            &report.coverage,
-            &engine,
-            report.degraded_digest(),
-        );
+        render_fault_section(&mut out, plan, &report, &engine);
     }
     // The parity witness: identical for every --shards/--threads.
     out.push_str(&format!("digest: {:016x}\n", report.digest));

@@ -29,17 +29,22 @@
 //!    the pool evicts the frame used furthest ahead (Belady's MIN over
 //!    the batch; see [`slpm_storage::BufferPool`]). A pool holding its
 //!    whole shard can never evict, and replays its units in query order.
-//! 4. **Merge** (at [`BatchHandle::wait`]): per-query outcomes are
-//!    reassembled in query order and folded into a digest plus per-shard
-//!    aggregates.
+//! 4. **Merge** (at [`BatchHandle::wait`], and over every handle of
+//!    [`ServeEngine::run_inflight`] or a stream): one fold drains the
+//!    handles in submission order, concatenates their outcomes, sums
+//!    per-shard aggregates into the merged report, shifts coverage and
+//!    failure indices to positions in the concatenation, and folds the
+//!    digest once over it.
 //!
-//! **Admission.** [`ServeEngine::submit_planned`] (or its depth-bounded
-//! twin [`ServeEngine::submit_planned_bounded`]) admits a planned batch
-//! and returns a [`BatchHandle`] without waiting for replay, so any
-//! number of batches can be in flight at once; [`ServeEngine::run`] is
-//! plan-submit-wait, and
-//! [`ServeEngine::run_inflight`] splits one workload into several
-//! concurrently admitted batches and merges the reports.
+//! **Admission.** [`ServeEngine::submit_planned`] is the one enqueue: it
+//! admits a planned batch, under a per-shard queue-depth bound when the
+//! batch carries one ([`PlannedBatch::bounded`]), and returns a
+//! [`BatchHandle`] without waiting for replay, so any number of batches
+//! can be in flight at once. [`ServeEngine::run`] is plan-submit-wait,
+//! and [`ServeEngine::run_inflight`] splits one workload into several
+//! concurrently admitted batches and merges them. A runner records each
+//! unit it replays, served, degraded or panicked, with one call under
+//! the batch's progress lock.
 //!
 //! **Determinism.** Planning and routing are pure per-query functions,
 //! and a batch's replay sequence on each shard is fixed at admission, so
@@ -336,11 +341,11 @@ impl BatchReport {
         }
     }
 
-    /// The `q`-quantile (0 ≤ q ≤ 1) of per-query page counts.
+    /// The nearest-rank `q`-quantile (0 ≤ q ≤ 1) of per-query page
+    /// counts (see [`LatencySummary`]; `0` on an empty batch).
     pub fn page_quantile(&self, q: f64) -> usize {
-        let mut pages: Vec<usize> = self.outcomes.iter().map(|o| o.pages).collect();
-        pages.sort_unstable();
-        quantile(&pages, q)
+        let pages = self.outcomes.iter().map(|o| o.pages as f64).collect();
+        LatencySummary::new(pages).quantile(q) as usize
     }
 
     /// The batch's per-query admission-to-completion latencies (seconds)
@@ -348,14 +353,6 @@ impl BatchReport {
     /// is an O(1) lookup.
     pub fn latency_summary(&self) -> LatencySummary {
         LatencySummary::new(self.outcomes.iter().map(|o| o.seconds).collect())
-    }
-
-    /// The nearest-rank `q`-quantile of per-query admission-to-completion
-    /// latency (seconds); `0.0` on an empty batch. One-shot convenience
-    /// over [`BatchReport::latency_summary`] — when reading more than one
-    /// quantile, build the summary instead so the sample is sorted once.
-    pub fn latency_quantile(&self, q: f64) -> f64 {
-        self.latency_summary().quantile(q)
     }
 
     /// Shard-balance skew: max/mean of per-shard routed pages — `1.0` is
@@ -380,17 +377,29 @@ impl BatchReport {
 
     /// The **degraded digest**: [`BatchReport::digest`] folded with the
     /// coverage accounting (each degraded unit's query, shard, page
-    /// count and rank-ranges). Equal to the plain digest on a fault-free
-    /// run; deterministic for a fixed fault plan — the proptest and
-    /// chaos-gate invariant.
+    /// count and rank-ranges, in the deterministic `(query, shard)`
+    /// order). Equal to the plain digest on a fault-free run;
+    /// deterministic for a fixed fault plan — the proptest and chaos-gate
+    /// invariant.
     pub fn degraded_digest(&self) -> u64 {
-        digest_with_coverage(self.digest, &self.coverage.degraded_units)
+        let mut digest = self.digest;
+        for unit in &self.coverage.degraded_units {
+            fnv1a64(&mut digest, unit.query as u64);
+            fnv1a64(&mut digest, unit.shard as u64);
+            fnv1a64(&mut digest, unit.pages as u64);
+            for &(lo, hi) in &unit.rank_ranges {
+                fnv1a64(&mut digest, lo as u64);
+                fnv1a64(&mut digest, hi as u64);
+            }
+        }
+        digest
     }
 }
 
 /// A latency sample sorted once at construction, with nearest-rank
-/// quantiles. Unit-agnostic: the batch engine feeds it seconds, the
-/// streaming layer simulated microseconds.
+/// quantiles — the crate's one quantile rule. Unit-agnostic: the batch
+/// engine feeds it seconds and page counts, the streaming layer simulated
+/// microseconds.
 ///
 /// **Method.** The `q`-quantile is *nearest-rank*: the `⌈q·n⌉`-th
 /// smallest sample value (1-based), i.e. the smallest observation with
@@ -455,15 +464,6 @@ impl LatencySummary {
     }
 }
 
-/// Nearest-rank quantile of an ascending sample (0 on an empty batch).
-fn quantile(sorted: &[usize], q: f64) -> usize {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
 /// FNV-1a over a word stream.
 fn fnv1a64(hash: &mut u64, word: u64) {
     *hash ^= word;
@@ -491,24 +491,6 @@ where
         }
         fnv1a64(&mut digest, outcome.pages as u64);
         fnv1a64(&mut digest, outcome.runs as u64);
-    }
-    digest
-}
-
-/// Fold degraded-coverage accounting into a digest: each unit's query,
-/// shard, page count and rank-ranges, in the (already deterministic)
-/// `(query, shard)` order. Shared by [`BatchReport::degraded_digest`]
-/// and the streaming layer.
-pub fn digest_with_coverage(digest: u64, degraded: &[DegradedUnit]) -> u64 {
-    let mut digest = digest;
-    for unit in degraded {
-        fnv1a64(&mut digest, unit.query as u64);
-        fnv1a64(&mut digest, unit.shard as u64);
-        fnv1a64(&mut digest, unit.pages as u64);
-        for &(lo, hi) in &unit.rank_ranges {
-            fnv1a64(&mut digest, lo as u64);
-            fnv1a64(&mut digest, hi as u64);
-        }
     }
     digest
 }
@@ -633,7 +615,7 @@ struct ShardQueue {
     batches: VecDeque<BatchWork>,
     running: bool,
     /// Replay units currently enqueued (not yet taken by the runner) —
-    /// the depth [`ServeEngine::submit_planned_bounded`] compares against
+    /// the depth a [`PlannedBatch::bounded`] admission compares against
     /// its bound, and what [`ServeEngine::queue_depths`] snapshots.
     pending_units: usize,
 }
@@ -691,28 +673,31 @@ struct EngineShared {
     queues: Vec<ShardGate>,
     fleet: Mutex<FleetHealth>,
     recovery: RecoveryConfig,
-    /// Page geometry the runner needs to turn degraded pages into
-    /// rank-ranges.
-    records_per_page: usize,
-    records: usize,
+}
+
+/// One query's replay progress within its batch.
+#[derive(Default)]
+struct QueryProgress {
+    /// Units not yet replayed; the query completes when this hits 0.
+    units_left: usize,
+    hits: usize,
+    misses: usize,
+    /// Completion latency (seconds since submission).
+    latency: f64,
+    /// Simulated fault penalty (stalls, timeouts, backoff).
+    fault_us: f64,
+    /// Pages not served by a healthy slice.
+    degraded_pages: usize,
 }
 
 /// Mutable replay progress of one in-flight batch.
+#[derive(Default)]
 struct BatchProgress {
     /// Units not yet replayed (0 = batch complete).
     pending_units: usize,
-    /// Remaining units per query; a query completes when its count hits 0.
-    units_left: Vec<usize>,
-    hits: Vec<usize>,
-    misses: Vec<usize>,
+    queries: Vec<QueryProgress>,
     /// Per-shard buffer-stat deltas attributable to this batch.
     shard_buffers: Vec<BufferStats>,
-    /// Per-query completion latency (seconds since submission).
-    latency: Vec<f64>,
-    /// Per-query simulated fault penalty (stalls, timeouts, backoff).
-    fault_us: Vec<f64>,
-    /// Per-query pages not served by a healthy slice.
-    degraded_pages: Vec<usize>,
     /// Degraded units with their lost rank-ranges (coverage accounting).
     degraded: Vec<DegradedUnit>,
     /// Units whose replay panicked *outside* the fault plan; surfaced as
@@ -723,78 +708,98 @@ struct BatchProgress {
 /// Completion tracking for one submitted batch.
 struct BatchState {
     started: Instant,
+    /// Page geometry that turns a degraded unit's pages into rank-ranges.
+    records_per_page: usize,
+    records: usize,
     progress: Mutex<BatchProgress>,
     done: Condvar,
 }
 
 impl BatchState {
-    /// Fold one replayed unit into the batch's progress; wakes waiters
-    /// when the last unit lands.
-    fn record_unit(
-        &self,
-        shard: usize,
-        qidx: usize,
-        hits: usize,
-        misses: usize,
-        delta: BufferStats,
-        penalty_us: f64,
-    ) {
-        let mut progress = self.progress.lock().expect("batch progress lock");
-        progress.hits[qidx] += hits;
-        progress.misses[qidx] += misses;
-        progress.shard_buffers[shard].merge(&delta);
-        progress.fault_us[qidx] += penalty_us;
-        Self::retire(&mut progress, qidx, &self.started);
-        if progress.pending_units == 0 {
-            self.done.notify_all();
+    /// A batch whose query `q` replays `units_per_query[q]` units on
+    /// `shards` shards, over an order of `records` records paged
+    /// `records_per_page` to a page.
+    fn new(
+        started: Instant,
+        units_per_query: impl Iterator<Item = usize>,
+        shards: usize,
+        records_per_page: usize,
+        records: usize,
+    ) -> Self {
+        let queries: Vec<QueryProgress> = units_per_query
+            .map(|units_left| QueryProgress {
+                units_left,
+                ..Default::default()
+            })
+            .collect();
+        BatchState {
+            started,
+            records_per_page,
+            records,
+            progress: Mutex::new(BatchProgress {
+                pending_units: queries.iter().map(|q| q.units_left).sum(),
+                queries,
+                shard_buffers: vec![BufferStats::default(); shards],
+                ..Default::default()
+            }),
+            done: Condvar::new(),
         }
     }
 
-    /// A unit exhausted its retries (or was fast-failed by an open
-    /// breaker): retire it as degraded, recording the rank-ranges its
-    /// pages covered so the waiter's coverage report can name the loss.
-    fn record_degraded(
-        &self,
-        qidx: usize,
-        shard: usize,
-        pages: usize,
-        rank_ranges: Vec<(usize, usize)>,
-        penalty_us: f64,
-    ) {
+    /// Fold one replayed unit into the batch's progress under one lock
+    /// and retire it; wakes waiters when the last unit lands. A served
+    /// unit adds its buffer accounting; a degraded one (retries
+    /// exhausted, a storage error, or fast-failed by an open breaker)
+    /// records the rank-ranges its pages covered, so the coverage report
+    /// can name the loss; a panicked one records which (query, shard)
+    /// failed, so [`BatchHandle::wait`] surfaces an error instead of
+    /// hanging the batch.
+    fn record(&self, shard: usize, unit: &Unit, result: UnitResult) {
+        let qidx = unit.qidx;
         let mut progress = self.progress.lock().expect("batch progress lock");
-        progress.fault_us[qidx] += penalty_us;
-        progress.degraded_pages[qidx] += pages;
-        progress.degraded.push(DegradedUnit {
-            query: qidx,
-            shard,
-            pages,
-            rank_ranges,
-        });
-        Self::retire(&mut progress, qidx, &self.started);
-        if progress.pending_units == 0 {
-            self.done.notify_all();
+        let progress = &mut *progress;
+        let query = &mut progress.queries[qidx];
+        match result {
+            UnitResult::Served {
+                hits,
+                misses,
+                delta,
+                penalty_us,
+            } => {
+                query.hits += hits;
+                query.misses += misses;
+                query.fault_us += penalty_us;
+                progress.shard_buffers[shard].merge(&delta);
+            }
+            UnitResult::Degraded { penalty_us } => {
+                query.fault_us += penalty_us;
+                query.degraded_pages += unit.pages.len();
+                progress.degraded.push(DegradedUnit {
+                    query: qidx,
+                    shard,
+                    pages: unit.pages.len(),
+                    rank_ranges: rank_ranges(&unit.pages, self.records_per_page, self.records),
+                });
+            }
+            UnitResult::Panicked => progress.panicked.push(UnitFailure { query: qidx, shard }),
         }
-    }
-
-    /// A unit's replay panicked outside the fault plan: record which
-    /// (query, shard) failed and still retire the unit, so waiters always
-    /// wake (the failure surfaces as an error at [`BatchHandle::wait`]
-    /// instead of hanging the batch).
-    fn record_panic(&self, qidx: usize, shard: usize) {
-        let mut progress = self.progress.lock().expect("batch progress lock");
-        progress.panicked.push(UnitFailure { query: qidx, shard });
-        Self::retire(&mut progress, qidx, &self.started);
-        if progress.pending_units == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn retire(progress: &mut BatchProgress, qidx: usize, started: &Instant) {
-        progress.units_left[qidx] -= 1;
-        if progress.units_left[qidx] == 0 {
-            progress.latency[qidx] = started.elapsed().as_secs_f64();
+        query.units_left -= 1;
+        if query.units_left == 0 {
+            query.latency = self.started.elapsed().as_secs_f64();
         }
         progress.pending_units -= 1;
+        if progress.pending_units == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    /// Block until every unit has been recorded, then take the progress.
+    fn finished(&self) -> BatchProgress {
+        let mut progress = self.progress.lock().expect("batch progress lock");
+        while progress.pending_units > 0 {
+            progress = self.done.wait(progress).expect("batch progress lock");
+        }
+        std::mem::take(&mut *progress)
     }
 }
 
@@ -948,30 +953,19 @@ fn run_shard_queue(shared: &EngineShared, shard_id: usize) {
                 }
             }
         };
-        match replay_unit(shared, &slices, shard_id, batch, &unit) {
-            UnitResult::Served {
-                hits,
-                misses,
-                delta,
-                penalty_us,
-            } => state.record_unit(shard_id, unit.qidx, hits, misses, delta, penalty_us),
-            UnitResult::Degraded { penalty_us } => {
-                let ranges = rank_ranges(&unit.pages, shared.records_per_page, shared.records);
-                state.record_degraded(unit.qidx, shard_id, unit.pages.len(), ranges, penalty_us);
-            }
-            UnitResult::Panicked => {
-                // An un-modeled panic (routing bug, poisoned shard lock,
-                // …) must not kill the runner silently: on the pool that
-                // would strand the batch (waiters hang forever) and wedge
-                // the shard behind a `running` flag nobody clears. Record
-                // which unit failed (the waiter surfaces it as a
-                // [`ServeError`]) and mark the shard for a rebuild so the
-                // fleet self-heals at the next admission boundary.
-                shared.fleet.lock().expect("fleet health lock").breakers[shard_id]
-                    .note_unexpected_panic();
-                state.record_panic(unit.qidx, shard_id);
-            }
+        let result = replay_unit(shared, &slices, shard_id, batch, &unit);
+        if let UnitResult::Panicked = result {
+            // An un-modeled panic (routing bug, poisoned shard lock, …)
+            // must not kill the runner silently: on the pool that would
+            // strand the batch (waiters hang forever) and wedge the shard
+            // behind a `running` flag nobody clears. Mark the shard for a
+            // rebuild so the fleet self-heals at the next admission
+            // boundary; the record below names the failed unit, which the
+            // waiter surfaces as a [`ServeError`].
+            shared.fleet.lock().expect("fleet health lock").breakers[shard_id]
+                .note_unexpected_panic();
         }
+        state.record(shard_id, &unit, result);
     }
 }
 
@@ -979,13 +973,16 @@ fn run_shard_queue(shared: &EngineShared, shard_id: usize) {
 /// seam streaming admission control builds on. [`ServeEngine::plan_batch`]
 /// produces one; [`PlannedBatch::shard_loads`] exposes where each query's
 /// pages would land (so a policy can decide to shed or block *before* any
-/// work is enqueued); [`PlannedBatch::select`] drops shed queries; and
-/// [`ServeEngine::submit_planned`] /
-/// [`ServeEngine::submit_planned_bounded`] admit whatever remains. Plans
-/// are never recomputed along the way.
+/// work is enqueued); [`PlannedBatch::select`] drops shed queries;
+/// [`PlannedBatch::bounded`] sets a per-shard depth bound; and
+/// [`ServeEngine::submit_planned`] admits whatever remains. Plans are
+/// never recomputed along the way.
 pub struct PlannedBatch {
     plans: Vec<Plan>,
     routes: Vec<Route>,
+    /// The per-shard queue depth admission waits below (`None`: admit
+    /// at once).
+    depth: Option<usize>,
 }
 
 impl PlannedBatch {
@@ -1013,7 +1010,7 @@ impl PlannedBatch {
     /// Keep only the queries whose `keep[qidx]` flag is set (shed the
     /// rest); survivors renumber densely in their original order, so the
     /// admitted batch's digest equals a one-shot run of exactly the
-    /// admitted query sequence.
+    /// admitted query sequence. A depth bound is kept.
     ///
     /// # Panics
     /// Panics when `keep.len()` differs from [`PlannedBatch::len`].
@@ -1026,7 +1023,32 @@ impl PlannedBatch {
             .zip(keep)
             .filter_map(|((p, r), &k)| k.then_some((p, r)))
             .unzip();
-        PlannedBatch { plans, routes }
+        PlannedBatch {
+            plans,
+            routes,
+            depth: self.depth,
+        }
+    }
+
+    /// Admit this batch under a per-shard depth bound: before enqueuing a
+    /// shard's units, [`ServeEngine::submit_planned`] blocks until that
+    /// shard's queued unit count has drained below `depth` (clamped to
+    /// ≥ 1) — real backpressure, not accounting. The bound is checked at
+    /// admission time, so one batch's own units may overshoot it; what it
+    /// guarantees is that an unbounded stream of submitters cannot grow
+    /// any queue without limit.
+    ///
+    /// Deadlock-free by construction: a blocked submitter holds no other
+    /// shard's lock while waiting (shards are gated one at a time, in
+    /// ascending id order), and runners never wait — every queued unit
+    /// eventually drains and signals `space`. On a serial engine
+    /// (`threads == 1`) queues are always empty between submissions, so
+    /// the bound never blocks.
+    pub fn bounded(self, depth: usize) -> PlannedBatch {
+        PlannedBatch {
+            depth: Some(depth.max(1)),
+            ..self
+        }
     }
 }
 
@@ -1043,21 +1065,6 @@ pub struct BatchHandle {
 }
 
 impl BatchHandle {
-    /// Number of queries in this batch.
-    pub fn queries(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// True once every replay unit has completed (never blocks).
-    pub fn is_complete(&self) -> bool {
-        self.state
-            .progress
-            .lock()
-            .expect("batch progress lock")
-            .pending_units
-            == 0
-    }
-
     /// Block until the batch completes, then merge per-query outcomes (in
     /// submission order), per-shard aggregates, the coverage report and
     /// the digest.
@@ -1069,140 +1076,81 @@ impl BatchHandle {
     /// they degrade, and the coverage report names what was lost.
     pub fn wait(self) -> Result<BatchReport, ServeError> {
         let (shards, started) = (self.shards, self.state.started);
-        merge_batches(vec![self], shards, started)
+        merge([self], shards, started)
     }
+}
 
-    /// Block until the batch completes and merge its outcomes, shard
-    /// aggregates and coverage — everything but the digest, which
-    /// [`merge_batches`] folds once over all the batches it drains.
-    #[allow(clippy::type_complexity)]
-    fn finish(
-        self,
-    ) -> Result<(Vec<QueryOutcome>, Vec<ShardReport>, Vec<DegradedUnit>), ServeError> {
+/// Drain `handles` in submission order and fold them into one report:
+/// outcomes concatenate, per-shard aggregates sum straight into the
+/// merged report, and coverage and failure indices shift from each
+/// batch's own numbering to positions in the concatenation. The digest is
+/// folded once, over the concatenation — by [`digest_outcomes`]'s
+/// split-invariance it equals a one-shot run of the same query sequence.
+/// Every handle is drained before an error is returned, so no work is
+/// left in flight.
+pub(crate) fn merge(
+    handles: impl IntoIterator<Item = BatchHandle>,
+    shards: usize,
+    started: Instant,
+) -> Result<BatchReport, ServeError> {
+    let mut shard_reports: Vec<ShardReport> = (0..shards).map(ShardReport::idle).collect();
+    let (mut outcomes, mut degraded, mut failures) = (Vec::new(), Vec::new(), Vec::new());
+    for handle in handles {
         let BatchHandle {
             state,
             plans,
             routes,
             io,
-            shards,
-        } = self;
-        let (
-            hits,
-            misses,
-            shard_buffers,
-            latency,
-            fault_us,
-            degraded_pages,
-            mut degraded,
-            mut panicked,
-        ) = {
-            let mut progress = state.progress.lock().expect("batch progress lock");
-            while progress.pending_units > 0 {
-                progress = state.done.wait(progress).expect("batch progress lock");
-            }
-            (
-                std::mem::take(&mut progress.hits),
-                std::mem::take(&mut progress.misses),
-                std::mem::take(&mut progress.shard_buffers),
-                std::mem::take(&mut progress.latency),
-                std::mem::take(&mut progress.fault_us),
-                std::mem::take(&mut progress.degraded_pages),
-                std::mem::take(&mut progress.degraded),
-                std::mem::take(&mut progress.panicked),
-            )
+            ..
+        } = handle;
+        let base = outcomes.len();
+        let progress = state.finished();
+        let offset = |f: UnitFailure| UnitFailure {
+            query: base + f.query,
+            ..f
         };
-        if !panicked.is_empty() {
-            panicked.sort_unstable();
-            return Err(ServeError::ReplayPanicked { failures: panicked });
+        failures.extend(progress.panicked.into_iter().map(offset));
+        degraded.extend(progress.degraded.into_iter().map(|d| DegradedUnit {
+            query: base + d.query,
+            ..d
+        }));
+        for (report, buffer) in shard_reports.iter_mut().zip(&progress.shard_buffers) {
+            report.buffer.merge(buffer);
         }
-        // Replay order is scheduling-dependent; the report is not: sort
-        // coverage into (query, shard) order so degraded digests are
-        // schedule-invariant.
-        degraded.sort_unstable_by_key(|d| (d.query, d.shard));
-        let mut shard_reports: Vec<ShardReport> = (0..shards).map(ShardReport::idle).collect();
-        for route in &routes {
+        outcomes.reserve(plans.len());
+        for ((plan, route), query) in plans.into_iter().zip(routes).zip(progress.queries) {
             for slice in &route.slices {
                 let report = &mut shard_reports[slice.shard];
                 report.queries += 1;
                 report.pages_routed += slice.page_count;
                 report.runs += slice.runs;
             }
-        }
-        for (shard, buffer) in shard_buffers.into_iter().enumerate() {
-            shard_reports[shard].buffer = buffer;
-        }
-        let outcomes: Vec<QueryOutcome> = plans
-            .into_iter()
-            .zip(routes)
-            .enumerate()
-            .map(|(qidx, (plan, route))| QueryOutcome {
+            outcomes.push(QueryOutcome {
                 results: plan.results,
                 pages: route.pages,
                 runs: route.runs,
-                hits: hits[qidx],
-                misses: misses[qidx],
+                hits: query.hits,
+                misses: query.misses,
                 io: IoCost {
                     pages: route.pages,
                     runs: route.runs,
                     total: route.runs as f64 * io.seek_cost + route.pages as f64 * io.transfer_cost,
                 },
                 tree: plan.tree,
-                seconds: latency[qidx],
-                fault_us: fault_us[qidx],
-                degraded_pages: degraded_pages[qidx],
-            })
-            .collect();
-        Ok((outcomes, shard_reports, degraded))
-    }
-}
-
-/// Drain `handles` in submission order and merge them into one report:
-/// outcomes concatenate, per-shard aggregates sum, and coverage and
-/// failure indices are offset from each batch's own numbering to
-/// positions in the concatenation. The digest is folded once, over the
-/// concatenation — by [`digest_outcomes`]'s split-invariance it equals a
-/// one-shot run of the same query sequence. Every handle is drained
-/// before an error is returned, so no work is left in flight.
-pub(crate) fn merge_batches(
-    handles: Vec<BatchHandle>,
-    shards: usize,
-    started: Instant,
-) -> Result<BatchReport, ServeError> {
-    let mut outcomes: Vec<QueryOutcome> = Vec::new();
-    let mut degraded: Vec<DegradedUnit> = Vec::new();
-    let mut failures: Vec<UnitFailure> = Vec::new();
-    let mut shard_reports: Vec<ShardReport> = (0..shards).map(ShardReport::idle).collect();
-    let mut next_base = 0usize;
-    for handle in handles {
-        let base = next_base;
-        next_base += handle.queries();
-        match handle.finish() {
-            Ok((sub_outcomes, sub_shards, sub_degraded)) => {
-                for sub in &sub_shards {
-                    let merged = &mut shard_reports[sub.shard];
-                    merged.queries += sub.queries;
-                    merged.pages_routed += sub.pages_routed;
-                    merged.runs += sub.runs;
-                    merged.buffer.merge(&sub.buffer);
-                }
-                outcomes.extend(sub_outcomes);
-                degraded.extend(sub_degraded.into_iter().map(|mut d| {
-                    d.query += base;
-                    d
-                }));
-            }
-            Err(ServeError::ReplayPanicked { failures: sub }) => {
-                failures.extend(sub.into_iter().map(|mut f| {
-                    f.query += base;
-                    f
-                }));
-            }
+                seconds: query.latency,
+                fault_us: query.fault_us,
+                degraded_pages: query.degraded_pages,
+            });
         }
     }
     if !failures.is_empty() {
         failures.sort_unstable();
         return Err(ServeError::ReplayPanicked { failures });
     }
+    // Replay order is scheduling-dependent; the report is not: sort
+    // coverage into (query, shard) order so degraded digests are
+    // schedule-invariant.
+    degraded.sort_unstable_by_key(|d: &DegradedUnit| (d.query, d.shard));
     let digest = digest_outcomes(&outcomes);
     Ok(BatchReport {
         coverage: CoverageReport::new(outcomes.len(), degraded),
@@ -1307,8 +1255,6 @@ impl<'a> ServeEngine<'a> {
                     batches: 0,
                 }),
                 recovery: cfg.recovery,
-                records_per_page: cfg.records_per_page,
-                records: points.len(),
             }),
             pool: (cfg.threads > 1).then(|| WorkerPool::new(cfg.threads)),
             page_file,
@@ -1319,16 +1265,6 @@ impl<'a> ServeEngine<'a> {
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// The linear order being served.
-    pub fn order(&self) -> &LinearOrder {
-        self.order
-    }
-
-    /// The page → shard assignment.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shard_map
     }
 
     /// Total pages of the underlying store.
@@ -1347,7 +1283,7 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Split one workload into `inflight` contiguous sub-batches, admit
-    /// them all concurrently, and merge the reports in submission order:
+    /// them all concurrently, and merge them in submission order:
     /// outcomes concatenate, per-shard aggregates sum, and the digest is
     /// folded once over the concatenation — by [`digest_outcomes`]'s
     /// split-invariance it equals the single-batch digest of the same
@@ -1362,52 +1298,29 @@ impl<'a> ServeEngine<'a> {
         queries: &[Query],
         inflight: usize,
     ) -> Result<BatchReport, ServeError> {
-        let inflight = inflight.max(1).min(queries.len().max(1));
-        if inflight <= 1 {
-            return self.run(queries);
-        }
         // xtask:allow(wall-clock): latency accounting only, excluded from digests
         let start = Instant::now();
-        let chunk = queries.len().div_ceil(inflight);
+        let chunk = queries.len().div_ceil(inflight.max(1)).max(1);
+        // Collected, so every sub-batch is admitted before any is waited on.
         let handles: Vec<BatchHandle> = queries
             .chunks(chunk)
             .map(|c| self.submit_planned(self.plan_batch(c)))
             .collect();
-        merge_batches(handles, self.cfg.shards, start)
+        merge(handles, self.cfg.shards, start)
     }
 
     /// Plan and route a batch **without admitting it**: the streaming
     /// admission seam. The returned [`PlannedBatch`] exposes per-query
     /// shard loads (so a policy can shed or block before any work is
-    /// enqueued) and admits via [`ServeEngine::submit_planned`] or
-    /// [`ServeEngine::submit_planned_bounded`] — the plans are computed
-    /// exactly once either way.
+    /// enqueued) and admits via [`ServeEngine::submit_planned`] — the
+    /// plans are computed exactly once.
     pub fn plan_batch(&self, queries: &[Query]) -> PlannedBatch {
         let (plans, routes) = self.plan_and_route(queries);
-        PlannedBatch { plans, routes }
-    }
-
-    /// Admit an already-planned batch (see [`ServeEngine::plan_batch`]).
-    pub fn submit_planned(&self, batch: PlannedBatch) -> BatchHandle {
-        self.admit(batch, None)
-    }
-
-    /// Admit an already-planned batch under a per-shard depth bound:
-    /// before enqueuing a shard's units, block until that shard's queued
-    /// unit count has drained below `depth` (clamped to ≥ 1) — real
-    /// backpressure, not accounting. The bound is checked at admission
-    /// time, so one batch's own units may overshoot it; what it
-    /// guarantees is that an unbounded stream of submitters cannot grow
-    /// any queue without limit.
-    ///
-    /// Deadlock-free by construction: a blocked submitter holds no other
-    /// shard's lock while waiting (shards are gated one at a time, in
-    /// ascending id order), and runners never wait — every queued unit
-    /// eventually drains and signals `space`. On a serial engine
-    /// (`threads == 1`) queues are always empty between submissions, so
-    /// the bound never blocks.
-    pub fn submit_planned_bounded(&self, batch: PlannedBatch, depth: usize) -> BatchHandle {
-        self.admit(batch, Some(depth.max(1)))
+        PlannedBatch {
+            plans,
+            routes,
+            depth: None,
+        }
     }
 
     /// A snapshot of each shard's queued (not yet replayed) unit count —
@@ -1504,13 +1417,18 @@ impl<'a> ServeEngine<'a> {
         *slices = Arc::new(slices.with_replacements(replacements));
     }
 
-    /// The shared enqueue path behind [`ServeEngine::submit_planned`]
-    /// (`depth: None`) and [`ServeEngine::submit_planned_bounded`].
-    fn admit(&self, batch: PlannedBatch, depth: Option<usize>) -> BatchHandle {
+    /// Admit an already-planned batch (see [`ServeEngine::plan_batch`])
+    /// and return its handle without waiting for replay. A batch made
+    /// [`PlannedBatch::bounded`] first waits, shard by shard, for space
+    /// below its depth bound.
+    pub fn submit_planned(&self, batch: PlannedBatch) -> BatchHandle {
         // xtask:allow(wall-clock): latency accounting only, excluded from digests
         let started = Instant::now();
-        let PlannedBatch { plans, mut routes } = batch;
-        let queries = plans.len();
+        let PlannedBatch {
+            plans,
+            mut routes,
+            depth,
+        } = batch;
 
         // Failover happens at admission boundaries: swap in rebuilt
         // slices for any shard whose breaker requested one, *before*
@@ -1530,12 +1448,10 @@ impl<'a> ServeEngine<'a> {
         // evicts, so it skips that work and replays in query order.
         let mut per_shard: Vec<VecDeque<Unit>> =
             (0..self.cfg.shards).map(|_| VecDeque::new()).collect();
-        let mut units_left = vec![0usize; queries];
         let batch = {
             let mut fleet = self.shared.fleet.lock().expect("fleet health lock");
             let rec = self.shared.recovery;
             for (qidx, route) in routes.iter_mut().enumerate() {
-                units_left[qidx] = route.slices.len();
                 for slice in &mut route.slices {
                     let pages = std::mem::take(&mut slice.pages);
                     let directive = fleet.stamp_unit(slice.shard, &pages, &rec);
@@ -1556,23 +1472,13 @@ impl<'a> ServeEngine<'a> {
                 plan_lookahead(units.make_contiguous());
             }
         }
-        let pending_units: usize = units_left.iter().sum();
-        let state = Arc::new(BatchState {
+        let state = Arc::new(BatchState::new(
             started,
-            progress: Mutex::new(BatchProgress {
-                pending_units,
-                units_left,
-                hits: vec![0; queries],
-                misses: vec![0; queries],
-                shard_buffers: vec![BufferStats::default(); self.cfg.shards],
-                latency: vec![0.0; queries],
-                fault_us: vec![0.0; queries],
-                degraded_pages: vec![0; queries],
-                degraded: Vec::new(),
-                panicked: Vec::new(),
-            }),
-            done: Condvar::new(),
-        });
+            routes.iter().map(|r| r.slices.len()),
+            self.cfg.shards,
+            self.cfg.records_per_page,
+            self.order.len(),
+        ));
 
         // Enqueue, collecting shards that need a runner scheduled. The
         // running flag flips under the queue lock, so a concurrent
@@ -2127,7 +2033,6 @@ mod tests {
         let handles: Vec<BatchHandle> = (0..3)
             .map(|_| engine.submit_planned(engine.plan_batch(&qs)))
             .collect();
-        assert!(handles.iter().all(|h| h.queries() == qs.len()));
         let reports: Vec<BatchReport> = handles
             .into_iter()
             .map(|h| h.wait().expect("no replay panic"))
@@ -2186,8 +2091,8 @@ mod tests {
     #[test]
     fn zero_query_batch_completes_immediately() {
         // The degenerate batch: no queries, hence no units and no runner.
-        // `pending_units` starts at 0, so the handle must already be
-        // complete and wait() must return without ever touching the pool.
+        // `pending_units` starts at 0, so wait() must return without ever
+        // touching the pool (the watchdog turns a hang into a failure).
         with_watchdog(
             std::time::Duration::from_secs(30),
             "zero-query batch",
@@ -2203,8 +2108,6 @@ mod tests {
                     };
                     let engine = ServeEngine::new(&points, &order, cfg);
                     let handle = engine.submit_planned(engine.plan_batch(&[]));
-                    assert_eq!(handle.queries(), 0);
-                    assert!(handle.is_complete(), "no units means nothing pending");
                     let report = handle.wait().expect("no replay panic");
                     assert!(report.outcomes.is_empty());
                     assert_eq!(report.digest, digest_outcomes(&[]));
@@ -2267,22 +2170,7 @@ mod tests {
     /// outside the fault plan, which only this module can craft. Returns
     /// the handle of the one-unit batch.
     fn enqueue_poisoned_unit(engine: &ServeEngine<'_>) -> BatchHandle {
-        let state = Arc::new(BatchState {
-            started: Instant::now(),
-            progress: Mutex::new(BatchProgress {
-                pending_units: 1,
-                units_left: vec![1],
-                hits: vec![0],
-                misses: vec![0],
-                shard_buffers: vec![BufferStats::default(); 2],
-                latency: vec![0.0],
-                fault_us: vec![0.0],
-                degraded_pages: vec![0],
-                degraded: Vec::new(),
-                panicked: Vec::new(),
-            }),
-            done: Condvar::new(),
-        });
+        let state = Arc::new(BatchState::new(Instant::now(), [1].into_iter(), 2, 4, 64));
         let mut units = VecDeque::new();
         units.push_back(Unit {
             qidx: 0,
@@ -2527,27 +2415,21 @@ mod tests {
                 assert_eq!(outcome.seconds, 0.0);
             }
         }
-        assert!(report.latency_quantile(0.99) >= report.latency_quantile(0.5));
-        assert_eq!(
-            BatchReport {
-                outcomes: Vec::new(),
-                shards: Vec::new(),
-                elapsed_seconds: 0.0,
-                digest: 0,
-                coverage: CoverageReport::default(),
-            }
-            .latency_quantile(0.5),
-            0.0
-        );
+        let latency = report.latency_summary();
+        assert!(latency.quantile(0.99) >= latency.quantile(0.5));
+        let empty = BatchReport {
+            outcomes: Vec::new(),
+            shards: Vec::new(),
+            elapsed_seconds: 0.0,
+            digest: 0,
+            coverage: CoverageReport::default(),
+        };
+        assert_eq!(empty.latency_summary().quantile(0.5), 0.0);
+        assert_eq!(empty.page_quantile(0.5), 0);
     }
 
     #[test]
     fn quantiles_and_throughput_helpers() {
-        assert_eq!(quantile(&[], 0.5), 0);
-        assert_eq!(quantile(&[7], 0.5), 7);
-        assert_eq!(quantile(&[1, 2, 3, 4], 0.5), 2);
-        assert_eq!(quantile(&[1, 2, 3, 4], 0.99), 4);
-        assert_eq!(quantile(&[1, 2, 3, 4], 0.0), 1);
         let (points, order) = small_engine();
         let engine = ServeEngine::new(
             &points,
@@ -2559,7 +2441,12 @@ mod tests {
             },
         );
         let report = engine.run(&queries()).expect("no replay panic");
-        assert!(report.page_quantile(0.99) >= report.page_quantile(0.5));
+        // Nearest rank picks observations: the ⌈q·n⌉-th smallest.
+        let mut pages: Vec<usize> = report.outcomes.iter().map(|o| o.pages).collect();
+        pages.sort_unstable();
+        assert_eq!(report.page_quantile(0.0), pages[0]);
+        assert_eq!(report.page_quantile(0.5), pages[1]);
+        assert_eq!(report.page_quantile(0.99), pages[3]);
         assert!(report.queries_per_second() > 0.0);
         assert_eq!(report.outcomes.len(), 4);
         // A single-shard batch is perfectly (trivially) balanced.
@@ -2608,16 +2495,18 @@ mod tests {
                     assert_eq!(report.digest, reference.digest);
                     // A tight bound admits the same work, just gated.
                     let bounded = engine
-                        .submit_planned_bounded(engine.plan_batch(&qs), 1)
+                        .submit_planned(engine.plan_batch(&qs).bounded(1))
                         .wait()
                         .expect("no replay panic");
                     assert_eq!(bounded.digest, reference.digest);
                     // Queues fully drained afterwards.
                     assert!(engine.queue_depths().iter().all(|&d| d == 0));
                     // Selecting a prefix equals running the prefix alone.
+                    // Its depth bound survives the selection.
                     let keep: Vec<bool> = (0..qs.len()).map(|i| i < 2).collect();
-                    let selected = engine.plan_batch(&qs).select(&keep);
+                    let selected = engine.plan_batch(&qs).bounded(0).select(&keep);
                     assert_eq!(selected.len(), 2);
+                    assert_eq!(selected.depth, Some(1), "a bound clamps to 1");
                     let sub = engine
                         .submit_planned(selected)
                         .wait()
@@ -2659,7 +2548,7 @@ mod tests {
                 let engine = ServeEngine::new(&points, &order, cfg);
                 let handles: Vec<BatchHandle> = qs
                     .chunks(1)
-                    .map(|c| engine.submit_planned_bounded(engine.plan_batch(c), 1))
+                    .map(|c| engine.submit_planned(engine.plan_batch(c).bounded(1)))
                     .collect();
                 let outcomes: Vec<QueryOutcome> = handles
                     .into_iter()
@@ -2874,6 +2763,83 @@ mod tests {
                     assert_eq!(digest, *d, "threads={threads}");
                     assert_eq!(&report.coverage.degraded_units, units, "threads={threads}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn inflight_merge_offsets_coverage_to_workload_positions() {
+        // Split one faulted workload into in-flight sub-batches: each
+        // sub-batch numbers its degraded units from its own query 0, and
+        // the merge must shift them to positions in the whole workload.
+        // Faults are stamped per shard in admission order and no breaker
+        // trips, so every split degrades exactly the units one batch does.
+        use crate::workload::{mixed_workload, WorkloadConfig};
+        let spec = GridSpec::cube(16, 2);
+        let points = grid_points(&spec);
+        let order = LinearOrder::identity(points.len());
+        let qs = mixed_workload(
+            &spec,
+            &WorkloadConfig {
+                queries: 96,
+                ..Default::default()
+            },
+        );
+        let engine = |threads: usize| {
+            let cfg = EngineConfig {
+                records_per_page: 4,
+                buffer_pages: 8,
+                shards: 2,
+                threads,
+                recovery: RecoveryConfig {
+                    breaker_threshold: 1_000_000,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let engine = ServeEngine::new(&points, &order, cfg);
+            engine.inject_faults(FaultPlan::parse("kill!:0@2,stall:1@0+2=50").unwrap());
+            engine
+        };
+        let key = |r: &BatchReport| -> Vec<(Vec<usize>, usize, usize, usize, u64)> {
+            r.outcomes
+                .iter()
+                .map(|o| {
+                    let fault_us = o.fault_us.to_bits();
+                    (
+                        o.results.clone(),
+                        o.pages,
+                        o.runs,
+                        o.degraded_pages,
+                        fault_us,
+                    )
+                })
+                .collect()
+        };
+        let reference = engine(1).run(&qs).expect("degrades, not errors");
+        assert!(reference.coverage.degraded_units.len() > 1);
+        assert!(reference
+            .coverage
+            .degraded_units
+            .iter()
+            .any(|d| d.query > qs.len() / 2));
+        for threads in [1usize, 4] {
+            for inflight in [1usize, 2, 4] {
+                let engine = engine(threads);
+                let report = engine.run_inflight(&qs, inflight).expect("degrades");
+                let tag = format!("threads={threads} inflight={inflight}");
+                assert_eq!(report.coverage, reference.coverage, "{tag}");
+                assert_eq!(
+                    report.degraded_digest(),
+                    reference.degraded_digest(),
+                    "{tag}"
+                );
+                assert_eq!(report.digest, reference.digest, "{tag}");
+                assert_eq!(key(&report), key(&reference), "{tag}");
+                assert!(
+                    engine.health_snapshot().iter().all(|b| b.trips == 0),
+                    "{tag}"
+                );
             }
         }
     }

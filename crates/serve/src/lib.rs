@@ -15,11 +15,12 @@
 //!   [`slpm_storage::PageStore`] slice plus its own buffer pool.
 //! * [`engine`] — the batch executor: plan each query on the packed
 //!   R-tree (range scans plus a best-first branch-and-bound kNN planner),
-//!   admit any number of concurrent batches
-//!   through per-shard FIFO queues with round-robin fairness
-//!   ([`engine::ServeEngine::submit_planned`] / [`engine::BatchHandle`]), and
-//!   merge outcomes in deterministic query order with I/O-cost, buffer,
-//!   latency and shard-balance accounting.
+//!   admit any number of concurrent batches through one enqueue
+//!   ([`engine::ServeEngine::submit_planned`], under a per-shard depth
+//!   bound when the batch is [`engine::PlannedBatch::bounded`]) onto
+//!   per-shard FIFO queues with round-robin fairness, and merge one or
+//!   many [`engine::BatchHandle`]s in deterministic query order with
+//!   I/O-cost, buffer, latency and shard-balance accounting.
 //! * [`workload`] — reproducible mixed range/kNN batches built on
 //!   [`slpm_querysim::workloads::sample_boxes`], plus hot-spot (Zipf)
 //!   batches ([`workload::zipf_workload`]) for skew studies.
@@ -41,7 +42,8 @@
 //!   per-shard queue depth ([`stream::AdmissionPolicy`]), execute on the
 //!   engine, and account per-query admission-to-completion latency into
 //!   an SLO report ([`stream::SloReport`]: p50/p99/p999 vs. target,
-//!   violation %, shed counts per class, max queue depth).
+//!   violation %, shed counts per class, max queue depth) beside the
+//!   admitted queries' merged [`engine::BatchReport`].
 //!
 //! Batches run on [`WorkerPool`], the persistent worker pool of
 //! `slpm_linalg` that also runs the eigensolver's chunked kernels (one
@@ -85,8 +87,8 @@ pub mod workload;
 
 pub use arrival::{ArrivalConfig, ArrivalShape};
 pub use engine::{
-    digest_outcomes, digest_with_coverage, BatchHandle, BatchReport, CoverageReport, DegradedUnit,
-    EngineConfig, LatencySummary, PlannedBatch, Query, QueryOutcome, ServeEngine, ShardReport,
+    digest_outcomes, BatchHandle, BatchReport, CoverageReport, DegradedUnit, EngineConfig,
+    LatencySummary, PlannedBatch, Query, QueryOutcome, ServeEngine, ShardReport,
 };
 pub use fault::{Fault, FaultKind, FaultParseError, FaultPlan, ServeError, UnitFailure};
 pub use health::{BreakerSnapshot, BreakerState, RecoveryConfig};

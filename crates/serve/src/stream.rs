@@ -20,11 +20,13 @@
 //! therefore pure functions of `(workload, arrival, knobs)` — bitwise
 //! reproducible on any machine, which is what lets CI gate on "p99 under
 //! target at this rate" without flaking. Real execution still happens:
-//! each admitted micro-batch is submitted to the engine (through the
-//! bounded-admission seam under [`AdmissionPolicy::Block`], so the
-//! backpressure protocol is genuinely exercised), and wall-clock
-//! throughput is reported separately as an observable that never enters
-//! digests or gates.
+//! each admitted micro-batch is submitted to the engine (under
+//! [`AdmissionPolicy::Block`] it carries the depth bound,
+//! [`PlannedBatch::bounded`](crate::PlannedBatch::bounded), so the
+//! engine's backpressure protocol is genuinely exercised), the handles
+//! fold into one [`BatchReport`] by the engine's own merge, and
+//! wall-clock throughput is reported separately as an observable that
+//! never enters digests or gates.
 //!
 //! **Shed vs. block.** [`AdmissionPolicy::Shed`] drops a query at its
 //! dispatch instant when any shard it routes to is at the depth bound —
@@ -36,7 +38,7 @@
 //! — the classic serving trade-off, now measurable.
 //!
 //! **Digest parity.** Admitted queries replay through the engine in
-//! offered order, so [`StreamReport::digest`] equals
+//! offered order, so the digest of [`StreamReport::batch`] equals
 //! [`digest_outcomes`](crate::digest_outcomes) of a one-shot
 //! [`ServeEngine::run`] over exactly the admitted sequence (the
 //! split-invariance the engine already guarantees). When nothing is shed
@@ -44,10 +46,7 @@
 //! gate the `serve_bench` binary and CI's `serve-smoke` job assert.
 
 use crate::arrival::ArrivalConfig;
-use crate::engine::{
-    digest_with_coverage, merge_batches, BatchHandle, BatchReport, CoverageReport, LatencySummary,
-    Query, QueryOutcome, ServeEngine,
-};
+use crate::engine::{merge, BatchHandle, BatchReport, LatencySummary, Query, ServeEngine};
 use crate::fault::ServeError;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -134,8 +133,9 @@ impl Default for ServiceModel {
 }
 
 impl ServiceModel {
-    /// Simulated service time of one replay unit.
-    fn unit_us(&self, pages: usize, runs: usize) -> f64 {
+    /// Simulated service time of one replay unit with `pages` routed
+    /// pages in `runs` sequential runs.
+    pub fn unit_us(&self, pages: usize, runs: usize) -> f64 {
         self.per_unit_us + runs as f64 * self.per_seek_us + pages as f64 * self.per_page_us
     }
 }
@@ -220,50 +220,24 @@ pub struct SloReport {
 /// The merged result of one streaming run.
 #[derive(Debug, Clone)]
 pub struct StreamReport {
-    /// Outcomes of the admitted queries, in admitted (offered) order.
-    pub outcomes: Vec<QueryOutcome>,
-    /// For each outcome, the index of its query in the offered sequence.
+    /// The admitted queries' merged batch report, in admitted (offered)
+    /// order: its digest equals a one-shot batch run of the same sequence
+    /// (the streamed-vs-batch parity invariant), its coverage `query`
+    /// indices are positions in that order (map them through
+    /// [`StreamReport::admitted_idx`] for offered positions), and its
+    /// `elapsed_seconds` is the wall-clock time of the real execution —
+    /// an observable for throughput reporting only, never part of digests
+    /// or gates.
+    pub batch: BatchReport,
+    /// For each admitted outcome, the index of its query in the offered
+    /// sequence.
     pub admitted_idx: Vec<usize>,
-    /// [`digest_outcomes`](crate::digest_outcomes) over the
-    /// admitted outcomes — equals a one-shot batch run of the same
-    /// sequence (the streamed-vs-batch parity invariant).
-    pub digest: u64,
     /// The simulated-clock SLO scorecard.
     pub slo: SloReport,
     /// Micro-batches dispatched.
     pub micro_batches: usize,
     /// Simulated time at which the last admitted unit completed (µs).
     pub sim_makespan_us: f64,
-    /// Wall-clock seconds the real execution took — an observable for
-    /// throughput reporting only, never part of digests or gates.
-    pub elapsed_seconds: f64,
-    /// Coverage accounting over the admitted sequence: `query` indices
-    /// are positions in [`StreamReport::outcomes`] (admitted order); map
-    /// through [`StreamReport::admitted_idx`] for offered positions.
-    pub coverage: CoverageReport,
-    /// Total breaker trips across the fleet by the end of the run.
-    pub trips: usize,
-    /// The engine's slice epoch after the run (`> 0` once any shard was
-    /// rebuilt by failover).
-    pub epoch: u64,
-}
-
-impl StreamReport {
-    /// Real executed throughput (admitted queries per wall-clock second).
-    pub fn queries_per_second(&self) -> f64 {
-        if self.elapsed_seconds > 0.0 {
-            self.outcomes.len() as f64 / self.elapsed_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// The digest folded with the degraded coverage — schedule-invariant
-    /// for a fixed fault plan, and equal to [`StreamReport::digest`] on a
-    /// clean run. See [`digest_with_coverage`].
-    pub fn degraded_digest(&self) -> u64 {
-        digest_with_coverage(self.digest, &self.coverage.degraded_units)
-    }
 }
 
 /// One simulated shard: completion times of its queued/running units,
@@ -440,19 +414,19 @@ pub fn stream_serve(
         }
 
         // Execute the admitted members on the real engine. Block mode
-        // goes through the bounded-admission seam so the engine's
-        // backpressure protocol (condvar gating on per-shard depth) is
-        // genuinely exercised, not just simulated.
+        // admits under the depth bound so the engine's backpressure
+        // protocol (condvar gating on per-shard depth) is genuinely
+        // exercised, not just simulated.
         let selected = if keep.iter().all(|&k| k) {
             planned
         } else {
             planned.select(&keep)
         };
         if !selected.is_empty() {
-            handles.push(match cfg.policy {
-                AdmissionPolicy::Shed => engine.submit_planned(selected),
-                AdmissionPolicy::Block => engine.submit_planned_bounded(selected, depth_bound),
-            });
+            handles.push(engine.submit_planned(match cfg.policy {
+                AdmissionPolicy::Shed => selected,
+                AdmissionPolicy::Block => selected.bounded(depth_bound),
+            }));
         }
         driver_free = dispatch;
         i = end;
@@ -461,22 +435,17 @@ pub fn stream_serve(
     // Merge the real outcomes in admitted order; the digest over the
     // concatenation equals a one-shot batch run of the admitted sequence
     // by the engine's split-invariance.
-    let BatchReport {
-        outcomes,
-        digest,
-        coverage,
-        ..
-    } = merge_batches(handles, shards, wall_start)?;
-    debug_assert_eq!(outcomes.len(), admitted_idx.len());
+    let batch = merge(handles, shards, wall_start)?;
+    debug_assert_eq!(batch.outcomes.len(), admitted_idx.len());
 
     // Fault penalties land on reported latency only, after every shed /
     // block decision was made — admitted traffic is fault-plan-invariant.
-    for (latency, outcome) in latencies_us.iter_mut().zip(&outcomes) {
+    for (latency, outcome) in latencies_us.iter_mut().zip(&batch.outcomes) {
         *latency += outcome.fault_us;
     }
     let fault_free: Vec<f64> = latencies_us
         .iter()
-        .zip(&outcomes)
+        .zip(&batch.outcomes)
         .filter(|(_, o)| o.degraded_pages == 0)
         .map(|(&l, _)| l)
         .collect();
@@ -503,27 +472,17 @@ pub fn stream_serve(
         blocked_batches,
         blocked_us,
         offered: n,
-        admitted: outcomes.len(),
-        degraded: coverage.degraded_queries(),
+        admitted: batch.outcomes.len(),
+        degraded: batch.coverage.degraded_queries(),
         fault_free_p99_us,
         slo_met: p99_us <= cfg.slo_us,
     };
-    let trips = engine
-        .health_snapshot()
-        .iter()
-        .map(|b| b.trips as usize)
-        .sum();
     Ok(StreamReport {
-        outcomes,
+        batch,
         admitted_idx,
-        digest,
         slo,
         micro_batches,
         sim_makespan_us,
-        elapsed_seconds: wall_start.elapsed().as_secs_f64(),
-        coverage,
-        trips,
-        epoch: engine.epoch(),
     })
 }
 
@@ -583,7 +542,7 @@ mod tests {
                 assert_eq!(report.admitted_idx, (0..queries.len()).collect::<Vec<_>>());
                 // The parity invariant: streamed digest == one-shot batch.
                 let batch = engine.run(&queries).expect("no replay panic");
-                assert_eq!(report.digest, batch.digest, "S={shards} T={threads}");
+                assert_eq!(report.batch.digest, batch.digest, "S={shards} T={threads}");
                 assert!(report.slo.slo_met);
                 assert!(report.micro_batches >= queries.len() / cfg.max_batch);
                 assert!(report.sim_makespan_us > 0.0);
@@ -617,7 +576,7 @@ mod tests {
                 };
                 assert_eq!(a.slo, b.slo);
                 assert_eq!(a.admitted_idx, b.admitted_idx);
-                assert_eq!(a.digest, b.digest);
+                assert_eq!(a.batch.digest, b.batch.digest);
                 assert_eq!(a.micro_batches, b.micro_batches);
                 assert_eq!(a.sim_makespan_us, b.sim_makespan_us);
             },
@@ -651,7 +610,7 @@ mod tests {
                 .map(|&q| queries[q].clone())
                 .collect();
             assert_eq!(
-                report.digest,
+                report.batch.digest,
                 engine.run(&admitted).expect("no replay panic").digest
             );
         });
@@ -682,7 +641,7 @@ mod tests {
             assert!(blocked.slo.blocked_us > 0.0);
             // Nothing dropped → full-workload digest parity.
             assert_eq!(
-                blocked.digest,
+                blocked.batch.digest,
                 engine.run(&queries).expect("no replay panic").digest
             );
             // An empty offered stream degenerates cleanly.

@@ -94,10 +94,16 @@ proptest! {
             let engine = ServeEngine::new(&points, &order, engine_cfg(s.shards, s.threads));
             stream_serve(&engine, &queries, &labels, &cfg).expect("no replay panic")
         };
-        let faulted = {
+        // Each faulted run also returns its fleet's trips per shard.
+        let trips = |engine: &ServeEngine| -> Vec<u32> {
+            engine.health_snapshot().iter().map(|b| b.trips).collect()
+        };
+        let (faulted, faulted_trips) = {
             let engine = ServeEngine::new(&points, &order, engine_cfg(s.shards, s.threads));
             engine.inject_faults(plan.clone());
-            stream_serve(&engine, &queries, &labels, &cfg).expect("injected faults degrade, not error")
+            let report = stream_serve(&engine, &queries, &labels, &cfg)
+                .expect("injected faults degrade, not error");
+            (report, trips(&engine))
         };
 
         // Fault penalties never touch admission: the admitted sequence is
@@ -109,7 +115,7 @@ proptest! {
         // folds. (Buffer hit/miss splits may differ: degraded units skip
         // replay, so pool state legitimately diverges on a faulted shard.)
         let mut saw_degraded = 0usize;
-        for (a, b) in faulted.outcomes.iter().zip(&clean.outcomes) {
+        for (a, b) in faulted.batch.outcomes.iter().zip(&clean.batch.outcomes) {
             if a.degraded_pages > 0 {
                 saw_degraded += 1;
                 continue;
@@ -119,22 +125,24 @@ proptest! {
             prop_assert_eq!(a.runs, b.runs);
         }
         prop_assert_eq!(saw_degraded, faulted.slo.degraded);
-        if faulted.coverage.is_clean() {
-            prop_assert_eq!(faulted.digest, clean.digest);
-            prop_assert_eq!(faulted.degraded_digest(), clean.digest);
+        if faulted.batch.coverage.is_clean() {
+            prop_assert_eq!(faulted.batch.digest, clean.batch.digest);
+            prop_assert_eq!(faulted.batch.degraded_digest(), clean.batch.digest);
         }
 
         // (b) The degraded digest is deterministic for a fixed plan:
         // a repeat run on a differently-threaded engine agrees bitwise.
         let other_threads = if s.threads == 1 { 3 } else { 1 };
-        let repeat = {
+        let (repeat, repeat_trips) = {
             let engine = ServeEngine::new(&points, &order, engine_cfg(s.shards, other_threads));
             engine.inject_faults(plan);
-            stream_serve(&engine, &queries, &labels, &cfg).expect("injected faults degrade, not error")
+            let report = stream_serve(&engine, &queries, &labels, &cfg)
+                .expect("injected faults degrade, not error");
+            (report, trips(&engine))
         };
-        prop_assert_eq!(repeat.degraded_digest(), faulted.degraded_digest());
-        prop_assert_eq!(&repeat.coverage, &faulted.coverage);
-        prop_assert_eq!(repeat.trips, faulted.trips);
+        prop_assert_eq!(repeat.batch.degraded_digest(), faulted.batch.degraded_digest());
+        prop_assert_eq!(&repeat.batch.coverage, &faulted.batch.coverage);
+        prop_assert_eq!(repeat_trips, faulted_trips);
         prop_assert_eq!(repeat.slo, faulted.slo);
     }
 }
@@ -177,11 +185,11 @@ fn permanently_failed_shard_trips_within_threshold_and_the_rest_keep_serving() {
             for b in &snap {
                 assert!(b.consecutive_failures < threshold, "{snap:?}");
             }
-            assert!(report.trips >= 1);
-            assert!(report.epoch >= 1, "failover must swap epochs");
+            assert!(engine.epoch() >= 1, "failover must swap epochs");
             assert!(report.slo.degraded > 0);
             assert!(
                 report
+                    .batch
                     .coverage
                     .degraded_units
                     .iter()

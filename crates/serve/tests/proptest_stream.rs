@@ -121,9 +121,9 @@ proptest! {
             .map(|&q| queries[q].clone())
             .collect();
         let one_shot = engine.run(&admitted).expect("no replay panic");
-        prop_assert_eq!(report.digest, one_shot.digest);
-        prop_assert_eq!(report.outcomes.len(), one_shot.outcomes.len());
-        for (a, b) in report.outcomes.iter().zip(&one_shot.outcomes) {
+        prop_assert_eq!(report.batch.digest, one_shot.digest);
+        prop_assert_eq!(report.batch.outcomes.len(), one_shot.outcomes.len());
+        for (a, b) in report.batch.outcomes.iter().zip(&one_shot.outcomes) {
             prop_assert_eq!(&a.results, &b.results);
             prop_assert_eq!(a.pages, b.pages);
             prop_assert_eq!(a.runs, b.runs);
