@@ -562,10 +562,10 @@ fn storage(b: &Bench) -> (String, bool) {
     let t1 = Instant::now();
     let warm = oocore.run(&b.workload).expect("no replay panic");
     let warm_qps = f.workload.queries as f64 / t1.elapsed().as_secs_f64();
-    // The ordered sweep: each full-domain range is one monotone pass over
-    // every page in linear order; with the pool capped at ~10% of the
-    // file, the second pass re-faults everything the first evicted, so
-    // demand misses stay high unless readahead hides them.
+    // The ordered sweep: two full-domain ranges in one batch, so each
+    // shard sweeps every page it owns once and serves both queries from
+    // it. Without readahead every page is its own read; with it, runs of
+    // up to `1 + readahead` pages are.
     let side = f.side as i64;
     let sweep: Vec<Query> = (0..2)
         .map(|_| {
@@ -582,8 +582,8 @@ fn storage(b: &Bench) -> (String, bool) {
     let (ra, pl) = (ahead.buffer_stats(), plain.buffer_stats());
     // The random workload in 64-query batches through pools holding 1/16
     // of each shard's pages with readahead 8 (the acceptance benchmark's
-    // serve-disk geometry), and the same queries one per batch, where the
-    // pool knows no access beyond the query it serves.
+    // serve-disk geometry), and the same queries one per batch, where
+    // each sweep serves one query.
     let shard_pool = pages.div_ceil(f.engine.shards).div_ceil(16);
     let random_batches = |batch: usize| {
         let engine = b.disk_engine(

@@ -386,15 +386,16 @@ serving engine (order -> pages -> shards -> worker pool); result sets, page
 counts and the printed digest are bitwise identical for every --shards,
 --threads and --inflight combination. kNN queries run best-first
 branch-and-bound on the packed R-tree. --inflight B splits the workload
-into B concurrently admitted batches (per-shard FIFO queues, round-robin
-fairness).
+into B concurrently admitted batches (per-shard FIFO queues; a shard
+serves each batch's units as one ascending page sweep).
 `slpm pack` writes the grid's records to a checksummed disk page file laid
 out in linear-order sequence; `slpm serve --page-file` then serves the
 same workload out-of-core, faulting pages through each shard's buffer
 pool — results, page accounting and the digest stay bitwise identical to
-the in-memory engine. --readahead N prefetches up to N next pages of the
-current monotone page run on each demand miss (one seek per run), which
-pays off when --buffer-pages is smaller than the working set.
+the in-memory engine. A shard reads the pages a batch lacks in runs of
+consecutive pages, one seek per run; --readahead N lets up to N pages
+follow a run's first page, which pays off when --buffer-pages is smaller
+than the working set.
 --stream serves the same workload as an open-loop arrival process on a
 simulated clock: --rate and --arrival pick the traffic (mean q/s and
 shape), --batch-delay-us/--max-batch the micro-batch window, and

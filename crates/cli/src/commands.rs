@@ -830,7 +830,7 @@ mod tests {
         let packed = run(&["pack", "--grid", "16x16", "--out", path_str]).unwrap();
         assert!(packed.contains("records: 256"), "{packed}");
         assert!(packed.contains("pages: 4"), "{packed}");
-        assert!(packed.contains("format v2"), "{packed}");
+        assert!(packed.contains("format v3"), "{packed}");
         // Same grid, mapping and geometry: the out-of-core serve run is
         // bitwise identical to the in-memory one — with and without
         // readahead, across a tiny buffer pool.

@@ -18,17 +18,17 @@
 //!    and per-shard slices — a pure pass of integer divisions over the
 //!    order's borrowed ranks and the [`ShardMap`].
 //! 3. **Replay** (pooled, admission-queued): each shard owns a FIFO work
-//!    queue. A submitted batch enqueues one work unit per (query, shard)
-//!    slice; at most one runner per shard drains its queue on the
-//!    [`WorkerPool`], taking one unit per queued batch in turn
-//!    (round-robin fairness across in-flight batches) so a huge batch
-//!    cannot starve a small one. Within a batch, a shard whose buffer
-//!    pool can evict replays its units as **one ascending page sweep**:
-//!    admission sorts them by (first page, query index) and gives every
-//!    access the position of its page's next access in that sequence, so
-//!    the pool evicts the frame used furthest ahead (Belady's MIN over
-//!    the batch; see [`slpm_storage::BufferPool`]). A pool holding its
-//!    whole shard can never evict, and replays its units in query order.
+//!    queue. A submitted batch enqueues its work units, one per (query,
+//!    shard) slice, on each shard it touches; at most one runner per
+//!    shard drains its queue on the [`WorkerPool`], taking all of the
+//!    front batch's units at once. It first resolves each unit's
+//!    admission-time fault verdict, then serves the units that survive
+//!    as **one ascending page sweep** ([`Shard::replay`]): every page the
+//!    units need is visited once, in page order, and serves each of them
+//!    while the sweep is on it; each maximal run of consecutive pages the
+//!    LRU pool lacks (capped at `min(1 + readahead, buffer_pages)`) is one
+//!    positional read. So a batch reads each page it needs at most once,
+//!    and mostly in runs.
 //! 4. **Merge** (at [`BatchHandle::wait`], and over every handle of
 //!    [`ServeEngine::run_inflight`] or a stream): one fold drains the
 //!    handles in submission order, concatenates their outcomes, sums
@@ -47,26 +47,27 @@
 //! the batch's progress lock.
 //!
 //! **Determinism.** Planning and routing are pure per-query functions,
-//! and a batch's replay sequence on each shard is fixed at admission, so
-//! result sets, page counts, run counts and the digest are bitwise
-//! identical for every shard count, thread count, kNN planner and
-//! in-flight batch count ([`digest_outcomes`] is invariant under batch
-//! splitting). With one batch in flight at a time, hit/miss/prefetch
-//! counters repeat exactly at any thread count: the sort and the next-use
-//! positions depend only on the batch's page lists. Buffer statistics are
-//! the one scheduling-dependent quantity under *concurrent* admission:
-//! interleaving changes which batch finds a page warm (and a pool drops
-//! a batch's plan when another batch's unit cuts in), while totals per
-//! shard still add up — exactly as in any shared-cache server.
+//! and a batch's units on each shard are fixed at admission, so result
+//! sets, page counts, run counts and the digest are bitwise identical for
+//! every shard count, thread count, kNN planner and in-flight batch count
+//! ([`digest_outcomes`] is invariant under batch splitting). With one
+//! batch in flight at a time, hit/miss/prefetch counters repeat exactly
+//! at any thread count: a sweep depends only on the batch's page lists
+//! and the pool it finds. Buffer statistics are the one
+//! scheduling-dependent quantity under *concurrent* admission: the order
+//! in which a shard's runner takes in-flight batches changes which batch
+//! finds a page warm, while totals per shard still add up — exactly as in
+//! any shared-cache server.
 //!
 //! **Failure and recovery.** Shards break; the engine keeps answering.
 //! An installed [`FaultPlan`] ([`ServeEngine::inject_faults`]) is
 //! resolved *at admission* — each unit's fault stamp is a pure function
 //! of its shard's admitted-unit sequence — and manifested *at the replay
-//! seam*: failing attempts pay a bounded retry/backoff loop on the
-//! simulated clock (see [`RecoveryConfig`]), injected panics genuinely
-//! unwind through the runner's `catch_unwind`. Units no retry budget can
-//! save **degrade** instead of failing the batch: [`BatchHandle::wait`]
+//! seam*, unit by unit, before the sweep: failing attempts pay a bounded
+//! retry/backoff loop on the simulated clock (see [`RecoveryConfig`]),
+//! injected panics genuinely unwind through a `catch_unwind`. Units no
+//! retry budget can save, and units that need a page the sweep cannot
+//! read, **degrade** instead of failing the batch: [`BatchHandle::wait`]
 //! returns `Ok` with per-query coverage accounting
 //! ([`BatchReport::coverage`]) naming exactly which rank-ranges were
 //! served from a broken slice. Per-shard circuit breakers
@@ -79,21 +80,21 @@
 //! keeps the current slice, is counted
 //! ([`BreakerSnapshot::failed_rebuilds`]) and is tried again at the next
 //! admission. Panics *outside* the fault plan (routing
-//! bugs, poisoned locks) surface as a typed
-//! [`ServeError::ReplayPanicked`] naming every failed unit's query and
-//! shard, and the affected slice is likewise rebuilt at the next
+//! bugs, poisoned locks) fail every unit of their sweep and surface as a
+//! typed [`ServeError::ReplayPanicked`] naming each failed unit's query
+//! and shard, and the affected slice is likewise rebuilt at the next
 //! admission — one poisoned lock no longer wedges the engine forever.
 
 use crate::fault::{FaultPlan, FaultState, ServeError, UnitFailure, UnitFault};
 use crate::health::{
     BreakerSnapshot, RecoveryConfig, ShardBreaker, UnitDirective, UnitDisposition,
 };
-use crate::shard::{Lookahead, Partition, ReadPath, Shard, ShardMap, ShardSet};
+use crate::shard::{Partition, ReadPath, Shard, ShardMap, ShardSet};
 use crossbeam::sync::{is_model_abort, Arc, Condvar, Mutex};
 use slpm_linalg::WorkerPool;
 use slpm_storage::{
     BufferStats, IoCost, IoModel, Mbr, PackedRTree, PageLayout, PageMapper, PlanScratch, QueryCost,
-    StorageError, NO_NEXT_USE,
+    StorageError,
 };
 use spectral_lpm::LinearOrder;
 use std::collections::VecDeque;
@@ -133,11 +134,11 @@ pub struct EngineConfig {
     pub partition: Partition,
     /// Frames per shard's buffer pool.
     pub buffer_pages: usize,
-    /// Run-readahead window per demand miss (`0` = off). With a
-    /// locality-preserving order a range query's shard pages form
-    /// monotone runs, so each miss can prefetch the run's next pages in
-    /// one seek; `0` keeps hit/miss accounting bitwise identical to the
-    /// pre-readahead engine.
+    /// Readahead: how many pages may follow a run's first page in one
+    /// read (`0` = every page its own read). With a locality-preserving
+    /// order a batch's missing pages on a shard form long runs of
+    /// consecutive ids, so one seek fetches up to
+    /// `min(1 + readahead, buffer_pages)` of them.
     pub readahead: usize,
     /// Seek/transfer model for the per-query I/O cost estimate.
     pub io: IoModel,
@@ -181,9 +182,9 @@ pub struct QueryOutcome {
     /// R-tree node accounting (best-first kNN visits each node at most
     /// once).
     pub tree: QueryCost,
-    /// Admission-to-completion latency in seconds: from batch submission
-    /// until the query's last shard unit replayed (`0.0` for queries that
-    /// touch no pages). Scheduling-dependent — never part of the digest.
+    /// Latency in seconds: from the start of its batch's planning until
+    /// the query's last shard unit replayed (`0.0` for queries that touch
+    /// no pages). Scheduling-dependent — never part of the digest.
     pub seconds: f64,
     /// Simulated fault penalty (µs): injected stalls, timeouts and retry
     /// backoff accrued by this query's units. Deterministic for a fixed
@@ -297,7 +298,9 @@ pub struct BatchReport {
     pub outcomes: Vec<QueryOutcome>,
     /// Per-shard aggregates (every shard, including idle ones).
     pub shards: Vec<ShardReport>,
-    /// Wall-clock seconds from submission through merge.
+    /// Wall-clock seconds from the start of planning through merge, on
+    /// every path ([`ServeEngine::run`], [`ServeEngine::run_inflight`],
+    /// a stream).
     pub elapsed_seconds: f64,
     /// Order-sensitive FNV-1a digest of (query position, result ids, page
     /// count, run count) — see [`digest_outcomes`]; bitwise identical
@@ -538,78 +541,25 @@ struct Route {
 }
 
 /// One (query, shard) replay unit of a batch, carrying its
-/// admission-time fault/breaker verdict and its place in the batch's
-/// replay plan to the replay seam.
+/// admission-time fault/breaker verdict to the replay seam.
 struct Unit {
     qidx: usize,
     pages: Vec<usize>,
-    /// Position of the unit's first access in its batch's sequence on
-    /// the shard.
-    start: u32,
-    /// For each page, the position of its next access in that sequence
-    /// ([`NO_NEXT_USE`]: none); empty when the shard replays its units
-    /// in query order without lookahead.
-    next_use: Vec<u32>,
     directive: UnitDirective,
 }
 
-impl Unit {
-    /// The plan [`Shard::replay`] hands the buffer pool, if any.
-    fn lookahead(&self, batch: u64) -> Option<Lookahead<'_>> {
-        (!self.next_use.is_empty()).then_some(Lookahead {
-            batch,
-            start: self.start,
-            next_use: &self.next_use,
-        })
-    }
-}
-
-/// Plan one shard's units of a batch for a pool that can evict: order
-/// them as one ascending sweep — by first page, then query — number the
-/// accesses of that sequence, and give every access the position of its
-/// page's next access in it (the accesses sorted by page, then position,
-/// list each page's uses in turn).
-fn plan_lookahead(units: &mut [Unit]) {
-    units.sort_unstable_by_key(|u| (u.pages[0], u.qidx));
-    let accesses: usize = units.iter().map(|u| u.pages.len()).sum();
-    assert!(
-        accesses < NO_NEXT_USE as usize,
-        "a batch's accesses on one shard are numbered in 32 bits"
-    );
-    let mut uses: Vec<(usize, u32)> = Vec::with_capacity(accesses);
-    let mut start = 0;
-    for unit in units.iter_mut() {
-        unit.start = start;
-        uses.extend(unit.pages.iter().zip(start..).map(|(&page, at)| (page, at)));
-        start += unit.pages.len() as u32;
-    }
-    uses.sort_unstable();
-    let mut next_use = vec![NO_NEXT_USE; accesses];
-    for pair in uses.windows(2) {
-        if pair[0].0 == pair[1].0 {
-            next_use[pair[0].1 as usize] = pair[1].1;
-        }
-    }
-    for unit in units {
-        let at = unit.start as usize;
-        unit.next_use = next_use[at..at + unit.pages.len()].to_vec();
-    }
-}
-
-/// A batch's pending units on one shard, in replay order. Pins the
-/// epoch the batch was admitted against: the runner replays these units
-/// on `slices`, so a failover swap never moves in-flight work.
+/// A batch's units on one shard, in query order. Pins the epoch the
+/// batch was admitted against: the runner replays these units on
+/// `slices`, so a failover swap never moves in-flight work.
 struct BatchWork {
-    /// The batch's admission number (see [`Lookahead::batch`]).
-    batch: u64,
     state: Arc<BatchState>,
-    units: VecDeque<Unit>,
+    units: Vec<Unit>,
     slices: Arc<ShardSet>,
 }
 
-/// One shard's admission queue: in-flight batches, each with its ordered
-/// remaining units, the is-a-runner-scheduled flag, and the queued-unit
-/// count that bounded admission gates on.
+/// One shard's admission queue: in-flight batches, each with its units,
+/// the is-a-runner-scheduled flag, and the queued-unit count that
+/// bounded admission gates on.
 #[derive(Default)]
 struct ShardQueue {
     batches: VecDeque<BatchWork>,
@@ -641,8 +591,6 @@ impl ShardGate {
 struct FleetHealth {
     breakers: Vec<ShardBreaker>,
     faults: Option<FaultState>,
-    /// Batches admitted so far.
-    batches: u64,
 }
 
 impl FleetHealth {
@@ -682,7 +630,7 @@ struct QueryProgress {
     units_left: usize,
     hits: usize,
     misses: usize,
-    /// Completion latency (seconds since submission).
+    /// Completion latency (seconds since planning began).
     latency: f64,
     /// Simulated fault penalty (stalls, timeouts, backoff).
     fault_us: f64,
@@ -748,28 +696,23 @@ impl BatchState {
 
     /// Fold one replayed unit into the batch's progress under one lock
     /// and retire it; wakes waiters when the last unit lands. A served
-    /// unit adds its buffer accounting; a degraded one (retries
-    /// exhausted, a storage error, or fast-failed by an open breaker)
-    /// records the rank-ranges its pages covered, so the coverage report
-    /// can name the loss; a panicked one records which (query, shard)
-    /// failed, so [`BatchHandle::wait`] surfaces an error instead of
-    /// hanging the batch.
+    /// unit adds its share of the sweep's buffer accounting; a degraded
+    /// one (retries exhausted, a storage error, or fast-failed by an open
+    /// breaker) records the rank-ranges its pages covered, so the
+    /// coverage report can name the loss; a panicked one records which
+    /// (query, shard) failed, so [`BatchHandle::wait`] surfaces an error
+    /// instead of hanging the batch.
     fn record(&self, shard: usize, unit: &Unit, result: UnitResult) {
         let qidx = unit.qidx;
         let mut progress = self.progress.lock().expect("batch progress lock");
         let progress = &mut *progress;
         let query = &mut progress.queries[qidx];
         match result {
-            UnitResult::Served {
-                hits,
-                misses,
-                delta,
-                penalty_us,
-            } => {
-                query.hits += hits;
-                query.misses += misses;
+            UnitResult::Served { stats, penalty_us } => {
+                query.hits += stats.hits;
+                query.misses += stats.misses;
                 query.fault_us += penalty_us;
-                progress.shard_buffers[shard].merge(&delta);
+                progress.shard_buffers[shard].merge(&stats);
             }
             UnitResult::Degraded { penalty_us } => {
                 query.fault_us += penalty_us;
@@ -803,12 +746,11 @@ impl BatchState {
     }
 }
 
-/// What one replay unit resolved to after the retry loop.
+/// What one replay unit resolved to.
 enum UnitResult {
+    /// Served by its shard's sweep: its share of the pool's counters.
     Served {
-        hits: usize,
-        misses: usize,
-        delta: BufferStats,
+        stats: BufferStats,
         penalty_us: f64,
     },
     Degraded {
@@ -818,25 +760,24 @@ enum UnitResult {
     Panicked,
 }
 
-/// Replay one unit against its batch's pinned epoch, manifesting the
-/// admission-time directive: injected stalls/failures pay their simulated
-/// penalty through a bounded retry/backoff loop; injected panics really
-/// unwind (and are caught); fast-fails skip the shard entirely.
-fn replay_unit(
+/// Manifest one unit's admission-time directive before its shard's
+/// sweep: injected stalls and failures pay their simulated penalty
+/// through a bounded retry/backoff loop, injected panics really unwind
+/// (and are caught), and fast-fails skip the shard entirely. Returns
+/// `Ok(penalty)` for a unit the sweep goes on to serve and `Err(penalty)`
+/// for one that degrades here.
+fn resolve_unit(
     shared: &EngineShared,
     set: &ShardSet,
     shard_id: usize,
-    batch: u64,
-    unit: &Unit,
-) -> UnitResult {
-    let fault = match &unit.directive {
-        UnitDirective::FastFail => {
-            // Open breaker: don't touch the shard at all. The unit pays
-            // nothing — the failure was already paid for by the units
-            // that tripped the breaker.
-            return UnitResult::Degraded { penalty_us: 0.0 };
-        }
-        UnitDirective::Serve => UnitFault::NONE,
+    directive: &UnitDirective,
+) -> Result<f64, f64> {
+    let fault = match directive {
+        // Open breaker: don't touch the shard at all. The unit pays
+        // nothing — the failure was already paid for by the units that
+        // tripped the breaker.
+        UnitDirective::FastFail => return Err(0.0),
+        UnitDirective::Serve => return Ok(0.0),
         UnitDirective::Faulted(fault) => *fault,
     };
     let rec = &shared.recovery;
@@ -846,126 +787,135 @@ fn replay_unit(
     // the timeout, whichever cuts it short) plus backoff before the next
     // try. Never an unbounded loop around a faultable call.
     for attempt in 0..rec.max_attempts.max(1) {
-        let last = attempt + 1 >= rec.max_attempts.max(1);
-        if u64::from(attempt) < u64::from(fail_attempts) {
-            if fault.panics {
-                // Injected panics really unwind (and are caught right
-                // here), exercising the exact seam un-modeled panics
-                // travel; `resume_unwind` skips the global panic hook so
-                // faulted runs stay quiet on stderr.
-                let unwound = std::panic::catch_unwind(|| {
-                    std::panic::resume_unwind(Box::new("injected replay-unit panic"))
-                });
-                debug_assert!(unwound.is_err());
-            }
-            if fault.fail_page != usize::MAX {
-                // A `pagerr` stamp travels the *real* read path: arm the
-                // shard's store and fault the page — the failure this
-                // attempt pays for is a genuine typed `StorageError`
-                // coming back off the storage tier, identically on
-                // memory- and disk-backed slices.
-                if let Ok(shard) = set.shard(shard_id).lock() {
-                    shard.store().arm_read_error(fault.fail_page);
-                    let read = shard.store().read_page(fault.fail_page, None);
-                    debug_assert!(
-                        matches!(read, Err(StorageError::Injected { .. })),
-                        "armed page read must fail"
-                    );
-                }
-            }
-            penalty_us += rec.failed_attempt_us(fault.stall_us, attempt, last);
-            if last {
-                return UnitResult::Degraded { penalty_us };
-            }
-            continue;
+        if attempt >= fail_attempts {
+            // This attempt succeeds (after paying any sub-timeout stall).
+            return Ok(penalty_us + fault.stall_us.min(rec.timeout_us));
         }
-        // This attempt succeeds (after paying any sub-timeout stall).
-        penalty_us += fault.stall_us.min(rec.timeout_us);
-        let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut shard = set.shard(shard_id).lock().expect("shard lock");
-            let before = shard.buffer_stats();
-            let outcome = shard.replay(&unit.pages, unit.lookahead(batch));
-            let after = shard.buffer_stats();
-            let delta = BufferStats {
-                hits: after.hits - before.hits,
-                misses: after.misses - before.misses,
-                evictions: after.evictions - before.evictions,
-                prefetched: after.prefetched - before.prefetched,
-                prefetch_hits: after.prefetch_hits - before.prefetch_hits,
-            };
-            outcome.map(|(h, m)| (h, m, delta))
-        }));
-        return match replayed {
-            Ok(Ok((hits, misses, delta))) => UnitResult::Served {
-                hits,
-                misses,
-                delta,
-                penalty_us,
-            },
-            // A genuine storage failure on the serving attempt —
-            // corruption, truncation, a device error: no retry budget
-            // fixes bad bytes, so the unit degrades (coverage names its
-            // rank-ranges) instead of failing the batch.
-            Ok(Err(_)) => UnitResult::Degraded { penalty_us },
-            // The model checker's teardown signal is not a replay bug.
-            Err(payload) if is_model_abort(&*payload) => std::panic::resume_unwind(payload),
-            Err(_) => UnitResult::Panicked,
-        };
+        if fault.panics {
+            // Injected panics really unwind (and are caught right here),
+            // exercising the exact seam un-modeled panics travel;
+            // `resume_unwind` skips the global panic hook so faulted runs
+            // stay quiet on stderr.
+            let unwound = std::panic::catch_unwind(|| {
+                std::panic::resume_unwind(Box::new("injected replay-unit panic"))
+            });
+            debug_assert!(unwound.is_err());
+        }
+        if fault.fail_page != usize::MAX {
+            // A `pagerr` stamp travels the *real* read path: arm the
+            // shard's store and fault the page — the failure this attempt
+            // pays for is a genuine typed `StorageError` coming back off
+            // the storage tier, identically on memory- and disk-backed
+            // slices.
+            if let Ok(shard) = set.shard(shard_id).lock() {
+                shard.store().arm_read_error(fault.fail_page);
+                let read = shard.store().read_page(fault.fail_page, None);
+                debug_assert!(
+                    matches!(read, Err(StorageError::Injected { .. })),
+                    "armed page read must fail"
+                );
+            }
+        }
+        let last = attempt + 1 >= rec.max_attempts.max(1);
+        penalty_us += rec.failed_attempt_us(fault.stall_us, attempt, last);
     }
-    UnitResult::Degraded { penalty_us }
+    Err(penalty_us)
 }
 
-/// Drain one shard's queue: repeatedly take the front batch's next unit,
-/// rotate that batch to the back of the line (round-robin fairness across
-/// in-flight batches), and replay the unit against the shard. Exactly one
-/// runner is active per shard (the `running` flag), which is what keeps
-/// each batch's units on a shard in the order admission gave them.
+/// Replay one batch's units on a shard, against the batch's pinned
+/// epoch: resolve every unit's directive in query order, then serve the
+/// units that survive with **one** [`Shard::replay`] sweep. A unit whose
+/// page the sweep cannot read degrades; an un-modeled panic in the sweep
+/// (a routing bug, a poisoned lock) fails every unit of it.
+fn replay_batch(
+    shared: &EngineShared,
+    set: &ShardSet,
+    shard_id: usize,
+    units: &[Unit],
+) -> Vec<UnitResult> {
+    let resolved: Vec<Result<f64, f64>> = units
+        .iter()
+        .map(|unit| resolve_unit(shared, set, shard_id, &unit.directive))
+        .collect();
+    let serving: Vec<&[usize]> = units
+        .iter()
+        .zip(&resolved)
+        .filter(|(_, r)| r.is_ok())
+        .map(|(unit, _)| &unit.pages[..])
+        .collect();
+    let swept = if serving.is_empty() {
+        Ok(Vec::new())
+    } else {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut shard = set.shard(shard_id).lock().expect("shard lock");
+            shard.replay(&serving)
+        }))
+    };
+    let mut swept = match swept {
+        Ok(replays) => Some(replays.into_iter()),
+        // The model checker's teardown signal is not a replay bug.
+        Err(payload) if is_model_abort(&*payload) => std::panic::resume_unwind(payload),
+        Err(_) => None,
+    };
+    resolved
+        .into_iter()
+        .map(|resolved| match (resolved, swept.as_mut()) {
+            (Err(penalty_us), _) => UnitResult::Degraded { penalty_us },
+            (Ok(_), None) => UnitResult::Panicked,
+            (Ok(penalty_us), Some(replays)) => match replays.next().expect("one per served unit") {
+                Ok(stats) => UnitResult::Served { stats, penalty_us },
+                // A genuine storage failure — corruption, truncation, a
+                // device error: no retry budget fixes bad bytes, so the
+                // unit degrades (coverage names its rank-ranges) instead
+                // of failing the batch.
+                Err(_) => UnitResult::Degraded { penalty_us },
+            },
+        })
+        .collect()
+}
+
+/// Drain one shard's queue: repeatedly take the front batch's units on
+/// this shard, all at once, and replay them as one sweep (batches take
+/// turns in admission order). Exactly one runner is active per shard (the
+/// `running` flag), which is what keeps each shard's pool seeing batches
+/// in the order admission gave them.
 fn run_shard_queue(shared: &EngineShared, shard_id: usize) {
     // xtask:allow(unbounded-retry): queue-drain loop, not a retry loop —
-    // each iteration consumes one queued unit and the loop exits when the
-    // queue is empty; the faultable call inside is bounded by
-    // `replay_unit`'s attempt budget.
+    // each iteration consumes one queued batch and the loop exits when
+    // the queue is empty; the faultable calls inside are bounded by
+    // `resolve_unit`'s attempt budget.
     loop {
-        let (batch, state, unit, slices) = {
+        let work = {
             let gate = &shared.queues[shard_id];
             let mut queue = gate.queue.lock().expect("shard queue lock");
-            match queue.batches.pop_front() {
-                None => {
-                    // Queue drained; clear the flag under the same lock a
-                    // submitter checks it, so no work is ever stranded.
-                    queue.running = false;
-                    return;
-                }
-                Some(mut work) => {
-                    let unit = work.units.pop_front().expect("queued batches have work");
-                    let state = Arc::clone(&work.state);
-                    let slices = Arc::clone(&work.slices);
-                    let batch = work.batch;
-                    if !work.units.is_empty() {
-                        queue.batches.push_back(work);
-                    }
-                    // Taking a unit frees one slot of the shard's bounded
-                    // depth; wake any submitter blocked on space (under
-                    // the same lock, so the wakeup can't be lost).
-                    queue.pending_units -= 1;
-                    gate.space.notify_all();
-                    (batch, state, unit, slices)
-                }
-            }
+            let Some(work) = queue.batches.pop_front() else {
+                // Queue drained; clear the flag under the same lock a
+                // submitter checks it, so no work is ever stranded.
+                queue.running = false;
+                return;
+            };
+            // Taking the units frees their slots of the shard's bounded
+            // depth; wake any submitter blocked on space (under the same
+            // lock, so the wakeup can't be lost).
+            queue.pending_units -= work.units.len();
+            gate.space.notify_all();
+            work
         };
-        let result = replay_unit(shared, &slices, shard_id, batch, &unit);
-        if let UnitResult::Panicked = result {
+        let results = replay_batch(shared, &work.slices, shard_id, &work.units);
+        if results.iter().any(|r| matches!(r, UnitResult::Panicked)) {
             // An un-modeled panic (routing bug, poisoned shard lock, …)
             // must not kill the runner silently: on the pool that would
             // strand the batch (waiters hang forever) and wedge the shard
             // behind a `running` flag nobody clears. Mark the shard for a
             // rebuild so the fleet self-heals at the next admission
-            // boundary; the record below names the failed unit, which the
-            // waiter surfaces as a [`ServeError`].
+            // boundary; the records below name the failed units, which
+            // the waiter surfaces as a [`ServeError`].
             shared.fleet.lock().expect("fleet health lock").breakers[shard_id]
                 .note_unexpected_panic();
         }
-        state.record(shard_id, &unit, result);
+        for (unit, result) in work.units.iter().zip(results) {
+            work.state.record(shard_id, unit, result);
+        }
     }
 }
 
@@ -983,6 +933,9 @@ pub struct PlannedBatch {
     /// The per-shard queue depth admission waits below (`None`: admit
     /// at once).
     depth: Option<usize>,
+    /// When planning began: the batch's latency and elapsed clocks start
+    /// here, as [`ServeEngine::run_inflight`]'s and a stream's do.
+    started: Instant,
 }
 
 impl PlannedBatch {
@@ -1010,7 +963,8 @@ impl PlannedBatch {
     /// Keep only the queries whose `keep[qidx]` flag is set (shed the
     /// rest); survivors renumber densely in their original order, so the
     /// admitted batch's digest equals a one-shot run of exactly the
-    /// admitted query sequence. A depth bound is kept.
+    /// admitted query sequence. A depth bound and the planning clock are
+    /// kept.
     ///
     /// # Panics
     /// Panics when `keep.len()` differs from [`PlannedBatch::len`].
@@ -1026,7 +980,7 @@ impl PlannedBatch {
         PlannedBatch {
             plans,
             routes,
-            depth: self.depth,
+            ..self
         }
     }
 
@@ -1252,7 +1206,6 @@ impl<'a> ServeEngine<'a> {
                 fleet: Mutex::new(FleetHealth {
                     breakers: (0..cfg.shards).map(|_| ShardBreaker::default()).collect(),
                     faults: None,
-                    batches: 0,
                 }),
                 recovery: cfg.recovery,
             }),
@@ -1315,11 +1268,14 @@ impl<'a> ServeEngine<'a> {
     /// enqueued) and admits via [`ServeEngine::submit_planned`] — the
     /// plans are computed exactly once.
     pub fn plan_batch(&self, queries: &[Query]) -> PlannedBatch {
+        // xtask:allow(wall-clock): latency accounting only, excluded from digests
+        let started = Instant::now();
         let (plans, routes) = self.plan_and_route(queries);
         PlannedBatch {
             plans,
             routes,
             depth: None,
+            started,
         }
     }
 
@@ -1422,12 +1378,11 @@ impl<'a> ServeEngine<'a> {
     /// [`PlannedBatch::bounded`] first waits, shard by shard, for space
     /// below its depth bound.
     pub fn submit_planned(&self, batch: PlannedBatch) -> BatchHandle {
-        // xtask:allow(wall-clock): latency accounting only, excluded from digests
-        let started = Instant::now();
         let PlannedBatch {
             plans,
             mut routes,
             depth,
+            started,
         } = batch;
 
         // Failover happens at admission boundaries: swap in rebuilt
@@ -1437,39 +1392,26 @@ impl<'a> ServeEngine<'a> {
         self.install_rebuilds();
         let slices = Arc::clone(&*self.shared.slices.lock().expect("shard slices lock"));
 
-        // Build the per-shard unit queues. Page lists move out of the
-        // routes (page_count stays behind for the merge), so only one copy
-        // exists while the batch is in flight. Fault/breaker verdicts are
-        // stamped here — serially, under one fleet lock, in query order
-        // within each shard — so resolution depends only on the admission
-        // sequence, never on replay scheduling. Then each shard whose pool
-        // can evict gets its units as one ascending page sweep with every
-        // access's next use in it; a pool holding its whole shard never
-        // evicts, so it skips that work and replays in query order.
-        let mut per_shard: Vec<VecDeque<Unit>> =
-            (0..self.cfg.shards).map(|_| VecDeque::new()).collect();
-        let batch = {
+        // Build the per-shard unit lists, in query order. Page lists move
+        // out of the routes (page_count stays behind for the merge), so
+        // only one copy exists while the batch is in flight. Fault/breaker
+        // verdicts are stamped here — serially, under one fleet lock, in
+        // query order within each shard — so resolution depends only on
+        // the admission sequence, never on replay scheduling.
+        let mut per_shard: Vec<Vec<Unit>> = (0..self.cfg.shards).map(|_| Vec::new()).collect();
+        {
             let mut fleet = self.shared.fleet.lock().expect("fleet health lock");
             let rec = self.shared.recovery;
             for (qidx, route) in routes.iter_mut().enumerate() {
                 for slice in &mut route.slices {
                     let pages = std::mem::take(&mut slice.pages);
                     let directive = fleet.stamp_unit(slice.shard, &pages, &rec);
-                    per_shard[slice.shard].push_back(Unit {
+                    per_shard[slice.shard].push(Unit {
                         qidx,
                         pages,
-                        start: 0,
-                        next_use: Vec::new(),
                         directive,
                     });
                 }
-            }
-            fleet.batches += 1;
-            fleet.batches
-        };
-        for (shard_id, units) in per_shard.iter_mut().enumerate() {
-            if self.shard_map.page_count(shard_id) > self.cfg.buffer_pages.max(1) {
-                plan_lookahead(units.make_contiguous());
             }
         }
         let state = Arc::new(BatchState::new(
@@ -1498,7 +1440,6 @@ impl<'a> ServeEngine<'a> {
             }
             queue.pending_units += units.len();
             queue.batches.push_back(BatchWork {
-                batch,
                 state: Arc::clone(&state),
                 units,
                 slices: Arc::clone(&slices),
@@ -2018,6 +1959,104 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_frame_degrades_exactly_the_units_that_need_its_page() {
+        // Flip one payload byte of page 5 on disk. Readahead 4 puts the
+        // page inside runs, so the sweep's run read fails and is read
+        // again page by page: only the units that need page 5 degrade,
+        // their coverage names their rank-ranges, and every other unit
+        // serves as it does from an uncorrupted file.
+        let (points, order) = small_engine();
+        let clean = temp_page_file("corrupt-clean", &order, 4, 64);
+        let corrupt = temp_page_file("corrupt", &order, 4, 64);
+        let frame_len = slpm_storage::PageFile::open(&corrupt)
+            .expect("page file opens")
+            .header()
+            .frame_len();
+        let mut bytes = std::fs::read(&corrupt).expect("page file reads");
+        bytes[slpm_storage::diskfile::HEADER_LEN + 5 * frame_len + 7] ^= 0x10;
+        std::fs::write(&corrupt, &bytes).expect("page file writes");
+        let cfg = EngineConfig {
+            records_per_page: 4,
+            fanout: 4,
+            shards: 2,
+            readahead: 4,
+            ..Default::default()
+        };
+        let mut qs = queries();
+        qs.extend((0..8i64).map(|y| {
+            Query::Range(Mbr {
+                lo: vec![0, y],
+                hi: vec![7, y],
+            })
+        }));
+        let run = |path: &PathBuf| {
+            ServeEngine::with_page_file(&points, &order, cfg, path.clone())
+                .expect("page file opens")
+                .run(&qs)
+                .expect("degrades, not errors")
+        };
+        let (want, got) = (run(&clean), run(&corrupt));
+        assert!(want.coverage.is_clean());
+        // The units that need page 5: its shard's slice of every query
+        // whose pages include it, with that slice's rank-ranges.
+        let map = ShardMap::new(2, 16, Partition::Contiguous);
+        let shard = map.shard_of(5);
+        let expected: Vec<DegradedUnit> = want
+            .outcomes
+            .iter()
+            .enumerate()
+            .filter_map(|(query, o)| {
+                let mut pages: Vec<usize> =
+                    o.results.iter().map(|&id| order.rank_of(id) / 4).collect();
+                pages.sort_unstable();
+                pages.dedup();
+                pages.retain(|&p| map.shard_of(p) == shard);
+                pages.contains(&5).then(|| DegradedUnit {
+                    query,
+                    shard,
+                    pages: pages.len(),
+                    rank_ranges: rank_ranges(&pages, 4, 64),
+                })
+            })
+            .collect();
+        assert!(
+            expected.len() > 1 && expected.len() < qs.len(),
+            "{expected:?}"
+        );
+        assert_eq!(got.coverage.degraded_units, expected);
+        assert_eq!(got.digest, want.digest);
+        for (q, (g, w)) in got.outcomes.iter().zip(&want.outcomes).enumerate() {
+            if expected.iter().all(|d| d.query != q) {
+                assert_eq!(
+                    g,
+                    &QueryOutcome {
+                        seconds: g.seconds,
+                        ..w.clone()
+                    },
+                    "query {q}"
+                );
+            }
+        }
+        let _ = std::fs::remove_file(&clean);
+        let _ = std::fs::remove_file(&corrupt);
+    }
+
+    #[test]
+    fn a_planned_batch_is_timed_from_planning() {
+        // `run_inflight` and streams time a batch from before planning;
+        // a planned batch submitted later is timed the same way.
+        let (points, order) = small_engine();
+        let engine = ServeEngine::new(&points, &order, EngineConfig::default());
+        let planned = engine.plan_batch(&queries());
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let report = engine
+            .submit_planned(planned)
+            .wait()
+            .expect("no replay panic");
+        assert!(report.elapsed_seconds >= 0.02, "{}", report.elapsed_seconds);
+    }
+
+    #[test]
     fn concurrent_handles_can_overlap() {
         let (points, order) = small_engine();
         let cfg = EngineConfig {
@@ -2171,14 +2210,11 @@ mod tests {
     /// the handle of the one-unit batch.
     fn enqueue_poisoned_unit(engine: &ServeEngine<'_>) -> BatchHandle {
         let state = Arc::new(BatchState::new(Instant::now(), [1].into_iter(), 2, 4, 64));
-        let mut units = VecDeque::new();
-        units.push_back(Unit {
+        let units = vec![Unit {
             qidx: 0,
             pages: vec![usize::MAX],
-            start: 0,
-            next_use: Vec::new(),
             directive: UnitDirective::Serve,
-        });
+        }];
         {
             let slices = Arc::clone(&*engine.shared.slices.lock().expect("shard slices lock"));
             let mut queue = engine.shared.queues[0]
@@ -2187,7 +2223,6 @@ mod tests {
                 .expect("shard queue lock");
             queue.pending_units += 1;
             queue.batches.push_back(BatchWork {
-                batch: 0,
                 state: Arc::clone(&state),
                 units,
                 slices,

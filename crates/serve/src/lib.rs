@@ -18,9 +18,10 @@
 //!   admit any number of concurrent batches through one enqueue
 //!   ([`engine::ServeEngine::submit_planned`], under a per-shard depth
 //!   bound when the batch is [`engine::PlannedBatch::bounded`]) onto
-//!   per-shard FIFO queues with round-robin fairness, and merge one or
-//!   many [`engine::BatchHandle`]s in deterministic query order with
-//!   I/O-cost, buffer, latency and shard-balance accounting.
+//!   per-shard FIFO queues, serve each batch's units on a shard as one
+//!   ascending page sweep, and merge one or many
+//!   [`engine::BatchHandle`]s in deterministic query order with I/O-cost,
+//!   buffer, latency and shard-balance accounting.
 //! * [`workload`] — reproducible mixed range/kNN batches built on
 //!   [`slpm_querysim::workloads::sample_boxes`], plus hot-spot (Zipf)
 //!   batches ([`workload::zipf_workload`]) for skew studies.

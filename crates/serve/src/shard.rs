@@ -17,12 +17,18 @@
 //! Shard placement never changes *what* is read (global page ids and
 //! record bytes are shard-invariant); it only changes *where* the reads
 //! land, which is exactly what the engine's parity guarantees rely on.
+//!
+//! A shard serves a batch's units as **one ascending page sweep**
+//! ([`Shard::replay`]): each distinct page is visited once and serves
+//! every unit that needs it, and each maximal run of consecutive pages
+//! the LRU pool lacks, `min(1 + readahead, buffer_pages)` at most, is one
+//! positional read. With a contiguous partition a locality-preserving
+//! order turns a batch's pages into few, long runs.
 
 use crossbeam::sync::{Arc, Mutex};
 use slpm_storage::decluster::Declustering;
 use slpm_storage::{
     BufferPool, BufferStats, Bytes, BytesMut, PageMapper, PageStore, RoundRobin, StorageError,
-    NO_NEXT_USE,
 };
 use std::fmt;
 use std::path::Path;
@@ -146,43 +152,33 @@ impl ShardMap {
 pub struct ReadPath<'a> {
     /// Buffer pool capacity in pages (clamped to at least 1).
     pub buffer_pages: usize,
-    /// Readahead window: pages of a miss's monotone run prefetched per
-    /// demand miss. `0` = off.
+    /// Readahead window: how many pages may follow a run's first page in
+    /// one read. `0` = every page is its own read.
     pub readahead: usize,
     /// Disk page file to read through, or `None` for in-memory payloads.
     pub page_file: Option<&'a Path>,
 }
 
-/// Where one replay unit sits in its batch's access sequence on a shard
-/// — the batch's plan that [`Shard::replay`] hands to the [`BufferPool`].
-#[derive(Clone, Copy, Debug)]
-pub struct Lookahead<'a> {
-    /// The batch's admission number.
-    pub batch: u64,
-    /// Position of the unit's first access in the batch's sequence.
-    pub start: u32,
-    /// For each page of the unit, the position of that page's next access
-    /// in the batch's sequence ([`NO_NEXT_USE`] when there is none).
-    pub next_use: &'a [u32],
-}
+/// What one unit of a [`Shard::replay`] sweep came to: its share of the
+/// pool's counters, or the error of a page it needs.
+pub type UnitReplay = Result<BufferStats, StorageError>;
 
 /// One shard: a slice of the page store plus its private buffer pool.
 pub struct Shard {
     id: usize,
     store: PageStore,
     buffer: BufferPool,
-    /// Readahead window: on a demand miss, up to this many following
-    /// pages of the miss's monotone run are prefetched. `0` = off.
-    readahead: usize,
+    /// The most pages one read fetches: `1 + readahead`, capped at the
+    /// pool's capacity so a whole run fits in the pool.
+    max_run: usize,
     /// Buffers of evicted frames the pool held the only handle to: the
     /// next reads fill them instead of allocating.
     spares: Vec<BytesMut>,
-    /// The buffer prefetch runs are read into before their pages are
-    /// copied out, kept at its largest length.
+    /// The buffer runs are read into before their pages are copied out,
+    /// kept at its largest length.
     staging: BytesMut,
-    /// `(batch, position)` at which the pool's plan continues, when the
-    /// last replayed unit followed one to its end.
-    cursor: Option<(u64, u32)>,
+    /// A sweep's accesses as `(page, unit)`, kept between sweeps.
+    accesses: Vec<(usize, u32)>,
 }
 
 impl Shard {
@@ -192,8 +188,8 @@ impl Shard {
     /// With `read_path.page_file: Some(path)` the slice opens the disk
     /// page file at `path` instead of materialising payloads — same
     /// bytes, same accounting, reads fault frames off disk.
-    /// `read_path.readahead` sets the run-prefetch window (pages per
-    /// demand miss; `0` disables).
+    /// `read_path.readahead` sets how many pages may follow a run's first
+    /// page in one read (`0` disables).
     pub fn build(
         id: usize,
         map: &ShardMap,
@@ -206,14 +202,15 @@ impl Shard {
             None => PageStore::in_memory(mapper, record_size, &owned),
             Some(path) => PageStore::open(path, mapper, record_size, &owned)?,
         };
+        let capacity = read_path.buffer_pages.max(1);
         Ok(Shard {
             id,
             store,
-            buffer: BufferPool::new(read_path.buffer_pages.max(1)),
-            readahead: read_path.readahead,
+            buffer: BufferPool::new(capacity),
+            max_run: read_path.readahead.saturating_add(1).min(capacity),
             spares: Vec::new(),
             staging: BytesMut::new(),
-            cursor: None,
+            accesses: Vec::new(),
         })
     }
 
@@ -227,102 +224,139 @@ impl Shard {
         &self.store
     }
 
-    /// Replay one query's page list against this shard: pages served from
-    /// the pool are hits; misses fault their payload from the store
-    /// (counted reads) and, with readahead on, pull the next pages of the
-    /// miss's monotone run into the pool ahead of demand. Returns
-    /// `(hits, misses)`; storage failures (disk errors, corruption,
-    /// injected faults) surface as typed [`StorageError`]s. Reads fill the
-    /// buffers of evicted frames the pool held the only handle to, so
-    /// once the pool is full, no read allocates a page buffer.
+    /// Serve a batch's units as **one ascending page sweep**: `units[u]`
+    /// is unit `u`'s page list, and entry `u` of the result is its share
+    /// of the pool's counters, or the error of a page it needs.
     ///
-    /// With a [`Lookahead`], every access tells the pool where its page is
-    /// needed next in the batch, and a readahead frame is marked with the
-    /// position of its use later in this unit, so a full pool evicts the
-    /// frame used furthest ahead. The pool follows one batch's plan unit
-    /// by unit: a unit that does not continue where the last one left off
-    /// (the first of a batch, or one after a skipped or failed unit)
-    /// first drops the known next uses. Without one, every next use is
-    /// unknown and the pool evicts by LRU.
+    /// A page resident when the sweep starts is a hit for every unit that
+    /// needs it (touched in `units` order). The sweep then visits the
+    /// distinct pages the pool lacks in ascending order, and each serves
+    /// every unit that needs it. Each maximal run of consecutive missing
+    /// pages, `1 + readahead` at most and never more than the pool holds,
+    /// is **one** read ([`PageStore::read_run`], or
+    /// [`PageStore::read_page`] for a lone page), and its pages are
+    /// admitted to the pool. A run's first page is a miss charged to the
+    /// first unit, in `units` order, that needs it; a page behind it is
+    /// `prefetched` and a `prefetch_hit` for its first unit; every other
+    /// access is a hit. So `misses` counts positional reads,
+    /// `misses + prefetched` counts pages read, and no page is read twice
+    /// in one sweep.
     ///
-    /// Replay order is the caller's — the engine hands each shard its
-    /// units of a batch in a fixed order, which is what makes hit/miss
-    /// accounting reproducible for every thread count. The prefetcher is
-    /// deterministic too (it looks only at the page list and pool
-    /// residency), so accounting stays bitwise identical between memory-
-    /// and disk-backed slices.
-    pub fn replay(
-        &mut self,
-        pages: &[usize],
-        plan: Option<Lookahead<'_>>,
-    ) -> Result<(usize, usize), StorageError> {
-        let at = plan.map(|p| (p.batch, p.start));
-        if self.cursor != at {
-            self.buffer.forget_plan();
-        }
-        self.cursor = None;
-        let next_use = |i: usize| plan.map_or(NO_NEXT_USE, |p| p.next_use[i]);
-        let mut hits = 0;
-        let mut misses = 0;
-        for (i, &page) in pages.iter().enumerate() {
-            if self.buffer.get(page, next_use(i)).is_some() {
-                hits += 1;
-                continue;
+    /// A run whose read fails is read again page by page, so a page that
+    /// cannot be read (a disk error, corruption, an injected fault) fails
+    /// exactly the units that need it with its typed [`StorageError`],
+    /// and never enters the pool. An unowned page is a routing bug in the
+    /// caller, not a storage condition, and panics.
+    ///
+    /// Reads fill the buffers of evicted frames the pool held the only
+    /// handle to, so once the pool is full no single-page read allocates
+    /// a page buffer. The sweep looks only at the page lists and at pool
+    /// residency, so accounting is bitwise identical between memory- and
+    /// disk-backed slices; the engine hands each shard a batch's units in
+    /// query order, which makes it repeat at every thread count.
+    pub fn replay(&mut self, units: &[&[usize]]) -> Vec<UnitReplay> {
+        let mut out: Vec<UnitReplay> = vec![Ok(BufferStats::default()); units.len()];
+        // Pages resident when the sweep starts are hits; the accesses to
+        // the missing ones are sorted into the sweep's page order.
+        let mut accesses = std::mem::take(&mut self.accesses);
+        accesses.clear();
+        for (unit, pages) in (0u32..).zip(units) {
+            let before = self.buffer.stats();
+            for &page in pages.iter() {
+                if self.buffer.is_resident(page) {
+                    let _ = self.buffer.get(page);
+                } else {
+                    accesses.push((page, unit));
+                }
             }
-            misses += 1;
-            // An unowned page is a routing bug in the caller, not a
-            // storage condition: keep the panicking contract (the engine
-            // catches it and surfaces the lost unit). Everything else —
-            // disk errors, corruption, injected faults — is typed.
-            let bytes = match self.store.read_page(page, self.spares.pop()) {
-                Ok(bytes) => bytes,
-                Err(e @ StorageError::PageNotOwned { .. }) => panic!("{e}"),
-                Err(e) => return Err(e),
-            };
-            let gone = self.buffer.admit(page, bytes, next_use(i));
-            self.recycle(gone);
-            if self.readahead > 0 {
-                self.prefetch_run(pages, i, plan)?;
+            self.charge(&mut out, unit, before);
+        }
+        accesses.sort_unstable();
+        let mut at = 0;
+        while at < accesses.len() {
+            let (start, first) = accesses[at];
+            let (mut count, mut end) = (1, group_end(&accesses, at));
+            while count < self.max_run && end < accesses.len() && accesses[end].0 == start + count {
+                end = group_end(&accesses, end);
+                count += 1;
+            }
+            let before = self.buffer.stats();
+            let _ = self.buffer.get(start); // the run's miss
+            self.charge(&mut out, first, before);
+            for (k, read) in self.read_run(start, count).into_iter().enumerate() {
+                let end = group_end(&accesses, at);
+                let group = &accesses[at..end];
+                at = end;
+                let bytes = match read {
+                    Ok(bytes) => bytes,
+                    Err(e @ StorageError::PageNotOwned { .. }) => panic!("{e}"),
+                    Err(e) => {
+                        for &(_, unit) in group {
+                            out[unit as usize] = Err(e.clone());
+                        }
+                        continue;
+                    }
+                };
+                let before = self.buffer.stats();
+                let gone = if k == 0 {
+                    self.buffer.admit(start, bytes)
+                } else {
+                    self.buffer.admit_prefetch(start + k, bytes)
+                };
+                self.recycle(gone);
+                self.charge(&mut out, group[0].1, before);
+                // The run's first page already counted its first access.
+                self.touch(&group[usize::from(k == 0)..], &mut out);
             }
         }
-        self.cursor = plan.map(|p| (p.batch, p.start + pages.len() as u32));
-        Ok((hits, misses))
+        self.accesses = accesses;
+        out
     }
 
-    /// Extend the demand miss at `pages[i]` into its monotone run: the
-    /// linear order already sorted each query's shard list, so pages that
-    /// follow contiguously in the list are contiguous **on disk** — one
-    /// [`PageStore::read_run`] (one positional read) fetches them
-    /// all. The window stops at the readahead budget, at the first gap in
-    /// the run, at the first already-resident page, and always below the
-    /// pool capacity. Each run page is next needed where the list uses it.
-    fn prefetch_run(
-        &mut self,
-        pages: &[usize],
-        i: usize,
-        plan: Option<Lookahead<'_>>,
-    ) -> Result<(), StorageError> {
-        let budget = self.readahead.min(self.buffer.capacity().saturating_sub(1));
-        let start = pages[i] + 1;
-        let mut count = 0;
-        for &q in &pages[i + 1..] {
-            if count == budget || q != start + count || self.buffer.is_resident(q) {
-                break;
-            }
-            count += 1;
+    /// Read `count` pages from `start` with one read; when that fails,
+    /// read them one by one, so each page carries its own outcome.
+    fn read_run(&mut self, start: usize, count: usize) -> Vec<Result<Bytes, StorageError>> {
+        let run = match count {
+            1 => self
+                .store
+                .read_page(start, self.spares.pop())
+                .map(|b| vec![b]),
+            _ => self
+                .store
+                .read_run(start, count, &mut self.staging, &mut self.spares),
+        };
+        match run {
+            Ok(pages) => pages.into_iter().map(Ok).collect(),
+            Err(e) if count == 1 => vec![Err(e)],
+            Err(_) => (start..start + count)
+                .map(|page| self.store.read_page(page, self.spares.pop()))
+                .collect(),
         }
-        if count == 0 {
-            return Ok(());
+    }
+
+    /// Demand-access a resident page once per access of `group`, charging
+    /// each hit to its unit.
+    fn touch(&mut self, group: &[(usize, u32)], out: &mut [UnitReplay]) {
+        for &(page, unit) in group {
+            let before = self.buffer.stats();
+            let _ = self.buffer.get(page);
+            self.charge(out, unit, before);
         }
-        let run = self
-            .store
-            .read_run(start, count, &mut self.staging, &mut self.spares)?;
-        for (k, bytes) in run.into_iter().enumerate() {
-            let use_at = plan.map_or(NO_NEXT_USE, |p| p.start + (i + 1 + k) as u32);
-            let gone = self.buffer.admit_prefetch(start + k, bytes, use_at);
-            self.recycle(gone);
+    }
+
+    /// Add the pool's counters since `before` to `unit`'s share (a unit
+    /// that already failed keeps its error).
+    fn charge(&self, out: &mut [UnitReplay], unit: u32, before: BufferStats) {
+        if let Ok(share) = &mut out[unit as usize] {
+            let now = self.buffer.stats();
+            share.merge(&BufferStats {
+                hits: now.hits - before.hits,
+                misses: now.misses - before.misses,
+                evictions: now.evictions - before.evictions,
+                prefetched: now.prefetched - before.prefetched,
+                prefetch_hits: now.prefetch_hits - before.prefetch_hits,
+            });
         }
-        Ok(())
     }
 
     /// Keep a payload the pool let go of for the next read, when the pool
@@ -342,6 +376,12 @@ impl Shard {
     pub fn storage_reads(&self) -> usize {
         self.store.total_reads()
     }
+}
+
+/// The end of the accesses to the page of `accesses[at]` (sorted by page).
+fn group_end(accesses: &[(usize, u32)], at: usize) -> usize {
+    let page = accesses[at].0;
+    at + accesses[at..].iter().take_while(|a| a.0 == page).count()
 }
 
 /// One **epoch** of the fleet: a versioned, immutable set of shard
@@ -411,6 +451,12 @@ mod tests {
     use super::*;
     use slpm_storage::PageLayout;
     use spectral_lpm::LinearOrder;
+
+    /// Replay one unit alone: its `(hits, misses)`, or its error.
+    fn replay_one(shard: &mut Shard, pages: &[usize]) -> Result<(usize, usize), StorageError> {
+        let [unit] = <[UnitReplay; 1]>::try_from(shard.replay(&[pages])).expect("one unit");
+        unit.map(|s| (s.hits, s.misses))
+    }
 
     /// In-memory [`ReadPath`] with the given pool size and readahead.
     fn mem_pool(buffer_pages: usize, readahead: usize) -> ReadPath<'static> {
@@ -482,7 +528,7 @@ mod tests {
         let map = ShardMap::new(2, mapper.num_pages(), Partition::Contiguous);
         let mut shard = Shard::build(0, &map, &mapper, 8, mem_pool(8, 0)).unwrap();
         // Shard 0 owns pages {0, 1}.
-        let (h, m) = shard.replay(&[0, 1, 0], None).unwrap();
+        let (h, m) = replay_one(&mut shard, &[0, 1, 0]).unwrap();
         assert_eq!((h, m), (1, 2));
         assert_eq!(shard.storage_reads(), 2); // only misses hit the store
         assert_eq!(shard.buffer_stats().hits, 1);
@@ -502,13 +548,13 @@ mod tests {
             |readahead: usize| Shard::build(0, &map, &mapper, 8, mem_pool(8, readahead)).unwrap();
         // An ordered sweep of a 4-page run, readahead off: 4 demand misses.
         let mut plain = build(0);
-        let (h0, m0) = plain.replay(&[2, 3, 4, 5], None).unwrap();
+        let (h0, m0) = replay_one(&mut plain, &[2, 3, 4, 5]).unwrap();
         assert_eq!((h0, m0), (0, 4));
         assert_eq!(plain.buffer_stats().prefetched, 0);
-        // Readahead 3: the first miss prefetches the rest of the run, so
-        // the remaining touches are hits — all of them prefetch hits.
+        // Readahead 3: the first miss reads the rest of the run with it,
+        // so the remaining touches are hits — all of them prefetch hits.
         let mut ahead = build(3);
-        let (h1, m1) = ahead.replay(&[2, 3, 4, 5], None).unwrap();
+        let (h1, m1) = replay_one(&mut ahead, &[2, 3, 4, 5]).unwrap();
         assert_eq!((h1, m1), (3, 1));
         let stats = ahead.buffer_stats();
         assert_eq!(stats.prefetched, 3);
@@ -518,7 +564,7 @@ mod tests {
         assert_eq!(ahead.storage_reads(), plain.storage_reads());
         // A gap breaks the run: page 7 is not prefetched from the 2..=5 run.
         let mut gap = build(8);
-        let (_, m2) = gap.replay(&[0, 1, 7], None).unwrap();
+        let (_, m2) = replay_one(&mut gap, &[0, 1, 7]).unwrap();
         assert_eq!(m2, 2); // 0 misses+prefetches 1, 7 misses separately
         assert_eq!(gap.buffer_stats().prefetched, 1);
     }
@@ -531,12 +577,56 @@ mod tests {
         let mut shard = Shard::build(0, &map, &mapper, 8, mem_pool(8, 0)).unwrap();
         shard.store().arm_read_error(2);
         assert_eq!(
-            shard.replay(&[1, 2], None).unwrap_err(),
+            replay_one(&mut shard, &[1, 2]).unwrap_err(),
             StorageError::Injected { page: 2 }
         );
         // The failed page never entered the pool; a retry reads it fresh.
-        let (h, m) = shard.replay(&[1, 2], None).unwrap();
+        let (h, m) = replay_one(&mut shard, &[1, 2]).unwrap();
         assert_eq!((h, m), (1, 1));
+    }
+
+    #[test]
+    fn a_sweep_reads_each_needed_page_once_in_capped_runs() {
+        let order = LinearOrder::identity(64);
+        let mapper = PageMapper::new(&order, PageLayout::new(4)); // 16 pages
+        let map = ShardMap::new(1, mapper.num_pages(), Partition::Contiguous);
+        // Readahead 8, but a 3-frame pool: runs of at most 3 pages.
+        let mut shard = Shard::build(0, &map, &mapper, 8, mem_pool(3, 8)).unwrap();
+        let units: [&[usize]; 3] = [&[4, 5, 6, 7], &[0, 5], &[6, 9]];
+        let out = shard.replay(&units);
+        // Distinct pages 0, 4..=7, 9: runs [0], [4, 5, 6], [7], [9] are
+        // four reads of six pages. Unit 0 meets 4 first (a miss), then 5
+        // and 6 behind it (prefetch hits) and 7 (a miss); unit 1 owns the
+        // miss on 0 and hits 5; unit 2 hits 6 and misses 9.
+        let shares: Vec<(usize, usize, usize, usize)> = out
+            .into_iter()
+            .map(|u| u.map(|s| (s.hits, s.misses, s.prefetched, s.prefetch_hits)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(shares, vec![(2, 2, 2, 2), (1, 1, 0, 0), (1, 1, 0, 0)]);
+        let stats = shard.buffer_stats();
+        assert_eq!((stats.misses, stats.prefetched), (4, 2));
+        assert_eq!(shard.storage_reads(), 6);
+        // A second sweep finds the last three pages resident.
+        let again = shard.replay(&[&[6, 7, 9]]);
+        assert_eq!(again[0].as_ref().unwrap().hits, 3);
+        assert_eq!(shard.storage_reads(), 6);
+    }
+
+    #[test]
+    fn a_failed_page_fails_only_the_units_that_need_it() {
+        let order = LinearOrder::identity(32);
+        let mapper = PageMapper::new(&order, PageLayout::new(4)); // 8 pages
+        let map = ShardMap::new(1, mapper.num_pages(), Partition::Contiguous);
+        let mut shard = Shard::build(0, &map, &mapper, 8, mem_pool(8, 0)).unwrap();
+        shard.store().arm_read_error(3);
+        let units: [&[usize]; 3] = [&[2, 3], &[1, 2], &[3, 4]];
+        let out = shard.replay(&units);
+        assert_eq!(out[0], Err(StorageError::Injected { page: 3 }));
+        assert_eq!(out[2], Err(StorageError::Injected { page: 3 }));
+        let served = out[1].as_ref().unwrap();
+        assert_eq!((served.hits, served.misses), (1, 1));
+        assert!(!shard.buffer.is_resident(3) && shard.buffer.is_resident(4));
     }
 
     #[test]
@@ -550,7 +640,7 @@ mod tests {
         assert_eq!(set.len(), 2);
         assert!(!set.is_empty());
         // Warm shard 1's pool, then swap shard 0 out.
-        let _ = set.shard(1).lock().unwrap().replay(&[2, 3], None);
+        let _ = set.shard(1).lock().unwrap().replay(&[&[2, 3]]);
         let next = set.with_replacements(vec![(0, build(0))]);
         assert_eq!(next.epoch(), 1);
         // The healthy slice is the *same* object (Arc-shared)…

@@ -1,10 +1,11 @@
 //! Property test: a disk-backed shard slice replays exactly like the
 //! memory-backed slice of the same order. Whatever the pool capacity,
 //! the readahead window and the page lists (runs, repeats, gaps), every
-//! replay returns the same `(hits, misses)`, and the two slices keep the
-//! same `BufferStats` and storage read counts after every replay. Page
-//! runs read off the file, and reads into recycled buffers of any size,
-//! return the memory store's bytes.
+//! sweep — each list alone, then all of them as one batch — returns the
+//! same per-unit accounting, and the two slices keep the same
+//! `BufferStats` and storage read counts after every sweep. Page runs
+//! read off the file, and reads into recycled buffers of any size, return
+//! the memory store's bytes.
 
 use proptest::prelude::*;
 use slpm_serve::shard::ReadPath;
@@ -117,15 +118,15 @@ fn check(s: &Scenario) {
     let missing = file.0.with_extension("missing");
     prop_assert!(build(Some(missing.as_path())).is_err());
     let owned = map.pages_of(s.shard);
-    for (q, segments) in s.queries.iter().enumerate() {
-        let list = pages(&owned, segments);
-        let (m, d) = (
-            mem.replay(&list, None).unwrap(),
-            disk.replay(&list, None).unwrap(),
-        );
-        prop_assert_eq!(m, d, "query {}: (hits, misses) of {:?}", q, list);
-        prop_assert_eq!(mem.buffer_stats(), disk.buffer_stats(), "query {}", q);
-        prop_assert_eq!(mem.storage_reads(), disk.storage_reads(), "query {}", q);
+    let lists: Vec<Vec<usize>> = s.queries.iter().map(|q| pages(&owned, q)).collect();
+    let batch: Vec<&[usize]> = lists.iter().map(|l| &l[..]).collect();
+    let alone = batch.iter().map(std::slice::from_ref);
+    for (q, units) in alone.chain([&batch[..]]).enumerate() {
+        let (m, d) = (mem.replay(units), disk.replay(units));
+        prop_assert!(m.iter().all(|u| u.is_ok()), "sweep {}: {:?}", q, m);
+        prop_assert_eq!(m, d, "sweep {}: accounting of {:?}", q, units);
+        prop_assert_eq!(mem.buffer_stats(), disk.buffer_stats(), "sweep {}", q);
+        prop_assert_eq!(mem.storage_reads(), disk.storage_reads(), "sweep {}", q);
     }
 
     // Runs, the readahead primitive: from every owned page, the run of up

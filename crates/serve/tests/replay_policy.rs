@@ -5,12 +5,15 @@
 //!   windows 0–8, shard counts, both partitions, thread counts and batches
 //!   of range and kNN queries, a disk-backed and a memory-backed engine
 //!   report identical digests, per-query pages, runs, hits and misses, and
-//!   per-shard `BufferStats`. A naive model of the policy — each shard's
-//!   units sorted by (first page, query) when its pool can evict, and an
-//!   O(n²) search for the resident page used furthest ahead — predicts
-//!   every query's hits and misses and every shard's prefetch count. With
-//!   readahead off, the first batch's misses equal Belady's MIN over each
-//!   shard's sorted sequence.
+//!   per-shard `BufferStats`. A naive model of the sweep — per batch and
+//!   shard, the pages resident at the start hits, then the distinct
+//!   non-resident ones in ascending order, consecutive ones grouped into
+//!   runs of at most `min(1 + readahead, capacity)`, over an LRU pool
+//!   kept as a list —
+//!   predicts every query's hits and misses and every shard's
+//!   `BufferStats`. Each batch reads every distinct page it finds
+//!   non-resident exactly once: a cold first batch reads each distinct
+//!   page of a shard once.
 //! * `fresh_engines_over_one_page_file_repeat_their_counters`: two fresh
 //!   engines given the same batches report identical buffer accounting,
 //!   so nothing that decides an eviction depends on addresses, hashing or
@@ -98,141 +101,102 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         )
 }
 
-/// A naive model of one shard's pool under the engine's replay policy.
+/// A naive model of one shard's pool under the engine's sweep.
 struct ModelShard {
+    /// The most pages one read fetches.
+    max_run: usize,
     capacity: usize,
-    readahead: usize,
-    /// Resident pages: (page, last touch, prefetched and untouched since,
-    /// batch of the last touch).
-    frames: Vec<(usize, u64, bool, usize)>,
-    clock: u64,
+    /// Resident pages, least recently used first, each with whether
+    /// readahead brought it in and no access has touched it since.
+    frames: Vec<(usize, bool)>,
     stats: BufferStats,
 }
 
 impl ModelShard {
     fn new(capacity: usize, readahead: usize) -> Self {
         ModelShard {
+            max_run: (1 + readahead).min(capacity),
             capacity,
-            readahead,
             frames: Vec::new(),
-            clock: 0,
             stats: BufferStats::default(),
         }
     }
 
-    /// Replay one batch's units `(query, pages)` (in query order) and
-    /// return each unit's `(query, hits, misses)`. A pool that can evict
-    /// replays the units sorted by (first page, query) and evicts the
-    /// page whose next access in that sequence is furthest — a page not
-    /// touched yet in this batch has no known next use — breaking ties by
-    /// the oldest touch; a pool that cannot evict replays in query order.
+    fn resident(&self, page: usize) -> bool {
+        self.frames.iter().any(|f| f.0 == page)
+    }
+
+    /// One access to a resident page: a hit, and the page becomes the
+    /// most recently used.
+    fn hit(&mut self, page: usize) {
+        let at = self
+            .frames
+            .iter()
+            .position(|f| f.0 == page)
+            .expect("resident");
+        let (_, prefetched) = self.frames.remove(at);
+        self.stats.hits += 1;
+        self.stats.prefetch_hits += usize::from(prefetched);
+        self.frames.push((page, false));
+    }
+
+    /// Sweep one batch's units `(query, pages)` (in query order) and
+    /// return each unit's `(query, hits, misses)` and the pages read.
     fn replay_batch(
         &mut self,
-        batch: usize,
-        mut units: Vec<(usize, Vec<usize>)>,
-        shard_pages: usize,
-    ) -> Vec<(usize, usize, usize)> {
-        let planned = shard_pages > self.capacity;
-        if planned {
-            units.sort_by_key(|(q, pages)| (pages[0], *q));
-        }
-        let sequence: Vec<usize> = units.iter().flat_map(|(_, p)| p.iter().copied()).collect();
-        let mut out = Vec::new();
-        let mut at = 0;
-        for (q, pages) in &units {
-            let (mut hits, mut misses) = (0, 0);
-            for (i, &page) in pages.iter().enumerate() {
-                let now = at + i;
-                self.clock += 1;
-                if let Some(f) = self.frames.iter_mut().find(|f| f.0 == page) {
-                    hits += 1;
-                    self.stats.hits += 1;
-                    if f.2 {
-                        f.2 = false;
-                        self.stats.prefetch_hits += 1;
-                    }
-                    (f.1, f.3) = (self.clock, batch);
-                    continue;
-                }
-                misses += 1;
-                self.stats.misses += 1;
-                self.admit(page, false, batch, planned.then_some((&sequence[..], now)));
-                let budget = self.readahead.min(self.capacity - 1);
-                let mut count = 0;
-                while count < budget
-                    && i + 1 + count < pages.len()
-                    && pages[i + 1 + count] == page + 1 + count
-                    && !self.frames.iter().any(|f| f.0 == page + 1 + count)
-                {
-                    count += 1;
-                }
-                for k in 0..count {
-                    self.clock += 1;
-                    self.stats.prefetched += 1;
-                    let plan = planned.then_some((&sequence[..], now));
-                    self.admit(page + 1 + k, true, batch, plan);
+        units: &[(usize, Vec<usize>)],
+    ) -> (Vec<(usize, usize, usize)>, usize) {
+        let mut distinct: Vec<usize> = units.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut out: Vec<(usize, usize, usize)> = units.iter().map(|(q, _)| (*q, 0, 0)).collect();
+        let needing = |page: usize| -> Vec<usize> {
+            (0..units.len())
+                .filter(|&u| units[u].1.contains(&page))
+                .collect()
+        };
+        // Pages resident when the sweep starts are hits, touched unit by
+        // unit.
+        distinct.retain(|&page| !self.resident(page));
+        for (u, (_, pages)) in units.iter().enumerate() {
+            for &page in pages {
+                if !distinct.contains(&page) {
+                    self.hit(page);
+                    out[u].1 += 1;
                 }
             }
-            at += pages.len();
-            out.push((*q, hits, misses));
         }
-        out
+        // The missing pages come in capped runs of consecutive ids.
+        let mut i = 0;
+        while i < distinct.len() {
+            let page = distinct[i];
+            let mut len = 1;
+            while len < self.max_run && i + len < distinct.len() && distinct[i + len] == page + len
+            {
+                len += 1;
+            }
+            for k in 0..len {
+                if self.frames.len() == self.capacity {
+                    self.frames.remove(0);
+                    self.stats.evictions += 1;
+                }
+                self.frames.push((page + k, k > 0));
+                self.stats.prefetched += usize::from(k > 0);
+                for (j, u) in needing(page + k).into_iter().enumerate() {
+                    if k == 0 && j == 0 {
+                        self.stats.misses += 1;
+                        out[u].2 += 1;
+                    } else {
+                        self.hit(page + k);
+                        out[u].1 += 1;
+                    }
+                }
+            }
+            i += len;
+        }
+        let read = distinct.len();
+        (out, read)
     }
-
-    /// Admit `page`, evicting when full; `plan` is the batch's sequence
-    /// and the position of the access being served.
-    fn admit(
-        &mut self,
-        page: usize,
-        prefetched: bool,
-        batch: usize,
-        plan: Option<(&[usize], usize)>,
-    ) {
-        if self.frames.len() == self.capacity {
-            let next_use = |f: &(usize, u64, bool, usize)| match plan {
-                Some((sequence, now)) if f.3 == batch => (now + 1..sequence.len())
-                    .find(|&j| sequence[j] == f.0)
-                    .unwrap_or(usize::MAX),
-                _ => usize::MAX,
-            };
-            let victim = (0..self.frames.len())
-                .max_by_key(|&v| {
-                    (
-                        next_use(&self.frames[v]),
-                        std::cmp::Reverse(self.frames[v].1),
-                    )
-                })
-                .expect("a full pool has frames");
-            self.frames.swap_remove(victim);
-            self.stats.evictions += 1;
-        }
-        self.frames.push((page, self.clock, prefetched, batch));
-    }
-}
-
-/// Belady's MIN over one access sequence from a cold pool: its misses.
-fn belady_misses(sequence: &[usize], capacity: usize) -> usize {
-    let mut resident: Vec<usize> = Vec::new();
-    let mut misses = 0;
-    for (now, &page) in sequence.iter().enumerate() {
-        if resident.contains(&page) {
-            continue;
-        }
-        misses += 1;
-        if resident.len() == capacity {
-            let next = |p: usize| {
-                (now + 1..sequence.len())
-                    .find(|&j| sequence[j] == p)
-                    .unwrap_or(usize::MAX)
-            };
-            let victim = (0..resident.len())
-                .max_by_key(|&v| next(resident[v]))
-                .expect("a full pool has pages");
-            resident.swap_remove(victim);
-        }
-        resident.push(page);
-    }
-    misses
 }
 
 /// Each query's routed page list on every shard: `(shard, query, pages)`
@@ -321,44 +285,50 @@ fn check(s: &Scenario) {
         }
 
         // The model predicts every query's hits and misses, and each
-        // shard's prefetches.
+        // shard's buffer accounting.
         let mut want = vec![(0usize, 0usize); batch.len()];
         for (shard, units) in routed(&m, &order, &map).into_iter().enumerate() {
-            if b == 0 && s.readahead == 0 {
-                // A cold pool with no readahead: Belady's MIN over the
-                // sorted sequence (a pool holding its whole shard misses
-                // each distinct page once, in any order).
-                let mut sorted = units.clone();
-                sorted.sort_by_key(|(q, pages)| (pages[0], *q));
-                let sequence: Vec<usize> = sorted.into_iter().flat_map(|(_, p)| p).collect();
-                prop_assert_eq!(
-                    m.shards[shard].buffer.misses,
-                    belady_misses(&sequence, buffer_pages),
-                    "shard {}: Belady's MIN",
-                    shard
-                );
-            }
             let before = model[shard].stats;
-            let pages = map.page_count(shard);
-            for (q, hits, misses) in model[shard].replay_batch(b, units, pages) {
+            let (per_unit, read) = model[shard].replay_batch(&units);
+            for (q, hits, misses) in per_unit {
                 want[q].0 += hits;
                 want[q].1 += misses;
             }
             let after = model[shard].stats;
+            let got = m.shards[shard].buffer;
             prop_assert_eq!(
-                m.shards[shard].buffer.prefetched,
-                after.prefetched - before.prefetched,
-                "batch {} shard {}: prefetched",
+                got,
+                BufferStats {
+                    hits: after.hits - before.hits,
+                    misses: after.misses - before.misses,
+                    evictions: after.evictions - before.evictions,
+                    prefetched: after.prefetched - before.prefetched,
+                    prefetch_hits: after.prefetch_hits - before.prefetch_hits,
+                },
+                "batch {} shard {}",
                 b,
                 shard
             );
+            // Every page the sweep found missing is read exactly once: a
+            // positional read per run, a page per run member.
             prop_assert_eq!(
-                m.shards[shard].buffer.evictions,
-                after.evictions - before.evictions,
-                "batch {} shard {}: evictions",
+                got.misses + got.prefetched,
+                read,
+                "batch {} shard {}",
                 b,
                 shard
             );
+            if b == 0 {
+                let mut distinct: Vec<usize> = units.into_iter().flat_map(|(_, p)| p).collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                prop_assert_eq!(
+                    got.misses + got.prefetched,
+                    distinct.len(),
+                    "cold batch, shard {}",
+                    shard
+                );
+            }
         }
         for (q, o) in m.outcomes.iter().enumerate() {
             prop_assert_eq!((o.hits, o.misses), want[q], "batch {} query {}", b, q);

@@ -1,47 +1,32 @@
-//! A byte-owning buffer pool over the page store that evicts the frame
-//! used furthest ahead.
+//! A byte-owning LRU buffer pool over the page store.
 //!
 //! Locality pays twice: once in fewer pages per query, and again in cache
 //! hits across *successive* queries — nearby queries touch overlapping page
 //! sets. The buffer pool makes the second effect measurable *and physical*:
-//! frames own their page payloads (capacity-bounded), so with a
-//! disk-backed store a miss is a real read and a hit really avoids one.
+//! frames own their page payloads (capacity-bounded, LRU-evicted), so with
+//! a disk-backed store a miss is a real read and a hit really avoids one.
 //!
-//! **Eviction.** Every touch may say where the page is needed next: the
-//! position of its next access in the caller's replay plan, or
-//! [`NO_NEXT_USE`] when none is known. A full pool evicts the frame whose
-//! next use is furthest — Belady's MIN over the plan. Frames with no known
-//! next use count as furthest, and ties among them go to the least
-//! recently used frame, so a caller that never passes a position (such as
-//! [`BufferPool::access`]) gets exactly LRU. The serving engine plans one
-//! batch at a time ([`BufferPool::forget_plan`] drops a plan that was not
-//! followed to its end).
+//! Every operation is O(1) and none walks the resident frames: a page-id
+//! index (4 bytes per page id up to the largest one admitted) finds a
+//! page's frame, and an intrusive doubly linked recency list keeps the
+//! frames in LRU order — a touch moves its frame to the head, and the
+//! victim is always the tail. The frame table grows only as pages are
+//! admitted, so memory is bounded by the resident frames, not by the
+//! configured capacity.
 //!
-//! Every operation but `forget_plan` takes constant or logarithmic time
-//! and none walks the resident frames: a page-id index (4 bytes per page
-//! id up to the largest one admitted) finds a page's frame, an intrusive
-//! doubly linked recency list orders the frames with no known next use (a
-//! touch moves a frame to its head; its tail is the LRU victim), and a
-//! max-heap keyed by next use holds the others. The frame table grows only
-//! as pages are admitted, so memory is bounded by the resident frames, not
-//! by the configured capacity.
-//!
-//! Readahead is accounted separately: pages brought in speculatively by
-//! the shard's run prefetcher are admitted with [`BufferPool::admit_prefetch`]
-//! (counted as `prefetched`, **not** as demand misses), and the first
-//! demand access that lands on such a frame counts both a `hit` and a
-//! `prefetch_hit` — so `prefetch_hits / prefetched` reads off directly how
-//! much of the speculation paid.
+//! Readahead is accounted separately: pages that arrive behind the first
+//! page of one run read (see `slpm_serve`'s shard sweep) are admitted
+//! with [`BufferPool::admit_prefetch`] (counted as `prefetched`, **not**
+//! as demand misses), and the first demand access that lands on such a
+//! frame counts both a `hit` and a `prefetch_hit` — so
+//! `prefetch_hits / prefetched` reads off directly how much of the
+//! speculation paid.
 
 use bytes::Bytes;
-use std::collections::BinaryHeap;
 
 /// The empty marker of the page index and of the recency-list links.
 const NONE: u32 = u32::MAX;
 
-/// The next-use position of a page whose next access is not known: such a
-/// frame counts as used furthest ahead.
-pub const NO_NEXT_USE: u32 = u32::MAX;
 /// Statistics of a buffer-pool run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BufferStats {
@@ -99,37 +84,26 @@ impl BufferStats {
 }
 
 /// One resident page: its id, payload, whether it is an as-yet-untouched
-/// readahead admission, where it is needed next, when it was last touched,
-/// and its neighbours in the recency list.
+/// readahead admission, and its neighbours in the recency list.
 #[derive(Debug)]
 struct Frame {
     page: usize,
     bytes: Bytes,
     prefetched: bool,
-    /// Position of the page's next planned access (`NO_NEXT_USE`: none
-    /// known, and the frame is on the recency list; otherwise it is in
-    /// the next-use heap).
-    next_use: u32,
-    /// The pool clock at the frame's last touch.
-    stamp: u64,
     /// The next more recently used frame (`NONE` at the head).
     newer: u32,
     /// The next less recently used frame (`NONE` at the tail).
     older: u32,
 }
 
-/// A fixed-capacity, byte-owning buffer pool that evicts the frame used
-/// furthest ahead (least recently used among frames with no known next
-/// use).
+/// A fixed-capacity, byte-owning LRU buffer pool.
 ///
 /// Frames hold the actual page payloads, so the pool's memory footprint is
 /// genuinely bounded by `min(capacity, pages admitted) · page_size` — with
 /// a disk-backed [`crate::store::PageStore`] this is the only place cold
-/// page bytes live. `get`, `admit`, `admit_prefetch` and `is_resident`
-/// take constant time when no next use is known, and logarithmic time in
-/// the planned frames otherwise. (Callers that only want residency
-/// accounting can use [`BufferPool::access`], which admits empty payloads
-/// and evicts by LRU.)
+/// page bytes live. `get`, `admit`, `admit_prefetch`, `is_resident` and
+/// eviction each take constant time. (Callers that only want residency
+/// accounting can use [`BufferPool::access`], which admits empty payloads.)
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
@@ -137,19 +111,10 @@ pub struct BufferPool {
     frames: Vec<Frame>,
     /// Page id → frame slot (`NONE` = not resident).
     slot_of: Vec<u32>,
-    /// Most recently used frame with no known next use (`NONE` when none).
+    /// Most recently used frame (`NONE` when empty).
     head: u32,
-    /// Least recently used frame with no known next use (`NONE` when none).
+    /// Least recently used frame, the next victim (`NONE` when empty).
     tail: u32,
-    /// `(next use, slot)` of the planned frames, furthest first. An entry
-    /// is live while its frame still carries that next use; the others
-    /// are skipped when they surface, and all are dropped once no frame is
-    /// planned.
-    ahead: BinaryHeap<(u32, u32)>,
-    /// Resident frames with a known next use.
-    planned: usize,
-    /// Touch counter behind the frames' stamps.
-    clock: u64,
     stats: BufferStats,
 }
 
@@ -167,9 +132,6 @@ impl BufferPool {
             slot_of: Vec::new(),
             head: NONE,
             tail: NONE,
-            ahead: BinaryHeap::new(),
-            planned: 0,
-            clock: 0,
             stats: BufferStats::default(),
         }
     }
@@ -179,17 +141,16 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Demand-access a page that is next needed at `next_use`
-    /// ([`NO_NEXT_USE`] when unknown): on a hit, returns the resident
-    /// payload (and counts a `prefetch_hit` too if readahead brought the
-    /// frame in); on a miss returns `None` — the caller reads storage and
+    /// Demand-access a page: on a hit, returns the resident payload (and
+    /// counts a `prefetch_hit` too if readahead brought the frame in); on
+    /// a miss returns `None` — the caller reads storage and
     /// [`BufferPool::admit`]s.
-    pub fn get(&mut self, page: usize, next_use: u32) -> Option<&Bytes> {
+    pub fn get(&mut self, page: usize) -> Option<&Bytes> {
         let Some(slot) = self.slot(page) else {
             self.stats.misses += 1;
             return None;
         };
-        self.touch(slot, next_use);
+        self.make_head(slot);
         self.stats.hits += 1;
         let frame = &mut self.frames[slot as usize];
         if frame.prefetched {
@@ -200,56 +161,30 @@ impl BufferPool {
     }
 
     /// Admit a page read on demand (after a [`BufferPool::get`] miss, which
-    /// already counted it), next needed at `next_use`, evicting when full.
-    /// Returns the payload the pool let go of — the evicted frame's, or the
-    /// replaced one when `page` was already resident — so a caller holding
-    /// its only handle can reuse the buffer for its next read.
-    pub fn admit(&mut self, page: usize, bytes: Bytes, next_use: u32) -> Option<Bytes> {
-        self.insert(page, bytes, false, next_use)
+    /// already counted it), evicting the LRU frame when full. Returns the
+    /// payload the pool let go of — the evicted frame's, or the replaced
+    /// one when `page` was already resident — so a caller holding its only
+    /// handle can reuse the buffer for its next read.
+    pub fn admit(&mut self, page: usize, bytes: Bytes) -> Option<Bytes> {
+        self.insert(page, bytes, false)
     }
 
-    /// Admit a page brought in by readahead, whose use is planned at
-    /// `next_use`: counted as `prefetched`, not as a demand miss. A page
-    /// that is already resident is left untouched (its recency is not
-    /// refreshed — speculation must not pin frames) and the offered
-    /// payload comes back; otherwise the evicted frame's payload does.
-    pub fn admit_prefetch(&mut self, page: usize, bytes: Bytes, next_use: u32) -> Option<Bytes> {
+    /// Admit a page brought in by readahead: counted as `prefetched`, not
+    /// as a demand miss. A page that is already resident is left untouched
+    /// (its recency is not refreshed — speculation must not pin frames)
+    /// and the offered payload comes back; otherwise the evicted frame's
+    /// payload does.
+    pub fn admit_prefetch(&mut self, page: usize, bytes: Bytes) -> Option<Bytes> {
         if self.is_resident(page) {
             return Some(bytes);
         }
         self.stats.prefetched += 1;
-        self.insert(page, bytes, true, next_use)
+        self.insert(page, bytes, true)
     }
 
-    /// Drop every known next use: the planned frames rejoin the recency
-    /// order at their last touch. A caller whose plan broke off (a planned
-    /// access that will not happen, or another plan's accesses in
-    /// between) calls this so stale positions cannot pin frames. Free when
-    /// no frame is planned; otherwise it sorts the frames by last touch.
-    pub fn forget_plan(&mut self) {
-        if self.planned == 0 {
-            return;
-        }
-        let mut slots: Vec<u32> = (0..self.frames.len() as u32).collect();
-        slots.sort_unstable_by_key(|&s| self.frames[s as usize].stamp);
-        (self.head, self.tail) = (NONE, NONE);
-        for slot in slots {
-            self.frames[slot as usize].next_use = NO_NEXT_USE;
-            self.push_head(slot);
-        }
-        self.planned = 0;
-        self.ahead.clear();
-    }
-
-    fn insert(
-        &mut self,
-        page: usize,
-        bytes: Bytes,
-        prefetched: bool,
-        next_use: u32,
-    ) -> Option<Bytes> {
+    fn insert(&mut self, page: usize, bytes: Bytes, prefetched: bool) -> Option<Bytes> {
         if let Some(slot) = self.slot(page) {
-            self.touch(slot, next_use);
+            self.make_head(slot);
             let frame = &mut self.frames[slot as usize];
             frame.prefetched = prefetched;
             return Some(std::mem::replace(&mut frame.bytes, bytes));
@@ -267,18 +202,16 @@ impl BufferPool {
                 page,
                 bytes,
                 prefetched,
-                next_use: NO_NEXT_USE,
-                stamp: 0,
                 newer: NONE,
                 older: NONE,
             });
             self.slot_of[page] = slot;
-            self.attach(slot, next_use);
+            self.push_head(slot);
             return None;
         }
-        // Evict the frame used furthest ahead and reuse its slot.
-        let slot = self.victim();
-        self.detach(slot);
+        // Evict the least recently used frame and reuse its slot.
+        let slot = self.tail;
+        self.unlink(slot);
         self.stats.evictions += 1;
         let frame = &mut self.frames[slot as usize];
         self.slot_of[frame.page] = NONE;
@@ -286,22 +219,8 @@ impl BufferPool {
         frame.prefetched = prefetched;
         let evicted = std::mem::replace(&mut frame.bytes, bytes);
         self.slot_of[page] = slot;
-        self.attach(slot, next_use);
+        self.push_head(slot);
         Some(evicted)
-    }
-
-    /// The frame a full pool gives up: the least recently used one with no
-    /// known next use, else the one needed furthest ahead.
-    fn victim(&mut self) -> u32 {
-        if self.tail != NONE {
-            return self.tail;
-        }
-        while let Some((next_use, slot)) = self.ahead.pop() {
-            if self.frames[slot as usize].next_use == next_use {
-                return slot;
-            }
-        }
-        unreachable!("a full pool without unplanned frames has a live planned one")
     }
 
     /// The frame slot holding `page`, if resident.
@@ -309,48 +228,11 @@ impl BufferPool {
         self.slot_of.get(page).copied().filter(|&s| s != NONE)
     }
 
-    /// Touch a resident frame: restamp it and refile it by `next_use`.
-    fn touch(&mut self, slot: u32, next_use: u32) {
-        if next_use != NO_NEXT_USE || self.frames[slot as usize].next_use != NO_NEXT_USE {
-            self.detach(slot);
-            self.attach(slot, next_use);
-            return;
-        }
-        // Unplanned before and after: a move to the recency list's head.
-        self.clock += 1;
-        self.frames[slot as usize].stamp = self.clock;
+    /// Mark a resident frame most recently used.
+    fn make_head(&mut self, slot: u32) {
         if self.head != slot {
             self.unlink(slot);
             self.push_head(slot);
-        }
-    }
-
-    /// Take a resident frame out of the recency list or the planned set.
-    fn detach(&mut self, slot: u32) {
-        if self.frames[slot as usize].next_use == NO_NEXT_USE {
-            self.unlink(slot);
-        } else {
-            // Its heap entry stays behind, live only while the frame
-            // carries that next use again.
-            self.frames[slot as usize].next_use = NO_NEXT_USE;
-            self.planned -= 1;
-            if self.planned == 0 {
-                self.ahead.clear();
-            }
-        }
-    }
-
-    /// Touch a detached frame: stamp it and file it by its next use.
-    fn attach(&mut self, slot: u32, next_use: u32) {
-        self.clock += 1;
-        let frame = &mut self.frames[slot as usize];
-        frame.stamp = self.clock;
-        frame.next_use = next_use;
-        if next_use == NO_NEXT_USE {
-            self.push_head(slot);
-        } else {
-            self.planned += 1;
-            self.ahead.push((next_use, slot));
         }
     }
 
@@ -379,15 +261,14 @@ impl BufferPool {
         self.head = slot;
     }
 
-    /// Touch a page without bytes or a next use: returns `true` on a hit,
-    /// `false` on a miss (after which the page is resident with an empty
-    /// payload, possibly evicting the LRU page). The accounting-only
-    /// legacy path.
+    /// Touch a page without bytes: returns `true` on a hit, `false` on a
+    /// miss (after which the page is resident with an empty payload,
+    /// possibly evicting the LRU page). The accounting-only legacy path.
     pub fn access(&mut self, page: usize) -> bool {
-        if self.get(page, NO_NEXT_USE).is_some() {
+        if self.get(page).is_some() {
             return true;
         }
-        self.admit(page, Bytes::new(), NO_NEXT_USE);
+        self.admit(page, Bytes::new());
         false
     }
 
@@ -523,9 +404,9 @@ mod tests {
     #[test]
     fn frames_own_their_bytes() {
         let mut pool = BufferPool::new(2);
-        assert!(pool.get(4, NO_NEXT_USE).is_none());
-        pool.admit(4, Bytes::from(vec![1, 2, 3]), NO_NEXT_USE);
-        let back = pool.get(4, NO_NEXT_USE).expect("resident after admit");
+        assert!(pool.get(4).is_none());
+        pool.admit(4, Bytes::from(vec![1, 2, 3]));
+        let back = pool.get(4).expect("resident after admit");
         assert_eq!(&back[..], &[1, 2, 3]);
         // get() on a miss counts the miss; admit() does not double-count.
         let s = pool.stats();
@@ -535,19 +416,15 @@ mod tests {
     #[test]
     fn admit_hands_back_the_evicted_payload() {
         let mut pool = BufferPool::new(2);
-        assert!(pool.admit(1, Bytes::from(vec![1]), NO_NEXT_USE).is_none());
-        assert!(pool.admit(2, Bytes::from(vec![2]), NO_NEXT_USE).is_none());
-        assert!(pool.get(1, NO_NEXT_USE).is_some()); // 2 is now LRU
-        let evicted = pool
-            .admit(3, Bytes::from(vec![3]), NO_NEXT_USE)
-            .expect("pool was full");
+        assert!(pool.admit(1, Bytes::from(vec![1])).is_none());
+        assert!(pool.admit(2, Bytes::from(vec![2])).is_none());
+        assert!(pool.get(1).is_some()); // 2 is now LRU
+        let evicted = pool.admit(3, Bytes::from(vec![3])).expect("pool was full");
         assert_eq!(&evicted[..], &[2]);
         // Re-admitting a resident page replaces (and returns) its payload.
-        let replaced = pool
-            .admit(3, Bytes::from(vec![33]), NO_NEXT_USE)
-            .expect("3 is resident");
+        let replaced = pool.admit(3, Bytes::from(vec![33])).expect("3 is resident");
         assert_eq!(&replaced[..], &[3]);
-        assert_eq!(&pool.get(3, NO_NEXT_USE).expect("resident")[..], &[33]);
+        assert_eq!(&pool.get(3).expect("resident")[..], &[33]);
         assert_eq!(pool.stats().evictions, 1);
     }
 
@@ -571,19 +448,19 @@ mod tests {
     #[test]
     fn prefetch_admissions_are_not_demand_misses() {
         let mut pool = BufferPool::new(4);
-        pool.admit_prefetch(7, Bytes::from(vec![9]), NO_NEXT_USE);
-        pool.admit_prefetch(8, Bytes::from(vec![8]), NO_NEXT_USE);
+        pool.admit_prefetch(7, Bytes::from(vec![9]));
+        pool.admit_prefetch(8, Bytes::from(vec![8]));
         let s = pool.stats();
         assert_eq!((s.hits, s.misses, s.prefetched), (0, 0, 2));
         // First demand touch of a prefetched frame: hit + prefetch_hit,
         // and the flag clears — a second touch is an ordinary hit.
-        assert!(pool.get(7, NO_NEXT_USE).is_some());
-        assert!(pool.get(7, NO_NEXT_USE).is_some());
+        assert!(pool.get(7).is_some());
+        assert!(pool.get(7).is_some());
         let s = pool.stats();
         assert_eq!((s.hits, s.prefetch_hits), (2, 1));
         assert!((pool.stats().prefetch_accuracy() - 0.5).abs() < 1e-12);
         // Prefetching an already-resident page is a no-op.
-        pool.admit_prefetch(7, Bytes::new(), NO_NEXT_USE);
+        pool.admit_prefetch(7, Bytes::new());
         assert_eq!(pool.stats().prefetched, 2);
     }
 
@@ -592,9 +469,9 @@ mod tests {
         // Speculative admissions must not pin the pool: demand traffic
         // evicts the untouched prefetched frame first (it is the LRU).
         let mut pool = BufferPool::new(2);
-        pool.admit_prefetch(1, Bytes::new(), NO_NEXT_USE);
+        pool.admit_prefetch(1, Bytes::new());
         pool.access(2);
-        pool.access(3); // evicts 1 (oldest stamp, never touched)
+        pool.access(3); // evicts 1 (least recently used, never touched)
         assert!(!pool.is_resident(1));
         assert!(pool.is_resident(2) && pool.is_resident(3));
         assert_eq!(pool.stats().evictions, 1);
@@ -602,67 +479,15 @@ mod tests {
     }
 
     #[test]
-    fn evicts_the_frame_used_furthest_ahead() {
-        // Plan: 1 2 3 | 1 3 2 at positions 0..6, capacity 2. At page 3
-        // (position 2) page 1 is next needed at 3 and page 2 at 5, so 2
-        // goes, where LRU would have evicted 1.
-        let mut pool = BufferPool::new(2);
-        let next = [3, 5, 4, NO_NEXT_USE, NO_NEXT_USE, NO_NEXT_USE];
-        for (pos, &page) in [1usize, 2, 3, 1, 3, 2].iter().enumerate() {
-            if pool.get(page, next[pos]).is_none() {
-                pool.admit(page, Bytes::new(), next[pos]);
-            }
-        }
-        // Misses: 1, 2, 3 cold, then 1 and 3 hit, 2 misses: Belady's 4.
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (2, 4, 2));
-    }
-
-    #[test]
-    fn unplanned_frames_go_first_least_recently_used() {
-        let mut pool = BufferPool::new(3);
-        pool.admit(1, Bytes::new(), NO_NEXT_USE);
-        pool.admit(2, Bytes::new(), 9);
-        pool.admit(3, Bytes::new(), NO_NEXT_USE);
-        // 1 and 3 have no known next use: the older one, 1, goes first,
-        // then 3, and only then the planned 2.
-        pool.admit(4, Bytes::new(), 7);
-        assert!(!pool.is_resident(1) && pool.is_resident(3));
-        pool.admit(5, Bytes::new(), 8);
-        assert!(!pool.is_resident(3) && pool.is_resident(2));
-        // Among planned frames the furthest goes: 2 (at 9) before 5 (at 8).
-        pool.admit(6, Bytes::new(), 6);
-        assert!(!pool.is_resident(2));
-        assert!(pool.is_resident(4) && pool.is_resident(5) && pool.is_resident(6));
-    }
-
-    #[test]
     fn prefetch_hands_back_the_payload_it_lets_go() {
         let mut pool = BufferPool::new(1);
-        assert!(pool.admit_prefetch(1, Bytes::from(vec![1]), 4).is_none());
+        assert!(pool.admit_prefetch(1, Bytes::from(vec![1])).is_none());
         // Already resident: the offered payload comes back, uncounted.
-        let offered = pool.admit_prefetch(1, Bytes::from(vec![9]), 4);
+        let offered = pool.admit_prefetch(1, Bytes::from(vec![9]));
         assert_eq!(&offered.expect("refused")[..], &[9]);
-        let evicted = pool.admit_prefetch(2, Bytes::from(vec![2]), 5);
+        let evicted = pool.admit_prefetch(2, Bytes::from(vec![2]));
         assert_eq!(&evicted.expect("pool was full")[..], &[1]);
         assert_eq!(pool.stats().prefetched, 2);
-    }
-
-    #[test]
-    fn forgetting_the_plan_restores_recency_order() {
-        let mut pool = BufferPool::new(3);
-        pool.admit(1, Bytes::new(), 5);
-        pool.admit(2, Bytes::new(), NO_NEXT_USE);
-        pool.admit(3, Bytes::new(), 4);
-        pool.forget_plan();
-        // All three now count as unknown, oldest touch first: 1, 2, 3.
-        for (page, gone) in [(4, 1), (5, 2), (6, 3)] {
-            pool.admit(page, Bytes::new(), NO_NEXT_USE);
-            assert!(!pool.is_resident(gone), "page {gone}");
-        }
-        // With nothing planned, forgetting is a no-op.
-        pool.forget_plan();
-        assert_eq!(pool.resident_count(), 3);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! what makes order-driven readahead (see `slpm_serve`'s shard replay)
 //! both trivial and profitable.
 //!
-//! ## File format (version 2)
+//! ## File format (version 3)
 //!
 //! ```text
 //! offset  size  field
@@ -29,20 +29,22 @@
 //!
 //! Each **page frame** is fixed-size: `records_per_page · record_size`
 //! payload bytes followed by an 8-byte frame checksum of the payload
-//! (`frame_checksum`: four FNV-1a-style lanes over little-endian `u64`
-//! words, folded with the length, then the sub-32-byte tail byte by
-//! byte). Every lane step is a bijection in both the lane state and the
-//! word, so any change confined to one word — every single-bit flip
-//! included — changes the sum. Fixed frames mean `page → offset` is one
+//! (`frame_checksum`: eight FNV-style lanes, each step folding two
+//! little-endian `u64` words with one multiply, folded with the length,
+//! then the sub-128-byte tail word by word and byte by byte). Every step
+//! is a bijection in the lane state and in each word, so any change
+//! confined to one word — every single-bit flip included — changes the
+//! sum. Fixed frames mean `page → offset` is one
 //! multiplication, the total file length is known from the header (so
 //! truncation is detected eagerly at open, not lazily at first read), and
 //! a contiguous run of pages is one positional read.
 //!
-//! Version 2 changed only the frame checksum (version 1 hashed frames
-//! byte-serially). The header checksum and the order digest are still
-//! byte-serial FNV-1a, so a version-1 file's header verifies and opening
-//! it fails with a typed [`StorageError::VersionMismatch`], not a
-//! checksum error.
+//! Versions 2 and 3 changed only the frame checksum (version 1 hashed
+//! frames byte-serially, version 2 in four lanes of one word per
+//! multiply). The header checksum and the order digest are still
+//! byte-serial FNV-1a, so an older file's header verifies and opening it
+//! fails with a typed [`StorageError::VersionMismatch`], not a checksum
+//! error.
 //!
 //! The **order digest** ties a file to the linear order it was packed
 //! under: opening a file with a mapper whose rank array hashes differently
@@ -77,7 +79,7 @@ use std::path::Path;
 /// Magic bytes opening every page file.
 pub const MAGIC: [u8; 8] = *b"SLPMPAGE";
 /// Current format version.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// Serialized header size in bytes.
 pub const HEADER_LEN: usize = 64;
 /// Per-frame checksum size in bytes.
@@ -99,37 +101,43 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Independent multiply chains in [`frame_checksum`].
-const LANES: usize = 4;
-/// Bytes per [`frame_checksum`] block: one little-endian `u64` per lane.
-const BLOCK: usize = LANES * 8;
+const LANES: usize = 8;
+/// Bytes per [`frame_checksum`] block: two little-endian `u64` words per
+/// lane.
+const BLOCK: usize = LANES * 16;
 
-/// The page-frame checksum (format version 2): FNV-1a-style, but over
-/// little-endian `u64` words in four independent lanes, so the four
-/// multiply chains overlap instead of one chain per byte.
+/// The page-frame checksum (format version 3): FNV-style, but over
+/// little-endian `u64` words in eight independent lanes, each step
+/// folding two words with one multiply, so eight multiply chains overlap
+/// and each multiply covers 16 bytes.
 ///
-/// Each 32-byte block feeds word `i` to lane `i` with
-/// `h = (h ^ w) · FNV_PRIME`. The lanes and the length are then folded
-/// into one hash the same way, and the sub-32-byte tail is hashed byte
-/// by byte. Every step is a bijection in both its inputs (xor, then an
-/// odd multiplier mod 2⁶⁴), so any change confined to one word or one
-/// tail byte is always detected.
+/// Each 128-byte block feeds words `2i` and `2i + 1` to lane `i` with
+/// `h = ((h ^ a) · FNV_PRIME) + b`. The lanes and the length are then
+/// folded into one hash with `h = (h ^ w) · FNV_PRIME`, and so is the
+/// sub-128-byte tail, word by word and then byte by byte. Every step is a
+/// bijection in its state and in each word (xor, an odd multiplier mod
+/// 2⁶⁴, an addition), so any change confined to one word or one tail
+/// byte is always detected.
 fn frame_checksum(bytes: &[u8]) -> u64 {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte word"));
     let mut lanes = [FNV_OFFSET; LANES];
     let mut blocks = bytes.chunks_exact(BLOCK);
     for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let w = u64::from_le_bytes(word.try_into().expect("8-byte word"));
-            *lane = (*lane ^ w).wrapping_mul(FNV_PRIME);
+        for (lane, pair) in lanes.iter_mut().zip(block.chunks_exact(16)) {
+            let (a, b) = (word(&pair[..8]), word(&pair[8..]));
+            *lane = (*lane ^ a).wrapping_mul(FNV_PRIME).wrapping_add(b);
         }
     }
-    let mut h = FNV_OFFSET;
-    for word in lanes.into_iter().chain([bytes.len() as u64]) {
-        h = (h ^ word).wrapping_mul(FNV_PRIME);
+    let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(FNV_PRIME);
+    let mut h = lanes
+        .into_iter()
+        .chain([bytes.len() as u64])
+        .fold(FNV_OFFSET, fold);
+    let mut words = blocks.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = fold(h, word(w));
     }
-    for &b in blocks.remainder() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
+    words.remainder().iter().fold(h, |h, &b| fold(h, b as u64))
 }
 
 /// FNV-1a over a rank array (each rank hashed as a little-endian u64):
@@ -779,29 +787,46 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn a_version_1_file_fails_at_open_with_a_version_error() {
-        // Version 1 hashed frames byte-serially; its header hash is the
-        // same byte-serial FNV-1a, so the header still verifies and the
-        // open fails on the version alone. The hash is spelled out here so
-        // the test pins version 1's header hash, not whatever `fnv1a` is.
+    /// Rewrite a fresh file's header as format `version` and open it: the
+    /// header hash is the same byte-serial FNV-1a in every version, spelled
+    /// out here so the test pins the old versions' header hash, not
+    /// whatever `fnv1a` is, and the open must fail on the version alone.
+    fn open_as_version(version: u32, tag: &str) -> StorageError {
         let order = LinearOrder::identity(16);
         let mapper = PageMapper::new(&order, PageLayout::new(4));
-        let tmp = TempFile::new("v1");
+        let tmp = TempFile::new(tag);
         write_page_file(&tmp.0, &mapper, 8).unwrap();
         let mut bytes = fs::read(&tmp.0).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let mut sum = FNV_OFFSET;
         for &b in &bytes[..56] {
             sum = (sum ^ b as u64).wrapping_mul(FNV_PRIME);
         }
         bytes[56..64].copy_from_slice(&sum.to_le_bytes());
         fs::write(&tmp.0, &bytes).unwrap();
+        PageFile::open(&tmp.0).unwrap_err()
+    }
+
+    #[test]
+    fn a_version_1_file_fails_at_open_with_a_version_error() {
+        // Version 1 hashed frames byte-serially.
         assert_eq!(
-            PageFile::open(&tmp.0).unwrap_err(),
+            open_as_version(1, "v1"),
             StorageError::VersionMismatch {
                 found: 1,
-                expected: 2
+                expected: 3
+            }
+        );
+    }
+
+    #[test]
+    fn a_version_2_file_fails_at_open_with_a_version_error() {
+        // Version 2 hashed frames in four lanes of one word per multiply.
+        assert_eq!(
+            open_as_version(2, "v2"),
+            StorageError::VersionMismatch {
+                found: 2,
+                expected: 3
             }
         );
     }
@@ -829,9 +854,10 @@ mod tests {
         let frame: Vec<u8> = (0..64).flat_map(|v| payload(v, 64)).collect();
         assert_eq!(frame.len(), 4096);
         assert_every_bit_flip_caught(&frame);
-        // Lengths 0..=100 cover every tail shape (0–31 bytes past the
-        // last whole block) with zero to three whole blocks before it.
-        for len in 0..=100 {
+        // Lengths 0..=260 cover every tail shape (0–127 bytes past the
+        // last whole block: whole words, then bytes) with zero or one
+        // whole block before it, and the short tails after two blocks.
+        for len in 0..=260 {
             let frame: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             assert_every_bit_flip_caught(&frame);
         }
@@ -839,22 +865,18 @@ mod tests {
 
     #[test]
     fn frame_checksum_catches_a_changed_word_in_every_lane() {
-        let frame: Vec<u8> = (0..96u32).map(|i| (i * 7) as u8).collect();
+        // Three whole blocks and a 40-byte tail: every word of a block
+        // (both words each lane folds per step) and every tail word.
+        let frame: Vec<u8> = (0..3 * BLOCK as u32 + 40).map(|i| (i * 7) as u8).collect();
         let clean = frame_checksum(&frame);
-        for lane in 0..LANES {
-            for block in 0..frame.len() / BLOCK {
-                let mut changed = frame.clone();
-                let at = block * BLOCK + lane * 8;
-                changed[at..at + 8].copy_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
-                assert_ne!(
-                    frame_checksum(&changed),
-                    clean,
-                    "lane {lane}, block {block}"
-                );
-            }
+        for word in 0..frame.len() / 8 {
+            let mut changed = frame.clone();
+            let at = word * 8;
+            changed[at..at + 8].copy_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
+            assert_ne!(frame_checksum(&changed), clean, "word {word}");
         }
         // The length is folded in: trailing zeros are not invisible.
-        assert_ne!(frame_checksum(&[0u8; 32]), frame_checksum(&[0u8; 64]));
+        assert_ne!(frame_checksum(&[0u8; 128]), frame_checksum(&[0u8; 256]));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod pages;
 pub mod rtree;
 pub mod store;
 
-pub use buffer::{BufferPool, BufferStats, NO_NEXT_USE};
+pub use buffer::{BufferPool, BufferStats};
 /// The page payload types of this crate's API, so callers that recycle
 /// page buffers need no dependency of their own.
 pub use bytes::{Bytes, BytesMut};

@@ -1,25 +1,21 @@
 //! Differential property test of the buffer pool: random sequences of
-//! every operation, at capacities 1–8, with and without next-use
-//! positions, against a reference that finds its victim by scanning every
-//! frame: the furthest next use, ties (frames with none known) broken by
-//! the oldest recency stamp. After every step the returned bytes, the
-//! residency of every page and every `BufferStats` field must agree, so
-//! the pool's recency list and next-use heap evict exactly the frame the
-//! scan picks — and with no positions at all, that is plain LRU.
+//! every operation, at capacities 1–8, against a reference that finds its
+//! victim by scanning every frame for the oldest recency stamp. After
+//! every step the returned bytes, the residency of every page and every
+//! `BufferStats` field must agree, so the pool's recency list evicts
+//! exactly the frame the scan picks: plain LRU.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use slpm_storage::{BufferPool, BufferStats, NO_NEXT_USE};
-use std::cmp::Reverse;
+use slpm_storage::{BufferPool, BufferStats};
 use std::collections::HashMap;
 
 /// Page ids the operations draw from: more than any tested capacity, so
 /// every pool fills and evicts.
 const PAGES: usize = 12;
 
-/// The scanning reference: each frame carries its next use and the clock
-/// value of its last touch, and a full pool evicts the resident frame
-/// with the largest next use, the smallest stamp among equals.
+/// The scanning reference: each frame carries the clock value of its last
+/// touch, and a full pool evicts the resident frame with the smallest.
 struct StampLru {
     capacity: usize,
     frames: HashMap<usize, Frame>,
@@ -31,7 +27,6 @@ struct Frame {
     bytes: Bytes,
     stamp: u64,
     prefetched: bool,
-    next_use: u32,
 }
 
 impl StampLru {
@@ -44,11 +39,10 @@ impl StampLru {
         }
     }
 
-    fn get(&mut self, page: usize, next_use: u32) -> Option<Bytes> {
+    fn get(&mut self, page: usize) -> Option<Bytes> {
         self.clock += 1;
         if let Some(frame) = self.frames.get_mut(&page) {
             frame.stamp = self.clock;
-            frame.next_use = next_use;
             self.stats.hits += 1;
             if frame.prefetched {
                 frame.prefetched = false;
@@ -60,39 +54,27 @@ impl StampLru {
         None
     }
 
-    fn admit(&mut self, page: usize, bytes: Bytes, next_use: u32) -> Option<Bytes> {
-        self.insert(page, bytes, false, next_use)
+    fn admit(&mut self, page: usize, bytes: Bytes) -> Option<Bytes> {
+        self.insert(page, bytes, false)
     }
 
-    fn admit_prefetch(&mut self, page: usize, bytes: Bytes, next_use: u32) -> Option<Bytes> {
+    fn admit_prefetch(&mut self, page: usize, bytes: Bytes) -> Option<Bytes> {
         if self.frames.contains_key(&page) {
             return Some(bytes);
         }
         self.stats.prefetched += 1;
-        self.insert(page, bytes, true, next_use)
-    }
-
-    fn forget_plan(&mut self) {
-        for frame in self.frames.values_mut() {
-            frame.next_use = NO_NEXT_USE;
-        }
+        self.insert(page, bytes, true)
     }
 
     /// Returns the payload that left the pool: the victim's, or the one a
     /// re-admission replaced.
-    fn insert(
-        &mut self,
-        page: usize,
-        bytes: Bytes,
-        prefetched: bool,
-        next_use: u32,
-    ) -> Option<Bytes> {
+    fn insert(&mut self, page: usize, bytes: Bytes, prefetched: bool) -> Option<Bytes> {
         let mut gone = None;
         if !self.frames.contains_key(&page) && self.frames.len() == self.capacity {
             let (&victim, _) = self
                 .frames
                 .iter()
-                .max_by_key(|(_, f)| (f.next_use, Reverse(f.stamp)))
+                .min_by_key(|(_, f)| f.stamp)
                 .expect("pool is non-empty at capacity");
             gone = self.frames.remove(&victim).map(|f| f.bytes);
             self.stats.evictions += 1;
@@ -102,53 +84,42 @@ impl StampLru {
             bytes,
             stamp: self.clock,
             prefetched,
-            next_use,
         };
         let replaced = self.frames.insert(page, frame);
         gone.or(replaced.map(|f| f.bytes))
     }
 
     fn access(&mut self, page: usize) -> bool {
-        if self.get(page, NO_NEXT_USE).is_some() {
+        if self.get(page).is_some() {
             return true;
         }
-        self.admit(page, Bytes::new(), NO_NEXT_USE);
+        self.admit(page, Bytes::new());
         false
     }
 }
 
 /// One pool operation. Payloads are tagged with the step that admitted
-/// them, so a stale or misplaced frame shows in the returned bytes. A
-/// touch carries an optional next-use offset; see [`next_use`].
+/// them, so a stale or misplaced frame shows in the returned bytes.
 #[derive(Clone, Debug)]
 enum Op {
-    Get(usize, Option<u32>),
-    Admit(usize, Option<u32>),
-    AdmitPrefetch(usize, Option<u32>),
+    Get(usize),
+    Admit(usize),
+    AdmitPrefetch(usize),
     Access(usize),
     AccessMany(Vec<usize>),
     IsResident(usize),
-    ForgetPlan,
 }
 
 fn op() -> impl Strategy<Value = Op> {
     let page = || 0usize..PAGES;
-    let offset = || prop_oneof![Just(None), (0u32..4096).prop_map(Some)];
     prop_oneof![
-        (page(), offset()).prop_map(|(p, o)| Op::Get(p, o)),
-        (page(), offset()).prop_map(|(p, o)| Op::Admit(p, o)),
-        (page(), offset()).prop_map(|(p, o)| Op::AdmitPrefetch(p, o)),
+        page().prop_map(Op::Get),
+        page().prop_map(Op::Admit),
+        page().prop_map(Op::AdmitPrefetch),
         page().prop_map(Op::Access),
         proptest::collection::vec(page(), 0..=6).prop_map(Op::AccessMany),
         page().prop_map(Op::IsResident),
-        Just(Op::ForgetPlan),
     ]
-}
-
-/// The next use of a touch at `step`: none, or a position unique to the
-/// step (so no two frames share one and the victim is always unique).
-fn next_use(step: usize, offset: Option<u32>) -> u32 {
-    offset.map_or(NO_NEXT_USE, |o| o * 128 + step as u32)
 }
 
 fn payload(step: usize, page: usize) -> Bytes {
@@ -167,32 +138,21 @@ proptest! {
         let mut reference = StampLru::new(capacity);
         for (step, op) in ops.iter().enumerate() {
             match op {
-                Op::Get(p, o) => {
-                    let n = next_use(step, *o);
-                    prop_assert_eq!(pool.get(*p, n).cloned(), reference.get(*p, n), "step {}", step)
+                Op::Get(p) => {
+                    prop_assert_eq!(pool.get(*p).cloned(), reference.get(*p), "step {}", step)
                 }
-                Op::Admit(p, o) => {
-                    let n = next_use(step, *o);
-                    prop_assert_eq!(
-                        pool.admit(*p, payload(step, *p), n),
-                        reference.admit(*p, payload(step, *p), n),
-                        "step {}",
-                        step
-                    )
-                }
-                Op::AdmitPrefetch(p, o) => {
-                    let n = next_use(step, *o);
-                    prop_assert_eq!(
-                        pool.admit_prefetch(*p, payload(step, *p), n),
-                        reference.admit_prefetch(*p, payload(step, *p), n),
-                        "step {}",
-                        step
-                    )
-                }
-                Op::ForgetPlan => {
-                    pool.forget_plan();
-                    reference.forget_plan();
-                }
+                Op::Admit(p) => prop_assert_eq!(
+                    pool.admit(*p, payload(step, *p)),
+                    reference.admit(*p, payload(step, *p)),
+                    "step {}",
+                    step
+                ),
+                Op::AdmitPrefetch(p) => prop_assert_eq!(
+                    pool.admit_prefetch(*p, payload(step, *p)),
+                    reference.admit_prefetch(*p, payload(step, *p)),
+                    "step {}",
+                    step
+                ),
                 Op::Access(p) => {
                     prop_assert_eq!(pool.access(*p), reference.access(*p), "step {}", step)
                 }
