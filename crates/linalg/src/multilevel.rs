@@ -2069,6 +2069,57 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_vcycle_column_is_retried_with_jacobi_and_counted() {
+        // One PCG iteration at an unreachable tolerance fails the V-cycle
+        // solve, so `correct` retries the column alone with Jacobi-PCG under
+        // the same options, which fails too: the error is the standalone
+        // Jacobi solve's of that column's right-hand side.
+        let lap = grid_laplacian(40, 30);
+        let n = lap.rows();
+        let pool = Pool::serial();
+        let hierarchy = Hierarchy::build(&lap, 3, &MultilevelOptions::default(), &pool).unwrap();
+        assert!(!hierarchy.levels.is_empty(), "a real hierarchy");
+        let eig = tql::symmetric_eigen(&hierarchy.coarsest(&lap).to_dense()).unwrap();
+        let setup = VCycleSetup::new(&lap, &hierarchy, &eig, &pool);
+        let mut vcycle = setup.at(0, pool);
+        let cg_opts = CgOptions {
+            tolerance: 1e-14,
+            max_iterations: Some(1),
+            deflate_mean: true,
+        };
+        let b = 2;
+        let mut v = Block::from_columns(&random_vectors(n, b, 27, true)).data;
+        let mut lv = vec![0.0; n * b];
+        block::spmm(&pool, &lap, &v, &mut lv, b);
+        let lambdas = [0.5, 0.75];
+        let (unlocked, i) = ([1], 1);
+        let rhs: Vec<f64> = (0..n)
+            .map(|r| lv[r * b + i] * (-1.0 / lambdas[i]) + 1.0 * v[r * b + i])
+            .collect();
+        let expect = pcg::solve_jacobi_on(&lap, &rhs, &cg_opts, pool).unwrap_err();
+        assert!(matches!(expect, LinalgError::NoConvergence { .. }));
+
+        let before = solver_counters();
+        let got = correct(
+            &lap,
+            &mut v,
+            &mut lv,
+            b,
+            &unlocked,
+            &lambdas,
+            f64::INFINITY,
+            &cg_opts,
+            &mut Some(&mut vcycle),
+            &mut None,
+            &mut pcg::Workspace::default(),
+            &pool,
+        );
+        let retries = solver_counters().since(&before).vcycle_retries;
+        assert_eq!(retries, 1);
+        assert_eq!(got, Err(expect));
+    }
+
+    #[test]
     fn rejects_tiny_problems_and_k_zero() {
         let lap = path_laplacian(3);
         assert!(matches!(

@@ -5,13 +5,20 @@
 //! and every solver counter as it was. This test pins them on an irregular
 //! input (a 60×45 grid with disc holes) for the hierarchy solve, and on a
 //! star for the stalled-hierarchy fallback (Jacobi-PCG block inverse
-//! iteration), at 1 and 2 threads.
+//! iteration), at 1 and 2 threads. It also pins λ₂'s bits and the snapped
+//! order of `fiedler_pair_on` on grids that take each of its paths: the
+//! dense method, the multilevel driver's dense short-cut, and a real
+//! hierarchy.
 //!
 //! The counters are process-wide, so every check lives in this binary's
 //! single test function.
 
+use slpm_linalg::fiedler::fiedler_pair_on;
 use slpm_linalg::multilevel::smallest_nonzero_eigenpairs_on;
-use slpm_linalg::{solver_counters, with_threads, CsrMatrix, MultilevelOptions, Pool};
+use slpm_linalg::{
+    solver_counters, with_threads, CsrMatrix, FiedlerMethod, FiedlerOptions, MultilevelOptions,
+    Pool,
+};
 
 /// 4-neighbour Laplacian of a `w × h` grid with one disc hole of radius
 /// `r` centred in every `cell × cell` block; vertices are numbered
@@ -57,6 +64,11 @@ fn holey_laplacian(w: usize, h: usize, cell: usize, r: usize) -> CsrMatrix {
     CsrMatrix::from_triplets(n, n, &t).unwrap()
 }
 
+/// 4-neighbour Laplacian of a full `w × h` grid.
+fn grid_laplacian(w: usize, h: usize) -> CsrMatrix {
+    holey_laplacian(w, h, w.max(h) + 1, 0)
+}
+
 /// Star K_{1,n-1}: matching stalls, so the coarse solve falls back to
 /// Jacobi-PCG block inverse iteration.
 fn star_laplacian(n: usize) -> CsrMatrix {
@@ -87,6 +99,26 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 fn rank_hash(v: &[f64]) -> u64 {
     let mut ids: Vec<usize> = (0..v.len()).collect();
     ids.sort_by(|&a, &b| v[a].total_cmp(&v[b]).then(a.cmp(&b)));
+    fnv(ids.into_iter().map(|i| i as u64))
+}
+
+/// Hash of the order the mapper takes from `v`: vertex ids sorted by
+/// value, then every run of values within `1e-7 · max|v|` of its first
+/// value ordered by id.
+fn snapped_rank_hash(v: &[f64]) -> u64 {
+    let tolerance = v.iter().fold(0.0f64, |m, x| m.max(x.abs())) * 1e-7;
+    let mut ids: Vec<usize> = (0..v.len()).collect();
+    ids.sort_by(|&a, &b| v[a].total_cmp(&v[b]).then(a.cmp(&b)));
+    let mut i = 0;
+    while i < ids.len() {
+        let anchor = v[ids[i]];
+        let mut j = i + 1;
+        while j < ids.len() && v[ids[j]] - anchor <= tolerance {
+            j += 1;
+        }
+        ids[i..j].sort_unstable();
+        i = j;
+    }
     fnv(ids.into_iter().map(|i| i as u64))
 }
 
@@ -166,5 +198,78 @@ fn holey_solves_reproduce_their_recorded_bits() {
             expect_fallback,
             "fallback, threads={threads}"
         );
+    }
+    fiedler_pairs_reproduce_their_recorded_bits();
+}
+
+/// `fiedler_pair_on` on grids: the method that ran, λ₂'s bits and the
+/// snapped order's hash, at 1 and 2 threads. Vector bits are not pinned:
+/// only the order the mapper takes from them is a result.
+fn fiedler_pairs_reproduce_their_recorded_bits() {
+    let multilevel = FiedlerOptions {
+        method: Some(FiedlerMethod::Multilevel),
+        ..Default::default()
+    };
+    let default = FiedlerOptions::default();
+    // Recorded before the solver's entry points were collapsed into one.
+    let cases: [(usize, usize, &FiedlerOptions, FiedlerMethod, u64, u64); 5] = [
+        (
+            8,
+            8,
+            &default,
+            FiedlerMethod::Dense,
+            4594653078034814303,
+            11904188558696444901,
+        ),
+        (
+            8,
+            8,
+            &multilevel,
+            FiedlerMethod::Multilevel,
+            4594653078034814303,
+            11904188558696444901,
+        ),
+        (
+            12,
+            9,
+            &default,
+            FiedlerMethod::Multilevel,
+            4589575026616044738,
+            7431785495111067493,
+        ),
+        (
+            32,
+            32,
+            &default,
+            FiedlerMethod::Multilevel,
+            4576705253951237445,
+            14080333309258659229,
+        ),
+        (
+            72,
+            72,
+            &default,
+            FiedlerMethod::Multilevel,
+            4566421429346116950,
+            7189182393678680429,
+        ),
+    ];
+    for (w, h, opts, method, lambda_bits, order_hash) in cases {
+        let lap = grid_laplacian(w, h);
+        for threads in [1usize, 2] {
+            let pair =
+                with_threads(Some(threads), |pool| fiedler_pair_on(&lap, opts, pool)).unwrap();
+            let got = (
+                pair.method,
+                pair.lambda2.to_bits(),
+                snapped_rank_hash(&pair.vector),
+            );
+            assert_eq!(
+                got,
+                (method, lambda_bits, order_hash),
+                "{w}x{h} {:?}, threads={threads}",
+                opts.method
+            );
+        }
     }
 }
