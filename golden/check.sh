@@ -3,8 +3,9 @@
 # help`, the answers, planner counts, stream and fault records and page
 # accounting of `serve_bench` at the CI configuration, the out-of-core
 # answers and page accounting of `serve_bench` and `pipeline_scale` on a
-# packed 256x256 page file, and the method, lambda_2 and residual lines of `slpm
-# fiedler` against their committed copies in this directory, byte for
+# packed 256x256 page file, the method, lambda_2 and residual lines of `slpm
+# fiedler`, and the recursive-bisection orders of `pipeline_scale` at leaf
+# size 64 against their committed copies in this directory, byte for
 # byte; `--bless` rewrites the copies instead. Usage, from the repository
 # root after a release build:
 #
@@ -103,4 +104,16 @@ compare serve "serve_bench"
         sed -E 's/"(pack|cold|warm)_seconds": [0-9.]+, //g; s/^"oocore": /oocore /'
 } >"$tmp/oocore.txt"
 compare oocore "serve_bench and pipeline_scale out of core"
+
+# Recursive bisection to page size (leaf 64) on a 64x96 and a 128x192
+# grid: each order's digest and solver fallbacks, and the verdict that the
+# 2-thread order matches the serial one rank for rank. Timings are left
+# out.
+for side in 64 128; do
+    "$pipeline_scale" --max-side 32 --threads 2 --bisection "$side" --json \
+        --out "$tmp/bisection.json" >/dev/null
+    grep -o '"bisection": {[^}]*}' "$tmp/bisection.json" |
+        sed -E 's/"(serial_seconds|threaded_seconds|speedup)": [0-9.]+, //g; s/^"bisection": /bisection /'
+done >"$tmp/bisection.txt"
+compare bisection "pipeline_scale --bisection"
 exit $status
