@@ -5,7 +5,7 @@ use crate::order::LinearOrder;
 use slpm_graph::grid::{Connectivity, GridSpec};
 use slpm_graph::points::PointSet;
 use slpm_graph::{Graph, GraphError};
-use slpm_linalg::fiedler::{fiedler_pair_balanced_on, FiedlerMethod, FiedlerOptions, FiedlerPair};
+use slpm_linalg::fiedler::{fiedler_pair_balanced_on, FiedlerOptions, FiedlerPair};
 use slpm_linalg::{CsrMatrix, LinalgError, Pool};
 use std::fmt;
 
@@ -47,7 +47,7 @@ pub struct SpectralConfig {
     /// Neighbourhood model for step 1 (4- vs 8-connectivity, Section 4).
     pub connectivity: Connectivity,
     /// Eigensolver options for step 3. By default the eigensolver is
-    /// picked per input size ([`FiedlerMethod::for_size`]); setting
+    /// picked per input size ([`slpm_linalg::FiedlerMethod::for_size`]); setting
     /// `fiedler.method` pins one.
     pub fiedler: FiedlerOptions,
 }
@@ -60,12 +60,13 @@ impl SpectralConfig {
     }
 
     /// The eigensolver options an `n`-vertex solve runs with: a copy of
-    /// [`SpectralConfig::fiedler`] whose method is resolved, by
-    /// [`FiedlerMethod::for_size`] unless one is pinned.
+    /// [`SpectralConfig::fiedler`] whose method is the one the solve
+    /// resolves ([`FiedlerOptions::method_for`]).
     pub fn resolved_fiedler(&self, n: usize) -> FiedlerOptions {
-        let mut opts = self.fiedler.clone();
-        opts.method.get_or_insert(FiedlerMethod::for_size(n));
-        opts
+        FiedlerOptions {
+            method: Some(self.fiedler.method_for(n)),
+            ..self.fiedler.clone()
+        }
     }
 }
 

@@ -19,8 +19,8 @@
 use crate::mapper::{MappingError, SpectralConfig};
 use crate::order::{for_each_snapped_group, LinearOrder};
 use slpm_graph::{traversal, Graph};
-use slpm_linalg::fiedler::{fiedler_pair_on, smallest_nonzero_eigenpairs_on, FiedlerMethod};
-use slpm_linalg::{CsrMatrix, MultilevelOptions, Pool};
+use slpm_linalg::fiedler::{fiedler_pair_on, smallest_nonzero_eigenpairs_on};
+use slpm_linalg::{CsrMatrix, Pool};
 
 /// Options for recursive spectral bisection.
 #[derive(Debug, Clone)]
@@ -67,42 +67,22 @@ pub fn rsb_order_on(
 /// eigenvector rather than of how far its solve went.
 const RSB_FRAGMENT_TOLERANCE: f64 = 1e-11;
 
-/// The block width every RSB multilevel solve uses: `k = 1` Fiedler pair
-/// plus the guard vectors, exactly what
-/// `multilevel::smallest_nonzero_eigenpairs_on` computes internally.
-fn rsb_block(ml: &MultilevelOptions) -> usize {
-    (1 + ml.guard_vectors).min(ml.coarsest_size.max(3) - 1)
-}
-
 /// The Fiedler vector of a connected fragment under the size policy, with
-/// multilevel solves refined to [`RSB_FRAGMENT_TOLERANCE`] and fragments
-/// the multilevel driver would solve densely handed to the size policy
-/// directly.
+/// multilevel solves refined to [`RSB_FRAGMENT_TOLERANCE`]. Fragments up
+/// to the multilevel coarsest size are solved exactly by the dense path,
+/// which ignores the tolerance.
 fn fragment_fiedler_vector(
     sub_laplacian: &CsrMatrix,
     opts: &RsbOptions,
     pool: &Pool<'_>,
 ) -> Result<Vec<f64>, MappingError> {
-    let mut fo = opts.config.resolved_fiedler(sub_laplacian.rows());
-    if fo.method == Some(FiedlerMethod::Multilevel) {
-        // RSB only consumes the *median membership* of each fragment
-        // vector. At the default 1e-9 a near-degenerate fragment leaves an
-        // eigenvector mixture of order residual/(λ₃−λ₂) that can flip
-        // vertices across the median; refining well below it shrinks the
-        // mixture under the snap window of `fragment_order`.
-        fo.tolerance = fo.tolerance.min(RSB_FRAGMENT_TOLERANCE);
-        // Fragments at or below the multilevel coarsest size are solved
-        // exactly by the size policy: dense up to `DENSE_MAX` vertices,
-        // and the multilevel driver's own dense path above it.
-        let n = sub_laplacian.rows();
-        let dense_cutoff = fo
-            .multilevel
-            .coarsest_size
-            .max(rsb_block(&fo.multilevel) + 2);
-        if n <= dense_cutoff {
-            fo.method = Some(FiedlerMethod::for_size(n));
-        }
-    }
+    // RSB only consumes the *median membership* of each fragment vector.
+    // At the default 1e-9 a near-degenerate fragment leaves an eigenvector
+    // mixture of order residual/(λ₃−λ₂) that can flip vertices across the
+    // median; refining well below it shrinks the mixture under the snap
+    // window of `fragment_order`.
+    let mut fo = opts.config.fiedler.clone();
+    fo.tolerance = fo.tolerance.min(RSB_FRAGMENT_TOLERANCE);
     Ok(fiedler_pair_on(sub_laplacian, &fo, pool)?.vector)
 }
 

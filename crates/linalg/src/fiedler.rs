@@ -5,23 +5,24 @@
 //! *algebraic connectivity* (Fiedler 1973) — and its eigenvector, whose
 //! component order is the spectral linear order.
 //!
-//! Two strategies are provided, and one size policy
-//! ([`FiedlerMethod::for_size`]) picks between them unless a caller names a
-//! method in [`FiedlerOptions::method`]:
-//!
-//! * [`FiedlerMethod::Dense`] — Householder + QL on the materialised
-//!   Laplacian, O(n³); exact and instant on tiny graphs.
-//! * [`FiedlerMethod::Multilevel`] — the coarsen–project–refine scheme of
-//!   [`crate::multilevel`]: exact dense up to its coarsest size, block
-//!   inverse iteration on a coarsening hierarchy beyond it. The block
-//!   carries guard vectors, so a repeated λ₂ comes back with every copy.
+//! Every solve is one call chain: [`smallest_nonzero_eigenpairs_on`]
+//! checks the Laplacian, resolves the method once
+//! ([`FiedlerOptions::method_for`]), and runs the dense path (Householder +
+//! QL, O(n³)) or the multilevel path of [`crate::multilevel`] (a
+//! [`Hierarchy`] built here, then
+//! [`multilevel::smallest_nonzero_eigenpairs_on_hierarchy`]; its block
+//! carries guard vectors, so a repeated λ₂ comes back with every copy).
+//! Two cut-offs decide the path: [`FiedlerMethod::DENSE_MAX`] picks the
+//! method label, and the multilevel driver still solves densely up to
+//! [`MultilevelOptions::coarsest_size`] vertices, with the dense path's
+//! bits. [`fiedler_pair_on`] is the solve at `k = 1` plus the residual;
+//! [`fiedler_pair_balanced_on`] also canonicalises a degenerate λ₂.
 
 use crate::error::LinalgError;
-use crate::multilevel::{self, MultilevelOptions};
+use crate::multilevel::{self, Hierarchy, MultilevelOptions};
 use crate::operator::LinearOperator;
 use crate::parallel::Pool;
 use crate::sparse::CsrMatrix;
-use crate::tql;
 use crate::vector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,9 +47,7 @@ impl FiedlerMethod {
 
     /// The size policy: the method every solve of an `n`-vertex Laplacian
     /// uses unless [`FiedlerOptions::method`] names one. Dense QL up to
-    /// [`FiedlerMethod::DENSE_MAX`] (exact and instant), multilevel beyond
-    /// (which itself solves up to [`MultilevelOptions::coarsest_size`]
-    /// vertices with the exact dense path).
+    /// [`FiedlerMethod::DENSE_MAX`] (exact and instant), multilevel beyond.
     pub fn for_size(n: usize) -> Self {
         if n <= Self::DENSE_MAX {
             FiedlerMethod::Dense
@@ -93,6 +92,15 @@ pub struct FiedlerOptions {
     pub multilevel: MultilevelOptions,
 }
 
+impl FiedlerOptions {
+    /// The method an `n`-vertex solve runs: [`FiedlerOptions::method`], or
+    /// the size policy's pick ([`FiedlerMethod::for_size`]) when that is
+    /// `None`. Every solve resolves its method here, once.
+    pub fn method_for(&self, n: usize) -> FiedlerMethod {
+        self.method.unwrap_or_else(|| FiedlerMethod::for_size(n))
+    }
+}
+
 impl Default for FiedlerOptions {
     fn default() -> Self {
         FiedlerOptions {
@@ -119,11 +127,22 @@ pub struct FiedlerPair {
     pub method: FiedlerMethod,
 }
 
-/// Shared precondition check: symmetric with zero row sums — i.e. actually
-/// a combinatorial Laplacian. Every public entry point in this module goes
-/// through this, so an adjacency matrix (or a shifted Laplacian) passed by
-/// mistake fails loudly instead of yielding a meaningless "eigenpair".
-fn require_laplacian(laplacian: &CsrMatrix) -> Result<(), LinalgError> {
+/// The checks every entry point makes once, and the method it solves by:
+/// at least `k + 1` rows, symmetric with zero row sums — so an adjacency
+/// matrix (or a shifted Laplacian) passed by mistake fails loudly instead
+/// of yielding a meaningless "eigenpair".
+fn prepare(
+    laplacian: &CsrMatrix,
+    k: usize,
+    opts: &FiedlerOptions,
+) -> Result<FiedlerMethod, LinalgError> {
+    let n = laplacian.rows();
+    if n < k + 1 {
+        return Err(LinalgError::ProblemTooSmall {
+            dimension: n,
+            minimum: k + 1,
+        });
+    }
     // Both the symmetry and the zero-row-sum tolerances are scaled to the
     // matrix magnitude: weighted affinity Laplacians with large
     // degrees/weights accumulate round-off proportional to their entries,
@@ -140,10 +159,58 @@ fn require_laplacian(laplacian: &CsrMatrix) -> Result<(), LinalgError> {
             context: "matrix is not a Laplacian (nonzero row sums)",
         });
     }
-    Ok(())
+    Ok(opts.method_for(n))
 }
 
-/// Compute the Fiedler pair of a combinatorial Laplacian on `pool`.
+/// The `k ≥ 1` smallest nonzero pairs of a [`prepare`]d Laplacian: the one
+/// dense path, or a [`Hierarchy`] at the driver's block width and the
+/// hierarchy solve on it.
+fn solve(
+    laplacian: &CsrMatrix,
+    k: usize,
+    method: FiedlerMethod,
+    opts: &FiedlerOptions,
+    pool: &Pool<'_>,
+) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
+    let ml = &opts.multilevel;
+    match (method, multilevel::block_width(laplacian.rows(), k, ml)) {
+        (FiedlerMethod::Multilevel, Some(block)) => {
+            let hierarchy = Hierarchy::build(laplacian, block, ml, pool)?;
+            multilevel::smallest_nonzero_eigenpairs_on_hierarchy(
+                laplacian,
+                &hierarchy,
+                k,
+                opts.tolerance,
+                opts.seed,
+                ml,
+                pool,
+            )
+        }
+        _ => multilevel::dense_smallest(laplacian, k),
+    }
+}
+
+/// A Fiedler pair from its canonical-form vector `v` and `lambda2` (Ritz
+/// value or Rayleigh quotient), with the residual `‖L v − λ₂ v‖`.
+fn finish(
+    laplacian: &CsrMatrix,
+    lambda2: f64,
+    v: Vec<f64>,
+    method: FiedlerMethod,
+) -> Result<FiedlerPair, LinalgError> {
+    let mut r = laplacian.matvec(&v)?;
+    vector::axpy(-lambda2, &v, &mut r);
+    Ok(FiedlerPair {
+        lambda2,
+        residual: vector::norm2(&r),
+        vector: v,
+        method,
+    })
+}
+
+/// Compute the Fiedler pair of a combinatorial Laplacian on `pool`: the
+/// solve of [`smallest_nonzero_eigenpairs_on`] at `k = 1`, plus the
+/// residual.
 ///
 /// Preconditions (checked): `laplacian` is square, symmetric, has zero row
 /// sums, and represents a **connected** graph — disconnected graphs have
@@ -160,86 +227,28 @@ pub fn fiedler_pair_on(
     opts: &FiedlerOptions,
     pool: &Pool<'_>,
 ) -> Result<FiedlerPair, LinalgError> {
-    let n = laplacian.rows();
-    if n < 2 {
-        return Err(LinalgError::ProblemTooSmall {
-            dimension: n,
-            minimum: 2,
-        });
-    }
-    require_laplacian(laplacian)?;
-
-    let method = opts.method.unwrap_or_else(|| FiedlerMethod::for_size(n));
-    let (lambda2, mut v) = match method {
-        FiedlerMethod::Dense => dense_fiedler(laplacian)?,
-        FiedlerMethod::Multilevel => multilevel::fiedler_pair_on(
-            laplacian,
-            opts.tolerance,
-            opts.seed,
-            &opts.multilevel,
-            pool,
-        )?,
-    };
-
-    // Normalise the representative: zero mean, unit norm, canonical sign.
-    vector::center(&mut v);
-    if vector::normalize(&mut v) == 0.0 {
-        return Err(LinalgError::NonFiniteInput {
-            context: "fiedler_pair_on: eigenvector collapsed (disconnected graph?)",
-        });
-    }
-    vector::canonicalize_sign(&mut v);
-
-    // True residual against L.
-    let lv = laplacian.matvec(&v)?;
-    let mut r = lv;
-    vector::axpy(-lambda2, &v, &mut r);
-    let residual = vector::norm2(&r);
-
-    Ok(FiedlerPair {
-        lambda2,
-        vector: v,
-        residual,
-        method,
-    })
+    let method = prepare(laplacian, 1, opts)?;
+    let (lambda2, v) = solve(laplacian, 1, method, opts, pool)?.swap_remove(0);
+    finish(laplacian, lambda2, v, method)
 }
 
 /// The `k` smallest **nonzero** eigenpairs of a connected Laplacian,
-/// ascending: `(λ₂, v₂), (λ₃, v₃), …` — used by the multi-vector spectral
-/// order (tie-breaking on degenerate grids) and by diagnostics. Runs on
-/// `pool`.
-///
-/// Honours `opts.method` (resolved by [`FiedlerMethod::for_size`] when
-/// `None`): dense QL or the multilevel scheme. Both return canonical-form
-/// pairs (centred, unit-norm, sign-canonicalised), ascending.
+/// ascending: `(λ₂, v₂), (λ₃, v₃), …` — the one solve behind every entry
+/// point of this module (module docs), used directly by the multi-vector
+/// spectral order and by diagnostics. Checks its input like
+/// [`fiedler_pair_on`]; every pair is centred, unit-norm and
+/// sign-canonicalised. Runs on `pool`.
 pub fn smallest_nonzero_eigenpairs_on(
     laplacian: &CsrMatrix,
     k: usize,
     opts: &FiedlerOptions,
     pool: &Pool<'_>,
 ) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
-    let n = laplacian.rows();
-    if n < k + 1 {
-        return Err(LinalgError::ProblemTooSmall {
-            dimension: n,
-            minimum: k + 1,
-        });
-    }
-    require_laplacian(laplacian)?;
+    let method = prepare(laplacian, k, opts)?;
     if k == 0 {
         return Ok(vec![]);
     }
-    match opts.method.unwrap_or_else(|| FiedlerMethod::for_size(n)) {
-        FiedlerMethod::Dense => multilevel::dense_smallest(laplacian, k),
-        FiedlerMethod::Multilevel => multilevel::smallest_nonzero_eigenpairs_on(
-            laplacian,
-            k,
-            opts.tolerance,
-            opts.seed,
-            &opts.multilevel,
-            pool,
-        ),
-    }
+    solve(laplacian, k, method, opts, pool)
 }
 
 /// Relative gap below which λ₂ and λ₃ are treated as one degenerate
@@ -266,9 +275,9 @@ const DEGENERACY_REL_TOL: f64 = 1e-6;
 /// which is still deterministic per method but no longer
 /// method-independent.
 ///
-/// Non-degenerate inputs get the same canonical-form pair [`fiedler_pair_on`]
-/// computes (centred, unit-norm, sign-canonicalised Ritz vector), taken
-/// straight from the spectrum probe without a second solve.
+/// Non-degenerate inputs get the canonical-form vector of the spectrum
+/// probe without a second solve. Either way λ₂ is the vector's Rayleigh
+/// quotient.
 ///
 /// Runs on `pool`, like [`fiedler_pair_on`].
 pub fn fiedler_pair_balanced_on(
@@ -280,16 +289,14 @@ pub fn fiedler_pair_balanced_on(
     if n < 3 {
         return fiedler_pair_on(laplacian, opts, pool);
     }
-    // Every probe below resolves `opts.method` for this same `n`.
-    let method = opts.method.unwrap_or_else(|| FiedlerMethod::for_size(n));
-
     // Probe the bottom of the spectrum, widening until the cluster around
     // λ₂ is fully inside the window (or the window hits its cap). Starting
     // at k = 3 resolves the most common degenerate input — a square 2-D
     // grid, multiplicity exactly 2 — in a single solve.
     let max_k = (n - 1).min(8);
     let mut k = 3.min(max_k);
-    let mut pairs = smallest_nonzero_eigenpairs_on(laplacian, k, opts, pool)?;
+    let method = prepare(laplacian, k, opts)?;
+    let mut pairs = solve(laplacian, k, method, opts, pool)?;
     let cluster_len = |pairs: &[(f64, Vec<f64>)]| {
         let lambda2 = pairs[0].0;
         pairs
@@ -300,24 +307,14 @@ pub fn fiedler_pair_balanced_on(
     let mut m = cluster_len(&pairs);
     while m == pairs.len() && k < max_k {
         k = (k * 2).min(max_k);
-        pairs = smallest_nonzero_eigenpairs_on(laplacian, k, opts, pool)?;
+        pairs = solve(laplacian, k, method, opts, pool)?;
         m = cluster_len(&pairs);
     }
     if m <= 1 {
         // λ₂ is simple: pairs[0] already *is* the (centred, normalised,
-        // sign-canonicalised) Fiedler pair — re-running the solver via
-        // `fiedler_pair_on` would just repeat the work.
-        let (_, v) = pairs.swap_remove(0);
-        let lambda2 = laplacian.rayleigh_quotient(&v);
-        let mut r = laplacian.matvec(&v)?;
-        vector::axpy(-lambda2, &v, &mut r);
-        let residual = vector::norm2(&r);
-        return Ok(FiedlerPair {
-            lambda2,
-            vector: v,
-            residual,
-            method,
-        });
+        // sign-canonicalised) Fiedler vector.
+        let v = pairs.swap_remove(0).1;
+        return finish(laplacian, laplacian.rayleigh_quotient(&v), v, method);
     }
 
     // Orthonormalise the cluster's Ritz vectors (they are already close).
@@ -349,23 +346,7 @@ pub fn fiedler_pair_balanced_on(
         v = basis.swap_remove(0);
     }
     vector::canonicalize_sign(&mut v);
-
-    let lambda2 = laplacian.rayleigh_quotient(&v);
-    let mut r = laplacian.matvec(&v)?;
-    vector::axpy(-lambda2, &v, &mut r);
-    let residual = vector::norm2(&r);
-
-    Ok(FiedlerPair {
-        lambda2,
-        vector: v,
-        residual,
-        method,
-    })
-}
-
-fn dense_fiedler(laplacian: &CsrMatrix) -> Result<(f64, Vec<f64>), LinalgError> {
-    let eig = tql::symmetric_eigen(&laplacian.to_dense())?;
-    Ok((eig.eigenvalues[1], eig.eigenvector(1)))
+    finish(laplacian, laplacian.rayleigh_quotient(&v), v, method)
 }
 
 #[cfg(test)]

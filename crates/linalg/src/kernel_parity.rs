@@ -323,7 +323,7 @@ fn smoothing_and_prolongation_equal_their_predecessors() {
     let step = coarsen_laplacian(&fine, &serial).unwrap();
     for w in WIDTHS {
         let lambdas = thetas(w);
-        let coarse = block_of(step.coarse_len(), w, 4.0);
+        let coarse = block_of(step.coarse.rows(), w, 4.0);
         let expect = predecessor::prolong_block(&fine, &step, &coarse);
         on_every_pool(&pools, "prolongation", w, &expect.data, |pool| {
             prolong_block(&fine, &step, &coarse, pool).data

@@ -34,10 +34,12 @@
 //!   `par_for` and deterministic tree-reduction primitives; the hot
 //!   kernels (CSR matvec, dot/axpy, Jacobi smoothing, PCG) run on it with
 //!   results bitwise identical to the serial path for every thread count.
-//! * [`fiedler`] — the high-level entry point: compute the Fiedler pair of a
-//!   Laplacian by the dense path or the multilevel scheme, chosen per input
-//!   size by one policy ([`FiedlerMethod::for_size`]: dense up to 96
-//!   vertices, multilevel above) unless the caller names a method.
+//! * [`fiedler`] — the entry points: one solve
+//!   ([`fiedler::smallest_nonzero_eigenpairs_on`]) behind the Fiedler pair,
+//!   by the dense path or the multilevel scheme, the method chosen once per
+//!   input size ([`FiedlerMethod::for_size`]: dense up to 96 vertices) unless
+//!   the caller names one; the multilevel driver itself solves densely up
+//!   to its coarsest size (256 vertices).
 //!
 //! All algorithms are deterministic given the caller-supplied RNG seed.
 //!

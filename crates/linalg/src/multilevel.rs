@@ -49,6 +49,10 @@
 //! and solver counter is what one column at a time would give, at any
 //! thread count.
 //!
+//! [`crate::fiedler::smallest_nonzero_eigenpairs_on`] solves inputs of at
+//! most `coarsest_size` vertices densely, and otherwise builds the
+//! [`Hierarchy`] and calls [`smallest_nonzero_eigenpairs_on_hierarchy`].
+//!
 //! Every fallback the solver takes is counted in [`solver_counters`]: a
 //! coarsest level too big for the dense path (block inverse iteration from
 //! a random start on that level, Jacobi-PCG inner solves) and a failed
@@ -188,24 +192,22 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Coarsen `laplacian` by heavy-edge matching until a level has at
-    /// most `opts.coarsest_size.max(floor)` vertices, matching stalls
-    /// (shrink factor below 0.95), or a level would not be
-    /// strictly larger than `floor`. Identical, level for level, to what
-    /// the eigensolver builds internally — the eigensolver simply calls
-    /// this.
+    /// most `opts.coarsest_size.max(floor + 2)` vertices, matching stalls
+    /// (shrink factor below 0.95), or a level would not be strictly larger
+    /// than `floor`. The eigensolver builds its hierarchy with this, the
+    /// block width as `floor`.
     pub fn build(
         laplacian: &CsrMatrix,
         floor: usize,
         opts: &MultilevelOptions,
         pool: &Pool,
     ) -> Result<Hierarchy, LinalgError> {
-        let coarsest_size = opts.coarsest_size.max(floor + 2);
         let mut levels: Vec<Coarsening> = Vec::new();
         let mut current = laplacian;
-        while current.rows() > coarsest_size {
+        while current.rows() > dense_limit(floor, opts) {
             let step = coarsen_laplacian(current, pool)?;
-            let shrunk = step.coarse_len() < (current.rows() as f64 * MIN_SHRINK) as usize;
-            if !shrunk || step.coarse_len() <= floor {
+            let shrunk = step.coarse.rows() < (current.rows() as f64 * MIN_SHRINK) as usize;
+            if !shrunk || step.coarse.rows() <= floor {
                 break;
             }
             levels.push(step);
@@ -218,13 +220,6 @@ impl Hierarchy {
     /// operator) when no level was built.
     pub fn coarsest<'a>(&'a self, fallback: &'a CsrMatrix) -> &'a CsrMatrix {
         self.levels.last().map_or(fallback, |c| &c.coarse)
-    }
-}
-
-impl Coarsening {
-    /// Number of coarse vertices.
-    pub fn coarse_len(&self) -> usize {
-        self.coarse.rows()
     }
 }
 
@@ -366,63 +361,38 @@ pub fn coarsen_laplacian(laplacian: &CsrMatrix, pool: &Pool) -> Result<Coarsenin
     Ok(Coarsening { coarse, parent })
 }
 
-/// The `k` smallest **nonzero** eigenpairs of a connected Laplacian by the
-/// multilevel scheme, ascending: `(λ₂, v₂), …, (λ_{k+1}, v_{k+1})`.
-///
-/// Each representative is mean-centred, unit-norm and sign-canonicalised,
-/// with its eigenvalue refreshed as a Rayleigh quotient against the input
-/// Laplacian — the same canonical form the dense path returns.
-///
-/// Preconditions are the caller's (see [`crate::fiedler::fiedler_pair_on`]):
-/// the matrix must be an actual Laplacian of a **connected** graph. The
-/// convergence target is `‖Lv − λv‖ ≤ tolerance · max(gershgorin, 1)`,
-/// scaled to the matrix magnitude so large weighted graphs converge.
-///
-/// Every kernel down the call chain (coarsening, smoothing, PCG, matvec)
-/// schedules onto `pool`, which alone decides the thread count.
-pub fn smallest_nonzero_eigenpairs_on(
-    laplacian: &CsrMatrix,
-    k: usize,
-    tolerance: f64,
-    seed: u64,
-    opts: &MultilevelOptions,
-    pool: &Pool,
-) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
-    let n = laplacian.rows();
-    if n < k + 1 {
-        return Err(LinalgError::ProblemTooSmall {
-            dimension: n,
-            minimum: k + 1,
-        });
-    }
-    if k == 0 {
-        return Ok(vec![]);
-    }
-
-    // Small problems skip the hierarchy entirely: the coarse solver *is*
-    // the exact dense path.
-    let coarsest_size = opts.coarsest_size.max(k + 2);
-    if n <= coarsest_size {
-        return dense_smallest(laplacian, k);
-    }
-
-    // Block width: requested pairs plus guard vectors, capped so the
-    // coarsest dense solve can supply them all.
-    let block = (k + opts.guard_vectors).min(coarsest_size - 1);
-
-    // --- 1. Coarsen until the graph is small (or matching stalls). ---
-    let hierarchy = Hierarchy::build(laplacian, block, opts, pool)?;
-    smallest_nonzero_eigenpairs_on_hierarchy(laplacian, &hierarchy, k, tolerance, seed, opts, pool)
+/// The largest Laplacian the multilevel driver solves for `k` pairs with
+/// the exact dense path: `coarsest_size`, but at least `k + 2` vertices.
+fn dense_limit(k: usize, opts: &MultilevelOptions) -> usize {
+    opts.coarsest_size.max(k + 2)
 }
 
-/// The solve phase of [`smallest_nonzero_eigenpairs_on`] on a prebuilt
-/// [`Hierarchy`]: coarsest-level solve, then the prolong + smooth +
-/// refine walk back up, for callers that build the [`Hierarchy`] once and
-/// time or reuse it apart from the solve.
-///
-/// The hierarchy must belong to `laplacian` (its first level's parent map
-/// is indexed by `laplacian`'s rows); small problems
+/// The block width of a multilevel solve for `k` pairs of an `n`-vertex
+/// Laplacian, and the floor its [`Hierarchy`] is built with: `k` plus the
+/// guard vectors, capped so the coarsest dense solve can supply them all.
+/// `None` when `n` is within [`dense_limit`] (the exact dense path).
+pub(crate) fn block_width(n: usize, k: usize, opts: &MultilevelOptions) -> Option<usize> {
+    let dense = dense_limit(k, opts);
+    (n > dense).then(|| (k + opts.guard_vectors).min(dense - 1))
+}
+
+/// The `k` smallest **nonzero** eigenpairs of a connected Laplacian by the
+/// multilevel scheme on a prebuilt [`Hierarchy`], ascending, in the
+/// canonical form of the dense path with Ritz values as eigenvalues: the
+/// coarsest-level solve, then the prolong + smooth + refine walk back up.
+/// [`crate::fiedler::smallest_nonzero_eigenpairs_on`] builds the hierarchy
+/// (floor: the block width) and calls this; callers that time or reuse the
+/// hierarchy apart from the solve call it directly. Small problems
 /// (`n ≤ coarsest_size`) take the exact dense path regardless.
+///
+/// The Laplacian must be one of a **connected** graph (the caller's check,
+/// see [`crate::fiedler::fiedler_pair_on`]). The hierarchy is checked
+/// first, in O(levels): a parent map whose length is not the row count of
+/// the level above (a hierarchy of another Laplacian) is a
+/// [`LinalgError::DimensionMismatch`], and a coarsest level of at most
+/// block-width rows a [`LinalgError::ProblemTooSmall`]. The convergence
+/// target is `‖Lv − λv‖ ≤ tolerance · max(gershgorin, 1)`. Every kernel
+/// schedules onto `pool`, which alone decides the thread count.
 pub fn smallest_nonzero_eigenpairs_on_hierarchy(
     laplacian: &CsrMatrix,
     hierarchy: &Hierarchy,
@@ -442,29 +412,43 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
     if k == 0 {
         return Ok(vec![]);
     }
-    let coarsest_size = opts.coarsest_size.max(k + 2);
-    if n <= coarsest_size {
+    let Some(block) = block_width(n, k, opts) else {
         return dense_smallest(laplacian, k);
-    }
-    let block = (k + opts.guard_vectors).min(coarsest_size - 1);
+    };
     let levels = &hierarchy.levels;
+    let mut rows = n;
+    for step in levels {
+        if step.parent.len() != rows {
+            return Err(LinalgError::DimensionMismatch {
+                context: "hierarchy: parent map against the level above",
+                expected: rows,
+                found: step.parent.len(),
+            });
+        }
+        rows = step.coarse.rows();
+    }
+    if rows <= block {
+        return Err(LinalgError::ProblemTooSmall {
+            dimension: rows,
+            minimum: block + 1,
+        });
+    }
 
-    // --- 2. Solve the coarsest level. ---
+    // --- Solve the coarsest level. ---
     // Matching can stall far above `coarsest_size` (hub/clique-like graphs
     // defeat edge matching); materialising such a level densely would cost
     // O(n²) memory, so past a small multiple of the intended coarsest size
     // the bottom pairs come from block inverse iteration on that level
-    // instead, started from a seeded random block with Jacobi-PCG inner
-    // solves ([`refine_from_block`]).
+    // instead, started from a seeded random block of `block` plus guard
+    // vectors (at most the level's rows − 1) with Jacobi-PCG inner solves.
     //
     // The dense path's full eigendecomposition also yields the coarsest
     // pseudo-inverse the V-cycle preconditioner bottoms out in, built once
     // here for every level's inner solves. Without it (the fallback
     // branch) the walk's inner solves run on Jacobi-PCG too, counted in
     // [`SolverCounters::coarse_fallbacks`].
-    let coarsest = levels.last().map_or(laplacian, |c| &c.coarse);
-    let dense_cap = coarsest_size.saturating_mul(4);
-    let (coarse_pairs, vcycle) = if coarsest.rows() <= dense_cap {
+    let coarsest = hierarchy.coarsest(laplacian);
+    let (coarse_pairs, vcycle) = if coarsest.rows() <= dense_limit(k, opts).saturating_mul(4) {
         let eig = tql::symmetric_eigen(&coarsest.to_dense())?;
         let pairs = canonical_pairs(&eig, block)?;
         (
@@ -473,7 +457,29 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
         )
     } else {
         COARSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-        let pairs = refine_from_block(coarsest, block, tolerance, seed, opts, pool)?;
+        let m = coarsest.rows();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_AA3A_5E00_0001);
+        let columns: Vec<Vec<f64>> = (0..(block + opts.guard_vectors).min(m - 1))
+            .map(|_| {
+                let mut v = vec![0.0; m];
+                vector::fill_random(&mut rng, &mut v);
+                v
+            })
+            .collect();
+        let random = Block::from_columns(&columns);
+        drop(columns);
+        let pairs = refine_to_target(
+            coarsest,
+            random,
+            block,
+            tolerance,
+            opts,
+            None,
+            &mut Vec::new(),
+            &mut rng,
+            pool,
+            "multilevel coarse fallback",
+        )?;
         (pairs, None)
     };
     if levels.is_empty() {
@@ -487,18 +493,15 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
     drop(columns);
     let mut scratch = Vec::new();
 
-    // --- 3. Walk back up: prolong, then refine at every level. ---
+    // --- Walk back up: prolong and smooth into every level, refine. ---
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_C0A2_5E00_0000);
-    let scale = laplacian.gershgorin_upper_bound().max(1.0);
-    let target = tolerance * scale;
     for depth in (0..levels.len()).rev() {
-        let step = &levels[depth];
         let fine = if depth == 0 {
             laplacian
         } else {
             &levels[depth - 1].coarse
         };
-        vectors = prolong_block(fine, step, &vectors, pool);
+        vectors = prolong_block(fine, &levels[depth], &vectors, pool);
         smooth_block(
             fine,
             &mut vectors,
@@ -507,141 +510,89 @@ pub fn smallest_nonzero_eigenpairs_on_hierarchy(
             &mut scratch,
             pool,
         );
-        let finest = depth == 0;
-        let sweeps = if finest {
-            opts.max_refine_steps
-        } else {
-            INTERMEDIATE_STEPS
-        };
-        // Intermediate levels only chase prolongation error; the finest
-        // level must actually hit the convergence target.
-        let level_target = if finest { target } else { f64::INFINITY };
-        let mut level_vcycle = vcycle.as_ref().map(|setup| setup.at(depth, *pool));
-        lambdas = refine_block(
-            fine,
-            &mut vectors,
-            k,
-            level_target,
-            sweeps,
-            level_vcycle.as_mut(),
-            &mut scratch,
-            &mut rng,
-            pool,
-        )?;
-        if finest {
-            let worst = worst_residual(fine, &vectors, &lambdas, k, pool);
-            if worst > target {
-                return Err(LinalgError::NoConvergence {
-                    solver: "multilevel",
-                    iterations: opts.max_refine_steps,
-                    residual: worst,
-                    tolerance: target,
-                });
-            }
+        if depth > 0 {
+            // Intermediate levels only chase prolongation error.
+            let mut level_vcycle = vcycle.as_ref().map(|setup| setup.at(depth, *pool));
+            lambdas = refine_block(
+                fine,
+                &mut vectors,
+                k,
+                f64::INFINITY,
+                INTERMEDIATE_STEPS,
+                level_vcycle.as_mut(),
+                &mut scratch,
+                &mut rng,
+                pool,
+            )?;
         }
     }
-    canonical_block(
-        &vectors,
-        &lambdas,
+    // The finest level must actually hit the convergence target.
+    let mut finest_vcycle = vcycle.as_ref().map(|setup| setup.at(0, *pool));
+    refine_to_target(
+        laplacian,
+        vectors,
         k,
-        "multilevel: refined eigenvector collapsed",
+        tolerance,
+        opts,
+        finest_vcycle.as_mut(),
+        &mut scratch,
+        &mut rng,
+        pool,
+        "multilevel",
     )
 }
 
-/// The first `k` columns of a refined block in the crate's canonical form
-/// (centred, unit, sign-canonical), paired with their Ritz values.
-fn canonical_block(
-    vectors: &Block,
-    lambdas: &[f64],
-    k: usize,
-    collapsed: &'static str,
-) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
-    let mut out = Vec::with_capacity(k);
-    for (c, &lambda) in lambdas.iter().enumerate().take(k) {
-        let mut v = vectors.column(c);
-        vector::center(&mut v);
-        if vector::normalize(&mut v) == 0.0 {
-            return Err(LinalgError::NonFiniteInput { context: collapsed });
-        }
-        vector::canonicalize_sign(&mut v);
-        out.push((lambda, v));
-    }
-    Ok(out)
-}
-
-/// Block inverse iteration at `laplacian`'s own level from a seeded random
-/// block of `k + guard_vectors` vectors, with Jacobi-PCG inner solves: the
-/// coarse solve of a stalled hierarchy. Returns the bottom `k` nonzero
-/// pairs in canonical form, or [`LinalgError::NoConvergence`] when
-/// [`MultilevelOptions::max_refine_steps`] sweeps miss the target
-/// `tolerance · max(gershgorin, 1)`. Callers check `k < n`.
-fn refine_from_block(
+/// The last step of a solve, on the finest level of a hierarchy walk or on
+/// a stalled hierarchy's coarsest level: refine `vectors` for up to
+/// [`MultilevelOptions::max_refine_steps`] sweeps ([`refine_block`]) towards
+/// the target `tolerance · max(gershgorin, 1)`, fail with
+/// [`LinalgError::NoConvergence`] of `solver` when the worst of the first
+/// `k` residuals misses it, and return those `k` columns in canonical
+/// form, paired with their Ritz values.
+#[allow(clippy::too_many_arguments)]
+fn refine_to_target(
     laplacian: &CsrMatrix,
+    mut vectors: Block,
     k: usize,
     tolerance: f64,
-    seed: u64,
     opts: &MultilevelOptions,
+    vcycle: Option<&mut VCycle<'_, '_>>,
+    scratch: &mut Vec<f64>,
+    rng: &mut StdRng,
     pool: &Pool,
+    solver: &'static str,
 ) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
-    let n = laplacian.rows();
-    let block = (k + opts.guard_vectors).min(n - 1);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_AA3A_5E00_0001);
-    let columns: Vec<Vec<f64>> = (0..block)
-        .map(|_| {
-            let mut v = vec![0.0; n];
-            vector::fill_random(&mut rng, &mut v);
-            v
-        })
-        .collect();
-    let mut vectors = Block::from_columns(&columns);
-    drop(columns);
-    let scale = laplacian.gershgorin_upper_bound().max(1.0);
-    let target = tolerance * scale;
+    let target = tolerance * laplacian.gershgorin_upper_bound().max(1.0);
+    let sweeps = opts.max_refine_steps;
     let lambdas = refine_block(
         laplacian,
         &mut vectors,
         k,
         target,
-        opts.max_refine_steps,
-        None,
-        &mut Vec::new(),
-        &mut rng,
+        sweeps,
+        vcycle,
+        scratch,
+        rng,
         pool,
     )?;
     let worst = worst_residual(laplacian, &vectors, &lambdas, k, pool);
     if worst > target {
         return Err(LinalgError::NoConvergence {
-            solver: "multilevel coarse fallback",
-            iterations: opts.max_refine_steps,
+            solver,
+            iterations: sweeps,
             residual: worst,
             tolerance: target,
         });
     }
-    canonical_block(
-        &vectors,
-        &lambdas,
-        k,
-        "multilevel block refinement: eigenvector collapsed",
-    )
-}
-
-/// [`smallest_nonzero_eigenpairs_on`] specialised to the Fiedler pair.
-pub fn fiedler_pair_on(
-    laplacian: &CsrMatrix,
-    tolerance: f64,
-    seed: u64,
-    opts: &MultilevelOptions,
-    pool: &Pool,
-) -> Result<(f64, Vec<f64>), LinalgError> {
-    let mut pairs = smallest_nonzero_eigenpairs_on(laplacian, 1, tolerance, seed, opts, pool)?;
-    let (lambda, v) = pairs.swap_remove(0);
-    Ok((lambda, v))
+    (0..k)
+        .map(|c| Ok((lambdas[c], canonical(vectors.column(c))?)))
+        .collect()
 }
 
 /// Exact bottom-of-spectrum solve via the dense Householder + QL path, in
-/// the crate's canonical form (centred, unit, sign-canonical, ascending).
-/// Shared with [`crate::fiedler::smallest_nonzero_eigenpairs_on`]'s dense
-/// branch so the canonical-form convention lives in exactly one place.
+/// the crate's canonical form (centred, unit, sign-canonical, ascending):
+/// the one dense path of every solve, whether the method is dense or the
+/// multilevel driver's input is within its coarsest size.
 pub(crate) fn dense_smallest(
     laplacian: &CsrMatrix,
     k: usize,
@@ -655,19 +606,22 @@ fn canonical_pairs(
     eig: &tql::SymmetricEigen,
     k: usize,
 ) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
-    let mut out = Vec::with_capacity(k);
-    for i in 1..=k {
-        let mut v = eig.eigenvector(i);
-        vector::center(&mut v);
-        if vector::normalize(&mut v) == 0.0 {
-            return Err(LinalgError::NonFiniteInput {
-                context: "dense eigensolve: eigenvector collapsed (disconnected graph?)",
-            });
-        }
-        vector::canonicalize_sign(&mut v);
-        out.push((eig.eigenvalues[i], v));
+    (1..=k)
+        .map(|i| Ok((eig.eigenvalues[i], canonical(eig.eigenvector(i))?)))
+        .collect()
+}
+
+/// An eigenvector in the crate's canonical form: mean-centred, unit-norm
+/// and sign-canonicalised ([`vector::canonicalize_sign`]).
+fn canonical(mut v: Vec<f64>) -> Result<Vec<f64>, LinalgError> {
+    vector::center(&mut v);
+    if vector::normalize(&mut v) == 0.0 {
+        return Err(LinalgError::NonFiniteInput {
+            context: "eigenvector collapsed (disconnected graph?)",
+        });
     }
-    Ok(out)
+    vector::canonicalize_sign(&mut v);
+    Ok(v)
 }
 
 /// Interpolate a block of coarse-level vectors to the fine level on the
@@ -765,13 +719,7 @@ fn smooth_block(
     }
     let n = laplacian.rows();
     let w = vectors.width;
-    let mut inv_diag = vec![0.0; n];
-    pool.for_each_chunk(&mut inv_diag, |row0, chunk| {
-        for (j, d) in chunk.iter_mut().enumerate() {
-            let v = laplacian.get(row0 + j, row0 + j);
-            *d = if v > 0.0 { 1.0 / v } else { 0.0 };
-        }
-    });
+    let inv_diag = laplacian.damped_inverse_diagonal(1.0, pool);
     const OMEGA: f64 = 0.7;
     scratch.resize(n * w, 0.0);
     for _ in 0..passes {
@@ -846,16 +794,7 @@ impl<'a> VCycleSetup<'a> {
         let fine_levels = &operators[..hierarchy.levels.len()];
         let damped_inv_diag = fine_levels
             .iter()
-            .map(|a| {
-                let mut d = vec![0.0; a.rows()];
-                pool.for_each_chunk(&mut d, |row0, chunk| {
-                    for (j, dj) in chunk.iter_mut().enumerate() {
-                        let v = a.get(row0 + j, row0 + j);
-                        *dj = if v > 0.0 { VCYCLE_OMEGA / v } else { 0.0 };
-                    }
-                });
-                d
-            })
+            .map(|a| a.damped_inverse_diagonal(VCYCLE_OMEGA, pool))
             .collect();
         VCycleSetup {
             operators,
@@ -1277,7 +1216,7 @@ fn correct<'p>(
         },
     };
     let mut outcomes: Vec<Option<Result<usize, LinalgError>>> = vec![None; u];
-    pcg::solve_in(
+    pcg::solve_on(
         workspace,
         laplacian,
         lv,
@@ -1375,7 +1314,38 @@ fn orthonormalize(vectors: &mut Block, rng: &mut StdRng, pool: &Pool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fiedler::{self, FiedlerMethod, FiedlerOptions};
     use crate::parallel::with_threads;
+
+    /// The `k` smallest nonzero pairs by the multilevel method, through the
+    /// one solve entry point.
+    fn ml_pairs(
+        lap: &CsrMatrix,
+        k: usize,
+        tolerance: f64,
+        seed: u64,
+        opts: &MultilevelOptions,
+        pool: &Pool,
+    ) -> Result<Vec<(f64, Vec<f64>)>, LinalgError> {
+        let opts = FiedlerOptions {
+            method: Some(FiedlerMethod::Multilevel),
+            tolerance,
+            seed,
+            multilevel: opts.clone(),
+        };
+        fiedler::smallest_nonzero_eigenpairs_on(lap, k, &opts, pool)
+    }
+
+    /// The Fiedler pair by the multilevel method.
+    fn ml_fiedler(
+        lap: &CsrMatrix,
+        tolerance: f64,
+        seed: u64,
+        opts: &MultilevelOptions,
+        pool: &Pool,
+    ) -> Result<(f64, Vec<f64>), LinalgError> {
+        Ok(ml_pairs(lap, 1, tolerance, seed, opts, pool)?.swap_remove(0))
+    }
 
     fn path_laplacian(n: usize) -> CsrMatrix {
         let mut t = Vec::new();
@@ -1421,15 +1391,15 @@ mod tests {
         let lap = grid_laplacian(8, 8);
         let c = coarsen_laplacian(&lap, &Pool::default()).unwrap();
         // Roughly halves the vertex count on a grid.
-        assert!(c.coarse_len() <= 40, "coarse size {}", c.coarse_len());
-        assert!(c.coarse_len() >= 16);
+        assert!(c.coarse.rows() <= 40, "coarse size {}", c.coarse.rows());
+        assert!(c.coarse.rows() >= 16);
         // Still symmetric with zero row sums.
         c.coarse.require_symmetric(1e-12).unwrap();
         for s in c.coarse.row_sums() {
             assert!(s.abs() < 1e-12);
         }
         // Every fine vertex has a parent in range; groups have size ≤ 2.
-        let mut count = vec![0usize; c.coarse_len()];
+        let mut count = vec![0usize; c.coarse.rows()];
         for &p in &c.parent {
             count[p as usize] += 1;
         }
@@ -1460,7 +1430,7 @@ mod tests {
             ("edgeless", edgeless, Some((5, 0.0))),
         ] {
             let c = coarsen_laplacian(&lap, &Pool::default()).unwrap();
-            let nc = c.coarse_len();
+            let nc = c.coarse.rows();
             if let Some((len, weight)) = expected {
                 assert_eq!(nc, len, "{name}");
                 assert_eq!(c.coarse.get(0, 1), weight, "{name}");
@@ -1514,7 +1484,7 @@ mod tests {
         let n = 20;
         let lap = path_laplacian(n);
         let opts = MultilevelOptions::default();
-        let (lambda, v) = fiedler_pair_on(&lap, 1e-9, 7, &opts, &Pool::default()).unwrap();
+        let (lambda, v) = ml_fiedler(&lap, 1e-9, 7, &opts, &Pool::default()).unwrap();
         let expect = 4.0 * (std::f64::consts::PI / (2.0 * n as f64)).sin().powi(2);
         assert!((lambda - expect).abs() < 1e-10, "{lambda} vs {expect}");
         let mut r = lap.matvec(&v).unwrap();
@@ -1528,7 +1498,7 @@ mod tests {
         let n = 1200;
         let lap = path_laplacian(n);
         let opts = MultilevelOptions::default();
-        let (lambda, v) = fiedler_pair_on(&lap, 1e-9, 7, &opts, &Pool::default()).unwrap();
+        let (lambda, v) = ml_fiedler(&lap, 1e-9, 7, &opts, &Pool::default()).unwrap();
         let expect = 4.0 * (std::f64::consts::PI / (2.0 * n as f64)).sin().powi(2);
         assert!(
             (lambda - expect).abs() < 1e-9 * expect.max(1e-3),
@@ -1552,8 +1522,7 @@ mod tests {
             coarsest_size: 64, // force a real hierarchy at this size
             ..Default::default()
         };
-        let ml =
-            smallest_nonzero_eigenpairs_on(&lap, 3, 1e-10, 1, &opts, &Pool::default()).unwrap();
+        let ml = ml_pairs(&lap, 3, 1e-10, 1, &opts, &Pool::default()).unwrap();
         let eig = tql::symmetric_eigen(&lap.to_dense()).unwrap();
         for i in 0..3 {
             let expect = eig.eigenvalues[i + 1];
@@ -1589,7 +1558,7 @@ mod tests {
             t.push((i, i, d));
         }
         let lap = CsrMatrix::from_triplets(n, n, &t).unwrap();
-        let (lambda, v) = fiedler_pair_on(
+        let (lambda, v) = ml_fiedler(
             &lap,
             1e-9,
             3,
@@ -1624,7 +1593,7 @@ mod tests {
         }
         t.push((0, 0, (n - 1) as f64));
         let lap = CsrMatrix::from_triplets(n, n, &t).unwrap();
-        let (lambda, v) = fiedler_pair_on(
+        let (lambda, v) = ml_fiedler(
             &lap,
             1e-9,
             5,
@@ -1645,10 +1614,8 @@ mod tests {
             coarsest_size: 64,
             ..Default::default()
         };
-        let a =
-            smallest_nonzero_eigenpairs_on(&lap, 2, 1e-10, 42, &opts, &Pool::default()).unwrap();
-        let b =
-            smallest_nonzero_eigenpairs_on(&lap, 2, 1e-10, 42, &opts, &Pool::default()).unwrap();
+        let a = ml_pairs(&lap, 2, 1e-10, 42, &opts, &Pool::default()).unwrap();
+        let b = ml_pairs(&lap, 2, 1e-10, 42, &opts, &Pool::default()).unwrap();
         for ((la, va), (lb, vb)) in a.iter().zip(&b) {
             assert_eq!(la, lb);
             assert_eq!(va, vb);
@@ -1664,7 +1631,7 @@ mod tests {
         let run = |threads: usize| {
             let opts = MultilevelOptions::default();
             with_threads(Some(threads), |pool| {
-                smallest_nonzero_eigenpairs_on(&lap, 2, 1e-8, 11, &opts, pool).unwrap()
+                ml_pairs(&lap, 2, 1e-8, 11, &opts, pool).unwrap()
             })
         };
         let serial = run(1);
@@ -1897,6 +1864,7 @@ mod tests {
         let block = Block::from_columns(rhs);
         let mut out: Vec<Option<_>> = vec![None; rhs.len()];
         pcg::solve_on(
+            &mut pcg::Workspace::default(),
             lap,
             &block.data,
             rhs.len(),
@@ -1923,10 +1891,7 @@ mod tests {
         pool: Pool<'_>,
     ) -> Outcomes {
         rhs.iter()
-            .map(|b| {
-                pcg::solve_one_on(lap, b, opts, precond, pool)
-                    .map(|o| (o.solution, o.iterations, o.relative_residual.to_bits()))
-            })
+            .flat_map(|b| batched(lap, std::slice::from_ref(b), opts, precond, pool))
             .collect()
     }
 
@@ -2054,15 +2019,21 @@ mod tests {
                 Hierarchy::build(&lap, 3, &MultilevelOptions::default(), &pool).unwrap();
             let eig = tql::symmetric_eigen(&hierarchy.coarsest(&lap).to_dense()).unwrap();
             let setup = VCycleSetup::new(&lap, &hierarchy, &eig, &pool);
-            let vc = pcg::solve_one_on(&lap, b, &opts, &mut setup.at(0, pool), pool).unwrap();
+            let vc = batched(
+                &lap,
+                std::slice::from_ref(b),
+                &opts,
+                &mut setup.at(0, pool),
+                pool,
+            );
+            let (vc_solution, vc_iterations, _) = vc[0].clone().unwrap();
             let jac = pcg::solve_jacobi_on(&lap, b, &opts, pool).unwrap();
             assert!(
-                vc.iterations * 5 < jac.iterations,
-                "{name}: v-cycle {} vs jacobi {} iterations",
-                vc.iterations,
+                vc_iterations * 5 < jac.iterations,
+                "{name}: v-cycle {vc_iterations} vs jacobi {} iterations",
                 jac.iterations
             );
-            let mut diff = vc.solution.clone();
+            let mut diff = vc_solution;
             vector::axpy(-1.0, &jac.solution, &mut diff);
             assert!(vector::norm2(&diff) <= 1e-6 * vector::norm2(&jac.solution));
         }
@@ -2120,10 +2091,53 @@ mod tests {
     }
 
     #[test]
+    fn a_hierarchy_of_another_laplacian_is_a_dimension_mismatch() {
+        let opts = MultilevelOptions::default();
+        let pool = Pool::serial();
+        let hierarchy = Hierarchy::build(&grid_laplacian(40, 30), 3, &opts, &pool).unwrap();
+        let other = grid_laplacian(60, 50);
+        let got =
+            smallest_nonzero_eigenpairs_on_hierarchy(&other, &hierarchy, 1, 1e-9, 1, &opts, &pool);
+        assert_eq!(
+            got,
+            Err(LinalgError::DimensionMismatch {
+                context: "hierarchy: parent map against the level above",
+                expected: 3000,
+                found: 1200,
+            })
+        );
+    }
+
+    #[test]
+    fn a_hierarchy_too_coarse_for_the_block_is_too_small() {
+        // Coarsened to 4 vertices or fewer, with no floor: too few rows for
+        // the 8 pairs and 2 guard vectors of a k = 8 solve.
+        let lap = grid_laplacian(40, 30);
+        let pool = Pool::serial();
+        let tiny = MultilevelOptions {
+            coarsest_size: 4,
+            ..Default::default()
+        };
+        let hierarchy = Hierarchy::build(&lap, 0, &tiny, &pool).unwrap();
+        let rows = hierarchy.coarsest(&lap).rows();
+        assert!(rows <= 4, "coarsest level {rows} rows");
+        let opts = MultilevelOptions::default();
+        let got =
+            smallest_nonzero_eigenpairs_on_hierarchy(&lap, &hierarchy, 8, 1e-9, 1, &opts, &pool);
+        assert_eq!(
+            got,
+            Err(LinalgError::ProblemTooSmall {
+                dimension: rows,
+                minimum: 11,
+            })
+        );
+    }
+
+    #[test]
     fn rejects_tiny_problems_and_k_zero() {
         let lap = path_laplacian(3);
         assert!(matches!(
-            smallest_nonzero_eigenpairs_on(
+            ml_pairs(
                 &lap,
                 4,
                 1e-9,
@@ -2133,7 +2147,7 @@ mod tests {
             ),
             Err(LinalgError::ProblemTooSmall { .. })
         ));
-        assert!(smallest_nonzero_eigenpairs_on(
+        assert!(ml_pairs(
             &lap,
             0,
             1e-9,

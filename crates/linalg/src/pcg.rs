@@ -1,16 +1,18 @@
 //! Preconditioned conjugate gradients on CSR matrices, many right-hand
 //! sides at a time.
 //!
-//! [`solve_on`] takes the preconditioner as an argument ([`Preconditioner`]).
-//! Two exist in the crate:
+//! [`solve_on`] is the one solve: a block of right-hand sides in the
+//! buffers of a caller-owned [`Workspace`], with the preconditioner as an
+//! argument ([`Preconditioner`]). Two exist in the crate:
 //!
-//! * Jacobi (`M = diag(A)`), behind [`solve_jacobi_on`]. Plain CG is
-//!   fine for *unweighted* grid Laplacians, whose diagonal is nearly
-//!   constant. Section 4's weighted graphs (inverse-distance weights,
-//!   heavy affinity edges) can skew the diagonal by orders of magnitude;
-//!   dividing by it restores the iteration count at one extra vector
-//!   multiply per step. The coarse solve of a stalled hierarchy, which
-//!   has no V-cycle to offer, uses it.
+//! * Jacobi (`M = diag(A)`). Plain CG is fine for *unweighted* grid
+//!   Laplacians, whose diagonal is nearly constant. Section 4's weighted
+//!   graphs (inverse-distance weights, heavy affinity edges) can skew the
+//!   diagonal by orders of magnitude; dividing by it restores the
+//!   iteration count at one extra vector multiply per step. The coarse
+//!   solve of a stalled hierarchy, which has no V-cycle to offer, uses it;
+//!   [`solve_jacobi_on`] is its width-1 solve, for the retry of a failed
+//!   V-cycle column.
 //! * The aggregation V-cycle of [`crate::multilevel`], which the
 //!   multilevel walk uses on the hierarchy it already built.
 //!
@@ -145,18 +147,11 @@ impl<'p> Jacobi<'p> {
     /// rejected with [`LinalgError::NotPositiveDefinite`] — the
     /// preconditioner requires an SPD-compatible diagonal.
     pub(crate) fn new(a: &CsrMatrix, pool: Pool<'p>) -> Result<Self, LinalgError> {
-        let mut inv_diag = vec![0.0; a.rows()];
-        pool.for_each_chunk(&mut inv_diag, |row0, chunk| {
-            for (j, d) in chunk.iter_mut().enumerate() {
-                *d = a.get(row0 + j, row0 + j);
-            }
-        });
-        for d in inv_diag.iter_mut() {
-            if !(d.is_finite() && *d > 0.0) {
-                return Err(LinalgError::NotPositiveDefinite { curvature: *d });
-            }
-            *d = 1.0 / *d;
+        let mut diagonal = (0..a.rows()).map(|i| a.get(i, i));
+        if let Some(d) = diagonal.find(|d| !(d.is_finite() && *d > 0.0)) {
+            return Err(LinalgError::NotPositiveDefinite { curvature: d });
         }
+        let inv_diag = a.damped_inverse_diagonal(1.0, &pool);
         Ok(Jacobi { inv_diag, pool })
     }
 }
@@ -175,17 +170,15 @@ impl Preconditioner for Jacobi<'_> {
     }
 }
 
-/// Solve `A x = b` with Jacobi (diagonal) preconditioning.
+/// Solve `A x = b` with Jacobi (diagonal) preconditioning: [`solve_on`]
+/// at width 1.
 ///
 /// `A` is given as a CSR matrix (the diagonal must be available, which a
 /// generic [`LinearOperator`] cannot provide). Zero or negative diagonal
 /// entries are rejected — the preconditioner requires an SPD-compatible
 /// diagonal. With `opts.deflate_mean` the solve runs in the zero-mean
 /// subspace exactly like plain CG (the standard treatment for singular
-/// Laplacians).
-///
-/// This is [`solve_on`] at width 1: the matvec, dot, axpy, and
-/// preconditioner kernels run on `pool` with fixed-chunk reductions, so
+/// Laplacians). The kernels run on `pool` with fixed-chunk reductions, so
 /// the returned solution is bitwise identical for every thread count.
 pub fn solve_jacobi_on(
     a: &CsrMatrix,
@@ -193,25 +186,25 @@ pub fn solve_jacobi_on(
     opts: &CgOptions,
     pool: Pool<'_>,
 ) -> Result<PcgOutcome, LinalgError> {
-    solve_one_on(a, b, opts, &mut Jacobi::new(a, pool)?, pool)
-}
-
-/// [`solve_on`] for the single right-hand side `b`.
-pub fn solve_one_on(
-    a: &CsrMatrix,
-    b: &[f64],
-    opts: &CgOptions,
-    precond: &mut dyn Preconditioner,
-    pool: Pool<'_>,
-) -> Result<PcgOutcome, LinalgError> {
+    let mut jacobi = Jacobi::new(a, pool)?;
     let mut outcome = None;
-    solve_on(a, b, 1, opts, precond, pool, &mut |_, result| {
+    let mut done = |_, result: Result<Solved<'_>, LinalgError>| {
         outcome = Some(result.map(|s| PcgOutcome {
             solution: s.to_vec(),
             iterations: s.iterations,
             relative_residual: s.relative_residual,
         }));
-    })?;
+    };
+    solve_on(
+        &mut Workspace::default(),
+        a,
+        b,
+        1,
+        opts,
+        &mut jacobi,
+        pool,
+        &mut done,
+    )?;
     outcome.expect("the one column reports")
 }
 
@@ -228,8 +221,21 @@ struct Lane {
     fresh: bool,
 }
 
+/// The four lockstep buffers of [`solve_on`]: solution, residual, search
+/// direction, and `q`, which holds `A p` and then the preconditioned
+/// residual `z`. A caller that solves again and again keeps one, so every
+/// solve after the first reuses memory that is already mapped.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    q: Vec<f64>,
+}
+
 /// Preconditioned conjugate gradients for `A X = B`, where `rhs` holds the
-/// `width` right-hand sides as an `n × width` row-major block.
+/// `width` right-hand sides as an `n × width` row-major block, in the
+/// buffers of `workspace`.
 ///
 /// The preconditioner must be symmetric and positive on the solve's
 /// subspace. With `opts.deflate_mean` each right-hand side, residual,
@@ -245,34 +251,8 @@ struct Lane {
 /// is bitwise identical for every thread count as long as the
 /// preconditioner is. The call itself fails only on a block of the wrong
 /// length.
-pub fn solve_on(
-    a: &CsrMatrix,
-    rhs: &[f64],
-    width: usize,
-    opts: &CgOptions,
-    precond: &mut dyn Preconditioner,
-    pool: Pool<'_>,
-    done: &mut dyn FnMut(usize, Result<Solved<'_>, LinalgError>),
-) -> Result<(), LinalgError> {
-    let mut workspace = Workspace::default();
-    solve_in(&mut workspace, a, rhs, width, opts, precond, pool, done)
-}
-
-/// The four lockstep buffers of [`solve_on`]: solution, residual, search
-/// direction, and `q`, which holds `A p` and then the preconditioned
-/// residual `z`. A caller that solves again and again keeps one, so every
-/// solve after the first reuses memory that is already mapped.
-#[derive(Debug, Default)]
-pub(crate) struct Workspace {
-    x: Vec<f64>,
-    r: Vec<f64>,
-    p: Vec<f64>,
-    q: Vec<f64>,
-}
-
-/// [`solve_on`] with the buffers of `workspace`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_in(
+pub fn solve_on(
     workspace: &mut Workspace,
     a: &CsrMatrix,
     rhs: &[f64],

@@ -11,6 +11,7 @@
 
 use crate::error::LinalgError;
 use crate::operator::LinearOperator;
+use crate::parallel::Pool;
 
 /// The largest dimension a [`CsrMatrix`] (and so any graph or vertex set
 /// the ordering path stores) may have: every column index fits in a `u32`.
@@ -175,6 +176,20 @@ impl CsrMatrix {
             Ok(k) => self.values[lo + k],
             Err(_) => 0.0,
         }
+    }
+
+    /// `ω / a_ii` for every row, zero where the diagonal is not positive,
+    /// row-chunked on `pool`: the smoothers' and Jacobi's scaled inverse
+    /// diagonal.
+    pub(crate) fn damped_inverse_diagonal(&self, omega: f64, pool: &Pool) -> Vec<f64> {
+        let mut d = vec![0.0; self.rows];
+        pool.for_each_chunk(&mut d, |row0, chunk| {
+            for (j, dj) in chunk.iter_mut().enumerate() {
+                let v = self.get(row0 + j, row0 + j);
+                *dj = if v > 0.0 { omega / v } else { 0.0 };
+            }
+        });
+        d
     }
 
     /// `y = A x` into a caller-provided buffer.

@@ -4,8 +4,23 @@
 //! binary's single test function: no other solve can run concurrently and
 //! bleed into the deltas.
 
-use slpm_linalg::multilevel::smallest_nonzero_eigenpairs_on;
-use slpm_linalg::{solver_counters, CsrMatrix, LinalgError, MultilevelOptions, Pool};
+use slpm_linalg::fiedler::smallest_nonzero_eigenpairs_on;
+use slpm_linalg::{
+    solver_counters, CsrMatrix, FiedlerMethod, FiedlerOptions, LinalgError, MultilevelOptions, Pool,
+};
+
+/// Multilevel options with this tolerance, seed and refinement cap.
+fn multilevel(tolerance: f64, seed: u64, max_refine_steps: usize) -> FiedlerOptions {
+    FiedlerOptions {
+        method: Some(FiedlerMethod::Multilevel),
+        tolerance,
+        seed,
+        multilevel: MultilevelOptions {
+            max_refine_steps,
+            ..Default::default()
+        },
+    }
+}
 
 fn grid_laplacian(w: usize, h: usize) -> CsrMatrix {
     let idx = |x: usize, y: usize| x * h + y;
@@ -45,12 +60,17 @@ fn star_laplacian(n: usize) -> CsrMatrix {
 #[test]
 fn fallbacks_are_counted_and_grids_take_none() {
     let pool = Pool::serial();
-    let opts = MultilevelOptions::default();
+    let steps = MultilevelOptions::default().max_refine_steps;
 
     // A grid runs every inner solve on the V-cycle: no fallback of any kind.
     let before = solver_counters();
-    let pairs =
-        smallest_nonzero_eigenpairs_on(&grid_laplacian(48, 40), 1, 1e-9, 3, &opts, &pool).unwrap();
+    let pairs = smallest_nonzero_eigenpairs_on(
+        &grid_laplacian(48, 40),
+        1,
+        &multilevel(1e-9, 3, steps),
+        &pool,
+    )
+    .unwrap();
     let grid = solver_counters().since(&before);
     assert!(pairs[0].0 > 0.0);
     assert_eq!(grid.vcycle_retries, 0, "{grid:?}");
@@ -62,7 +82,8 @@ fn fallbacks_are_counted_and_grids_take_none() {
     // inverse iteration from a random start on the input itself.
     let star_lap = star_laplacian(1500);
     let before = solver_counters();
-    let pairs = smallest_nonzero_eigenpairs_on(&star_lap, 1, 1e-9, 5, &opts, &pool).unwrap();
+    let pairs =
+        smallest_nonzero_eigenpairs_on(&star_lap, 1, &multilevel(1e-9, 5, steps), &pool).unwrap();
     let star = solver_counters().since(&before);
     assert!((pairs[0].0 - 1.0).abs() < 1e-6);
     assert_eq!(star.coarse_fallbacks, 1, "{star:?}");
@@ -71,12 +92,8 @@ fn fallbacks_are_counted_and_grids_take_none() {
     // A coarse fallback that misses its target (here one sweep towards an
     // unreachable tolerance) is a typed error of the solve, still counted
     // as a coarse fallback.
-    let one_sweep = MultilevelOptions {
-        max_refine_steps: 1,
-        ..Default::default()
-    };
     let before = solver_counters();
-    let err = smallest_nonzero_eigenpairs_on(&star_lap, 1, 1e-30, 5, &one_sweep, &pool);
+    let err = smallest_nonzero_eigenpairs_on(&star_lap, 1, &multilevel(1e-30, 5, 1), &pool);
     let failed = solver_counters().since(&before);
     assert!(
         matches!(err, Err(LinalgError::NoConvergence { solver, .. }) if solver == "multilevel coarse fallback"),

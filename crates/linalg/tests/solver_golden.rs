@@ -13,8 +13,7 @@
 //! The counters are process-wide, so every check lives in this binary's
 //! single test function.
 
-use slpm_linalg::fiedler::fiedler_pair_on;
-use slpm_linalg::multilevel::smallest_nonzero_eigenpairs_on;
+use slpm_linalg::fiedler::{fiedler_pair_on, smallest_nonzero_eigenpairs_on};
 use slpm_linalg::{
     solver_counters, with_threads, CsrMatrix, FiedlerMethod, FiedlerOptions, MultilevelOptions,
     Pool,
@@ -155,12 +154,17 @@ fn record(solve: impl Fn(&Pool<'_>) -> Vec<(f64, Vec<f64>)>, threads: usize) -> 
 fn holey_solves_reproduce_their_recorded_bits() {
     let lap = holey_laplacian(60, 45, 15, 4);
     assert_eq!(lap.rows(), 2160);
-    let opts = MultilevelOptions::default();
+    let multilevel = |seed| FiedlerOptions {
+        method: Some(FiedlerMethod::Multilevel),
+        tolerance: 1e-9,
+        seed,
+        multilevel: MultilevelOptions::default(),
+    };
     let hierarchy =
-        |pool: &Pool<'_>| smallest_nonzero_eigenpairs_on(&lap, 3, 1e-9, 1, &opts, pool).unwrap();
+        |pool: &Pool<'_>| smallest_nonzero_eigenpairs_on(&lap, 3, &multilevel(1), pool).unwrap();
     let star = star_laplacian(1500);
     let fallback =
-        |pool: &Pool<'_>| smallest_nonzero_eigenpairs_on(&star, 1, 1e-9, 5, &opts, pool).unwrap();
+        |pool: &Pool<'_>| smallest_nonzero_eigenpairs_on(&star, 1, &multilevel(5), pool).unwrap();
 
     // Recorded before the inner solves were batched.
     let expect_hierarchy = Record {
