@@ -204,7 +204,7 @@ impl Hierarchy {
     ) -> Result<Hierarchy, LinalgError> {
         let mut levels: Vec<Coarsening> = Vec::new();
         let mut current = laplacian;
-        while current.rows() > dense_limit(floor, opts) {
+        while current.rows() > opts.coarsest_size.max(floor + 2) {
             let step = coarsen_laplacian(current, pool)?;
             let shrunk = step.coarse.rows() < (current.rows() as f64 * MIN_SHRINK) as usize;
             if !shrunk || step.coarse.rows() <= floor {
